@@ -11,7 +11,6 @@ from fractions import Fraction
 from autcert.scalars import (
     LaurentT,
     MultiPoly,
-    QuadExt,
     RatFunc,
     matrix_rank_det,
     parse_poly,
@@ -33,10 +32,8 @@ print("f       =", f)
 shift = LaurentT({-4: Fraction(3), 0: Fraction(-1, 2)})
 print("laurent =", shift)
 
-# Square roots stay symbolic when irrational: delta^2 = -3 here.
+# Square roots are exact: a rational root, or None when there is none.
 print("sqrt 9/4 =", rational_sqrt(Fraction(9, 4)))
-root = QuadExt.root(-3)
-print("delta^2  =", root * root)
 
 # Fraction-free determinants work over any of these scalars.
 rows = [

@@ -6,7 +6,7 @@ automorphism group is discrete but not finitely generated.  It is
 organized in independent layers:
 
 * :mod:`autcert.scalars` -- exact rationals, multivariate polynomials,
-  rational functions, Laurent polynomials, quadratic extensions, and
+  rational functions, Laurent polynomials, rational square roots, and
   fraction-free linear algebra over any of them;
 * :mod:`autcert.lattice` -- integer row reduction (Hermite form), span
   membership with witnesses, orthogonal complements, ADE recognition,
@@ -22,7 +22,7 @@ organized in independent layers:
   singular fiber's smooth locus;
 * :mod:`autcert.cremona` -- the reciprocal Cremona involution in
   cleared form, quadric preservation certificates, ruling swaps at
-  rational specializations, cross-ratio tests, and Moebius conjugation;
+  rational specializations, and Moebius conjugation;
 * :mod:`autcert.fingen` -- escape certificates showing an additive
   group of Laurent polynomials admits no finite generating set;
 * :mod:`autcert.pipeline` -- the staged certificate runner and its

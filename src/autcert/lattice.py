@@ -57,10 +57,6 @@ def pairing(gram: Sequence[Sequence[int]], v: Sequence[int], w: Sequence[int]) -
     return dot(v, [dot(row, w) for row in gram])
 
 
-def negated(gram: Sequence[Sequence[int]]) -> Mat:
-    return tuple(tuple(-x for x in row) for row in gram)
-
-
 # -- Hermite normal form -----------------------------------------------------
 
 
@@ -444,41 +440,3 @@ def dynkin_classify(gram: Sequence[Sequence[int]]) -> RootType | None:
         if graphs_isomorphic(adjacency_from_gram(cartan_matrix(t)), adj):
             return t
     return None
-
-
-# -- lattice wrapper ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GramLattice:
-    """A free abelian group with a fixed integer pairing on its basis."""
-
-    gram: Mat
-
-    def __post_init__(self):
-        object.__setattr__(self, "gram", _check_gram(self.gram))
-
-    @property
-    def n(self) -> int:
-        return len(self.gram)
-
-    def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
-        return pairing(self.gram, v, w)
-
-    def rank(self) -> int:
-        return gram_rank(self.gram)
-
-    def signature(self) -> tuple[int, int, int]:
-        return signature(self.gram)
-
-    def orth_complement(self, indices: Sequence[int]) -> tuple[list[Vec], "GramLattice"]:
-        basis, induced = orth_complement(self.gram, indices)
-        return basis, GramLattice(induced)
-
-    def sublattice(self, indices: Sequence[int]) -> "GramLattice":
-        idx = list(indices)
-        if any(i < 0 or i >= self.n for i in idx):
-            raise ValueError("index out of range")
-        return GramLattice(
-            tuple(tuple(self.gram[i][j] for j in idx) for i in idx)
-        )

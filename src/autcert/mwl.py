@@ -1,7 +1,7 @@
 """Mordell-Weil heights from combinatorial section data.
 
-The height pairing on the group of sections of a genus-one fibration
-is computed from exact integer inputs: the Euler characteristic chi,
+The canonical height of a section of a genus-one fibration is
+computed from exact integer inputs: the Euler characteristic chi,
 the intersection of each section with the zero section, and the fiber
 component each section meets, encoded per fiber.  Local correction
 terms are looked up in the classical contribution tables; only the
@@ -119,18 +119,6 @@ def contribution(kt: KodairaType, comp: Component) -> Fraction:
     return Fraction(4, 3)
 
 
-def contribution_pair(kt: KodairaType, a: Component, b: Component) -> Fraction:
-    """Local correction of a pair of sections at one fiber."""
-    a = _check_component(kt, a)
-    b = _check_component(kt, b)
-    if kt.symbol == "I":
-        i, j = sorted((a.value, b.value))
-        return Fraction(i * (kt.index - j), kt.index)
-    if a == IDENTITY_COMPONENT or b == IDENTITY_COMPONENT:
-        return Fraction(0)
-    return Fraction(4, 3) if a == b else Fraction(2, 3)
-
-
 @dataclass(frozen=True)
 class HeightContext:
     """Fibration-level data entering every height computation."""
@@ -181,20 +169,6 @@ def height(ctx: HeightContext, P: SectionData) -> Fraction:
     total = Fraction(2 * ctx.chi + 2 * P.dot_zero)
     for kt, comp in _aligned_components(ctx, P):
         total -= contribution(kt, comp)
-    return total
-
-
-def height_pair(
-    ctx: HeightContext, P: SectionData, Q: SectionData, dot_pq: int
-) -> Fraction:
-    """Height pairing of two sections, given their intersection number."""
-    if P.name == ctx.zero_name or Q.name == ctx.zero_name:
-        return Fraction(0)
-    total = Fraction(ctx.chi + P.dot_zero + Q.dot_zero - dot_pq)
-    pc = _aligned_components(ctx, P)
-    qc = _aligned_components(ctx, Q)
-    for (kt, a), (_, b) in zip(pc, qc):
-        total -= contribution_pair(kt, a, b)
     return total
 
 
@@ -277,10 +251,3 @@ class SmoothLocusAut:
 def compose_smooth_locus(f: SmoothLocusAut, g: SmoothLocusAut) -> SmoothLocusAut:
     """Composite action: scales multiply, shifts add."""
     return SmoothLocusAut(f.scale * g.scale, f.shift + g.shift)
-
-
-def power(f: SmoothLocusAut, k: int) -> SmoothLocusAut:
-    """k-th composition power, any integer k."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError("exponent must be an integer")
-    return SmoothLocusAut(f.scale ** k, f.shift * k)

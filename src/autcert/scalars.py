@@ -4,9 +4,8 @@ Every quantity in this package is exact: rationals are
 :class:`fractions.Fraction`, polynomials carry rational coefficients in
 a canonical graded-lexicographic term order, rational functions are kept
 gcd-reduced with a monic denominator, and Laurent polynomials allow
-negative exponents of the single variable ``t``.  A small quadratic
-extension type adjoins one square root to the rationals for the few
-places that need it.  No floating point is used anywhere.
+negative exponents of the single variable ``t``.  No floating point is
+used anywhere.
 
 Each type has a canonical textual form (integers in decimal, polynomials
 as sorted monomial strings) that round-trips through the matching
@@ -16,7 +15,6 @@ as sorted monomial strings) that round-trips through the matching
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
@@ -104,16 +102,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return not self.vars
-
-    def constant_value(self) -> Fraction:
-        if self.vars:
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, names: Iterable[str]) -> int:
         """Largest combined exponent of the named variables in any term."""
@@ -708,107 +696,7 @@ class ProjValue:
 INFINITY = ProjValue(None)
 
 
-# -- quadratic extensions --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadExt:
-    """Element a + b*delta of a quadratic extension of Q with delta^2 = d."""
-
-    a: Fraction
-    b: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        object.__setattr__(self, "d", _as_fraction(self.d))
-
-    @classmethod
-    def of(cls, x, d) -> QuadExt:
-        if isinstance(x, QuadExt):
-            if x.d != _as_fraction(d):
-                raise ValueError("mismatched extensions")
-            return x
-        return cls(_as_fraction(x), Fraction(0), d)
-
-    @classmethod
-    def root(cls, d) -> QuadExt:
-        return cls(Fraction(0), Fraction(1), d)
-
-    def _check(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ValueError("mismatched extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt.of(other, self.d)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a + other.a, self.b + other.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExt(
-            self.a * other.a + self.d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> QuadExt:
-        # norm a^2 - d b^2 vanishes only at 0 when d is not a rational square
-        n = self.a * self.a - self.d * self.b * self.b
-        if not n:
-            raise ZeroDivisionError("element has zero norm")
-        return QuadExt(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._check(other) * self.inverse()
-
-    def __pow__(self, k: int) -> QuadExt:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("QuadExt powers take non-negative integers")
-        out = QuadExt.of(1, self.d)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*delta" if self.b else str(self.a)
+# -- square roots ----------------------------------------------------------
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -842,10 +730,9 @@ def _exact_quot(a, b):
 def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
     """Rank, and determinant when square, by fraction-free Bareiss elimination.
 
-    Entries may be rationals, polynomials, rational functions, or
-    quadratic-extension elements; the successive-pivot divisions are
-    exact over any integral domain, so no fractions of entries are ever
-    formed.
+    Entries may be rationals, polynomials, or rational functions; the
+    successive-pivot divisions are exact over any integral domain, so no
+    fractions of entries are ever formed.
     """
     A = [[_entry(x) for x in row] for row in rows]
     m = len(A)
@@ -866,7 +753,7 @@ def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
             for j in range(c + 1, n):
                 val = A[r][c] * A[i][j] - A[i][c] * A[r][j]
                 A[i][j] = val if prev is None else _exact_quot(val, prev)
-            A[i][c] = A[i][c] * 0 if isinstance(A[i][c], QuadExt) else Fraction(0)
+            A[i][c] = Fraction(0)
         prev = A[r][c]
         r += 1
     if m != n:
@@ -902,21 +789,10 @@ def field_nullspace(rows: Sequence[Sequence]) -> list[tuple]:
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return []
-    one = None
-    for row in A:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
-        one = Fraction(1)
-    zero = one - one
     basis = []
     for fc in free:
-        vec = [zero] * n
-        vec[fc] = one
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
             vec[pc] = -A[ri][fc]
         basis.append(tuple(vec))

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .lattice import GramLattice, Mat, _check_gram
+from .lattice import Mat, _check_gram
 from .scalars import INFINITY, ProjValue, RatFunc
 
 SURFACE_CHI = {"X_K3": 2, "Z_Enriques": 1}
@@ -47,6 +47,11 @@ _E_RE = re.compile(r"^E([1-4])$")
 _F_RE = re.compile(r"^F([1-4])$")
 _C2_RE = re.compile(r"^C([1-4])([1-4])$")
 _C1_RE = re.compile(r"^C([1-4])$")
+
+
+def is_curve_label(label: str) -> bool:
+    """Whether ``label`` names one of the 28 curves of the extended configuration."""
+    return any(r.fullmatch(label) for r in (_E_RE, _F_RE, _C2_RE, _C1_RE))
 
 
 @dataclass(frozen=True)
@@ -72,9 +77,6 @@ class Marking:
             if coord is not None and not isinstance(coord, ProjValue):
                 raise TypeError(f"coordinate of {self.label} on {curve} not projective")
         object.__setattr__(self, "on", on)
-
-    def curves(self) -> tuple[str, ...]:
-        return tuple(sorted(self.on))
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,6 @@ class Configuration:
             if self.resolve(c) == curve:
                 return coord
         raise KeyError(f"marking {point} does not lie on {curve}")
-
-    def gram_lattice(self) -> GramLattice:
-        return GramLattice(self.gram)
 
     def to_json_dict(self) -> dict:
         pairs = []
@@ -497,28 +496,6 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
         markings[q] = Marking(q, on)
 
     return Configuration("Z_Enriques", 1, z_labels, gram, markings, aliases)
-
-
-def unique_fixed_component(
-    config: Configuration, point: str, fixed_curves: Iterable[str]
-) -> str:
-    """The single curve from a given fixed locus through a marked point.
-
-    Raises when the point lies on zero or on two or more of the listed
-    curves; the caller supplies the fixed locus (for the 24-curve K3
-    configuration that is all of E1..E4, F1..F4).
-    """
-    if point not in config.markings:
-        raise KeyError(f"no marking {point}")
-    fixed = {config.resolve(c) for c in fixed_curves}
-    through = sorted(
-        {config.resolve(c) for c in config.markings[point].on} & fixed
-    )
-    if len(through) != 1:
-        raise ValueError(
-            f"point {point} lies on {len(through)} fixed curves {through}, expected 1"
-        )
-    return through[0]
 
 
 # -- blow-up ledger ----------------------------------------------------------------

@@ -3,26 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from autcert.cremona import (
-    Failure,
     MoebiusMap,
     QuadricForm,
     RationalMapP3,
     conjugate_translation,
     contraction_check,
-    coordinate_swap,
     cremona_map,
-    cross_ratio,
-    cross_ratio_equivalent,
-    cross_ratio_orbit,
     find_swap_specializations,
-    identity_map,
     involution_cofactor,
     preserves_quadric,
-    reciprocal_display,
     scaling,
     translate,
     verify_pij_swap,
@@ -43,8 +34,12 @@ def fin(v) -> ProjValue:
     return ProjValue.finite(v if isinstance(v, RatFunc) else RatFunc(v))
 
 
+def linear_map(*names: str) -> RationalMapP3:
+    """The linear map of P3 with the given coordinate variables as components."""
+    return RationalMapP3(tuple(MultiPoly.var(x) for x in names))
+
+
 T = RatFunc.var("t")
-S = RatFunc.var("s")
 
 
 # -- the involution, generically over the parameters -----------------------------------
@@ -61,7 +56,13 @@ def test_involution_cofactor_is_square_of_quadric_cofactor():
 
 
 def test_identity_involution():
-    assert involution_cofactor(identity_map()) == MultiPoly.const(1)
+    assert involution_cofactor(linear_map("x1", "x2", "x3", "x4")) == MultiPoly.const(1)
+
+
+def test_cyclic_shift_is_not_an_involution():
+    res = involution_cofactor(linear_map("x2", "x3", "x4", "x1"))
+    assert res["kind"] == "not-an-involution"
+    assert res["witness"] == "x3"
 
 
 def test_contraction_of_all_four_planes():
@@ -76,16 +77,14 @@ def test_contraction_of_all_four_planes():
 
 
 def test_coordinate_swap_breaks_the_quadric():
-    res = preserves_quadric(coordinate_swap(1, 2), QuadricForm.standard().poly)
-    assert isinstance(res, Failure)
-    assert res.kind == "quadric-not-preserved"
-    assert res.witness
+    res = preserves_quadric(linear_map("x2", "x1", "x3", "x4"), QuadricForm.standard().poly)
+    assert res["kind"] == "quadric-not-preserved"
+    assert res["witness"]
 
 
 def test_swap_does_not_contract():
-    res = contraction_check(coordinate_swap(1, 2), 1)
-    assert isinstance(res, Failure)
-    assert res.kind == "plane-not-contracted"
+    res = contraction_check(linear_map("x2", "x1", "x3", "x4"), 1)
+    assert res["kind"] == "plane-not-contracted"
 
 
 def test_quadric_matrix_agrees_with_polynomial():
@@ -126,11 +125,6 @@ def test_map_validation():
         RationalMapP3((x[0] + MultiPoly.const(1), x[1], x[2], x[3]))
 
 
-def test_reciprocal_display_mentions_all_coordinates():
-    text = reciprocal_display()
-    assert all(f"x{k}" in text for k in range(1, 5))
-
-
 # -- specialization and ruling swap -------------------------------------------------------
 
 
@@ -138,7 +132,6 @@ def test_swap_at_9_2_2():
     report = verify_pij_swap((9, 2, 2))
     assert report.passed
     assert report.swaps_checked == 12
-    assert not report.used_extension
     assert report.discriminants == ("9/4", "9/4", "9/4", "9")
     assert len(report.family_a) == 4 and len(report.family_b) == 4
 
@@ -154,14 +147,6 @@ def test_swap_irrational_without_extension():
     assert all(f["kind"] == "irrational-ruling" for f in report.failures)
 
 
-def test_swap_with_quadratic_extension():
-    report = verify_pij_swap((1, 1, 1), allow_quadratic_extension=True)
-    assert report.passed
-    assert report.used_extension
-    assert report.extension_square == "-3"
-    assert report.swaps_checked == 12
-
-
 def test_swap_rejects_degenerate_parameters():
     with pytest.raises(ValueError, match="nonzero"):
         verify_pij_swap((0, 1, 1))
@@ -172,13 +157,13 @@ def test_swap_rejects_degenerate_parameters():
 
 
 def test_find_swap_specializations_deterministic():
-    found = find_swap_specializations(seed=0, want=3)
-    assert found == find_swap_specializations(seed=0, want=3)
+    found = find_swap_specializations(seed=0)
+    assert found == find_swap_specializations(seed=0)
     assert len(found) == 3
     assert len(set(found)) == 3
     for alpha in found:
         report = verify_pij_swap(alpha)
-        assert report.passed and not report.used_extension
+        assert report.passed
 
 
 # -- Moebius maps ---------------------------------------------------------------------------
@@ -217,59 +202,3 @@ def test_conjugate_translation_formula():
         assert f.has_equal_diagonal()
     with pytest.raises(ValueError):
         conjugate_translation(-1)
-
-
-# -- cross-ratios ------------------------------------------------------------------------------
-
-
-def test_cross_ratio_normalization():
-    assert cross_ratio((fin(1), fin(T), INFINITY, fin(0))) == T
-    assert cross_ratio((fin(1), fin(5), INFINITY, fin(0))) == RatFunc(5)
-
-
-def test_cross_ratio_rejects_repeats():
-    with pytest.raises(ValueError, match="repeated"):
-        cross_ratio((fin(1), fin(1), INFINITY, fin(0)))
-
-
-def test_cross_ratio_orbit_size():
-    orbit = cross_ratio_orbit(RatFunc(5))
-    assert len(set(orbit)) == 6
-    assert RatFunc(Fraction(1, 5)) in orbit
-    assert RatFunc(Fraction(-4)) in orbit
-
-
-def test_marked_quadruples_inequivalent_across_pencils():
-    first = (fin(1), fin(T), INFINITY, fin(0))
-    second = (fin(1), fin(S), INFINITY, fin(0))
-    assert not cross_ratio_equivalent(first, second, ordered=True)
-    assert not cross_ratio_equivalent(first, second, ordered=False)
-
-
-def test_cross_ratio_equivalent_cases():
-    base = (fin(1), fin(5), INFINITY, fin(0))
-    # double transpositions preserve the ordered cross-ratio
-    kleined = (fin(5), fin(1), fin(0), INFINITY)
-    assert cross_ratio_equivalent(base, kleined, ordered=True)
-    # a single transposition only matches up to the six-element orbit
-    swapped = (fin(5), fin(1), INFINITY, fin(0))
-    assert cross_ratio_equivalent(base, swapped, ordered=False)
-    assert not cross_ratio_equivalent(base, swapped, ordered=True)
-
-
-@given(st.permutations([0, 1, 2, 3]))
-def test_cross_ratio_permutation_invariance_unordered(perm):
-    base = (fin(1), fin(7), INFINITY, fin(0))
-    shuffled = tuple(base[k] for k in perm)
-    assert cross_ratio_equivalent(base, shuffled, ordered=False)
-
-
-@given(
-    st.fractions(min_value=2, max_value=50, max_denominator=7),
-    st.fractions(min_value=-20, max_value=-1, max_denominator=7),
-)
-def test_cross_ratio_moebius_invariance(lam, shift):
-    points = (fin(1), fin(lam), INFINITY, fin(0))
-    f = translate(RatFunc(shift)).compose(scaling(RatFunc(3)))
-    moved = tuple(f.apply(z) for z in points)
-    assert cross_ratio(moved) == cross_ratio(points)

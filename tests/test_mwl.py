@@ -18,11 +18,8 @@ from autcert.mwl import (
     component_index_sum,
     compose_smooth_locus,
     contribution,
-    contribution_pair,
     height,
-    height_pair,
     is_torsion,
-    power,
     section_from_config,
 )
 from autcert.scalars import RatFunc
@@ -75,21 +72,9 @@ def test_contribution_in():
     assert contribution(KodairaType.I(2), ModInt(1, 2)) == Fraction(1, 2)
 
 
-def test_contribution_pair_in():
-    assert contribution_pair(I8, ModInt(2, 8), ModInt(5, 8)) == Fraction(3, 4)
-    assert contribution_pair(I8, ModInt(5, 8), ModInt(2, 8)) == Fraction(3, 4)
-    assert contribution_pair(I8, ModInt(0, 8), ModInt(3, 8)) == 0
-    assert contribution_pair(I8, ModInt(4, 8), ModInt(4, 8)) == contribution(
-        I8, ModInt(4, 8)
-    )
-
-
 def test_contribution_iv_star():
     assert contribution(IV_STAR, IDENTITY_COMPONENT) == 0
     assert contribution(IV_STAR, StarBranch(1)) == Fraction(4, 3)
-    assert contribution_pair(IV_STAR, StarBranch(2), StarBranch(2)) == Fraction(4, 3)
-    assert contribution_pair(IV_STAR, StarBranch(1), StarBranch(3)) == Fraction(2, 3)
-    assert contribution_pair(IV_STAR, IDENTITY_COMPONENT, StarBranch(3)) == 0
 
 
 def test_contribution_validation():
@@ -123,8 +108,6 @@ def test_height_of_zero_section_is_zero_by_definition():
     ctx = two_i8_context()
     zero = SectionData("C21", 0, {"N1": ModInt(0, 8), "N1eps": ModInt(0, 8)})
     assert height(ctx, zero) == 0
-    other = SectionData("C12", 0, {"N1": ModInt(4, 8), "N1eps": ModInt(4, 8)})
-    assert height_pair(ctx, zero, other, 0) == 0
 
 
 def test_height_nonzero_example():
@@ -138,15 +121,6 @@ def test_narrow_iv_star_generator_height():
     ctx = HeightContext(1, (("M", IV_STAR),))
     gen = SectionData("G", 0, {"M": IDENTITY_COMPONENT})
     assert height(ctx, gen) == 2
-
-
-def test_height_pair_example():
-    ctx = two_i8_context()
-    P = SectionData("P", 1, {"N1": ModInt(2, 8), "N1eps": ModInt(0, 8)})
-    Q = SectionData("Q", 0, {"N1": ModInt(5, 8), "N1eps": ModInt(4, 8)})
-    expected = Fraction(2 + 1 + 0 - 0) - Fraction(3, 4) - Fraction(0)
-    assert height_pair(ctx, P, Q, 0) == expected
-    assert height_pair(ctx, Q, P, 0) == expected
 
 
 def test_height_requires_matching_fibers():
@@ -166,7 +140,9 @@ def test_height_requires_matching_fibers():
 def test_height_matches_pairing_with_itself(chi, dot_zero, n, i):
     ctx = HeightContext(chi, (("F", KodairaType.I(n)),))
     P = SectionData("P", dot_zero, {"F": ModInt(i, n)})
-    assert height(ctx, P) == height_pair(ctx, P, P, -chi)
+    # Shioda's formula with the I_n correction i(n - i)/n
+    k = i % n
+    assert height(ctx, P) == 2 * chi + 2 * dot_zero - Fraction(k * (n - k), n)
 
 
 def test_context_validation():
@@ -247,21 +223,8 @@ def test_compose_smooth_locus():
     assert ff.shift == ModInt(0, 8)
 
 
-def test_power_matches_iterated_composition():
-    f = SmoothLocusAut(t_scale(), ModInt(4, 8))
-    assert power(f, 2) == compose_smooth_locus(f, f)
-    assert power(f, 0) == SmoothLocusAut(RatFunc(1), ModInt(0, 8))
-    assert power(f, -1).scale == RatFunc(1) / t_scale()
-    acc = SmoothLocusAut(RatFunc(1), ModInt(0, 8))
-    for _ in range(5):
-        acc = compose_smooth_locus(acc, f)
-    assert acc == power(f, 5)
-
-
 def test_smooth_locus_validation():
     with pytest.raises(ValueError):
         SmoothLocusAut(RatFunc(0), ModInt(0, 8))
     with pytest.raises(TypeError):
         SmoothLocusAut(1, ModInt(0, 8))
-    with pytest.raises(TypeError):
-        power(SmoothLocusAut(t_scale(), ModInt(0, 8)), "2")

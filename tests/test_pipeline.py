@@ -1,5 +1,6 @@
 """Tests for the staged certificate runner and its CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from autcert.pipeline import (
     run_all,
     run_stage,
 )
+from autcert.surface import build_double_kummer, extend_with_conics
 
 EXPECTED_STAGES = (
     "config",
@@ -95,6 +97,16 @@ def test_json_numbers_are_strings(default_report):
         assert leaf is None or isinstance(leaf, (str, bool)), repr(leaf)
 
 
+def test_default_report_sha256_is_the_regression_anchor(default_report):
+    """The default report's bytes are pinned by their sha256.
+
+    A deliberate change of the report format (ROADMAP item 4) updates
+    this value and records the new one in CHANGES.md.
+    """
+    digest = hashlib.sha256(default_report.to_json().encode("utf-8")).hexdigest()
+    assert digest == "1057b93d52cc5eb44db1d7b11c9b776687fa42ed6c741243d2d2a6b79e9ab0b4"
+
+
 def test_report_is_deterministic():
     options = PipelineOptions(max_gens=2, seed=0)
     assert run_all(options).to_json() == run_all(options).to_json()
@@ -156,8 +168,28 @@ def test_options_validation():
         PipelineOptions(max_gens=0)
     with pytest.raises(ValueError, match="corrupt_pair"):
         PipelineOptions(corrupt_pair=("only-one",))
+    with pytest.raises(ValueError, match="distinct"):
+        PipelineOptions(corrupt_pair=("E2", "E2"))
     with pytest.raises(ValueError, match="status"):
         StageResult("x", "maybe", "anchor", {})
+
+
+def test_corrupt_pair_accepts_exactly_the_curve_labels():
+    labels = extend_with_conics(build_double_kummer()).labels
+    digits = [""] + list("012345") + [a + b for a in "012345" for b in "012345"]
+    candidates = {p + d for p in "CDEFHP" for d in digits}
+    candidates |= {"", "e1", " E1", "E1 ", "E1\n", "C111", "Foo"}
+    assert set(labels) <= candidates
+
+    def accepted(label):
+        other = "F1" if label == "E1" else "E1"
+        try:
+            PipelineOptions(corrupt_pair=(label, other))
+        except ValueError:
+            return False
+        return True
+
+    assert {c for c in candidates if accepted(c)} == set(labels)
 
 
 # -- command line ---------------------------------------------------------------------
@@ -192,6 +224,8 @@ def test_cli_usage_errors(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
     assert main(["all", "--corrupt-pair", "nocomma"]) == 2
+    assert main(["all", "--corrupt-pair", "Foo,Bar"]) == 2
+    assert main(["all", "--corrupt-pair", "E2,E2"]) == 2
     assert main(["all", "--max-gens", "0"]) == 2
     capsys.readouterr()
 

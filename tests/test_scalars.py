@@ -11,7 +11,6 @@ from autcert.scalars import (
     LaurentT,
     MultiPoly,
     ProjValue,
-    QuadExt,
     RatFunc,
     field_nullspace,
     laurent_degree_range,
@@ -92,7 +91,6 @@ def test_leading_term_is_graded_lex():
 
 def test_degrees_and_homogeneity():
     p = x**2 * y + z
-    assert p.total_degree() == 3
     assert p.degree_in(["x"]) == 2
     assert p.degree_in(["x", "y"]) == 3
     assert not p.is_homogeneous_in(["x", "y", "z"])
@@ -276,27 +274,7 @@ def test_proj_values():
         ProjValue.finite(None)
 
 
-# -- quadratic extension -----------------------------------------------------
-
-
-def test_quadext_arithmetic():
-    d = Fraction(2)
-    delta = QuadExt.root(d)
-    one = QuadExt.of(1, d)
-    assert delta * delta == QuadExt.of(2, d)
-    assert (one + delta) * (one - delta) == QuadExt.of(-1, d)
-    inv = (one + delta).inverse()
-    assert inv == QuadExt(Fraction(-1), Fraction(1), d)
-    assert (one + delta) * inv == one
-    assert 2 * delta == QuadExt(Fraction(0), Fraction(2), d)
-    assert delta**3 == 2 * delta
-
-
-def test_quadext_guards():
-    with pytest.raises(ValueError):
-        QuadExt.root(2) + QuadExt.root(3)
-    with pytest.raises(ZeroDivisionError):
-        QuadExt.of(0, 5).inverse()
+# -- square roots ------------------------------------------------------------
 
 
 def test_rational_sqrt():
@@ -353,16 +331,6 @@ def test_nullspace_annihilates(m):
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
-
-
-def test_nullspace_quadext_entries():
-    d = Fraction(3)
-    delta = QuadExt.root(d)
-    one = QuadExt.of(1, d)
-    basis = field_nullspace([[one, delta]])
-    assert len(basis) == 1
-    v = basis[0]
-    assert (one * v[0] + delta * v[1]).is_zero()
 
 
 # -- canonical text ----------------------------------------------------------

@@ -16,7 +16,6 @@ from autcert.surface import (
     quotient_pushforward,
     standard_blowup_ledger,
     theta_identity,
-    unique_fixed_component,
     verify_isometry,
     with_intersection,
 )
@@ -305,27 +304,6 @@ def test_quotient_rejects_broken_isometry():
     bad = with_intersection(ext, "E2", "C32", 0)
     with pytest.raises(ValueError, match="isometry"):
         quotient_pushforward(bad, epsilon_involution(bad))
-
-
-# -- fixed components --------------------------------------------------------------
-
-
-def test_unique_fixed_component_examples():
-    x = build_double_kummer()
-    sections = [f"E{j}" for j in range(1, 5)] + [f"F{i}" for i in range(1, 5)]
-    assert unique_fixed_component(x, "P32", sections) == "E2"
-    assert unique_fixed_component(x, "P'32", sections) == "F3"
-    assert unique_fixed_component(x, "P'14", sections) == "F1"
-
-
-def test_unique_fixed_component_errors():
-    x = build_double_kummer()
-    with pytest.raises(ValueError, match="0 fixed"):
-        unique_fixed_component(x, "P32", ())
-    with pytest.raises(ValueError, match="2 fixed"):
-        unique_fixed_component(x, "P32", ("E2", "C32"))
-    with pytest.raises(KeyError):
-        unique_fixed_component(x, "P99", ("E1",))
 
 
 # -- blow-up ledger -----------------------------------------------------------------
