@@ -20,7 +20,7 @@ from autcert.mwl import (
     is_torsion,
     section_from_config,
 )
-from autcert.scalars import RatFunc
+from autcert.scalars import LaurentT
 from autcert.surface import build_double_kummer, epsilon_involution, extend_with_conics
 
 x = extend_with_conics(build_double_kummer())
@@ -52,7 +52,7 @@ print("narrow height:", height(narrow_ctx, narrow))
 
 # The induced smooth-locus action scales by t and shifts by 4; its
 # square scales by t^2 with no shift.
-t = RatFunc.var("t")
+t = LaurentT.t_power(1)
 f_scale = SmoothLocusAut(t, ModInt(4, 8))
 square = compose_smooth_locus(f_scale, f_scale)
 print("square:", square.scale, ",", square.shift)

@@ -40,4 +40,4 @@ for alpha in find_swap_specializations(seed=0):
     print("alpha", alpha, "passes:", report.passed, "swaps:", report.swaps_checked)
 
 # Conjugating the unit translation by scalings produces decaying shifts.
-print("conjugated shift, n = 2:", conjugate_translation(2).b)
+print("conjugated shift (coefficient of a), n = 2:", conjugate_translation(2).shift)

@@ -22,7 +22,8 @@ organized in independent layers:
   singular fiber's smooth locus;
 * :mod:`autcert.cremona` -- the reciprocal Cremona involution in
   cleared form, quadric preservation certificates, ruling swaps at
-  rational specializations, and Moebius conjugation;
+  rational specializations, and conjugation of translations by
+  scalings as affine maps with Laurent coefficients;
 * :mod:`autcert.fingen` -- escape certificates showing an additive
   group of Laurent polynomials admits no finite generating set;
 * :mod:`autcert.pipeline` -- the staged certificate runner and its

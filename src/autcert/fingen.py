@@ -24,7 +24,7 @@ from math import lcm
 from typing import Sequence
 
 from .lattice import z_span_membership
-from .scalars import LaurentT, RatFunc, laurent_degree_range
+from .scalars import LaurentT, laurent_degree_range
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,6 @@ class LaurentElement:
     @staticmethod
     def t_power(k: int, coeff=1) -> "LaurentElement":
         return LaurentElement(LaurentT.t_power(k, coeff))
-
-    @staticmethod
-    def from_ratfunc(rf: RatFunc) -> "LaurentElement":
-        """Convert a coefficient of the form (polynomial)/(monomial)."""
-        if rf.den.vars not in ((), ("t",)) or rf.num.vars not in ((), ("t",)):
-            raise ValueError("expected a rational function of t alone")
-        den_terms = list(rf.den.terms.items())
-        if len(den_terms) != 1:
-            raise ValueError(f"denominator {rf.den} is not a monomial in t")
-        (den_exps, dc), = den_terms
-        shift = sum(den_exps)
-        out: dict[int, Fraction] = {}
-        for exps, c in rf.num.terms.items():
-            out[sum(exps) - shift] = c / dc
-        return LaurentElement(LaurentT(out))
 
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()

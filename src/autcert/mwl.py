@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .fibration import FiberDivisor, KodairaType, classify_kodaira, component_cycle
-from .scalars import RatFunc
+from .scalars import LaurentT
 from .surface import Configuration
 
 IDENTITY_COMPONENT = "identity"
@@ -238,14 +238,14 @@ def section_from_config(
 class SmoothLocusAut:
     """Action on a fiber's smooth locus: base-coordinate scale and component shift."""
 
-    scale: RatFunc
+    scale: LaurentT
     shift: ModInt
 
     def __post_init__(self):
-        if not isinstance(self.scale, RatFunc):
-            raise TypeError("scale must be a rational function")
-        if self.scale == RatFunc(0):
-            raise ValueError("scale must be invertible")
+        if not isinstance(self.scale, LaurentT):
+            raise TypeError("scale must be a Laurent polynomial in t")
+        if len(self.scale.terms) != 1:
+            raise ValueError("scale must be a unit c*t^k")
 
 
 def compose_smooth_locus(f: SmoothLocusAut, g: SmoothLocusAut) -> SmoothLocusAut:

@@ -1,11 +1,12 @@
-"""Tests for the Cremona involution and the Moebius calculus."""
+"""Tests for the Cremona involution and the affine maps of the line."""
 
 from fractions import Fraction
 
 import pytest
 
+from autcert import cremona
 from autcert.cremona import (
-    MoebiusMap,
+    AffineMap,
     QuadricForm,
     RationalMapP3,
     conjugate_translation,
@@ -19,19 +20,14 @@ from autcert.cremona import (
     verify_pij_swap,
 )
 from autcert.scalars import (
-    INFINITY,
+    LaurentT,
     MultiPoly,
-    ProjValue,
-    RatFunc,
     matrix_rank_det,
     parse_poly,
+    rational_sqrt,
 )
 
 COFACTOR = parse_poly("a1*a2*a3*x1*x2*x3*x4")
-
-
-def fin(v) -> ProjValue:
-    return ProjValue.finite(v if isinstance(v, RatFunc) else RatFunc(v))
 
 
 def linear_map(*names: str) -> RationalMapP3:
@@ -39,7 +35,7 @@ def linear_map(*names: str) -> RationalMapP3:
     return RationalMapP3(tuple(MultiPoly.var(x) for x in names))
 
 
-T = RatFunc.var("t")
+T = LaurentT.t_power(1)
 
 
 # -- the involution, generically over the parameters -----------------------------------
@@ -156,6 +152,27 @@ def test_swap_rejects_degenerate_parameters():
     assert report.failures[0]["kind"] == "degenerate-quadric"
 
 
+def test_swap_reports_ruling_errors_as_failures(monkeypatch):
+    # a wrong square root puts the ruling directions off the quadric
+    monkeypatch.setattr(cremona, "rational_sqrt", lambda x: rational_sqrt(x) + 1)
+    report = verify_pij_swap((9, 2, 2))
+    assert not report.passed
+    assert {f["kind"] for f in report.failures} == {"ruling-off-quadric"}
+    monkeypatch.undo()
+
+    # a displaced meeting point leaves the quadric
+    line_meet = cremona._line_meet
+
+    def displaced(l1, l2):
+        dim, point = line_meet(l1, l2)
+        return dim, point and tuple(x + 1 for x in point)
+
+    monkeypatch.setattr(cremona, "_line_meet", displaced)
+    report = verify_pij_swap((9, 2, 2))
+    assert not report.passed
+    assert {f["kind"] for f in report.failures} == {"intersection-off-quadric"}
+
+
 def test_find_swap_specializations_deterministic():
     found = find_swap_specializations(seed=0)
     assert found == find_swap_specializations(seed=0)
@@ -166,39 +183,35 @@ def test_find_swap_specializations_deterministic():
         assert report.passed
 
 
-# -- Moebius maps ---------------------------------------------------------------------------
+# -- affine maps of the line ---------------------------------------------------------------
 
 
-def test_moebius_normalization_and_equality():
-    double = MoebiusMap(RatFunc(2), RatFunc(0), RatFunc(0), RatFunc(2))
-    assert double == MoebiusMap(RatFunc(1), RatFunc(0), RatFunc(0), RatFunc(1))
-    assert scaling(RatFunc(3)).a == RatFunc(1)
+def test_affine_compose_with_inverse_is_identity():
+    identity = translate(LaurentT.zero())
+    f = AffineMap(LaurentT.t_power(-3, Fraction(2, 5)), LaurentT({1: 1, -2: 4}))
+    assert f.compose(f.inverse()) == identity
+    assert f.inverse().compose(f) == identity
+    assert scaling(T).inverse() == scaling(LaurentT.t_power(-1))
 
 
-def test_moebius_apply():
-    f = translate(RatFunc(2))
-    assert f.apply(fin(1)) == fin(3)
-    assert f.apply(INFINITY) == INFINITY
-    g = MoebiusMap(RatFunc(0), RatFunc(1), RatFunc(1), RatFunc(0))  # z -> 1/z
-    assert g.apply(fin(2)) == fin(Fraction(1, 2))
-    assert g.apply(fin(0)) == INFINITY
-    assert g.apply(INFINITY) == fin(0)
+def test_affine_scale_must_be_a_unit():
+    for scale in (LaurentT.zero(), T + 1, 2):
+        with pytest.raises(ValueError, match="unit"):
+            AffineMap(scale, LaurentT.zero())
+    with pytest.raises(TypeError):
+        translate(1)
 
 
-def test_moebius_compose_and_inverse():
-    f = MoebiusMap(T, RatFunc(1), RatFunc(0), RatFunc(1))
-    g = f.compose(f.inverse())
-    assert g == MoebiusMap(RatFunc(1), RatFunc(0), RatFunc(0), RatFunc(1))
-    with pytest.raises(ValueError, match="invertible"):
-        MoebiusMap(RatFunc(1), RatFunc(1), RatFunc(1), RatFunc(1))
+def test_translations_compose_additively():
+    c, d = LaurentT({0: 1, -2: 3}), LaurentT({-2: -3, -4: 1})
+    assert translate(c).compose(translate(d)) == translate(c + d)
+    # conjugating a translation by a scaling rescales its shift
+    s = scaling(T**2)
+    assert s.compose(translate(c)).compose(s.inverse()) == translate(T**2 * c)
 
 
 def test_conjugate_translation_formula():
-    a = RatFunc.var("a")
     for n in range(0, 4):
-        f = conjugate_translation(n)
-        assert f == translate(a / T ** (2 * n))
-        assert f.apply(INFINITY) == INFINITY
-        assert f.has_equal_diagonal()
+        assert conjugate_translation(n) == translate(LaurentT.t_power(-2 * n))
     with pytest.raises(ValueError):
         conjugate_translation(-1)

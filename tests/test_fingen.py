@@ -15,7 +15,7 @@ from autcert.fingen import (
     shift_generators,
 )
 from autcert.lattice import z_span_membership
-from autcert.scalars import LaurentT, RatFunc
+from autcert.scalars import LaurentT
 
 
 def elt(terms: dict[int, int | Fraction]) -> LaurentElement:
@@ -28,16 +28,6 @@ def elt(terms: dict[int, int | Fraction]) -> LaurentElement:
 def test_laurent_element_strings():
     assert str(LaurentElement.t_power(-2)) == "(t^-2)*a"
     assert str(elt({0: 3, -2: -2})) == "(3 - 2*t^-2)*a"
-
-
-def test_from_ratfunc():
-    t = RatFunc.var("t")
-    assert LaurentElement.from_ratfunc(RatFunc(1) / t**2) == LaurentElement.t_power(-2)
-    assert LaurentElement.from_ratfunc((t**3 + t) / t**2) == elt({1: 1, -1: 1})
-    with pytest.raises(ValueError, match="monomial"):
-        LaurentElement.from_ratfunc(RatFunc(1) / (t + RatFunc(1)))
-    with pytest.raises(ValueError, match="t alone"):
-        LaurentElement.from_ratfunc(RatFunc.var("s"))
 
 
 def test_element_group_operations():

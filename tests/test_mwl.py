@@ -22,7 +22,7 @@ from autcert.mwl import (
     is_torsion,
     section_from_config,
 )
-from autcert.scalars import RatFunc
+from autcert.scalars import LaurentT
 from autcert.surface import build_double_kummer, epsilon_involution, extend_with_conics
 
 I8 = KodairaType.I(8)
@@ -212,8 +212,8 @@ def test_section_from_config_errors():
 # -- smooth locus automorphisms ----------------------------------------------------------------
 
 
-def t_scale(power_of_t: int = 1) -> RatFunc:
-    return RatFunc.var("t") ** power_of_t
+def t_scale(power_of_t: int = 1) -> LaurentT:
+    return LaurentT.t_power(power_of_t)
 
 
 def test_compose_smooth_locus():
@@ -224,7 +224,8 @@ def test_compose_smooth_locus():
 
 
 def test_smooth_locus_validation():
-    with pytest.raises(ValueError):
-        SmoothLocusAut(RatFunc(0), ModInt(0, 8))
+    for scale in (LaurentT.zero(), t_scale() + 1):
+        with pytest.raises(ValueError):
+            SmoothLocusAut(scale, ModInt(0, 8))
     with pytest.raises(TypeError):
         SmoothLocusAut(1, ModInt(0, 8))

@@ -230,6 +230,14 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "report.json"):
+        assert main(["nonfg", "--max-gens", "1", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"autcert: cannot write {path}: ")
+        assert "Traceback" not in err
+
+
 def test_cli_stage_list(capsys):
     assert main(["--stage-list"]) == 0
     assert capsys.readouterr().out.split() == list(EXPECTED_STAGES)
