@@ -15,7 +15,6 @@ from autcert.cremona import (
     find_swap_specializations,
     involution_cofactor,
     preserves_quadric,
-    verify_pij_swap,
 )
 
 tau = cremona_map()
@@ -35,9 +34,9 @@ for i in (1, 2, 3, 4):
 
 # At rational parameter values the two rulings are defined over the
 # rationals and the involution swaps them, moving all 12 marked points.
-for alpha in find_swap_specializations(seed=0):
-    report = verify_pij_swap(alpha)
-    print("alpha", alpha, "passes:", report.passed, "swaps:", report.swaps_checked)
+for report in find_swap_specializations(seed=0):
+    alpha = ", ".join(report.alpha)
+    print(f"alpha ({alpha}) passes:", report.passed, "swaps:", report.swaps_checked)
 
 # Conjugating the unit translation by scalings produces decaying shifts.
 print("conjugated shift (coefficient of a), n = 2:", conjugate_translation(2).shift)

@@ -127,7 +127,8 @@ class QuadricForm:
             (hc, hc, hc, zero),
         )
 
-    def specialize(self, alpha: Sequence) -> tuple[tuple[Fraction, ...], ...]:
+    @staticmethod
+    def specialize(alpha: Sequence) -> tuple[tuple[Fraction, ...], ...]:
         """Matrix of the quadric with the three parameters set to rationals."""
         al = tuple(Fraction(a) for a in alpha)
         if len(al) != 3:
@@ -207,11 +208,12 @@ class SwapReport:
 
 
 def _quad(m, v, w):
-    total = None
+    total = Fraction(0)
     for r in range(4):
-        for c in range(4):
-            term = v[r] * m[r][c] * w[c]
-            total = term if total is None else total + term
+        if v[r]:
+            for c in range(4):
+                if m[r][c] and w[c]:
+                    total += v[r] * m[r][c] * w[c]
     return total
 
 
@@ -247,7 +249,7 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
     if len(al) != 3 or any(a == 0 for a in al):
         raise ValueError("three nonzero parameter values expected")
     alpha_str = tuple(str(a) for a in al)
-    m = QuadricForm.standard().specialize(al)
+    m = QuadricForm.specialize(al)
     _, det = matrix_rank_det([list(r) for r in m])
     if det == 0:
         return SwapReport(
@@ -395,22 +397,25 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
     )
 
 
-def find_swap_specializations(seed: int = 0) -> list[tuple[int, int, int]]:
+def find_swap_specializations(seed: int = 0) -> list[SwapReport]:
     """Seeded search for three parameter triples with rational rulings.
 
-    Draws up to 5000 triples of integers in 1..12 and keeps those
-    passing the full swap verification; deterministic for a fixed seed.
+    Draws up to 5000 triples of integers in 1..12, verifies each
+    distinct one once, and returns the reports of the first three that
+    pass the full swap verification, in draw order; deterministic for a
+    fixed seed.
     """
     rng = random.Random(seed)
-    found: list[tuple[int, int, int]] = []
+    found: list[SwapReport] = []
     seen: set[tuple[int, int, int]] = set()
     for _ in range(5000):
         triple = (rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12))
         if triple in seen:
             continue
         seen.add(triple)
-        if verify_pij_swap(triple).passed:
-            found.append(triple)
+        report = verify_pij_swap(triple)
+        if report.passed:
+            found.append(report)
             if len(found) == 3:
                 return found
     raise RuntimeError(f"found only {len(found)} working specializations in 5000 draws")

@@ -231,9 +231,11 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
             if M[i][k]:
                 f = M[i][k] / d
                 for t in range(n):
-                    M[i][t] -= f * M[k][t]
+                    if M[k][t]:
+                        M[i][t] -= f * M[k][t]
                 for t in range(n):
-                    M[t][i] -= f * M[t][k]
+                    if M[t][k]:
+                        M[t][i] -= f * M[t][k]
     return pos, neg, zero
 
 

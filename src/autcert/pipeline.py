@@ -30,7 +30,6 @@ from .cremona import (
     find_swap_specializations,
     involution_cofactor,
     preserves_quadric,
-    verify_pij_swap,
 )
 from .fibration import (
     FiberDivisor,
@@ -395,8 +394,7 @@ def _stage_cremona(ctx: Context) -> StageResult:
             determinant=det,
         )
     )
-    triples = find_swap_specializations(seed=ctx.options.seed)
-    reports = [verify_pij_swap(t) for t in triples]
+    reports = find_swap_specializations(seed=ctx.options.seed)
     samples = [
         {
             "alpha": list(r.alpha),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -376,11 +376,24 @@ def _content_pp(p: MultiPoly, v: str) -> tuple[MultiPoly, MultiPoly]:
     return content, _from_coeffs(pp, v)
 
 
+def _monomial_gcd(mono: MultiPoly, p: MultiPoly) -> MultiPoly:
+    """gcd of a single term and a nonzero polynomial: the monic monomial
+    of the least exponent of each variable over all terms."""
+    (e,) = mono.terms
+    pos = {v: i for i, v in enumerate(p.vars)}
+    least = tuple(
+        min(d, min(f[pos[v]] for f in p.terms)) if v in pos else 0
+        for v, d in zip(mono.vars, e)
+    )
+    return MultiPoly(mono.vars, {least: 1})
+
+
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized monic in graded-lex order.
 
-    Primitive pseudo-remainder sequences with recursion over the
-    variable set; adequate for the small polynomials this package
+    A single-term argument takes the monomial rule directly; otherwise
+    primitive pseudo-remainder sequences with recursion over the
+    variable set, adequate for the small polynomials this package
     manipulates.
     """
     a = MultiPoly._coerce(a)
@@ -389,6 +402,10 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _monic(b)
     if b.is_zero():
         return _monic(a)
+    if len(b.terms) == 1:
+        a, b = b, a
+    if len(a.terms) == 1:
+        return _monomial_gcd(a, b)
     names = tuple(sorted(set(a.vars) | set(b.vars)))
     if not names:
         return MultiPoly.const(1)
@@ -720,6 +737,11 @@ def _entry(x):
 
 
 def _exact_quot(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError("division is not exact")
+        return q
     if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
         a = MultiPoly._coerce(a)
         b = MultiPoly._coerce(b)
@@ -730,11 +752,23 @@ def _exact_quot(a, b):
 def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
     """Rank, and determinant when square, by fraction-free Bareiss elimination.
 
-    Entries may be rationals, polynomials, or rational functions; the
-    successive-pivot divisions are exact over any integral domain, so no
-    fractions of entries are ever formed.
+    Entries may be integers, rationals, polynomials, or rational
+    functions; the successive-pivot divisions are exact over any
+    integral domain, so no fractions of entries are ever formed.
+    A matrix of integers and rationals is eliminated over ``int``: each
+    row is first scaled by the lcm of its denominators, and every
+    division is a checked ``divmod`` (a remainder raises
+    ``ArithmeticError``).  Its determinant is still returned as a
+    ``Fraction``, divided back by the row scales.  The empty 0x0 matrix
+    has rank 0 and determinant 1.
     """
-    A = [[_entry(x) for x in row] for row in rows]
+    A = [list(row) for row in rows]
+    scale = 1
+    if all(isinstance(x, (int, Fraction)) for row in A for x in row):
+        for k, row in enumerate(A):
+            d = lcm(*(x.denominator for x in row))
+            A[k] = [x.numerator * (d // x.denominator) for x in row]
+            scale *= d
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
@@ -760,8 +794,10 @@ def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
         return r, None
     if r < n:
         return r, Fraction(0)
+    if prev is None:
+        return r, Fraction(1)
     det = prev if sign == 1 else -prev
-    return r, det
+    return r, Fraction(det, scale) if isinstance(det, int) else det
 
 
 def field_nullspace(rows: Sequence[Sequence]) -> list[tuple]:

@@ -117,9 +117,9 @@ def test_criterion_2_cremona(announce):
     _, det = matrix_rank_det([list(r) for r in q.matrix()])
     ok = ok and det != parse_poly("0")
 
-    triples = find_swap_specializations(seed=0)
-    ok = ok and len(set(triples)) >= 3
-    ok = ok and all(verify_pij_swap(t).passed for t in triples)
+    reports = find_swap_specializations(seed=0)
+    ok = ok and len({r.alpha for r in reports}) >= 3
+    ok = ok and all(verify_pij_swap(r.alpha).passed for r in reports)
     announce(2, "cremona", ok)
 
 

@@ -1,10 +1,11 @@
 """Tests for the Cremona involution and the affine maps of the line."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from autcert import cremona
+from autcert import cremona, pipeline
 from autcert.cremona import (
     AffineMap,
     QuadricForm,
@@ -177,10 +178,31 @@ def test_find_swap_specializations_deterministic():
     found = find_swap_specializations(seed=0)
     assert found == find_swap_specializations(seed=0)
     assert len(found) == 3
-    assert len(set(found)) == 3
-    for alpha in found:
-        report = verify_pij_swap(alpha)
+    assert len({r.alpha for r in found}) == 3
+    for report in found:
         assert report.passed
+        assert verify_pij_swap(report.alpha) == report
+
+
+def test_cremona_stage_verifies_each_drawn_triple_once(monkeypatch):
+    calls = []
+
+    def counting(alpha):
+        calls.append(tuple(alpha))
+        return verify_pij_swap(alpha)
+
+    monkeypatch.setattr(cremona, "verify_pij_swap", counting)
+    monkeypatch.setattr(pipeline, "verify_pij_swap", counting, raising=False)
+    stage = pipeline.run_stage("cremona", pipeline.PipelineOptions(seed=0))
+    assert stage.status == "pass"
+    # the distinct triples the seeded search draws, in draw order
+    rng = random.Random(0)
+    drawn = []
+    while len(drawn) < len(calls):
+        triple = (rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12))
+        if triple not in drawn:
+            drawn.append(triple)
+    assert calls == drawn
 
 
 # -- affine maps of the line ---------------------------------------------------------------

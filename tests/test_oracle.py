@@ -1,0 +1,132 @@
+"""Differential checks of the exact kernels against sympy.
+
+sympy is an independent implementation used here as an oracle only;
+the package itself never imports it.  Inputs are drawn with fixed
+hypothesis seeds, so every run checks the same cases.
+"""
+
+from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import given, seed, settings
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from autcert.lattice import signature
+from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
+
+from conftest import POLY_VARS, int_entries, polys, small_fractions
+
+GENS = sympy.symbols(POLY_VARS)
+oracle = settings(max_examples=40, deadline=None, database=None)
+
+
+def rational(v):
+    v = Fraction(v)
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+def to_sympy(p: MultiPoly):
+    gens = [GENS[POLY_VARS.index(v)] for v in p.vars]
+    return sum(
+        (
+            rational(c)
+            * sympy.Mul(*(g**e for g, e in zip(gens, exps)))
+            for exps, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def same_up_to_scale(p: MultiPoly, q) -> bool:
+    mine = sympy.Poly(to_sympy(p), *GENS)
+    theirs = sympy.Poly(q, *GENS)
+    if mine.is_zero or theirs.is_zero:
+        return mine.is_zero and theirs.is_zero
+    return mine.monic() == theirs.monic()
+
+
+@st.composite
+def single_terms(draw):
+    nv = draw(st.integers(min_value=0, max_value=3))
+    exps = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(nv))
+    coeff = draw(small_fractions.filter(bool))
+    return MultiPoly(POLY_VARS[:nv], {exps: coeff})
+
+
+gcd_inputs = st.one_of(
+    polys(max_vars=2, max_deg=2, max_terms=3),
+    single_terms(),
+    small_fractions.map(MultiPoly.const),
+)
+
+
+@seed(20190401)
+@oracle
+@given(gcd_inputs, gcd_inputs, polys(max_vars=2, max_deg=1, max_terms=2))
+def test_poly_gcd_matches_sympy(a, b, c):
+    for p, q in ((a, b), (a * c, b * c)):
+        g = poly_gcd(p, q)
+        assert same_up_to_scale(g, sympy.gcd(to_sympy(p), to_sympy(q)))
+        assert g.is_zero() or g.leading_coefficient() == 1
+
+
+def matrices(entries):
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.integers(min_value=1, max_value=4).flatmap(
+            lambda m: st.lists(
+                st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [int_entries, st.one_of(int_entries, small_fractions), small_fractions],
+    ids=["int", "mixed", "fraction"],
+)
+@seed(20190402)
+@oracle
+@given(data=st.data())
+def test_matrix_rank_det_matches_sympy(entries, data):
+    rows = data.draw(matrices(entries))
+    rank, det = matrix_rank_det(rows)
+    theirs = sympy.Matrix([[rational(v) for v in row] for row in rows])
+    assert rank == theirs.rank()
+    if len(rows) == len(rows[0]):
+        assert isinstance(det, Fraction)
+        assert det == theirs.det()
+    else:
+        assert det is None
+
+
+def sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = draw(int_entries)
+    return G
+
+
+@seed(20190403)
+@oracle
+@given(symmetric_int_matrices())
+def test_signature_matches_descartes_rule_on_charpoly(G):
+    # a symmetric matrix has only real eigenvalues, so Descartes' rule of
+    # signs counts the positive and the negative ones exactly
+    lam = sympy.Symbol("lam")
+    chi = sympy.Matrix(G).charpoly(lam)
+    coeffs = chi.all_coeffs()
+    zero = len(coeffs) - 1 - max(k for k, c in enumerate(coeffs) if c != 0)
+    negated = sympy.Poly(chi.as_expr().subs(lam, -lam), lam).all_coeffs()
+    assert signature(G) == (sign_changes(coeffs), sign_changes(negated), zero)

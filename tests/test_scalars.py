@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from autcert import scalars
 from autcert.scalars import (
     INFINITY,
     LaurentT,
@@ -158,6 +159,9 @@ def test_gcd_frozen_examples():
         (MultiPoly.zero(), 3 * x, x),
         (MultiPoly.zero(), MultiPoly.zero(), MultiPoly.zero()),
         (x * y * z, x * z**2, x * z),
+        (3 * x**2 * y, x * y**3 + x**3, x),
+        (x**2 + x * y, 5 * x * y**2, x),
+        (x**2 * z, MultiPoly.const(7), MultiPoly.const(1)),
     ]
     for a, b, g in cases:
         assert poly_gcd(a, b) == g
@@ -291,6 +295,8 @@ def test_rational_sqrt():
 def test_det_frozen_examples():
     assert matrix_rank_det([[1, 2], [3, 4]]) == (2, Fraction(-2))
     assert matrix_rank_det([[2, 7, 6], [9, 5, 1], [4, 3, 8]]) == (3, Fraction(-360))
+    assert type(matrix_rank_det([[5]])[1]) is Fraction
+    assert matrix_rank_det([[Fraction(1, 2), 1], [Fraction(1, 3), 2]]) == (2, Fraction(2, 3))
     rank, det = matrix_rank_det([[x, MultiPoly.const(1)], [MultiPoly.const(1), x]])
     assert rank == 2 and det == x**2 - 1
     rank, det = matrix_rank_det([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
@@ -306,6 +312,17 @@ def test_det_with_ratfunc_entries():
 def test_rank_of_rectangular():
     rank, det = matrix_rank_det([[1, 2, 3], [4, 5, 6]])
     assert rank == 2 and det is None
+
+
+def test_det_of_empty_matrix_is_one():
+    rank, det = matrix_rank_det([])
+    assert rank == 0 and det == 1 and isinstance(det, Fraction)
+
+
+def test_integer_division_is_checked():
+    assert scalars._exact_quot(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        scalars._exact_quot(7, 2)
 
 
 @given(int_matrix(3))
