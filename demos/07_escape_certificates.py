@@ -10,25 +10,28 @@ k, the shift t^(-2k)*a escapes the span of the first k generators.
 import json
 
 from autcert.fingen import (
-    LaurentElement,
     certify_nonfg,
     escape_exponent,
     membership,
     shift_generators,
+    translation_str,
 )
+from autcert.pipeline import PipelineOptions, run_stage
+from autcert.scalars import LaurentT
 
-# The generators of the k-th subgroup in the chain, here k = 3.
+# The generators of the k-th subgroup in the chain, here k = 3.  A
+# translation is its Laurent coefficient c; the report writes it (c)*a.
 gens = shift_generators(3)
-print("generators:", [str(g) for g in gens])
+print("generators:", [translation_str(g) for g in gens])
 
 # Membership in their integer span is decided with a witness...
 inside = membership(gens, 3 * gens[0] + (-2) * gens[1])
 print("member:", inside.member, "witness:", inside.witness)
 
 # ...and the next shift in the family is refused.
-escape = LaurentElement.t_power(-2 * escape_exponent(gens))
+escape = LaurentT.t_power(-2 * escape_exponent(gens))
 outside = membership(gens, escape)
-print("escape:", escape, "member:", outside.member)
+print("escape:", translation_str(escape), "member:", outside.member)
 
 # The full certificate packages one escape per stage, each re-verified.
 cert = certify_nonfg(max_k=5)
@@ -39,6 +42,7 @@ for stage in cert.stages:
         f", joins span of {len(stage.generators) + 1}"
     )
 
-# Everything serializes with exact string numbers for third-party checks.
-blob = cert.to_json_dict()
+# The nonfg stage writes the certificate with exact string numbers for
+# third-party checks.
+blob = run_stage("nonfg", PipelineOptions(max_gens=5)).evidence["certificate"]
 print("json stage 1 escape:", json.dumps(blob["stages"][0]["escape"]))

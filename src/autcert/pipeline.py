@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
@@ -41,7 +41,7 @@ from .fibration import (
     shioda_tate_rank,
     validate_fiber,
 )
-from .fingen import LaurentElement, certify_nonfg, shift_generators
+from .fingen import certify_nonfg, shift_generators, translation_str
 from .lattice import (
     E6_IN_E8_NODES,
     RootType,
@@ -112,11 +112,14 @@ class PipelineOptions:
 
     max_gens: int = 5
     seed: int = 0
-    out: str | None = None
     corrupt_pair: tuple[str, str] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.max_gens, int) or self.max_gens < 1:
+        if (
+            not isinstance(self.max_gens, int)
+            or isinstance(self.max_gens, bool)
+            or self.max_gens < 1
+        ):
             raise ValueError(f"max_gens must be a positive integer, got {self.max_gens!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
@@ -130,13 +133,6 @@ class PipelineOptions:
             if pair[0] == pair[1]:
                 raise ValueError("corrupt_pair takes two distinct curve labels")
             object.__setattr__(self, "corrupt_pair", pair)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_gens": str(self.max_gens),
-            "seed": str(self.seed),
-            "corrupt_pair": list(self.corrupt_pair) if self.corrupt_pair else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ class CertificateReport:
     def to_json_dict(self) -> dict:
         return {
             "version": self.version,
-            "options": self.options.to_json_dict(),
+            "options": _stringify(self.options),
             "stages": [s.to_json_dict() for s in self.stages],
             "verdict": self.verdict,
         }
@@ -183,16 +179,22 @@ class CertificateReport:
 
 
 def _stringify(obj):
-    """Copy a payload with every numeric or exotic leaf turned into a string."""
-    if obj is None or isinstance(obj, bool):
-        return obj
-    if isinstance(obj, str):
+    """Copy a payload with every numeric or exotic leaf turned into a string.
+
+    A dataclass with its own text form is a leaf; any other dataclass is
+    a record, written as a dict of its fields.
+    """
+    if type(obj) is int:  # most leaves: certificate matrix entries
+        return str(obj)
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, frozenset, set)):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [_stringify(v) for v in items]
+    if is_dataclass(obj) and type(obj).__str__ is object.__str__:
+        return {f.name: _stringify(getattr(obj, f.name)) for f in fields(obj)}
     return str(obj)
 
 
@@ -821,7 +823,7 @@ def _stage_dynamics(ctx: Context) -> StageResult:
             and x.marking_coord("P32", "E2").is_infinite
         )
         conj_ok = conj_ok and good
-        escapes.append(str(LaurentElement(m.shift)))
+        escapes.append(translation_str(m.shift))
     checks.append(
         _check(
             "conjugating the translation x -> x + a by the n-th power of "
@@ -831,12 +833,12 @@ def _stage_dynamics(ctx: Context) -> StageResult:
             shifts=escapes,
         )
     )
-    bridge = [str(g) for g in shift_generators(3)]
+    bridge = [translation_str(g) for g in shift_generators(3)]
     checks.append(
         _check(
             "the conjugated shifts are exactly the Laurent generators fed "
             "to the non-finite-generation stage",
-            escapes[0] == str(LaurentElement.t_power(-2)) and bridge[1] == escapes[0],
+            escapes[0] == translation_str(LaurentT.t_power(-2)) and bridge[1] == escapes[0],
             generators=bridge,
         )
     )
@@ -897,7 +899,7 @@ def _stage_nonfg(ctx: Context) -> StageResult:
                 CITE_UE75,
             )
         ],
-        certificate=cert.to_json_dict(),
+        certificate=cert,
     )
 
 
@@ -991,7 +993,7 @@ def main(argv: list[str] | None = None) -> int:
         corrupt = parts
     try:
         options = PipelineOptions(
-            max_gens=args.max_gens, seed=args.seed, out=args.out, corrupt_pair=corrupt
+            max_gens=args.max_gens, seed=args.seed, corrupt_pair=corrupt
         )
     except ValueError as exc:
         print(f"autcert: {exc}", file=sys.stderr)
@@ -1011,12 +1013,12 @@ def main(argv: list[str] | None = None) -> int:
                 if check["status"] == "fail":
                     print(f"  failed: {check['claim']}")
     print(f"verdict: {report.verdict}")
-    if options.out:
+    if args.out:
         try:
-            Path(options.out).write_text(report.to_json(), encoding="utf-8")
+            Path(args.out).write_text(report.to_json(), encoding="utf-8")
         except OSError as exc:
             reason = exc.strerror or exc
-            print(f"autcert: cannot write {options.out}: {reason}", file=sys.stderr)
+            print(f"autcert: cannot write {args.out}: {reason}", file=sys.stderr)
             return 2
     return 0 if report.verdict == "pass" else 1
 

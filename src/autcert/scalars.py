@@ -662,13 +662,6 @@ class LaurentT:
         return f"LaurentT({self})"
 
 
-def laurent_degree_range(p: LaurentT) -> tuple[int, int]:
-    """(minimum exponent, maximum exponent) of a nonzero Laurent polynomial."""
-    if p.is_zero():
-        raise ValueError("the zero Laurent polynomial has no degree range")
-    return min(p.terms), max(p.terms)
-
-
 # -- projective values ----------------------------------------------------
 
 

@@ -8,42 +8,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autcert.fingen import (
-    LaurentElement,
     certify_nonfg,
     escape_exponent,
     membership,
     shift_generators,
+    translation_str,
 )
 from autcert.lattice import z_span_membership
+from autcert.pipeline import PipelineOptions, run_stage
 from autcert.scalars import LaurentT
 
 
-def elt(terms: dict[int, int | Fraction]) -> LaurentElement:
-    return LaurentElement(LaurentT(terms))
+# -- translations -------------------------------------------------------------------
 
 
-# -- elements -----------------------------------------------------------------------
-
-
-def test_laurent_element_strings():
-    assert str(LaurentElement.t_power(-2)) == "(t^-2)*a"
-    assert str(elt({0: 3, -2: -2})) == "(3 - 2*t^-2)*a"
-
-
-def test_element_group_operations():
-    a = LaurentElement.t_power(-2)
-    b = LaurentElement.t_power(0)
-    assert (a + b).coeffs == LaurentT({-2: 1, 0: 1})
-    assert (3 * a).coeffs == LaurentT({-2: 3})
-    assert (a + (-1) * a).is_zero()
+def test_translation_strings():
+    assert translation_str(LaurentT.t_power(-2)) == "(t^-2)*a"
+    assert translation_str(LaurentT({0: 3, -2: -2})) == "(3 - 2*t^-2)*a"
+    assert translation_str(LaurentT({0: Fraction(1, 2)})) == "(1/2)*a"
+    assert translation_str(LaurentT.zero()) == "(0)*a"
 
 
 # -- membership ----------------------------------------------------------------------
 
 
 def test_membership_with_witness():
-    gens = [elt({0: 1}), elt({-2: 1})]
-    target = elt({0: 3, -2: -2})
+    gens = [LaurentT({0: 1}), LaurentT({-2: 1})]
+    target = LaurentT({0: 3, -2: -2})
     res = membership(gens, target)
     assert res.member
     assert res.witness == (3, -2)
@@ -51,32 +42,38 @@ def test_membership_with_witness():
 
 
 def test_membership_refusals():
-    gens = [elt({0: 1}), elt({-2: 1})]
-    assert not membership(gens, elt({-4: 1})).member
-    assert not membership(gens, elt({0: Fraction(1, 2)})).member
-    assert not membership([elt({0: 2})], elt({0: 1})).member
-    assert membership([elt({0: 2})], elt({0: 4})).witness == (2,)
+    gens = [LaurentT({0: 1}), LaurentT({-2: 1})]
+    assert not membership(gens, LaurentT({-4: 1})).member
+    assert not membership(gens, LaurentT({0: Fraction(1, 2)})).member
+    assert not membership([LaurentT({0: 2})], LaurentT({0: 1})).member
+    assert membership([LaurentT({0: 2})], LaurentT({0: 4})).witness == (2,)
 
 
 def test_membership_denominator_clearing():
-    gens = [elt({0: Fraction(1, 2)})]
-    res = membership(gens, elt({0: Fraction(3, 2)}))
+    gens = [LaurentT({0: Fraction(1, 2)})]
+    res = membership(gens, LaurentT({0: Fraction(3, 2)}))
     assert res.member and res.witness == (3,)
     assert res.denominator_lcm == 2
     assert res.generator_rows == ((1,),)
     assert res.target_vector == (3,)
+    res = membership([LaurentT({-2: Fraction(1, 3), 1: 2})], LaurentT({0: Fraction(-5, 4)}))
+    assert not res.member
+    assert res.denominator_lcm == 12
+    assert res.monomials == (-2, 0, 1)
+    assert res.generator_rows == ((4, 0, 24),)
+    assert res.target_vector == (0, -15, 0)
 
 
 def test_membership_edge_cases():
-    zero = elt({})
+    zero = LaurentT({})
     assert membership([], zero).member
-    assert membership([], elt({0: 1})).member is False
-    assert membership([elt({0: 1})], zero).witness == (0,)
+    assert membership([], LaurentT({0: 1})).member is False
+    assert membership([LaurentT({0: 1})], zero).witness == (0,)
 
 
 def test_membership_recheck_data_is_consistent():
     gens = shift_generators(3)
-    target = elt({0: 5, -2: -1, -4: 7})
+    target = LaurentT({0: 5, -2: -1, -4: 7})
     res = membership(gens, target)
     assert res.member
     # the exported integer data replays through the lattice solver
@@ -99,8 +96,8 @@ def test_membership_recheck_data_is_consistent():
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3),
 )
 def test_membership_accepts_known_combinations(gen_terms, mults):
-    gens = [elt(terms) for terms in gen_terms]
-    target = elt({})
+    gens = [LaurentT(terms) for terms in gen_terms]
+    target = LaurentT({})
     for g, m in zip(gens, mults):
         target = target + m * g
     assert membership(gens, target).member
@@ -114,10 +111,10 @@ def test_membership_accepts_known_combinations(gen_terms, mults):
     )
 )
 def test_membership_monotone_under_more_generators(target_terms):
-    target = elt(target_terms)
+    target = LaurentT(target_terms)
     gens = shift_generators(2)
     if membership(gens, target).member:
-        assert membership(gens + [elt({1: 1})], target).member
+        assert membership(gens + [LaurentT({1: 1})], target).member
 
 
 # -- escape exponents ------------------------------------------------------------------
@@ -126,17 +123,17 @@ def test_membership_monotone_under_more_generators(target_terms):
 def test_escape_exponent_examples():
     assert escape_exponent(shift_generators(1)) == 1
     assert escape_exponent(shift_generators(3)) == 3
-    assert escape_exponent([elt({2: 1})]) == 1
-    assert escape_exponent([elt({-5: 1})]) == 3
+    assert escape_exponent([LaurentT({2: 1})]) == 1
+    assert escape_exponent([LaurentT({-5: 1})]) == 3
     with pytest.raises(ValueError, match="zero generator"):
-        escape_exponent([elt({})])
+        escape_exponent([LaurentT({})])
     with pytest.raises(ValueError, match="no generators"):
         escape_exponent([])
 
 
 def test_shift_generators():
     gens = shift_generators(3)
-    assert [str(g) for g in gens] == ["(1)*a", "(t^-2)*a", "(t^-4)*a"]
+    assert [translation_str(g) for g in gens] == ["(1)*a", "(t^-2)*a", "(t^-4)*a"]
     with pytest.raises(ValueError):
         shift_generators(0)
 
@@ -168,10 +165,14 @@ def test_certificate_chain_is_strict():
 
 
 def test_certificate_json_is_deterministic():
-    one = json.dumps(certify_nonfg(3).to_json_dict(), sort_keys=True)
-    two = json.dumps(certify_nonfg(3).to_json_dict(), sort_keys=True)
-    assert one == two
+    def certificate_json():
+        stage = run_stage("nonfg", PipelineOptions(max_gens=3))
+        return json.dumps(stage.evidence["certificate"], sort_keys=True)
+
+    one = certificate_json()
+    assert one == certificate_json()
     blob = json.loads(one)
+    assert blob["max_k"] == "3"
     assert blob["passed"] is True
     assert blob["stages"][2]["escape"] == "(t^-6)*a"
     assert blob["degree_argument"]

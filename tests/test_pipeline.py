@@ -1,10 +1,12 @@
 """Tests for the staged certificate runner and its CLI."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from autcert import __version__, fingen
 from autcert.pipeline import (
     STAGE_ORDER,
     CertificateReport,
@@ -98,13 +100,21 @@ def test_json_numbers_are_strings(default_report):
 
 
 def test_default_report_sha256_is_the_regression_anchor(default_report):
-    """The default report's bytes are pinned by their sha256.
+    """The default report's bytes, and a deeper nonfg report's, are pinned by sha256.
 
-    A deliberate change of the report format (ROADMAP item 4) updates
-    this value and records the new one in CHANGES.md.
+    The K = 12 certificate has two-digit exponents and wider rows.  A
+    deliberate change of the report format (ROADMAP item 4) updates
+    these values and records the new ones in CHANGES.md.
     """
-    digest = hashlib.sha256(default_report.to_json().encode("utf-8")).hexdigest()
-    assert digest == "1057b93d52cc5eb44db1d7b11c9b776687fa42ed6c741243d2d2a6b79e9ab0b4"
+    options = PipelineOptions(max_gens=12)
+    deep = CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
+    pinned = [
+        (default_report, "1057b93d52cc5eb44db1d7b11c9b776687fa42ed6c741243d2d2a6b79e9ab0b4"),
+        (deep, "ed3f7ed8dd0c8f633f1642909218dd057b546f1f72f2a2caeb23caee2e57ee58"),
+    ]
+    for report, expected in pinned:
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == expected
 
 
 def test_report_is_deterministic():
@@ -146,6 +156,19 @@ def test_nonfg_stage_respects_max_gens():
     assert cert["stages"][9]["escape"] == "(t^-20)*a"
 
 
+def test_nonfg_stage_fails_when_a_refutation_finds_a_member(monkeypatch):
+    real = fingen.membership
+
+    def always_member(gens, target):
+        return dataclasses.replace(real(gens, target), member=True)
+
+    monkeypatch.setattr(fingen, "membership", always_member)
+    stage = run_stage("nonfg", PipelineOptions(max_gens=3))
+    assert stage.status == "fail"
+    assert [c["status"] for c in stage.evidence["checks"]] == ["fail", "fail"]
+    assert stage.evidence["certificate"]["passed"] is False
+
+
 def test_fibration_stage_lists_types():
     stage = run_stage("fibrations")
     typed = next(c for c in stage.evidence["checks"] if "types" in c)
@@ -166,6 +189,10 @@ def test_canonical_stage_coefficients():
 def test_options_validation():
     with pytest.raises(ValueError, match="max_gens"):
         PipelineOptions(max_gens=0)
+    with pytest.raises(ValueError, match="max_gens"):
+        PipelineOptions(max_gens=True)
+    with pytest.raises(ValueError, match="seed"):
+        PipelineOptions(seed=True)
     with pytest.raises(ValueError, match="corrupt_pair"):
         PipelineOptions(corrupt_pair=("only-one",))
     with pytest.raises(ValueError, match="distinct"):
