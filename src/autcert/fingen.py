@@ -66,13 +66,14 @@ def membership(gens: Sequence[LaurentT], target: LaurentT) -> MembershipResult:
 
     rows = tuple(vector(g) for g in gens)
     tvec = vector(target)
-    witness = z_span_membership(list(rows), tvec) if rows else None
+    witness = z_span_membership(rows, tvec) if rows else None
     if witness is None and not any(tvec):
         witness = (0,) * len(rows)
     if witness is not None:
         combo = LaurentT.zero()
         for w, g in zip(witness, gens):
-            combo = combo + g * w
+            if w:
+                combo = combo + g * w
         if combo != target:
             raise ArithmeticError("membership witness failed re-verification")
     return MembershipResult(
@@ -146,19 +147,21 @@ def certify_nonfg(max_k: int = 5) -> NonFGCertificate:
     """
     if max_k < 1:
         raise ValueError("need at least one stage")
+    shifts = shift_generators(max_k + 1)
+    names = tuple(translation_str(g) for g in shifts)
     stages = []
     passed = True
     for k in range(1, max_k + 1):
-        gens = shift_generators(k)
+        gens = shifts[:k]
         n = escape_exponent(gens)
         escape = LaurentT.t_power(-2 * n)
         refutation = membership(gens, escape)
-        next_span = membership(shift_generators(k + 1), escape)
+        next_span = membership(shifts[: k + 1], escape)
         passed = passed and n == k and not refutation.member and next_span.member
         stages.append(
             EscapeStage(
                 k,
-                tuple(translation_str(g) for g in gens),
+                names[:k],
                 translation_str(escape),
                 n,
                 refutation,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import matrix_rank_det
@@ -22,14 +23,11 @@ Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
 
-def _as_int(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"integer entry expected, got {x!r}")
-    return x
-
-
 def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    out = [[_as_int(x) for x in row] for row in rows]
+    out = [list(row) for row in rows]
+    for x in chain.from_iterable(out):
+        if type(x) is not int:  # rejects bool, Fraction and float alike
+            raise TypeError(f"integer entry expected, got {x!r}")
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
@@ -119,14 +117,13 @@ def z_span_membership(
     None means the Hermite form of the generators obstructs the solve
     (a divisibility failure or an unreachable coordinate).
     """
-    t = [_as_int(x) for x in target]
-    G = _int_rows(gens)
-    if not G:
+    (t,) = _int_rows([target])
+    if not gens:
         return () if not any(t) else None
-    if len(G[0]) != len(t):
+    H, U = hnf(gens)
+    if len(H[0]) != len(t):
         raise ValueError("target length does not match generators")
-    H, U = hnf(G)
-    res = list(t)
+    res = t
     ys: list[int] = []
     for row in H:
         p = next((j for j, v in enumerate(row) if v), None)
@@ -136,15 +133,18 @@ def z_span_membership(
         if rem:
             return None
         ys.append(q)
-        res = [a - q * b for a, b in zip(res, row)]
+        if q:
+            res = [a - q * b for a, b in zip(res, row)]
     if any(res):
         return None
-    witness = [0] * len(G)
+    witness = [0] * len(gens)
     for y, urow in zip(ys, U):
-        witness = [w + y * u for w, u in zip(witness, urow)]
+        if y:
+            witness = [w + y * u for w, u in zip(witness, urow)]
     combo = [0] * len(t)
-    for c, g in zip(witness, G):
-        combo = [a + c * b for a, b in zip(combo, g)]
+    for c, g in zip(witness, gens):
+        if c:
+            combo = [a + c * b for a, b in zip(combo, g)]
     if combo != t:
         raise ArithmeticError("membership witness failed re-verification")
     return tuple(witness)

@@ -16,9 +16,9 @@ exact string.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
@@ -175,7 +175,56 @@ class CertificateReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """The report as ``json.dumps(..., sort_keys=True, indent=2)`` writes it."""
+        out: list[str] = []
+        _write_json(self.to_json_dict(), "\n", out)
+        out.append("\n")
+        return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append the sorted, two-space-indented JSON text of obj to out.
+
+    ``newline`` is a line break followed by the indent of obj's own line.
+    Only the leaves ``_stringify`` leaves behind are accepted: strings,
+    None and booleans.  CPython's encoder falls back to pure Python when
+    asked to indent, and this single pass is several times faster.
+    """
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _json_str(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is str for v in obj):
+            out.append("[" + inner + ("," + inner).join(map(_json_str, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    else:
+        raise TypeError(f"report leaf must be a string, None or a bool, got {obj!r}")
 
 
 def _stringify(obj):
@@ -190,6 +239,8 @@ def _stringify(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and all(type(v) is int for v in obj):
+        return list(map(str, obj))  # a certificate matrix row
     if isinstance(obj, (list, tuple, frozenset, set)):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [_stringify(v) for v in items]

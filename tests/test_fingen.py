@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autcert import fingen
 from autcert.fingen import (
     certify_nonfg,
     escape_exponent,
@@ -81,6 +82,12 @@ def test_membership_recheck_data_is_consistent():
         [list(r) for r in res.generator_rows], list(res.target_vector)
     )
     assert replay == res.witness
+
+
+def test_membership_witness_is_rechecked_in_laurent_arithmetic(monkeypatch):
+    monkeypatch.setattr(fingen, "z_span_membership", lambda rows, target: (2,))
+    with pytest.raises(ArithmeticError):
+        membership([LaurentT({0: 1})], LaurentT({0: 1}))
 
 
 @given(

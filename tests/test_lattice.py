@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from autcert import lattice
 from autcert.lattice import (
     E6_IN_E8_NODES,
     RootType,
@@ -176,6 +177,39 @@ def test_membership_is_monotone_in_generators(gens, extra, target):
         return
     wider = z_span_membership(gens + extra, target)
     assert wider is not None
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(1), 1.0], ids=repr)
+def test_entries_must_be_plain_integers(bad):
+    with pytest.raises(TypeError):
+        hnf([[1, 0], [0, bad]])
+    with pytest.raises(TypeError):
+        z_span_membership([(1, 0), (0, bad)], (1, 0))
+    with pytest.raises(TypeError):
+        z_span_membership([(1, 0), (0, 1)], (bad, 0))
+    with pytest.raises(TypeError):
+        gram_rank([[2, bad], [bad, 2]])
+
+
+def test_matrix_shapes_are_checked():
+    with pytest.raises(ValueError):
+        hnf([[1, 0], [0]])
+    with pytest.raises(ValueError):
+        z_span_membership([(1, 0), (0,)], (1, 0))
+    with pytest.raises(ValueError):
+        z_span_membership([(1, 0), (0, 1)], (1, 0, 0))
+
+
+def test_membership_witness_is_reverified(monkeypatch):
+    real_hnf = lattice.hnf
+
+    def swapped_transform(rows):
+        H, U = real_hnf(rows)
+        return H, U[::-1]
+
+    monkeypatch.setattr(lattice, "hnf", swapped_transform)
+    with pytest.raises(ArithmeticError):
+        z_span_membership([(2, 0), (0, 3)], (4, 3))
 
 
 # -- kernels and complements ----------------------------------------------------

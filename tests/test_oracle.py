@@ -13,8 +13,9 @@ from hypothesis import given, seed, settings
 import pytest
 
 sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import hermite_normal_form
 
-from autcert.lattice import signature
+from autcert.lattice import hnf, signature
 from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
 
 from conftest import POLY_VARS, int_entries, polys, small_fractions
@@ -101,6 +102,35 @@ def test_matrix_rank_det_matches_sympy(entries, data):
         assert det == theirs.det()
     else:
         assert det is None
+
+
+@seed(20190404)
+@oracle
+@given(matrices(int_entries))
+def test_hnf_row_span_matches_sympy(rows):
+    # sympy's form is column-style and canonical: equal forms of the two
+    # transposes mean that H and rows generate the same row lattice
+    H, _ = hnf(rows)
+    theirs = hermite_normal_form(sympy.Matrix(rows).T)
+    assert hermite_normal_form(sympy.Matrix(H).T) == theirs
+    assert sum(1 for row in H if any(row)) == theirs.shape[1]
+
+
+divisors = polys(max_vars=2, max_deg=2, max_terms=3).filter(lambda p: not p.is_zero())
+
+
+@seed(20190405)
+@oracle
+@given(polys(max_vars=2, max_deg=2, max_terms=3), divisors)
+def test_exact_div_matches_sympy(a, b):
+    for dividend in (a * b, a):
+        q, r = sympy.div(to_sympy(dividend), to_sympy(b), *GENS, domain="QQ")
+        if r == 0:
+            mine = dividend.exact_div(b)
+            assert sympy.Poly(to_sympy(mine), *GENS) == sympy.Poly(q, *GENS)
+        else:
+            with pytest.raises(ArithmeticError):
+                dividend.exact_div(b)
 
 
 def sign_changes(coeffs) -> int:

@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed, settings
 
 from autcert import __version__, fingen
 from autcert.pipeline import (
@@ -12,6 +14,8 @@ from autcert.pipeline import (
     CertificateReport,
     PipelineOptions,
     StageResult,
+    _stringify,
+    _write_json,
     main,
     run_all,
     run_stage,
@@ -115,6 +119,46 @@ def test_default_report_sha256_is_the_regression_anchor(default_report):
     for report, expected in pinned:
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == expected
+
+
+def written(obj) -> str:
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+# Quotes, backslashes, control characters and non-ASCII text, which the
+# writer must escape exactly as json.dumps does.
+json_text = st.text(alphabet=st.sampled_from('az "\\/\n\t\x00\x1f\x7fé€😀'), max_size=6)
+json_leaves = st.one_of(json_text, st.none(), st.booleans())
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(json_text, max_size=4),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@seed(20190406)
+@settings(database=None)
+@given(json_trees)
+def test_report_writer_matches_json_dumps(obj):
+    assert written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_writer_rejects_numbers():
+    for leaf in (1, 1.5):
+        for obj in (leaf, [leaf], ["a", leaf], {"a": leaf}):
+            with pytest.raises(TypeError):
+                written(obj)
+
+
+def test_stringify_keeps_booleans_in_integer_tuples():
+    assert _stringify((1, -20)) == ["1", "-20"]
+    assert _stringify((1, True)) == ["1", True]
 
 
 def test_report_is_deterministic():
