@@ -239,8 +239,6 @@ def _stringify(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, tuple) and all(type(v) is int for v in obj):
-        return list(map(str, obj))  # a certificate matrix row
     if isinstance(obj, (list, tuple, frozenset, set)):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [_stringify(v) for v in items]
