@@ -294,7 +294,7 @@ def component_cycle(config: Configuration, fiber: FiberDivisor) -> tuple[str, ..
     """
     fc = classify_kodaira(config, fiber)
     if fc.fiber_type is None or fc.fiber_type.symbol != "I":
-        raise ValueError(f"component cycles exist for I_n fibers only, got {fc.fiber_type}")
+        raise ValueError(f"need I_n for a component cycle, got {fc.fiber_type}")
     nodes = fc.nodes
     if len(nodes) == 2:
         return nodes

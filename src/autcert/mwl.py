@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .fibration import FiberDivisor, KodairaType, classify_kodaira, component_cycle
+from .fibration import FiberDivisor, KodairaType, component_cycle
 from .scalars import LaurentT
 from .surface import Configuration
 
@@ -198,21 +198,18 @@ def section_from_config(
 ) -> SectionData:
     """Read (P.O) and the per-fiber component indices off the Gram table.
 
-    Only I_n fibers are supported: each fiber is classified, its
-    component cycle oriented canonically, and the index is the cyclic
-    distance from the zero section's component to the section's.  The
-    section must meet exactly one component, once, and must not itself
-    be a fiber component.
+    Only I_n fibers are supported: each fiber's component cycle is
+    oriented canonically, and the index is the cyclic distance from the
+    zero section's component to the section's.  The section must meet
+    exactly one component, once, and must not itself be a fiber
+    component.
     """
     components: dict[str, Component] = {}
     for fid, fiber in fibers:
-        fc = classify_kodaira(config, fiber)
-        if fc.fiber_type is None or fc.fiber_type.symbol != "I":
-            raise ValueError(f"fiber {fid} is {fc.fiber_type}, need I_n")
         cycle = component_cycle(config, fiber)
         positions = {}
         for who in (section, zero):
-            if config.resolve(who) in fc.nodes:
+            if config.resolve(who) in cycle:
                 raise ValueError(f"{who} is a component of fiber {fid}")
             met = [
                 (k, config.pairing(who, lab))

@@ -7,6 +7,13 @@ imported from the classical literature are never presented as machine
 checks: they appear under ``external_inputs`` with their citation, so
 the certificate states exactly what was computed and what was assumed.
 
+:class:`Context` is the single source of construction data: it builds
+the curve configurations, applies the ``corrupt_pair`` fault, and
+measures the ranks and Kodaira types once, and every stage reads them
+there.  An injected fault therefore reaches every stage that reads the
+data it corrupts, and a stage that cannot be built from faulty data
+reports ``fail`` instead of raising.
+
 Reports are deterministic: all randomized search is seeded through
 :class:`PipelineOptions`, evidence dictionaries are built in a fixed
 order, and serialization sorts keys.  Every number is serialized as an
@@ -18,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -66,6 +74,8 @@ from .mwl import (
 )
 from .scalars import LaurentT, RatFunc, matrix_rank_det, parse_poly
 from .surface import (
+    Configuration,
+    IsometryPerm,
     build_double_kummer,
     canonical_multiple,
     epsilon_involution,
@@ -73,7 +83,6 @@ from .surface import (
     is_curve_label,
     quotient_pushforward,
     standard_blowup_ledger,
-    theta_identity,
     verify_isometry,
     with_intersection,
 )
@@ -261,7 +270,7 @@ def _annotation(note: str) -> dict:
     return {"status": "annotation", "note": note}
 
 
-def _assemble(name: str, anchor: str, checks, external=(), annotations=(), **extra) -> StageResult:
+def _assemble(name: str, checks, external=(), annotations=(), **extra) -> StageResult:
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     evidence: dict = {"checks": list(checks)}
     if external:
@@ -269,182 +278,210 @@ def _assemble(name: str, anchor: str, checks, external=(), annotations=(), **ext
     if annotations:
         evidence["annotations"] = list(annotations)
     evidence.update(_stringify(extra))
-    return StageResult(name, status, anchor, evidence)
+    return StageResult(name, status, _ANCHORS[name], evidence)
 
 
 # -- shared construction data ----------------------------------------------------------
 
 
-def x_fiber_divisors() -> dict[str, FiberDivisor]:
-    """The two reducible fibers upstairs: an 8-cycle and a IV* tree."""
-    n1 = FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"))
-    n2 = FiberDivisor(
-        {"E2": 1, "C32": 2, "E1": 1, "C31": 2, "E4": 1, "C34": 2, "F3": 3}
-    )
-    return {"N1": n1, "N2": n2}
-
-
-def z_fiber_divisors() -> dict[str, FiberDivisor]:
-    """Their images downstairs, written in quotient class labels."""
-    m1 = FiberDivisor.of(("H2", "D32", "H3", "D31", "H1", "D41", "H4", "D42"))
-    m2 = FiberDivisor(
-        {"H2": 1, "D32": 2, "H1": 1, "D31": 2, "H4": 1, "D34": 2, "H3": 3}
-    )
-    return {"M1": m1, "M2": m2}
-
-
 class Context:
-    """Lazily built shared objects, so stages can run alone or chained."""
+    """The construction, built, fault-injected and measured once per run.
+
+    Stages read their inputs here, and nothing else builds a curve
+    configuration or applies ``corrupt_pair``.  Each fact is built on
+    first use, so a stage run alone builds only what it reads.  A fact
+    whose construction raises is not cached: every stage that reads it
+    raises in turn.
+    """
 
     def __init__(self, options: PipelineOptions):
         self.options = options
-        self._cache: dict[str, object] = {}
 
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
-    def x(self):
-        return self._get("x", lambda: extend_with_conics(build_double_kummer()))
-
-    @property
-    def eps(self):
-        return self._get("eps", lambda: epsilon_involution(self.x))
+    @cached_property
+    def _configurations(self) -> tuple[Configuration, Configuration]:
+        kummer = build_double_kummer()
+        x = extend_with_conics(kummer)
+        pair = self.options.corrupt_pair
+        if pair is not None:
+            x = with_intersection(x, *pair, 0)
+            if set(pair) <= set(kummer.labels):
+                kummer = with_intersection(kummer, *pair, 0)
+        return kummer, x
 
     @property
-    def z(self):
-        return self._get("z", lambda: quotient_pushforward(self.x, self.eps))
+    def kummer(self) -> Configuration:
+        """The 24 double Kummer curves, faulted when both labels are among them."""
+        return self._configurations[0]
 
     @property
-    def x_fibers(self):
-        return self._get("x_fibers", x_fiber_divisors)
+    def x(self) -> Configuration:
+        """The 28 curves upstairs, faulted."""
+        return self._configurations[1]
 
-    @property
-    def z_fibers(self):
-        return self._get("z_fibers", z_fiber_divisors)
+    @cached_property
+    def eps(self) -> IsometryPerm:
+        return epsilon_involution(self.x)
 
-    @property
-    def phi1_fibers(self):
-        """(id, divisor) list for the 8-cycle fibration with its involution image."""
+    @cached_property
+    def z(self) -> Configuration:
+        """The 14 classes on the quotient; raises if the involution is no free isometry."""
+        return quotient_pushforward(self.x, self.eps)
 
-        def build():
-            n1 = self.x_fibers["N1"]
-            return (("N1", n1), ("N1eps", map_fiber(n1, self.eps.curve_map)))
+    @cached_property
+    def x_rank(self) -> int:
+        """Rank of the lattice the 28 curves span: the Picard number upstairs."""
+        return gram_rank(self.x.gram)
 
-        return self._get("phi1_fibers", build)
+    @cached_property
+    def z_rank(self) -> int:
+        """Rank of the lattice the 14 classes span: the Picard number downstairs."""
+        return gram_rank(self.z.gram)
+
+    @cached_property
+    def fibers(self) -> dict[str, FiberDivisor]:
+        """The named fibers, upstairs and on the quotient.
+
+        N1 is an 8-cycle and N2 a IV* tree; N1eps and N2eps are their
+        involution images, and M1 and M2 their pushforwards, written in
+        class labels.
+        """
+        up = {
+            "N1": FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42")),
+            "N2": FiberDivisor(
+                {"E2": 1, "C32": 2, "E1": 1, "C31": 2, "E4": 1, "C34": 2, "F3": 3}
+            ),
+        }
+        return {
+            **up,
+            **{f"{name}eps": map_fiber(f, self.eps.curve_map) for name, f in up.items()},
+            "M1": FiberDivisor.of(("H2", "D32", "H3", "D31", "H1", "D41", "H4", "D42")),
+            "M2": FiberDivisor(
+                {"H2": 1, "D32": 2, "H1": 1, "D31": 2, "H4": 1, "D34": 2, "H3": 3}
+            ),
+        }
+
+    @cached_property
+    def fiber_types(self) -> dict[str, KodairaType | None]:
+        """The Kodaira type of each named fiber, classified once.
+
+        None when the divisor fails the fiber conditions or its dual
+        graph matches no type.
+        """
+        types = {}
+        for name, fiber in self.fibers.items():
+            config = self.z if name.startswith("M") else self.x
+            valid = validate_fiber(config, fiber).passed
+            types[name] = classify_kodaira(config, fiber).fiber_type if valid else None
+        return types
+
+    def kodaira(self, name: str) -> KodairaType:
+        """The type of a named fiber, for stages that cannot go on without one."""
+        kt = self.fiber_types[name]
+        if kt is None:
+            raise ValueError(f"fiber {name} has no Kodaira type")
+        return kt
 
 
 # -- the nine stages ---------------------------------------------------------------------
 
 
-def _stage_config(ctx: Context) -> StageResult:
-    kummer = build_double_kummer()
-    x = extend_with_conics(kummer)
-    pair = ctx.options.corrupt_pair
-    if pair is not None:
-        x = with_intersection(x, pair[0], pair[1], 0)
-        try:
-            kummer = with_intersection(kummer, pair[0], pair[1], 0)
-        except KeyError:
-            pass
+# Each stage's claim, stated once; a stage that cannot be built fails with it.
+_ANCHORS = {
+    "config": (
+        "Twenty-four smooth rational curves with the double Kummer incidence "
+        "span a rank-18 lattice of signature (1, 17); four further curves "
+        "extend it without changing the rank, and the curve swap is an "
+        "isometry without fixed curves."
+    ),
+    "cremona": (
+        "The reciprocal involution of projective 3-space preserves every "
+        "member of the quadric family through the four coordinate points up "
+        "to the cofactor a1*a2*a3*x1*x2*x3*x4, contracts the coordinate "
+        "planes, and swaps the two rulings of each smooth member."
+    ),
+    "quotient": (
+        "Pushing the 28 curves forward along the free involution yields 14 "
+        "classes whose pairing is half the upstairs pairing of orbit sums; "
+        "eight of them form a closed chain and the marked point lands on H2 "
+        "at infinity."
+    ),
+    "fibrations": (
+        "The eight-curve cycle and the seven-curve star, upstairs and on "
+        "the quotient, have Kodaira types I8 and IV*; applying the free "
+        "involution upstairs reproduces the same types on disjoint support."
+    ),
+    "lattice": (
+        "Shioda-Tate bookkeeping gives Mordell-Weil rank 2 both for the "
+        "I8 + I8 fibration (Picard number 18) and for the IV* fibration on "
+        "the rational elliptic surface (Picard number 10); the orthogonal "
+        "complement of E6 in E8 is the root lattice A2."
+    ),
+    "heights": (
+        "In the Mordell-Weil lattice of the I8 + I8 fibration the section "
+        "C12 is 2-torsion, C11 has height 2, and C22 re-based at C11 has "
+        "height 0; the narrow lattice of the IV* fibration has a generator "
+        "of height 2."
+    ),
+    "canonical": (
+        "On the surface obtained by one blow-up at the marked point and "
+        "three more on its exceptional curve, twice the canonical class is "
+        "2 E_inf' + 4 (E321 + E322 + E323), with E_inf' of "
+        "self-intersection -4."
+    ),
+    "dynamics": (
+        "The section translation scales the smooth-locus coordinate by t "
+        "and shifts components by 4; its square scales by t^2 with no "
+        "shift, and conjugating a translation by its n-th power produces "
+        "the translations x -> x + t^(-2n) a."
+    ),
+    "nonfg": (
+        "The group generated by all translations x -> x + t^(-2n) a is the "
+        "union of a strictly increasing chain of finitely generated "
+        "subgroups, each escape certified by an integer-span membership "
+        "refutation; such a group is not finitely generated."
+    ),
+}
 
-    checks = []
+
+def _stage_config(ctx: Context) -> StageResult:
+    kummer, x = ctx.kummer, ctx.x
     rank24 = gram_rank(kummer.gram)
-    checks.append(
-        _check("the 24-curve intersection matrix has rank 18", rank24 == 18, rank=rank24)
-    )
     sig24 = signature(kummer.gram)
-    checks.append(
+    rep_e = verify_isometry(x, ctx.eps)
+    data: dict = {"fixed_labels": list(rep_e.fixed_labels)}
+    if rep_e.failures:
+        data["failures"] = list(rep_e.failures)
+    checks = [
+        _check("the 24-curve intersection matrix has rank 18", rank24 == 18, rank=rank24),
         _check(
             "the 24-curve intersection form has signature (1, 17)",
             sig24 == (1, 17, 6),
             signature=sig24,
-        )
-    )
-    rank28 = gram_rank(x.gram)
-    checks.append(
+        ),
         _check(
             "adjoining the four extra curves keeps the rank at 18",
-            len(x.labels) == 28 and rank28 == 18,
+            len(x.labels) == 28 and ctx.x_rank == 18,
             curves=len(x.labels),
-            rank=rank28,
-        )
-    )
-    theta = theta_identity(x)
-    rep_t = verify_isometry(x, theta)
-    checks.append(
-        _check(
-            "the identity relabeling is an isometry fixing every curve",
-            rep_t.passed and len(rep_t.fixed_labels) == len(x.labels),
-            fixed_count=len(rep_t.fixed_labels),
-        )
-    )
-    eps = epsilon_involution(x)
-    rep_e = verify_isometry(x, eps)
-    data: dict = {"fixed_labels": list(rep_e.fixed_labels)}
-    if rep_e.failures:
-        data["failures"] = list(rep_e.failures)
-    checks.append(
+            rank=ctx.x_rank,
+        ),
         _check(
             "the curve swap E_i <-> F_i, C_ij <-> C_ji, C_ii <-> C_i is an "
             "isometry with no fixed curve",
             rep_e.passed and not rep_e.fixed_labels,
             **data,
-        )
-    )
-    return _assemble(
-        "config",
-        "Twenty-four smooth rational curves with the double Kummer incidence "
-        "span a rank-18 lattice of signature (1, 17); four further curves "
-        "extend it without changing the rank, and the curve swap is an "
-        "isometry without fixed curves.",
-        checks,
-    )
+        ),
+    ]
+    return _assemble("config", checks)
 
 
 def _stage_cremona(ctx: Context) -> StageResult:
     tau = cremona_map()
     q = QuadricForm.standard()
     expected = parse_poly("a1*a2*a3*x1*x2*x3*x4")
-
-    checks = []
     cof = preserves_quadric(tau, q.poly)
-    checks.append(
-        _check(
-            "substituting the map into the quadric returns the cofactor "
-            "a1*a2*a3*x1*x2*x3*x4",
-            cof == expected,
-            cofactor=cof,
-        )
-    )
     inv = involution_cofactor(tau)
-    checks.append(
-        _check(
-            "composing the map with itself gives the identity times the "
-            "squared cofactor",
-            inv == expected * expected,
-            cofactor=inv,
-        )
-    )
     points = [contraction_check(tau, i) for i in range(1, 5)]
-    checks.append(
-        _check(
-            "each coordinate plane contracts to the matching coordinate point",
-            not any(isinstance(p, dict) for p in points),
-            points=points,
-        )
-    )
     _, det = matrix_rank_det([list(r) for r in q.matrix()])
-    checks.append(
-        _check(
-            "the symmetric matrix of the quadric has a nonzero determinant, "
-            "so the generic member is smooth",
-            det != parse_poly("0"),
-            determinant=det,
-        )
-    )
     reports = find_swap_specializations(seed=ctx.options.seed)
     samples = [
         {
@@ -454,21 +491,40 @@ def _stage_cremona(ctx: Context) -> StageResult:
         }
         for r in reports
     ]
-    checks.append(
+    checks = [
+        _check(
+            "substituting the map into the quadric returns the cofactor "
+            "a1*a2*a3*x1*x2*x3*x4",
+            cof == expected,
+            cofactor=cof,
+        ),
+        _check(
+            "composing the map with itself gives the identity times the "
+            "squared cofactor",
+            inv == expected * expected,
+            cofactor=inv,
+        ),
+        _check(
+            "each coordinate plane contracts to the matching coordinate point",
+            not any(isinstance(p, dict) for p in points),
+            points=points,
+        ),
+        _check(
+            "the symmetric matrix of the quadric has a nonzero determinant, "
+            "so the generic member is smooth",
+            det != parse_poly("0"),
+            determinant=det,
+        ),
         _check(
             "at a seeded sample of parameter values the involution swaps the "
             "two rulings of the smooth quadric, exchanging all 12 marked "
             "intersection points in pairs",
             len(reports) >= 3 and all(r.passed for r in reports),
             specializations=samples,
-        )
-    )
+        ),
+    ]
     return _assemble(
         "cremona",
-        "The reciprocal involution of projective 3-space preserves every "
-        "member of the quadric family through the four coordinate points up "
-        "to the cofactor a1*a2*a3*x1*x2*x3*x4, contracts the coordinate "
-        "planes, and swaps the two rulings of each smooth member.",
         checks,
         annotations=[
             _annotation(
@@ -482,64 +538,44 @@ def _stage_cremona(ctx: Context) -> StageResult:
 
 def _stage_quotient(ctx: Context) -> StageResult:
     z = ctx.z
-    checks = []
-    checks.append(
+    sig = signature(z.gram)
+    samples = [("H2", "D32", 1), ("D11", "H1", 2), ("D11", "D22", 2), ("H1", "H2", 0)]
+    halved = all(z.pairing(a, b) == v for a, b, v in samples)
+    cycle = component_cycle(z, ctx.fibers["M1"])
+    expected_support = {"H1", "H2", "H3", "H4", "D31", "D32", "D41", "D42"}
+    q32 = z.marking_coord("Q32", "H2")
+    checks = [
         _check(
             "the free involution groups the 28 curves into 14 orbit classes",
             len(z.labels) == 14,
             classes=list(z.labels),
-        )
-    )
-    rank = gram_rank(z.gram)
-    sig = signature(z.gram)
-    checks.append(
+        ),
         _check(
             "the quotient classes span a rank-10 lattice of signature (1, 9)",
-            rank == 10 and sig == (1, 9, 4),
-            rank=rank,
+            ctx.z_rank == 10 and sig == (1, 9, 4),
+            rank=ctx.z_rank,
             signature=sig,
-        )
-    )
-    samples = [
-        ("H2", "D32", 1),
-        ("D11", "H1", 2),
-        ("D11", "D22", 2),
-        ("H1", "H2", 0),
-    ]
-    ok = all(z.pairing(a, b) == v for a, b, v in samples)
-    ok = ok and all(z.self_int(lab) == -2 for lab in z.labels)
-    checks.append(
+        ),
         _check(
             "pushed-forward pairings halve the upstairs orbit pairings and "
             "every class stays a (-2)-class",
-            ok,
+            halved and all(z.self_int(lab) == -2 for lab in z.labels),
             samples=[[a, b, v] for a, b, v in samples],
-        )
-    )
-    cycle = component_cycle(z, ctx.z_fibers["M1"])
-    expected_support = {"H1", "H2", "H3", "H4", "D31", "D32", "D41", "D42"}
-    checks.append(
+        ),
         _check(
             "eight of the classes close up into a single cycle",
             len(cycle) == 8 and set(cycle) == expected_support,
             cycle=list(cycle),
-        )
-    )
-    q32 = z.marking_coord("Q32", "H2")
-    checks.append(
+        ),
         _check(
             "the distinguished marked point descends to the class H2 with "
             "affine coordinate at infinity",
             q32 is not None and q32.is_infinite,
             coordinate=q32,
-        )
-    )
+        ),
+    ]
     return _assemble(
         "quotient",
-        "Pushing the 28 curves forward along the free involution yields 14 "
-        "classes whose pairing is half the upstairs pairing of orbit sums; "
-        "eight of them form a closed chain and the marked point lands on H2 "
-        "at infinity.",
         checks,
         external=[
             _external(
@@ -554,49 +590,31 @@ def _stage_quotient(ctx: Context) -> StageResult:
 
 
 def _stage_fibrations(ctx: Context) -> StageResult:
-    x, z = ctx.x, ctx.z
     expected = {"N1": "I8", "N2": "IV*", "M1": "I8", "M2": "IV*"}
-    checks = []
-    types: dict[str, str] = {}
-    all_ok = True
-    for name, fiber in list(ctx.x_fibers.items()) + list(ctx.z_fibers.items()):
-        config = x if name.startswith("N") else z
-        report = validate_fiber(config, fiber)
-        fc = classify_kodaira(config, fiber) if report.passed else None
-        got = str(fc.fiber_type) if fc and fc.recognized else None
-        types[name] = got
-        all_ok = all_ok and report.passed and got == expected[name]
-    checks.append(
+    types = {name: ctx.fiber_types[name] for name in expected}
+    eps_types = {f"{name}eps": ctx.fiber_types[f"{name}eps"] for name in ("N1", "N2")}
+    eps_ok = all(
+        str(eps_types[f"{name}eps"]) == expected[name]
+        and not set(ctx.fibers[name].labels()) & set(ctx.fibers[f"{name}eps"].labels())
+        for name in ("N1", "N2")
+    )
+    checks = [
         _check(
             "the two divisors upstairs and their pushforwards downstairs "
             "classify as Kodaira types I8 and IV*",
-            all_ok,
+            all(str(types[name]) == want for name, want in expected.items()),
             types=types,
             expected=expected,
-        )
-    )
-    eps_ok = True
-    eps_types: dict[str, str] = {}
-    for name in ("N1", "N2"):
-        image = map_fiber(ctx.x_fibers[name], ctx.eps.curve_map)
-        fc = classify_kodaira(x, image)
-        got = str(fc.fiber_type) if fc.recognized else None
-        eps_types[name + "eps"] = got
-        disjoint = not set(image.labels()) & set(ctx.x_fibers[name].labels())
-        eps_ok = eps_ok and got == expected[name] and disjoint
-    checks.append(
+        ),
         _check(
             "the involution images of the upstairs divisors are disjoint "
             "from them and classify identically",
             eps_ok,
             types=eps_types,
-        )
-    )
+        ),
+    ]
     return _assemble(
         "fibrations",
-        "The eight-curve cycle and the seven-curve star, upstairs and on "
-        "the quotient, have Kodaira types I8 and IV*; applying the free "
-        "involution upstairs reproduces the same types on disjoint support.",
         checks,
         external=[
             _external(
@@ -610,46 +628,38 @@ def _stage_fibrations(ctx: Context) -> StageResult:
 
 
 def _stage_lattice(ctx: Context) -> StageResult:
-    i8 = KodairaType.I(8)
-    iv_star = KodairaType.plain("IV*")
-    checks = []
-    up = shioda_tate_rank(18, [i8, i8])
-    checks.append(
+    up = shioda_tate_rank(ctx.x_rank, [ctx.kodaira("N1"), ctx.kodaira("N1eps")])
+    down = shioda_tate_rank(ctx.z_rank, [ctx.kodaira("M2")])
+    e = {name: euler_number(ctx.kodaira(name)) for name in ctx.fibers}
+    sums = {
+        "two I8 on the covering surface": (e["N1"] + e["N1eps"], 24),
+        "two IV* on the covering surface": (e["N2"] + e["N2eps"], 24),
+        "one I8 on the rational surface": (e["M1"], 12),
+        "one IV* on the rational surface": (e["M2"], 12),
+    }
+    _, induced = orth_complement(cartan_E(8), E6_IN_E8_NODES)
+    reduced = gauss_reduce_rank2(induced)
+    classified = dynkin_classify(reduced)
+    checks = [
         _check(
             "rank 18 minus 2 minus the 14 non-identity components of two I8 "
             "fibers leaves Mordell-Weil rank 2",
             up == 2,
             rank=up,
-        )
-    )
-    down = shioda_tate_rank(10, [iv_star])
-    checks.append(
+        ),
         _check(
             "rank 10 minus 2 minus the 6 non-identity components of one IV* "
             "fiber leaves Mordell-Weil rank 2 on the rational elliptic "
             "surface",
             down == 2,
             rank=down,
-        )
-    )
-    sums = {
-        "two I8 on the covering surface": (2 * euler_number(i8), 24),
-        "two IV* on the covering surface": (2 * euler_number(iv_star), 24),
-        "one I8 on the rational surface": (euler_number(i8), 12),
-        "one IV* on the rational surface": (euler_number(iv_star), 12),
-    }
-    checks.append(
+        ),
         _check(
             "known reducible fibers never exceed the Euler number budget of "
             "the surface carrying them",
             all(total <= bound for total, bound in sums.values()),
             sums={k: [t, b] for k, (t, b) in sums.items()},
-        )
-    )
-    _, induced = orth_complement(cartan_E(8), E6_IN_E8_NODES)
-    reduced = gauss_reduce_rank2(induced)
-    classified = dynkin_classify(reduced)
-    checks.append(
+        ),
         _check(
             "the orthogonal complement of E6 inside E8 reduces to the Gram "
             "matrix [[2, -1], [-1, 2]] of the root lattice A2",
@@ -657,14 +667,10 @@ def _stage_lattice(ctx: Context) -> StageResult:
             induced=[list(r) for r in induced],
             reduced=[list(r) for r in reduced],
             classified=classified,
-        )
-    )
+        ),
+    ]
     return _assemble(
         "lattice",
-        "Shioda-Tate bookkeeping gives Mordell-Weil rank 2 both for the "
-        "I8 + I8 fibration (Picard number 18) and for the IV* fibration on "
-        "the rational elliptic surface (Picard number 10); the orthogonal "
-        "complement of E6 in E8 is the root lattice A2.",
         checks,
         external=[
             _external(
@@ -680,17 +686,18 @@ def _stage_lattice(ctx: Context) -> StageResult:
 
 def _stage_heights(ctx: Context) -> StageResult:
     x = ctx.x
-    i8 = KodairaType.I(8)
-    fibers = ctx.phi1_fibers
-    hctx = HeightContext(
-        chi=2, fibers=tuple((fid, i8) for fid, _ in fibers), zero_name="C21"
-    )
-
-    checks = []
+    fibers = [(fid, ctx.fibers[fid]) for fid in ("N1", "N1eps")]
+    types = tuple((fid, ctx.kodaira(fid)) for fid, _ in fibers)
+    hctx = HeightContext(chi=2, fibers=types, zero_name="C21")
+    hctx_alt = HeightContext(chi=2, fibers=types, zero_name="C11")
+    nctx = HeightContext(chi=1, fibers=(("M2", ctx.kodaira("M2")),))
     c12 = section_from_config(x, fibers, "C12", "C21")
-    h12 = height(hctx, c12)
+    c11 = section_from_config(x, fibers, "C11", "C21")
+    c22 = section_from_config(x, fibers, "C22", "C11")
+    h12, h11, h22 = height(hctx, c12), height(hctx, c11), height(hctx_alt, c22)
+    hp = height(nctx, SectionData("P", 0, {"M2": IDENTITY_COMPONENT}))
     doubled = component_index_sum([c12.components[fid] * 2 for fid, _ in fibers])
-    checks.append(
+    checks = [
         _check(
             "the section C12 has height 0 against the zero section C21 and "
             "doubling its component indices lands on the identity, so its "
@@ -702,24 +709,13 @@ def _stage_heights(ctx: Context) -> StageResult:
             height=h12,
             dot_zero=c12.dot_zero,
             indices={fid: c12.components[fid] for fid, _ in fibers},
-        )
-    )
-    c11 = section_from_config(x, fibers, "C11", "C21")
-    h11 = height(hctx, c11)
-    checks.append(
+        ),
         _check(
             "the section C11 has height 2",
             h11 == 2,
             height=h11,
             indices={fid: c11.components[fid] for fid, _ in fibers},
-        )
-    )
-    hctx_alt = HeightContext(
-        chi=2, fibers=tuple((fid, i8) for fid, _ in fibers), zero_name="C11"
-    )
-    c22 = section_from_config(x, fibers, "C22", "C11")
-    h22 = height(hctx_alt, c22)
-    checks.append(
+        ),
         _check(
             "re-basing at the zero section C11, the section C22 has height "
             "0, so the difference of the classes of C22 and C11 is torsion "
@@ -728,25 +724,16 @@ def _stage_heights(ctx: Context) -> StageResult:
             height=h22,
             dot_zero=c22.dot_zero,
             indices={fid: c22.components[fid] for fid, _ in fibers},
-        )
-    )
-    nctx = HeightContext(chi=1, fibers=(("M2", KodairaType.plain("IV*")),))
-    narrow = SectionData("P", 0, {"M2": IDENTITY_COMPONENT})
-    hp = height(nctx, narrow)
-    checks.append(
+        ),
         _check(
             "a section of the IV* fibration through the identity component "
             "and disjoint from the zero section has height 2",
             hp == 2,
             height=hp,
-        )
-    )
+        ),
+    ]
     return _assemble(
         "heights",
-        "In the Mordell-Weil lattice of the I8 + I8 fibration the section "
-        "C12 is 2-torsion, C11 has height 2, and C22 re-based at C11 has "
-        "height 0; the narrow lattice of the IV* fibration has a generator "
-        "of height 2.",
         checks,
         external=[
             _external(
@@ -769,61 +756,57 @@ def _stage_heights(ctx: Context) -> StageResult:
 
 def _stage_canonical(ctx: Context) -> StageResult:
     ledger = standard_blowup_ledger(ctx.z)
-    checks = []
     twice = canonical_multiple(ledger, 2)
-    expected = {"E_inf'": 2, "E321": 4, "E322": 4, "E323": 4}
-    checks.append(
+    self_int = ledger.self_intersection("E_inf'")
+    message = ""
+    try:
+        canonical_multiple(ledger, 1)
+    except ValueError as exc:
+        message = str(exc)
+    checks = [
         _check(
             "after blowing up the marked point and then three points on its "
             "exceptional curve, twice the canonical class is 2 E_inf' + "
             "4 (E321 + E322 + E323)",
-            twice == expected,
+            twice == {"E_inf'": 2, "E321": 4, "E322": 4, "E323": 4},
             coefficients=twice,
-        )
-    )
-    self_int = ledger.self_intersection("E_inf'")
-    checks.append(
+        ),
         _check(
             "the twice-blown-up exceptional curve E_inf' has "
             "self-intersection -4",
             self_int == -4,
             self_intersection=self_int,
             class_vector=list(ledger.class_vector("E_inf'")),
-        )
-    )
-    odd_rejected = False
-    message = ""
-    try:
-        canonical_multiple(ledger, 1)
-    except ValueError as exc:
-        odd_rejected = True
-        message = str(exc)
-    checks.append(
+        ),
         _check(
             "odd canonical multiples are rejected because the base "
             "canonical class is nonzero 2-torsion",
-            odd_rejected and "2-torsion" in message,
+            "2-torsion" in message,
             message=message,
-        )
-    )
-    return _assemble(
-        "canonical",
-        "On the surface obtained by one blow-up at the marked point and "
-        "three more on its exceptional curve, twice the canonical class is "
-        "2 E_inf' + 4 (E321 + E322 + E323), with E_inf' of "
-        "self-intersection -4.",
-        checks,
-    )
+        ),
+    ]
+    return _assemble("canonical", checks)
 
 
 def _stage_dynamics(ctx: Context) -> StageResult:
     x = ctx.x
     t = LaurentT.t_power(1)
-    checks = []
-
     p22 = x.marking_coord("P22", "E2")
     p2 = x.marking_coord("P2", "F2")
-    checks.append(
+    n1 = [("N1", ctx.fibers["N1"])]
+    idx_c11 = section_from_config(x, n1, "C11", "C21").components["N1"]
+    idx_c2 = section_from_config(x, n1, "C2", "C21").components["N1"]
+    total = component_index_sum([idx_c11, idx_c2])
+    f_scale = SmoothLocusAut(t, ModInt(4, 8))
+    square = compose_smooth_locus(f_scale, f_scale)
+    conjugates = [conjugate_translation(n) for n in range(1, 11)]
+    conj_ok = x.marking_coord("P32", "E2").is_infinite and all(
+        m.scale == 1 and m.shift == LaurentT.t_power(-2 * n)
+        for n, m in enumerate(conjugates, 1)
+    )
+    escapes = [translation_str(m.shift) for m in conjugates]
+    bridge = [translation_str(g) for g in shift_generators(3)]
+    checks = [
         _check(
             "the marked points P22 on E2 and P2 on F2 carry the same affine "
             "coordinate t, so the two translation actions glue",
@@ -833,70 +816,37 @@ def _stage_dynamics(ctx: Context) -> StageResult:
             and p22.value == RatFunc.var("t")
             and p2.value == RatFunc.var("t"),
             coordinates={"P22": p22, "P2": p2},
-        )
-    )
-
-    n1 = ctx.x_fibers["N1"]
-    idx_c11 = section_from_config(x, [("N1", n1)], "C11", "C21").components["N1"]
-    idx_c2 = section_from_config(x, [("N1", n1)], "C2", "C21").components["N1"]
-    total = component_index_sum([idx_c11, idx_c2])
-    checks.append(
+        ),
         _check(
             "the component indices of C11 and C2 in the 8-cycle sum to 4 "
             "mod 8, so the induced action shifts components by 4",
             total == ModInt(4, 8),
             indices={"C11": idx_c11, "C2": idx_c2},
             sum=total,
-        )
-    )
-
-    f_scale = SmoothLocusAut(t, ModInt(4, 8))
-    square = compose_smooth_locus(f_scale, f_scale)
-    checks.append(
+        ),
         _check(
             "the smooth-locus action (x, m) -> (t x, m + 4) squares to "
             "(x, m) -> (t^2 x, m)",
             square.scale == t * t and square.shift == ModInt(0, 8),
             scale=square.scale,
             shift=square.shift,
-        )
-    )
-
-    escapes = []
-    conj_ok = True
-    for n in range(1, 11):
-        m = conjugate_translation(n)
-        good = (
-            m.scale == 1
-            and m.shift == LaurentT.t_power(-2 * n)
-            and x.marking_coord("P32", "E2").is_infinite
-        )
-        conj_ok = conj_ok and good
-        escapes.append(translation_str(m.shift))
-    checks.append(
+        ),
         _check(
             "conjugating the translation x -> x + a by the n-th power of "
             "x -> t^2 x yields x -> x + t^(-2n) a for n = 1..10, each "
             "fixing the point at infinity",
             conj_ok,
             shifts=escapes,
-        )
-    )
-    bridge = [translation_str(g) for g in shift_generators(3)]
-    checks.append(
+        ),
         _check(
             "the conjugated shifts are exactly the Laurent generators fed "
             "to the non-finite-generation stage",
             escapes[0] == translation_str(LaurentT.t_power(-2)) and bridge[1] == escapes[0],
             generators=bridge,
-        )
-    )
+        ),
+    ]
     return _assemble(
         "dynamics",
-        "The section translation scales the smooth-locus coordinate by t "
-        "and shifts components by 4; its square scales by t^2 with no "
-        "shift, and conjugating a translation by its n-th power produces "
-        "the translations x -> x + t^(-2n) a.",
         checks,
         external=[
             _external(
@@ -911,33 +861,23 @@ def _stage_dynamics(ctx: Context) -> StageResult:
 
 def _stage_nonfg(ctx: Context) -> StageResult:
     cert = certify_nonfg(ctx.options.max_gens)
-    checks = []
-    checks.append(
+    checks = [
         _check(
             "every one of the nested spans verified: stage k refutes "
             "membership of t^(-2k) a in the span of the first k shifts and "
             "confirms it in the span of the first k+1",
             cert.passed and len(cert.stages) == ctx.options.max_gens,
             stage_count=len(cert.stages),
-        )
-    )
-    strict = all(
-        (not st.refutation.member) and st.next_span.member for st in cert.stages
-    )
-    checks.append(
+        ),
         _check(
             "the subgroup chain is strictly increasing at every tested "
             "index",
-            strict,
+            all((not st.refutation.member) and st.next_span.member for st in cert.stages),
             escapes=[st.escape for st in cert.stages],
-        )
-    )
+        ),
+    ]
     return _assemble(
         "nonfg",
-        "The group generated by all translations x -> x + t^(-2n) a is the "
-        "union of a strictly increasing chain of finitely generated "
-        "subgroups, each escape certified by an integer-span membership "
-        "refutation; such a group is not finitely generated.",
         checks,
         external=[
             _external(
@@ -967,20 +907,45 @@ _STAGE_FUNCS = {
 STAGE_ORDER = tuple(_STAGE_FUNCS)
 
 
+def _run(names: tuple[str, ...], options: PipelineOptions | None) -> CertificateReport:
+    """Run the named stages in order on one Context and give the verdict.
+
+    A stage that raises ValueError or ArithmeticError could not be built
+    from the construction it read.  It becomes a ``fail`` stage whose one
+    check states the stage anchor and carries the exception as
+    ``kind``/``detail``/``witness``.  Any other exception is a bug and
+    propagates.
+    """
+    for name in names:
+        if name not in _STAGE_FUNCS:
+            raise ValueError(f"unknown stage {name!r}; stages are {', '.join(STAGE_ORDER)}")
+    options = options or PipelineOptions()
+    ctx = Context(options)
+    stages = []
+    for name in names:
+        try:
+            stages.append(_STAGE_FUNCS[name](ctx))
+        except (ValueError, ArithmeticError) as exc:
+            raised = _check(
+                _ANCHORS[name],
+                False,
+                kind="stage-raised",
+                detail=type(exc).__name__,
+                witness=str(exc),
+            )
+            stages.append(_assemble(name, [raised]))
+    verdict = "pass" if all(s.status != "fail" for s in stages) else "fail"
+    return CertificateReport(__version__, options, tuple(stages), verdict)
+
+
 def run_stage(name: str, options: PipelineOptions | None = None) -> StageResult:
     """Run a single stage, building its inputs on demand."""
-    if name not in _STAGE_FUNCS:
-        raise ValueError(f"unknown stage {name!r}; stages are {', '.join(STAGE_ORDER)}")
-    return _STAGE_FUNCS[name](Context(options or PipelineOptions()))
+    return _run((name,), options).stages[0]
 
 
 def run_all(options: PipelineOptions | None = None) -> CertificateReport:
     """Run all nine stages in order and assemble the certificate."""
-    options = options or PipelineOptions()
-    ctx = Context(options)
-    stages = tuple(_STAGE_FUNCS[name](ctx) for name in STAGE_ORDER)
-    verdict = "pass" if all(s.status != "fail" for s in stages) else "fail"
-    return CertificateReport(__version__, options, stages, verdict)
+    return _run(STAGE_ORDER, options)
 
 
 # -- command line interface --------------------------------------------------------------
@@ -1007,8 +972,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--corrupt-pair", metavar="A,B", default=None,
-        help="fault injection: zero one intersection entry before the "
-        "configuration stage",
+        help="fault injection: zero one intersection entry of the shared "
+        "curve configuration that every stage reads",
     )
     sub = parser.add_subparsers(dest="command", metavar="STAGE")
     sub.add_parser("all", parents=[common], help="run every stage in order")
@@ -1048,12 +1013,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"autcert: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "all":
-        report = run_all(options)
-    else:
-        stage = run_stage(args.command, options)
-        verdict = "pass" if stage.status != "fail" else "fail"
-        report = CertificateReport(__version__, options, (stage,), verdict)
+    report = _run(STAGE_ORDER if args.command == "all" else (args.command,), options)
 
     for stage in report.stages:
         print(f"stage {stage.name}: {stage.status}")
@@ -1061,6 +1021,8 @@ def main(argv: list[str] | None = None) -> int:
             for check in stage.evidence["checks"]:
                 if check["status"] == "fail":
                     print(f"  failed: {check['claim']}")
+                    if "witness" in check:
+                        print(f"    witness: {check['witness']}")
     print(f"verdict: {report.verdict}")
     if args.out:
         try:

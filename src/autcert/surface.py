@@ -319,15 +319,6 @@ class IsometryReport:
     fixed_labels: tuple[str, ...]
 
 
-def theta_identity(config: Configuration) -> IsometryPerm:
-    """The identity isometry; every configuration curve is fixed."""
-    return IsometryPerm(
-        {lab: lab for lab in config.labels},
-        {p: p for p in config.markings},
-        involution=True,
-    )
-
-
 def epsilon_involution(config: Configuration) -> IsometryPerm:
     """The pencil-swapping involution on the extended configuration.
 

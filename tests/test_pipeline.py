@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, seed, settings
 
-from autcert import __version__, fingen
+from autcert import __version__, fingen, pipeline
 from autcert.pipeline import (
     STAGE_ORDER,
     CertificateReport,
@@ -113,7 +113,7 @@ def test_default_report_sha256_is_the_regression_anchor(default_report):
     options = PipelineOptions(max_gens=12)
     deep = CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
     pinned = [
-        (default_report, "1057b93d52cc5eb44db1d7b11c9b776687fa42ed6c741243d2d2a6b79e9ab0b4"),
+        (default_report, "3932133d8e8b475c8f2fdf06fac185414401b1840c412d7e44378bd77196a424"),
         (deep, "ed3f7ed8dd0c8f633f1642909218dd057b546f1f72f2a2caeb23caee2e57ee58"),
     ]
     for report, expected in pinned:
@@ -166,17 +166,58 @@ def test_report_is_deterministic():
     assert run_all(options).to_json() == run_all(options).to_json()
 
 
-def test_corrupted_intersection_fails_stage_one():
+def test_corrupted_intersection_fails_every_reader():
     report = run_all(PipelineOptions(max_gens=1, corrupt_pair=("E2", "C32")))
     assert report.verdict == "fail"
-    config = report.stages[0]
+    by_name = {s.name: s for s in report.stages}
+    config = by_name["config"]
     assert config.status == "fail"
     swap = next(
         c for c in config.evidence["checks"] if "no fixed curve" in c["claim"]
     )
     pairs = {frozenset(f["pair"]) for f in swap["failures"]}
     assert frozenset({"E2", "C32"}) in pairs
-    assert all(s.status == "pass" for s in report.stages[1:])
+    for name in ("quotient", "fibrations", "lattice", "canonical"):
+        assert by_name[name].status == "fail", name
+    for stage in report.stages[1:]:
+        if stage.status == "fail":
+            failed = [c for c in stage.evidence["checks"] if c["status"] == "fail"]
+            assert any(c.get("witness") for c in failed), stage.name
+    assert by_name["cremona"].status == by_name["nonfg"].status == "pass"
+
+
+# The nonzero off-diagonal entries of the 28-curve Gram matrix in
+# row-major order; Tier-1 runs every 4th, 13 of the 52.
+FAULT_PAIRS = [
+    (x.labels[i], x.labels[j])
+    for x in [extend_with_conics(build_double_kummer())]
+    for i in range(len(x.labels))
+    for j in range(i + 1, len(x.labels))
+    if x.gram[i][j]
+]
+FAULT_SAMPLE = FAULT_PAIRS[::4]
+
+
+@pytest.mark.parametrize("pair", FAULT_SAMPLE, ids=",".join)
+def test_injected_fault_fails_without_raising(pair):
+    options = PipelineOptions(max_gens=1, corrupt_pair=pair)
+    report = run_all(options)
+    assert report.verdict == "fail"
+    for name in ("config", "quotient", "fibrations", "lattice", "canonical"):
+        assert report.stages[STAGE_ORDER.index(name)].status == "fail", name
+    for k, name in enumerate(STAGE_ORDER):
+        assert run_stage(name, options).to_json_dict() == report.stages[k].to_json_dict()
+
+
+def test_stage_bug_still_propagates(monkeypatch):
+    def broken(ctx):
+        raise TypeError("a bug, not a failed check")
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "lattice", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run_all()
+    with pytest.raises(TypeError, match="a bug"):
+        run_stage("lattice")
 
 
 # -- run_stage ----------------------------------------------------------------------
@@ -289,6 +330,14 @@ def test_cli_failure_exit_code(capsys):
     out = capsys.readouterr().out
     assert "stage config: fail" in out
     assert "failed:" in out
+
+
+def test_cli_prints_the_witness_of_a_stage_that_raised(capsys):
+    assert main(["quotient", "--corrupt-pair", "E2,C32"]) == 1
+    captured = capsys.readouterr()
+    assert "stage quotient: fail" in captured.out
+    assert "witness: the involution fails the isometry check" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_cli_usage_errors(capsys):

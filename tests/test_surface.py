@@ -15,7 +15,6 @@ from autcert.surface import (
     extend_with_conics,
     quotient_pushforward,
     standard_blowup_ledger,
-    theta_identity,
     verify_isometry,
     with_intersection,
 )
@@ -139,13 +138,6 @@ def test_extend_fiber_class_constancy():
 
 
 # -- isometries -------------------------------------------------------------------
-
-
-def test_theta_identity_passes_and_fixes_everything():
-    x = build_double_kummer()
-    report = verify_isometry(x, theta_identity(x))
-    assert report.passed
-    assert report.fixed_labels == tuple(sorted(x.labels))
 
 
 def test_epsilon_images():
@@ -296,7 +288,7 @@ def _orbit_members(name: str) -> list[str]:
 def test_quotient_requires_free_involution():
     ext = extend_with_conics(build_double_kummer())
     with pytest.raises(ValueError, match="free"):
-        quotient_pushforward(ext, theta_identity(ext))
+        quotient_pushforward(ext, IsometryPerm({lab: lab for lab in ext.labels}))
 
 
 def test_quotient_rejects_broken_isometry():
