@@ -23,9 +23,10 @@ q = parse_poly("x - y")
 print("p       =", p)
 print("p / q   =", p.divide_rem(q)[0])
 
-# Rational functions normalize to a monic denominator automatically.
-t = RatFunc.var("t")
-f = (t**2 - RatFunc(1)) / (t - RatFunc(1))
+# Rational functions take a single-term denominator, reduced to lowest
+# terms with a monic denominator: (t^3 - t) / (2 t^2) = (1/2 t^2 - 1/2) / t.
+t = MultiPoly.var("t")
+f = RatFunc(t**3 - t, 2 * t**2)
 print("f       =", f)
 
 # Laurent polynomials in t carry negative exponents exactly.
@@ -35,7 +36,7 @@ print("laurent =", shift)
 # Square roots are exact: a rational root, or None when there is none.
 print("sqrt 9/4 =", rational_sqrt(Fraction(9, 4)))
 
-# Fraction-free determinants work over any of these scalars.
+# Fraction-free determinants work over rationals and polynomials.
 rows = [
     [MultiPoly.var("x"), MultiPoly.const(1)],
     [MultiPoly.const(1), MultiPoly.var("x")],

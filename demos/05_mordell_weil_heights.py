@@ -7,7 +7,7 @@ correction terms read off the fiber component a section meets.  All
 section data here is extracted from the exact intersection table.
 """
 
-from autcert.fibration import FiberDivisor, KodairaType, map_fiber
+from autcert.fibration import FiberDivisor, KodairaType, component_cycle, map_fiber
 from autcert.mwl import (
     IDENTITY_COMPONENT,
     HeightContext,
@@ -27,22 +27,24 @@ x = extend_with_conics(build_double_kummer())
 eps = epsilon_involution(x)
 
 n1 = FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"))
-fibers = [("N1", n1), ("N1eps", map_fiber(n1, eps.curve_map))]
+n1eps = map_fiber(n1, eps.curve_map)
+# each I8 fiber enters as its component cycle, oriented canonically
+cycles = [("N1", component_cycle(x, n1)), ("N1eps", component_cycle(x, n1eps))]
 i8 = KodairaType.I(8)
 ctx = HeightContext(chi=2, fibers=(("N1", i8), ("N1eps", i8)), zero_name="C21")
 
 # C12 against the zero section C21: height 0, hence torsion.
-c12 = section_from_config(x, fibers, "C12", "C21")
+c12 = section_from_config(x, cycles, "C12", "C21")
 print("C12 components:", {k: str(v) for k, v in c12.components.items()})
 print("height(C12) =", height(ctx, c12), " torsion:", is_torsion(ctx, c12))
 
 # C11 has height 2; its component index in the 8-cycle is 0.
-c11 = section_from_config(x, fibers, "C11", "C21")
+c11 = section_from_config(x, cycles, "C11", "C21")
 print("height(C11) =", height(ctx, c11))
 
 # The index sum of C11 and C2 in the cycle is 4 mod 8.
-idx_c11 = section_from_config(x, [("N1", n1)], "C11", "C21").components["N1"]
-idx_c2 = section_from_config(x, [("N1", n1)], "C2", "C21").components["N1"]
+idx_c11 = section_from_config(x, cycles[:1], "C11", "C21").components["N1"]
+idx_c2 = section_from_config(x, cycles[:1], "C2", "C21").components["N1"]
 print("index sum:", component_index_sum([idx_c11, idx_c2]))
 
 # A narrow section of a IV* fibration on a rational surface: height 2.

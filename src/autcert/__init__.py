@@ -6,8 +6,9 @@ automorphism group is discrete but not finitely generated.  It is
 organized in independent layers:
 
 * :mod:`autcert.scalars` -- exact rationals, multivariate polynomials,
-  rational functions, Laurent polynomials, rational square roots, and
-  fraction-free linear algebra over any of them;
+  Laurent polynomials, rational square roots, fraction-free linear
+  algebra over rationals and polynomials, and rational functions with
+  a single-term denominator for marking coordinates;
 * :mod:`autcert.lattice` -- integer row reduction (Hermite form), span
   membership with witnesses, orthogonal complements, ADE recognition,
   and exact signatures;

@@ -47,7 +47,7 @@ def _mono(names: Sequence[str], coeff=1) -> MultiPoly:
 
 @dataclass(frozen=True)
 class RationalMapP3:
-    """Four homogeneous polynomials of a common degree in x1..x4."""
+    """Four monomials of a common degree in x1..x4, with no common factor."""
 
     components: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]
 
@@ -63,6 +63,8 @@ class RationalMapP3:
                 degrees.add(c.degree_in(X_VARS))
         if len(degrees) != 1:
             raise ValueError("components must share one degree")
+        if any(len(c.terms) > 1 for c in comps):
+            raise ValueError("components must be monomials")
         g = MultiPoly.const(0)
         for c in comps:
             g = poly_gcd(g, c)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .fibration import FiberDivisor, KodairaType, component_cycle
+from .fibration import KodairaType
 from .scalars import LaurentT
 from .surface import Configuration
 
@@ -192,21 +192,20 @@ def component_index_sum(indices: Iterable[ModInt]) -> ModInt:
 
 def section_from_config(
     config: Configuration,
-    fibers: Sequence[tuple[str, FiberDivisor]],
+    cycles: Sequence[tuple[str, Sequence[str]]],
     section: str,
     zero: str,
 ) -> SectionData:
     """Read (P.O) and the per-fiber component indices off the Gram table.
 
-    Only I_n fibers are supported: each fiber's component cycle is
-    oriented canonically, and the index is the cyclic distance from the
-    zero section's component to the section's.  The section must meet
-    exactly one component, once, and must not itself be a fiber
-    component.
+    Only I_n fibers are supported: each is given by its id and its
+    component cycle, as ``fibration.component_cycle`` orients it, and
+    the index is the cyclic distance from the zero section's component
+    to the section's.  The section must meet exactly one component,
+    once, and must not itself be a fiber component.
     """
     components: dict[str, Component] = {}
-    for fid, fiber in fibers:
-        cycle = component_cycle(config, fiber)
+    for fid, cycle in cycles:
         positions = {}
         for who in (section, zero):
             if config.resolve(who) in cycle:

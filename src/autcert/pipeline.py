@@ -284,20 +284,43 @@ def _assemble(name: str, checks, external=(), annotations=(), **extra) -> StageR
 # -- shared construction data ----------------------------------------------------------
 
 
+class _fact(cached_property):
+    """A :class:`Context` fact, built by ``Context._once`` on the first read."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        return ctx._once(self.attrname, lambda: self.func(ctx))
+
+
 class Context:
     """The construction, built, fault-injected and measured once per run.
 
     Stages read their inputs here, and nothing else builds a curve
     configuration or applies ``corrupt_pair``.  Each fact is built on
     first use, so a stage run alone builds only what it reads.  A fact
-    whose construction raises is not cached: every stage that reads it
-    raises in turn.
+    whose construction raises keeps its exception: it is built once,
+    and every stage that reads it raises the same exception, so each
+    reports the same witness.
     """
 
     def __init__(self, options: PipelineOptions):
         self.options = options
+        self._kept: dict = {}
 
-    @cached_property
+    def _once(self, key, build):
+        """build(), run once per key; its value, or the error it raised, is kept."""
+        if key not in self._kept:
+            try:
+                self._kept[key] = (build(), None)
+            except (ValueError, ArithmeticError) as exc:
+                self._kept[key] = (None, exc)
+        value, exc = self._kept[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    @_fact
     def _configurations(self) -> tuple[Configuration, Configuration]:
         kummer = build_double_kummer()
         x = extend_with_conics(kummer)
@@ -318,26 +341,26 @@ class Context:
         """The 28 curves upstairs, faulted."""
         return self._configurations[1]
 
-    @cached_property
+    @_fact
     def eps(self) -> IsometryPerm:
         return epsilon_involution(self.x)
 
-    @cached_property
+    @_fact
     def z(self) -> Configuration:
         """The 14 classes on the quotient; raises if the involution is no free isometry."""
         return quotient_pushforward(self.x, self.eps)
 
-    @cached_property
+    @_fact
     def x_rank(self) -> int:
         """Rank of the lattice the 28 curves span: the Picard number upstairs."""
         return gram_rank(self.x.gram)
 
-    @cached_property
+    @_fact
     def z_rank(self) -> int:
         """Rank of the lattice the 14 classes span: the Picard number downstairs."""
         return gram_rank(self.z.gram)
 
-    @cached_property
+    @_fact
     def fibers(self) -> dict[str, FiberDivisor]:
         """The named fibers, upstairs and on the quotient.
 
@@ -360,7 +383,7 @@ class Context:
             ),
         }
 
-    @cached_property
+    @_fact
     def fiber_types(self) -> dict[str, KodairaType | None]:
         """The Kodaira type of each named fiber, classified once.
 
@@ -380,6 +403,12 @@ class Context:
         if kt is None:
             raise ValueError(f"fiber {name} has no Kodaira type")
         return kt
+
+    def cycle(self, name: str) -> tuple[str, ...]:
+        """The components of the named I_n fiber (N1, N1eps or M1) in cyclic order."""
+        config = self.z if name.startswith("M") else self.x
+        fiber = self.fibers[name]
+        return self._once(("cycle", name), lambda: component_cycle(config, fiber))
 
 
 # -- the nine stages ---------------------------------------------------------------------
@@ -451,6 +480,10 @@ def _stage_config(ctx: Context) -> StageResult:
     data: dict = {"fixed_labels": list(rep_e.fixed_labels)}
     if rep_e.failures:
         data["failures"] = list(rep_e.failures)
+        # a fault changes pairings only, so the first failure is a pair and its image
+        f = rep_e.failures[0]
+        pair, image = ",".join(f["pair"]), ",".join(f["image"])
+        data["witness"] = f"{pair}: {f['before']}; image {image}: {f['after']}"
     checks = [
         _check("the 24-curve intersection matrix has rank 18", rank24 == 18, rank=rank24),
         _check(
@@ -541,7 +574,7 @@ def _stage_quotient(ctx: Context) -> StageResult:
     sig = signature(z.gram)
     samples = [("H2", "D32", 1), ("D11", "H1", 2), ("D11", "D22", 2), ("H1", "H2", 0)]
     halved = all(z.pairing(a, b) == v for a, b, v in samples)
-    cycle = component_cycle(z, ctx.fibers["M1"])
+    cycle = ctx.cycle("M1")
     expected_support = {"H1", "H2", "H3", "H4", "D31", "D32", "D41", "D42"}
     q32 = z.marking_coord("Q32", "H2")
     checks = [
@@ -686,17 +719,18 @@ def _stage_lattice(ctx: Context) -> StageResult:
 
 def _stage_heights(ctx: Context) -> StageResult:
     x = ctx.x
-    fibers = [(fid, ctx.fibers[fid]) for fid in ("N1", "N1eps")]
-    types = tuple((fid, ctx.kodaira(fid)) for fid, _ in fibers)
+    fids = ("N1", "N1eps")
+    types = tuple((fid, ctx.kodaira(fid)) for fid in fids)
     hctx = HeightContext(chi=2, fibers=types, zero_name="C21")
     hctx_alt = HeightContext(chi=2, fibers=types, zero_name="C11")
     nctx = HeightContext(chi=1, fibers=(("M2", ctx.kodaira("M2")),))
-    c12 = section_from_config(x, fibers, "C12", "C21")
-    c11 = section_from_config(x, fibers, "C11", "C21")
-    c22 = section_from_config(x, fibers, "C22", "C11")
+    cycles = [(fid, ctx.cycle(fid)) for fid in fids]
+    c12 = section_from_config(x, cycles, "C12", "C21")
+    c11 = section_from_config(x, cycles, "C11", "C21")
+    c22 = section_from_config(x, cycles, "C22", "C11")
     h12, h11, h22 = height(hctx, c12), height(hctx, c11), height(hctx_alt, c22)
     hp = height(nctx, SectionData("P", 0, {"M2": IDENTITY_COMPONENT}))
-    doubled = component_index_sum([c12.components[fid] * 2 for fid, _ in fibers])
+    doubled = component_index_sum([c12.components[fid] * 2 for fid in fids])
     checks = [
         _check(
             "the section C12 has height 0 against the zero section C21 and "
@@ -708,13 +742,13 @@ def _stage_heights(ctx: Context) -> StageResult:
             and c12.dot_zero == 0,
             height=h12,
             dot_zero=c12.dot_zero,
-            indices={fid: c12.components[fid] for fid, _ in fibers},
+            indices={fid: c12.components[fid] for fid in fids},
         ),
         _check(
             "the section C11 has height 2",
             h11 == 2,
             height=h11,
-            indices={fid: c11.components[fid] for fid, _ in fibers},
+            indices={fid: c11.components[fid] for fid in fids},
         ),
         _check(
             "re-basing at the zero section C11, the section C22 has height "
@@ -723,7 +757,7 @@ def _stage_heights(ctx: Context) -> StageResult:
             h22 == 0 and is_torsion(hctx_alt, c22),
             height=h22,
             dot_zero=c22.dot_zero,
-            indices={fid: c22.components[fid] for fid, _ in fibers},
+            indices={fid: c22.components[fid] for fid in fids},
         ),
         _check(
             "a section of the IV* fibration through the identity component "
@@ -793,7 +827,7 @@ def _stage_dynamics(ctx: Context) -> StageResult:
     t = LaurentT.t_power(1)
     p22 = x.marking_coord("P22", "E2")
     p2 = x.marking_coord("P2", "F2")
-    n1 = [("N1", ctx.fibers["N1"])]
+    n1 = [("N1", ctx.cycle("N1"))]
     idx_c11 = section_from_config(x, n1, "C11", "C21").components["N1"]
     idx_c2 = section_from_config(x, n1, "C2", "C21").components["N1"]
     total = component_index_sum([idx_c11, idx_c2])

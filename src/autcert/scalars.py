@@ -2,14 +2,16 @@
 
 Every quantity in this package is exact: rationals are
 :class:`fractions.Fraction`, polynomials carry rational coefficients in
-a canonical graded-lexicographic term order, rational functions are kept
-gcd-reduced with a monic denominator, and Laurent polynomials allow
-negative exponents of the single variable ``t``.  No floating point is
-used anywhere.
+a canonical graded-lexicographic term order, rational functions are
+polynomials over a single-term denominator (enough for the marking
+constants 0, 1, t and s), and Laurent polynomials allow negative
+exponents of the single variable ``t``.  No floating point is used
+anywhere.
 
-Each type has a canonical textual form (integers in decimal, polynomials
-as sorted monomial strings) that round-trips through the matching
-``parse_*`` function; the certificate reports embed these strings.
+Each type has a canonical textual form, which the certificate reports
+embed.  Rationals, polynomials (sorted monomial strings) and Laurent
+polynomials round-trip through ``parse_fraction``, ``parse_poly`` and
+``parse_laurent``.
 """
 
 from __future__ import annotations
@@ -325,55 +327,10 @@ def poly_divide_exact(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly | No
 # -- gcd ---------------------------------------------------------------
 
 
-def _coeffs_in(p: MultiPoly, v: str) -> dict[int, MultiPoly]:
-    """View ``p`` as a univariate polynomial in ``v`` with polynomial coefficients."""
-    if v not in p.vars:
-        return {0: p}
-    i = p.vars.index(v)
-    rest = p.vars[:i] + p.vars[i + 1 :]
-    out: dict[int, dict[tuple, Fraction]] = {}
-    for e, c in p.terms.items():
-        d = e[i]
-        out.setdefault(d, {})[e[:i] + e[i + 1 :]] = c
-    return {d: MultiPoly(rest, terms) for d, terms in out.items()}
-
-
-def _from_coeffs(coeffs: Mapping[int, MultiPoly], v: str) -> MultiPoly:
-    out = MultiPoly.zero()
-    t = MultiPoly.var(v)
-    for d, c in coeffs.items():
-        out = out + c * t**d
-    return out
-
-
 def _monic(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     return p.scale(1 / p.leading_coefficient())
-
-
-def _pseudo_rem(a: MultiPoly, b: MultiPoly, v: str) -> MultiPoly:
-    cb = _coeffs_in(b, v)
-    db = max(cb)
-    lb = cb[db]
-    tv = MultiPoly.var(v)
-    r = a
-    while not r.is_zero():
-        cr = _coeffs_in(r, v)
-        dr = max(cr)
-        if dr < db:
-            break
-        r = lb * r - cr[dr] * tv ** (dr - db) * b
-    return r
-
-
-def _content_pp(p: MultiPoly, v: str) -> tuple[MultiPoly, MultiPoly]:
-    coeffs = _coeffs_in(p, v)
-    content = MultiPoly.zero()
-    for c in coeffs.values():
-        content = poly_gcd(content, c)
-    pp = {d: c.exact_div(content) for d, c in coeffs.items()}
-    return content, _from_coeffs(pp, v)
 
 
 def _monomial_gcd(mono: MultiPoly, p: MultiPoly) -> MultiPoly:
@@ -391,10 +348,8 @@ def _monomial_gcd(mono: MultiPoly, p: MultiPoly) -> MultiPoly:
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized monic in graded-lex order.
 
-    A single-term argument takes the monomial rule directly; otherwise
-    primitive pseudo-remainder sequences with recursion over the
-    variable set, adequate for the small polynomials this package
-    manipulates.
+    Defined when an argument is zero or a single term, which takes the
+    monomial rule; raises ValueError when both have two or more terms.
     """
     a = MultiPoly._coerce(a)
     b = MultiPoly._coerce(b)
@@ -404,32 +359,20 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _monic(a)
     if len(b.terms) == 1:
         a, b = b, a
-    if len(a.terms) == 1:
-        return _monomial_gcd(a, b)
-    names = tuple(sorted(set(a.vars) | set(b.vars)))
-    if not names:
-        return MultiPoly.const(1)
-    v = names[-1]
-    ca, pa = _content_pp(a, v)
-    cb, pb = _content_pp(b, v)
-    c = poly_gcd(ca, cb)
-    if max(_coeffs_in(pa, v)) < max(_coeffs_in(pb, v)):
-        pa, pb = pb, pa
-    while not pb.is_zero():
-        r = _pseudo_rem(pa, pb, v)
-        if r.is_zero():
-            pa, pb = pb, r
-            break
-        _, rpp = _content_pp(r, v)
-        pa, pb = pb, _monic(rpp)
-    return _monic(c * pa)
+    if len(a.terms) != 1:
+        raise ValueError("poly_gcd needs a zero or single-term argument")
+    return _monomial_gcd(a, b)
 
 
 # -- rational functions --------------------------------------------------
 
 
 class RatFunc:
-    """Quotient of two polynomials, gcd-reduced with a monic denominator."""
+    """A polynomial over a single-term denominator, reduced to lowest terms.
+
+    The denominator is a monic monomial coprime to the numerator, so
+    equal quotients compare equal.
+    """
 
     __slots__ = ("num", "den")
 
@@ -440,6 +383,8 @@ class RatFunc:
             raise TypeError("RatFunc takes polynomials or rationals")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        if len(den.terms) != 1:
+            raise ValueError("a RatFunc denominator is a single term")
         if num.is_zero():
             num, den = MultiPoly.zero(), MultiPoly.const(1)
         else:
@@ -459,75 +404,8 @@ class RatFunc:
     def var(cls, name: str) -> RatFunc:
         return cls(MultiPoly.var(name))
 
-    @staticmethod
-    def _coerce(x) -> "RatFunc":
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Fraction, MultiPoly)):
-            return RatFunc(x)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == MultiPoly.const(1)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def inverse(self) -> RatFunc:
-        return RatFunc(1) / self
-
-    def __pow__(self, k: int) -> RatFunc:
-        if not isinstance(k, int):
-            raise TypeError("integer power expected")
-        if k < 0:
-            return self.inverse() ** (-k)
-        return RatFunc(self.num**k, self.den**k)
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -535,7 +413,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        if self.is_polynomial():
+        if self.den == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -735,19 +613,15 @@ def _exact_quot(a, b):
         if r:
             raise ArithmeticError("division is not exact")
         return q
-    if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
-        a = MultiPoly._coerce(a)
-        b = MultiPoly._coerce(b)
-        return a.exact_div(b)
-    return a / b
+    return MultiPoly._coerce(a).exact_div(MultiPoly._coerce(b))
 
 
 def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
     """Rank, and determinant when square, by fraction-free Bareiss elimination.
 
-    Entries may be integers, rationals, polynomials, or rational
-    functions; the successive-pivot divisions are exact over any
-    integral domain, so no fractions of entries are ever formed.
+    Entries may be integers, rationals or polynomials; the
+    successive-pivot divisions are exact over any integral domain, so
+    no fractions of entries are ever formed.
     A matrix of integers and rationals is eliminated over ``int``: each
     row is first scaled by the lcm of its denominators, and every
     division is a checked ``divmod`` (a remainder raises
@@ -899,14 +773,6 @@ def parse_poly(text: str) -> MultiPoly:
     return out
 
 
-def parse_ratfunc(text: str) -> RatFunc:
-    text = text.strip()
-    m = re.match(r"^\((.*)\)/\((.*)\)$", text)
-    if m:
-        return RatFunc(parse_poly(m.group(1)), parse_poly(m.group(2)))
-    return RatFunc(parse_poly(text))
-
-
 def parse_laurent(text: str) -> LaurentT:
     if text.strip() == "0":
         return LaurentT.zero()
@@ -917,10 +783,3 @@ def parse_laurent(text: str) -> LaurentT:
         e = factors.get("t", 0)
         out[e] = out.get(e, Fraction(0)) + coeff
     return LaurentT(out)
-
-
-def parse_proj(text: str, value_parser=parse_ratfunc) -> ProjValue:
-    text = text.strip()
-    if text == "inf":
-        return INFINITY
-    return ProjValue.finite(value_parser(text))

@@ -25,6 +25,7 @@ from autcert.fibration import (
     FiberDivisor,
     KodairaType,
     classify_kodaira,
+    component_cycle,
     euler_number,
     map_fiber,
     shioda_tate_rank,
@@ -144,7 +145,8 @@ def test_criterion_4_lattice_theory(announce):
 
     x = extend_with_conics(build_double_kummer())
     eps = epsilon_involution(x)
-    fibers = [("N1", N1), ("N1eps", map_fiber(N1, eps.curve_map))]
+    n1eps = map_fiber(N1, eps.curve_map)
+    fibers = [("N1", component_cycle(x, N1)), ("N1eps", component_cycle(x, n1eps))]
     hctx = HeightContext(chi=2, fibers=(("N1", I8), ("N1eps", I8)), zero_name="C21")
     c12 = section_from_config(x, fibers, "C12", "C21")
     ok = ok and height(hctx, c12) == 0 and is_torsion(hctx, c12)
@@ -183,8 +185,9 @@ def test_criterion_6_dynamics(announce):
     ok = square.scale == t * t and square.shift == ModInt(0, 8)
 
     x = extend_with_conics(build_double_kummer())
-    idx_c11 = section_from_config(x, [("N1", N1)], "C11", "C21").components["N1"]
-    idx_c2 = section_from_config(x, [("N1", N1)], "C2", "C21").components["N1"]
+    n1 = [("N1", component_cycle(x, N1))]
+    idx_c11 = section_from_config(x, n1, "C11", "C21").components["N1"]
+    idx_c2 = section_from_config(x, n1, "C2", "C21").components["N1"]
     ok = ok and component_index_sum([idx_c11, idx_c2]) == ModInt(4, 8)
 
     for n in range(1, 11):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autcert.fibration import FiberDivisor, KodairaType, map_fiber
+from autcert.fibration import FiberDivisor, KodairaType, component_cycle, map_fiber
 from autcert.mwl import (
     IDENTITY_COMPONENT,
     HeightContext,
@@ -163,7 +163,8 @@ N1 = FiberDivisor.of(["E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"])
 def fibers_of_phi1():
     ext = extend_with_conics(build_double_kummer())
     eps = epsilon_involution(ext)
-    return ext, [("N1", N1), ("N1eps", map_fiber(N1, eps.curve_map))]
+    n1eps = map_fiber(N1, eps.curve_map)
+    return ext, [("N1", component_cycle(ext, N1)), ("N1eps", component_cycle(ext, n1eps))]
 
 
 def test_section_from_config_torsion_candidate():
@@ -206,7 +207,7 @@ def test_section_from_config_errors():
         n2 = FiberDivisor(
             {"E2": 1, "C32": 2, "E1": 1, "C31": 2, "E4": 1, "C34": 2, "F3": 3}
         )
-        section_from_config(ext, [("N2", n2)], "C12", "C21")
+        section_from_config(ext, [("N2", component_cycle(ext, n2))], "C12", "C21")
 
 
 # -- smooth locus automorphisms ----------------------------------------------------------------

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, seed, settings
 
-from autcert import __version__, fingen, pipeline
+from autcert import __version__, fibration, fingen, pipeline
 from autcert.pipeline import (
     STAGE_ORDER,
     CertificateReport,
@@ -209,6 +209,39 @@ def test_injected_fault_fails_without_raising(pair):
         assert run_stage(name, options).to_json_dict() == report.stages[k].to_json_dict()
 
 
+def counted(monkeypatch, counts, module, name):
+    """Wrap module.name so each call adds one to counts[name]."""
+    func = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_a_fact_that_raised_is_built_once(monkeypatch):
+    counts: dict = {}
+    counted(monkeypatch, counts, pipeline, "quotient_pushforward")
+    report = run_all(PipelineOptions(max_gens=1, corrupt_pair=("E2", "C32")))
+    assert counts == {"quotient_pushforward": 1}
+    # every stage that reads the quotient fails with the one witness
+    for name in ("quotient", "fibrations", "lattice", "heights", "canonical"):
+        (check,) = report.stages[STAGE_ORDER.index(name)].evidence["checks"]
+        assert check["witness"] == "the involution fails the isometry check", name
+
+
+def test_fiber_cycles_are_built_once(monkeypatch):
+    counts: dict = {}
+    counted(monkeypatch, counts, pipeline, "component_cycle")
+    for module in (pipeline, fibration):
+        counted(monkeypatch, counts, module, "classify_kodaira")
+    run_all(PipelineOptions(max_gens=1))
+    # N1, N1eps and M1; six named fibers classified once, plus once per cycle
+    assert counts["component_cycle"] == 3
+    assert counts["classify_kodaira"] <= 9
+
+
 def test_stage_bug_still_propagates(monkeypatch):
     def broken(ctx):
         raise TypeError("a bug, not a failed check")
@@ -338,6 +371,13 @@ def test_cli_prints_the_witness_of_a_stage_that_raised(capsys):
     assert "stage quotient: fail" in captured.out
     assert "witness: the involution fails the isometry check" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_cli_prints_the_witness_of_a_failed_swap_check(capsys):
+    assert main(["config", "--corrupt-pair", "E2,C32"]) == 1
+    out = capsys.readouterr().out
+    assert "stage config: fail" in out
+    assert "    witness: E2,C32: 0; image F2,C23: 1" in out.splitlines()
 
 
 def test_cli_usage_errors(capsys):

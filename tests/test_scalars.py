@@ -7,6 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from autcert import scalars
+from autcert.cremona import RationalMapP3
 from autcert.scalars import (
     INFINITY,
     LaurentT,
@@ -18,8 +19,6 @@ from autcert.scalars import (
     parse_fraction,
     parse_laurent,
     parse_poly,
-    parse_proj,
-    parse_ratfunc,
     poly_divide_exact,
     poly_gcd,
     rational_sqrt,
@@ -151,8 +150,6 @@ def test_divide_rem_reconstructs(a, b):
 
 def test_gcd_frozen_examples():
     cases = [
-        ((x + 1) ** 2 * (x - 1), (x + 1) * (x - 2), x + 1),
-        (x**2 - y**2, x**2 + 2 * x * y + y**2, x + y),
         (2 * x, MultiPoly.const(4), MultiPoly.const(1)),
         (x * y, x, x),
         (MultiPoly.zero(), 3 * x, x),
@@ -166,8 +163,11 @@ def test_gcd_frozen_examples():
         assert poly_gcd(a, b) == g
 
 
-@given(polys(max_vars=2, max_deg=2, max_terms=3),
-       polys(max_vars=2, max_deg=2, max_terms=3))
+# at most one term: zero, a constant or a single term, the gcd's domain
+single_terms = polys(max_vars=2, max_deg=2, max_terms=1)
+
+
+@given(polys(max_vars=2, max_deg=2, max_terms=3), single_terms)
 def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
     if g.is_zero():
@@ -179,8 +179,8 @@ def test_gcd_divides_both(a, b):
 
 
 @given(polys(max_vars=2, max_deg=2, max_terms=2),
-       polys(max_vars=2, max_deg=2, max_terms=2),
-       polys(max_vars=1, max_deg=2, max_terms=2))
+       single_terms,
+       polys(max_vars=1, max_deg=2, max_terms=1))
 def test_gcd_common_factor_is_recovered(a, b, c):
     if c.is_zero():
         return
@@ -221,9 +221,7 @@ def test_evaluate_is_a_ring_map(a, b, v):
 
 
 def test_ratfunc_reduction():
-    f = RatFunc(x**2 - 1, x - 1)
-    assert f == RatFunc(x + 1)
-    assert f.is_polynomial()
+    assert RatFunc(x**2 - x, x) == RatFunc(x - 1)
     g = RatFunc(1, 2 * x)
     assert g.den == x
     assert g.num == MultiPoly.const(Fraction(1, 2))
@@ -231,23 +229,24 @@ def test_ratfunc_reduction():
         RatFunc(1, MultiPoly.zero())
 
 
-def test_ratfunc_field_ops():
-    t = RatFunc.var("t")
-    f = (t + 1) / (t - 1)
-    assert f * f.inverse() == RatFunc(1)
-    assert f - f == RatFunc(0)
-    assert (1 / t) * t == RatFunc(1)
-    assert t**-2 == RatFunc(1) / t**2
-    with pytest.raises(ZeroDivisionError):
-        f / RatFunc(0)
-
-
-@given(polys(max_vars=1, max_terms=3), polys(max_vars=1, max_terms=3),
-       polys(max_vars=1, max_terms=3))
+@given(polys(max_vars=1, max_terms=3), polys(max_vars=1, max_terms=1),
+       polys(max_vars=1, max_terms=1))
 def test_ratfunc_cancellation(a, b, c):
     if b.is_zero() or c.is_zero():
         return
     assert RatFunc(a * c, b * c) == RatFunc(a, b)
+
+
+def test_gcd_needs_a_single_term_or_zero_argument():
+    # the general gcd is gone: two multi-term arguments are refused, and
+    # so are a multi-term denominator and a non-monomial map component
+    x1, x2, x3, x4 = (MultiPoly.var(f"x{k}") for k in range(1, 5))
+    with pytest.raises(ValueError, match="single-term"):
+        poly_gcd(x + 1, x - 1)
+    with pytest.raises(ValueError, match="single term"):
+        RatFunc(1, x + 1)
+    with pytest.raises(ValueError, match="monomials"):
+        RationalMapP3((x1 + x2, x2, x3, x4))
 
 
 # -- Laurent polynomials ---------------------------------------------------
@@ -301,12 +300,6 @@ def test_det_frozen_examples():
     assert rank == 2 and det == x**2 - 1
     rank, det = matrix_rank_det([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     assert rank == 2 and det == 0
-
-
-def test_det_with_ratfunc_entries():
-    t = RatFunc.var("t")
-    rank, det = matrix_rank_det([[t, RatFunc(1)], [RatFunc(1), 1 / t]])
-    assert rank == 1 and det == RatFunc(0)
 
 
 def test_rank_of_rectangular():
@@ -371,10 +364,7 @@ def test_parse_examples():
     assert parse_fraction(" -7/3 ") == Fraction(-7, 3)
     assert parse_poly("x^2*y - 3/2*x + 1") == x**2 * y - Fraction(3, 2) * x + 1
     assert parse_poly("0") == MultiPoly.zero()
-    assert parse_ratfunc("(x + 1)/(x)") == RatFunc(x + 1, x)
     assert parse_laurent("-3*t + t^-2") == LaurentT({-2: 1, 1: -3})
-    assert parse_proj("inf") == INFINITY
-    assert parse_proj("t", parse_ratfunc) == ProjValue.finite(RatFunc.var("t"))
     with pytest.raises(ValueError):
         parse_fraction("1.5")
     with pytest.raises(ValueError):
@@ -391,10 +381,3 @@ def test_laurent_round_trip(terms):
     p = LaurentT(terms)
     assert parse_laurent(str(p)) == p
 
-
-@given(polys(max_vars=1, max_terms=3), polys(max_vars=1, max_terms=3))
-def test_ratfunc_round_trip(a, b):
-    if b.is_zero():
-        return
-    f = RatFunc(a, b)
-    assert parse_ratfunc(str(f)) == f
