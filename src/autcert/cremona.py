@@ -13,7 +13,15 @@ point.  For a rational specialization of the parameters it then
 reconstructs the two rulings of the quadric through the coordinate
 points, intersects them pairwise, and checks that the involution swaps
 the intersection points p_ij and p_ji.  The ruling lines are rational
-exactly when their discriminants are rational squares.
+exactly when their discriminants are rational squares.  Over
+Q(a1, a2, a3) each of the four tangent-plane discriminants is
+
+    Delta = a1^2 + a2^2 + a3^2 - 2*(a1*a2 + a1*a3 + a2*a3)
+
+times a nonzero square (1/a3^2, 1/a3^2, 1/a2^2 and 1 at e1..e4), and
+the quadric's matrix has det M = Delta/16.  So the seeded search sends
+an integer triple to the full check only when Delta is a positive
+perfect square; every other triple fails that check.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
@@ -22,6 +30,7 @@ translation by powers of a scaling.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -402,10 +411,16 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
 def find_swap_specializations(seed: int = 0) -> list[SwapReport]:
     """Seeded search for three parameter triples with rational rulings.
 
-    Draws up to 5000 triples of integers in 1..12, verifies each
-    distinct one once, and returns the reports of the first three that
-    pass the full swap verification, in draw order; deterministic for a
-    fixed seed.
+    Draws up to 5000 triples of integers in 1..12 and returns the
+    reports of the first three distinct ones that pass the full swap
+    verification, in draw order; deterministic for a fixed seed.
+
+    A distinct triple reaches ``verify_pij_swap`` only when its integer
+    Delta = a1^2 + a2^2 + a3^2 - 2*(a1*a2 + a1*a3 + a2*a3) is a positive
+    perfect square.  Every tangent-plane discriminant is Delta times a
+    nonzero rational square and det M = Delta/16, so a skipped triple is
+    one the check rejects, as degenerate-quadric when Delta = 0 and as
+    irrational-ruling otherwise: the screen changes no returned report.
     """
     rng = random.Random(seed)
     found: list[SwapReport] = []
@@ -415,6 +430,10 @@ def find_swap_specializations(seed: int = 0) -> list[SwapReport]:
         if triple in seen:
             continue
         seen.add(triple)
+        a1, a2, a3 = triple
+        delta = a1 * a1 + a2 * a2 + a3 * a3 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)
+        if delta <= 0 or math.isqrt(delta) ** 2 != delta:
+            continue
         report = verify_pij_swap(triple)
         if report.passed:
             found.append(report)

@@ -182,6 +182,15 @@ def validate_fiber(config: Configuration, fiber: FiberDivisor) -> FiberReport:
     return FiberReport(not failures, tuple(failures))
 
 
+# one short witness line per validate_fiber failure kind
+_FAILURE_TEXT = {
+    "not-a-minus-two-curve": "{label} has self-intersection {self}",
+    "component-meets-fiber": "{label} meets the fiber: {value}",
+    "fiber-square-nonzero": "fiber square: {value}",
+    "support-disconnected": "support disconnected",
+}
+
+
 @dataclass(frozen=True)
 class FiberClass:
     fiber_type: KodairaType | None
@@ -256,7 +265,8 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     """
     report = validate_fiber(config, fiber)
     if not report.passed:
-        raise ValueError(f"not a fiber candidate: {list(report.failures)}")
+        witness = "; ".join(_FAILURE_TEXT[f["kind"]].format(**f) for f in report.failures)
+        raise ValueError(f"not a fiber candidate: {witness}")
     comps = _canonical_components(config, fiber)
     nodes, edges = dual_graph(config, fiber)
     notes: list[str] = []

@@ -1,5 +1,6 @@
 """Tests for the Cremona involution and the affine maps of the line."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -184,7 +185,44 @@ def test_find_swap_specializations_deterministic():
         assert verify_pij_swap(report.alpha) == report
 
 
-def test_cremona_stage_verifies_each_drawn_triple_once(monkeypatch):
+def delta(triple):
+    a1, a2, a3 = triple
+    return a1 * a1 + a2 * a2 + a3 * a3 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)
+
+
+def is_positive_square(n):
+    return n > 0 and math.isqrt(n) ** 2 == n
+
+
+def distinct_draws(seed):
+    """The distinct triples the seeded search draws, in draw order."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(5000):
+        triple = (rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12))
+        if triple not in seen:
+            seen.add(triple)
+            yield triple
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_delta_screen_skips_only_triples_that_fail(seed):
+    # the unscreened search: the full check on every distinct draw
+    passed = []
+    for triple in distinct_draws(seed):
+        report = verify_pij_swap(triple)
+        if not is_positive_square(delta(triple)):
+            assert not report.passed, triple
+            kind = "degenerate-quadric" if delta(triple) == 0 else "irrational-ruling"
+            assert {f["kind"] for f in report.failures} == {kind}, triple
+        elif report.passed:
+            passed.append(report)
+            if len(passed) == 3:
+                break
+    assert find_swap_specializations(seed) == passed
+
+
+def test_cremona_stage_verifies_only_triples_with_a_square_delta(monkeypatch):
     calls = []
 
     def counting(alpha):
@@ -195,14 +233,9 @@ def test_cremona_stage_verifies_each_drawn_triple_once(monkeypatch):
     monkeypatch.setattr(pipeline, "verify_pij_swap", counting, raising=False)
     stage = pipeline.run_stage("cremona", pipeline.PipelineOptions(seed=0))
     assert stage.status == "pass"
-    # the distinct triples the seeded search draws, in draw order
-    rng = random.Random(0)
-    drawn = []
-    while len(drawn) < len(calls):
-        triple = (rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12))
-        if triple not in drawn:
-            drawn.append(triple)
-    assert calls == drawn
+    # the distinct drawn triples with a positive square Delta, in draw order
+    screened = [t for t in distinct_draws(0) if is_positive_square(delta(t))]
+    assert calls == screened[:3]
 
 
 # -- affine maps of the line ---------------------------------------------------------------

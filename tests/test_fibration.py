@@ -249,9 +249,24 @@ def test_doubled_cycle_is_unrecognized():
 
 
 def test_classify_raises_on_invalid_fiber():
+    # the message names each violation in one short line, not a repr
     X = x_config()
-    with pytest.raises(ValueError, match="not a fiber candidate"):
-        classify_kodaira(X, FiberDivisor.of(["E2"]))
+    cases = (
+        (X, ["E2"], "E2 meets the fiber: -2; fiber square: -2"),
+        (X, ["E1", "E2"], "support disconnected"),
+        (
+            synthetic(["A", "B"], [("A", "B", 2)], diag={"A": 0}),
+            ["A", "B"],
+            "A has self-intersection 0",
+        ),
+    )
+    for cfg, labels, part in cases:
+        with pytest.raises(ValueError) as info:
+            classify_kodaira(cfg, FiberDivisor.of(labels))
+        message = str(info.value)
+        assert message.startswith("not a fiber candidate: ")
+        assert part in message
+        assert "{" not in message and "'kind'" not in message
 
 
 @given(st.permutations(list(range(7))))

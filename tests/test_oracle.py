@@ -15,6 +15,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form
 
+from autcert.cremona import A_VARS, QuadricForm, verify_pij_swap
 from autcert.lattice import hnf, signature
 from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
 
@@ -30,7 +31,7 @@ def rational(v):
 
 
 def to_sympy(p: MultiPoly):
-    gens = [GENS[POLY_VARS.index(v)] for v in p.vars]
+    gens = [sympy.Symbol(v) for v in p.vars]
     return sum(
         (
             rational(c)
@@ -161,3 +162,25 @@ def test_signature_matches_descartes_rule_on_charpoly(G):
     zero = len(coeffs) - 1 - max(k for k, c in enumerate(coeffs) if c != 0)
     negated = sympy.Poly(chi.as_expr().subs(lam, -lam), lam).all_coeffs()
     assert signature(G) == (sign_changes(coeffs), sign_changes(negated), zero)
+
+
+def test_swap_discriminants_are_delta_times_squares():
+    # the identity behind the swap search's screen: det M = Delta/16, and
+    # the tangent-plane discriminant at e_i, over the plane's basis that
+    # verify_pij_swap takes, is Delta times a nonzero square
+    a1, a2, a3 = a = sympy.symbols(A_VARS)
+    delta = a1**2 + a2**2 + a3**2 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)
+    M = sympy.Matrix([[to_sympy(e) for e in row] for row in QuadricForm.standard().matrix()])
+    assert sympy.expand(M.det() - delta / 16) == 0
+    discs = []
+    for i in range(4):
+        w1, w2 = [v for v in sympy.Matrix([M.row(i)]).nullspace() if v[i] == 0]
+        A, B, C = (w1.T * M * w1)[0], 2 * (w1.T * M * w2)[0], (w2.T * M * w2)[0]
+        discs.append(B**2 - 4 * A * C)
+    squares = [sympy.cancel(d / delta) for d in discs]
+    assert squares == [1 / a3**2, 1 / a3**2, 1 / a2**2, 1]
+    # the same discriminants as the exact check reports at a point
+    point = dict(zip(a, (9, 2, 2)))
+    assert verify_pij_swap((9, 2, 2)).discriminants == tuple(
+        str(d.subs(point)) for d in discs
+    )

@@ -372,6 +372,18 @@ def test_cli_prints_the_witness_of_a_stage_that_raised(capsys):
     assert "witness: the involution fails the isometry check" in captured.out
     assert "Traceback" not in captured.err
 
+    assert main(["dynamics", "--corrupt-pair", "E2,C32"]) == 1
+    captured = capsys.readouterr()
+    (witness,) = [
+        line for line in captured.out.splitlines() if line.startswith("    witness: ")
+    ]
+    assert witness == (
+        "    witness: not a fiber candidate: E2 meets the fiber: -1; "
+        "C32 meets the fiber: -1; fiber square: -2"
+    )
+    assert "{" not in witness and "'kind'" not in witness
+    assert "Traceback" not in captured.err
+
 
 def test_cli_prints_the_witness_of_a_failed_swap_check(capsys):
     assert main(["config", "--corrupt-pair", "E2,C32"]) == 1
