@@ -9,7 +9,6 @@ section data here is extracted from the exact intersection table.
 
 from autcert.fibration import FiberDivisor, KodairaType, component_cycle, map_fiber
 from autcert.mwl import (
-    IDENTITY_COMPONENT,
     HeightContext,
     ModInt,
     SectionData,
@@ -47,9 +46,10 @@ idx_c11 = section_from_config(x, cycles[:1], "C11", "C21").components["N1"]
 idx_c2 = section_from_config(x, cycles[:1], "C2", "C21").components["N1"]
 print("index sum:", component_index_sum([idx_c11, idx_c2]))
 
-# A narrow section of a IV* fibration on a rational surface: height 2.
+# A narrow section of a IV* fibration on a rational surface meets the
+# identity component, 0 in the component group Z/3: height 2.
 narrow_ctx = HeightContext(chi=1, fibers=(("M2", KodairaType.plain("IV*")),))
-narrow = SectionData("P", 0, {"M2": IDENTITY_COMPONENT})
+narrow = SectionData("P", 0, {"M2": ModInt(0, 3)})
 print("narrow height:", height(narrow_ctx, narrow))
 
 # The induced smooth-locus action scales by t and shifts by 4; its

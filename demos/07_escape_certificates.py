@@ -38,11 +38,13 @@ cert = certify_nonfg(max_k=5)
 print("stages:", len(cert.stages), "passed:", cert.passed)
 for stage in cert.stages:
     print(
-        f"  k={stage.k}: {stage.escape} escapes span of {len(stage.generators)}"
-        f", joins span of {len(stage.generators) + 1}"
+        f"  k={stage.k}: {stage.escape} escapes span of {stage.k}"
+        f", joins span of {stage.k + 1}"
     )
 
 # The nonfg stage writes the certificate with exact string numbers for
-# third-party checks.
+# third-party checks: the generator exponents once, and per stage the
+# support bound, the escape exponent and a sparse next-span witness.
 blob = run_stage("nonfg", PipelineOptions(max_gens=5)).evidence["certificate"]
-print("json stage 1 escape:", json.dumps(blob["stages"][0]["escape"]))
+print("json generators:", json.dumps(blob["generators"]))
+print("json stage 1:", json.dumps(blob["stages"][0], sort_keys=True))

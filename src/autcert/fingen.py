@@ -13,10 +13,12 @@ generator exponent) and a Hermite normal form membership refutation on
 the cleared integer matrix.  The same element lies in the next span,
 so the chain is strictly increasing, and a group exhausted by a
 strictly increasing chain of proper subgroups is not finitely
-generated.  The certificate stores the integer matrices and target
-vectors so a third party can recheck the lattice computations alone.
-Its records hold plain integers and strings; the pipeline writes them
-out as exact strings.
+generated.  The certificate stores each fact once: the t-exponents of
+the generators, and per stage the support bound, the escape exponent
+and a sparse next-span witness.  The integer matrices are unit vectors
+rebuilt from those exponents, so a third party can recheck every stage
+from the stored numbers alone.  Its records hold plain integers and
+strings; the pipeline writes them out as exact strings.
 """
 
 from __future__ import annotations
@@ -36,14 +38,15 @@ def translation_str(c: LaurentT) -> str:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Outcome of one integer-span membership test with recheck data."""
+    """Outcome of one integer-span membership test.
+
+    ``witness`` maps a generator index to its nonzero coefficient in a
+    combination equal to the target; it is None when the target is not
+    in the span.
+    """
 
     member: bool
-    witness: tuple[int, ...] | None
-    monomials: tuple[int, ...]
-    generator_rows: tuple[tuple[int, ...], ...]
-    target_vector: tuple[int, ...]
-    denominator_lcm: int
+    witness: dict[int, int] | None
 
 
 def membership(gens: Sequence[LaurentT], target: LaurentT) -> MembershipResult:
@@ -53,32 +56,29 @@ def membership(gens: Sequence[LaurentT], target: LaurentT) -> MembershipResult:
     resulting integer lattice problem is solved in Hermite normal
     form, and a found witness is re-verified in Laurent arithmetic.
     """
+    if target.is_zero():
+        return MembershipResult(True, {})
     polys = (target, *gens)
-    monomials = tuple(sorted({m for p in polys for m in p.terms}))
+    monomials = sorted({m for p in polys for m in p.terms})
     column = {m: i for i, m in enumerate(monomials)}
     scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
 
-    def vector(p: LaurentT) -> tuple[int, ...]:
+    def vector(p: LaurentT) -> list[int]:
         out = [0] * len(monomials)
         for m, c in p.terms.items():
             out[column[m]] = c.numerator * (scale // c.denominator)
-        return tuple(out)
+        return out
 
-    rows = tuple(vector(g) for g in gens)
-    tvec = vector(target)
-    witness = z_span_membership(rows, tvec) if rows else None
-    if witness is None and not any(tvec):
-        witness = (0,) * len(rows)
-    if witness is not None:
-        combo = LaurentT.zero()
-        for w, g in zip(witness, gens):
-            if w:
-                combo = combo + g * w
-        if combo != target:
-            raise ArithmeticError("membership witness failed re-verification")
-    return MembershipResult(
-        witness is not None, witness, monomials, rows, tvec, scale
-    )
+    dense = z_span_membership([vector(g) for g in gens], vector(target))
+    if dense is None:
+        return MembershipResult(False, None)
+    witness = {i: w for i, w in enumerate(dense) if w}
+    combo = LaurentT.zero()
+    for i, w in witness.items():
+        combo = combo + gens[i] * w
+    if combo != target:
+        raise ArithmeticError("membership witness failed re-verification")
+    return MembershipResult(True, witness)
 
 
 def escape_exponent(gens: Sequence[LaurentT]) -> int:
@@ -103,8 +103,14 @@ def shift_generators(k: int) -> list[LaurentT]:
 
 @dataclass(frozen=True)
 class EscapeStage:
+    """Stage k: the escape t^(-2N)*a against the first k generators.
+
+    ``support_bound`` is the least exponent among those generators, the
+    number the degree argument compares -2N against.
+    """
+
     k: int
-    generators: tuple[str, ...]
+    support_bound: int
     escape: str
     escape_exponent: int
     refutation: MembershipResult
@@ -130,11 +136,19 @@ CHAIN_FACT = (
 
 @dataclass(frozen=True)
 class NonFGCertificate:
+    """The escape stages; ``generators`` holds the t-exponents of the shifts.
+
+    Stage k uses the first k generators and its next span the first k+1,
+    so the max_k + 1 exponents are stored once, for every stage.
+    """
+
     max_k: int
     passed: bool
+    generators: tuple[int, ...]
     stages: tuple[EscapeStage, ...]
     degree_argument: str
     external_facts: tuple[str, ...]
+    format: str = "2"
 
 
 def certify_nonfg(max_k: int = 5) -> NonFGCertificate:
@@ -148,7 +162,7 @@ def certify_nonfg(max_k: int = 5) -> NonFGCertificate:
     if max_k < 1:
         raise ValueError("need at least one stage")
     shifts = shift_generators(max_k + 1)
-    names = tuple(translation_str(g) for g in shifts)
+    exponents = tuple(min(g.terms) for g in shifts)
     stages = []
     passed = True
     for k in range(1, max_k + 1):
@@ -161,7 +175,7 @@ def certify_nonfg(max_k: int = 5) -> NonFGCertificate:
         stages.append(
             EscapeStage(
                 k,
-                names[:k],
+                min(exponents[:k]),
                 translation_str(escape),
                 n,
                 refutation,
@@ -169,5 +183,5 @@ def certify_nonfg(max_k: int = 5) -> NonFGCertificate:
             )
         )
     return NonFGCertificate(
-        max_k, passed, tuple(stages), DEGREE_ARGUMENT, (CHAIN_FACT,)
+        max_k, passed, exponents, tuple(stages), DEGREE_ARGUMENT, (CHAIN_FACT,)
     )

@@ -6,7 +6,9 @@ the intersection of each section with the zero section, and the fiber
 component each section meets, encoded per fiber.  Local correction
 terms are looked up in the classical contribution tables; only the
 fiber types that actually occur here (I_n and IV*) carry a table, and
-anything else raises UnsupportedFiberType rather than guessing.
+anything else raises ValueError rather than guessing.  A section meets
+a fiber in an element of its component group: Z/n for I_n, Z/3 for
+IV*, with 0 the identity component.
 
 Also here: arithmetic on the cyclic component groups of I_n fibers,
 extraction of section data from a curve configuration, and a tiny
@@ -18,22 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .fibration import KodairaType
 from .scalars import LaurentT
 from .surface import Configuration
 
-IDENTITY_COMPONENT = "identity"
-
-
-class UnsupportedFiberType(Exception):
-    """Raised when a contribution table for the fiber type is not implemented."""
-
 
 @dataclass(frozen=True)
 class ModInt:
-    """An element of Z/n, used for I_n component groups."""
+    """An element of Z/n, used for fiber component groups."""
 
     value: int
     modulus: int
@@ -70,53 +66,21 @@ class ModInt:
         return f"{self.value} (mod {self.modulus})"
 
 
-@dataclass(frozen=True)
-class StarBranch:
-    """A non-identity simple component of a starred fiber.
-
-    For IV* the three multiplicity-one components other than the
-    identity component sit at the ends of the three arms; branch picks
-    the arm.  depth is reserved for longer-armed types and must be 1.
-    """
-
-    branch: int
-    depth: int = 1
-
-    def __post_init__(self):
-        if self.branch not in (1, 2, 3):
-            raise ValueError(f"branch must be 1..3, got {self.branch!r}")
-        if self.depth != 1:
-            raise ValueError("only depth 1 components are supported")
-
-
-Component = Union[ModInt, StarBranch, str]
-
-
-def _check_component(kt: KodairaType, comp: Component) -> Component:
-    if kt.symbol == "I":
-        if not isinstance(comp, ModInt):
-            raise ValueError(f"I_n components are ModInt, got {comp!r}")
-        if comp.modulus != kt.index:
-            raise ValueError(
-                f"component group of {kt} is Z/{kt.index}, got modulus {comp.modulus}"
-            )
-        return comp
-    if kt.symbol == "IV*":
-        if comp == IDENTITY_COMPONENT or isinstance(comp, StarBranch):
-            return comp
-        raise ValueError(f"IV* components are 'identity' or StarBranch, got {comp!r}")
-    raise UnsupportedFiberType(f"no contribution table for fiber type {kt}")
-
-
-def contribution(kt: KodairaType, comp: Component) -> Fraction:
+def contribution(kt: KodairaType, comp: ModInt) -> Fraction:
     """Local height correction of one section at one fiber."""
-    comp = _check_component(kt, comp)
     if kt.symbol == "I":
-        i, n = comp.value, kt.index
-        return Fraction(i * (n - i), n)
-    if comp == IDENTITY_COMPONENT:
-        return Fraction(0)
-    return Fraction(4, 3)
+        n = kt.index
+    elif kt.symbol == "IV*":
+        n = 3
+    else:
+        raise ValueError(f"no contribution table for fiber type {kt}")
+    if not isinstance(comp, ModInt):
+        raise ValueError(f"fiber components are ModInt, got {comp!r}")
+    if comp.modulus != n:
+        raise ValueError(f"component group of {kt} is Z/{n}, got modulus {comp.modulus}")
+    if kt.symbol == "I":
+        return Fraction(comp.value * (n - comp.value), n)
+    return Fraction(4, 3) if comp.value else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +107,7 @@ class SectionData:
 
     name: str
     dot_zero: int
-    components: Mapping[str, Component] = field(default_factory=dict)
+    components: Mapping[str, ModInt] = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.dot_zero, int) or self.dot_zero < 0:
@@ -204,7 +168,7 @@ def section_from_config(
     to the section's.  The section must meet exactly one component,
     once, and must not itself be a fiber component.
     """
-    components: dict[str, Component] = {}
+    components: dict[str, ModInt] = {}
     for fid, cycle in cycles:
         positions = {}
         for who in (section, zero):

@@ -23,10 +23,10 @@ exact string.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
-from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
@@ -61,7 +61,6 @@ from .lattice import (
     signature,
 )
 from .mwl import (
-    IDENTITY_COMPONENT,
     HeightContext,
     ModInt,
     SectionData,
@@ -184,56 +183,7 @@ class CertificateReport:
         }
 
     def to_json(self) -> str:
-        """The report as ``json.dumps(..., sort_keys=True, indent=2)`` writes it."""
-        out: list[str] = []
-        _write_json(self.to_json_dict(), "\n", out)
-        out.append("\n")
-        return "".join(out)
-
-
-def _write_json(obj, newline: str, out: list[str]) -> None:
-    """Append the sorted, two-space-indented JSON text of obj to out.
-
-    ``newline`` is a line break followed by the indent of obj's own line.
-    Only the leaves ``_stringify`` leaves behind are accepted: strings,
-    None and booleans.  CPython's encoder falls back to pure Python when
-    asked to indent, and this single pass is several times faster.
-    """
-    if isinstance(obj, str):
-        out.append(_json_str(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep + _json_str(key) + ": ")
-            _write_json(obj[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if all(type(v) is str for v in obj):
-            out.append("[" + inner + ("," + inner).join(map(_json_str, obj)) + newline + "]")
-            return
-        sep = "[" + inner
-        for v in obj:
-            out.append(sep)
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    else:
-        raise TypeError(f"report leaf must be a string, None or a bool, got {obj!r}")
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _stringify(obj):
@@ -242,8 +192,6 @@ def _stringify(obj):
     A dataclass with its own text form is a leaf; any other dataclass is
     a record, written as a dict of its fields.
     """
-    if type(obj) is int:  # most leaves: certificate matrix entries
-        return str(obj)
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, dict):
@@ -729,7 +677,7 @@ def _stage_heights(ctx: Context) -> StageResult:
     c11 = section_from_config(x, cycles, "C11", "C21")
     c22 = section_from_config(x, cycles, "C22", "C11")
     h12, h11, h22 = height(hctx, c12), height(hctx, c11), height(hctx_alt, c22)
-    hp = height(nctx, SectionData("P", 0, {"M2": IDENTITY_COMPONENT}))
+    hp = height(nctx, SectionData("P", 0, {"M2": ModInt(0, 3)}))
     doubled = component_index_sum([c12.components[fid] * 2 for fid in fids])
     checks = [
         _check(

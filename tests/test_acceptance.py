@@ -45,7 +45,6 @@ from autcert.lattice import (
     z_span_membership,
 )
 from autcert.mwl import (
-    IDENTITY_COMPONENT,
     HeightContext,
     ModInt,
     SectionData,
@@ -159,7 +158,7 @@ def test_criterion_4_lattice_theory(announce):
     ok = ok and gauss_reduce_rank2(induced) == ((2, -1), (-1, 2))
 
     narrow_ctx = HeightContext(chi=1, fibers=(("M2", IV_STAR),))
-    narrow = SectionData("P", 0, {"M2": IDENTITY_COMPONENT})
+    narrow = SectionData("P", 0, {"M2": ModInt(0, 3)})
     ok = ok and height(narrow_ctx, narrow) == 2
     announce(4, "lattice theory", ok)
 
@@ -199,19 +198,26 @@ def test_criterion_7_non_finite_generation(announce):
     cert = certify_nonfg(max_k=5)
     ok = cert.passed and len(cert.stages) == 5
 
+    def replay(k, n):
+        """The integer problem of t^(-2n) over the first k stored exponents."""
+        exponents = cert.generators[:k]
+        columns = sorted(set(exponents) | {-2 * n})
+        rows = [[int(c == e) for c in columns] for e in exponents]
+        return z_span_membership(rows, [int(c == -2 * n) for c in columns])
+
     for k, stage in enumerate(cert.stages, start=1):
         escape = LaurentT.t_power(-2 * k)
         refute = membership(shift_generators(k), escape)
         confirm = membership(shift_generators(k + 1), escape)
         ok = ok and not refute.member and confirm.member
 
-        # replay the exported integer data through the Hermite-form solver
-        ok = ok and refute.witness is None
-        rows = [list(r) for r in refute.generator_rows]
-        ok = ok and z_span_membership(rows, list(refute.target_vector)) is None
-        rows = [list(r) for r in confirm.generator_rows]
-        replay = z_span_membership(rows, list(confirm.target_vector))
-        ok = ok and replay == confirm.witness
+        # rebuild the integer rows from the stored exponents and replay
+        # them through the Hermite-form solver
+        n = stage.escape_exponent
+        ok = ok and stage.refutation.witness is None and replay(k, n) is None
+        dense = replay(k + 1, n)
+        ok = ok and dense is not None
+        ok = ok and {i: c for i, c in enumerate(dense or ()) if c} == stage.next_span.witness
     announce(7, "non-finite-generation certificate", ok)
 
 

@@ -16,7 +16,7 @@ from autcert.fingen import (
     translation_str,
 )
 from autcert.lattice import z_span_membership
-from autcert.pipeline import PipelineOptions, run_stage
+from autcert.pipeline import PipelineOptions, main, run_stage
 from autcert.scalars import LaurentT
 
 
@@ -38,8 +38,7 @@ def test_membership_with_witness():
     target = LaurentT({0: 3, -2: -2})
     res = membership(gens, target)
     assert res.member
-    assert res.witness == (3, -2)
-    assert res.monomials == (-2, 0)
+    assert res.witness == {0: 3, 1: -2}
 
 
 def test_membership_refusals():
@@ -47,41 +46,46 @@ def test_membership_refusals():
     assert not membership(gens, LaurentT({-4: 1})).member
     assert not membership(gens, LaurentT({0: Fraction(1, 2)})).member
     assert not membership([LaurentT({0: 2})], LaurentT({0: 1})).member
-    assert membership([LaurentT({0: 2})], LaurentT({0: 4})).witness == (2,)
+    assert membership([LaurentT({0: 2})], LaurentT({0: 4})).witness == {0: 2}
 
 
 def test_membership_denominator_clearing():
     gens = [LaurentT({0: Fraction(1, 2)})]
     res = membership(gens, LaurentT({0: Fraction(3, 2)}))
-    assert res.member and res.witness == (3,)
-    assert res.denominator_lcm == 2
-    assert res.generator_rows == ((1,),)
-    assert res.target_vector == (3,)
+    assert res.member and res.witness == {0: 3}
+    gens = [LaurentT({0: Fraction(1, 2)}), LaurentT({-2: Fraction(1, 3)})]
+    res = membership(gens, LaurentT({0: Fraction(1, 2), -2: Fraction(-2, 3)}))
+    assert res.member and res.witness == {0: 1, 1: -2}
     res = membership([LaurentT({-2: Fraction(1, 3), 1: 2})], LaurentT({0: Fraction(-5, 4)}))
-    assert not res.member
-    assert res.denominator_lcm == 12
-    assert res.monomials == (-2, 0, 1)
-    assert res.generator_rows == ((4, 0, 24),)
-    assert res.target_vector == (0, -15, 0)
+    assert not res.member and res.witness is None
 
 
 def test_membership_edge_cases():
     zero = LaurentT({})
     assert membership([], zero).member
     assert membership([], LaurentT({0: 1})).member is False
-    assert membership([LaurentT({0: 1})], zero).witness == (0,)
+    assert membership([LaurentT({0: 1})], zero).witness == {}
+
+
+def unit_rows(exponents, target):
+    """The integer rows of the monomials t^e and the target {exponent: coefficient}."""
+    columns = sorted(set(exponents) | set(target))
+    rows = [[int(c == e) for c in columns] for e in exponents]
+    return rows, [target.get(c, 0) for c in columns]
 
 
 def test_membership_recheck_data_is_consistent():
     gens = shift_generators(3)
     target = LaurentT({0: 5, -2: -1, -4: 7})
     res = membership(gens, target)
-    assert res.member
-    # the exported integer data replays through the lattice solver
-    replay = z_span_membership(
-        [list(r) for r in res.generator_rows], list(res.target_vector)
-    )
-    assert replay == res.witness
+    assert res.member and res.witness == {0: 5, 1: -1, 2: 7}
+    # the integer problem rebuilt from the exponents replays through the
+    # lattice solver
+    rows, vector = unit_rows([0, -2, -4], {0: 5, -2: -1, -4: 7})
+    replay = z_span_membership(rows, vector)
+    assert {i: c for i, c in enumerate(replay) if c} == res.witness
+    rows, vector = unit_rows([0, -2, -4], {-6: 1})
+    assert z_span_membership(rows, vector) is None
 
 
 def test_membership_witness_is_rechecked_in_laurent_arithmetic(monkeypatch):
@@ -152,15 +156,18 @@ def test_certificate_structure():
     cert = certify_nonfg(5)
     assert cert.passed
     assert cert.max_k == 5
+    assert cert.format == "2"
+    assert cert.generators == (0, -2, -4, -6, -8, -10)
     assert len(cert.stages) == 5
     for k, stage in enumerate(cert.stages, start=1):
         assert stage.k == k
         assert stage.escape_exponent == k
-        assert len(stage.generators) == k
+        assert stage.support_bound == -2 * (k - 1)
         assert stage.escape == f"(t^{-2 * k})*a"
         assert not stage.refutation.member
+        assert stage.refutation.witness is None
         assert stage.next_span.member
-        assert stage.next_span.witness[-1] == 1
+        assert stage.next_span.witness == {k: 1}
 
 
 def test_certificate_chain_is_strict():
@@ -179,8 +186,10 @@ def test_certificate_json_is_deterministic():
     one = certificate_json()
     assert one == certificate_json()
     blob = json.loads(one)
+    assert blob["format"] == "2"
     assert blob["max_k"] == "3"
     assert blob["passed"] is True
+    assert blob["generators"] == ["0", "-2", "-4", "-6"]
     assert blob["stages"][2]["escape"] == "(t^-6)*a"
     assert blob["degree_argument"]
     assert blob["external_facts"]
@@ -189,3 +198,61 @@ def test_certificate_json_is_deterministic():
 def test_certificate_validation():
     with pytest.raises(ValueError):
         certify_nonfg(0)
+
+
+# -- rechecking a written report ------------------------------------------------------------
+
+
+def recheck(cert: dict) -> bool:
+    """Recheck every escape stage of a report's certificate from its text alone.
+
+    Stage k refutes by the support argument: every combination of the
+    first k generators has support at or above their least exponent, and
+    the escape exponent lies below it.  The sparse next-span witness,
+    over the first k + 1 generators, must sum to exactly t^(-2N).
+    """
+    gens = [int(e) for e in cert["generators"]]
+    ok = len(cert["stages"]) == int(cert["max_k"]) and len(gens) == int(cert["max_k"]) + 1
+    for stage in cert["stages"]:
+        k = int(stage["k"])
+        bound = int(stage["support_bound"])
+        n = int(stage["escape_exponent"])
+        ok = ok and bound == min(gens[:k]) and -2 * n < bound
+        ok = ok and stage["refutation"] == {"member": False, "witness": None}
+        ok = ok and stage["next_span"]["member"] is True
+        total: dict[int, int] = {}
+        for i, c in stage["next_span"]["witness"].items():
+            ok = ok and 0 <= int(i) <= k
+            e = gens[int(i)]
+            total[e] = total.get(e, 0) + int(c)
+        ok = ok and {e: c for e, c in total.items() if c} == {-2 * n: 1}
+    return ok
+
+
+def test_written_nonfg_report_rechecks_from_its_text(tmp_path):
+    out = tmp_path / "nonfg.json"
+    assert main(["nonfg", "--max-gens", "12", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    cert = json.loads(text)["stages"][0]["evidence"]["certificate"]
+    assert cert["format"] == "2"
+    assert recheck(cert)
+
+    def mutated(edit):
+        copy = json.loads(text)["stages"][0]["evidence"]["certificate"]
+        edit(copy)
+        return copy
+
+    def witness_coefficient(c):
+        c["stages"][6]["next_span"]["witness"]["7"] = "2"
+
+    def escape_exponent_(c):
+        c["stages"][3]["escape_exponent"] = "5"
+
+    def generator(c):
+        c["generators"][8] = "-15"
+
+    def support_bound(c):
+        c["stages"][9]["support_bound"] = "-19"
+
+    for edit in (witness_coefficient, escape_exponent_, generator, support_bound):
+        assert not recheck(mutated(edit)), edit.__name__

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from autcert.fibration import FiberDivisor, KodairaType, component_cycle, map_fiber
 from autcert.mwl import (
-    IDENTITY_COMPONENT,
     HeightContext,
     ModInt,
     SectionData,
     SmoothLocusAut,
-    StarBranch,
-    UnsupportedFiberType,
     component_index_sum,
     compose_smooth_locus,
     contribution,
@@ -53,14 +50,6 @@ def test_component_index_sum():
         component_index_sum([ModInt(1, 2), ModInt(1, 3)])
 
 
-def test_star_branch_validation():
-    assert StarBranch(2).depth == 1
-    with pytest.raises(ValueError):
-        StarBranch(4)
-    with pytest.raises(ValueError):
-        StarBranch(1, depth=2)
-
-
 # -- contribution tables ----------------------------------------------------------------
 
 
@@ -73,20 +62,21 @@ def test_contribution_in():
 
 
 def test_contribution_iv_star():
-    assert contribution(IV_STAR, IDENTITY_COMPONENT) == 0
-    assert contribution(IV_STAR, StarBranch(1)) == Fraction(4, 3)
+    assert contribution(IV_STAR, ModInt(0, 3)) == 0
+    assert contribution(IV_STAR, ModInt(1, 3)) == Fraction(4, 3)
+    assert contribution(IV_STAR, ModInt(2, 3)) == Fraction(4, 3)
 
 
 def test_contribution_validation():
-    with pytest.raises(UnsupportedFiberType):
+    with pytest.raises(ValueError, match="no contribution table"):
         contribution(KodairaType.plain("II*"), ModInt(0, 1))
-    with pytest.raises(UnsupportedFiberType):
+    with pytest.raises(ValueError, match="no contribution table"):
         contribution(KodairaType.I_star(0), ModInt(0, 4))
     with pytest.raises(ValueError, match="Z/8"):
         contribution(I8, ModInt(1, 4))
     with pytest.raises(ValueError, match="ModInt"):
-        contribution(I8, StarBranch(1))
-    with pytest.raises(ValueError, match="identity"):
+        contribution(I8, "identity")
+    with pytest.raises(ValueError, match="Z/3"):
         contribution(IV_STAR, ModInt(0, 8))
 
 
@@ -119,7 +109,7 @@ def test_height_nonzero_example():
 
 def test_narrow_iv_star_generator_height():
     ctx = HeightContext(1, (("M", IV_STAR),))
-    gen = SectionData("G", 0, {"M": IDENTITY_COMPONENT})
+    gen = SectionData("G", 0, {"M": ModInt(0, 3)})
     assert height(ctx, gen) == 2
 
 

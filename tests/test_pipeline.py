@@ -4,18 +4,17 @@ import dataclasses
 import hashlib
 import json
 
-import hypothesis.strategies as st
-import pytest
-from hypothesis import given, seed, settings
+from types import SimpleNamespace
 
-from autcert import __version__, fibration, fingen, pipeline
+import pytest
+
+from autcert import __version__, cremona, fibration, fingen, pipeline
 from autcert.pipeline import (
     STAGE_ORDER,
     CertificateReport,
     PipelineOptions,
     StageResult,
     _stringify,
-    _write_json,
     main,
     run_all,
     run_stage,
@@ -95,65 +94,34 @@ def test_height_display_discrepancy_is_flagged(default_report):
 
 
 def test_json_numbers_are_strings(default_report):
-    blob = default_report.to_json_dict()
-    assert set(blob) == {"version", "options", "stages", "verdict"}
-    for stage in blob["stages"]:
-        assert set(stage) == {"name", "status", "anchor", "evidence"}
-    for leaf in _leaves(blob):
-        assert leaf is None or isinstance(leaf, (str, bool)), repr(leaf)
+    faulted = run_all(PipelineOptions(corrupt_pair=("E2", "C32")))
+    options = PipelineOptions(max_gens=12)
+    deep = CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
+    for report in (default_report, faulted, deep):
+        blob = json.loads(report.to_json())
+        assert set(blob) == {"version", "options", "stages", "verdict"}
+        for stage in blob["stages"]:
+            assert set(stage) == {"name", "status", "anchor", "evidence"}
+        for leaf in _leaves(blob):
+            assert leaf is None or isinstance(leaf, (str, bool)), repr(leaf)
 
 
 def test_default_report_sha256_is_the_regression_anchor(default_report):
     """The default report's bytes, and a deeper nonfg report's, are pinned by sha256.
 
-    The K = 12 certificate has two-digit exponents and wider rows.  A
-    deliberate change of the report format (ROADMAP item 4) updates
+    The K = 12 certificate has two-digit exponents and witness indices.  A
+    deliberate change of the report format (ROADMAP item 3) updates
     these values and records the new ones in CHANGES.md.
     """
     options = PipelineOptions(max_gens=12)
     deep = CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
     pinned = [
-        (default_report, "3932133d8e8b475c8f2fdf06fac185414401b1840c412d7e44378bd77196a424"),
-        (deep, "ed3f7ed8dd0c8f633f1642909218dd057b546f1f72f2a2caeb23caee2e57ee58"),
+        (default_report, "f2f5d081ac6d4257163b69c3bcb5923b9c971d56518a731d25e9b062e6e90d9f"),
+        (deep, "c9f5c5b27de25429940d9d184eeb08724540863adf39bb9dfbfec18d31be3117"),
     ]
     for report, expected in pinned:
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == expected
-
-
-def written(obj) -> str:
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-# Quotes, backslashes, control characters and non-ASCII text, which the
-# writer must escape exactly as json.dumps does.
-json_text = st.text(alphabet=st.sampled_from('az "\\/\n\t\x00\x1f\x7fé€😀'), max_size=6)
-json_leaves = st.one_of(json_text, st.none(), st.booleans())
-json_trees = st.recursive(
-    json_leaves,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(json_text, max_size=4),
-        st.dictionaries(json_text, children, max_size=4),
-    ),
-    max_leaves=20,
-)
-
-
-@seed(20190406)
-@settings(database=None)
-@given(json_trees)
-def test_report_writer_matches_json_dumps(obj):
-    assert written(obj) == json.dumps(obj, sort_keys=True, indent=2)
-
-
-def test_report_writer_rejects_numbers():
-    for leaf in (1, 1.5):
-        for obj in (leaf, [leaf], ["a", leaf], {"a": leaf}):
-            with pytest.raises(TypeError):
-                written(obj)
 
 
 def test_stringify_keeps_booleans_in_integer_tuples():
@@ -251,6 +219,16 @@ def test_stage_bug_still_propagates(monkeypatch):
         run_all()
     with pytest.raises(TypeError, match="a bug"):
         run_stage("lattice")
+
+
+def test_exhausted_swap_search_fails_the_cremona_stage(monkeypatch):
+    monkeypatch.setattr(cremona, "verify_pij_swap", lambda triple: SimpleNamespace(passed=False))
+    stage = run_stage("cremona")
+    assert stage.status == "fail"
+    (check,) = stage.evidence["checks"]
+    assert check["kind"] == "stage-raised"
+    assert check["detail"] == "ValueError"
+    assert check["witness"] == "found only 0 working specializations in 5000 draws"
 
 
 # -- run_stage ----------------------------------------------------------------------
