@@ -2,8 +2,9 @@
 Integer lattices: Hermite form, membership witnesses, root lattices
 ===================================================================
 
-The Hermite normal form decides membership in integer spans and hands
-back a witness that can be rechecked by plain matrix arithmetic.
+An echelon basis grown one row at a time decides membership in integer
+spans and hands back a witness that can be rechecked by plain matrix
+arithmetic; the Hermite normal form gives the canonical rows.
 """
 
 from autcert.lattice import (

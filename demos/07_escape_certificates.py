@@ -16,6 +16,7 @@ from autcert.fingen import (
     shift_generators,
     translation_str,
 )
+from autcert.lattice import SpanBasis
 from autcert.pipeline import PipelineOptions, run_stage
 from autcert.scalars import LaurentT
 
@@ -24,13 +25,15 @@ from autcert.scalars import LaurentT
 gens = shift_generators(3)
 print("generators:", [translation_str(g) for g in gens])
 
-# Membership in their integer span is decided with a witness...
-inside = membership(gens, 3 * gens[0] + (-2) * gens[1])
+# Membership in their integer span is decided with a witness, by an
+# echelon basis that grows one generator at a time...
+basis = SpanBasis(g.terms for g in gens)
+inside = membership(basis, 3 * gens[0] + (-2) * gens[1])
 print("member:", inside.member, "witness:", inside.witness)
 
 # ...and the next shift in the family is refused.
 escape = LaurentT.t_power(-2 * escape_exponent(gens))
-outside = membership(gens, escape)
+outside = membership(basis, escape)
 print("escape:", translation_str(escape), "member:", outside.member)
 
 # The full certificate packages one escape per stage, each re-verified.

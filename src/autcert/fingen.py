@@ -3,19 +3,22 @@
 The group under study is abelian: translations z -> z + c*a where the
 coefficient c ranges over Laurent polynomials in t.  A translation is
 handled as its coefficient, a ``LaurentT``, and written as ``(c)*a``
-only for the report.  Its elements are integer combinations of any chosen generators, so subgroup membership
-is an exact lattice problem over the union of the Laurent supports.
-The certificate exhibits, for each k, the generator set
-{t^0*a, t^-2*a, ..., t^(-2(k-1))*a} together with an element
-t^(-2k)*a that escapes its span, checked two independent ways: a
-degree bound (every combination keeps its support above the least
-generator exponent) and a Hermite normal form membership refutation on
-the cleared integer matrix.  The same element lies in the next span,
-so the chain is strictly increasing, and a group exhausted by a
-strictly increasing chain of proper subgroups is not finitely
-generated.  The certificate stores each fact once: the t-exponents of
-the generators, and per stage the support bound, the escape exponent
-and a sparse next-span witness.  The integer matrices are unit vectors
+only for the report.  Its elements are integer combinations of any
+chosen generators, so subgroup membership is an exact lattice problem
+over the union of the Laurent supports.  The certificate exhibits, for
+each k, the generator set {t^0*a, t^-2*a, ..., t^(-2(k-1))*a} together
+with an element t^(-2k)*a that escapes its span, checked two
+independent ways: a degree bound (every combination keeps its support
+above the least generator exponent) and a membership refutation in an
+echelon basis of the span.  The same element lies in the next span, so
+the chain is strictly increasing, and a group exhausted by a strictly
+increasing chain of proper subgroups is not finitely generated.  One
+``SpanBasis`` serves every stage: stage k refutes the escape against
+the first k generators, inserts generator k, and confirms the escape;
+the support bound is a running minimum over the inserted generators.
+The certificate stores each fact once: the t-exponents of the
+generators, and per stage the support bound, the escape exponent and a
+sparse next-span witness.  The integer matrices are unit vectors
 rebuilt from those exponents, so a third party can recheck every stage
 from the stored numbers alone.  Its records hold plain integers and
 strings; the pipeline writes them out as exact strings.
@@ -24,10 +27,9 @@ strings; the pipeline writes them out as exact strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
-from .lattice import z_span_membership
+from .lattice import SpanBasis
 from .scalars import LaurentT
 
 
@@ -49,49 +51,41 @@ class MembershipResult:
     witness: dict[int, int] | None
 
 
-def membership(gens: Sequence[LaurentT], target: LaurentT) -> MembershipResult:
-    """Integer-span membership over the union of Laurent supports.
+def membership(basis: SpanBasis, target: LaurentT) -> MembershipResult:
+    """Integer-span membership of target in the span of the basis generators.
 
-    Denominators are cleared by their least common multiple, the
-    resulting integer lattice problem is solved in Hermite normal
-    form, and a found witness is re-verified in Laurent arithmetic.
+    The basis holds the generators' Laurent terms, exponent -> Fraction,
+    and solves over them directly; a found witness is re-verified in
+    Laurent arithmetic.
     """
-    if target.is_zero():
-        return MembershipResult(True, {})
-    polys = (target, *gens)
-    monomials = sorted({m for p in polys for m in p.terms})
-    column = {m: i for i, m in enumerate(monomials)}
-    scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-
-    def vector(p: LaurentT) -> list[int]:
-        out = [0] * len(monomials)
-        for m, c in p.terms.items():
-            out[column[m]] = c.numerator * (scale // c.denominator)
-        return out
-
-    dense = z_span_membership([vector(g) for g in gens], vector(target))
-    if dense is None:
+    witness = basis.solve(target.terms)
+    if witness is None:
         return MembershipResult(False, None)
-    witness = {i: w for i, w in enumerate(dense) if w}
     combo = LaurentT.zero()
     for i, w in witness.items():
-        combo = combo + gens[i] * w
+        combo = combo + LaurentT(basis.generators[i]) * w
     if combo != target:
         raise ArithmeticError("membership witness failed re-verification")
     return MembershipResult(True, witness)
+
+
+def _support(g: LaurentT) -> int:
+    """Least exponent of a generator, the bound every combination stays at or above."""
+    if g.is_zero():
+        raise ValueError("zero generator has no degree bound")
+    return min(g.terms)
+
+
+def _escape_below(bound: int) -> int:
+    """Least positive N with -2N strictly below bound."""
+    return max(1, -bound // 2 + 1)
 
 
 def escape_exponent(gens: Sequence[LaurentT]) -> int:
     """Least positive N with -2N below every exponent used by the generators."""
     if not gens:
         raise ValueError("no generators")
-    if any(g.is_zero() for g in gens):
-        raise ValueError("zero generator has no degree bound")
-    mindeg = min(min(g.terms) for g in gens)
-    n = 1
-    while -2 * n >= mindeg:
-        n += 1
-    return n
+    return _escape_below(min(_support(g) for g in gens))
 
 
 def shift_generators(k: int) -> list[LaurentT]:
@@ -162,26 +156,22 @@ def certify_nonfg(max_k: int = 5) -> NonFGCertificate:
     if max_k < 1:
         raise ValueError("need at least one stage")
     shifts = shift_generators(max_k + 1)
-    exponents = tuple(min(g.terms) for g in shifts)
+    exponents = tuple(_support(g) for g in shifts)
+    basis = SpanBasis([shifts[0].terms])
+    bound = exponents[0]
     stages = []
     passed = True
     for k in range(1, max_k + 1):
-        gens = shifts[:k]
-        n = escape_exponent(gens)
+        n = _escape_below(bound)
         escape = LaurentT.t_power(-2 * n)
-        refutation = membership(gens, escape)
-        next_span = membership(shifts[: k + 1], escape)
+        refutation = membership(basis, escape)
+        basis.insert(shifts[k].terms)
+        next_span = membership(basis, escape)
         passed = passed and n == k and not refutation.member and next_span.member
         stages.append(
-            EscapeStage(
-                k,
-                min(exponents[:k]),
-                translation_str(escape),
-                n,
-                refutation,
-                next_span,
-            )
+            EscapeStage(k, bound, translation_str(escape), n, refutation, next_span)
         )
+        bound = min(bound, exponents[k])
     return NonFGCertificate(
         max_k, passed, exponents, tuple(stages), DEGREE_ARGUMENT, (CHAIN_FACT,)
     )

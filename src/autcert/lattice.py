@@ -4,8 +4,10 @@ A lattice is presented by an integer Gram matrix on an explicit basis.
 Membership, kernels, and orthogonal complements are computed by
 unimodular row reduction over the integers, so every positive answer
 comes with an integer witness the caller can recheck by hand; the
-negative answers follow from divisibility obstructions in the Hermite
-form.  Signatures are computed by symmetric congruence over exact
+negative answers follow from divisibility obstructions in an echelon
+basis.  Kernels use the Hermite form; membership uses a sparse echelon
+basis grown one generator at a time, which also takes Fraction
+entries.  Signatures are computed by symmetric congruence over exact
 rationals, and small root lattices are recognized by their Dynkin
 diagrams.
 """
@@ -108,41 +110,120 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
     return tuple(tuple(row) for row in A), tuple(tuple(row) for row in U)
 
 
+# -- incremental echelon basis -------------------------------------------------
+
+
+def _entries(vec: Mapping) -> dict:
+    """The nonzero entries of a sparse vector, each an int or a Fraction."""
+    out = {}
+    for key, x in vec.items():
+        if type(x) is not int and type(x) is not Fraction:  # rejects bool and float
+            raise TypeError(f"integer or Fraction entry expected, got {x!r}")
+        if x:
+            out[key] = x
+    return out
+
+
+def _combine(s: int, u: dict, t: int, v: dict) -> dict:
+    """s*u + t*v of two sparse vectors, zero entries dropped."""
+    out = {k: s * x for k, x in u.items()}
+    for k, x in v.items():
+        out[k] = out.get(k, 0) + t * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _xgcd(a, b) -> tuple:
+    """(g, x, y) with x*a + y*b == g = +-gcd(a, b) and x, y integers; b nonzero.
+
+    Euclid with floor quotients.  For Fractions the quotients are still
+    integers, so a and b are integer multiples of g.
+    """
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return a, x0, y0
+
+
+class SpanBasis:
+    """Echelon basis of the integer span of sparse vectors, grown one at a time.
+
+    A vector maps column keys to int or Fraction entries.  ``rows`` maps
+    each pivot, the least key of its row, to the row and the row's
+    combination of ``generators`` (generator index -> integer).  Rows
+    change only by unimodular integer steps, subtracting an integer
+    multiple of one row from another or the 2x2 extended-gcd step, so
+    they span exactly what the generators span.  Quotients of Fractions
+    are integers, so no denominator is ever cleared.
+    """
+
+    def __init__(self, vectors: Iterable[Mapping] = ()):
+        self.generators: list[dict] = []
+        self.rows: dict[object, tuple[dict, dict[int, int]]] = {}
+        for vec in vectors:
+            self.insert(vec)
+
+    def insert(self, vec: Mapping) -> None:
+        """Add a generator: reduce it, then keep what remains as a new pivot row."""
+        v = _entries(vec)
+        combo = {len(self.generators): 1}
+        self.generators.append(v)
+        while v:
+            p = min(v)
+            if p not in self.rows:
+                self.rows[p] = (v, combo)
+                return
+            row, rc = self.rows[p]
+            q, r = divmod(v[p], row[p])
+            if r:
+                g, x, y = _xgcd(row[p], v[p])
+                a, b = row[p] // g, v[p] // g
+                self.rows[p] = (_combine(x, row, y, v), _combine(x, rc, y, combo))
+                v, combo = _combine(a, v, -b, row), _combine(a, combo, -b, rc)
+            else:
+                v, combo = _combine(1, v, -q, row), _combine(1, combo, -q, rc)
+
+    def solve(self, target: Mapping) -> dict[int, int] | None:
+        """Sparse integer coefficients of the generators summing to target, or None.
+
+        None means the reduction stopped at a key with no pivot row or at
+        a pivot that does not divide the remaining entry.
+        """
+        v = _entries(target)
+        combo: dict[int, int] = {}
+        while v:
+            p = min(v)
+            if p not in self.rows:
+                return None
+            row, rc = self.rows[p]
+            q, r = divmod(v[p], row[p])
+            if r:
+                return None
+            v, combo = _combine(1, v, -q, row), _combine(1, combo, q, rc)
+        return dict(sorted(combo.items()))
+
+
 def z_span_membership(
     gens: Sequence[Sequence[int]], target: Sequence[int]
 ) -> Vec | None:
     """Integer coefficients writing target in the span of gens, or None.
 
     A returned witness c satisfies sum(c[i] * gens[i]) == target exactly;
-    None means the Hermite form of the generators obstructs the solve
+    None means the echelon basis of the generators obstructs the solve
     (a divisibility failure or an unreachable coordinate).
     """
     (t,) = _int_rows([target])
-    if not gens:
-        return () if not any(t) else None
-    H, U = hnf(gens)
-    if len(H[0]) != len(t):
+    rows = _int_rows(gens)
+    if rows and len(rows[0]) != len(t):
         raise ValueError("target length does not match generators")
-    res = t
-    ys: list[int] = []
-    for row in H:
-        p = next((j for j, v in enumerate(row) if v), None)
-        if p is None:
-            break
-        q, rem = divmod(res[p], row[p])
-        if rem:
-            return None
-        ys.append(q)
-        if q:
-            res = [a - q * b for a, b in zip(res, row)]
-    if any(res):
+    basis = SpanBasis(dict(enumerate(row)) for row in rows)
+    sparse = basis.solve(dict(enumerate(t)))
+    if sparse is None:
         return None
-    witness = [0] * len(gens)
-    for y, urow in zip(ys, U):
-        if y:
-            witness = [w + y * u for w, u in zip(witness, urow)]
+    witness = [sparse.get(i, 0) for i in range(len(rows))]
     combo = [0] * len(t)
-    for c, g in zip(witness, gens):
+    for c, g in zip(witness, rows):
         if c:
             combo = [a + c * b for a, b in zip(combo, g)]
     if combo != t:

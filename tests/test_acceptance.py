@@ -37,6 +37,7 @@ from autcert.fingen import (
 )
 from autcert.lattice import (
     E6_IN_E8_NODES,
+    SpanBasis,
     cartan_E,
     gauss_reduce_rank2,
     gram_rank,
@@ -207,8 +208,8 @@ def test_criterion_7_non_finite_generation(announce):
 
     for k, stage in enumerate(cert.stages, start=1):
         escape = LaurentT.t_power(-2 * k)
-        refute = membership(shift_generators(k), escape)
-        confirm = membership(shift_generators(k + 1), escape)
+        refute = membership(SpanBasis(g.terms for g in shift_generators(k)), escape)
+        confirm = membership(SpanBasis(g.terms for g in shift_generators(k + 1)), escape)
         ok = ok and not refute.member and confirm.member
 
         # rebuild the integer rows from the stored exponents and replay
@@ -279,9 +280,10 @@ def _suite_membership_monotonicity() -> int:
         target = LaurentT({})
         for g, m in zip(gens, coeffs):
             target = target + m * g
-        assert membership(gens, target).member
-        extra = gens + [LaurentT.t_power(rng.randint(-3, 3))]
-        assert membership(extra, target).member
+        basis = SpanBasis(g.terms for g in gens)
+        assert membership(basis, target).member
+        basis.insert(LaurentT.t_power(rng.randint(-3, 3)).terms)
+        assert membership(basis, target).member
         runs += 1
     return runs
 

@@ -16,6 +16,7 @@ from autcert import lattice
 from autcert.lattice import (
     E6_IN_E8_NODES,
     RootType,
+    SpanBasis,
     adjacency_from_gram,
     cartan_A,
     cartan_D,
@@ -201,15 +202,60 @@ def test_matrix_shapes_are_checked():
 
 
 def test_membership_witness_is_reverified(monkeypatch):
-    real_hnf = lattice.hnf
+    real_solve = lattice.SpanBasis.solve
 
-    def swapped_transform(rows):
-        H, U = real_hnf(rows)
-        return H, U[::-1]
+    def swapped_witness(self, target):
+        w = real_solve(self, target)
+        return {1 - i: c for i, c in w.items()}
 
-    monkeypatch.setattr(lattice, "hnf", swapped_transform)
+    monkeypatch.setattr(lattice.SpanBasis, "solve", swapped_witness)
     with pytest.raises(ArithmeticError):
         z_span_membership([(2, 0), (0, 3)], (4, 3))
+
+
+def test_span_basis_takes_an_extended_gcd_step():
+    # neither pivot entry divides the other: the pivot at key 0 becomes gcd(4, 6)
+    basis = SpanBasis([{0: 4, 1: 1}, {0: 6}])
+    assert sorted(basis.rows) == [0, 1]
+    assert basis.rows[0][0][0] == 2
+    for row, combo in basis.rows.values():
+        rebuilt = {}
+        for i, c in combo.items():
+            for k, x in basis.generators[i].items():
+                rebuilt[k] = rebuilt.get(k, 0) + c * x
+        assert {k: x for k, x in rebuilt.items() if x} == row
+    assert basis.solve({0: 2, 1: -1}) == {0: -1, 1: 1}
+    assert basis.solve({0: 2}) is None
+    assert basis.solve({}) == {}
+
+
+def test_span_basis_keys_need_not_be_dense():
+    basis = SpanBasis([{-4: 1, 7: 2}])
+    assert basis.solve({-4: 3, 7: 6}) == {0: 3}
+    assert basis.solve({7: 2}) is None
+    basis.insert({7: 1})
+    assert basis.solve({7: 2}) == {1: 2}
+    basis.insert({})
+    assert len(basis.generators) == 3 and len(basis.rows) == 2
+
+
+def test_span_basis_fraction_entries_need_no_common_denominator():
+    basis = SpanBasis([{0: Fraction(1, 2)}, {0: Fraction(1, 3), 1: 1}, {1: 1}])
+    witness = basis.solve({0: Fraction(1, 6)})
+    assert witness is not None
+    total = sum(c * basis.generators[i].get(0, 0) for i, c in witness.items())
+    assert total == Fraction(1, 6)
+    assert sum(c * basis.generators[i].get(1, 0) for i, c in witness.items()) == 0
+    assert basis.solve({0: Fraction(1, 12)}) is None
+    assert all(type(c) is int for c in witness.values())
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
+def test_span_basis_entries_are_int_or_fraction(bad):
+    with pytest.raises(TypeError):
+        SpanBasis([{0: bad}])
+    with pytest.raises(TypeError):
+        SpanBasis([{0: 1}]).solve({0: bad})
 
 
 # -- kernels and complements ----------------------------------------------------

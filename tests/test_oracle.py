@@ -16,7 +16,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form
 
 from autcert.cremona import A_VARS, QuadricForm, verify_pij_swap
-from autcert.lattice import hnf, signature
+from autcert.lattice import SpanBasis, hnf, signature
 from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
 
 from conftest import POLY_VARS, int_entries, polys, small_fractions
@@ -116,6 +116,55 @@ def test_hnf_row_span_matches_sympy(rows):
     theirs = hermite_normal_form(sympy.Matrix(rows).T)
     assert hermite_normal_form(sympy.Matrix(H).T) == theirs
     assert sum(1 for row in H if any(row)) == theirs.shape[1]
+
+
+@st.composite
+def grown_rows(draw):
+    """Rows of one width, each either fresh or an integer combination of earlier ones."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(st.integers(min_value=-3, max_value=3)) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)])
+        else:
+            rows.append([draw(int_entries) for _ in range(width)])
+    return rows
+
+
+@seed(20190406)
+@oracle
+@given(grown_rows(), st.integers(min_value=2, max_value=6), st.data())
+def test_span_basis_matches_sympy_at_every_insertion(rows, d, data):
+    width = len(rows[0])
+    queries = data.draw(
+        st.lists(st.lists(int_entries, min_size=width, max_size=width), max_size=3)
+    )
+    whole, scaled = SpanBasis(), SpanBasis()
+    for n in range(1, len(rows) + 1):
+        whole.insert(dict(enumerate(rows[n - 1])))
+        scaled.insert({j: Fraction(v, d) for j, v in enumerate(rows[n - 1])})
+        # the basis spans the same row lattice as the rows so far
+        theirs = hermite_normal_form(sympy.Matrix(rows[:n]).T)
+        basis = [whole.rows[p] for p in sorted(whole.rows)]
+        dense = [[row.get(j, 0) for j in range(width)] for row, _ in basis]
+        assert len(dense) == theirs.shape[1]
+        if dense:
+            H, _ = hnf(dense)
+            assert hermite_normal_form(sympy.Matrix(H).T) == theirs
+        # each row is its recorded combination of the inserted rows
+        for row, combo in basis:
+            rebuilt = [sum(c * rows[i][j] for i, c in combo.items()) for j in range(width)]
+            assert {j: x for j, x in enumerate(rebuilt) if x} == row
+        # the Fraction copy, scaled by 1/d, answers every solve the same way,
+        # and a target is solvable exactly when adjoining it keeps sympy's form
+        for t in queries + rows[:n]:
+            witness = whole.solve(dict(enumerate(t)))
+            assert scaled.solve({j: Fraction(v, d) for j, v in enumerate(t)}) == witness
+            inside = hermite_normal_form(sympy.Matrix(rows[:n] + [t]).T) == theirs
+            assert (witness is not None) == inside
+            if witness is not None:
+                assert [sum(c * rows[i][j] for i, c in witness.items()) for j in range(width)] == t
 
 
 divisors = polys(max_vars=2, max_deg=2, max_terms=3).filter(lambda p: not p.is_zero())

@@ -329,6 +329,25 @@ def test_cli_all_writes_report(tmp_path, capsys):
     assert len(blob["stages"]) == 9
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["all"], "f2f5d081ac6d4257163b69c3bcb5923b9c971d56518a731d25e9b062e6e90d9f"),
+        (
+            ["nonfg", "--max-gens", "80"],
+            "731d140dfeba6069c7896e9dff9c6104344253270c1a6de4e2859c4fbdb2d0f7",
+        ),
+    ],
+    ids=["all-default", "nonfg-80"],
+)
+def test_cli_report_file_matches_its_sha256_anchor(tmp_path, capsys, argv, expected):
+    # the CLI's own defaults are part of the anchor: a changed --max-gens or
+    # --seed default changes the default report's bytes
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
 def test_cli_single_stage(capsys):
     assert main(["nonfg", "--max-gens", "3"]) == 0
     out = capsys.readouterr().out
