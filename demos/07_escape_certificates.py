@@ -11,7 +11,6 @@ import json
 
 from autcert.fingen import (
     certify_nonfg,
-    escape_exponent,
     membership,
     shift_generators,
     translation_str,
@@ -31,8 +30,10 @@ basis = SpanBasis(g.terms for g in gens)
 inside = membership(basis, 3 * gens[0] + (-2) * gens[1])
 print("member:", inside.member, "witness:", inside.witness)
 
-# ...and the next shift in the family is refused.
-escape = LaurentT.t_power(-2 * escape_exponent(gens))
+# ...and the next shift in the family is refused.  Its exponent is the
+# one the certificate records for the stage of these three generators.
+stage = certify_nonfg(max_k=3).stages[-1]
+escape = LaurentT.t_power(-2 * stage.escape_exponent)
 outside = membership(basis, escape)
 print("escape:", translation_str(escape), "member:", outside.member)
 

@@ -21,7 +21,12 @@ Q(a1, a2, a3) each of the four tangent-plane discriminants is
 times a nonzero square (1/a3^2, 1/a3^2, 1/a2^2 and 1 at e1..e4), and
 the quadric's matrix has det M = Delta/16.  So the seeded search sends
 an integer triple to the full check only when Delta is a positive
-perfect square; every other triple fails that check.
+perfect square; every other triple fails that check.  The check itself
+runs over ``int``: the form is the integer matrix 2*D*M, with D the lcm
+of the parameters' denominators, the tangent bases, ruling directions
+and meeting points are primitive integer vectors compared projectively
+by cross-multiplication, and each discriminant is reported divided by
+the square factor 4*D^2*c^4 that the integer basis introduces.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
@@ -39,7 +44,6 @@ from typing import Sequence
 from .scalars import (
     LaurentT,
     MultiPoly,
-    field_nullspace,
     matrix_rank_det,
     poly_divide_exact,
     poly_gcd,
@@ -138,21 +142,6 @@ class QuadricForm:
             (hc, hc, hc, zero),
         )
 
-    @staticmethod
-    def specialize(alpha: Sequence) -> tuple[tuple[Fraction, ...], ...]:
-        """Matrix of the quadric with the three parameters set to rationals."""
-        al = tuple(Fraction(a) for a in alpha)
-        if len(al) != 3:
-            raise ValueError("three parameter values expected")
-        half = Fraction(1, 2)
-        m = (
-            (Fraction(0), al[2] * half, al[1] * half, half),
-            (al[2] * half, Fraction(0), al[0] * half, half),
-            (al[1] * half, al[0] * half, Fraction(0), half),
-            (half, half, half, Fraction(0)),
-        )
-        return m
-
 
 def preserves_quadric(map_: RationalMapP3, q: MultiPoly) -> MultiPoly | dict:
     """Exact cofactor c with q(map) = c * q, or a failure record with the remainder."""
@@ -218,21 +207,53 @@ class SwapReport:
     failures: tuple[dict, ...] = ()
 
 
-def _quad(m, v, w):
-    total = Fraction(0)
-    for r in range(4):
-        if v[r]:
-            for c in range(4):
-                if m[r][c] and w[c]:
-                    total += v[r] * m[r][c] * w[c]
-    return total
+def _quad(m, v, w) -> int:
+    return sum(v[r] * m[r][c] * w[c] for r in range(4) if v[r] for c in range(4))
+
+
+def _primitive(v) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries; zero stays zero."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _kernel(rows) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the rational kernel {x : rows @ x = 0}.
+
+    Fraction-free Gauss-Jordan: a row operation cross-multiplies by the
+    two pivot-column entries and divides the row by its content.  Free
+    column f gives x_f = L, the pivots' lcm, and x_p = -row[f]*L/pivot.
+    """
+    A = list(rows)
+    n = len(A[0])
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if p is None:
+            continue
+        A[r], A[p] = A[p], A[r]
+        for i, row in enumerate(A):
+            if i != r and row[c]:
+                A[i] = _primitive([A[r][c] * x - row[c] * y for x, y in zip(row, A[r])])
+        pivots.append(c)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        L = math.lcm(*(A[k][p] for k, p in enumerate(pivots)))
+        vec = [0] * n
+        vec[f] = L
+        for k, p in enumerate(pivots):
+            vec[p] = -A[k][f] * (L // A[k][p])
+        basis.append(_primitive(vec))
+    return basis
 
 
 def _line_meet(l1, l2):
-    """Nullspace dimension of the combined system and the meeting point."""
+    """Kernel dimension of the combined system and the primitive meeting point."""
     (a, b), (c, e) = l1, l2
-    rows = [(a[k], b[k], -1 * c[k], -1 * e[k]) for k in range(4)]
-    basis = field_nullspace(rows)
+    basis = _kernel([(a[k], b[k], -c[k], -e[k]) for k in range(4)])
     if not basis:
         return 0, None
     if len(basis) > 1:
@@ -241,7 +262,7 @@ def _line_meet(l1, l2):
     point = tuple(lam * a[k] + mu * b[k] for k in range(4))
     if not any(point):
         return 2, None
-    return 1, point
+    return 1, _primitive(point)
 
 
 def verify_pij_swap(alpha: Sequence) -> SwapReport:
@@ -255,13 +276,22 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
     the i-th line of one ruling with the j-th line of the other, and
     the specialized involution must send it to p_ji, projectively, for
     all twelve ordered pairs.
+
+    The check runs over ``int`` with primitive projective points, on
+    N = 2*D*M.  Row i of N, first nonzero in column c, gives the tangent
+    basis W = N[i][c]*e_f - N[i][f]*e_c (f not c or i), whose integer
+    discriminant is reported divided by 4*D^2*N[i][c]^4: the one over
+    the rational basis W/N[i][c].  Ruling directions are
+    (-B +- r)*W1 + 2*A*W2; a swap is cross-multiplied proportionality.
     """
     al = tuple(Fraction(a) for a in alpha)
     if len(al) != 3 or any(a == 0 for a in al):
         raise ValueError("three nonzero parameter values expected")
     alpha_str = tuple(str(a) for a in al)
-    m = QuadricForm.specialize(al)
-    _, det = matrix_rank_det([list(r) for r in m])
+    D = math.lcm(*(a.denominator for a in al))
+    a1, a2, a3 = (int(a * D) for a in al)
+    m = ((0, a3, a2, D), (a3, 0, a1, D), (a2, a1, 0, D), (D, D, D, 0))
+    _, det = matrix_rank_det(m)
     if det == 0:
         return SwapReport(
             alpha_str, False,
@@ -269,37 +299,37 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
         )
 
     failures: list[dict] = []
-    basis_e = [tuple(Fraction(int(r == k)) for r in range(4)) for k in range(4)]
     lines: dict[tuple[int, int], tuple] = {}
     discs: list[str] = []
     for i in range(4):
-        tangent_row = m[i]
-        null = field_nullspace([tangent_row])
-        spanning = [v for v in null if v[i] == 0]
-        if len(null) != 3 or len(spanning) != 2:
+        row = m[i]
+        c = next((k for k in range(4) if row[k] and k != i), None)
+        if c is None:
             failures.append({"kind": "tangent-plane-degenerate", "point": i + 1})
             continue
-        w1, w2 = spanning
+        w1, w2 = (
+            tuple(row[c] * (k == f) - row[f] * (k == c) for k in range(4))
+            for f in range(4)
+            if f not in (c, i)
+        )
         A = _quad(m, w1, w1)
         C = _quad(m, w2, w2)
         B = 2 * _quad(m, w1, w2)
         disc = B * B - 4 * A * C
-        discs.append(str(disc))
+        discs.append(str(Fraction(disc, 4 * D * D * row[c] ** 4)))
         if disc == 0:
             failures.append({"kind": "coincident-ruling-lines", "point": i + 1})
             continue
         root = rational_sqrt(disc)
         if root is None:
-            failures.append({"kind": "irrational-ruling", "discriminant": str(disc)})
+            failures.append({"kind": "irrational-ruling", "discriminant": discs[-1]})
             continue
-        if A != 0:
-            u1 = (-B + root) / (2 * A)
-            u2 = (-B - root) / (2 * A)
-            d1 = tuple(u1 * w1[k] + w2[k] for k in range(4))
-            d2 = tuple(u2 * w1[k] + w2[k] for k in range(4))
-        else:
-            d1 = w1
-            d2 = tuple((-C / B) * w1[k] + w2[k] for k in range(4))
+        # A is -2*a1*a2*a3 at e1..e3 and -2*D^2*a3 at e4, with the a_k
+        # scaled by D, so it is never 0 and neither direction vanishes
+        d1, d2 = (
+            _primitive([(s * int(root) - B) * x + 2 * A * y for x, y in zip(w1, w2)])
+            for s in (1, -1)
+        )
         off = [d for d in (d1, d2) if _quad(m, d, d) != 0]
         if off:
             failures.append(
@@ -310,8 +340,9 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
                 }
             )
             continue
-        lines[(i + 1, 0)] = (basis_e[i], d1)
-        lines[(i + 1, 1)] = (basis_e[i], d2)
+        base = tuple(int(k == i) for k in range(4))
+        lines[(i + 1, 0)] = (base, d1)
+        lines[(i + 1, 1)] = (base, d2)
 
     if failures:
         return SwapReport(alpha_str, False, tuple(discs), failures=tuple(failures))

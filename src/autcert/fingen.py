@@ -27,7 +27,6 @@ strings; the pipeline writes them out as exact strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .lattice import SpanBasis
 from .scalars import LaurentT
@@ -79,13 +78,6 @@ def _support(g: LaurentT) -> int:
 def _escape_below(bound: int) -> int:
     """Least positive N with -2N strictly below bound."""
     return max(1, -bound // 2 + 1)
-
-
-def escape_exponent(gens: Sequence[LaurentT]) -> int:
-    """Least positive N with -2N below every exponent used by the generators."""
-    if not gens:
-        raise ValueError("no generators")
-    return _escape_below(min(_support(g) for g in gens))
 
 
 def shift_generators(k: int) -> list[LaurentT]:

@@ -139,19 +139,18 @@ class MultiPoly:
 
     def _aligned(self, other: MultiPoly):
         names = tuple(sorted(set(self.vars) | set(other.vars)))
-        pos = {v: i for i, v in enumerate(names)}
+        return names, self._lift(names), other._lift(names)
 
-        def remap(p: MultiPoly) -> dict[tuple, Fraction]:
-            out = {}
-            idx = [pos[v] for v in p.vars]
-            for e, c in p.terms.items():
-                full = [0] * len(names)
-                for i, exp in zip(idx, e):
-                    full[i] = exp
-                out[tuple(full)] = c
-            return out
-
-        return names, remap(self), remap(other)
+    def _lift(self, names: tuple[str, ...]) -> dict[tuple, Fraction]:
+        """Terms keyed by exponent tuples over names, a superset of self.vars."""
+        idx = [names.index(v) for v in self.vars]
+        out = {}
+        for e, c in self.terms.items():
+            full = [0] * len(names)
+            for i, exp in zip(idx, e):
+                full[i] = exp
+            out[tuple(full)] = c
+        return out
 
     def __add__(self, other) -> MultiPoly:
         other = self._coerce(other)
@@ -181,12 +180,7 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         names, ta, tb = self._aligned(other)
-        out: dict[tuple, Fraction] = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return MultiPoly(names, out)
+        return MultiPoly(names, _term_product(ta, tb))
 
     __rmul__ = __mul__
 
@@ -260,18 +254,30 @@ class MultiPoly:
     # -- substitution ------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, "MultiPoly | Fraction | int"]) -> MultiPoly:
-        """Replace named variables by polynomials; others are kept."""
-        values = {k: self._coerce(v) for k, v in assignment.items()}
-        out = MultiPoly.zero()
+        """Replace named variables by polynomials; others are kept.
+
+        One pass over term dicts aligned to one variable tuple: each power
+        of a value is built once per call, and one ``MultiPoly`` at the end.
+        """
+        values = {
+            v: self._coerce(assignment[v]) if v in assignment else MultiPoly.var(v)
+            for v in self.vars
+        }
+        names = tuple(sorted(set().union(*(p.vars for p in values.values()))))
+        one = (0,) * len(names)
+        powers = {v: [{one: 1}, p._lift(names)] for v, p in values.items()}
+        out: dict[tuple, Fraction] = {}
         for e, c in self.terms.items():
-            term = MultiPoly.const(c)
+            term = {one: c}
             for v, exp in zip(self.vars, e):
-                if exp == 0:
-                    continue
-                factor = values.get(v, MultiPoly.var(v))
-                term = term * factor**exp
-            out = out + term
-        return out
+                pw = powers[v]
+                while len(pw) <= exp:
+                    pw.append(_term_product(pw[-1], pw[1]))
+                if exp:
+                    term = _term_product(term, pw[exp])
+            for mono, coeff in term.items():
+                out[mono] = out.get(mono, 0) + coeff
+        return MultiPoly(names, out)
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Evaluate at field values; every occurring variable must be set."""
@@ -316,6 +322,16 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _term_product(ta: Mapping[tuple, Fraction], tb: Mapping[tuple, Fraction]) -> dict:
+    """Product of two term dicts keyed by exponent tuples of one variable order."""
+    out: dict[tuple, Fraction] = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
 
 
 def poly_divide_exact(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly | None:
@@ -601,12 +617,6 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 # -- exact linear algebra ---------------------------------------------------
 
 
-def _entry(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
-
-
 def _exact_quot(a, b):
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
@@ -665,41 +675,6 @@ def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
         return r, Fraction(1)
     det = prev if sign == 1 else -prev
     return r, Fraction(det, scale) if isinstance(det, int) else det
-
-
-def field_nullspace(rows: Sequence[Sequence]) -> list[tuple]:
-    """Basis of the right kernel {x : A x = 0} over a field, by elimination."""
-    A = [[_entry(x) for x in row] for row in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if any(len(row) != n for row in A):
-        raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if A[i][c]), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return []
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -A[ri][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 # -- canonical text round-trip ----------------------------------------------

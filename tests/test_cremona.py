@@ -1,10 +1,12 @@
 """Tests for the Cremona involution and the affine maps of the line."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from autcert import cremona, pipeline
 from autcert.cremona import (
@@ -28,6 +30,8 @@ from autcert.scalars import (
     parse_poly,
     rational_sqrt,
 )
+
+from conftest import int_matrix
 
 COFACTOR = parse_poly("a1*a2*a3*x1*x2*x3*x4")
 
@@ -183,6 +187,132 @@ def test_find_swap_specializations_deterministic():
     for report in found:
         assert report.passed
         assert verify_pij_swap(report.alpha) == report
+
+
+# The seeded search's samples for pipeline seeds 0-11: each alpha with
+# its four tangent-plane discriminants, recorded from the rational
+# (Fraction) implementation of the swap check.
+SWAP_SAMPLES = {
+    0: [
+        ((3, 2, 10), ("1/100", "1/100", "1/4", "1")),
+        ((1, 12, 5), ("16/25", "16/25", "1/9", "16")),
+        ((2, 12, 4), ("1/4", "1/4", "1/36", "4")),
+    ],
+    1: [
+        ((3, 10, 2), ("1/4", "1/4", "1/100", "1")),
+        ((2, 6, 1), ("1", "1", "1/36", "1")),
+        ((10, 1, 4), ("9/16", "9/16", "9", "9")),
+    ],
+    2: [
+        ((12, 1, 5), ("16/25", "16/25", "16", "16")),
+        ((6, 2, 1), ("1", "1", "1/4", "1")),
+        ((4, 12, 2), ("1", "1", "1/36", "4")),
+    ],
+    3: [
+        ((2, 3, 10), ("1/100", "1/100", "1/9", "1")),
+        ((6, 2, 1), ("1", "1", "1/4", "1")),
+        ((2, 9, 2), ("9/4", "9/4", "1/9", "9")),
+    ],
+    4: [
+        ((6, 2, 1), ("1", "1", "1/4", "1")),
+        ((1, 6, 12), ("1/144", "1/144", "1/36", "1")),
+        ((2, 2, 9), ("1/9", "1/9", "9/4", "9")),
+    ],
+    5: [
+        ((10, 4, 1), ("9", "9", "9/16", "9")),
+        ((3, 10, 2), ("1/4", "1/4", "1/100", "1")),
+        ((5, 1, 12), ("1/9", "1/9", "16", "16")),
+    ],
+    6: [
+        ((8, 1, 3), ("4/9", "4/9", "4", "4")),
+        ((10, 1, 4), ("9/16", "9/16", "9", "9")),
+        ((3, 10, 2), ("1/4", "1/4", "1/100", "1")),
+    ],
+    7: [
+        ((6, 12, 1), ("1", "1", "1/144", "1")),
+        ((2, 12, 3), ("25/9", "25/9", "25/144", "25")),
+        ((1, 8, 3), ("4/9", "4/9", "1/16", "4")),
+    ],
+    8: [
+        ((3, 10, 2), ("1/4", "1/4", "1/100", "1")),
+        ((1, 10, 4), ("9/16", "9/16", "9/100", "9")),
+        ((2, 3, 10), ("1/100", "1/100", "1/9", "1")),
+    ],
+    9: [
+        ((8, 3, 1), ("4", "4", "4/9", "4")),
+        ((6, 2, 1), ("1", "1", "1/4", "1")),
+        ((4, 1, 10), ("9/100", "9/100", "9", "9")),
+    ],
+    10: [
+        ((12, 6, 1), ("1", "1", "1/36", "1")),
+        ((12, 1, 6), ("1/36", "1/36", "1", "1")),
+        ((3, 2, 10), ("1/100", "1/100", "1/4", "1")),
+    ],
+    11: [
+        ((4, 12, 2), ("1", "1", "1/36", "4")),
+        ((4, 1, 10), ("9/100", "9/100", "9", "9")),
+        ((6, 12, 1), ("1", "1", "1/144", "1")),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SWAP_SAMPLES))
+def test_swap_samples_match_the_recorded_table(seed):
+    found = find_swap_specializations(seed)
+    expected = [(tuple(map(str, a)), discs) for a, discs in SWAP_SAMPLES[seed]]
+    assert [(r.alpha, r.discriminants) for r in found] == expected
+    assert all(r.passed and r.swaps_checked == 12 and not r.failures for r in found)
+
+
+def test_every_square_delta_triple_passes_with_rescaled_discriminants():
+    passing = 0
+    for triple in itertools.product(range(1, 13), repeat=3):
+        d = delta(triple)
+        if not is_positive_square(d):
+            continue
+        report = verify_pij_swap(triple)
+        assert report.passed and report.swaps_checked == 12, triple
+        _, a2, a3 = triple
+        expected = (Fraction(d, a3 * a3), Fraction(d, a3 * a3), Fraction(d, a2 * a2), d)
+        assert report.discriminants == tuple(str(Fraction(x)) for x in expected)
+        passing += 1
+    assert passing == 51
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        (Fraction(9, 2), 1, 1),
+        (Fraction(1, 2), Fraction(1, 3), 2),
+        (Fraction(-3, 7), Fraction(-2, 7), Fraction(-10, 7)),
+    ],
+)
+def test_rational_parameters_pass_with_rescaled_discriminants(triple):
+    # the integer form clears the parameters' denominators; the reported
+    # discriminants are still Delta over (a3^2, a3^2, a2^2, 1)
+    report = verify_pij_swap(triple)
+    a1, a2, a3 = map(Fraction, triple)
+    d = a1 * a1 + a2 * a2 + a3 * a3 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)
+    assert report.passed and report.swaps_checked == 12
+    assert report.discriminants == tuple(str(x) for x in (d / a3**2, d / a3**2, d / a2**2, d))
+
+
+@given(int_matrix(3, 4))
+def test_kernel_is_a_primitive_basis_of_the_nullspace(m):
+    rank, _ = matrix_rank_det(m)
+    basis = cremona._kernel(m)
+    assert len(basis) == 4 - rank
+    for vec in basis:
+        assert math.gcd(*vec) == 1
+        for row in m:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+def test_line_meet_dimensions():
+    e = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+    assert cremona._line_meet((e[0], e[1]), (e[2], e[3])) == (0, None)
+    assert cremona._line_meet((e[0], e[1]), (e[1], (0, 0, 2, 2))) == (1, (0, 1, 0, 0))
+    assert cremona._line_meet((e[0], e[1]), ((2, 2, 0, 0), (3, -1, 0, 0))) == (2, None)
 
 
 def delta(triple):

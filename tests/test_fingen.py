@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from autcert import fingen
 from autcert.fingen import (
     certify_nonfg,
-    escape_exponent,
     membership,
     shift_generators,
     translation_str,
@@ -136,15 +135,18 @@ def test_membership_monotone_under_more_generators(target_terms):
 # -- escape exponents ------------------------------------------------------------------
 
 
-def test_escape_exponent_examples():
-    assert escape_exponent(shift_generators(1)) == 1
-    assert escape_exponent(shift_generators(3)) == 3
-    assert escape_exponent([LaurentT({2: 1})]) == 1
-    assert escape_exponent([LaurentT({-5: 1})]) == 3
+def test_escape_exponents_follow_the_support_bound(monkeypatch):
+    # the escape exponent is the least positive N with -2N below the
+    # running support bound, and a zero generator has no bound at all
+    gens = [LaurentT({2: 1}), LaurentT({-5: 1}), LaurentT({-6: 1})]
+    monkeypatch.setattr(fingen, "shift_generators", lambda k: gens[:k])
+    cert = certify_nonfg(2)
+    assert [s.support_bound for s in cert.stages] == [2, -5]
+    assert [s.escape_exponent for s in cert.stages] == [1, 3]
+    assert not cert.passed
+    monkeypatch.setattr(fingen, "shift_generators", lambda k: [LaurentT.t_power(0), LaurentT({})])
     with pytest.raises(ValueError, match="zero generator"):
-        escape_exponent([LaurentT({})])
-    with pytest.raises(ValueError, match="no generators"):
-        escape_exponent([])
+        certify_nonfg(1)
 
 
 def test_shift_generators():

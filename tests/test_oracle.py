@@ -8,14 +8,14 @@ hypothesis seeds, so every run checks the same cases.
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form
 
-from autcert.cremona import A_VARS, QuadricForm, verify_pij_swap
+from autcert.cremona import A_VARS, QuadricForm, _kernel, verify_pij_swap
 from autcert.lattice import SpanBasis, hnf, signature
 from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
 
@@ -116,6 +116,54 @@ def test_hnf_row_span_matches_sympy(rows):
     theirs = hermite_normal_form(sympy.Matrix(rows).T)
     assert hermite_normal_form(sympy.Matrix(H).T) == theirs
     assert sum(1 for row in H if any(row)) == theirs.shape[1]
+
+
+@st.composite
+def rank_two_to_four(draw):
+    """4x4 integer matrices whose rows after the first r are combinations of those r."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    rows = [[draw(int_entries) for _ in range(4)] for _ in range(r)]
+    for _ in range(4 - r):
+        coeffs = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(r)]
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(4)])
+    return draw(st.permutations(rows))
+
+
+@seed(20190407)
+@oracle
+@given(rank_two_to_four())
+def test_line_meet_kernel_matches_sympy_nullspace(rows):
+    theirs = sympy.Matrix(rows).nullspace()
+    assume(len(theirs) <= 2)
+    mine = _kernel(rows)
+    assert len(mine) == len(theirs)
+    # the same span: stacking both bases adds nothing to either
+    if mine:
+        assert sympy.Matrix(mine).rank() == len(mine)
+        assert sympy.Matrix(mine + [list(v) for v in theirs]).rank() == len(mine)
+
+
+substituted_values = st.one_of(
+    polys(max_vars=3, max_deg=2, max_terms=3),
+    small_fractions,
+    st.just(0),
+)
+
+
+@seed(20190408)
+@oracle
+@given(
+    polys(max_vars=3, max_deg=3, max_terms=4),
+    st.dictionaries(st.sampled_from(POLY_VARS), substituted_values),
+)
+def test_substitute_matches_sympy(p, assignment):
+    # a simultaneous substitution of polynomial, constant and zero values
+    values = {
+        sympy.Symbol(v): to_sympy(c) if isinstance(c, MultiPoly) else rational(c)
+        for v, c in assignment.items()
+    }
+    theirs = sympy.expand(to_sympy(p).subs(values, simultaneous=True))
+    assert sympy.expand(to_sympy(p.substitute(assignment)) - theirs) == 0
 
 
 @st.composite

@@ -14,7 +14,6 @@ from autcert.scalars import (
     MultiPoly,
     ProjValue,
     RatFunc,
-    field_nullspace,
     matrix_rank_det,
     parse_fraction,
     parse_laurent,
@@ -330,17 +329,6 @@ def test_det_matches_cofactor_oracle_4(m):
     rows = [[Fraction(v) for v in row] for row in m]
     _, det = matrix_rank_det(rows)
     assert det == naive_det(rows)
-
-
-@given(int_matrix(3, 4))
-def test_nullspace_annihilates(m):
-    rows = [[Fraction(v) for v in row] for row in m]
-    rank, _ = matrix_rank_det(rows)
-    basis = field_nullspace(rows)
-    assert len(basis) == 4 - rank
-    for vec in basis:
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
 # -- canonical text ----------------------------------------------------------
