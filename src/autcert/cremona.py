@@ -265,7 +265,7 @@ def _line_meet(l1, l2):
     return 1, _primitive(point)
 
 
-def verify_pij_swap(alpha: Sequence) -> SwapReport:
+def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapReport:
     """Reconstruct the two rulings at a parameter specialization and
     confirm the involution exchanges p_ij with p_ji.
 
@@ -282,7 +282,10 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
     basis W = N[i][c]*e_f - N[i][f]*e_c (f not c or i), whose integer
     discriminant is reported divided by 4*D^2*N[i][c]^4: the one over
     the rational basis W/N[i][c].  Ruling directions are
-    (-B +- r)*W1 + 2*A*W2; a swap is cross-multiplied proportionality.
+    (-B +- r)*W1 + 2*A*W2.  The map ``tau`` (default ``cremona_map()``)
+    is evaluated over ``int`` at the D-scaled parameters, each component
+    times the powers of D its degree in a1..a3 lacks: the same
+    projective point.  A swap is cross-multiplied proportionality.
     """
     al = tuple(Fraction(a) for a in alpha)
     if len(al) != 3 or any(a == 0 for a in al):
@@ -303,10 +306,8 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
     discs: list[str] = []
     for i in range(4):
         row = m[i]
-        c = next((k for k in range(4) if row[k] and k != i), None)
-        if c is None:
-            failures.append({"kind": "tangent-plane-degenerate", "point": i + 1})
-            continue
+        # every row holds D or a nonzero parameter off its diagonal
+        c = next(k for k in range(4) if row[k] and k != i)
         w1, w2 = (
             tuple(row[c] * (k == f) - row[f] * (k == c) for k in range(4))
             for f in range(4)
@@ -317,9 +318,7 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
         B = 2 * _quad(m, w1, w2)
         disc = B * B - 4 * A * C
         discs.append(str(Fraction(disc, 4 * D * D * row[c] ** 4)))
-        if disc == 0:
-            failures.append({"kind": "coincident-ruling-lines", "point": i + 1})
-            continue
+        # disc is Delta times a nonzero square, and Delta = 0 returned above
         root = rational_sqrt(disc)
         if root is None:
             failures.append({"kind": "irrational-ruling", "discriminant": discs[-1]})
@@ -374,7 +373,6 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
                         {"kind": "same-ruling-lines-meet", "pair": [i, j]}
                     )
 
-    tau = cremona_map()
     points: dict[tuple[int, int], tuple] = {}
     for i in range(1, 5):
         for j in range(1, 5):
@@ -395,12 +393,16 @@ def verify_pij_swap(alpha: Sequence) -> SwapReport:
                 continue
             points[(i, j)] = point
 
+    if tau is None:
+        tau = cremona_map()
+    degrees = [c.degree_in(A_VARS) for c in tau.components]
+    lift = [D ** (max(degrees) - e) for e in degrees]
     swaps = 0
     for (i, j), p in points.items():
         q = points.get((j, i))
         if q is None:
             continue
-        image = tau.apply(p, al)
+        image = tuple(v * s for v, s in zip(tau.apply(p, (a1, a2, a3)), lift))
         if not any(image):
             failures.append({"kind": "image-vanishes", "pair": [i, j]})
             continue
@@ -455,6 +457,7 @@ def find_swap_specializations(seed: int = 0) -> list[SwapReport]:
     irrational-ruling otherwise: the screen changes no returned report.
     """
     rng = random.Random(seed)
+    tau = cremona_map()
     found: list[SwapReport] = []
     seen: set[tuple[int, int, int]] = set()
     for _ in range(5000):
@@ -466,7 +469,7 @@ def find_swap_specializations(seed: int = 0) -> list[SwapReport]:
         delta = a1 * a1 + a2 * a2 + a3 * a3 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)
         if delta <= 0 or math.isqrt(delta) ** 2 != delta:
             continue
-        report = verify_pij_swap(triple)
+        report = verify_pij_swap(triple, tau)
         if report.passed:
             found.append(report)
             if len(found) == 3:

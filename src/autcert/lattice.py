@@ -7,8 +7,8 @@ comes with an integer witness the caller can recheck by hand; the
 negative answers follow from divisibility obstructions in an echelon
 basis.  Kernels use the Hermite form; membership uses a sparse echelon
 basis grown one generator at a time, which also takes Fraction
-entries.  Signatures are computed by symmetric congruence over exact
-rationals, and small root lattices are recognized by their Dynkin
+entries.  Signatures are computed by symmetric congruence over the
+integers, and small root lattices are recognized by their Dynkin
 diagrams.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import matrix_rank_det
@@ -272,17 +273,19 @@ def orth_complement(
 
 
 def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia by symmetric congruence.
+    """(positive, negative, zero) inertia by integer symmetric congruence.
 
-    Diagonalizes over the rationals with paired row and column
-    operations; an all-zero diagonal block with a surviving
-    off-diagonal entry is broken by adding one basis vector to
-    another, which works in characteristic zero.
+    Pivot d clears entry f of its column with the row operation
+    row_i <- (d/g)*row_i - (f/g)*row_k, g = gcd(d, f), and the same
+    operation on column i: a congruence by an integer matrix of nonzero
+    determinant, so Sylvester's law keeps the inertia.  An all-zero
+    diagonal block with a surviving off-diagonal entry is broken by
+    adding one basis vector to another, which works in characteristic
+    zero.
     """
-    G = _check_gram(gram)
-    n = len(G)
-    M = [[Fraction(v) for v in row] for row in G]
-    pos = neg = zero = 0
+    M = [list(row) for row in _check_gram(gram)]
+    n = len(M)
+    positive: list[bool] = []  # one entry per nonzero pivot
     for k in range(n):
         p = next((i for i in range(k, n) if M[i][i]), None)
         if p is None:
@@ -291,33 +294,29 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
                 None,
             )
             if pair is None:
-                zero += n - k
                 break
             i, j = pair
-            for t in range(n):
-                M[i][t] += M[j][t]
-            for t in range(n):
-                M[t][i] += M[t][j]
+            M[i] = [x + y for x, y in zip(M[i], M[j])]
+            for row in M:
+                row[i] += row[j]
             p = i
         if p != k:
             M[k], M[p] = M[p], M[k]
             for row in M:
                 row[k], row[p] = row[p], row[k]
-        d = M[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        top = M[k]
+        d = top[k]
+        positive.append(d > 0)
         for i in range(k + 1, n):
-            if M[i][k]:
-                f = M[i][k] / d
-                for t in range(n):
-                    if M[k][t]:
-                        M[i][t] -= f * M[k][t]
-                for t in range(n):
-                    if M[t][k]:
-                        M[t][i] -= f * M[t][k]
-    return pos, neg, zero
+            f = M[i][k]
+            if f:
+                g = gcd(d, f)
+                a, b = d // g, f // g
+                M[i] = [a * x - b * y for x, y in zip(M[i], top)]
+                for row in M:
+                    row[i] = a * row[i] - b * row[k]
+    pos = sum(positive)
+    return pos, len(positive) - pos, n - len(positive)
 
 
 def gram_rank(gram: Sequence[Sequence[int]]) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -280,13 +281,13 @@ class MultiPoly:
         return MultiPoly(names, out)
 
     def evaluate(self, assignment: Mapping[str, object]):
-        """Evaluate at field values; every occurring variable must be set."""
+        """Evaluate with a value for every variable; integer data evaluates over ``int``."""
         missing = [v for v in self.vars if v not in assignment]
         if missing:
             raise ValueError(f"unassigned variables {missing}")
         total = None
         for e, c in self.terms.items():
-            term = c
+            term = c.numerator if c.denominator == 1 else c
             for v, exp in zip(self.vars, e):
                 if exp:
                     term = term * assignment[v] ** exp
@@ -617,13 +618,11 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 # -- exact linear algebra ---------------------------------------------------
 
 
-def _exact_quot(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("division is not exact")
-        return q
-    return MultiPoly._coerce(a).exact_div(MultiPoly._coerce(b))
+def _exact_quot(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("division is not exact")
+    return q
 
 
 def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
@@ -631,21 +630,26 @@ def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
 
     Entries may be integers, rationals or polynomials; the
     successive-pivot divisions are exact over any integral domain, so
-    no fractions of entries are ever formed.
-    A matrix of integers and rationals is eliminated over ``int``: each
-    row is first scaled by the lcm of its denominators, and every
-    division is a checked ``divmod`` (a remainder raises
-    ``ArithmeticError``).  Its determinant is still returned as a
-    ``Fraction``, divided back by the row scales.  The empty 0x0 matrix
-    has rank 0 and determinant 1.
+    no fractions of entries are ever formed.  The division is chosen
+    once per call.  A matrix of integers and rationals is eliminated
+    over ``int``, each row first scaled by the lcm of its denominators,
+    and divides by ``divmod`` (a remainder raises ``ArithmeticError``);
+    its determinant is still a ``Fraction``, divided back by the row
+    scales.  Any other matrix divides with ``MultiPoly.exact_div``.  The
+    empty 0x0 matrix has rank 0 and determinant 1.
     """
     A = [list(row) for row in rows]
+    kinds = set(map(type, chain.from_iterable(A)))
     scale = 1
-    if all(isinstance(x, (int, Fraction)) for row in A for x in row):
-        for k, row in enumerate(A):
-            d = lcm(*(x.denominator for x in row))
-            A[k] = [x.numerator * (d // x.denominator) for x in row]
-            scale *= d
+    if all(issubclass(t, (int, Fraction)) for t in kinds):
+        if kinds - {int}:
+            for k, row in enumerate(A):
+                d = lcm(*(x.denominator for x in row))
+                A[k] = [x.numerator * (d // x.denominator) for x in row]
+                scale *= d
+        quot = _exact_quot
+    else:
+        quot = lambda a, b: MultiPoly._coerce(a).exact_div(MultiPoly._coerce(b))
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
@@ -660,12 +664,15 @@ def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
         if pivot != r:
             A[r], A[pivot] = A[pivot], A[r]
             sign = -sign
-        for i in range(r + 1, m):
+        top = A[r]
+        p = top[c]
+        for row in A[r + 1 :]:
+            f = row[c]
             for j in range(c + 1, n):
-                val = A[r][c] * A[i][j] - A[i][c] * A[r][j]
-                A[i][j] = val if prev is None else _exact_quot(val, prev)
-            A[i][c] = Fraction(0)
-        prev = A[r][c]
+                val = p * row[j] - f * top[j]
+                row[j] = val if prev is None else quot(val, prev)
+            row[c] = 0
+        prev = p
         r += 1
     if m != n:
         return r, None

@@ -81,7 +81,11 @@ class Marking:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Labeled curves with an exact symmetric intersection table."""
+    """Labeled curves with an exact symmetric intersection table.
+
+    Lookups go through a label -> index map built once, with each alias
+    mapped to its target's index; it takes no part in equality or repr.
+    """
 
     tag: str
     chi: int
@@ -89,6 +93,7 @@ class Configuration:
     gram: Mat
     markings: Mapping[str, Marking] = field(default_factory=dict)
     aliases: Mapping[str, str] = field(default_factory=dict)
+    _index: Mapping[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.tag not in SURFACE_CHI:
@@ -128,18 +133,20 @@ class Configuration:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "markings", markings)
         object.__setattr__(self, "aliases", aliases)
+        index = {lab: i for i, lab in enumerate(labels)}
+        index.update((alias, index[target]) for alias, target in aliases.items())
+        object.__setattr__(self, "_index", index)
 
     # -- lookups -------------------------------------------------------
 
     def resolve(self, label: str) -> str:
-        if label in self.aliases:
-            return self.aliases[label]
-        if label not in self.labels:
-            raise KeyError(f"no curve labeled {label}")
-        return label
+        return self.labels[self.index(label)]
 
     def index(self, label: str) -> int:
-        return self.labels.index(self.resolve(label))
+        try:
+            return self._index[label]
+        except KeyError:
+            raise KeyError(f"no curve labeled {label}") from None
 
     def pairing(self, a: str, b: str) -> int:
         return self.gram[self.index(a)][self.index(b)]
@@ -379,11 +386,14 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
             }
         )
         return IsometryReport(False, tuple(failures), perm.fixed_labels())
+    gram = config.gram
+    image = [config.index(cm[a]) for a in config.labels]
     for i, a in enumerate(config.labels):
-        for b in config.labels[i:]:
-            before = config.pairing(a, b)
-            after = config.pairing(cm[a], cm[b])
+        row, image_row = gram[i], gram[image[i]]
+        for j in range(i, len(image)):
+            before, after = row[j], image_row[image[j]]
             if before != after:
+                b = config.labels[j]
                 failures.append(
                     {
                         "kind": "pairing-not-preserved",

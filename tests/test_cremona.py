@@ -279,6 +279,29 @@ def test_every_square_delta_triple_passes_with_rescaled_discriminants():
     assert passing == 51
 
 
+def test_every_triple_fails_only_as_irrational_or_degenerate():
+    # every row of 2*D*M has a nonzero off-diagonal entry and every
+    # discriminant is Delta times a nonzero square, so over the whole
+    # box the check fails only on an irrational ruling or on Delta = 0
+    kinds = set()
+    passing = 0
+    for triple in itertools.product(range(1, 13), repeat=3):
+        report = verify_pij_swap(triple)
+        passing += report.passed
+        kinds.update(f["kind"] for f in report.failures)
+    assert kinds == {"irrational-ruling", "degenerate-quadric"}
+    assert passing == 51
+
+
+@pytest.mark.parametrize("alpha", [(9, 2, 2), (Fraction(9, 2), 1, 1)])
+def test_swap_checks_the_map_it_is_given(alpha):
+    assert verify_pij_swap(alpha, cremona_map()) == verify_pij_swap(alpha)
+    # the identity fixes p_ij instead of sending it to p_ji
+    report = verify_pij_swap(alpha, linear_map("x1", "x2", "x3", "x4"))
+    assert not report.passed and report.swaps_checked == 0
+    assert {f["kind"] for f in report.failures} == {"swap-failed"}
+
+
 @pytest.mark.parametrize(
     "triple",
     [
@@ -355,9 +378,9 @@ def test_delta_screen_skips_only_triples_that_fail(seed):
 def test_cremona_stage_verifies_only_triples_with_a_square_delta(monkeypatch):
     calls = []
 
-    def counting(alpha):
+    def counting(alpha, *rest):
         calls.append(tuple(alpha))
-        return verify_pij_swap(alpha)
+        return verify_pij_swap(alpha, *rest)
 
     monkeypatch.setattr(cremona, "verify_pij_swap", counting)
     monkeypatch.setattr(pipeline, "verify_pij_swap", counting, raising=False)

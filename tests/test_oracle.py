@@ -237,6 +237,17 @@ def sign_changes(coeffs) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def descartes_signature(G) -> tuple[int, int, int]:
+    # a symmetric matrix has only real eigenvalues, so Descartes' rule of
+    # signs counts the positive and the negative ones exactly
+    lam = sympy.Symbol("lam")
+    chi = sympy.Matrix(G).charpoly(lam)
+    coeffs = chi.all_coeffs()
+    zero = len(coeffs) - 1 - max(k for k, c in enumerate(coeffs) if c != 0)
+    negated = sympy.Poly(chi.as_expr().subs(lam, -lam), lam).all_coeffs()
+    return sign_changes(coeffs), sign_changes(negated), zero
+
+
 @st.composite
 def symmetric_int_matrices(draw):
     n = draw(st.integers(min_value=1, max_value=5))
@@ -251,14 +262,61 @@ def symmetric_int_matrices(draw):
 @oracle
 @given(symmetric_int_matrices())
 def test_signature_matches_descartes_rule_on_charpoly(G):
-    # a symmetric matrix has only real eigenvalues, so Descartes' rule of
-    # signs counts the positive and the negative ones exactly
-    lam = sympy.Symbol("lam")
-    chi = sympy.Matrix(G).charpoly(lam)
-    coeffs = chi.all_coeffs()
-    zero = len(coeffs) - 1 - max(k for k, c in enumerate(coeffs) if c != 0)
-    negated = sympy.Poly(chi.as_expr().subs(lam, -lam), lam).all_coeffs()
-    assert signature(G) == (sign_changes(coeffs), sign_changes(negated), zero)
+    assert signature(G) == descartes_signature(G)
+
+
+@st.composite
+def zero_diagonal_matrices(draw, max_n=8):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            G[i][j] = G[j][i] = draw(st.integers(min_value=-3, max_value=3))
+    return G
+
+
+@st.composite
+def low_rank_matrices(draw, max_n=8):
+    # B * diag(d) * B^T with B of size n x r, so the rank is at most r
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    r = draw(st.integers(min_value=0, max_value=n))
+    B = [[draw(st.integers(min_value=-2, max_value=2)) for _ in range(r)] for _ in range(n)]
+    d = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(r)]
+    return [[sum(B[i][k] * d[k] * B[j][k] for k in range(r)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def block_sums(draw):
+    # a low-rank block in front leaves a zero block of columns that
+    # elimination must skip before the pivots of the second block
+    A = draw(low_rank_matrices(max_n=4))
+    B = draw(zero_diagonal_matrices(max_n=4))
+    n, m = len(A), len(B)
+    return [row + [0] * m for row in A] + [[0] * n + row for row in B]
+
+
+# zero diagonals reach signature's pair-breaking step, and low-rank
+# blocks the pivot columns that Bareiss skips
+singular_symmetric_matrices = st.one_of(
+    zero_diagonal_matrices(), low_rank_matrices(), block_sums()
+)
+
+
+@seed(20190409)
+@oracle
+@given(singular_symmetric_matrices)
+def test_signature_matches_descartes_rule_on_singular_matrices(G):
+    assert signature(G) == descartes_signature(G)
+
+
+@seed(20190410)
+@oracle
+@given(singular_symmetric_matrices)
+def test_int_matrix_rank_det_matches_sympy_on_singular_matrices(G):
+    rank, det = matrix_rank_det(G)
+    theirs = sympy.Matrix(G)
+    assert rank == theirs.rank()
+    assert isinstance(det, Fraction) and det == theirs.det()
 
 
 def test_swap_discriminants_are_delta_times_squares():

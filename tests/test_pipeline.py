@@ -124,6 +124,56 @@ def test_default_report_sha256_is_the_regression_anchor(default_report):
         assert digest == expected
 
 
+# sha256 of run_all(options).to_json(), recorded before the lattice and
+# swap kernels moved from Fraction to int.  The faulted reports print
+# verify_isometry's before/after pairings in their witnesses.  A
+# deliberate format change updates this table and records it in CHANGES.md.
+PINNED_REPORTS = {
+    **{
+        PipelineOptions(seed=s): digest
+        for s, digest in enumerate(
+            [
+                "f2f5d081ac6d4257163b69c3bcb5923b9c971d56518a731d25e9b062e6e90d9f",
+                "4077be7726fccff1037c215807a4fa54d79db9a382348d0bcf0811b990711111",
+                "c254a5cd47a76c495d4c3db0328c5915c73d075f5f790e8b99bf68e8dac994cb",
+                "30f9ea995b8d6ce83881ed2cdbd6d5c607020577bdfd803c27ec2272d751d991",
+                "d0ebcbd3eeca48879078f631dfac2c0a084f03925912136ce8548fe49972f413",
+                "ba3bf3f885a767352f1eccf7e71f3b2d8bd6763bf05506c56fab7bbc5f9d4c24",
+                "d6772de8bbaa4348b988ac06daa6eb87373959844d50836945a71097d7d06035",
+                "6e608d5a05734e0d866300966d49b7c33e0fc3a6b15dc00c03988e44bee910ae",
+                "83d60081bd9569cc0a05091c8e12dd9611046c5b0b7998a160832622e9e93891",
+                "2944fb07cb3066be71f358d65e7a5166320be1aece87280713079cfe7d8d990b",
+                "a8e326ba79826f2b26d96b3ea4f4de4243cc3732854bac14dc258d93d4d0d599",
+                "28ba4c8d1ebb5542ea533dc4930116ffacc2c7bf47e4f4a331c24098812d454d",
+            ]
+        )
+    },
+    **{
+        PipelineOptions(corrupt_pair=pair): digest
+        for pair, digest in [
+            (("E1", "C11"), "a7242d220b3af065c7f918fcb3c27340e5749e52cb05bbe301192a5e33c8a8f6"),
+            (("E2", "C2"), "57bb1bebff1d6e76d17df01e7453abfd1b4c842b571743d33cb6400eb174c34d"),
+            (("F3", "C32"), "c7d8355c582288d8030810dd649ced8e152806c5c6bfbe33da24dd3d8550304b"),
+            (("F4", "C44"), "69831f38171910092ca90611e87ab0fe6cda3ea752ca92f30255479d6ec40406"),
+            (("C11", "C2"), "80ddafde3ecc90397773dbde73367a258c3de78af7fa345d0967d31c5d3a5ef7"),
+            (("C33", "C4"), "aaa99332c10356029399aa53a2c5060fbe3e1dda746c1cdaf3b9cfbdf4eca18d"),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "options",
+    list(PINNED_REPORTS),
+    ids=lambda o: "-".join(o.corrupt_pair) if o.corrupt_pair else f"seed{o.seed}",
+)
+def test_report_sha256_matches_the_pinned_table(options):
+    report = run_all(options)
+    assert report.verdict == ("fail" if options.corrupt_pair else "pass")
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == PINNED_REPORTS[options]
+
+
 def test_stringify_keeps_booleans_in_integer_tuples():
     assert _stringify((1, -20)) == ["1", "-20"]
     assert _stringify((1, True)) == ["1", True]
@@ -222,7 +272,7 @@ def test_stage_bug_still_propagates(monkeypatch):
 
 
 def test_exhausted_swap_search_fails_the_cremona_stage(monkeypatch):
-    monkeypatch.setattr(cremona, "verify_pij_swap", lambda triple: SimpleNamespace(passed=False))
+    monkeypatch.setattr(cremona, "verify_pij_swap", lambda triple, *rest: SimpleNamespace(passed=False))
     stage = run_stage("cremona")
     assert stage.status == "fail"
     (check,) = stage.evidence["checks"]

@@ -357,6 +357,40 @@ def test_with_intersection_roundtrip():
     assert with_intersection(with_intersection(x, "E2", "C32", 0), "E2", "C32", 1) == x
 
 
+@pytest.mark.parametrize("config", ["extended", "quotient"])
+def test_curve_index_matches_label_position(config):
+    x = extend_with_conics(build_double_kummer())
+    c = x if config == "extended" else quotient_fixture()
+    assert len(c.labels) == (28 if config == "extended" else 14)
+    for k, lab in enumerate(c.labels):
+        assert c.index(lab) == c.labels.index(lab) == k
+    for alias, target in c.aliases.items():
+        assert c.index(alias) == c.index(target)
+        assert c.pairing(alias, "H2") == c.pairing(target, "H2")
+    with pytest.raises(KeyError, match="no curve labeled Q9"):
+        c.index("Q9")
+    with pytest.raises(KeyError, match="no curve labeled Q9"):
+        c.pairing(c.labels[0], "Q9")
+
+
+def test_with_intersection_through_an_alias_changes_the_target_entry():
+    z = quotient_fixture()
+    assert z.aliases["D23"] == "D32"
+    changed = with_intersection(z, "D23", "H2", 5)
+    i, j = z.labels.index("D32"), z.labels.index("H2")
+    assert changed.gram[i][j] == changed.gram[j][i] == 5
+    assert changed.pairing("D32", "H2") == changed.pairing("D23", "H2") == 5
+    assert sum(a != b for ra, rb in zip(z.gram, changed.gram) for a, b in zip(ra, rb)) == 2
+
+
+def test_configurations_built_alike_compare_equal():
+    assert build_double_kummer() == build_double_kummer()
+    assert quotient_fixture() == quotient_fixture()
+    x = extend_with_conics(build_double_kummer())
+    assert with_intersection(x, "E1", "C11", 0) != x
+    assert "_index" not in repr(build_double_kummer())
+
+
 def test_configuration_validation():
     with pytest.raises(ValueError, match="no curve"):
         Marking("P", {})
