@@ -3,14 +3,14 @@ Kodaira fibers: validation and classification from dual graphs
 ==============================================================
 
 A candidate fiber is a multiset of (-2)-curves with multiplicities.
-Validation checks the numerical fiber axioms; classification matches
-the weighted dual graph against the Kodaira types.
+Validation checks the numerical fiber axioms; classification validates,
+then matches the weighted dual graph against the Kodaira types and,
+for a cycle of type I_n, lists its components in cyclic order.
 """
 
 from autcert.fibration import (
     FiberDivisor,
     classify_kodaira,
-    component_cycle,
     euler_number,
     map_fiber,
     shioda_tate_rank,
@@ -48,9 +48,10 @@ m1 = FiberDivisor.of(("H2", "D32", "H3", "D31", "H1", "D41", "H4", "D42"))
 m2 = FiberDivisor(
     {"H2": 1, "D32": 2, "H1": 1, "D31": 2, "H4": 1, "D34": 2, "H3": 3}
 )
-print("M1 type:", classify_kodaira(z, m1).fiber_type)
+fm1 = classify_kodaira(z, m1)
+print("M1 type:", fm1.fiber_type)
 print("M2 type:", classify_kodaira(z, m2).fiber_type)
-print("M1 cycle:", component_cycle(z, m1))
+print("M1 cycle:", fm1.cycle)
 
 # Shioda-Tate: Picard number 18 and two I8 fibers leave rank 2.
 print("MW rank upstairs:", shioda_tate_rank(18, [classify_kodaira(x, n1).fiber_type] * 2))

@@ -7,7 +7,7 @@ correction terms read off the fiber component a section meets.  All
 section data here is extracted from the exact intersection table.
 """
 
-from autcert.fibration import FiberDivisor, KodairaType, component_cycle, map_fiber
+from autcert.fibration import FiberDivisor, KodairaType, classify_kodaira, map_fiber
 from autcert.mwl import (
     HeightContext,
     ModInt,
@@ -28,7 +28,7 @@ eps = epsilon_involution(x)
 n1 = FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"))
 n1eps = map_fiber(n1, eps.curve_map)
 # each I8 fiber enters as its component cycle, oriented canonically
-cycles = [("N1", component_cycle(x, n1)), ("N1eps", component_cycle(x, n1eps))]
+cycles = [("N1", classify_kodaira(x, n1).cycle), ("N1eps", classify_kodaira(x, n1eps).cycle)]
 i8 = KodairaType.I(8)
 ctx = HeightContext(chi=2, fibers=(("N1", i8), ("N1eps", i8)), zero_name="C21")
 

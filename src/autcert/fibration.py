@@ -4,10 +4,12 @@ A fiber is presented as a formal nonnegative combination of
 configuration curves.  Validation checks exactly what makes such a
 divisor a genus-one fiber candidate built from (-2)-curves: every
 component meets the whole divisor in zero, the support is connected,
-and consequently the divisor has square zero.  Classification then
-reads the weighted dual graph.  All multiplicity-one validated fibers
-are single cycles (type I_n); the starred types are recognized by
-matching the weighted graph against the affine diagram templates.
+and consequently the divisor has square zero.  Classification
+validates the divisor, then reads the weighted dual graph, in one
+pass: ``classify_kodaira`` gives the type, the graph and, for I_n, the
+components in cyclic order.  All multiplicity-one validated fibers are
+single cycles (type I_n); the starred types are recognized by matching
+the weighted graph against the affine diagram templates.
 
 Two classical collisions are resolved by convention and annotated in
 the result: a double edge on two components is reported as I2 (type
@@ -193,18 +195,18 @@ _FAILURE_TEXT = {
 
 @dataclass(frozen=True)
 class FiberClass:
+    """A validated fiber's type and dual graph.
+
+    ``cycle`` lists the components of an I_n fiber in cyclic order: it
+    starts at the least label and steps first to its smaller neighbor.
+    It is empty for every other type.
+    """
+
     fiber_type: KodairaType | None
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    multiplicities: Mapping[str, int]
     notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "multiplicities", dict(self.multiplicities))
-
-    @property
-    def recognized(self) -> bool:
-        return self.fiber_type is not None
+    cycle: tuple[str, ...] = ()
 
 
 def _star_templates(count: int):
@@ -258,7 +260,7 @@ def _star_templates(count: int):
 
 
 def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
-    """Read the Kodaira type off the weighted dual graph.
+    """Validate a fiber and read its Kodaira type off the weighted dual graph.
 
     Raises if validation fails.  Returns fiber_type None, with the
     computed graph attached, when the weighted graph matches no type.
@@ -269,56 +271,34 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
         raise ValueError(f"not a fiber candidate: {witness}")
     comps = _canonical_components(config, fiber)
     nodes, edges = dual_graph(config, fiber)
-    notes: list[str] = []
+    adj: dict[str, set[str]] = {a: set() for a in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
 
     if all(m == 1 for m in comps.values()):
         # component-meets-fiber zero forces weighted degree 2 at every
         # node here, so the connected support is a single cycle
-        n = len(comps)
+        n = len(nodes)
+        notes = []
         if n == 2:
             notes.append("double edge read as a 2-cycle; type III has the same dual graph")
-        if n == 3 and len(edges) == 3:
+        if n == 3:
             notes.append("triangle read as a 3-cycle; type IV has the same dual graph")
-        return FiberClass(KodairaType.I(n), nodes, edges, comps, tuple(notes))
+        cycle = [nodes[0], min(adj[nodes[0]])]
+        while len(cycle) < n:
+            prev, here = cycle[-2], cycle[-1]
+            cycle.append(next(b for b in adj[here] if b != prev))
+        return FiberClass(KodairaType.I(n), nodes, edges, tuple(notes), tuple(cycle))
 
-    simple = all(config.pairing(a, b) <= 1 for i, a in enumerate(nodes) for b in nodes[i + 1 :])
-    if simple:
-        adj = {
-            a: {b for b in nodes if b != a and config.pairing(a, b)}
-            for a in nodes
-        }
+    if len(set(edges)) == len(edges):
         target_multiset = sorted(comps.values())
         for kt, template_adj, template_mults in _star_templates(len(nodes)):
             if sorted(template_mults.values()) != target_multiset:
                 continue
             if graphs_isomorphic(adj, template_adj, comps, template_mults):
-                return FiberClass(kt, nodes, edges, comps, tuple(notes))
-    return FiberClass(None, nodes, edges, comps, ("no matching fiber type",))
-
-
-def component_cycle(config: Configuration, fiber: FiberDivisor) -> tuple[str, ...]:
-    """Components of an I_n fiber in cyclic order.
-
-    Orientation is canonical: start at the lexicographically smallest
-    label and step first to its smaller neighbor.
-    """
-    fc = classify_kodaira(config, fiber)
-    if fc.fiber_type is None or fc.fiber_type.symbol != "I":
-        raise ValueError(f"need I_n for a component cycle, got {fc.fiber_type}")
-    nodes = fc.nodes
-    if len(nodes) == 2:
-        return nodes
-    neighbors = {
-        a: sorted(b for b in nodes if b != a and config.pairing(a, b))
-        for a in nodes
-    }
-    start = nodes[0]
-    walk = [start, neighbors[start][0]]
-    while len(walk) < len(nodes):
-        prev, here = walk[-2], walk[-1]
-        nxt = [b for b in neighbors[here] if b != prev]
-        walk.append(nxt[0])
-    return tuple(walk)
+                return FiberClass(kt, nodes, edges)
+    return FiberClass(None, nodes, edges, ("no matching fiber type",))
 
 
 def shioda_tate_rank(rho: int, fiber_types: Sequence[KodairaType]) -> int:

@@ -163,7 +163,7 @@ def section_from_config(
     """Read (P.O) and the per-fiber component indices off the Gram table.
 
     Only I_n fibers are supported: each is given by its id and its
-    component cycle, as ``fibration.component_cycle`` orients it, and
+    component cycle, as ``fibration.FiberClass.cycle`` orients it, and
     the index is the cyclic distance from the zero section's component
     to the section's.  The section must meet exactly one component,
     once, and must not itself be a fiber component.

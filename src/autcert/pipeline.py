@@ -9,10 +9,10 @@ the certificate states exactly what was computed and what was assumed.
 
 :class:`Context` is the single source of construction data: it builds
 the curve configurations, applies the ``corrupt_pair`` fault, and
-measures the ranks and Kodaira types once, and every stage reads them
-there.  An injected fault therefore reaches every stage that reads the
-data it corrupts, and a stage that cannot be built from faulty data
-reports ``fail`` instead of raising.
+measures the ranks and classifies each named fiber once, and every
+stage reads them there.  An injected fault therefore reaches every
+stage that reads the data it corrupts, and a stage that cannot be
+built from faulty data reports ``fail`` instead of raising.
 
 Reports are deterministic: all randomized search is seeded through
 :class:`PipelineOptions`, evidence dictionaries are built in a fixed
@@ -40,14 +40,13 @@ from .cremona import (
     preserves_quadric,
 )
 from .fibration import (
+    FiberClass,
     FiberDivisor,
     KodairaType,
     classify_kodaira,
-    component_cycle,
     euler_number,
     map_fiber,
     shioda_tate_rank,
-    validate_fiber,
 )
 from .fingen import certify_nonfg, shift_generators, translation_str
 from .lattice import (
@@ -249,7 +248,9 @@ class Context:
     first use, so a stage run alone builds only what it reads.  A fact
     whose construction raises keeps its exception: it is built once,
     and every stage that reads it raises the same exception, so each
-    reports the same witness.
+    reports the same witness.  Each named fiber is one such fact: its
+    :class:`FiberClass`, which gives its Kodaira type and, for I_n, its
+    cycle, or the error that rejected the divisor.
     """
 
     def __init__(self, options: PipelineOptions):
@@ -331,18 +332,33 @@ class Context:
             ),
         }
 
+    def fiber_class(self, name: str) -> FiberClass:
+        """The named fiber, validated and classified once.
+
+        The configuration and the divisor are read before the store, so
+        a construction that cannot be built raises its own error here
+        and is not kept as the fiber's.
+        """
+        config = self.z if name.startswith("M") else self.x
+        fiber = self.fibers[name]
+        return self._once(("fiber", name), lambda: classify_kodaira(config, fiber))
+
     @_fact
     def fiber_types(self) -> dict[str, KodairaType | None]:
-        """The Kodaira type of each named fiber, classified once.
+        """The Kodaira type of each named fiber.
 
         None when the divisor fails the fiber conditions or its dual
-        graph matches no type.
+        graph matches no type.  A quotient that cannot be built is no
+        rejected divisor: it fails every reader of the types with its
+        own error.
         """
+        self.z  # a broken quotient raises here, not as a rejected M1 or M2
         types = {}
-        for name, fiber in self.fibers.items():
-            config = self.z if name.startswith("M") else self.x
-            valid = validate_fiber(config, fiber).passed
-            types[name] = classify_kodaira(config, fiber).fiber_type if valid else None
+        for name in self.fibers:
+            try:
+                types[name] = self.fiber_class(name).fiber_type
+            except ValueError:
+                types[name] = None
         return types
 
     def kodaira(self, name: str) -> KodairaType:
@@ -354,9 +370,7 @@ class Context:
 
     def cycle(self, name: str) -> tuple[str, ...]:
         """The components of the named I_n fiber (N1, N1eps or M1) in cyclic order."""
-        config = self.z if name.startswith("M") else self.x
-        fiber = self.fibers[name]
-        return self._once(("cycle", name), lambda: component_cycle(config, fiber))
+        return self.fiber_class(name).cycle
 
 
 # -- the nine stages ---------------------------------------------------------------------

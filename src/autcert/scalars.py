@@ -258,15 +258,18 @@ class MultiPoly:
         """Replace named variables by polynomials; others are kept.
 
         One pass over term dicts aligned to one variable tuple: each power
-        of a value is built once per call, and one ``MultiPoly`` at the end.
+        of a value is built once per call, a kept variable is lifted
+        straight to its one term, and one ``MultiPoly`` is built at the end.
         """
-        values = {
-            v: self._coerce(assignment[v]) if v in assignment else MultiPoly.var(v)
-            for v in self.vars
-        }
-        names = tuple(sorted(set().union(*(p.vars for p in values.values()))))
+        values = {v: self._coerce(assignment[v]) for v in self.vars if v in assignment}
+        kept = [v for v in self.vars if v not in assignment]
+        names = tuple(sorted(set(kept).union(*(p.vars for p in values.values()))))
         one = (0,) * len(names)
         powers = {v: [{one: 1}, p._lift(names)] for v, p in values.items()}
+        for v in kept:
+            unit = [0] * len(names)
+            unit[names.index(v)] = 1
+            powers[v] = [{one: 1}, {tuple(unit): Fraction(1)}]
         out: dict[tuple, Fraction] = {}
         for e, c in self.terms.items():
             term = {one: c}

@@ -25,7 +25,6 @@ from autcert.fibration import (
     FiberDivisor,
     KodairaType,
     classify_kodaira,
-    component_cycle,
     euler_number,
     map_fiber,
     shioda_tate_rank,
@@ -146,7 +145,10 @@ def test_criterion_4_lattice_theory(announce):
     x = extend_with_conics(build_double_kummer())
     eps = epsilon_involution(x)
     n1eps = map_fiber(N1, eps.curve_map)
-    fibers = [("N1", component_cycle(x, N1)), ("N1eps", component_cycle(x, n1eps))]
+    fibers = [
+        ("N1", classify_kodaira(x, N1).cycle),
+        ("N1eps", classify_kodaira(x, n1eps).cycle),
+    ]
     hctx = HeightContext(chi=2, fibers=(("N1", I8), ("N1eps", I8)), zero_name="C21")
     c12 = section_from_config(x, fibers, "C12", "C21")
     ok = ok and height(hctx, c12) == 0 and is_torsion(hctx, c12)
@@ -185,7 +187,7 @@ def test_criterion_6_dynamics(announce):
     ok = square.scale == t * t and square.shift == ModInt(0, 8)
 
     x = extend_with_conics(build_double_kummer())
-    n1 = [("N1", component_cycle(x, N1))]
+    n1 = [("N1", classify_kodaira(x, N1).cycle)]
     idx_c11 = section_from_config(x, n1, "C11", "C21").components["N1"]
     idx_c2 = section_from_config(x, n1, "C2", "C21").components["N1"]
     ok = ok and component_index_sum([idx_c11, idx_c2]) == ModInt(4, 8)

@@ -9,7 +9,6 @@ from autcert.fibration import (
     KodairaType,
     classify_kodaira,
     component_count,
-    component_cycle,
     dual_graph,
     euler_number,
     map_fiber,
@@ -244,7 +243,7 @@ def test_doubled_cycle_is_unrecognized():
     doubled = FiberDivisor({lab: 2 for lab in N1.components})
     fc = classify_kodaira(X, doubled)
     assert fc.fiber_type is None
-    assert not fc.recognized
+    assert fc.notes == ("no matching fiber type",) and fc.cycle == ()
     assert len(fc.nodes) == 8 and len(fc.edges) == 8
 
 
@@ -289,19 +288,27 @@ def test_classification_is_relabeling_invariant(perm):
 
 
 def test_component_cycle_of_n1():
-    X = x_config()
-    cycle = component_cycle(X, N1)
+    X, Z = x_config(), z_config()
+    cycle = classify_kodaira(X, N1).cycle
     assert cycle == ("C31", "E1", "C41", "F4", "C42", "E2", "C32", "F3")
     for k, a in enumerate(cycle):
         assert X.pairing(a, cycle[(k + 1) % len(cycle)]) == 1
+    # the orientations of its involution image and of its pushforward,
+    # which the section heights and the dynamics shift are read in
+    n1eps = map_fiber(N1, epsilon_involution(X).curve_map)
+    assert classify_kodaira(X, n1eps).cycle == ("C13", "E3", "C23", "F2", "C24", "E4", "C14", "F1")
+    assert classify_kodaira(Z, M1).cycle == ("D31", "H1", "D41", "H4", "D42", "H2", "D32", "H3")
 
 
 def test_component_cycle_small_and_errors():
+    # a cycle for every I_n, none for any other type
     two = synthetic(["A", "B"], [("A", "B", 2)])
-    assert component_cycle(two, FiberDivisor.of(["A", "B"])) == ("A", "B")
+    assert classify_kodaira(two, FiberDivisor.of(["A", "B"])).cycle == ("A", "B")
+    three = synthetic(["C", "A", "B"], [("A", "B", 1), ("B", "C", 1), ("A", "C", 1)])
+    assert classify_kodaira(three, FiberDivisor.of(["C", "A", "B"])).cycle == ("A", "B", "C")
     X = x_config()
-    with pytest.raises(ValueError, match="I_n"):
-        component_cycle(X, N2)
+    fc = classify_kodaira(X, N2)
+    assert str(fc.fiber_type) == "IV*" and fc.cycle == ()
 
 
 # -- Shioda-Tate bookkeeping -----------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autcert.fibration import FiberDivisor, KodairaType, component_cycle, map_fiber
+from autcert.fibration import FiberDivisor, KodairaType, classify_kodaira, map_fiber
 from autcert.mwl import (
     HeightContext,
     ModInt,
@@ -154,7 +154,10 @@ def fibers_of_phi1():
     ext = extend_with_conics(build_double_kummer())
     eps = epsilon_involution(ext)
     n1eps = map_fiber(N1, eps.curve_map)
-    return ext, [("N1", component_cycle(ext, N1)), ("N1eps", component_cycle(ext, n1eps))]
+    return ext, [
+        ("N1", classify_kodaira(ext, N1).cycle),
+        ("N1eps", classify_kodaira(ext, n1eps).cycle),
+    ]
 
 
 def test_section_from_config_torsion_candidate():
@@ -193,11 +196,14 @@ def test_section_from_config_errors():
         section_from_config(ext, fibers, "C31", "C21")
     with pytest.raises(ValueError, match="expected one simple point"):
         section_from_config(ext, [fibers[0]], "C13", "C21")
-    with pytest.raises(ValueError, match="need I_n"):
-        n2 = FiberDivisor(
-            {"E2": 1, "C32": 2, "E1": 1, "C31": 2, "E4": 1, "C34": 2, "F3": 3}
-        )
-        section_from_config(ext, [("N2", component_cycle(ext, n2))], "C12", "C21")
+    # a fiber of any type but I_n has no cycle, so no section meets it
+    n2 = FiberDivisor(
+        {"E2": 1, "C32": 2, "E1": 1, "C31": 2, "E4": 1, "C34": 2, "F3": 3}
+    )
+    n2_cycle = classify_kodaira(ext, n2).cycle
+    assert n2_cycle == ()
+    with pytest.raises(ValueError, match="expected one simple point"):
+        section_from_config(ext, [("N2", n2_cycle)], "C12", "C21")
 
 
 # -- smooth locus automorphisms ----------------------------------------------------------------

@@ -249,15 +249,20 @@ def test_a_fact_that_raised_is_built_once(monkeypatch):
         assert check["witness"] == "the involution fails the isometry check", name
 
 
-def test_fiber_cycles_are_built_once(monkeypatch):
+def test_each_named_fiber_is_validated_and_classified_once(monkeypatch):
     counts: dict = {}
-    counted(monkeypatch, counts, pipeline, "component_cycle")
+    counted(monkeypatch, counts, fibration, "validate_fiber")
     for module in (pipeline, fibration):
         counted(monkeypatch, counts, module, "classify_kodaira")
+    # the pipeline validates a fiber only by classifying it
+    assert not hasattr(pipeline, "validate_fiber")
     run_all(PipelineOptions(max_gens=1))
-    # N1, N1eps and M1; six named fibers classified once, plus once per cycle
-    assert counts["component_cycle"] == 3
-    assert counts["classify_kodaira"] <= 9
+    assert counts == {"validate_fiber": 6, "classify_kodaira": 6}
+    # a stage run alone classifies only the fiber it reads
+    for name in ("dynamics", "quotient"):
+        counts.clear()
+        run_stage(name)
+        assert counts == {"validate_fiber": 1, "classify_kodaira": 1}, name
 
 
 def test_stage_bug_still_propagates(monkeypatch):
