@@ -441,7 +441,9 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     )
 
 
-def find_swap_specializations(seed: int = 0) -> list[SwapReport]:
+def find_swap_specializations(
+    seed: int = 0, tau: RationalMapP3 | None = None
+) -> list[SwapReport]:
     """Seeded search for three parameter triples with rational rulings.
 
     Draws up to 5000 triples of integers in 1..12 and returns the
@@ -455,9 +457,11 @@ def find_swap_specializations(seed: int = 0) -> list[SwapReport]:
     nonzero rational square and det M = Delta/16, so a skipped triple is
     one the check rejects, as degenerate-quadric when Delta = 0 and as
     irrational-ruling otherwise: the screen changes no returned report.
+    Every check uses the map ``tau``, by default ``cremona_map()``.
     """
     rng = random.Random(seed)
-    tau = cremona_map()
+    if tau is None:
+        tau = cremona_map()
     found: list[SwapReport] = []
     seen: set[tuple[int, int, int]] = set()
     for _ in range(5000):
@@ -503,7 +507,7 @@ class AffineMap:
 
     def inverse(self) -> "AffineMap":
         ((k, c),) = self.scale.terms.items()
-        inv = LaurentT.t_power(-k, 1 / c)
+        inv = LaurentT.t_power(-k, Fraction(1) / c)
         return AffineMap(inv, -(inv * self.shift))
 
 

@@ -53,8 +53,9 @@ class MembershipResult:
 def membership(basis: SpanBasis, target: LaurentT) -> MembershipResult:
     """Integer-span membership of target in the span of the basis generators.
 
-    The basis holds the generators' Laurent terms, exponent -> Fraction,
-    and solves over them directly; a found witness is re-verified in
+    The basis holds the generators' Laurent terms, exponent -> ``int``
+    coefficient (a ``Fraction`` only where it is not integral), and
+    solves over them directly; a found witness is re-verified in
     Laurent arithmetic.
     """
     witness = basis.solve(target.terms)

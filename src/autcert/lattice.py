@@ -150,7 +150,8 @@ def _xgcd(a, b) -> tuple:
 class SpanBasis:
     """Echelon basis of the integer span of sparse vectors, grown one at a time.
 
-    A vector maps column keys to int or Fraction entries.  ``rows`` maps
+    A vector maps column keys to int or Fraction entries; the Laurent
+    terms of the non-FG generators are all int.  ``rows`` maps
     each pivot, the least key of its row, to the row and the row's
     combination of ``generators`` (generator index -> integer).  Rows
     change only by unimodular integer steps, subtracting an integer

@@ -477,7 +477,7 @@ def _stage_cremona(ctx: Context) -> StageResult:
     inv = involution_cofactor(tau)
     points = [contraction_check(tau, i) for i in range(1, 5)]
     _, det = matrix_rank_det([list(r) for r in q.matrix()])
-    reports = find_swap_specializations(seed=ctx.options.seed)
+    reports = find_swap_specializations(seed=ctx.options.seed, tau=tau)
     samples = [
         {
             "alpha": list(r.alpha),

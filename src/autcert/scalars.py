@@ -1,8 +1,9 @@
 """Exact scalar tower and fraction-free linear algebra.
 
 Every quantity in this package is exact: rationals are
-:class:`fractions.Fraction`, polynomials carry rational coefficients in
-a canonical graded-lexicographic term order, rational functions are
+:class:`fractions.Fraction`, polynomials carry coefficients that are an
+``int`` when integral, else a ``Fraction``, in a canonical
+graded-lexicographic term order, rational functions are
 polynomials over a single-term denominator (enough for the marking
 constants 0, 1, t and s), and Laurent polynomials allow negative
 exponents of the single variable ``t``.  No floating point is used
@@ -28,21 +29,52 @@ _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _GL = lambda exps: (sum(exps), exps)  # graded-lex sort key
 
 
-def _as_fraction(x) -> Fraction:
+def _as_coeff(x) -> int | Fraction:
+    """An exact rational as a coefficient: an ``int`` when integral, else a ``Fraction``."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _canonical(terms: Mapping) -> dict:
+    """The nonzero terms, each coefficient an ``int`` or a non-integral ``Fraction``.
+
+    The one gate every polynomial result passes: a coefficient that is
+    not exactly an ``int`` or a ``Fraction`` (a float, a bool) raises
+    ``TypeError``.
+    """
+    out = {}
+    for key, c in terms.items():
+        kind = type(c)
+        if kind is Fraction:
+            if c.denominator == 1:
+                c = c.numerator
+        elif kind is not int:
+            raise TypeError(f"expected an exact rational, got {kind.__name__}")
+        if c:
+            out[key] = c
+    return out
+
+
+def _quotient(a, b) -> int | Fraction:
+    """Exact quotient of two coefficients, an ``int`` when it divides."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _as_coeff(Fraction(a) / b)
 
 
 class MultiPoly:
     """Multivariate polynomial over the rationals.
 
-    Terms map exponent tuples to nonzero rational coefficients, keyed
-    against the sorted tuple of variable names that actually occur.
-    Variables that divide no term are dropped, so two construction
-    orders of the same polynomial are structurally equal.
+    Terms map exponent tuples to nonzero coefficients, an ``int`` when
+    integral, else a ``Fraction``, keyed against the sorted tuple of
+    variable names that actually occur.  Variables that divide no term
+    are dropped, so two construction orders of the same polynomial are
+    structurally equal.  Ring operations build their results with
+    ``_make``, which trusts the names of already validated operands.
     """
 
     __slots__ = ("vars", "terms")
@@ -54,25 +86,36 @@ class MultiPoly:
                 raise ValueError(f"bad variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        cleaned: dict[tuple, Fraction] = {}
+        # canonical variable order
+        order = sorted(range(len(names)), key=lambda i: names[i])
+        summed: dict[tuple, int | Fraction] = {}
         for exps, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            coeff = _as_coeff(coeff)
             if len(exps) != len(names):
                 raise ValueError("exponent tuple does not match variable count")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent in polynomial")
-            if coeff:
-                cleaned[tuple(exps)] = cleaned.get(tuple(exps), Fraction(0)) + coeff
-        cleaned = {e: c for e, c in cleaned.items() if c}
-        # canonical variable order, then drop unused variables
-        order = sorted(range(len(names)), key=lambda i: names[i])
-        names = tuple(names[i] for i in order)
-        cleaned = {tuple(e[i] for i in order): c for e, c in cleaned.items()}
-        used = [i for i in range(len(names)) if any(e[i] for e in cleaned)]
-        object.__setattr__(self, "vars", tuple(names[i] for i in used))
-        object.__setattr__(
-            self, "terms", {tuple(e[i] for i in used): c for e, c in cleaned.items()}
-        )
+            key = tuple(exps[i] for i in order)
+            summed[key] = summed.get(key, 0) + coeff
+        self._fill(tuple(names[i] for i in order), summed)
+
+    @classmethod
+    def _make(cls, names: tuple[str, ...], terms: Mapping) -> MultiPoly:
+        """Result of a ring operation: ``names`` are sorted, distinct and
+        valid, and each exponent tuple has one non-negative entry per name."""
+        p = object.__new__(cls)
+        p._fill(names, terms)
+        return p
+
+    def _fill(self, names: tuple[str, ...], terms: Mapping) -> None:
+        """Store the canonical terms, then drop the variables they do not use."""
+        terms = _canonical(terms)
+        used = [i for i in range(len(names)) if any(e[i] for e in terms)]
+        if len(used) < len(names):
+            names = tuple(names[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        object.__setattr__(self, "vars", names)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -85,15 +128,15 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c) -> MultiPoly:
-        return cls((), {(): _as_fraction(c)} if c else {})
+        return cls((), {(): c})
 
     @classmethod
     def var(cls, name: str) -> MultiPoly:
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], coeff) -> MultiPoly:
-        return cls(tuple(vars), {tuple(exps): _as_fraction(coeff)})
+        return cls(tuple(vars), {tuple(exps): coeff})
 
     # -- structure ---------------------------------------------------
 
@@ -118,14 +161,14 @@ class MultiPoly:
         degs = {sum(e[i] for i in idx) for e in self.terms}
         return len(degs) <= 1
 
-    def leading(self) -> tuple[tuple, Fraction]:
+    def leading(self) -> tuple[tuple, int | Fraction]:
         """Graded-lex leading (exponent tuple, coefficient)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_GL)
         return e, self.terms[e]
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         return self.leading()[1]
 
     # -- arithmetic --------------------------------------------------
@@ -142,7 +185,7 @@ class MultiPoly:
         names = tuple(sorted(set(self.vars) | set(other.vars)))
         return names, self._lift(names), other._lift(names)
 
-    def _lift(self, names: tuple[str, ...]) -> dict[tuple, Fraction]:
+    def _lift(self, names: tuple[str, ...]) -> dict[tuple, int | Fraction]:
         """Terms keyed by exponent tuples over names, a superset of self.vars."""
         idx = [names.index(v) for v in self.vars]
         out = {}
@@ -159,13 +202,13 @@ class MultiPoly:
             return NotImplemented
         names, ta, tb = self._aligned(other)
         for e, c in tb.items():
-            ta[e] = ta.get(e, Fraction(0)) + c
-        return MultiPoly(names, ta)
+            ta[e] = ta.get(e, 0) + c
+        return MultiPoly._make(names, ta)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> MultiPoly:
         other = self._coerce(other)
@@ -181,7 +224,7 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         names, ta, tb = self._aligned(other)
-        return MultiPoly(names, _term_product(ta, tb))
+        return MultiPoly._make(names, _term_product(ta, tb))
 
     __rmul__ = __mul__
 
@@ -207,8 +250,8 @@ class MultiPoly:
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     def scale(self, c) -> MultiPoly:
-        c = _as_fraction(c)
-        return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        c = _as_coeff(c)
+        return MultiPoly._make(self.vars, {e: c * v for e, v in self.terms.items()})
 
     # -- division ----------------------------------------------------
 
@@ -224,8 +267,8 @@ class MultiPoly:
         names, cur, dv = self._aligned(divisor)
         de = max(dv, key=_GL)
         dc = dv[de]
-        quot: dict[tuple, Fraction] = {}
-        rem: dict[tuple, Fraction] = {}
+        quot: dict[tuple, int | Fraction] = {}
+        rem: dict[tuple, int | Fraction] = {}
         while cur:
             le = max(cur, key=_GL)
             lc = cur.pop(le)
@@ -233,18 +276,18 @@ class MultiPoly:
             if any(d < 0 for d in diff):
                 rem[le] = lc
                 continue
-            q = lc / dc
-            quot[diff] = quot.get(diff, Fraction(0)) + q
+            q = _quotient(lc, dc)
+            quot[diff] = quot.get(diff, 0) + q
             for e, c in dv.items():
                 if e == de:
                     continue
                 tgt = tuple(a + b for a, b in zip(diff, e))
-                val = cur.get(tgt, Fraction(0)) - q * c
+                val = cur.get(tgt, 0) - q * c
                 if val:
                     cur[tgt] = val
                 elif tgt in cur:
                     del cur[tgt]
-        return MultiPoly(names, quot), MultiPoly(names, rem)
+        return MultiPoly._make(names, quot), MultiPoly._make(names, rem)
 
     def exact_div(self, divisor: MultiPoly) -> MultiPoly:
         q = poly_divide_exact(self, divisor)
@@ -269,8 +312,8 @@ class MultiPoly:
         for v in kept:
             unit = [0] * len(names)
             unit[names.index(v)] = 1
-            powers[v] = [{one: 1}, {tuple(unit): Fraction(1)}]
-        out: dict[tuple, Fraction] = {}
+            powers[v] = [{one: 1}, {tuple(unit): 1}]
+        out: dict[tuple, int | Fraction] = {}
         for e, c in self.terms.items():
             term = {one: c}
             for v, exp in zip(self.vars, e):
@@ -281,7 +324,7 @@ class MultiPoly:
                     term = _term_product(term, pw[exp])
             for mono, coeff in term.items():
                 out[mono] = out.get(mono, 0) + coeff
-        return MultiPoly(names, out)
+        return MultiPoly._make(names, out)
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Evaluate with a value for every variable; integer data evaluates over ``int``."""
@@ -289,8 +332,7 @@ class MultiPoly:
         if missing:
             raise ValueError(f"unassigned variables {missing}")
         total = None
-        for e, c in self.terms.items():
-            term = c.numerator if c.denominator == 1 else c
+        for e, term in self.terms.items():
             for v, exp in zip(self.vars, e):
                 if exp:
                     term = term * assignment[v] ** exp
@@ -328,9 +370,9 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _term_product(ta: Mapping[tuple, Fraction], tb: Mapping[tuple, Fraction]) -> dict:
+def _term_product(ta: Mapping, tb: Mapping) -> dict:
     """Product of two term dicts keyed by exponent tuples of one variable order."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int | Fraction] = {}
     for ea, ca in ta.items():
         for eb, cb in tb.items():
             e = tuple(x + y for x, y in zip(ea, eb))
@@ -350,7 +392,7 @@ def poly_divide_exact(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly | No
 def _monic(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
-    return p.scale(1 / p.leading_coefficient())
+    return p.scale(_quotient(1, p.leading_coefficient()))
 
 
 def _monomial_gcd(mono: MultiPoly, p: MultiPoly) -> MultiPoly:
@@ -411,9 +453,9 @@ class RatFunc:
             g = poly_gcd(num, den)
             num = num.exact_div(g)
             den = den.exact_div(g)
-            lc = den.leading_coefficient()
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
+            inv = _quotient(1, den.leading_coefficient())
+            num = num.scale(inv)
+            den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -445,19 +487,30 @@ class RatFunc:
 
 
 class LaurentT:
-    """Laurent polynomial in the single variable ``t`` over the rationals."""
+    """Laurent polynomial in the single variable ``t`` over the rationals.
+
+    Terms map exponents to nonzero coefficients, an ``int`` when
+    integral, else a ``Fraction``.  Ring operations build their results
+    with ``_make``.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Fraction | int]):
-        cleaned: dict[int, Fraction] = {}
+        summed: dict[int, int | Fraction] = {}
         for e, c in terms.items():
-            c = _as_fraction(c)
+            c = _as_coeff(c)
             if not isinstance(e, int):
                 raise TypeError("Laurent exponents are integers")
-            if c:
-                cleaned[e] = cleaned.get(e, Fraction(0)) + c
-        object.__setattr__(self, "terms", {e: c for e, c in cleaned.items() if c})
+            summed[e] = summed.get(e, 0) + c
+        object.__setattr__(self, "terms", _canonical(summed))
+
+    @classmethod
+    def _make(cls, terms: Mapping[int, int | Fraction]) -> LaurentT:
+        """Result of a ring operation: one entry per integer exponent."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", _canonical(terms))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentT is immutable")
@@ -468,11 +521,11 @@ class LaurentT:
 
     @classmethod
     def const(cls, c) -> LaurentT:
-        return cls({0: _as_fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def t_power(cls, k: int, coeff=1) -> LaurentT:
-        return cls({k: _as_fraction(coeff)})
+        return cls({k: coeff})
 
     @staticmethod
     def _coerce(x) -> "LaurentT":
@@ -494,13 +547,13 @@ class LaurentT:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentT(out)
+            out[e] = out.get(e, 0) + c
+        return LaurentT._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentT({e: -c for e, c in self.terms.items()})
+        return LaurentT._make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -515,11 +568,11 @@ class LaurentT:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
-        return LaurentT(out)
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+        return LaurentT._make(out)
 
     __rmul__ = __mul__
 
@@ -609,7 +662,7 @@ INFINITY = ProjValue(None)
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None when no rational root exists."""
-    x = _as_fraction(x)
+    x = _as_coeff(x)
     if x < 0:
         return None
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)

@@ -67,7 +67,7 @@ POLY_VARS = ("x", "y", "z")
 
 
 @st.composite
-def polys(draw, max_vars=2, max_deg=3, max_terms=4):
+def polys(draw, max_vars=2, max_deg=3, max_terms=4, coeffs=small_fractions):
     nv = draw(st.integers(min_value=0, max_value=max_vars))
     names = POLY_VARS[:nv]
     terms = {}
@@ -75,5 +75,5 @@ def polys(draw, max_vars=2, max_deg=3, max_terms=4):
         exps = tuple(
             draw(st.integers(min_value=0, max_value=max_deg)) for _ in range(nv)
         )
-        terms[exps] = draw(small_fractions)
+        terms[exps] = draw(coeffs)
     return MultiPoly(names, terms)

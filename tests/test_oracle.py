@@ -15,6 +15,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form
 
+from autcert import fingen
 from autcert.cremona import A_VARS, QuadricForm, _kernel, verify_pij_swap
 from autcert.lattice import SpanBasis, hnf, signature
 from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
@@ -164,6 +165,52 @@ def test_substitute_matches_sympy(p, assignment):
     }
     theirs = sympy.expand(to_sympy(p).subs(values, simultaneous=True))
     assert sympy.expand(to_sympy(p.substitute(assignment)) - theirs) == 0
+
+
+int_polys = polys(max_vars=3, max_deg=2, max_terms=4, coeffs=int_entries)
+
+
+def all_int(p: MultiPoly) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+@seed(20190411)
+@oracle
+@given(
+    int_polys,
+    int_polys,
+    st.dictionaries(st.sampled_from(POLY_VARS), st.one_of(int_polys, int_entries)),
+)
+def test_integer_product_and_substitute_match_sympy_expand(a, b, assignment):
+    # integer inputs stay on int: no Fraction enters either result
+    product = a * b
+    assert all_int(product)
+    assert sympy.expand(to_sympy(product) - sympy.expand(to_sympy(a) * to_sympy(b))) == 0
+    values = {
+        sympy.Symbol(v): to_sympy(c) if isinstance(c, MultiPoly) else sympy.Integer(c)
+        for v, c in assignment.items()
+    }
+    substituted = a.substitute(assignment)
+    assert all_int(substituted)
+    theirs = sympy.expand(to_sympy(a).subs(values, simultaneous=True))
+    assert sympy.expand(to_sympy(substituted) - theirs) == 0
+
+
+def test_nonfg_basis_is_integral(monkeypatch):
+    built = []
+
+    class Recorded(SpanBasis):
+        def __init__(self, vectors=()):
+            super().__init__(vectors)
+            built.append(self)
+
+    monkeypatch.setattr(fingen, "SpanBasis", Recorded)
+    assert fingen.certify_nonfg(20).passed
+    (basis,) = built
+    assert len(basis.generators) == 21
+    entries = [c for g in basis.generators for c in g.values()]
+    entries += [c for row, combo in basis.rows.values() for c in (*row.values(), *combo.values())]
+    assert entries and all(type(c) is int for c in entries)
 
 
 @st.composite

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 import hypothesis.strategies as st
 
 from autcert import scalars
-from autcert.cremona import RationalMapP3
+from autcert.cremona import AffineMap, RationalMapP3
 from autcert.scalars import (
     INFINITY,
     LaurentT,
@@ -23,7 +23,7 @@ from autcert.scalars import (
     rational_sqrt,
 )
 
-from conftest import int_matrix, naive_det, polys, small_fractions
+from conftest import int_entries, int_matrix, naive_det, polys, small_fractions
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -67,6 +67,85 @@ def test_equality_across_construction_orders():
     q = 2 + y * x
     assert p == q
     assert hash(p) == hash(q)
+
+
+# -- coefficient types ---------------------------------------------------
+
+# drawn as int, as integral Fraction and as proper Fraction
+mixed_coeffs = st.one_of(int_entries, small_fractions)
+mixed_polys = polys(max_vars=2, max_deg=2, max_terms=3, coeffs=mixed_coeffs)
+mixed_laurents = st.dictionaries(st.integers(-4, 4), mixed_coeffs, max_size=3).map(LaurentT)
+
+
+def assert_canonical(p):
+    """Each coefficient is an int or a Fraction with a denominator above 1,
+    and the public constructor rebuilds the same value with the same hash."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    q = MultiPoly(p.vars, p.terms) if isinstance(p, MultiPoly) else LaurentT(p.terms)
+    assert q == p and hash(q) == hash(p)
+
+
+def test_public_constructors_store_integral_coefficients_as_int():
+    p = MultiPoly(("x",), {(1,): Fraction(4, 2), (0,): Fraction(1, 2)})
+    assert type(p.terms[(1,)]) is int and type(p.terms[(0,)]) is Fraction
+    assert type(x.leading_coefficient()) is int
+    assert type(LaurentT({-2: Fraction(6, 3)}).terms[-2]) is int
+
+
+@seed(20191015)
+@given(mixed_polys, mixed_polys, mixed_coeffs)
+def test_ring_results_keep_integral_coefficients_int(a, b, c):
+    results = [
+        a + b, a - b, a * b, a**2, a + c, c - a, a * c,
+        a.scale(c), a.substitute({"x": b, "y": c}),
+    ]
+    if not b.is_zero():
+        results.extend(a.divide_rem(b))
+    for r in results:
+        assert_canonical(r)
+
+
+@seed(20191016)
+@given(mixed_laurents, mixed_laurents, st.integers(-3, 3), mixed_coeffs.filter(bool))
+def test_laurent_and_affine_results_keep_integral_coefficients_int(a, b, k, c):
+    for r in (a + b, a - b, a * b):
+        assert_canonical(r)
+    f = AffineMap(LaurentT.t_power(k, c), a)
+    g = AffineMap(LaurentT.t_power(-k, c), b)
+    for m in (f.inverse(), f.compose(g), f.inverse().compose(f)):
+        assert_canonical(m.scale)
+        assert_canonical(m.shift)
+    assert f.inverse().compose(f) == AffineMap(LaurentT.const(1), LaurentT.zero())
+
+
+def test_divide_rem_quotients_stay_exact():
+    q, r = (x + 1).divide_rem(2 * x)
+    assert (q, r) == (MultiPoly.const(Fraction(1, 2)), MultiPoly.const(1))
+    assert type(q.terms[()]) is Fraction and type(r.terms[()]) is int
+    q, r = (4 * x + 2).divide_rem(2 * x)
+    assert type(q.terms[()]) is int and type(r.terms[()]) is int
+
+
+def test_inexact_coefficients_raise_on_every_construction_path():
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(TypeError):
+            MultiPoly._make(("x",), {(1,): bad})
+        with pytest.raises(TypeError):
+            LaurentT._make({0: bad})
+    for bad in (0.5, 2.0):
+        for build in (
+            lambda: MultiPoly(("x",), {(1,): bad}),
+            lambda: MultiPoly.const(bad),
+            lambda: MultiPoly.monomial(("x",), (1,), bad),
+            lambda: x.scale(bad),
+            lambda: x * bad,
+            lambda: LaurentT({1: bad}),
+            lambda: LaurentT.t_power(1, bad),
+            lambda: LaurentT.t_power(1) * bad,
+        ):
+            with pytest.raises(TypeError):
+                build()
 
 
 # -- arithmetic ----------------------------------------------------------
@@ -186,7 +265,7 @@ def test_gcd_common_factor_is_recovered(a, b, c):
     g = poly_gcd(a * c, b * c)
     if a.is_zero() and b.is_zero():
         return
-    expected = poly_gcd(a, b) * c.scale(1 / c.leading_coefficient())
+    expected = poly_gcd(a, b) * c.scale(Fraction(1) / c.leading_coefficient())
     assert g == expected
 
 
