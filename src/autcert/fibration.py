@@ -7,9 +7,18 @@ component meets the whole divisor in zero, the support is connected,
 and consequently the divisor has square zero.  Classification
 validates the divisor, then reads the weighted dual graph, in one
 pass: ``classify_kodaira`` gives the type, the graph and, for I_n, the
-components in cyclic order.  All multiplicity-one validated fibers are
-single cycles (type I_n); the starred types are recognized by matching
-the weighted graph against the affine diagram templates.
+components in cyclic order.
+
+Every type is read off an affine Dynkin diagram (K. Kodaira, Ann. of
+Math. 77, 1963): the dual graph of I_n is affine A_{n-1}, that of I_n*
+is affine D_{n+4}, and those of IV*, III* and II* are affine E6, E7
+and E8, each with the diagram's null vector as multiplicities.  As
+distinct curves meet nonnegatively, the multiplicities of a validated
+fiber are a positive multiple of such a null vector.  So a fiber with
+all multiplicities one is a single cycle, type I_n, and any other
+fiber with a component of multiplicity one is read by deleting that
+component: what is left is the finite diagram D_n or E_n, which
+``lattice.dynkin_classify`` recognizes by its arm lengths.
 
 Two classical collisions are resolved by convention and annotated in
 the result: a double edge on two components is reported as I2 (type
@@ -21,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import graphs_isomorphic, is_connected
+from .lattice import RootType, dynkin_classify, is_connected
 from .surface import Configuration
 
 _PLAIN_SYMBOLS = ("II", "III", "IV", "II*", "III*", "IV*")
@@ -209,54 +218,11 @@ class FiberClass:
     cycle: tuple[str, ...] = ()
 
 
-def _star_templates(count: int):
-    """Affine diagram templates with the given component count."""
-    templates = []
-    n = count - 5
-    if n >= 0:
-        chain = [f"c{k}" for k in range(n + 1)]
-        adj = {c: set() for c in chain}
-        for a, b in zip(chain, chain[1:]):
-            adj[a].add(b)
-            adj[b].add(a)
-        for leaf, anchor in (("l1", chain[0]), ("l2", chain[0]),
-                             ("l3", chain[-1]), ("l4", chain[-1])):
-            adj[leaf] = {anchor}
-            adj[anchor].add(leaf)
-        mults = {c: 2 for c in chain} | {f"l{k}": 1 for k in range(1, 5)}
-        templates.append((KodairaType.I_star(n), adj, mults))
-    if count == 7:
-        adj = {"z": {"a1", "a2", "a3"}}
-        mults = {"z": 3}
-        for k in range(1, 4):
-            adj[f"a{k}"] = {"z", f"b{k}"}
-            adj[f"b{k}"] = {f"a{k}"}
-            mults[f"a{k}"] = 2
-            mults[f"b{k}"] = 1
-        templates.append((KodairaType.plain("IV*"), adj, mults))
-    if count == 8:
-        chain = [f"p{k}" for k in range(1, 8)]
-        marks = [1, 2, 3, 4, 3, 2, 1]
-        adj = {c: set() for c in chain}
-        for a, b in zip(chain, chain[1:]):
-            adj[a].add(b)
-            adj[b].add(a)
-        adj["q"] = {"p4"}
-        adj["p4"].add("q")
-        mults = dict(zip(chain, marks)) | {"q": 2}
-        templates.append((KodairaType.plain("III*"), adj, mults))
-    if count == 9:
-        chain = [f"p{k}" for k in range(1, 9)]
-        marks = [1, 2, 3, 4, 5, 6, 4, 2]
-        adj = {c: set() for c in chain}
-        for a, b in zip(chain, chain[1:]):
-            adj[a].add(b)
-            adj[b].add(a)
-        adj["q"] = {"p6"}
-        adj["p6"].add("q")
-        mults = dict(zip(chain, marks)) | {"q": 3}
-        templates.append((KodairaType.plain("II*"), adj, mults))
-    return templates
+def _affine_type(root: RootType) -> KodairaType:
+    """The starred fiber type whose dual graph is the affine diagram of root."""
+    if root.family == "D":
+        return KodairaType.I_star(root.rank - 4)
+    return KodairaType.plain({6: "IV*", 7: "III*", 8: "II*"}[root.rank])
 
 
 def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
@@ -271,12 +237,11 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
         raise ValueError(f"not a fiber candidate: {witness}")
     comps = _canonical_components(config, fiber)
     nodes, edges = dual_graph(config, fiber)
-    adj: dict[str, set[str]] = {a: set() for a in nodes}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-
     if all(m == 1 for m in comps.values()):
+        adj: dict[str, set[str]] = {a: set() for a in nodes}
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
         # component-meets-fiber zero forces weighted degree 2 at every
         # node here, so the connected support is a single cycle
         n = len(nodes)
@@ -291,13 +256,15 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
             cycle.append(next(b for b in adj[here] if b != prev))
         return FiberClass(KodairaType.I(n), nodes, edges, tuple(notes), tuple(cycle))
 
-    if len(set(edges)) == len(edges):
-        target_multiset = sorted(comps.values())
-        for kt, template_adj, template_mults in _star_templates(len(nodes)):
-            if sorted(template_mults.values()) != target_multiset:
-                continue
-            if graphs_isomorphic(adj, template_adj, comps, template_mults):
-                return FiberClass(kt, nodes, edges)
+    # the multiplicities are a multiple of the affine diagram's null
+    # vector; a component of multiplicity one makes them that vector,
+    # and deleting it leaves the finite diagram
+    ones = [a for a in nodes if comps[a] == 1]
+    if ones:
+        rest = [a for a in nodes if a != ones[0]]
+        root = dynkin_classify([[-config.pairing(a, b) for b in rest] for a in rest])
+        if root is not None:
+            return FiberClass(_affine_type(root), nodes, edges)
     return FiberClass(None, nodes, edges, ("no matching fiber type",))
 
 

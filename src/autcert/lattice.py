@@ -8,8 +8,8 @@ negative answers follow from divisibility obstructions in an echelon
 basis.  Kernels use the Hermite form; membership uses a sparse echelon
 basis grown one generator at a time, which also takes Fraction
 entries.  Signatures are computed by symmetric congruence over the
-integers, and small root lattices are recognized by their Dynkin
-diagrams.
+integers, and small root lattices are recognized by the arm lengths
+of their Dynkin diagrams.
 """
 
 from __future__ import annotations
@@ -406,11 +406,6 @@ def _chain_cartan(n: int, extra: tuple[int, int] | None) -> Mat:
     return tuple(tuple(row) for row in G)
 
 
-def cartan_matrix(root_type: RootType) -> Mat:
-    builder = {"A": cartan_A, "D": cartan_D, "E": cartan_E}[root_type.family]
-    return builder(root_type.rank)
-
-
 E6_IN_E8_NODES = (0, 1, 2, 3, 4, 7)  # sub-diagram of cartan_E(8) of type E6
 
 
@@ -437,74 +432,19 @@ def is_connected(adj: Mapping[object, Iterable[object]]) -> bool:
     return len(seen) == len(nodes)
 
 
-def graphs_isomorphic(
-    adj_a: Mapping[object, Iterable[object]],
-    adj_b: Mapping[object, Iterable[object]],
-    labels_a: Mapping[object, object] | None = None,
-    labels_b: Mapping[object, object] | None = None,
-) -> bool:
-    """Backtracking isomorphism test for small simple graphs.
-
-    Optional node labels must match under the mapping.  Intended for
-    diagrams of at most a dozen nodes; the degree and label prescreen
-    keeps the search shallow there.
-    """
-    A = {v: set(ws) for v, ws in adj_a.items()}
-    B = {v: set(ws) for v, ws in adj_b.items()}
-    la = labels_a or {}
-    lb = labels_b or {}
-    if len(A) != len(B):
-        return False
-
-    def key(adj, labels, v):
-        return (len(adj[v]), labels.get(v))
-
-    def sortable(k):
-        return (k[0], repr(k[1]))
-
-    if sorted((sortable(key(A, la, v)) for v in A)) != sorted(
-        sortable(key(B, lb, v)) for v in B
-    ):
-        return False
-    order = sorted(A, key=lambda v: -len(A[v]))
-    bs = list(B)
-
-    def extend(i: int, assign: dict) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in bs:
-            if w in assign.values():
-                continue
-            if key(A, la, v) != key(B, lb, w):
-                continue
-            ok = True
-            for u in order[:i]:
-                if (u in A[v]) != (assign[u] in B[w]):
-                    ok = False
-                    break
-            if ok:
-                assign[v] = w
-                if extend(i + 1, assign):
-                    return True
-                del assign[v]
-        return False
-
-    return extend(0, {})
-
-
 def dynkin_classify(gram: Sequence[Sequence[int]]) -> RootType | None:
     """Recognize a connected simply laced Cartan matrix, or return None.
 
     Expects the positive definite sign convention: 2 on the diagonal,
-    0 or -1 off it.  Candidates of the matching rank are compared by
-    diagram isomorphism, so the answer does not depend on the order in
-    which the basis vectors were listed.
+    0 or -1 off it.  A connected Dynkin diagram of finite type is a
+    tree fixed by its arm lengths (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 11.4): a path is A_n; otherwise
+    there is one branch node, of degree 3, and its arms of p <= q <= r
+    nodes are (1, 1, r) for D_n or (1, 2, 2..4) for E6 to E8.  The
+    reading does not depend on the order of the basis vectors.
     """
     G = _check_gram(gram)
     n = len(G)
-    if n == 0:
-        return None
     for i in range(n):
         if G[i][i] != 2:
             return None
@@ -512,14 +452,25 @@ def dynkin_classify(gram: Sequence[Sequence[int]]) -> RootType | None:
             if i != j and G[i][j] not in (0, -1):
                 return None
     adj = adjacency_from_gram(G)
-    if not is_connected(adj):
+    if not is_connected(adj) or sum(map(len, adj.values())) != 2 * (n - 1):
         return None
-    candidates = [RootType("A", n)]
-    if n >= 4:
-        candidates.append(RootType("D", n))
-    if n in (6, 7, 8):
-        candidates.append(RootType("E", n))
-    for t in candidates:
-        if graphs_isomorphic(adjacency_from_gram(cartan_matrix(t)), adj):
-            return t
+    branches = [v for v, ws in adj.items() if len(ws) > 2]
+    if not branches:
+        return RootType("A", n)
+    if len(branches) > 1 or len(adj[branches[0]]) > 3:
+        return None
+    p, q, r = sorted(_arm_length(adj, branches[0], w) for w in adj[branches[0]])
+    if (p, q) == (1, 1):
+        return RootType("D", n)
+    if (p, q) == (1, 2) and r <= 4:
+        return RootType("E", n)
     return None
+
+
+def _arm_length(adj: Mapping[int, set[int]], branch: int, first: int) -> int:
+    """Nodes on the arm that leaves the branch node through first."""
+    prev, here, length = branch, first, 1
+    while len(adj[here]) == 2:
+        prev, here = here, next(w for w in adj[here] if w != prev)
+        length += 1
+    return length

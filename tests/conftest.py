@@ -51,6 +51,33 @@ def gaussian_inverse(rows):
     return [row[n:] for row in A]
 
 
+def reflection_closure(cartan):
+    """All roots of a simply laced system, in simple-root coordinates.
+
+    Closes the simple roots under s_i(v) = v - <v, a_i>e_i; for a
+    finite type the closure is the full (finite) root system.
+    """
+    n = len(cartan)
+    roots = set()
+    frontier = []
+    for i in range(n):
+        e = tuple(int(i == j) for j in range(n))
+        for v in (e, tuple(-x for x in e)):
+            roots.add(v)
+            frontier.append(v)
+    while frontier:
+        v = frontier.pop()
+        for i in range(n):
+            coef = sum(cartan[i][j] * v[j] for j in range(n))
+            w = list(v)
+            w[i] -= coef
+            w = tuple(w)
+            if w not in roots:
+                roots.add(w)
+                frontier.append(w)
+    return roots
+
+
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 int_entries = st.integers(min_value=-6, max_value=6)

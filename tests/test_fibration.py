@@ -1,5 +1,7 @@
 """Tests for fiber validation and Kodaira classification."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -236,6 +238,56 @@ def test_classify_ii_star():
     cfg = synthetic(labels, pairs)
     mults = dict(zip(labels, [1, 2, 3, 4, 5, 6, 4, 2, 3]))
     assert str(classify_kodaira(cfg, FiberDivisor(mults)).fiber_type) == "II*"
+
+
+def affine_d(n):
+    """Affine D_{n+4}: a chain of n + 1 nodes of multiplicity 2, two leaves at each end."""
+    edges = [(k, k + 1) for k in range(n)]
+    edges += [(n + 1, 0), (n + 2, 0), (n + 3, n), (n + 4, n)]
+    return edges, [2] * (n + 1) + [1] * 4
+
+
+def chain_with_arm(marks, anchor, arm):
+    """A chain with multiplicities marks, and a further arm hung off chain node anchor."""
+    edges = [(k, k + 1) for k in range(len(marks) - 1)]
+    ends = [anchor] + list(range(len(marks), len(marks) + len(arm)))
+    return edges + list(zip(ends, ends[1:])), list(marks) + list(arm)
+
+
+# each starred type as its affine diagram, with the null vector as multiplicities
+STARRED = [(f"I{n}*", *affine_d(n)) for n in range(5)] + [
+    ("IV*", *chain_with_arm([1, 2, 3, 2, 1], 2, [2, 1])),
+    ("III*", *chain_with_arm([1, 2, 3, 4, 3, 2, 1], 3, [2])),
+    ("II*", *chain_with_arm([1, 2, 3, 4, 5, 6, 4, 2], 5, [3])),
+]
+
+
+def relabeled(edges, mults, seed):
+    """The diagram as a configuration and fiber, its nodes named in a seeded order."""
+    names = [f"K{k}" for k in range(len(mults))]
+    random.Random(seed).shuffle(names)
+    cfg = synthetic(sorted(names), [(names[a], names[b], 1) for a, b in edges])
+    return cfg, FiberDivisor({names[k]: m for k, m in enumerate(mults)}), names
+
+
+def test_classify_starred_types_from_their_affine_diagrams():
+    for want, edges, mults in STARRED:
+        deleted = set()
+        for seed in range(6):
+            cfg, fiber, names = relabeled(edges, mults, seed)
+            fc = classify_kodaira(cfg, fiber)
+            assert str(fc.fiber_type) == want and fc.cycle == (), (want, seed)
+            assert len(fc.nodes) == component_count(fc.fiber_type)
+            # the classifier deletes the least-named component of multiplicity one
+            deleted.add(min((names[k], k) for k, m in enumerate(mults) if m == 1)[1])
+        # the seeds reach more than one choice wherever there is one
+        assert len(deleted) > 1 or mults.count(1) == 1, want
+    # a doubled affine D4 passes the fiber conditions but has no
+    # component of multiplicity one
+    edges, mults = affine_d(0)
+    cfg, fiber, _ = relabeled(edges, [2 * m for m in mults], 0)
+    fc = classify_kodaira(cfg, fiber)
+    assert fc.fiber_type is None and fc.notes == ("no matching fiber type",)
 
 
 def test_doubled_cycle_is_unrecognized():

@@ -21,11 +21,9 @@ from autcert.lattice import (
     cartan_A,
     cartan_D,
     cartan_E,
-    cartan_matrix,
     dynkin_classify,
     gauss_reduce_rank2,
     gram_rank,
-    graphs_isomorphic,
     hnf,
     integer_kernel,
     is_connected,
@@ -36,7 +34,7 @@ from autcert.lattice import (
 )
 from autcert.scalars import matrix_rank_det
 
-from conftest import int_matrix
+from conftest import int_matrix, reflection_closure
 
 
 def matmul(A, B):
@@ -44,33 +42,6 @@ def matmul(A, B):
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
         for i in range(len(A))
     ]
-
-
-def reflection_closure(cartan):
-    """All roots of a simply laced system, in simple-root coordinates.
-
-    Closes the simple roots under s_i(v) = v - <v, a_i>e_i; for a
-    finite type the closure is the full (finite) root system.
-    """
-    n = len(cartan)
-    roots = set()
-    frontier = []
-    for i in range(n):
-        e = tuple(int(i == j) for j in range(n))
-        for v in (e, tuple(-x for x in e)):
-            roots.add(v)
-            frontier.append(v)
-    while frontier:
-        v = frontier.pop()
-        for i in range(n):
-            coef = sum(cartan[i][j] * v[j] for j in range(n))
-            w = list(v)
-            w[i] -= coef
-            w = tuple(w)
-            if w not in roots:
-                roots.add(w)
-                frontier.append(w)
-    return roots
 
 
 @st.composite
@@ -291,6 +262,15 @@ def test_orth_complement_examples():
     assert induced[0][0] == 6  # vector (1, 2): 2*1 - 2*2 + 2*4 = 6
     with pytest.raises(ValueError):
         orth_complement(G, [5])
+    with pytest.raises(ValueError):
+        orth_complement(G, [-1])
+
+
+def test_orth_complement_of_nothing_is_the_whole_lattice():
+    G = cartan_D(4)
+    basis, induced = orth_complement(G, [])
+    assert basis == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert induced == G
 
 
 # -- signatures -----------------------------------------------------------------
@@ -334,6 +314,11 @@ def test_gauss_reduce_frozen_examples():
     assert gauss_reduce_rank2([[2, 0], [0, 3]]) == ((2, 0), (0, 3))
     with pytest.raises(ValueError):
         gauss_reduce_rank2([[1, 2], [2, 1]])
+    # negative definite: positive determinant, but a <= 0
+    with pytest.raises(ValueError, match="not positive definite"):
+        gauss_reduce_rank2([[-1, 0], [0, -1]])
+    with pytest.raises(ValueError, match="2x2"):
+        gauss_reduce_rank2(cartan_A(3))
 
 
 @given(unimodular(2))
@@ -348,6 +333,7 @@ def test_gauss_reduce_is_an_isometry_invariant(U):
 
 
 def test_cartan_builders_are_recognized():
+    assert dynkin_classify(spider((1, 2, 4))) == RootType("E", 8)
     cases = [
         (cartan_A(1), RootType("A", 1)),
         (cartan_A(5), RootType("A", 5)),
@@ -368,6 +354,27 @@ def test_dynkin_rejects_non_cartan_input():
     assert dynkin_classify([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]) is None
     # disconnected A1 + A1
     assert dynkin_classify([[2, 0], [0, 2]]) is None
+    assert dynkin_classify([]) is None
+    # trees past the finite types: affine D5 has two branch nodes, a
+    # star has a node of degree 4, and affine E6, E7 and E8 have arms
+    # (2, 2, 2), (1, 3, 3) and (1, 2, 5)
+    for arms in ((1, 1, 1, 1), (2, 2, 2), (1, 3, 3), (1, 2, 5)):
+        assert dynkin_classify(spider(arms)) is None, arms
+    affine_d5 = [list(row) + [-(i == 1)] for i, row in enumerate(cartan_D(5))]
+    assert dynkin_classify(affine_d5 + [[0, -1, 0, 0, 0, 2]]) is None
+
+
+def spider(arms):
+    """Cartan matrix of a tree with one centre node and arms of the given lengths."""
+    n = 1 + sum(arms)
+    G = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    first = 1
+    for length in arms:
+        arm = range(first, first + length)
+        for prev, node in zip([0, *arm], arm):
+            G[prev][node] = G[node][prev] = -1
+        first += length
+    return G
 
 
 def test_root_type_validation():
@@ -388,20 +395,15 @@ def test_dynkin_is_relabeling_invariant(perm):
 
 
 def test_graph_isomorphism_small_cases():
-    path = {0: {1}, 1: {0, 2}, 2: {1}}
-    relabeled = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
-    star = {0: {1, 2}, 1: {0}, 2: {0}}
-    triangle = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
-    assert graphs_isomorphic(path, relabeled)
-    assert graphs_isomorphic(path, star)  # same shape, different names
-    assert not graphs_isomorphic(path, triangle)
-    assert graphs_isomorphic(
-        path, relabeled, labels_a={0: "leaf"}, labels_b={"a": "leaf"}
-    )
-    assert not graphs_isomorphic(
-        path, relabeled, labels_a={1: "mid"}, labels_b={"a": "mid"}
-    )
-    assert is_connected(path)
+    # a diagram is read by its shape, not by the order of its nodes
+    path = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    middle_last = [[2, 0, -1], [0, 2, -1], [-1, -1, 2]]
+    assert dynkin_classify(path) == dynkin_classify(middle_last) == RootType("A", 3)
+    # four nodes with three edges: a path and a star are different shapes
+    assert dynkin_classify(cartan_A(4)) == RootType("A", 4)
+    star = [[2, -1, -1, -1], [-1, 2, 0, 0], [-1, 0, 2, 0], [-1, 0, 0, 2]]
+    assert dynkin_classify(star) == RootType("D", 4)
+    assert is_connected(adjacency_from_gram(path))
     assert not is_connected({0: set(), 1: set()})
 
 

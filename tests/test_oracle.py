@@ -17,10 +17,10 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from autcert import fingen
 from autcert.cremona import A_VARS, QuadricForm, _kernel, verify_pij_swap
-from autcert.lattice import SpanBasis, hnf, signature
+from autcert.lattice import SpanBasis, dynkin_classify, hnf, signature
 from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
 
-from conftest import POLY_VARS, int_entries, polys, small_fractions
+from conftest import POLY_VARS, int_entries, polys, reflection_closure, small_fractions
 
 GENS = sympy.symbols(POLY_VARS)
 oracle = settings(max_examples=40, deadline=None, database=None)
@@ -293,6 +293,53 @@ def descartes_signature(G) -> tuple[int, int, int]:
     zero = len(coeffs) - 1 - max(k for k, c in enumerate(coeffs) if c != 0)
     negated = sympy.Poly(chi.as_expr().subs(lam, -lam), lam).all_coeffs()
     return sign_changes(coeffs), sign_changes(negated), zero
+
+
+@st.composite
+def simple_graphs(draw):
+    """Cartan matrix of a simple graph on 1 to 9 nodes.
+
+    A random tree with up to two node pairs toggled, under a random
+    node order.  Each node hangs off one of the three before it, which
+    keeps long arms and so the Dynkin diagrams common; the toggles add
+    cycles or cut the graph in two.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    edges = {
+        (k - 1 - draw(st.integers(min_value=0, max_value=min(k - 1, 2))), k)
+        for k in range(1, n)
+    }
+    if n > 1:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            pair = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2))
+            edges ^= {tuple(sorted(pair))}
+    order = draw(st.permutations(range(n)))
+    G = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        G[order[i]][order[j]] = G[order[j]][order[i]] = -1
+    return G
+
+
+ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1),
+    "D": lambda n: 2 * n * (n - 1),
+    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
+}
+
+
+# this seed's 200 draws include every A_n, D_n and E_n on up to 9 nodes
+@seed(20190414)
+@settings(max_examples=200, deadline=None, database=None)
+@given(simple_graphs())
+def test_dynkin_classify_matches_sympy_definiteness(G):
+    # a graph is connected exactly when its Laplacian has corank one
+    n = len(G)
+    laplacian = sympy.Matrix(n, n, lambda i, j: G[i].count(-1) if i == j else G[i][j])
+    finite = laplacian.rank() == n - 1 and sympy.Matrix(G).is_positive_definite
+    found = dynkin_classify(G)
+    assert (found is not None) == finite
+    if found is not None:
+        assert len(reflection_closure(G)) == ROOT_COUNTS[found.family](found.rank)
 
 
 @st.composite

@@ -3,11 +3,15 @@
 import dataclasses
 import hashlib
 import json
-
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import autcert
 from autcert import __version__, cremona, fibration, fingen, pipeline
 from autcert.pipeline import (
     STAGE_ORDER,
@@ -19,7 +23,8 @@ from autcert.pipeline import (
     run_all,
     run_stage,
 )
-from autcert.surface import build_double_kummer, extend_with_conics
+from autcert.scalars import ProjValue
+from autcert.surface import Configuration, build_double_kummer, extend_with_conics
 
 EXPECTED_STAGES = (
     "config",
@@ -320,6 +325,43 @@ def test_nonfg_stage_fails_when_a_refutation_finds_a_member(monkeypatch):
     assert stage.evidence["certificate"]["passed"] is False
 
 
+def quotient_verdicts():
+    return {c["claim"]: c["status"] for c in run_stage("quotient").evidence["checks"]}
+
+
+QUOTIENT_LATTICE = "the quotient classes span a rank-10 lattice of signature (1, 9)"
+QUOTIENT_MARKING = (
+    "the distinguished marked point descends to the class H2 with "
+    "affine coordinate at infinity"
+)
+
+
+@pytest.mark.parametrize(
+    "patch, failing",
+    [
+        # rank 10, but the signature is wrong
+        (lambda mp: mp.setattr(pipeline, "signature", lambda gram: (2, 8, 4)), QUOTIENT_LATTICE),
+        # the signature is right, but the rank is 9
+        (lambda mp: mp.setattr(pipeline.Context, "z_rank", property(lambda ctx: 9)), QUOTIENT_LATTICE),
+        # Q32 lies on H2, at a finite coordinate
+        (
+            lambda mp: mp.setattr(
+                Configuration,
+                "marking_coord",
+                lambda config, point, curve: ProjValue.finite(0),
+            ),
+            QUOTIENT_MARKING,
+        ),
+    ],
+    ids=["signature", "rank", "marking"],
+)
+def test_each_quotient_condition_fails_its_own_check(monkeypatch, patch, failing):
+    verdicts = quotient_verdicts()
+    assert set(verdicts.values()) == {"pass"}
+    patch(monkeypatch)
+    assert quotient_verdicts() == {claim: "fail" if claim == failing else "pass" for claim in verdicts}
+
+
 def test_fibration_stage_lists_types():
     stage = run_stage("fibrations")
     typed = next(c for c in stage.evidence["checks"] if "types" in c)
@@ -470,3 +512,25 @@ def test_cli_stage_list(capsys):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def run_module(*args):
+    """``python -m autcert`` in a fresh interpreter that imports this package."""
+    src = str(Path(autcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "autcert", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    listed = run_module("--stage-list")
+    assert listed.returncode == 0
+    assert listed.stdout.split() == list(EXPECTED_STAGES)
+    bogus = run_module("bogus")
+    assert bogus.returncode == 2
+    assert bogus.stderr and "Traceback" not in bogus.stderr
