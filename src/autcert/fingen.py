@@ -21,7 +21,8 @@ generators, and per stage the support bound, the escape exponent and a
 sparse next-span witness.  The integer matrices are unit vectors
 rebuilt from those exponents, so a third party can recheck every stage
 from the stored numbers alone.  Its records hold plain integers and
-strings; the pipeline writes them out as exact strings.
+strings, and ``NonFGCertificate.to_record`` gives the report's record
+directly, with every number an exact string.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ class MembershipResult:
 
     member: bool
     witness: dict[int, int] | None
+
+    def to_record(self) -> dict:
+        """The report record, witness indices and coefficients as exact strings."""
+        witness = self.witness
+        if witness is not None:
+            witness = {str(i): str(w) for i, w in witness.items()}
+        return {"member": self.member, "witness": witness}
 
 
 def membership(basis: SpanBasis, target: LaurentT) -> MembershipResult:
@@ -136,6 +144,28 @@ class NonFGCertificate:
     degree_argument: str
     external_facts: tuple[str, ...]
     format: str = "2"
+
+    def to_record(self) -> dict:
+        """The report record: every number an exact string, ``passed`` and ``member`` booleans."""
+        return {
+            "max_k": str(self.max_k),
+            "passed": self.passed,
+            "generators": [str(e) for e in self.generators],
+            "stages": [
+                {
+                    "k": str(st.k),
+                    "support_bound": str(st.support_bound),
+                    "escape": st.escape,
+                    "escape_exponent": str(st.escape_exponent),
+                    "refutation": st.refutation.to_record(),
+                    "next_span": st.next_span.to_record(),
+                }
+                for st in self.stages
+            ],
+            "degree_argument": self.degree_argument,
+            "external_facts": list(self.external_facts),
+            "format": self.format,
+        }
 
 
 def certify_nonfg(max_k: int = 5) -> NonFGCertificate:

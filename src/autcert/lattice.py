@@ -377,31 +377,12 @@ class RootType:
         return f"{self.family}{self.rank}"
 
 
-def cartan_A(n: int) -> Mat:
-    return _chain_cartan(n, extra=None)
-
-
-def cartan_D(n: int) -> Mat:
-    if n < 4:
-        raise ValueError("D requires rank >= 4")
-    return _chain_cartan(n, extra=(n - 3, n - 1))
-
-
 def cartan_E(n: int) -> Mat:
+    """Cartan matrix of E_n: the chain 0, ..., n-2 with node n-1 joined to node 2."""
     if n not in (6, 7, 8):
         raise ValueError("E requires rank 6, 7, or 8")
-    return _chain_cartan(n, extra=(2, n - 1))
-
-
-def _chain_cartan(n: int, extra: tuple[int, int] | None) -> Mat:
-    if n < 1:
-        raise ValueError("rank must be positive")
     G = [[2 * int(i == j) for j in range(n)] for i in range(n)]
-    chain = n - 1 if extra is None else n - 2
-    for i in range(chain):
-        G[i][i + 1] = G[i + 1][i] = -1
-    if extra is not None:
-        i, j = extra
+    for i, j in [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)]:
         G[i][j] = G[j][i] = -1
     return tuple(tuple(row) for row in G)
 

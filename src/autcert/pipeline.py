@@ -16,7 +16,8 @@ built from faulty data reports ``fail`` instead of raising.
 
 Reports are deterministic: all randomized search is seeded through
 :class:`PipelineOptions`, evidence dictionaries are built in a fixed
-order, and serialization sorts keys.  Every number is serialized as an
+order, and a report is written as canonical compact JSON, with sorted
+keys and no insignificant whitespace.  Every number is serialized as an
 exact string.
 """
 
@@ -182,7 +183,7 @@ class CertificateReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _stringify(obj):
@@ -872,7 +873,7 @@ def _stage_nonfg(ctx: Context) -> StageResult:
             escapes=[st.escape for st in cert.stages],
         ),
     ]
-    return _assemble(
+    stage = _assemble(
         "nonfg",
         checks,
         external=[
@@ -884,8 +885,11 @@ def _stage_nonfg(ctx: Context) -> StageResult:
                 CITE_UE75,
             )
         ],
-        certificate=cert,
     )
+    # the record is already strings and booleans, so it skips _stringify,
+    # whose walk would visit every stage's dataclasses again
+    stage.evidence["certificate"] = cert.to_record()
+    return stage
 
 
 _STAGE_FUNCS = {

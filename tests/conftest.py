@@ -51,6 +51,25 @@ def gaussian_inverse(rows):
     return [row[n:] for row in A]
 
 
+def _tree_cartan(n, edges):
+    G = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        G[i][j] = G[j][i] = -1
+    return tuple(tuple(row) for row in G)
+
+
+def cartan_A(n):
+    """Cartan matrix of A_n: the chain 0, ..., n-1."""
+    return _tree_cartan(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cartan_D(n):
+    """Cartan matrix of D_n: the chain 0, ..., n-2 with node n-1 joined to node n-3."""
+    if n < 4:
+        raise ValueError("D requires rank >= 4")
+    return _tree_cartan(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
+
+
 def reflection_closure(cartan):
     """All roots of a simply laced system, in simple-root coordinates.
 

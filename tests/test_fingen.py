@@ -15,7 +15,7 @@ from autcert.fingen import (
     translation_str,
 )
 from autcert.lattice import SpanBasis, z_span_membership
-from autcert.pipeline import PipelineOptions, main, run_stage
+from autcert.pipeline import PipelineOptions, _stringify, main, run_stage
 from autcert.scalars import LaurentT
 
 
@@ -200,6 +200,16 @@ def test_certificate_json_is_deterministic():
     assert blob["stages"][2]["escape"] == "(t^-6)*a"
     assert blob["degree_argument"]
     assert blob["external_facts"]
+
+
+def test_certificate_record_matches_the_generic_walk():
+    # the report writes the certificate's own record; the pipeline's generic
+    # dataclass walk is the reference it must not drift from
+    for max_k in [*range(1, 21), 200]:
+        cert = certify_nonfg(max_k)
+        record, walked = cert.to_record(), _stringify(cert)
+        assert record == walked
+        assert json.dumps(record, sort_keys=True) == json.dumps(walked, sort_keys=True)
 
 
 def test_certificate_validation():

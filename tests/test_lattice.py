@@ -18,8 +18,6 @@ from autcert.lattice import (
     RootType,
     SpanBasis,
     adjacency_from_gram,
-    cartan_A,
-    cartan_D,
     cartan_E,
     dynkin_classify,
     gauss_reduce_rank2,
@@ -34,7 +32,7 @@ from autcert.lattice import (
 )
 from autcert.scalars import matrix_rank_det
 
-from conftest import int_matrix, reflection_closure
+from conftest import cartan_A, cartan_D, int_matrix, reflection_closure
 
 
 def matmul(A, B):

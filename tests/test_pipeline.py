@@ -98,11 +98,17 @@ def test_height_display_discrepancy_is_flagged(default_report):
     assert any("evaluates to 4" in n and "2*2 + 2*0 - 2 - 2 = 0" in n for n in notes)
 
 
-def test_json_numbers_are_strings(default_report):
+@pytest.fixture(scope="module")
+def sample_reports(default_report) -> tuple[CertificateReport, ...]:
+    """The default report, the E2,C32 faulted report and the K = 12 nonfg report."""
     faulted = run_all(PipelineOptions(corrupt_pair=("E2", "C32")))
     options = PipelineOptions(max_gens=12)
     deep = CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
-    for report in (default_report, faulted, deep):
+    return default_report, faulted, deep
+
+
+def test_json_numbers_are_strings(sample_reports):
+    for report in sample_reports:
         blob = json.loads(report.to_json())
         assert set(blob) == {"version", "options", "stages", "verdict"}
         for stage in blob["stages"]:
@@ -111,57 +117,67 @@ def test_json_numbers_are_strings(default_report):
             assert leaf is None or isinstance(leaf, (str, bool)), repr(leaf)
 
 
-def test_default_report_sha256_is_the_regression_anchor(default_report):
+def test_reports_are_canonical_compact_json(sample_reports):
+    # RFC 8785-style: sorted keys, no insignificant whitespace, ASCII only
+    for report in sample_reports:
+        text = report.to_json()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        assert text.isascii()
+        assert text.index("\n") == len(text) - 1
+
+
+def test_default_report_sha256_is_the_regression_anchor(sample_reports):
     """The default report's bytes, and a deeper nonfg report's, are pinned by sha256.
 
     The K = 12 certificate has two-digit exponents and witness indices.  A
-    deliberate change of the report format (ROADMAP item 3) updates
-    these values and records the new ones in CHANGES.md.
+    deliberate change of the report format updates these values and
+    records the new ones in CHANGES.md.
     """
-    options = PipelineOptions(max_gens=12)
-    deep = CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
+    default_report, _, deep = sample_reports
     pinned = [
-        (default_report, "f2f5d081ac6d4257163b69c3bcb5923b9c971d56518a731d25e9b062e6e90d9f"),
-        (deep, "c9f5c5b27de25429940d9d184eeb08724540863adf39bb9dfbfec18d31be3117"),
+        (default_report, "9ecc998a4f129d89689cb53892bd34dd3bac41fa588533fab7707803d4ff149d"),
+        (deep, "aea5d29e4c839d4b96245a8cc221ba26b635f58446122e10bf578186526b7262"),
     ]
     for report, expected in pinned:
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == expected
 
 
-# sha256 of run_all(options).to_json(), recorded before the lattice and
-# swap kernels moved from Fraction to int.  The faulted reports print
-# verify_isometry's before/after pairings in their witnesses.  A
-# deliberate format change updates this table and records it in CHANGES.md.
+# sha256 of run_all(options).to_json(), recorded when reports became
+# compact JSON; re-indented, each report reproduces the indented bytes
+# pinned before the lattice and swap kernels moved from Fraction to int.
+# The faulted reports print verify_isometry's before/after pairings in
+# their witnesses.  A deliberate format change updates this table and
+# records it in CHANGES.md.
 PINNED_REPORTS = {
     **{
         PipelineOptions(seed=s): digest
         for s, digest in enumerate(
             [
-                "f2f5d081ac6d4257163b69c3bcb5923b9c971d56518a731d25e9b062e6e90d9f",
-                "4077be7726fccff1037c215807a4fa54d79db9a382348d0bcf0811b990711111",
-                "c254a5cd47a76c495d4c3db0328c5915c73d075f5f790e8b99bf68e8dac994cb",
-                "30f9ea995b8d6ce83881ed2cdbd6d5c607020577bdfd803c27ec2272d751d991",
-                "d0ebcbd3eeca48879078f631dfac2c0a084f03925912136ce8548fe49972f413",
-                "ba3bf3f885a767352f1eccf7e71f3b2d8bd6763bf05506c56fab7bbc5f9d4c24",
-                "d6772de8bbaa4348b988ac06daa6eb87373959844d50836945a71097d7d06035",
-                "6e608d5a05734e0d866300966d49b7c33e0fc3a6b15dc00c03988e44bee910ae",
-                "83d60081bd9569cc0a05091c8e12dd9611046c5b0b7998a160832622e9e93891",
-                "2944fb07cb3066be71f358d65e7a5166320be1aece87280713079cfe7d8d990b",
-                "a8e326ba79826f2b26d96b3ea4f4de4243cc3732854bac14dc258d93d4d0d599",
-                "28ba4c8d1ebb5542ea533dc4930116ffacc2c7bf47e4f4a331c24098812d454d",
+                "9ecc998a4f129d89689cb53892bd34dd3bac41fa588533fab7707803d4ff149d",
+                "a98970a41dcca727246a2a7ee3cad449c57c1f1189057f7c43432a57d92ba31b",
+                "e5960a8254d25b8292a953bf8711d38fe5b8ee02c051d938db2e419b262dea01",
+                "f1ef8b198b300cc49dbd3ca2ce6165c39af9488fda44c3b4b38a96f51c43ced7",
+                "f5d510feae06c621e466aa1ec547183883af624b4b4fdb0d5a29e3e26279aaba",
+                "a5786a2f97b3fc21b9a9840b2ab023b36ebec5fbca821f84d2b4a1dc3b587fe9",
+                "0fb5ac80cb75ddaa155329ca7b98f5b99712bf3ca6b018d5258eb3f1b7e832a1",
+                "43e92e60a8684464e4adf8d29b230f1d7588d1254151a8b7dbc75a44afd034e3",
+                "54f835b83046f01cc3a59294865b6448aa650e4dafd6fd44d1228fb701424eef",
+                "811fff6309543eb5450ced564056da0729c8835a5657ebd450eeb4f78eb76f37",
+                "2a39f62e790b1c60af5920fe2c6f052b8da2e93c1c3a85e49c748dc8039e7251",
+                "14ff8e46bf4012579042047c523d625c0ff4105cc1e87a538e821e534fea0ac3",
             ]
         )
     },
     **{
         PipelineOptions(corrupt_pair=pair): digest
         for pair, digest in [
-            (("E1", "C11"), "a7242d220b3af065c7f918fcb3c27340e5749e52cb05bbe301192a5e33c8a8f6"),
-            (("E2", "C2"), "57bb1bebff1d6e76d17df01e7453abfd1b4c842b571743d33cb6400eb174c34d"),
-            (("F3", "C32"), "c7d8355c582288d8030810dd649ced8e152806c5c6bfbe33da24dd3d8550304b"),
-            (("F4", "C44"), "69831f38171910092ca90611e87ab0fe6cda3ea752ca92f30255479d6ec40406"),
-            (("C11", "C2"), "80ddafde3ecc90397773dbde73367a258c3de78af7fa345d0967d31c5d3a5ef7"),
-            (("C33", "C4"), "aaa99332c10356029399aa53a2c5060fbe3e1dda746c1cdaf3b9cfbdf4eca18d"),
+            (("E1", "C11"), "3bb40a40248dba06a0014ef85da9bfeaec8508bb4af29d9ba91f2a9ca6d4c613"),
+            (("E2", "C2"), "59ed71b4f39e907600ea981c9ebe6730358d6c470189197b16c690f11d79c8c5"),
+            (("F3", "C32"), "52eee73a0fc45401b6faf6c0d3d72bd22129b0c395d2ff288b3b2304621d3f97"),
+            (("F4", "C44"), "36c6d5ab9e5ddd2f3a076950fcd80dd341f096e0e4b6816d70b85b78156d909f"),
+            (("C11", "C2"), "eaaf48cbf64981bd4da51b8561d381c94cd9843d90a6b6bb689c5658a51369c0"),
+            (("C33", "C4"), "9f9cb1760cc3f4dbaaf43e1cd29dad1884e45d4f30814afd7703479ea26150c4"),
         ]
     },
 }
@@ -429,10 +445,10 @@ def test_cli_all_writes_report(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["all"], "f2f5d081ac6d4257163b69c3bcb5923b9c971d56518a731d25e9b062e6e90d9f"),
+        (["all"], "9ecc998a4f129d89689cb53892bd34dd3bac41fa588533fab7707803d4ff149d"),
         (
             ["nonfg", "--max-gens", "80"],
-            "731d140dfeba6069c7896e9dff9c6104344253270c1a6de4e2859c4fbdb2d0f7",
+            "a95e1f31e5615da2118577d15f704b8fc24489ca3b431e10777e789c8dbcd591",
         ),
     ],
     ids=["all-default", "nonfg-80"],
