@@ -25,8 +25,10 @@ perfect square; every other triple fails that check.  The check itself
 runs over ``int``: the form is the integer matrix 2*D*M, with D the lcm
 of the parameters' denominators, the tangent bases, ruling directions
 and meeting points are primitive integer vectors compared projectively
-by cross-multiplication, and each discriminant is reported divided by
-the square factor 4*D^2*c^4 that the integer basis introduces.
+by cross-multiplication, two lines meet where the side pairing of their
+Plücker coordinates vanishes, at a point read off 3x3 minors, and each
+discriminant is reported divided by the square factor 4*D^2*c^4 that
+the integer basis introduces.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
@@ -35,6 +37,7 @@ translation by powers of a scaling.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -44,7 +47,6 @@ from typing import Sequence
 from .scalars import (
     LaurentT,
     MultiPoly,
-    matrix_rank_det,
     poly_divide_exact,
     poly_gcd,
     rational_sqrt,
@@ -217,52 +219,45 @@ def _primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def _kernel(rows) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the rational kernel {x : rows @ x = 0}.
+_PAIRS = tuple(itertools.combinations(range(4), 2))
 
-    Fraction-free Gauss-Jordan: a row operation cross-multiplies by the
-    two pivot-column entries and divides the row by its content.  Free
-    column f gives x_f = L, the pivots' lcm, and x_p = -row[f]*L/pivot.
-    """
-    A = list(rows)
-    n = len(A[0])
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        p = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        for i, row in enumerate(A):
-            if i != r and row[c]:
-                A[i] = _primitive([A[r][c] * x - row[c] * y for x, y in zip(row, A[r])])
-        pivots.append(c)
-    basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        L = math.lcm(*(A[k][p] for k, p in enumerate(pivots)))
-        vec = [0] * n
-        vec[f] = L
-        for k, p in enumerate(pivots):
-            vec[p] = -A[k][f] * (L // A[k][p])
-        basis.append(_primitive(vec))
-    return basis
+
+def _plucker(a, b) -> tuple[int, ...]:
+    """Plücker coordinates a_i*b_j - a_j*b_i, i < j, of span(a, b)."""
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS)
+
+
+def _side(p, q) -> int:
+    """The side pairing of Plücker vectors: det[a b c e] for p = a^b, q = c^e,
+    the Laplace expansion by the 2x2 minors of the first two rows."""
+    return p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
 
 
 def _line_meet(l1, l2):
-    """Kernel dimension of the combined system and the primitive meeting point."""
+    """(0, None) when span(a, b) and span(c, e) are skew in P3, (1, the
+    primitive point) when they meet once, (2, None) when they are one
+    line or a pair spans less.  They meet iff the side pairing of their
+    Plücker vectors is 0.  The minor det_I(x, a, b) on coordinates I is
+    a linear form in x vanishing on span(a, b); on the first I where it
+    is not zero on span(c, e), its one zero there is the meeting point
+    nu*c + rho*e, nu = det_I(e, a, b) and rho = -det_I(c, a, b), signed
+    so that rho > 0, or nu > 0 when rho = 0.  No such I means a ^ b = 0
+    or c, e in span(a, b); a zero point means c ^ e = 0.
+    """
     (a, b), (c, e) = l1, l2
-    basis = _kernel([(a[k], b[k], -c[k], -e[k]) for k in range(4)])
-    if not basis:
+    p = _plucker(a, b)
+    if _side(p, _plucker(c, e)):
         return 0, None
-    if len(basis) > 1:
-        return 2, None
-    lam, mu = basis[0][0], basis[0][1]
-    point = tuple(lam * a[k] + mu * b[k] for k in range(4))
-    if not any(point):
-        return 2, None
-    return 1, _primitive(point)
+    P = dict(zip(_PAIRS, p))
+    for i, j, k in itertools.combinations(range(4), 3):
+        nu = e[i] * P[j, k] - e[j] * P[i, k] + e[k] * P[i, j]
+        rho = c[j] * P[i, k] - c[i] * P[j, k] - c[k] * P[i, j]
+        if nu or rho:
+            if rho < 0 or (rho == 0 and nu < 0):
+                nu, rho = -nu, -rho
+            point = tuple(nu * x + rho * y for x, y in zip(c, e))
+            return (1, _primitive(point)) if any(point) else (2, None)
+    return 2, None
 
 
 def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapReport:
@@ -285,7 +280,10 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     (-B +- r)*W1 + 2*A*W2.  The map ``tau`` (default ``cremona_map()``)
     is evaluated over ``int`` at the D-scaled parameters, each component
     times the powers of D its degree in a1..a3 lacks: the same
-    projective point.  A swap is cross-multiplied proportionality.
+    projective point.  A swap is cross-multiplied proportionality: the
+    image and p_ji span no line, all Plücker coordinates 0.  Lines meet
+    by ``_line_meet``, and det N is the side pairing of the Plücker
+    vectors of rows 0, 1 and rows 2, 3.
     """
     al = tuple(Fraction(a) for a in alpha)
     if len(al) != 3 or any(a == 0 for a in al):
@@ -294,8 +292,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     D = math.lcm(*(a.denominator for a in al))
     a1, a2, a3 = (int(a * D) for a in al)
     m = ((0, a3, a2, D), (a3, 0, a1, D), (a2, a1, 0, D), (D, D, D, 0))
-    _, det = matrix_rank_det(m)
-    if det == 0:
+    if _side(_plucker(m[0], m[1]), _plucker(m[2], m[3])) == 0:
         return SwapReport(
             alpha_str, False,
             failures=({"kind": "degenerate-quadric", "detail": "det = 0"},),
@@ -353,14 +350,10 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
         for k in (0, 1):
             line = lines[(i, k)]
             dim, _ = _line_meet(reference, line)
-            if dim == 1:
-                if i in ruling_b:
-                    failures.append({"kind": "ruling-sort-clash", "point": i})
-                ruling_b[i] = line
-            else:
-                if i in ruling_a:
-                    failures.append({"kind": "ruling-sort-clash", "point": i})
-                ruling_a[i] = line
+            ruling = ruling_b if dim == 1 else ruling_a
+            if i in ruling:
+                failures.append({"kind": "ruling-sort-clash", "point": i})
+            ruling[i] = line
     if failures or set(ruling_a) != {1, 2, 3, 4} or set(ruling_b) != {1, 2, 3, 4}:
         failures.append({"kind": "rulings-not-partitioned"})
         return SwapReport(alpha_str, False, tuple(discs), failures=tuple(failures))
@@ -406,12 +399,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
         if not any(image):
             failures.append({"kind": "image-vanishes", "pair": [i, j]})
             continue
-        proportional = all(
-            image[r] * q[s] == image[s] * q[r]
-            for r in range(4)
-            for s in range(r + 1, 4)
-        )
-        if proportional:
+        if not any(_plucker(image, q)):
             swaps += 1
         else:
             failures.append(
@@ -425,10 +413,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
             )
 
     def line_str(line):
-        base, direction = line
-        return "span(" + ", ".join(
-            "[" + ":".join(str(x) for x in v) + "]" for v in (base, direction)
-        ) + ")"
+        return "span(" + ", ".join(f"[{':'.join(map(str, v))}]" for v in line) + ")"
 
     return SwapReport(
         alpha_str,

@@ -279,10 +279,13 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     Pivot d clears entry f of its column with the row operation
     row_i <- (d/g)*row_i - (f/g)*row_k, g = gcd(d, f), and the same
     operation on column i: a congruence by an integer matrix of nonzero
-    determinant, so Sylvester's law keeps the inertia.  An all-zero
-    diagonal block with a surviving off-diagonal entry is broken by
-    adding one basis vector to another, which works in characteristic
-    zero.
+    determinant, so Sylvester's law keeps the inertia, and the rank is
+    positive + negative.  An all-zero diagonal block with a surviving
+    off-diagonal entry is broken by adding one basis vector to another,
+    which works in characteristic zero.  Step k works on the trailing
+    block of rows and columns k..n-1 alone: no later step reads row or
+    column k.  Its row operations come first and zero column k below d,
+    so each column operation is then the scaling of column i by d/g.
     """
     M = [list(row) for row in _check_gram(gram)]
     n = len(M)
@@ -297,25 +300,28 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
             if pair is None:
                 break
             i, j = pair
-            M[i] = [x + y for x, y in zip(M[i], M[j])]
-            for row in M:
+            M[i][k:] = [x + y for x, y in zip(M[i][k:], M[j][k:])]
+            for row in M[k:]:
                 row[i] += row[j]
             p = i
         if p != k:
             M[k], M[p] = M[p], M[k]
-            for row in M:
+            for row in M[k:]:
                 row[k], row[p] = row[p], row[k]
-        top = M[k]
-        d = top[k]
+        d = M[k][k]
         positive.append(d > 0)
+        top = M[k][k + 1 :]
+        scales = []
         for i in range(k + 1, n):
             f = M[i][k]
             if f:
                 g = gcd(d, f)
                 a, b = d // g, f // g
-                M[i] = [a * x - b * y for x, y in zip(M[i], top)]
-                for row in M:
-                    row[i] = a * row[i] - b * row[k]
+                M[i][k + 1 :] = [a * x - b * y for x, y in zip(M[i][k + 1 :], top)]
+                scales.append((i, a))
+        for row in M[k + 1 :]:
+            for i, a in scales:
+                row[i] *= a
     pos = sum(positive)
     return pos, len(positive) - pos, n - len(positive)
 

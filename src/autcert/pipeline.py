@@ -9,7 +9,7 @@ the certificate states exactly what was computed and what was assumed.
 
 :class:`Context` is the single source of construction data: it builds
 the curve configurations, applies the ``corrupt_pair`` fault, and
-measures the ranks and classifies each named fiber once, and every
+measures the signatures and classifies each named fiber once, and every
 stage reads them there.  An injected fault therefore reaches every
 stage that reads the data it corrupts, and a stage that cannot be
 built from faulty data reports ``fail`` instead of raising.
@@ -56,7 +56,6 @@ from .lattice import (
     cartan_E,
     dynkin_classify,
     gauss_reduce_rank2,
-    gram_rank,
     orth_complement,
     signature,
 )
@@ -301,14 +300,24 @@ class Context:
         return quotient_pushforward(self.x, self.eps)
 
     @_fact
-    def x_rank(self) -> int:
-        """Rank of the lattice the 28 curves span: the Picard number upstairs."""
-        return gram_rank(self.x.gram)
+    def x_signature(self) -> tuple[int, int, int]:
+        """Inertia of the 28-curve intersection form."""
+        return signature(self.x.gram)
 
     @_fact
+    def z_signature(self) -> tuple[int, int, int]:
+        """Inertia of the 14-class intersection form."""
+        return signature(self.z.gram)
+
+    @property
+    def x_rank(self) -> int:
+        """The Picard number upstairs: n+ + n- of the one congruence."""
+        return sum(self.x_signature[:2])
+
+    @property
     def z_rank(self) -> int:
-        """Rank of the lattice the 14 classes span: the Picard number downstairs."""
-        return gram_rank(self.z.gram)
+        """The Picard number downstairs: n+ + n- of the one congruence."""
+        return sum(self.z_signature[:2])
 
     @_fact
     def fibers(self) -> dict[str, FiberDivisor]:
@@ -437,8 +446,8 @@ _ANCHORS = {
 
 def _stage_config(ctx: Context) -> StageResult:
     kummer, x = ctx.kummer, ctx.x
-    rank24 = gram_rank(kummer.gram)
     sig24 = signature(kummer.gram)
+    rank24 = sum(sig24[:2])
     rep_e = verify_isometry(x, ctx.eps)
     data: dict = {"fixed_labels": list(rep_e.fixed_labels)}
     if rep_e.failures:
@@ -534,7 +543,7 @@ def _stage_cremona(ctx: Context) -> StageResult:
 
 def _stage_quotient(ctx: Context) -> StageResult:
     z = ctx.z
-    sig = signature(z.gram)
+    sig = ctx.z_signature
     samples = [("H2", "D32", 1), ("D11", "H1", 2), ("D11", "D22", 2), ("H1", "H2", 0)]
     halved = all(z.pairing(a, b) == v for a, b, v in samples)
     cycle = ctx.cycle("M1")

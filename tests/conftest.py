@@ -109,6 +109,26 @@ def int_matrix(n, m=None):
     )
 
 
+@st.composite
+def line_pairs(draw):
+    """Vectors a, b, c, e of Z^4 for the lines span(a, b) and span(c, e) of P3.
+
+    Each of b, c and e is drawn freely or, one time in three, as an
+    integer combination of the vectors before it, where a third of the
+    coefficients are 0: skew, meeting and coinciding lines all occur,
+    and so do pairs that span only a point.
+    """
+    vectors: list[tuple[int, ...]] = []
+    for _ in range(4):
+        if vectors and draw(st.integers(0, 2)) == 0:
+            coeffs = [draw(st.sampled_from((0, 0, 1, -1, 2, -3))) for _ in vectors]
+            combined = (sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(4))
+            vectors.append(tuple(combined))
+        else:
+            vectors.append(tuple(draw(int_entries) for _ in range(4)))
+    return vectors
+
+
 POLY_VARS = ("x", "y", "z")
 
 

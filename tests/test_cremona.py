@@ -1,5 +1,6 @@
 """Tests for the Cremona involution and the affine maps of the line."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -31,7 +32,7 @@ from autcert.scalars import (
     rational_sqrt,
 )
 
-from conftest import int_matrix
+from conftest import line_pairs
 
 COFACTOR = parse_poly("a1*a2*a3*x1*x2*x3*x4")
 
@@ -293,6 +294,16 @@ def test_every_triple_fails_only_as_irrational_or_degenerate():
     assert passing == 51
 
 
+def test_every_swap_record_in_the_box_matches_its_pinned_digest():
+    # the full records, failures included, of every triple in 1..12^3
+    tau = cremona_map()
+    text = "\n".join(
+        repr(verify_pij_swap(t, tau)) for t in itertools.product(range(1, 13), repeat=3)
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "7edff55b5d7279a34aae83dc516089d9b64c5462b4adb8023b6234f0138b83bb"
+
+
 @pytest.mark.parametrize("alpha", [(9, 2, 2), (Fraction(9, 2), 1, 1)])
 def test_swap_checks_the_map_it_is_given(alpha):
     assert verify_pij_swap(alpha, cremona_map()) == verify_pij_swap(alpha)
@@ -320,15 +331,21 @@ def test_rational_parameters_pass_with_rescaled_discriminants(triple):
     assert report.discriminants == tuple(str(x) for x in (d / a3**2, d / a3**2, d / a2**2, d))
 
 
-@given(int_matrix(3, 4))
-def test_kernel_is_a_primitive_basis_of_the_nullspace(m):
-    rank, _ = matrix_rank_det(m)
-    basis = cremona._kernel(m)
-    assert len(basis) == 4 - rank
-    for vec in basis:
-        assert math.gcd(*vec) == 1
-        for row in m:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
+@given(line_pairs())
+def test_line_meet_is_a_primitive_point_of_both_lines(vectors):
+    a, b, c, e = vectors
+    dim, point = cremona._line_meet((a, b), (c, e))
+
+    def rank(*rows):
+        return matrix_rank_det(list(rows))[0]
+
+    assert (dim == 0) == (matrix_rank_det([a, b, c, e])[1] != 0)
+    assert (dim == 1) == (rank(a, b) == rank(c, e) == 2 and rank(a, b, c, e) == 3)
+    if dim == 1:
+        assert math.gcd(*point) == 1
+        assert rank(a, b, point) == rank(c, e, point) == 2
+    else:
+        assert point is None
 
 
 def test_line_meet_dimensions():

@@ -5,10 +5,11 @@ the package itself never imports it.  Inputs are drawn with fixed
 hypothesis seeds, so every run checks the same cases.
 """
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, seed, settings
+from hypothesis import example, given, seed, settings
 
 import pytest
 
@@ -16,11 +17,26 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form
 
 from autcert import fingen
-from autcert.cremona import A_VARS, QuadricForm, _kernel, verify_pij_swap
+from autcert.cremona import (
+    A_VARS,
+    QuadricForm,
+    _line_meet,
+    _plucker,
+    _side,
+    verify_pij_swap,
+)
 from autcert.lattice import SpanBasis, dynkin_classify, hnf, signature
 from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
 
-from conftest import POLY_VARS, int_entries, polys, reflection_closure, small_fractions
+from conftest import (
+    POLY_VARS,
+    int_entries,
+    int_matrix,
+    line_pairs,
+    polys,
+    reflection_closure,
+    small_fractions,
+)
 
 GENS = sympy.symbols(POLY_VARS)
 oracle = settings(max_examples=40, deadline=None, database=None)
@@ -119,29 +135,38 @@ def test_hnf_row_span_matches_sympy(rows):
     assert sum(1 for row in H if any(row)) == theirs.shape[1]
 
 
-@st.composite
-def rank_two_to_four(draw):
-    """4x4 integer matrices whose rows after the first r are combinations of those r."""
-    r = draw(st.integers(min_value=2, max_value=4))
-    rows = [[draw(int_entries) for _ in range(4)] for _ in range(r)]
-    for _ in range(4 - r):
-        coeffs = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(r)]
-        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(4)])
-    return draw(st.permutations(rows))
-
-
 @seed(20190407)
 @oracle
-@given(rank_two_to_four())
-def test_line_meet_kernel_matches_sympy_nullspace(rows):
-    theirs = sympy.Matrix(rows).nullspace()
-    assume(len(theirs) <= 2)
-    mine = _kernel(rows)
-    assert len(mine) == len(theirs)
-    # the same span: stacking both bases adds nothing to either
-    if mine:
-        assert sympy.Matrix(mine).rank() == len(mine)
-        assert sympy.Matrix(mine + [list(v) for v in theirs]).rank() == len(mine)
+@given(line_pairs())
+# c on the first line, met at -c; and c, e spanning only a point
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0)])
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 2, 0)])
+def test_line_meet_kernel_matches_sympy_nullspace(vectors):
+    # span(a, b) and span(c, e) meet where lambda*a + mu*b = sigma*c + tau*e,
+    # the kernel of [a b -c -e]; the point is signed so that tau > 0,
+    # or sigma > 0 when tau = 0
+    a, b, c, e = vectors
+    theirs = sympy.Matrix([a, b, [-x for x in c], [-x for x in e]]).T.nullspace()
+    expected = (0, None) if not theirs else (2, None)
+    if len(theirs) == 1:
+        lam, mu, sigma, tau = theirs[0]
+        point = [lam * x + mu * y for x, y in zip(a, b)]
+        if any(point):
+            sign = sympy.sign(tau) if tau else sympy.sign(sigma)
+            scale = sign * sympy.ilcm(*(sympy.fraction(x)[1] for x in point))
+            ints = [int(x * scale) for x in point]
+            g = math.gcd(*ints)
+            expected = (1, tuple(x // g for x in ints))
+    assert _line_meet((a, b), (c, e)) == expected
+
+
+@seed(20190412)
+@oracle
+@given(st.one_of(line_pairs(), int_matrix(4)))
+def test_plucker_pairing_of_row_pairs_is_the_determinant(rows):
+    # the Laplace expansion of det by the 2x2 minors of rows (0, 1) and (2, 3)
+    pairing = _side(_plucker(rows[0], rows[1]), _plucker(rows[2], rows[3]))
+    assert pairing == sympy.Matrix(rows).det()
 
 
 substituted_values = st.one_of(

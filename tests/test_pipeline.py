@@ -13,6 +13,7 @@ import pytest
 
 import autcert
 from autcert import __version__, cremona, fibration, fingen, pipeline
+from autcert.lattice import gram_rank, signature
 from autcert.pipeline import (
     STAGE_ORDER,
     CertificateReport,
@@ -246,6 +247,24 @@ def test_injected_fault_fails_without_raising(pair):
         assert report.stages[STAGE_ORDER.index(name)].status == "fail", name
     for k, name in enumerate(STAGE_ORDER):
         assert run_stage(name, options).to_json_dict() == report.stages[k].to_json_dict()
+
+
+def test_ranks_read_off_the_signatures_match_bareiss():
+    # the pipeline takes each rank from the congruence that gives the
+    # signature; Bareiss elimination is the independent second route
+    for pair in [None, *FAULT_PAIRS]:
+        ctx = pipeline.Context(PipelineOptions(corrupt_pair=pair))
+        assert gram_rank(ctx.kummer.gram) == sum(signature(ctx.kummer.gram)[:2]), pair
+        assert ctx.x_rank == gram_rank(ctx.x.gram), pair
+        try:
+            z = ctx.z
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)):
+                ctx.z_rank
+            with pytest.raises(type(exc)):
+                gram_rank(ctx.z.gram)
+        else:
+            assert ctx.z_rank == gram_rank(z.gram), pair
 
 
 def counted(monkeypatch, counts, module, name):
