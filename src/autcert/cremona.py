@@ -25,10 +25,11 @@ perfect square; every other triple fails that check.  The check itself
 runs over ``int``: the form is the integer matrix 2*D*M, with D the lcm
 of the parameters' denominators, the tangent bases, ruling directions
 and meeting points are primitive integer vectors compared projectively
-by cross-multiplication, two lines meet where the side pairing of their
-Plücker coordinates vanishes, at a point read off 3x3 minors, and each
-discriminant is reported divided by the square factor 4*D^2*c^4 that
-the integer basis introduces.
+by cross-multiplication, each ruling line keeps one Plücker vector, two
+lines meet where the side pairing of their vectors vanishes, at a point
+read off 3x3 minors, and each discriminant is reported divided by the
+square factor 4*D^2*c^4 that the integer basis introduces.  det M is
+det(2M)/16, the same pairing of the row pairs of 2M over ``MultiPoly``.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
@@ -144,6 +145,12 @@ class QuadricForm:
             (hc, hc, hc, zero),
         )
 
+    def determinant(self) -> MultiPoly:
+        """det M = det(2M)/16: the side pairing of the Plücker vectors of
+        rows 0, 1 and rows 2, 3 of the integer-coefficient form 2M."""
+        n = [[x.scale(2) for x in row] for row in self.matrix()]
+        return _side(_plucker(n[0], n[1]), _plucker(n[2], n[3])).scale(Fraction(1, 16))
+
 
 def preserves_quadric(map_: RationalMapP3, q: MultiPoly) -> MultiPoly | dict:
     """Exact cofactor c with q(map) = c * q, or a failure record with the remainder."""
@@ -210,7 +217,8 @@ class SwapReport:
 
 
 def _quad(m, v, w) -> int:
-    return sum(v[r] * m[r][c] * w[c] for r in range(4) if v[r] for c in range(4))
+    w0, w1, w2, w3 = w
+    return sum(x * (r[0] * w0 + r[1] * w1 + r[2] * w2 + r[3] * w3) for x, r in zip(v, m) if x)
 
 
 def _primitive(v) -> tuple[int, ...]:
@@ -222,9 +230,18 @@ def _primitive(v) -> tuple[int, ...]:
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-def _plucker(a, b) -> tuple[int, ...]:
+def _plucker(a, b) -> tuple:
     """Plücker coordinates a_i*b_j - a_j*b_i, i < j, of span(a, b)."""
-    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS)
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b1 - a1 * b0,
+        a0 * b2 - a2 * b0,
+        a0 * b3 - a3 * b0,
+        a1 * b2 - a2 * b1,
+        a1 * b3 - a3 * b1,
+        a2 * b3 - a3 * b2,
+    )
 
 
 def _side(p, q) -> int:
@@ -233,20 +250,21 @@ def _side(p, q) -> int:
     return p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
 
 
-def _line_meet(l1, l2):
-    """(0, None) when span(a, b) and span(c, e) are skew in P3, (1, the
+def _line_meet(p, line):
+    """(0, None) when span(a, b), with Plücker vector p = a^b, and
+    span(c, e), given as line = (c, e, c^e), are skew in P3, (1, the
     primitive point) when they meet once, (2, None) when they are one
-    line or a pair spans less.  They meet iff the side pairing of their
+    line or a pair spans less.  They meet iff the side pairing of the
     Plücker vectors is 0.  The minor det_I(x, a, b) on coordinates I is
-    a linear form in x vanishing on span(a, b); on the first I where it
-    is not zero on span(c, e), its one zero there is the meeting point
-    nu*c + rho*e, nu = det_I(e, a, b) and rho = -det_I(c, a, b), signed
-    so that rho > 0, or nu > 0 when rho = 0.  No such I means a ^ b = 0
-    or c, e in span(a, b); a zero point means c ^ e = 0.
+    a linear form in x vanishing on span(a, b), with entries of p as its
+    coefficients; on the first I where it is not zero on span(c, e), its
+    one zero there is the meeting point nu*c + rho*e, nu = det_I(e, a, b)
+    and rho = -det_I(c, a, b), signed so that rho > 0, or nu > 0 when
+    rho = 0.  No such I means a ^ b = 0 or c, e in span(a, b); a zero
+    point means c ^ e = 0.
     """
-    (a, b), (c, e) = l1, l2
-    p = _plucker(a, b)
-    if _side(p, _plucker(c, e)):
+    c, e, q = line
+    if _side(p, q):
         return 0, None
     P = dict(zip(_PAIRS, p))
     for i, j, k in itertools.combinations(range(4), 3):
@@ -281,9 +299,9 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     is evaluated over ``int`` at the D-scaled parameters, each component
     times the powers of D its degree in a1..a3 lacks: the same
     projective point.  A swap is cross-multiplied proportionality: the
-    image and p_ji span no line, all Plücker coordinates 0.  Lines meet
-    by ``_line_meet``, and det N is the side pairing of the Plücker
-    vectors of rows 0, 1 and rows 2, 3.
+    image and p_ji span no line, all Plücker coordinates 0.  Side pairings
+    of the lines' Plücker vectors, one each, sort and check the rulings
+    and give det N from its rows; ``_line_meet`` gives the 12 cross points.
     """
     al = tuple(Fraction(a) for a in alpha)
     if len(al) != 3 or any(a == 0 for a in al):
@@ -337,8 +355,8 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
             )
             continue
         base = tuple(int(k == i) for k in range(4))
-        lines[(i + 1, 0)] = (base, d1)
-        lines[(i + 1, 1)] = (base, d2)
+        lines[(i + 1, 0)] = (base, d1, _plucker(base, d1))
+        lines[(i + 1, 1)] = (base, d2, _plucker(base, d2))
 
     if failures:
         return SwapReport(alpha_str, False, tuple(discs), failures=tuple(failures))
@@ -346,22 +364,20 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     ruling_a: dict[int, tuple] = {}
     ruling_b: dict[int, tuple] = {}
     reference = lines[(1, 0)]
-    for i in range(1, 5):
-        for k in (0, 1):
-            line = lines[(i, k)]
-            dim, _ = _line_meet(reference, line)
-            ruling = ruling_b if dim == 1 else ruling_a
-            if i in ruling:
-                failures.append({"kind": "ruling-sort-clash", "point": i})
-            ruling[i] = line
+    for (i, _), line in lines.items():
+        # no vector is 0, so a side pairing of 0 with another line is one point
+        meets = line is not reference and not _side(reference[2], line[2])
+        ruling = ruling_b if meets else ruling_a
+        if i in ruling:
+            failures.append({"kind": "ruling-sort-clash", "point": i})
+        ruling[i] = line
     if failures or set(ruling_a) != {1, 2, 3, 4} or set(ruling_b) != {1, 2, 3, 4}:
         failures.append({"kind": "rulings-not-partitioned"})
         return SwapReport(alpha_str, False, tuple(discs), failures=tuple(failures))
     for fam in (ruling_a, ruling_b):
         for i in range(1, 5):
             for j in range(i + 1, 5):
-                dim, _ = _line_meet(fam[i], fam[j])
-                if dim != 0:
+                if not _side(fam[i][2], fam[j][2]):
                     failures.append(
                         {"kind": "same-ruling-lines-meet", "pair": [i, j]}
                     )
@@ -371,7 +387,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
         for j in range(1, 5):
             if i == j:
                 continue
-            dim, point = _line_meet(ruling_a[i], ruling_b[j])
+            dim, point = _line_meet(ruling_a[i][2], ruling_b[j])
             if dim != 1:
                 failures.append({"kind": "cross-ruling-miss", "pair": [i, j]})
                 continue
@@ -413,7 +429,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
             )
 
     def line_str(line):
-        return "span(" + ", ".join(f"[{':'.join(map(str, v))}]" for v in line) + ")"
+        return "span(" + ", ".join(f"[{':'.join(map(str, v))}]" for v in line[:2]) + ")"
 
     return SwapReport(
         alpha_str,

@@ -7,7 +7,7 @@ comes with an integer witness the caller can recheck by hand; the
 negative answers follow from divisibility obstructions in an echelon
 basis.  Kernels use the Hermite form; membership uses a sparse echelon
 basis grown one generator at a time, which also takes Fraction
-entries.  Signatures are computed by symmetric congruence over the
+entries.  Signatures come from sparse symmetric congruence over the
 integers, and small root lattices are recognized by the arm lengths
 of their Dynkin diagrams.
 """
@@ -274,56 +274,60 @@ def orth_complement(
 
 
 def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia by integer symmetric congruence.
+    """(positive, negative, zero) inertia by sparse integer symmetric congruence.
 
-    Pivot d clears entry f of its column with the row operation
-    row_i <- (d/g)*row_i - (f/g)*row_k, g = gcd(d, f), and the same
-    operation on column i: a congruence by an integer matrix of nonzero
-    determinant, so Sylvester's law keeps the inertia, and the rank is
-    positive + negative.  An all-zero diagonal block with a surviving
-    off-diagonal entry is broken by adding one basis vector to another,
-    which works in characteristic zero.  Step k works on the trailing
-    block of rows and columns k..n-1 alone: no later step reads row or
-    column k.  Its row operations come first and zero column k below d,
-    so each column operation is then the scaling of column i by d/g.
+    Rows are dicts of their nonzero entries.  Each step pivots on a
+    nonzero diagonal entry d = M_kk with the fewest neighbours i, those
+    with f_i = M_ik nonzero, and replaces e_i by a_i*e_i - b_i*e_k, where
+    a_i = d/g_i, b_i = f_i/g_i and g_i = gcd(d, f_i): a congruence by an
+    integer matrix of nonzero determinant, so by Sylvester's law of
+    inertia any pivot order keeps the signature, and the rank is
+    positive + negative.  Only the neighbours' rows and columns move:
+    (i, j) becomes a_i*a_j*M_ij - d*b_i*b_j between two of them, and
+    a_i*M_ij against a non-neighbour j.  When the diagonal left is all
+    0 but some M_kj is not, e_k <- e_k + e_j makes M_kk = 2*M_kj.
     """
-    M = [list(row) for row in _check_gram(gram)]
-    n = len(M)
+    G = _check_gram(gram)
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(G) if any(row)}
     positive: list[bool] = []  # one entry per nonzero pivot
-    for k in range(n):
-        p = next((i for i in range(k, n) if M[i][i]), None)
-        if p is None:
-            pair = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j]),
-                None,
-            )
-            if pair is None:
-                break
-            i, j = pair
-            M[i][k:] = [x + y for x, y in zip(M[i][k:], M[j][k:])]
-            for row in M[k:]:
-                row[i] += row[j]
-            p = i
-        if p != k:
-            M[k], M[p] = M[p], M[k]
-            for row in M[k:]:
-                row[k], row[p] = row[p], row[k]
-        d = M[k][k]
+    while rows:
+        k, fewest = None, len(G) + 1
+        for i, row in rows.items():
+            if i in row and len(row) < fewest:
+                k, fewest = i, len(row)
+        if k is None:
+            k, rk = next(iter(rows.items()))
+            j = next(iter(rk))
+            for t, x in rows[j].items():
+                y = rk.get(t, 0) + x
+                if y:
+                    rk[t] = rows[t][k] = y
+                else:
+                    del rk[t], rows[t][k]
+            rk[k] = 2 * rk[j]  # (e_k + e_j)^2, as M_kk = M_jj = 0
+        nbrs = rows.pop(k)
+        d = nbrs.pop(k)
         positive.append(d > 0)
-        top = M[k][k + 1 :]
-        scales = []
-        for i in range(k + 1, n):
-            f = M[i][k]
-            if f:
-                g = gcd(d, f)
-                a, b = d // g, f // g
-                M[i][k + 1 :] = [a * x - b * y for x, y in zip(M[i][k + 1 :], top)]
-                scales.append((i, a))
-        for row in M[k + 1 :]:
-            for i, a in scales:
-                row[i] *= a
+        scale = {i: d // gcd(d, f) for i, f in nbrs.items()}
+        reduced = {i: f * scale[i] // d for i, f in nbrs.items()}
+        for i, a in scale.items():
+            row = rows[i]
+            del row[k]
+            for j, x in row.items():
+                if j in scale:
+                    row[j] = a * x * scale[j]
+                else:
+                    row[j] = rows[j][i] = a * x
+            for j, b in reduced.items():
+                y = row.get(j, 0) - d * reduced[i] * b
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            if not row:
+                del rows[i]
     pos = sum(positive)
-    return pos, len(positive) - pos, n - len(positive)
+    return pos, len(positive) - pos, len(G) - len(positive)
 
 
 def gram_rank(gram: Sequence[Sequence[int]]) -> int:

@@ -70,7 +70,7 @@ from .mwl import (
     is_torsion,
     section_from_config,
 )
-from .scalars import LaurentT, RatFunc, matrix_rank_det, parse_poly
+from .scalars import LaurentT, RatFunc, parse_poly
 from .surface import (
     Configuration,
     IsometryPerm,
@@ -486,7 +486,7 @@ def _stage_cremona(ctx: Context) -> StageResult:
     cof = preserves_quadric(tau, q.poly)
     inv = involution_cofactor(tau)
     points = [contraction_check(tau, i) for i in range(1, 5)]
-    _, det = matrix_rank_det([list(r) for r in q.matrix()])
+    det = q.determinant()
     reports = find_swap_specializations(seed=ctx.options.seed, tau=tau)
     samples = [
         {

@@ -108,6 +108,13 @@ def test_quadric_determinant_is_nonzero_polynomial():
     )
 
 
+def test_quadric_determinant_is_the_bareiss_determinant():
+    q = QuadricForm.standard()
+    assert q.determinant() == matrix_rank_det(q.matrix())[1]
+    # the cremona stage reads det M as a Plücker pairing, not by Bareiss
+    assert not hasattr(pipeline, "matrix_rank_det")
+
+
 def test_cofactor_multiplicative_under_composition():
     # q(f.g) = (c_f composed with g) * c_g * q, checked on tau with itself
     tau = cremona_map()
@@ -170,14 +177,29 @@ def test_swap_reports_ruling_errors_as_failures(monkeypatch):
     # a displaced meeting point leaves the quadric
     line_meet = cremona._line_meet
 
-    def displaced(l1, l2):
-        dim, point = line_meet(l1, l2)
+    def displaced(p, line):
+        dim, point = line_meet(p, line)
         return dim, point and tuple(x + 1 for x in point)
 
     monkeypatch.setattr(cremona, "_line_meet", displaced)
     report = verify_pij_swap((9, 2, 2))
     assert not report.passed
     assert {f["kind"] for f in report.failures} == {"intersection-off-quadric"}
+
+
+def test_each_ruling_line_has_one_plucker_vector(monkeypatch):
+    # 8 ruling lines, 2 for det N and 12 swap checks: the ruling sort,
+    # the disjointness checks and the 12 meets reuse the lines' vectors
+    calls = []
+    plucker = cremona._plucker
+
+    def counting(a, b):
+        calls.append((a, b))
+        return plucker(a, b)
+
+    monkeypatch.setattr(cremona, "_plucker", counting)
+    assert verify_pij_swap((9, 2, 2)).passed
+    assert len(calls) == 22
 
 
 def test_find_swap_specializations_deterministic():
@@ -331,10 +353,16 @@ def test_rational_parameters_pass_with_rescaled_discriminants(triple):
     assert report.discriminants == tuple(str(x) for x in (d / a3**2, d / a3**2, d / a2**2, d))
 
 
+def meet(l1, l2):
+    """_line_meet of span(a, b) and span(c, e), their Plücker vectors computed here."""
+    (a, b), (c, e) = l1, l2
+    return cremona._line_meet(cremona._plucker(a, b), (c, e, cremona._plucker(c, e)))
+
+
 @given(line_pairs())
 def test_line_meet_is_a_primitive_point_of_both_lines(vectors):
     a, b, c, e = vectors
-    dim, point = cremona._line_meet((a, b), (c, e))
+    dim, point = meet((a, b), (c, e))
 
     def rank(*rows):
         return matrix_rank_det(list(rows))[0]
@@ -350,9 +378,9 @@ def test_line_meet_is_a_primitive_point_of_both_lines(vectors):
 
 def test_line_meet_dimensions():
     e = [tuple(int(k == i) for k in range(4)) for i in range(4)]
-    assert cremona._line_meet((e[0], e[1]), (e[2], e[3])) == (0, None)
-    assert cremona._line_meet((e[0], e[1]), (e[1], (0, 0, 2, 2))) == (1, (0, 1, 0, 0))
-    assert cremona._line_meet((e[0], e[1]), ((2, 2, 0, 0), (3, -1, 0, 0))) == (2, None)
+    assert meet((e[0], e[1]), (e[2], e[3])) == (0, None)
+    assert meet((e[0], e[1]), (e[1], (0, 0, 2, 2))) == (1, (0, 1, 0, 0))
+    assert meet((e[0], e[1]), ((2, 2, 0, 0), (3, -1, 0, 0))) == (2, None)
 
 
 def delta(triple):

@@ -157,7 +157,7 @@ def test_line_meet_kernel_matches_sympy_nullspace(vectors):
             ints = [int(x * scale) for x in point]
             g = math.gcd(*ints)
             expected = (1, tuple(x // g for x in ints))
-    assert _line_meet((a, b), (c, e)) == expected
+    assert _line_meet(_plucker(a, b), (c, e, _plucker(c, e))) == expected
 
 
 @seed(20190412)
@@ -167,6 +167,12 @@ def test_plucker_pairing_of_row_pairs_is_the_determinant(rows):
     # the Laplace expansion of det by the 2x2 minors of rows (0, 1) and (2, 3)
     pairing = _side(_plucker(rows[0], rows[1]), _plucker(rows[2], rows[3]))
     assert pairing == sympy.Matrix(rows).det()
+
+
+def test_quadric_determinant_matches_sympy():
+    q = QuadricForm.standard()
+    theirs = sympy.Matrix([[to_sympy(x) for x in row] for row in q.matrix()]).det()
+    assert sympy.expand(to_sympy(q.determinant()) - theirs) == 0
 
 
 substituted_values = st.one_of(
@@ -414,6 +420,39 @@ def block_sums(draw):
     return [row + [0] * m for row in A] + [[0] * n + row for row in B]
 
 
+@st.composite
+def sparse_graph_matrices(draw):
+    # a weighted graph of degree at most 3 on up to 10 nodes, so at most
+    # 4 nonzeros a row: the pivot of fewest neighbours is a real choice,
+    # and an all-zero diagonal sends signature to its pair-breaking step
+    n = draw(st.integers(min_value=1, max_value=10))
+    zero_diagonal = draw(st.booleans())
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        G[i][i] = 0 if zero_diagonal else draw(st.integers(min_value=-2, max_value=2))
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        degrees = [sum(1 for k, x in enumerate(G[v]) if x and k != v) for v in (i, j)]
+        if i != j and not G[i][j] and max(degrees) < 3:
+            G[i][j] = G[j][i] = draw(st.sampled_from([-2, -1, 1, 2]))
+    return G
+
+
+def graph_matrix(edges, diagonal):
+    G = [[0] * len(diagonal) for _ in diagonal]
+    for i, x in enumerate(diagonal):
+        G[i][i] = x
+    for i, j in edges:
+        G[i][j] = G[j][i] = 1
+    return G
+
+
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [
+    (5 + i, 5 + (i + 2) % 5) for i in range(5)
+]
+
+
 # zero diagonals reach signature's pair-breaking step, and low-rank
 # blocks the pivot columns that Bareiss skips
 singular_symmetric_matrices = st.one_of(
@@ -423,7 +462,22 @@ singular_symmetric_matrices = st.one_of(
 
 @seed(20190409)
 @oracle
-@given(singular_symmetric_matrices)
+@given(st.one_of(singular_symmetric_matrices, sparse_graph_matrices()))
+# the Petersen graph breaks a pair at once; on part of it the first
+# pivot is node 5, of one neighbour, not node 0, of three
+@example(graph_matrix(PETERSEN, [0] * 10))
+@example(graph_matrix(PETERSEN[:9], [-2, 0, 1, -2, 0, 2, -1, 0, -2, 0]))
+# a pair-break whose new diagonal entry must be twice the pair's entry
+@example(
+    [
+        [0, 0, 0, 0, -2, 0],
+        [0, 0, 1, 0, -2, 3],
+        [0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+        [-2, -2, 0, 0, 0, 4],
+        [0, 3, 0, 0, 4, 0],
+    ]
+)
 def test_signature_matches_descartes_rule_on_singular_matrices(G):
     assert signature(G) == descartes_signature(G)
 
