@@ -187,12 +187,14 @@ def involution_cofactor(map_: RationalMapP3) -> MultiPoly | dict:
 
 
 def contraction_check(map_: RationalMapP3, i: int) -> tuple[Fraction, ...] | dict:
-    """Image point of the coordinate plane {x_i = 0}, which must contract."""
+    """Image point of the coordinate plane {x_i = 0}, which must contract.
+
+    Read off the exponents: a component, a monomial, survives on the
+    plane exactly when it is nonzero and x_i is not among its variables.
+    """
     if i not in (1, 2, 3, 4):
         raise ValueError("coordinate planes are numbered 1..4")
-    zero = MultiPoly.const(0)
-    restricted = [c.substitute({X_VARS[i - 1]: zero}) for c in map_.components]
-    alive = [k for k, c in enumerate(restricted) if c != zero]
+    alive = [k for k, c in enumerate(map_.components) if c and X_VARS[i - 1] not in c.vars]
     if len(alive) != 1:
         return {
             "kind": "plane-not-contracted",

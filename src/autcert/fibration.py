@@ -124,15 +124,15 @@ def map_fiber(fiber: FiberDivisor, curve_map: Mapping[str, str]) -> FiberDivisor
     )
 
 
-def _canonical_components(
-    config: Configuration, fiber: FiberDivisor
-) -> dict[str, int]:
-    out: dict[str, int] = {}
+def _indexed(config: Configuration, fiber: FiberDivisor) -> dict[str, tuple[int, int]]:
+    """Each component once, as canonical label -> (Gram index, multiplicity)."""
+    out: dict[str, tuple[int, int]] = {}
     for lab, mult in fiber.components.items():
-        res = config.resolve(lab)
+        i = config.index(lab)
+        res = config.labels[i]
         if res in out:
             raise ValueError(f"component {res} listed twice (via aliases)")
-        out[res] = mult
+        out[res] = (i, mult)
     return out
 
 
@@ -144,12 +144,13 @@ def dual_graph(
     Edges are sorted label pairs, repeated according to the
     intersection number of the two components.
     """
-    comps = _canonical_components(config, fiber)
+    comps = _indexed(config, fiber)
     nodes = tuple(sorted(comps))
     edges = []
     for i, a in enumerate(nodes):
+        row = config.gram[comps[a][0]]
         for b in nodes[i + 1 :]:
-            edges.extend([(a, b)] * config.pairing(a, b))
+            edges.extend([(a, b)] * row[comps[b][0]])
     return nodes, tuple(edges)
 
 
@@ -160,34 +161,29 @@ class FiberReport:
 
 
 def validate_fiber(config: Configuration, fiber: FiberDivisor) -> FiberReport:
-    """Check the fiber-candidate conditions, naming each violation."""
-    comps = _canonical_components(config, fiber)
-    failures: list[dict] = []
-    for lab in comps:
-        if config.self_int(lab) != -2:
-            failures.append(
-                {"kind": "not-a-minus-two-curve", "label": lab,
-                 "self": str(config.self_int(lab))}
-            )
-    for lab in comps:
-        against = sum(
-            m * config.pairing(b, lab) for b, m in comps.items()
-        )
+    """Check the fiber-candidate conditions, naming each violation.
+
+    One pass reads each component's Gram row, by index, for its
+    self-intersection, its pairing with the fiber (the fiber's square
+    is their weighted sum) and its neighbours in the support.
+    """
+    comps = _indexed(config, fiber)
+    selfs: list[dict] = []
+    meets: list[dict] = []
+    square = 0
+    adj = {}
+    for lab, (i, mult) in comps.items():
+        row = config.gram[i]
+        if row[i] != -2:
+            selfs.append({"kind": "not-a-minus-two-curve", "label": lab, "self": str(row[i])})
+        against = sum(m * row[j] for j, m in comps.values())
         if against != 0:
-            failures.append(
-                {"kind": "component-meets-fiber", "label": lab,
-                 "value": str(against)}
-            )
-    square = sum(
-        ma * mb * config.pairing(a, b)
-        for a, ma in comps.items()
-        for b, mb in comps.items()
-    )
+            meets.append({"kind": "component-meets-fiber", "label": lab, "value": str(against)})
+        square += mult * against
+        adj[lab] = {b for b, (j, _) in comps.items() if j != i and row[j]}
+    failures = selfs + meets
     if square != 0:
         failures.append({"kind": "fiber-square-nonzero", "value": str(square)})
-    adj = {
-        a: {b for b in comps if b != a and config.pairing(a, b)} for a in comps
-    }
     if not is_connected(adj):
         failures.append({"kind": "support-disconnected"})
     return FiberReport(not failures, tuple(failures))
@@ -235,9 +231,9 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     if not report.passed:
         witness = "; ".join(_FAILURE_TEXT[f["kind"]].format(**f) for f in report.failures)
         raise ValueError(f"not a fiber candidate: {witness}")
-    comps = _canonical_components(config, fiber)
+    comps = _indexed(config, fiber)
     nodes, edges = dual_graph(config, fiber)
-    if all(m == 1 for m in comps.values()):
+    if all(m == 1 for _, m in comps.values()):
         adj: dict[str, set[str]] = {a: set() for a in nodes}
         for a, b in edges:
             adj[a].add(b)
@@ -259,10 +255,10 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     # the multiplicities are a multiple of the affine diagram's null
     # vector; a component of multiplicity one makes them that vector,
     # and deleting it leaves the finite diagram
-    ones = [a for a in nodes if comps[a] == 1]
+    ones = [a for a in nodes if comps[a][1] == 1]
     if ones:
-        rest = [a for a in nodes if a != ones[0]]
-        root = dynkin_classify([[-config.pairing(a, b) for b in rest] for a in rest])
+        rest = [comps[a][0] for a in nodes if a != ones[0]]
+        root = dynkin_classify([[-config.gram[i][j] for j in rest] for i in rest])
         if root is not None:
             return FiberClass(_affine_type(root), nodes, edges)
     return FiberClass(None, nodes, edges, ("no matching fiber type",))

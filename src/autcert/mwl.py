@@ -172,13 +172,11 @@ def section_from_config(
     for fid, cycle in cycles:
         positions = {}
         for who in (section, zero):
-            if config.resolve(who) in cycle:
+            i = config.index(who)
+            if config.labels[i] in cycle:
                 raise ValueError(f"{who} is a component of fiber {fid}")
-            met = [
-                (k, config.pairing(who, lab))
-                for k, lab in enumerate(cycle)
-                if config.pairing(who, lab) != 0
-            ]
+            row = config.gram[i]
+            met = [(k, row[j]) for k, j in enumerate(map(config.index, cycle)) if row[j]]
             if len(met) != 1 or met[0][1] != 1:
                 raise ValueError(
                     f"{who} meets fiber {fid} in {met}, expected one simple point"
@@ -187,7 +185,7 @@ def section_from_config(
         n = len(cycle)
         components[fid] = ModInt(positions[section] - positions[zero], n)
     return SectionData(
-        section, config.pairing(section, zero), components
+        section, config.gram[config.index(section)][config.index(zero)], components
     )
 
 

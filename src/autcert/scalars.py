@@ -110,7 +110,7 @@ class MultiPoly:
     def _fill(self, names: tuple[str, ...], terms: Mapping) -> None:
         """Store the canonical terms, then drop the variables they do not use."""
         terms = _canonical(terms)
-        used = [i for i in range(len(names)) if any(e[i] for e in terms)]
+        used = [i for i, col in enumerate(zip(*terms)) if any(col)]
         if len(used) < len(names):
             names = tuple(names[i] for i in used)
             terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
@@ -182,6 +182,8 @@ class MultiPoly:
         return NotImplemented  # type: ignore[return-value]
 
     def _aligned(self, other: MultiPoly):
+        if self.vars == other.vars:
+            return self.vars, dict(self.terms), other.terms
         names = tuple(sorted(set(self.vars) | set(other.vars)))
         return names, self._lift(names), other._lift(names)
 
@@ -200,6 +202,14 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.vars:
+            self, other = other, self
+        if not other.terms:
+            return self
+        if not other.vars:  # a constant is the one term of exponent zero
+            one = (0,) * len(self.vars)
+            c = self.terms.get(one, 0) + other.terms[()]
+            return MultiPoly._make(self.vars, {**self.terms, one: c})
         names, ta, tb = self._aligned(other)
         for e, c in tb.items():
             ta[e] = ta.get(e, 0) + c
@@ -223,6 +233,10 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.vars:
+            self, other = other, self
+        if not other.vars:  # a zero or constant factor scales the other's terms
+            return self.scale(other.terms.get((), 0))
         names, ta, tb = self._aligned(other)
         return MultiPoly._make(names, _term_product(ta, tb))
 
@@ -300,28 +314,29 @@ class MultiPoly:
     def substitute(self, assignment: Mapping[str, "MultiPoly | Fraction | int"]) -> MultiPoly:
         """Replace named variables by polynomials; others are kept.
 
-        One pass over term dicts aligned to one variable tuple: each power
-        of a value is built once per call, a kept variable is lifted
-        straight to its one term, and one ``MultiPoly`` is built at the end.
+        One pass over the terms, aligned to one variable tuple: a kept
+        variable's exponent goes straight into the term's exponent
+        tuple, only powers of the substituted values are multiplied in,
+        each built once per call, and one ``MultiPoly`` is built at the end.
         """
         values = {v: self._coerce(assignment[v]) for v in self.vars if v in assignment}
         kept = [v for v in self.vars if v not in assignment]
         names = tuple(sorted(set(kept).union(*(p.vars for p in values.values()))))
         one = (0,) * len(names)
-        powers = {v: [{one: 1}, p._lift(names)] for v, p in values.items()}
-        for v in kept:
-            unit = [0] * len(names)
-            unit[names.index(v)] = 1
-            powers[v] = [{one: 1}, {tuple(unit): 1}]
+        slots = [(k, names.index(v)) for k, v in enumerate(self.vars) if v not in values]
+        powers = [(k, [{one: 1}, values[v]._lift(names)])
+                  for k, v in enumerate(self.vars) if v in values]
         out: dict[tuple, int | Fraction] = {}
         for e, c in self.terms.items():
-            term = {one: c}
-            for v, exp in zip(self.vars, e):
-                pw = powers[v]
-                while len(pw) <= exp:
-                    pw.append(_term_product(pw[-1], pw[1]))
-                if exp:
-                    term = _term_product(term, pw[exp])
+            base = [0] * len(names)
+            for k, at in slots:
+                base[at] = e[k]
+            term = {tuple(base): c}
+            for k, pw in powers:
+                if e[k]:
+                    while len(pw) <= e[k]:
+                        pw.append(_term_product(pw[-1], pw[1]))
+                    term = _term_product(term, pw[e[k]])
             for mono, coeff in term.items():
                 out[mono] = out.get(mono, 0) + coeff
         return MultiPoly._make(names, out)

@@ -430,9 +430,11 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
     Orbits: Hj = {Ej, Fj}, the off-diagonal D-curves {Cij, Cji}
     (canonical label D<max><min>, with the reversed spelling accepted
     as an alias), and Dii = {Cii, Ci}.  Intersections follow the
-    double-cover rule (A.B) = (pull A . pull B)/2; the division must
-    be exact, and a parity failure raises.  Markings Qij are pushed
-    down from Pij with their coordinates along the section curves.
+    double-cover rule (A.B) = (pull A . pull B)/2, the four upstairs
+    entries read by Gram index, one row of A's two at a time.  The
+    division must be exact; the first odd sum, in row-major order of
+    the quotient labels, raises.  Markings Qij are pushed down from Pij
+    with their coordinates along the section curves.
     """
     report = verify_isometry(config, eps)
     if not report.passed:
@@ -470,18 +472,15 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
         sorted(n for n in orbits if n.startswith("D"))
     )
 
-    def push_pair(na: str, nb: str) -> int:
-        total = 0
-        for a in orbits[na]:
-            for b in orbits[nb]:
-                total += config.pairing(a, b)
-        if total % 2:
-            raise ValueError(f"pushforward parity violated at ({na}, {nb})")
-        return total // 2
-
-    gram = tuple(
-        tuple(push_pair(na, nb) for nb in z_labels) for na in z_labels
-    )
+    index = {name: [config.index(a) for a in pair] for name, pair in orbits.items()}
+    gram = []
+    for na in z_labels:
+        r, s = (config.gram[i] for i in index[na])
+        row = [r[j] + r[k] + s[j] + s[k] for j, k in (index[nb] for nb in z_labels)]
+        odd = next((nb for nb, v in zip(z_labels, row) if v % 2), None)
+        if odd is not None:
+            raise ValueError(f"pushforward parity violated at ({na}, {odd})")
+        gram.append(tuple(v // 2 for v in row))
 
     orbit_of = {lab: name for name, pair in orbits.items() for lab in pair}
     markings: dict[str, Marking] = {}

@@ -90,6 +90,44 @@ def test_swap_does_not_contract():
     assert res["kind"] == "plane-not-contracted"
 
 
+def test_contraction_check_reads_exponents(monkeypatch):
+    calls = []
+    substitute = MultiPoly.substitute
+
+    def counting(self, assignment):
+        calls.append(assignment)
+        return substitute(self, assignment)
+
+    monkeypatch.setattr(MultiPoly, "substitute", counting)
+    tau = cremona_map()
+    for i in range(1, 5):
+        contraction_check(tau, i)
+    assert calls == []
+
+
+def test_contraction_records_of_a_zero_component_and_two_survivors():
+    x1, x2, x3, x4 = (MultiPoly.var(f"x{k}") for k in range(1, 5))
+    a1 = MultiPoly.var("a1")
+    # a zero component survives on no plane
+    with_zero = RationalMapP3((MultiPoly.zero(), x2 * x3, a1 * x1 * x3, x1 * x2))
+    assert contraction_check(with_zero, 1) == (0, 1, 0, 0)
+    assert contraction_check(with_zero, 2) == (0, 0, 1, 0)
+    assert contraction_check(with_zero, 3) == (0, 0, 0, 1)
+    assert contraction_check(with_zero, 4) == {
+        "kind": "plane-not-contracted",
+        "detail": "3 components survive on x4 = 0",
+        "witness": (2, 3, 4),
+    }
+    # on every plane, two of the four components avoid x_i
+    two_survive = RationalMapP3((x2 * x3, a1 * x3 * x4, x1 * x4, x1 * x2))
+    for i, witness in ((1, (1, 2)), (2, (2, 3)), (3, (3, 4)), (4, (1, 4))):
+        assert contraction_check(two_survive, i) == {
+            "kind": "plane-not-contracted",
+            "detail": f"2 components survive on x{i} = 0",
+            "witness": witness,
+        }
+
+
 def test_quadric_matrix_agrees_with_polynomial():
     q = QuadricForm.standard()
     xs = [MultiPoly.var(f"x{k}") for k in range(1, 5)]
@@ -185,6 +223,47 @@ def test_swap_reports_ruling_errors_as_failures(monkeypatch):
     report = verify_pij_swap((9, 2, 2))
     assert not report.passed
     assert {f["kind"] for f in report.failures} == {"intersection-off-quadric"}
+
+
+def side_zero_after(n):
+    """``_side`` as it is for its first n calls, then 0: every pair of lines meets."""
+    side = cremona._side
+    calls = []
+
+    def patched(p, q):
+        calls.append(None)
+        return side(p, q) if len(calls) <= n else 0
+
+    return patched
+
+
+# each failure kind, with the kernel and a maker of the patch that reaches it
+SWAP_FAULTS = {
+    # every line meets none: all eight sort into one ruling
+    "ruling-sort-clash": ("_side", lambda: lambda p, q: 1),
+    "rulings-not-partitioned": ("_side", lambda: lambda p, q: 1),
+    # det N and the seven sort pairings kept, then the twelve
+    # same-ruling pairs all meet
+    "same-ruling-lines-meet": ("_side", lambda: side_zero_after(8)),
+    "cross-ruling-miss": ("_line_meet", lambda: lambda p, line: (0, None)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWAP_FAULTS))
+def test_each_ruling_failure_kind_is_reached(monkeypatch, kind):
+    name, make = SWAP_FAULTS[kind]
+    monkeypatch.setattr(cremona, name, make())
+    report = verify_pij_swap((9, 2, 2))
+    assert report.passed is False
+    assert kind in {f["kind"] for f in report.failures}
+
+
+def test_a_vanishing_image_is_a_failure(monkeypatch):
+    monkeypatch.setattr(RationalMapP3, "apply", lambda self, point, alpha=None: (0, 0, 0, 0))
+    report = verify_pij_swap((9, 2, 2))
+    assert report.passed is False
+    assert report.swaps_checked == 0
+    assert [f["kind"] for f in report.failures] == ["image-vanishes"] * 12
 
 
 def test_each_ruling_line_has_one_plucker_vector(monkeypatch):

@@ -1,0 +1,190 @@
+"""The Gram-index kernels against label-keyed reference copies.
+
+``validate_fiber``, ``dual_graph`` and the pushforward read Gram rows
+by index.  The references below read every entry through
+``Configuration.pairing`` and ``self_int``, one label pair at a time,
+and must give the same reports, graphs, Grams and errors.
+"""
+
+import random
+
+from autcert import surface
+from autcert.fibration import FiberDivisor, FiberReport, dual_graph, validate_fiber
+from autcert.lattice import is_connected
+from autcert.surface import (
+    Configuration,
+    IsometryReport,
+    build_double_kummer,
+    epsilon_involution,
+    extend_with_conics,
+    quotient_pushforward,
+    with_intersection,
+)
+
+from test_fibration import M1, M2, N1, N2
+
+
+# -- label-keyed references ---------------------------------------------------------
+
+
+def reference_components(config, fiber):
+    out = {}
+    for lab, mult in fiber.components.items():
+        res = config.resolve(lab)
+        if res in out:
+            raise ValueError(f"component {res} listed twice (via aliases)")
+        out[res] = mult
+    return out
+
+
+def reference_validate(config, fiber):
+    comps = reference_components(config, fiber)
+    failures = []
+    for lab in comps:
+        if config.self_int(lab) != -2:
+            failures.append(
+                {"kind": "not-a-minus-two-curve", "label": lab, "self": str(config.self_int(lab))}
+            )
+    for lab in comps:
+        against = sum(m * config.pairing(b, lab) for b, m in comps.items())
+        if against != 0:
+            failures.append({"kind": "component-meets-fiber", "label": lab, "value": str(against)})
+    square = sum(
+        ma * mb * config.pairing(a, b) for a, ma in comps.items() for b, mb in comps.items()
+    )
+    if square != 0:
+        failures.append({"kind": "fiber-square-nonzero", "value": str(square)})
+    adj = {a: {b for b in comps if b != a and config.pairing(a, b)} for a in comps}
+    if not is_connected(adj):
+        failures.append({"kind": "support-disconnected"})
+    return FiberReport(not failures, tuple(failures))
+
+
+def reference_dual_graph(config, fiber):
+    nodes = tuple(sorted(reference_components(config, fiber)))
+    edges = []
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            edges.extend([(a, b)] * config.pairing(a, b))
+    return nodes, tuple(edges)
+
+
+def orbit(name):
+    """The two upstairs curves of a quotient class."""
+    if name.startswith("H"):
+        return (f"E{name[1]}", f"F{name[1]}")
+    i, j = name[1], name[2]
+    return (f"C{i}{i}", f"C{i}") if i == j else (f"C{i}{j}", f"C{j}{i}")
+
+
+def reference_push(config, names):
+    rows = []
+    for na in names:
+        row = []
+        for nb in names:
+            total = sum(config.pairing(a, b) for a in orbit(na) for b in orbit(nb))
+            if total % 2:
+                raise ValueError(f"pushforward parity violated at ({na}, {nb})")
+            row.append(total // 2)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def outcome(func, *args):
+    try:
+        return func(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# -- fibers ------------------------------------------------------------------------------
+
+
+X = extend_with_conics(build_double_kummer())
+EPS = epsilon_involution(X)
+Z = quotient_pushforward(X, EPS)
+
+NAMED = [(X, N1.components), (X, N2.components), (Z, M1.components), (Z, M2.components)]
+
+
+def bent(config, rng):
+    """The configuration with a few self-intersections and pairings redrawn."""
+    gram = [list(row) for row in config.gram]
+    n = len(gram)
+    for _ in range(3):
+        i = rng.randrange(n)
+        gram[i][i] = rng.choice((-3, -1, 0))
+        i, j = rng.sample(range(n), 2)
+        gram[i][j] = gram[j][i] = rng.choice((0, 1, 2))
+    return Configuration("Z_Enriques", 1, config.labels, gram, aliases=config.aliases)
+
+
+def random_fiber(config, rng):
+    """A divisor over config: a named fiber nudged, or random curves, in any spelling."""
+    spellings = {lab: [lab] for lab in config.labels}
+    for alias, target in config.aliases.items():
+        spellings[target].append(alias)
+    named = [comps for c, comps in NAMED if c.labels == config.labels]
+    if named and rng.random() < 0.4:
+        comps = dict(rng.choice(named))
+        if rng.random() < 0.5:
+            comps[rng.choice(sorted(comps))] += 1
+        if rng.random() < 0.3:
+            del comps[rng.choice(sorted(comps))]
+            comps = comps or {config.labels[0]: 1}
+    else:
+        picked = rng.sample(config.labels, rng.randint(1, 9))
+        comps = {lab: rng.choice((1, 1, 1, 2, 3)) for lab in picked}
+    spelled = {rng.choice(spellings[config.resolve(lab)]): m for lab, m in comps.items()}
+    if config.aliases and rng.random() < 0.1:
+        # the same curve twice, once through an alias
+        alias, target = rng.choice(sorted(config.aliases.items()))
+        spelled.update({alias: 1, target: 1})
+    return FiberDivisor(spelled)
+
+
+def test_index_kernels_match_label_keyed_references():
+    rng = random.Random(20190420)
+    configs = [X, Z, *(bent(c, rng) for c in (X, Z, Z))]
+    seen = set()
+    for config in configs:
+        for _ in range(300):
+            fiber = random_fiber(config, rng)
+            expected = outcome(reference_validate, config, fiber)
+            assert outcome(validate_fiber, config, fiber) == expected
+            assert outcome(dual_graph, config, fiber) == outcome(reference_dual_graph, config, fiber)
+            if isinstance(expected, FiberReport):
+                seen.update(f["kind"] for f in expected.failures)
+                seen.add("pass" if expected.passed else "fail")
+            else:
+                seen.add("listed twice")
+    assert seen == {
+        "pass", "fail", "listed twice", "not-a-minus-two-curve", "component-meets-fiber",
+        "fiber-square-nonzero", "support-disconnected",
+    }
+
+
+# -- pushforward -------------------------------------------------------------------------
+
+
+def test_pushforward_matches_label_keyed_reference_under_every_fault(monkeypatch):
+    # pass every faulted Gram through the isometry check, so that the
+    # pushforward itself reads it
+    monkeypatch.setattr(surface, "verify_isometry", lambda config, eps: IsometryReport(True, (), ()))
+    n = len(X.labels)
+    faults = [(X.labels[i], X.labels[j]) for i in range(n) for j in range(i + 1, n) if X.gram[i][j]]
+    assert len(faults) == 52
+    assert reference_push(X, Z.labels) == Z.gram
+    # two faults at once can make two entries of one row odd
+    rng = random.Random(20190421)
+    doubles = [rng.sample(faults, 2) for _ in range(40)]
+    parity_errors = 0
+    for pairs in [[pair] for pair in faults] + doubles:
+        config = X
+        for pair in pairs:
+            config = with_intersection(config, *pair, 0)
+        expected = outcome(reference_push, config, Z.labels)
+        assert outcome(lambda: quotient_pushforward(config, EPS).gram) == expected, pairs
+        parity_errors += expected[0] == "ValueError"
+    # both a parity error and a pushed Gram occur among the faults
+    assert 0 < parity_errors < 92

@@ -198,6 +198,65 @@ def test_substitute_matches_sympy(p, assignment):
     assert sympy.expand(to_sympy(p.substitute(assignment)) - theirs) == 0
 
 
+@st.composite
+def spanning_polys(draw, names):
+    """A polynomial in which each of names occurs."""
+    terms = {
+        tuple(draw(st.integers(0, 2)) for _ in names): draw(small_fractions)
+        for _ in range(draw(st.integers(0, 3)))
+    }
+    terms[(1,) * len(names)] = draw(small_fractions.filter(bool))
+    return MultiPoly(names, terms)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Operands of + and *, either way round, that reach each short cut:
+    a zero or a constant operand, the same variables, disjoint variables."""
+    shape = draw(st.sampled_from(("zero", "constant", "same", "disjoint")))
+    k = draw(st.integers(1, 2))
+    if shape == "zero":
+        a, b = draw(polys(max_vars=3)), MultiPoly.zero()
+    elif shape == "constant":
+        a, b = draw(polys(max_vars=3)), MultiPoly.const(draw(small_fractions.filter(bool)))
+    elif shape == "same":
+        names = POLY_VARS[: k + draw(st.integers(0, 1))]
+        a, b = draw(spanning_polys(names)), draw(spanning_polys(names))
+    else:
+        a, b = draw(spanning_polys(POLY_VARS[:k])), draw(spanning_polys(POLY_VARS[k:]))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def is_canonical(p: MultiPoly) -> bool:
+    """Every variable occurs and every coefficient is a nonzero int or a non-integral Fraction."""
+    used = all(any(e[i] for e in p.terms) for i in range(len(p.vars)))
+    kinds = all(
+        c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+        for c in p.terms.values()
+    )
+    return used and kinds and p.vars == tuple(sorted(p.vars))
+
+
+X, Y = MultiPoly.var("x"), MultiPoly.var("y")
+
+
+@seed(20190415)
+@oracle
+@given(operand_pairs())
+@example((X, MultiPoly.zero()))
+@example((MultiPoly.zero(), X * Y))
+@example((X * Y + 1, MultiPoly.const(-1)))
+@example((MultiPoly.const(Fraction(1, 2)), MultiPoly.const(Fraction(3, 2))))
+@example((X * Y + X, X * Y - X))
+@example((X + 1, Y * MultiPoly.var("z")))
+def test_ring_operations_match_sympy_on_every_short_cut(pair):
+    a, b = pair
+    sa, sb = to_sympy(a), to_sympy(b)
+    for got, theirs in ((a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb)):
+        assert sympy.expand(to_sympy(got) - theirs) == 0
+        assert is_canonical(got)
+
+
 int_polys = polys(max_vars=3, max_deg=2, max_terms=4, coeffs=int_entries)
 
 

@@ -305,6 +305,14 @@ def test_each_named_fiber_is_validated_and_classified_once(monkeypatch):
         assert counts == {"validate_fiber": 1, "classify_kodaira": 1}, name
 
 
+def test_gram_entries_are_read_by_index(monkeypatch):
+    counts: dict = {}
+    counted(monkeypatch, counts, Configuration, "pairing")
+    run_all()
+    # the quotient stage's four sample pairs are the only label lookups
+    assert counts.get("pairing", 0) <= 4
+
+
 def test_stage_bug_still_propagates(monkeypatch):
     def broken(ctx):
         raise TypeError("a bug, not a failed check")
