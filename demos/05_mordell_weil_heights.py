@@ -13,10 +13,8 @@ from autcert.mwl import (
     ModInt,
     SectionData,
     SmoothLocusAut,
-    component_index_sum,
     compose_smooth_locus,
     height,
-    is_torsion,
     section_from_config,
 )
 from autcert.scalars import LaurentT
@@ -35,7 +33,7 @@ ctx = HeightContext(chi=2, fibers=(("N1", i8), ("N1eps", i8)), zero_name="C21")
 # C12 against the zero section C21: height 0, hence torsion.
 c12 = section_from_config(x, cycles, "C12", "C21")
 print("C12 components:", {k: str(v) for k, v in c12.components.items()})
-print("height(C12) =", height(ctx, c12), " torsion:", is_torsion(ctx, c12))
+print("height(C12) =", height(ctx, c12), " torsion:", height(ctx, c12) == 0)
 
 # C11 has height 2; its component index in the 8-cycle is 0.
 c11 = section_from_config(x, cycles, "C11", "C21")
@@ -44,7 +42,7 @@ print("height(C11) =", height(ctx, c11))
 # The index sum of C11 and C2 in the cycle is 4 mod 8.
 idx_c11 = section_from_config(x, cycles[:1], "C11", "C21").components["N1"]
 idx_c2 = section_from_config(x, cycles[:1], "C2", "C21").components["N1"]
-print("index sum:", component_index_sum([idx_c11, idx_c2]))
+print("index sum:", idx_c11 + idx_c2)
 
 # A narrow section of a IV* fibration on a rational surface meets the
 # identity component, 0 in the component group Z/3: height 2.

@@ -48,7 +48,6 @@ from typing import Sequence
 from .scalars import (
     LaurentT,
     MultiPoly,
-    poly_divide_exact,
     poly_gcd,
     rational_sqrt,
 )
@@ -155,9 +154,8 @@ class QuadricForm:
 def preserves_quadric(map_: RationalMapP3, q: MultiPoly) -> MultiPoly | dict:
     """Exact cofactor c with q(map) = c * q, or a failure record with the remainder."""
     composed = q.substitute(dict(zip(X_VARS, map_.components)))
-    cofactor = poly_divide_exact(composed, q)
-    if cofactor is None:
-        _, rem = composed.divide_rem(q)
+    cofactor, rem = composed.divide_rem(q)
+    if not rem.is_zero():
         return {
             "kind": "quadric-not-preserved",
             "detail": "q(map) is not a multiple of q",
@@ -169,8 +167,8 @@ def preserves_quadric(map_: RationalMapP3, q: MultiPoly) -> MultiPoly | dict:
 def involution_cofactor(map_: RationalMapP3) -> MultiPoly | dict:
     """Exact cofactor c with map(map) = c * identity, or a failure record."""
     raw = map_.substituted(map_)
-    cofactor = poly_divide_exact(raw[0], MultiPoly.var("x1"))
-    if cofactor is None:
+    cofactor, rem = raw[0].divide_rem(MultiPoly.var("x1"))
+    if not rem.is_zero():
         return {
             "kind": "not-an-involution",
             "detail": "first component not divisible by x1",
@@ -287,10 +285,11 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     The two lines of the quadric through each coordinate point e_i are
     cut out inside the tangent plane there; their discriminants must be
     rational squares.  The lines sort into the two rulings by
-    disjointness from a reference line; p_ij is the intersection of
-    the i-th line of one ruling with the j-th line of the other, and
-    the specialized involution must send it to p_ji, projectively, for
-    all twelve ordered pairs.
+    disjointness from a reference line; the sort fails only as a
+    ruling-sort-clash, two lines through one point in one ruling.  p_ij
+    is the intersection of the i-th line of one ruling with the j-th
+    line of the other, and the specialized involution must send it to
+    p_ji, projectively, for all twelve ordered pairs.
 
     The check runs over ``int`` with primitive projective points, on
     N = 2*D*M.  Row i of N, first nonzero in column c, gives the tangent
@@ -373,8 +372,9 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
         if i in ruling:
             failures.append({"kind": "ruling-sort-clash", "point": i})
         ruling[i] = line
-    if failures or set(ruling_a) != {1, 2, 3, 4} or set(ruling_b) != {1, 2, 3, 4}:
-        failures.append({"kind": "rulings-not-partitioned"})
+    # eight lines, two through each point: when no point's two lines
+    # clash, each ruling holds one line through each of the four points
+    if failures:
         return SwapReport(alpha_str, False, tuple(discs), failures=tuple(failures))
     for fam in (ruling_a, ruling_b):
         for i in range(1, 5):
@@ -451,8 +451,9 @@ def find_swap_specializations(
 
     Draws up to 5000 triples of integers in 1..12 and returns the
     reports of the first three distinct ones that pass the full swap
-    verification, in draw order; deterministic for a fixed seed.  Fewer
-    than three raise ValueError, which the pipeline reports as a fail.
+    verification, in draw order; deterministic for a fixed seed.  An
+    exhausted search returns the fewer it found, which the pipeline's
+    swap check reports as a fail.
 
     A distinct triple reaches ``verify_pij_swap`` only when its integer
     Delta = a1^2 + a2^2 + a3^2 - 2*(a1*a2 + a1*a3 + a2*a3) is a positive
@@ -480,8 +481,8 @@ def find_swap_specializations(
         if report.passed:
             found.append(report)
             if len(found) == 3:
-                return found
-    raise ValueError(f"found only {len(found)} working specializations in 5000 draws")
+                break
+    return found
 
 
 # -- affine maps of the line ------------------------------------------------------------
@@ -523,12 +524,10 @@ def scaling(s: LaurentT) -> AffineMap:
 
 
 def conjugate_translation(n: int) -> AffineMap:
-    """scaling(t^2n)^-1 . translate(1) . scaling(t^2n), verified to be
-    the translation by t^(-2n), that is x -> x + t^(-2n)*a."""
+    """scaling(t^2n)^-1 . translate(1) . scaling(t^2n), which should be
+    the translation by t^(-2n), x -> x + t^(-2n)*a; the dynamics stage
+    checks that it is."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("the conjugation exponent is a nonnegative integer")
     s = scaling(LaurentT.t_power(2 * n))
-    result = s.inverse().compose(translate(LaurentT.const(1))).compose(s)
-    if result != translate(LaurentT.t_power(-2 * n)):
-        raise ArithmeticError("conjugation did not produce the expected translation")
-    return result
+    return s.inverse().compose(translate(LaurentT.const(1))).compose(s)

@@ -118,10 +118,15 @@ class FiberDivisor:
 
 
 def map_fiber(fiber: FiberDivisor, curve_map: Mapping[str, str]) -> FiberDivisor:
-    """Image of a fiber under a curve relabeling."""
-    return FiberDivisor(
-        {curve_map[lab]: m for lab, m in fiber.components.items()}
-    )
+    """Image of a fiber under a curve relabeling; no two components may
+    share an image, since their multiplicities would collide."""
+    image: dict[str, int] = {}
+    for lab, m in fiber.components.items():
+        target = curve_map[lab]
+        if target in image:
+            raise ValueError(f"components of the fiber share the image {target}")
+        image[target] = m
+    return FiberDivisor(image)
 
 
 def _indexed(config: Configuration, fiber: FiberDivisor) -> dict[str, tuple[int, int]]:

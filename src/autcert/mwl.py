@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .fibration import KodairaType
 from .scalars import LaurentT
@@ -133,21 +133,6 @@ def height(ctx: HeightContext, P: SectionData) -> Fraction:
     total = Fraction(2 * ctx.chi + 2 * P.dot_zero)
     for kt, comp in _aligned_components(ctx, P):
         total -= contribution(kt, comp)
-    return total
-
-
-def is_torsion(ctx: HeightContext, P: SectionData) -> bool:
-    return height(ctx, P) == 0
-
-
-def component_index_sum(indices: Iterable[ModInt]) -> ModInt:
-    """Sum in the common component group Z/n; moduli must agree."""
-    items = list(indices)
-    if not items:
-        raise ValueError("empty index sum has no modulus")
-    total = items[0]
-    for x in items[1:]:
-        total = total + x
     return total
 
 

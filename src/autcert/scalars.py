@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
-_VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _GL = lambda exps: (sum(exps), exps)  # graded-lex sort key
 
 
@@ -82,7 +82,7 @@ class MultiPoly:
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction | int]):
         names = tuple(vars)
         for name in names:
-            if not _VAR_RE.match(name):
+            if not _VAR_RE.fullmatch(name):
                 raise ValueError(f"bad variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
@@ -304,8 +304,8 @@ class MultiPoly:
         return MultiPoly._make(names, quot), MultiPoly._make(names, rem)
 
     def exact_div(self, divisor: MultiPoly) -> MultiPoly:
-        q = poly_divide_exact(self, divisor)
-        if q is None:
+        q, r = self.divide_rem(divisor)
+        if not r.is_zero():
             raise ArithmeticError("division is not exact")
         return q
 
@@ -393,12 +393,6 @@ def _term_product(ta: Mapping, tb: Mapping) -> dict:
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return out
-
-
-def poly_divide_exact(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly | None:
-    """Exact polynomial quotient, or None when the division leaves a remainder."""
-    q, r = dividend.divide_rem(divisor)
-    return q if r.is_zero() else None
 
 
 # -- gcd ---------------------------------------------------------------

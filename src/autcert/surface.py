@@ -20,7 +20,6 @@ parity is verified rather than assumed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -43,15 +42,43 @@ PENCIL_U = (
     ProjValue.finite(RatFunc(0)),
 )
 
-_E_RE = re.compile(r"^E([1-4])$")
-_F_RE = re.compile(r"^F([1-4])$")
-_C2_RE = re.compile(r"^C([1-4])([1-4])$")
-_C1_RE = re.compile(r"^C([1-4])$")
+
+def _pencil_swap():
+    """The pencil swap, written out once over the 28 curve labels.
+
+    Each curve label maps to its image under the swap (Ei <-> Fi,
+    Cij <-> Cji for i != j, Cii <-> Ci) and to the class of its orbit on
+    the quotient (Hi, Dii, and D<max><min> for the off-diagonal pairs,
+    whose reversed spelling is an alias).  Each marked point Pij, P'ij
+    (i != j) and Pi maps to its image (Pij -> P'ji, P'ij -> Pji,
+    Pii <-> Pi), and each Pij to the marking Qij it pushes down to.
+    """
+    image, klass, aliases, point_image, pushed = {}, {}, {}, {}, {}
+    for i in "1234":
+        image[f"E{i}"], image[f"F{i}"] = f"F{i}", f"E{i}"
+        klass[f"E{i}"] = klass[f"F{i}"] = f"H{i}"
+        image[f"C{i}"], klass[f"C{i}"] = f"C{i}{i}", f"D{i}{i}"
+        point_image[f"P{i}"] = f"P{i}{i}"
+        for j in "1234":
+            hi, lo = max(i, j), min(i, j)
+            image[f"C{i}{j}"] = f"C{i}" if i == j else f"C{j}{i}"
+            klass[f"C{i}{j}"] = f"D{hi}{lo}"
+            pushed[f"P{i}{j}"] = f"Q{i}{j}"
+            if i == j:
+                point_image[f"P{i}{i}"] = f"P{i}"
+            else:
+                aliases[f"D{lo}{hi}"] = f"D{hi}{lo}"
+                point_image[f"P{i}{j}"] = f"P'{j}{i}"
+                point_image[f"P'{i}{j}"] = f"P{j}{i}"
+    return image, klass, aliases, point_image, pushed
+
+
+_EPSILON, QUOTIENT_CLASS, _CLASS_ALIASES, _POINT_EPSILON, _PUSHED_MARKING = _pencil_swap()
 
 
 def is_curve_label(label: str) -> bool:
     """Whether ``label`` names one of the 28 curves of the extended configuration."""
-    return any(r.fullmatch(label) for r in (_E_RE, _F_RE, _C2_RE, _C1_RE))
+    return label in _EPSILON
 
 
 @dataclass(frozen=True)
@@ -329,40 +356,19 @@ class IsometryReport:
 def epsilon_involution(config: Configuration) -> IsometryPerm:
     """The pencil-swapping involution on the extended configuration.
 
-    Ei <-> Fi, Cij <-> Cji for i != j, and Cii <-> Ci.  On markings:
-    Pij -> P'ji and P'ij -> Pji for i != j, Pii -> Pi and Pi -> Pii.
-    The image of P'ii carries no marking label, so the point map is
-    partial there.
+    Read off the pencil-swap table: Ei <-> Fi, Cij <-> Cji for i != j,
+    and Cii <-> Ci.  On markings: Pij -> P'ji and P'ij -> Pji for
+    i != j, Pii -> Pi and Pi -> Pii.  The image of P'ii carries no
+    marking label, so the point map is partial there.
     """
     needed = {f"C{i}" for i in range(1, 5)}
     if not needed <= set(config.labels):
         raise ValueError("the involution needs the extended configuration with C1..C4")
-    curve_map: dict[str, str] = {}
-    for lab in config.labels:
-        if m := _E_RE.match(lab):
-            curve_map[lab] = f"F{m.group(1)}"
-        elif m := _F_RE.match(lab):
-            curve_map[lab] = f"E{m.group(1)}"
-        elif m := _C2_RE.match(lab):
-            i, j = m.groups()
-            curve_map[lab] = f"C{i}" if i == j else f"C{j}{i}"
-        elif m := _C1_RE.match(lab):
-            i = m.group(1)
-            curve_map[lab] = f"C{i}{i}"
-        else:
-            raise ValueError(f"unexpected curve label {lab}")
-    point_map: dict[str, str] = {}
-    for p in config.markings:
-        if m := re.match(r"^P([1-4])([1-4])$", p):
-            i, j = m.groups()
-            point_map[p] = f"P{i}" if i == j else f"P'{j}{i}"
-        elif m := re.match(r"^P'([1-4])([1-4])$", p):
-            i, j = m.groups()
-            if i != j:
-                point_map[p] = f"P{j}{i}"
-        elif m := re.match(r"^P([1-4])$", p):
-            i = m.group(1)
-            point_map[p] = f"P{i}{i}"
+    unknown = [lab for lab in config.labels if lab not in _EPSILON]
+    if unknown:
+        raise ValueError(f"unexpected curve label {unknown[0]}")
+    curve_map = {lab: _EPSILON[lab] for lab in config.labels}
+    point_map = {p: _POINT_EPSILON[p] for p in config.markings if p in _POINT_EPSILON}
     return IsometryPerm(curve_map, point_map, involution=True)
 
 
@@ -427,9 +433,10 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
 def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configuration:
     """Configuration of orbit curves on the free quotient.
 
-    Orbits: Hj = {Ej, Fj}, the off-diagonal D-curves {Cij, Cji}
-    (canonical label D<max><min>, with the reversed spelling accepted
-    as an alias), and Dii = {Cii, Ci}.  Intersections follow the
+    Orbits, named by ``QUOTIENT_CLASS``: Hj = {Ej, Fj}, the
+    off-diagonal D-curves {Cij, Cji} (canonical label D<max><min>, with
+    the reversed spelling accepted as an alias), and Dii = {Cii, Ci}; an
+    orbit of ``eps`` that is none of these raises.  Intersections follow the
     double-cover rule (A.B) = (pull A . pull B)/2, the four upstairs
     entries read by Gram index, one row of A's two at a time.  The
     division must be exact; the first odd sum, in row-major order of
@@ -443,30 +450,13 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
         raise ValueError(f"not free on curves: fixes {report.fixed_labels}")
 
     orbits: dict[str, tuple[str, ...]] = {}
-    aliases: dict[str, str] = {}
-    seen: set[str] = set()
     for lab in config.labels:
-        if lab in seen:
-            continue
-        other = eps.apply(lab)
-        seen.update({lab, other})
-        pair = {lab, other}
-        es = [m.group(1) for x in pair if (m := _E_RE.match(x))]
-        cs2 = [m.groups() for x in pair if (m := _C2_RE.match(x))]
-        if es:
-            name = f"H{es[0]}"
-        elif len(cs2) == 2:
-            i, j = cs2[0]
-            name = f"D{max(i, j)}{min(i, j)}"
-            aliases[f"D{min(i, j)}{max(i, j)}"] = name
-        elif len(cs2) == 1:
-            i, j = cs2[0]
-            if i != j:
-                raise ValueError(f"unexpected orbit {sorted(pair)}")
-            name = f"D{i}{i}"
-        else:
+        pair = {lab, eps.apply(lab)}
+        name = QUOTIENT_CLASS.get(lab)
+        if name is None or {QUOTIENT_CLASS.get(x) for x in pair} != {name}:
             raise ValueError(f"unexpected orbit {sorted(pair)}")
         orbits[name] = tuple(sorted(pair))
+    aliases = {a: name for a, name in _CLASS_ALIASES.items() if name in orbits}
 
     z_labels = tuple(sorted(n for n in orbits if n.startswith("H"))) + tuple(
         sorted(n for n in orbits if n.startswith("D"))
@@ -482,18 +472,11 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
             raise ValueError(f"pushforward parity violated at ({na}, {odd})")
         gram.append(tuple(v // 2 for v in row))
 
-    orbit_of = {lab: name for name, pair in orbits.items() for lab in pair}
-    markings: dict[str, Marking] = {}
-    for p, m in config.markings.items():
-        pm = re.match(r"^P([1-4])([1-4])$", p)
-        if not pm:
-            continue
-        i, j = pm.groups()
-        q = f"Q{i}{j}"
-        on: dict[str, ProjValue | None] = {}
-        for curve, coord in m.on.items():
-            on[orbit_of[curve]] = coord
-        markings[q] = Marking(q, on)
+    markings = {
+        q: Marking(q, {QUOTIENT_CLASS[c]: coord for c, coord in config.markings[p].on.items()})
+        for p, q in _PUSHED_MARKING.items()
+        if p in config.markings
+    }
 
     return Configuration("Z_Enriques", 1, z_labels, gram, markings, aliases)
 

@@ -49,10 +49,8 @@ from autcert.mwl import (
     ModInt,
     SectionData,
     SmoothLocusAut,
-    component_index_sum,
     compose_smooth_locus,
     height,
-    is_torsion,
     section_from_config,
 )
 from autcert.pipeline import run_stage
@@ -151,7 +149,7 @@ def test_criterion_4_lattice_theory(announce):
     ]
     hctx = HeightContext(chi=2, fibers=(("N1", I8), ("N1eps", I8)), zero_name="C21")
     c12 = section_from_config(x, fibers, "C12", "C21")
-    ok = ok and height(hctx, c12) == 0 and is_torsion(hctx, c12)
+    ok = ok and height(hctx, c12) == 0
 
     heights_stage = run_stage("heights")
     notes = [a["note"] for a in heights_stage.evidence["annotations"]]
@@ -190,7 +188,7 @@ def test_criterion_6_dynamics(announce):
     n1 = [("N1", classify_kodaira(x, N1).cycle)]
     idx_c11 = section_from_config(x, n1, "C11", "C21").components["N1"]
     idx_c2 = section_from_config(x, n1, "C2", "C21").components["N1"]
-    ok = ok and component_index_sum([idx_c11, idx_c2]) == ModInt(4, 8)
+    ok = ok and idx_c11 + idx_c2 == ModInt(4, 8)
 
     for n in range(1, 11):
         ok = ok and conjugate_translation(n) == translate(LaurentT.t_power(-2 * n))

@@ -241,7 +241,6 @@ def side_zero_after(n):
 SWAP_FAULTS = {
     # every line meets none: all eight sort into one ruling
     "ruling-sort-clash": ("_side", lambda: lambda p, q: 1),
-    "rulings-not-partitioned": ("_side", lambda: lambda p, q: 1),
     # det N and the seven sort pairings kept, then the twelve
     # same-ruling pairs all meet
     "same-ruling-lines-meet": ("_side", lambda: side_zero_after(8)),

@@ -17,6 +17,7 @@ from autcert.fibration import (
     shioda_tate_rank,
     validate_fiber,
 )
+from autcert.pipeline import Context, PipelineOptions
 from autcert.surface import (
     Configuration,
     build_double_kummer,
@@ -171,6 +172,22 @@ def test_epsilon_image_labels():
     assert image.labels() == tuple(
         sorted(["F2", "C23", "E3", "C13", "F1", "C14", "E4", "C24"])
     )
+
+
+def test_map_fiber_rejects_a_shared_image():
+    # two components sent to one curve would lose a multiplicity
+    with pytest.raises(ValueError, match="share the image H1"):
+        map_fiber(FiberDivisor({"E1": 1, "F1": 2}), {"E1": "H1", "F1": "H1"})
+
+
+def test_derived_quotient_fibers_are_the_written_ones():
+    # the pipeline pushes N1 and N2 down through QUOTIENT_CLASS; M1 and M2
+    # above are written by hand, M2 with the alias D34 of D43
+    Z = z_config()
+    fibers = Context(PipelineOptions()).fibers
+    for name, written in (("M1", M1), ("M2", M2)):
+        resolved = {Z.resolve(lab): m for lab, m in written.components.items()}
+        assert fibers[name].components == resolved, name
 
 
 def test_dual_graph_of_n2():

@@ -24,8 +24,8 @@ from autcert.pipeline import (
     run_all,
     run_stage,
 )
-from autcert.scalars import ProjValue
-from autcert.surface import Configuration, build_double_kummer, extend_with_conics
+from autcert.scalars import LaurentT, ProjValue, RatFunc
+from autcert.surface import Configuration, Marking, build_double_kummer, extend_with_conics
 
 EXPECTED_STAGES = (
     "config",
@@ -324,14 +324,25 @@ def test_stage_bug_still_propagates(monkeypatch):
         run_stage("lattice")
 
 
+SWAP_CLAIM = (
+    "at a seeded sample of parameter values the involution swaps the "
+    "two rulings of the smooth quadric, exchanging all 12 marked "
+    "intersection points in pairs"
+)
+
+
+def no_swap_passes(mp):
+    mp.setattr(cremona, "verify_pij_swap", lambda triple, *rest: SimpleNamespace(passed=False))
+
+
 def test_exhausted_swap_search_fails_the_cremona_stage(monkeypatch):
-    monkeypatch.setattr(cremona, "verify_pij_swap", lambda triple, *rest: SimpleNamespace(passed=False))
+    no_swap_passes(monkeypatch)
     stage = run_stage("cremona")
     assert stage.status == "fail"
-    (check,) = stage.evidence["checks"]
-    assert check["kind"] == "stage-raised"
-    assert check["detail"] == "ValueError"
-    assert check["witness"] == "found only 0 working specializations in 5000 draws"
+    failed = [c for c in stage.evidence["checks"] if c["status"] == "fail"]
+    assert [c["claim"] for c in failed] == [SWAP_CLAIM]
+    assert failed[0]["specializations"] == []
+    assert not any(c.get("kind") == "stage-raised" for c in stage.evidence["checks"])
 
 
 # -- run_stage ----------------------------------------------------------------------
@@ -384,8 +395,6 @@ QUOTIENT_MARKING = (
     [
         # rank 10, but the signature is wrong
         (lambda mp: mp.setattr(pipeline, "signature", lambda gram: (2, 8, 4)), QUOTIENT_LATTICE),
-        # the signature is right, but the rank is 9
-        (lambda mp: mp.setattr(pipeline.Context, "z_rank", property(lambda ctx: 9)), QUOTIENT_LATTICE),
         # Q32 lies on H2, at a finite coordinate
         (
             lambda mp: mp.setattr(
@@ -396,13 +405,64 @@ QUOTIENT_MARKING = (
             QUOTIENT_MARKING,
         ),
     ],
-    ids=["signature", "rank", "marking"],
+    ids=["signature", "marking"],
 )
 def test_each_quotient_condition_fails_its_own_check(monkeypatch, patch, failing):
     verdicts = quotient_verdicts()
     assert set(verdicts.values()) == {"pass"}
     patch(monkeypatch)
     assert quotient_verdicts() == {claim: "fail" if claim == failing else "pass" for claim in verdicts}
+
+
+DYNAMICS_GLUING = (
+    "the marked points P22 on E2 and P2 on F2 carry the same affine "
+    "coordinate t, so the two translation actions glue"
+)
+DYNAMICS_CONJUGATION = (
+    "conjugating the translation x -> x + a by the n-th power of "
+    "x -> t^2 x yields x -> x + t^(-2n) a for n = 1..10, each "
+    "fixing the point at infinity"
+)
+
+
+def move_p2(mp):
+    """Build the 28 curves with P2 at u = s on F2 in place of u = t."""
+    real = pipeline.extend_with_conics
+
+    def moved(kummer):
+        x = real(kummer)
+        p2 = Marking("P2", {"F2": ProjValue.finite(RatFunc.var("s")), "C2": None})
+        return dataclasses.replace(x, markings={**x.markings, "P2": p2})
+
+    mp.setattr(pipeline, "extend_with_conics", moved)
+
+
+def wrong_scaling_power(mp):
+    """scaling(t^2n) acts as scaling(t^(4n-2)): right at n = 1 only, so
+    the first conjugated shift still meets the non-finite-generation
+    generators."""
+    real = cremona.scaling
+    mp.setattr(cremona, "scaling", lambda s: real(s * s * LaurentT.t_power(-2)))
+
+
+@pytest.mark.parametrize(
+    "name, patch, failing",
+    [
+        ("dynamics", move_p2, DYNAMICS_GLUING),
+        ("dynamics", wrong_scaling_power, DYNAMICS_CONJUGATION),
+        ("cremona", no_swap_passes, SWAP_CLAIM),
+    ],
+    ids=["gluing", "conjugation", "exhausted-search"],
+)
+def test_each_touched_check_fails_under_its_own_name(monkeypatch, name, patch, failing):
+    claims = [c["claim"] for c in run_stage(name).evidence["checks"]]
+    assert failing in claims
+    patch(monkeypatch)
+    checks = run_stage(name).evidence["checks"]
+    assert not any(c.get("kind") == "stage-raised" for c in checks)
+    assert {c["claim"]: c["status"] for c in checks} == {
+        claim: "fail" if claim == failing else "pass" for claim in claims
+    }
 
 
 def test_fibration_stage_lists_types():

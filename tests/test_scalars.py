@@ -18,7 +18,6 @@ from autcert.scalars import (
     parse_fraction,
     parse_laurent,
     parse_poly,
-    poly_divide_exact,
     poly_gcd,
     rational_sqrt,
 )
@@ -58,6 +57,9 @@ def test_construction_rejects_bad_input():
         MultiPoly(("x", "x"), {(1, 0): 1})
     with pytest.raises(ValueError):
         MultiPoly(("3bad",), {(1,): 1})
+    # a trailing newline is no part of a name
+    with pytest.raises(ValueError, match="bad variable name"):
+        MultiPoly(("x\n",), {(1,): 1})
     with pytest.raises(TypeError):
         MultiPoly(("x",), {(1,): 0.5})
 
@@ -202,10 +204,11 @@ def test_divide_rem_examples():
         x.divide_rem(MultiPoly.zero())
 
 
-def test_poly_divide_exact():
-    assert poly_divide_exact(x**2 - y**2, x - y) == x + y
-    assert poly_divide_exact(x**2 + 1, x + 1) is None
+def test_exact_div():
+    assert (x**2 - y**2).exact_div(x - y) == x + y
     assert (x**3 - 1).exact_div(x - 1) == x**2 + x + 1
+    with pytest.raises(ArithmeticError, match="not exact"):
+        (x**2 + 1).exact_div(x + 1)
 
 
 @given(polys(), polys())
@@ -251,8 +254,8 @@ def test_gcd_divides_both(a, b):
     if g.is_zero():
         assert a.is_zero() and b.is_zero()
         return
-    assert poly_divide_exact(a, g) is not None
-    assert poly_divide_exact(b, g) is not None
+    assert a.divide_rem(g)[1].is_zero()
+    assert b.divide_rem(g)[1].is_zero()
     assert g.leading_coefficient() == 1
 
 
