@@ -29,7 +29,6 @@ IV_STAR = KodairaType.plain("IV*")
 
 def test_modint_arithmetic():
     assert ModInt(4, 8) + ModInt(4, 8) == ModInt(0, 8)
-    assert ModInt(0, 8) + ModInt(4, 8) == ModInt(4, 8)
     assert ModInt(3, 8) - ModInt(5, 8) == ModInt(6, 8)
     assert 2 * ModInt(4, 8) == ModInt(0, 8)
     assert -ModInt(1, 8) == ModInt(7, 8)
@@ -38,6 +37,15 @@ def test_modint_arithmetic():
         ModInt(1, 2) + ModInt(1, 3)
     with pytest.raises(ValueError):
         ModInt(1, 0)
+
+
+def test_component_index_sum():
+    # component indices of sections on one fiber add in its component group
+    assert ModInt(0, 8) + ModInt(4, 8) == ModInt(4, 8)
+    assert ModInt(5, 8) + ModInt(0, 8) == ModInt(5, 8)
+    assert ModInt(4, 8) * 2 + ModInt(4, 8) * 2 == ModInt(0, 8)
+    with pytest.raises(ValueError, match="mixed"):
+        ModInt(1, 2) + ModInt(1, 3)
 
 
 # -- contribution tables ----------------------------------------------------------------
