@@ -41,11 +41,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .scalars import (
+    Frozen,
     LaurentT,
     MultiPoly,
     poly_gcd,
@@ -60,14 +60,13 @@ def _mono(names: Sequence[str], coeff=1) -> MultiPoly:
     return MultiPoly.monomial(tuple(names), (1,) * len(names), coeff)
 
 
-@dataclass(frozen=True)
-class RationalMapP3:
+class RationalMapP3(Frozen):
     """Four monomials of a common degree in x1..x4, with no common factor."""
 
-    components: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]):
+        comps = tuple(components)
         if len(comps) != 4:
             raise ValueError("a map of P3 has four components")
         degrees = set()
@@ -85,7 +84,7 @@ class RationalMapP3:
             g = poly_gcd(g, c)
         if g.degree_in(A_VARS + X_VARS) > 0:
             raise ValueError("components share a polynomial factor")
-        object.__setattr__(self, "components", comps)
+        self._set(comps)
 
     def substituted(self, other: "RationalMapP3") -> tuple[MultiPoly, ...]:
         """Raw composition self(other), without clearing common factors."""
@@ -112,11 +111,13 @@ def cremona_map() -> RationalMapP3:
     )
 
 
-@dataclass(frozen=True)
-class QuadricForm:
+class QuadricForm(Frozen):
     """The parameterized quadric preserved by the involution."""
 
-    poly: MultiPoly
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: MultiPoly):
+        self._set(poly)
 
     @staticmethod
     def standard() -> "QuadricForm":
@@ -205,8 +206,7 @@ def contraction_check(map_: RationalMapP3, i: int) -> tuple[Fraction, ...] | dic
 # -- ruling swap at a rational specialization -----------------------------------------
 
 
-@dataclass(frozen=True)
-class SwapReport:
+class SwapReport(NamedTuple):
     alpha: tuple[str, str, str]
     passed: bool
     discriminants: tuple[str, ...] = ()
@@ -488,22 +488,21 @@ def find_swap_specializations(
 # -- affine maps of the line ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Frozen):
     """The map x -> scale*x + shift*a over Q(t, a), which fixes infinity.
 
     The scale is a unit c*t^k of the Laurent ring, so inverses and
     composites stay affine with Laurent coefficients.
     """
 
-    scale: LaurentT
-    shift: LaurentT
+    __slots__ = ("scale", "shift")
 
-    def __post_init__(self):
-        if not isinstance(self.shift, LaurentT):
+    def __init__(self, scale: LaurentT, shift: LaurentT):
+        if not isinstance(shift, LaurentT):
             raise TypeError("the shift is a Laurent polynomial in t")
-        if not isinstance(self.scale, LaurentT) or len(self.scale.terms) != 1:
+        if not isinstance(scale, LaurentT) or len(scale.terms) != 1:
             raise ValueError("the scale must be a unit c*t^k")
+        self._set(scale, shift)
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other."""

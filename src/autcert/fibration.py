@@ -27,36 +27,35 @@ III has the same dual graph) and a triangle as I3 (type IV likewise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lattice import RootType, dynkin_classify, is_connected
+from .scalars import Frozen
 from .surface import Configuration
 
 _PLAIN_SYMBOLS = ("II", "III", "IV", "II*", "III*", "IV*")
 _INDEXED_SYMBOLS = ("I", "I*")
 
 
-@dataclass(frozen=True)
-class KodairaType:
+class KodairaType(Frozen):
     """A Kodaira fiber type symbol, e.g. I8, I*0, IV*."""
 
-    symbol: str
-    index: int | None = None
+    __slots__ = ("symbol", "index")
 
-    def __post_init__(self):
-        if self.symbol in _PLAIN_SYMBOLS:
-            if self.index is not None:
-                raise ValueError(f"type {self.symbol} takes no index")
-        elif self.symbol in _INDEXED_SYMBOLS:
-            if not isinstance(self.index, int) or isinstance(self.index, bool):
-                raise ValueError(f"type {self.symbol} needs an integer index")
-            if self.symbol == "I" and self.index < 1:
+    def __init__(self, symbol: str, index: int | None = None):
+        if symbol in _PLAIN_SYMBOLS:
+            if index is not None:
+                raise ValueError(f"type {symbol} takes no index")
+        elif symbol in _INDEXED_SYMBOLS:
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise ValueError(f"type {symbol} needs an integer index")
+            if symbol == "I" and index < 1:
                 raise ValueError("type I_n needs n >= 1")
-            if self.symbol == "I*" and self.index < 0:
+            if symbol == "I*" and index < 0:
                 raise ValueError("type I*_n needs n >= 0")
         else:
-            raise ValueError(f"unknown Kodaira symbol {self.symbol!r}")
+            raise ValueError(f"unknown Kodaira symbol {symbol!r}")
+        self._set(symbol, index)
 
     @staticmethod
     def I(n: int) -> "KodairaType":
@@ -94,20 +93,19 @@ def component_count(kt: KodairaType) -> int:
     return {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[kt.symbol]
 
 
-@dataclass(frozen=True)
-class FiberDivisor:
+class FiberDivisor(Frozen):
     """Formal positive integer combination of configuration curves."""
 
-    components: Mapping[str, int]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = dict(self.components)
+    def __init__(self, components: Mapping[str, int]):
+        comps = dict(components)
         if not comps:
             raise ValueError("a fiber needs at least one component")
         for lab, mult in comps.items():
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise ValueError(f"bad multiplicity {mult!r} at {lab}")
-        object.__setattr__(self, "components", comps)
+        self._set(comps)
 
     @staticmethod
     def of(labels: Iterable[str]) -> "FiberDivisor":
@@ -159,8 +157,7 @@ def dual_graph(
     return nodes, tuple(edges)
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     passed: bool
     failures: tuple[dict, ...]
 
@@ -203,8 +200,7 @@ _FAILURE_TEXT = {
 }
 
 
-@dataclass(frozen=True)
-class FiberClass:
+class FiberClass(NamedTuple):
     """A validated fiber's type and dual graph.
 
     ``cycle`` lists the components of an I_n fiber in cyclic order: it

@@ -27,7 +27,7 @@ directly, with every number an exact string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import SpanBasis
 from .scalars import LaurentT
@@ -38,8 +38,7 @@ def translation_str(c: LaurentT) -> str:
     return f"({c})*a"
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """Outcome of one integer-span membership test.
 
     ``witness`` maps a generator index to its nonzero coefficient in a
@@ -96,8 +95,7 @@ def shift_generators(k: int) -> list[LaurentT]:
     return [LaurentT.t_power(-2 * n) for n in range(k)]
 
 
-@dataclass(frozen=True)
-class EscapeStage:
+class EscapeStage(NamedTuple):
     """Stage k: the escape t^(-2N)*a against the first k generators.
 
     ``support_bound`` is the least exponent among those generators, the
@@ -129,8 +127,7 @@ CHAIN_FACT = (
 )
 
 
-@dataclass(frozen=True)
-class NonFGCertificate:
+class NonFGCertificate(NamedTuple):
     """The escape stages; ``generators`` holds the t-exponents of the shifts.
 
     Stage k uses the first k generators and its next span the first k+1,

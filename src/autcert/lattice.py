@@ -14,13 +14,12 @@ of their Dynkin diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import matrix_rank_det
+from .scalars import Frozen, matrix_rank_det
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -367,21 +366,20 @@ def gauss_reduce_rank2(gram: Sequence[Sequence[int]]) -> Mat:
 # -- Dynkin diagrams ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootType:
+class RootType(Frozen):
     """An irreducible simply laced root lattice type, e.g. RootType("E", 6)."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
+    def __init__(self, family: str, rank: int):
         ok = (
-            (self.family == "A" and self.rank >= 1)
-            or (self.family == "D" and self.rank >= 4)
-            or (self.family == "E" and self.rank in (6, 7, 8))
+            (family == "A" and rank >= 1)
+            or (family == "D" and rank >= 4)
+            or (family == "E" and rank in (6, 7, 8))
         )
         if not ok:
-            raise ValueError(f"no root lattice {self.family}{self.rank}")
+            raise ValueError(f"no root lattice {family}{rank}")
+        self._set(family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

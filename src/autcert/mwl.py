@@ -18,26 +18,23 @@ calculus of automorphisms of the smooth locus of a fiber, recorded as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fibration import KodairaType
-from .scalars import LaurentT
+from .scalars import Frozen, LaurentT
 from .surface import Configuration
 
 
-@dataclass(frozen=True)
-class ModInt:
+class ModInt(Frozen):
     """An element of Z/n, used for fiber component groups."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 1:
-            raise ValueError(f"bad modulus {self.modulus!r}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        if not isinstance(modulus, int) or modulus < 1:
+            raise ValueError(f"bad modulus {modulus!r}")
+        self._set(value % modulus, modulus)
 
     def _check(self, other: "ModInt"):
         if self.modulus != other.modulus:
@@ -83,36 +80,32 @@ def contribution(kt: KodairaType, comp: ModInt) -> Fraction:
     return Fraction(4, 3) if comp.value else Fraction(0)
 
 
-@dataclass(frozen=True)
-class HeightContext:
+class HeightContext(Frozen):
     """Fibration-level data entering every height computation."""
 
-    chi: int
-    fibers: tuple[tuple[str, KodairaType], ...]
-    zero_name: str = "O"
+    __slots__ = ("chi", "fibers", "zero_name")
 
-    def __post_init__(self):
-        if not isinstance(self.chi, int) or self.chi < 1:
-            raise ValueError(f"bad Euler characteristic {self.chi!r}")
-        fibers = tuple((fid, kt) for fid, kt in self.fibers)
+    def __init__(
+        self, chi: int, fibers: tuple[tuple[str, KodairaType], ...], zero_name: str = "O"
+    ):
+        if not isinstance(chi, int) or chi < 1:
+            raise ValueError(f"bad Euler characteristic {chi!r}")
+        fibers = tuple((fid, kt) for fid, kt in fibers)
         ids = [fid for fid, _ in fibers]
         if len(set(ids)) != len(ids):
             raise ValueError("fiber ids must be distinct")
-        object.__setattr__(self, "fibers", fibers)
+        self._set(chi, fibers, zero_name)
 
 
-@dataclass(frozen=True)
-class SectionData:
+class SectionData(Frozen):
     """One section: its name, (P.O), and met component per fiber."""
 
-    name: str
-    dot_zero: int
-    components: Mapping[str, ModInt] = field(default_factory=dict)
+    __slots__ = ("name", "dot_zero", "components")
 
-    def __post_init__(self):
-        if not isinstance(self.dot_zero, int) or self.dot_zero < 0:
-            raise ValueError(f"bad intersection number {self.dot_zero!r}")
-        object.__setattr__(self, "components", dict(self.components))
+    def __init__(self, name: str, dot_zero: int, components: Mapping[str, ModInt] | None = None):
+        if not isinstance(dot_zero, int) or dot_zero < 0:
+            raise ValueError(f"bad intersection number {dot_zero!r}")
+        self._set(name, dot_zero, dict(components or {}))
 
 
 def _aligned_components(ctx: HeightContext, P: SectionData):
@@ -177,18 +170,17 @@ def section_from_config(
 # -- automorphisms of the smooth locus ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothLocusAut:
+class SmoothLocusAut(Frozen):
     """Action on a fiber's smooth locus: base-coordinate scale and component shift."""
 
-    scale: LaurentT
-    shift: ModInt
+    __slots__ = ("scale", "shift")
 
-    def __post_init__(self):
-        if not isinstance(self.scale, LaurentT):
+    def __init__(self, scale: LaurentT, shift: ModInt):
+        if not isinstance(scale, LaurentT):
             raise TypeError("scale must be a Laurent polynomial in t")
-        if len(self.scale.terms) != 1:
+        if len(scale.terms) != 1:
             raise ValueError("scale must be a unit c*t^k")
+        self._set(scale, shift)
 
 
 def compose_smooth_locus(f: SmoothLocusAut, g: SmoothLocusAut) -> SmoothLocusAut:

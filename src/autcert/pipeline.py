@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -68,7 +67,7 @@ from .mwl import (
     height,
     section_from_config,
 )
-from .scalars import INFINITY, LaurentT, ProjValue, RatFunc, parse_poly
+from .scalars import INFINITY, Frozen, LaurentT, ProjValue, RatFunc, parse_poly
 from .surface import (
     QUOTIENT_CLASS,
     Configuration,
@@ -112,47 +111,44 @@ CITE_KO63 = (
 _STATUSES = ("pass", "fail", "external-input", "annotation")
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
+class PipelineOptions(Frozen):
     """Run configuration; echoed verbatim into every report."""
 
-    max_gens: int = 5
-    seed: int = 0
-    corrupt_pair: tuple[str, str] | None = None
+    __slots__ = ("max_gens", "seed", "corrupt_pair")
 
-    def __post_init__(self):
-        if (
-            not isinstance(self.max_gens, int)
-            or isinstance(self.max_gens, bool)
-            or self.max_gens < 1
-        ):
-            raise ValueError(f"max_gens must be a positive integer, got {self.max_gens!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.corrupt_pair is not None:
-            pair = tuple(self.corrupt_pair)
-            if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
+    def __init__(
+        self, max_gens: int = 5, seed: int = 0, corrupt_pair: tuple[str, str] | None = None
+    ):
+        if not isinstance(max_gens, int) or isinstance(max_gens, bool) or max_gens < 1:
+            raise ValueError(f"max_gens must be a positive integer, got {max_gens!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if corrupt_pair is not None:
+            corrupt_pair = tuple(corrupt_pair)
+            if len(corrupt_pair) != 2 or not all(isinstance(x, str) for x in corrupt_pair):
                 raise ValueError("corrupt_pair takes two curve labels")
-            unknown = [x for x in pair if not is_curve_label(x)]
+            unknown = [x for x in corrupt_pair if not is_curve_label(x)]
             if unknown:
                 raise ValueError(f"corrupt_pair names no curve: {unknown[0]!r}")
-            if pair[0] == pair[1]:
+            if corrupt_pair[0] == corrupt_pair[1]:
                 raise ValueError("corrupt_pair takes two distinct curve labels")
-            object.__setattr__(self, "corrupt_pair", pair)
+        self._set(max_gens, seed, corrupt_pair)
+
+    def to_record(self) -> dict:
+        """The report's record of the options, every number an exact string."""
+        pair = None if self.corrupt_pair is None else list(self.corrupt_pair)
+        return {"max_gens": str(self.max_gens), "seed": str(self.seed), "corrupt_pair": pair}
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(Frozen):
     """One stage of the certificate: status, claim anchor, evidence."""
 
-    name: str
-    status: str
-    anchor: str
-    evidence: dict
+    __slots__ = ("name", "status", "anchor", "evidence")
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, name: str, status: str, anchor: str, evidence: dict):
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        self._set(name, status, anchor, evidence)
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,19 +159,20 @@ class StageResult:
         }
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Frozen):
     """The assembled certificate: ordered stages plus the verdict."""
 
-    version: str
-    options: PipelineOptions
-    stages: tuple[StageResult, ...]
-    verdict: str
+    __slots__ = ("version", "options", "stages", "verdict")
+
+    def __init__(
+        self, version: str, options: PipelineOptions, stages: tuple[StageResult, ...], verdict: str
+    ):
+        self._set(version, options, stages, verdict)
 
     def to_json_dict(self) -> dict:
         return {
             "version": self.version,
-            "options": _stringify(self.options),
+            "options": self.options.to_record(),
             "stages": [s.to_json_dict() for s in self.stages],
             "verdict": self.verdict,
         }
@@ -185,10 +182,11 @@ class CertificateReport:
 
 
 def _stringify(obj):
-    """Copy a payload with every numeric or exotic leaf turned into a string.
+    """Copy a payload with every numeric or exotic leaf turned into its string.
 
-    A dataclass with its own text form is a leaf; any other dataclass is
-    a record, written as a dict of its fields.
+    Dicts stay dicts and other collections become lists; anything else,
+    a value type included, is a leaf written by its own ``str``.  A
+    record writes itself instead, as ``PipelineOptions.to_record`` does.
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
@@ -197,8 +195,6 @@ def _stringify(obj):
     if isinstance(obj, (list, tuple, frozenset, set)):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [_stringify(v) for v in items]
-    if is_dataclass(obj) and type(obj).__str__ is object.__str__:
-        return {f.name: _stringify(getattr(obj, f.name)) for f in fields(obj)}
     return str(obj)
 
 
@@ -798,9 +794,8 @@ def _stage_dynamics(ctx: Context) -> StageResult:
     f_scale = SmoothLocusAut(t, ModInt(4, 8))
     square = compose_smooth_locus(f_scale, f_scale)
     conjugates = [conjugate_translation(n) for n in range(1, 11)]
-    conj_ok = x.marking_coord("P32", "E2").is_infinite and all(
-        m.scale == 1 and m.shift == LaurentT.t_power(-2 * n)
-        for n, m in enumerate(conjugates, 1)
+    conj_ok = all(
+        m.scale == 1 and m.shift == LaurentT.t_power(-2 * n) for n, m in enumerate(conjugates, 1)
     )
     escapes = [translation_str(m.shift) for m in conjugates]
     bridge = [translation_str(g) for g in shift_generators(3)]
@@ -884,7 +879,7 @@ def _stage_nonfg(ctx: Context) -> StageResult:
         ],
     )
     # the record is already strings and booleans, so it skips _stringify,
-    # whose walk would visit every stage's dataclasses again
+    # whose walk would copy all of it again
     stage.evidence["certificate"] = cert.to_record()
     return stage
 

@@ -12,7 +12,8 @@ anywhere.
 Each type has a canonical textual form, which the certificate reports
 embed.  Rationals, polynomials (sorted monomial strings) and Laurent
 polynomials round-trip through ``parse_fraction``, ``parse_poly`` and
-``parse_laurent``.
+``parse_laurent``.  ``Frozen`` is the immutable base of these types and
+of every value type built on them.
 """
 
 from __future__ import annotations
@@ -21,12 +22,50 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _GL = lambda exps: (sum(exps), exps)  # graded-lex sort key
+
+
+class Frozen:
+    """An immutable value, compared, hashed and shown by its public slots.
+
+    A subclass names its fields in ``__slots__`` and stores them once, in
+    ``__init__``, with ``_set``.  A slot whose name starts with an
+    underscore holds derived data: it takes no part in equality, hash or
+    ``repr``.  A subclass may define its own comparison and text instead.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # equality and hash read the public slots with one C-level getter per class
+        cls._key = attrgetter(*(name for name in cls.__slots__ if name[0] != "_"))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(shown)})"
 
 
 def _as_coeff(x) -> int | Fraction:
@@ -66,7 +105,7 @@ def _quotient(a, b) -> int | Fraction:
     return _as_coeff(Fraction(a) / b)
 
 
-class MultiPoly:
+class MultiPoly(Frozen):
     """Multivariate polynomial over the rationals.
 
     Terms map exponent tuples to nonzero coefficients, an ``int`` when
@@ -116,9 +155,6 @@ class MultiPoly:
             terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
         object.__setattr__(self, "vars", names)
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -438,7 +474,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # -- rational functions --------------------------------------------------
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """A polynomial over a single-term denominator, reduced to lowest terms.
 
     The denominator is a monic monomial coprime to the numerator, so
@@ -468,9 +504,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
     @classmethod
     def var(cls, name: str) -> RatFunc:
         return cls(MultiPoly.var(name))
@@ -495,7 +528,7 @@ class RatFunc:
 # -- Laurent polynomials in t --------------------------------------------
 
 
-class LaurentT:
+class LaurentT(Frozen):
     """Laurent polynomial in the single variable ``t`` over the rationals.
 
     Terms map exponents to nonzero coefficients, an ``int`` when
@@ -520,9 +553,6 @@ class LaurentT:
         p = object.__new__(cls)
         object.__setattr__(p, "terms", _canonical(terms))
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentT is immutable")
 
     @classmethod
     def zero(cls) -> LaurentT:
@@ -625,16 +655,13 @@ class LaurentT:
 # -- projective values ----------------------------------------------------
 
 
-class ProjValue:
+class ProjValue(Frozen):
     """A point of the projective line: a finite field value, or infinity."""
 
     __slots__ = ("value",)
 
     def __init__(self, value):
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjValue is immutable")
 
     @classmethod
     def finite(cls, value) -> ProjValue:

@@ -20,11 +20,10 @@ parity is verified rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .lattice import Mat, _check_gram
-from .scalars import INFINITY, ProjValue, RatFunc
+from .scalars import INFINITY, Frozen, ProjValue, RatFunc
 
 SURFACE_CHI = {"X_K3": 2, "Z_Enriques": 1}
 
@@ -81,8 +80,7 @@ def is_curve_label(label: str) -> bool:
     return label in _EPSILON
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(Frozen):
     """A named point on one or more configuration curves.
 
     ``on`` maps each incident curve label to the point's affine
@@ -91,46 +89,46 @@ class Marking:
     the coordinate down.
     """
 
-    label: str
-    on: Mapping[str, ProjValue | None]
+    __slots__ = ("label", "on")
 
-    def __post_init__(self):
-        if not self.label:
+    def __init__(self, label: str, on: Mapping[str, ProjValue | None]):
+        if not label:
             raise ValueError("marking needs a label")
-        on = dict(self.on)
+        on = dict(on)
         if not on:
-            raise ValueError(f"marking {self.label} lies on no curve")
+            raise ValueError(f"marking {label} lies on no curve")
         for curve, coord in on.items():
             if coord is not None and not isinstance(coord, ProjValue):
-                raise TypeError(f"coordinate of {self.label} on {curve} not projective")
-        object.__setattr__(self, "on", on)
+                raise TypeError(f"coordinate of {label} on {curve} not projective")
+        self._set(label, on)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Frozen):
     """Labeled curves with an exact symmetric intersection table.
 
     Lookups go through a label -> index map built once, with each alias
     mapped to its target's index; it takes no part in equality or repr.
     """
 
-    tag: str
-    chi: int
-    labels: tuple[str, ...]
-    gram: Mat
-    markings: Mapping[str, Marking] = field(default_factory=dict)
-    aliases: Mapping[str, str] = field(default_factory=dict)
-    _index: Mapping[str, int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("tag", "chi", "labels", "gram", "markings", "aliases", "_index")
 
-    def __post_init__(self):
-        if self.tag not in SURFACE_CHI:
-            raise ValueError(f"unknown surface tag {self.tag!r}")
-        if self.chi != SURFACE_CHI[self.tag]:
-            raise ValueError(f"chi {self.chi} wrong for {self.tag}")
-        labels = tuple(self.labels)
+    def __init__(
+        self,
+        tag: str,
+        chi: int,
+        labels: tuple[str, ...],
+        gram: Mat,
+        markings: Mapping[str, Marking] | None = None,
+        aliases: Mapping[str, str] | None = None,
+    ):
+        if tag not in SURFACE_CHI:
+            raise ValueError(f"unknown surface tag {tag!r}")
+        if chi != SURFACE_CHI[tag]:
+            raise ValueError(f"chi {chi} wrong for {tag}")
+        labels = tuple(labels)
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("curve labels must be nonempty and distinct")
-        gram = _check_gram(self.gram)
+        gram = _check_gram(gram)
         if len(gram) != len(labels):
             raise ValueError("Gram size does not match label count")
         for i in range(len(labels)):
@@ -139,30 +137,26 @@ class Configuration:
                     raise ValueError(
                         f"distinct curves {labels[i]}, {labels[j]} meet negatively"
                     )
-        if self.tag == "X_K3":
+        if tag == "X_K3":
             for i, lab in enumerate(labels):
                 if gram[i][i] != -2:
                     raise ValueError(f"curve {lab} on a K3 configuration must be a (-2)-curve")
-        aliases = dict(self.aliases)
+        aliases = dict(aliases or {})
         for alias, target in aliases.items():
             if alias in labels:
                 raise ValueError(f"alias {alias} shadows a curve label")
             if target not in labels:
                 raise ValueError(f"alias {alias} points at unknown curve {target}")
-        markings = dict(self.markings)
+        markings = dict(markings or {})
         for key, m in markings.items():
             if key != m.label:
                 raise ValueError(f"marking key {key} does not match label {m.label}")
             for curve in m.on:
                 if curve not in labels and curve not in aliases:
                     raise ValueError(f"marking {key} lies on unknown curve {curve}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "markings", markings)
-        object.__setattr__(self, "aliases", aliases)
         index = {lab: i for i, lab in enumerate(labels)}
         index.update((alias, index[target]) for alias, target in aliases.items())
-        object.__setattr__(self, "_index", index)
+        self._set(tag, chi, labels, gram, markings, aliases, index)
 
     # -- lookups -------------------------------------------------------
 
@@ -326,18 +320,18 @@ def extend_with_conics(config: Configuration) -> Configuration:
 # -- isometries -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsometryPerm:
+class IsometryPerm(Frozen):
     """A permutation of curve labels, optionally acting on markings."""
 
-    curve_map: Mapping[str, str]
-    point_map: Mapping[str, str] | None = None
-    involution: bool = False
+    __slots__ = ("curve_map", "point_map", "involution")
 
-    def __post_init__(self):
-        object.__setattr__(self, "curve_map", dict(self.curve_map))
-        if self.point_map is not None:
-            object.__setattr__(self, "point_map", dict(self.point_map))
+    def __init__(
+        self,
+        curve_map: Mapping[str, str],
+        point_map: Mapping[str, str] | None = None,
+        involution: bool = False,
+    ):
+        self._set(dict(curve_map), None if point_map is None else dict(point_map), involution)
 
     def apply(self, label: str) -> str:
         return self.curve_map[label]
@@ -346,8 +340,7 @@ class IsometryPerm:
         return tuple(sorted(a for a, b in self.curve_map.items() if a == b))
 
 
-@dataclass(frozen=True)
-class IsometryReport:
+class IsometryReport(NamedTuple):
     passed: bool
     failures: tuple[dict, ...]
     fixed_labels: tuple[str, ...]
@@ -484,8 +477,7 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
 # -- blow-up ledger ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowupLedger:
+class BlowupLedger(Frozen):
     """Exceptional-class bookkeeping for one or two blow-ups of Z.
 
     Stage one blows up the marked point named by ``first_center``;
@@ -496,19 +488,19 @@ class BlowupLedger:
     self-intersection -1 each; proper transforms are differences.
     """
 
-    base: Configuration
-    first_center: str
-    second_centers: tuple[str, ...] = ()
+    __slots__ = ("base", "first_center", "second_centers")
 
-    def __post_init__(self):
-        if self.base.tag != "Z_Enriques":
+    def __init__(
+        self, base: Configuration, first_center: str, second_centers: tuple[str, ...] = ()
+    ):
+        if base.tag != "Z_Enriques":
             raise ValueError("ledger base must be the quotient configuration")
-        if self.first_center not in self.base.markings:
-            raise ValueError(f"first center {self.first_center} is not a marking")
-        centers = tuple(self.second_centers)
+        if first_center not in base.markings:
+            raise ValueError(f"first center {first_center} is not a marking")
+        centers = tuple(second_centers)
         if centers and (len(centers) != 3 or len(set(centers)) != 3):
             raise ValueError("stage two takes exactly three distinct centers")
-        object.__setattr__(self, "second_centers", centers)
+        self._set(base, first_center, centers)
 
     @property
     def stage(self) -> int:

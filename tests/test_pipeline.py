@@ -1,6 +1,5 @@
 """Tests for the staged certificate runner and its CLI."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -370,7 +369,7 @@ def test_nonfg_stage_fails_when_a_refutation_finds_a_member(monkeypatch):
     real = fingen.membership
 
     def always_member(gens, target):
-        return dataclasses.replace(real(gens, target), member=True)
+        return real(gens, target)._replace(member=True)
 
     monkeypatch.setattr(fingen, "membership", always_member)
     stage = run_stage("nonfg", PipelineOptions(max_gens=3))
@@ -432,7 +431,8 @@ def move_p2(mp):
     def moved(kummer):
         x = real(kummer)
         p2 = Marking("P2", {"F2": ProjValue.finite(RatFunc.var("s")), "C2": None})
-        return dataclasses.replace(x, markings={**x.markings, "P2": p2})
+        markings = {**x.markings, "P2": p2}
+        return Configuration(x.tag, x.chi, x.labels, x.gram, markings, x.aliases)
 
     mp.setattr(pipeline, "extend_with_conics", moved)
 

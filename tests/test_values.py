@@ -1,0 +1,125 @@
+"""The package's value types and records: immutable, slotted, and cheap to import.
+
+Value types are ``scalars.Frozen`` subclasses and one-caller result
+records are ``NamedTuple``s; neither needs ``dataclasses``, whose import
+pulls in ``inspect`` and whose class building dominated the start-up of
+a fresh ``autcert`` process.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from autcert.cremona import (
+    QuadricForm,
+    conjugate_translation,
+    cremona_map,
+    verify_pij_swap,
+)
+from autcert.fibration import FiberDivisor, FiberReport, KodairaType, classify_kodaira
+from autcert.fingen import MembershipResult, certify_nonfg
+from autcert.lattice import RootType
+from autcert.mwl import HeightContext, ModInt, SectionData, SmoothLocusAut
+from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
+from autcert.scalars import INFINITY, LaurentT
+from autcert.surface import (
+    Marking,
+    build_double_kummer,
+    epsilon_involution,
+    extend_with_conics,
+    quotient_pushforward,
+    standard_blowup_ledger,
+    verify_isometry,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_pipeline_import_loads_neither_dataclasses_nor_inspect():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import autcert.pipeline; "
+        "print(autcert.pipeline.__file__); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(SRC)], check=True, capture_output=True, text=True
+    ).stdout.splitlines()
+    assert SRC in Path(out[0]).resolve().parents
+    assert out[1] == "[]"
+
+
+def x_config():
+    return extend_with_conics(build_double_kummer())
+
+
+def z_config():
+    x = x_config()
+    return quotient_pushforward(x, epsilon_involution(x))
+
+
+def n1():
+    return FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"))
+
+
+# each converted class: a factory of fresh instances, and whether they hash;
+# an instance holding a dict is unhashable, as it was as a frozen dataclass
+VALUES = {
+    "RationalMapP3": (cremona_map, True),
+    "QuadricForm": (QuadricForm.standard, True),
+    "SwapReport": (lambda: verify_pij_swap((9, 2, 2)), True),
+    "AffineMap": (lambda: conjugate_translation(2), True),
+    "ModInt": (lambda: ModInt(11, 8), True),
+    "HeightContext": (lambda: HeightContext(2, (("N1", KodairaType.I(8)),), "C21"), True),
+    "SectionData": (lambda: SectionData("P", 0, {"M2": ModInt(0, 3)}), False),
+    "SmoothLocusAut": (lambda: SmoothLocusAut(LaurentT.t_power(1), ModInt(4, 8)), True),
+    "RootType": (lambda: RootType("A", 2), True),
+    "MembershipResult": (lambda: MembershipResult(True, {0: 1}), False),
+    "EscapeStage": (lambda: certify_nonfg(2).stages[1], False),
+    "NonFGCertificate": (lambda: certify_nonfg(2), False),
+    "KodairaType": (lambda: KodairaType.plain("IV*"), True),
+    "FiberDivisor": (n1, False),
+    "FiberReport": (lambda: FiberReport(True, ()), True),
+    "FiberClass": (lambda: classify_kodaira(x_config(), n1()), True),
+    "Marking": (lambda: Marking("P", {"E1": INFINITY}), False),
+    "Configuration": (build_double_kummer, False),
+    "IsometryPerm": (lambda: epsilon_involution(x_config()), False),
+    "IsometryReport": (lambda: verify_isometry(x_config(), epsilon_involution(x_config())), True),
+    "BlowupLedger": (lambda: standard_blowup_ledger(z_config()), False),
+    "PipelineOptions": (lambda: PipelineOptions(seed=3, corrupt_pair=("E2", "C32")), True),
+    "StageResult": (lambda: run_stage("canonical"), False),
+    "CertificateReport": (lambda: run_all(PipelineOptions(max_gens=1)), False),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_value_type_contract(name):
+    build, hashable = VALUES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a == b and a is not b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    assert not hasattr(a, "__dict__")
+    field = (getattr(a, "_fields", None) or type(a).__slots__)[0]
+    value = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = None
+    assert getattr(a, field) is value and a == b
+
+
+@pytest.mark.parametrize(
+    "leaf", [ModInt(4, 8), KodairaType.I(8), KodairaType.plain("IV*"), RootType("A", 2)], ids=str
+)
+def test_leaf_values_are_written_by_their_str(leaf):
+    assert not isinstance(leaf, tuple)
+    assert _stringify(leaf) == str(leaf)
+    assert _stringify({"x": [leaf, None]}) == {"x": [str(leaf), None]}
