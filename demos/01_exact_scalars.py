@@ -26,7 +26,7 @@ print("p / q   =", p.divide_rem(q)[0])
 # Rational functions take a single-term denominator, reduced to lowest
 # terms with a monic denominator: (t^3 - t) / (2 t^2) = (1/2 t^2 - 1/2) / t.
 t = MultiPoly.var("t")
-f = RatFunc(t**3 - t, 2 * t**2)
+f = RatFunc(t * t * t - t, 2 * t * t)
 print("f       =", f)
 
 # Laurent polynomials in t carry negative exponents exactly.

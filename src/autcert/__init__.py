@@ -27,8 +27,8 @@ organized in independent layers:
   scalings as affine maps with Laurent coefficients;
 * :mod:`autcert.fingen` -- escape certificates showing an additive
   group of Laurent polynomials admits no finite generating set;
-* :mod:`autcert.pipeline` -- the staged certificate runner and its
-  command line interface.
+* :mod:`autcert.pipeline` -- the staged certificate runner; the
+  command line interface is ``python -m autcert``.
 """
 
 __version__ = "0.1.0"

@@ -46,19 +46,6 @@ class ModInt(Frozen):
         self._check(other)
         return ModInt(self.value + other.value, self.modulus)
 
-    def __neg__(self) -> "ModInt":
-        return ModInt(-self.value, self.modulus)
-
-    def __sub__(self, other: "ModInt") -> "ModInt":
-        return self + (-other)
-
-    def __mul__(self, k: int) -> "ModInt":
-        if not isinstance(k, int):
-            return NotImplemented
-        return ModInt(self.value * k, self.modulus)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus})"
 

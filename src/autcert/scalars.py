@@ -10,9 +10,8 @@ exponents of the single variable ``t``.  No floating point is used
 anywhere.
 
 Each type has a canonical textual form, which the certificate reports
-embed.  Rationals, polynomials (sorted monomial strings) and Laurent
-polynomials round-trip through ``parse_fraction``, ``parse_poly`` and
-``parse_laurent``.  ``Frozen`` is the immutable base of these types and
+embed; polynomials (sorted monomial strings) round-trip through
+``parse_poly``.  ``Frozen`` is the immutable base of these types and
 of every value type built on them.
 """
 
@@ -262,9 +261,6 @@ class MultiPoly(Frozen):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> MultiPoly:
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
@@ -277,18 +273,6 @@ class MultiPoly(Frozen):
         return MultiPoly._make(names, _term_product(ta, tb))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> MultiPoly:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers take non-negative integers")
-        result = MultiPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -594,15 +578,6 @@ class LaurentT(Frozen):
     def __neg__(self):
         return LaurentT._make({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -614,14 +589,6 @@ class LaurentT(Frozen):
         return LaurentT._make(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> LaurentT:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("Laurent powers take non-negative integers")
-        out = LaurentT.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -802,14 +769,7 @@ def _split_terms(text: str) -> list[str]:
     return out
 
 
-def parse_fraction(text: str) -> Fraction:
-    text = text.strip()
-    if not _FRACTION_RE.match(text):
-        raise ValueError(f"bad rational literal {text!r}")
-    return Fraction(text)
-
-
-def _parse_terms(text: str, allow_negative_exp: bool):
+def _parse_terms(text: str):
     for sign, term in _split_terms(text):
         coeff = Fraction(sign)
         factors: dict[str, int] = {}
@@ -826,7 +786,7 @@ def _parse_terms(text: str, allow_negative_exp: bool):
             if not m:
                 raise ValueError(f"bad factor {factor!r}")
             exp = int(m.group(2)) if m.group(2) else 1
-            if exp < 0 and not allow_negative_exp:
+            if exp < 0:
                 raise ValueError(f"negative exponent in {factor!r}")
             factors[m.group(1)] = factors.get(m.group(1), 0) + exp
             seen_any = True
@@ -840,20 +800,8 @@ def parse_poly(text: str) -> MultiPoly:
     if text.strip() == "0":
         return MultiPoly.zero()
     out = MultiPoly.zero()
-    for coeff, factors in _parse_terms(text, allow_negative_exp=False):
+    for coeff, factors in _parse_terms(text):
         names = tuple(factors)
         exps = tuple(factors[v] for v in names)
         out = out + MultiPoly.monomial(names, exps, coeff)
     return out
-
-
-def parse_laurent(text: str) -> LaurentT:
-    if text.strip() == "0":
-        return LaurentT.zero()
-    out: dict[int, Fraction] = {}
-    for coeff, factors in _parse_terms(text, allow_negative_exp=True):
-        if set(factors) - {"t"}:
-            raise ValueError("Laurent polynomials use the single variable t")
-        e = factors.get("t", 0)
-        out[e] = out.get(e, Fraction(0)) + coeff
-    return LaurentT(out)

@@ -14,8 +14,8 @@ further blow-ups of the quotient.
 Everything is exact and everything is checkable: intersection numbers
 are integers, coordinates of marked points are elements of Q(t, s) or
 the point at infinity, and the quotient intersection rule is the
-double-cover pushforward (A.B) = (pull A . pull B)/2, whose required
-parity is verified rather than assumed.
+double-cover pushforward (A.B) = (pull A . pull B)/2, computed only
+after the involution has passed its isometry check.
 """
 
 from __future__ import annotations
@@ -183,30 +183,6 @@ class Configuration(Frozen):
             if self.resolve(c) == curve:
                 return coord
         raise KeyError(f"marking {point} does not lie on {curve}")
-
-    def to_json_dict(self) -> dict:
-        pairs = []
-        for i, a in enumerate(self.labels):
-            for j in range(i + 1, len(self.labels)):
-                if self.gram[i][j]:
-                    pairs.append([a, self.labels[j], str(self.gram[i][j])])
-        return {
-            "surface": self.tag,
-            "chi": str(self.chi),
-            "curves": [
-                {"label": lab, "self": str(self.gram[i][i])}
-                for i, lab in enumerate(self.labels)
-            ],
-            "pairing": pairs,
-            "markings": [
-                {
-                    "label": m.label,
-                    "on": {c: (None if v is None else str(v)) for c, v in sorted(m.on.items())},
-                }
-                for _, m in sorted(self.markings.items())
-            ],
-            "aliases": dict(sorted(self.aliases.items())),
-        }
 
 
 def with_intersection(config: Configuration, a: str, b: str, value: int) -> Configuration:
@@ -432,9 +408,9 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
     orbit of ``eps`` that is none of these raises.  Intersections follow the
     double-cover rule (A.B) = (pull A . pull B)/2, the four upstairs
     entries read by Gram index, one row of A's two at a time.  The
-    division must be exact; the first odd sum, in row-major order of
-    the quotient labels, raises.  Markings Qij are pushed down from Pij
-    with their coordinates along the section curves.
+    division is exact: for an isometric involution with orbits {a, a'}
+    and {b, b'} the sum is 2((a.b) + (a.b')).  Markings Qij are pushed
+    down from Pij with their coordinates along the section curves.
     """
     report = verify_isometry(config, eps)
     if not report.passed:
@@ -456,14 +432,11 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
     )
 
     index = {name: [config.index(a) for a in pair] for name, pair in orbits.items()}
+    columns = [index[nb] for nb in z_labels]
     gram = []
     for na in z_labels:
         r, s = (config.gram[i] for i in index[na])
-        row = [r[j] + r[k] + s[j] + s[k] for j, k in (index[nb] for nb in z_labels)]
-        odd = next((nb for nb, v in zip(z_labels, row) if v % 2), None)
-        if odd is not None:
-            raise ValueError(f"pushforward parity violated at ({na}, {odd})")
-        gram.append(tuple(v // 2 for v in row))
+        gram.append(tuple((r[j] + r[k] + s[j] + s[k]) // 2 for j, k in columns))
 
     markings = {
         q: Marking(q, {QUOTIENT_CLASS[c]: coord for c, coord in config.markings[p].on.items()})

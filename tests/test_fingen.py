@@ -15,7 +15,8 @@ from autcert.fingen import (
     translation_str,
 )
 from autcert.lattice import SpanBasis, z_span_membership
-from autcert.pipeline import PipelineOptions, _stringify, main, run_stage
+from autcert.__main__ import main
+from autcert.pipeline import PipelineOptions, _stringify, run_stage
 from autcert.scalars import LaurentT
 
 

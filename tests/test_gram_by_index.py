@@ -8,16 +8,15 @@ and must give the same reports, graphs, Grams and errors.
 
 import random
 
-from autcert import surface
 from autcert.fibration import FiberDivisor, FiberReport, dual_graph, validate_fiber
 from autcert.lattice import is_connected
 from autcert.surface import (
     Configuration,
-    IsometryReport,
     build_double_kummer,
     epsilon_involution,
     extend_with_conics,
     quotient_pushforward,
+    verify_isometry,
     with_intersection,
 )
 
@@ -77,17 +76,12 @@ def orbit(name):
     return (f"C{i}{i}", f"C{i}") if i == j else (f"C{i}{j}", f"C{j}{i}")
 
 
-def reference_push(config, names):
-    rows = []
-    for na in names:
-        row = []
-        for nb in names:
-            total = sum(config.pairing(a, b) for a in orbit(na) for b in orbit(nb))
-            if total % 2:
-                raise ValueError(f"pushforward parity violated at ({na}, {nb})")
-            row.append(total // 2)
-        rows.append(tuple(row))
-    return tuple(rows)
+def orbit_sums(config, names):
+    """The four upstairs pairings of each pair of orbits, summed."""
+    return [
+        [sum(config.pairing(a, b) for a in orbit(na) for b in orbit(nb)) for nb in names]
+        for na in names
+    ]
 
 
 def outcome(func, *args):
@@ -167,24 +161,31 @@ def test_index_kernels_match_label_keyed_references():
 # -- pushforward -------------------------------------------------------------------------
 
 
-def test_pushforward_matches_label_keyed_reference_under_every_fault(monkeypatch):
-    # pass every faulted Gram through the isometry check, so that the
-    # pushforward itself reads it
-    monkeypatch.setattr(surface, "verify_isometry", lambda config, eps: IsometryReport(True, (), ()))
+def test_pushforward_matches_label_keyed_reference_under_every_fault():
     n = len(X.labels)
     faults = [(X.labels[i], X.labels[j]) for i in range(n) for j in range(i + 1, n) if X.gram[i][j]]
     assert len(faults) == 52
-    assert reference_push(X, Z.labels) == Z.gram
-    # two faults at once can make two entries of one row odd
     rng = random.Random(20190421)
     doubles = [rng.sample(faults, 2) for _ in range(40)]
-    parity_errors = 0
-    for pairs in [[pair] for pair in faults] + doubles:
+    # a fault together with its image under the involution keeps it an isometry
+    equivariant = [[pair, (EPS.apply(pair[0]), EPS.apply(pair[1]))] for pair in faults]
+    pushed = 0
+    for pairs in [[]] + [[pair] for pair in faults] + doubles + equivariant:
         config = X
         for pair in pairs:
             config = with_intersection(config, *pair, 0)
-        expected = outcome(reference_push, config, Z.labels)
-        assert outcome(lambda: quotient_pushforward(config, EPS).gram) == expected, pairs
-        parity_errors += expected[0] == "ValueError"
-    # both a parity error and a pushed Gram occur among the faults
-    assert 0 < parity_errors < 92
+        if not verify_isometry(config, EPS).passed:
+            expected = ("ValueError", "the involution fails the isometry check")
+            assert outcome(quotient_pushforward, config, EPS) == expected, pairs
+            continue
+        # for an isometric involution with orbits {a, a'} and {b, b'} the sum
+        # is 2((a.b) + (a.b')), so the pushforward's halving is exact
+        sums = orbit_sums(config, Z.labels)
+        assert all(v % 2 == 0 for row in sums for v in row), pairs
+        halved = tuple(tuple(v // 2 for v in row) for row in sums)
+        assert quotient_pushforward(config, EPS).gram == halved, pairs
+        pushed += 1
+    # exactly the unfaulted Gram and the equivariant double faults pass:
+    # the 52 built as such and the random doubles that happen to be one
+    lucky = sum({EPS.apply(a) for a in p} == set(q) for p, q in doubles)
+    assert lucky and pushed == 1 + 52 + lucky

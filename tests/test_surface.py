@@ -407,11 +407,3 @@ def test_configuration_validation():
         Configuration("X_K3", 2, ("A", "B"), gram, aliases={"A": "B"})
     with pytest.raises(ValueError, match="-2"):
         Configuration("X_K3", 2, ("A", "B"), ((-1, 0), (0, -2)))
-
-
-def test_json_dict_is_serializable():
-    import json
-
-    z = quotient_fixture()
-    blob = json.dumps(z.to_json_dict(), sort_keys=True)
-    assert '"D32"' in blob and '"Q32"' in blob and '"inf"' in blob

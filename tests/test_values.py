@@ -3,7 +3,8 @@
 Value types are ``scalars.Frozen`` subclasses and one-caller result
 records are ``NamedTuple``s; neither needs ``dataclasses``, whose import
 pulls in ``inspect`` and whose class building dominated the start-up of
-a fresh ``autcert`` process.
+a fresh ``autcert`` process.  The CLI's ``argparse`` stays out of the
+pipeline's import tree too.
 """
 
 import subprocess
@@ -37,11 +38,13 @@ from autcert.surface import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_pipeline_import_loads_neither_dataclasses_nor_inspect():
+def test_pipeline_import_loads_no_dataclasses_inspect_or_argparse():
+    # the CLI parser lives in autcert.__main__, so a library import of the
+    # pipeline loads no argparse (nor the gettext it pulls in)
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import autcert.pipeline; "
         "print(autcert.pipeline.__file__); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe, str(SRC)], check=True, capture_output=True, text=True
