@@ -16,6 +16,10 @@ increasing chain of proper subgroups is not finitely generated.  One
 ``SpanBasis`` serves every stage: stage k refutes the escape against
 the first k generators, inserts generator k, and confirms the escape;
 the support bound is a running minimum over the inserted generators.
+Each found witness is re-verified on its own: the terms of the stored
+generators, not of the echelon rows that found it, are summed with the
+witness coefficients into one sparse dict, and the result must equal
+the target.
 The certificate stores each fact once: the t-exponents of the
 generators, and per stage the support bound, the escape exponent and a
 sparse next-span witness.  The integer matrices are unit vectors
@@ -62,16 +66,18 @@ def membership(basis: SpanBasis, target: LaurentT) -> MembershipResult:
 
     The basis holds the generators' Laurent terms, exponent -> ``int``
     coefficient (a ``Fraction`` only where it is not integral), and
-    solves over them directly; a found witness is re-verified in
-    Laurent arithmetic.
+    solves over them directly; a found witness is re-verified by one
+    sparse sum of w * generator over its terms, compared with the target
+    as a canonical ``LaurentT``.
     """
     witness = basis.solve(target.terms)
     if witness is None:
         return MembershipResult(False, None)
-    combo = LaurentT.zero()
+    combo: dict = {}
     for i, w in witness.items():
-        combo = combo + LaurentT(basis.generators[i]) * w
-    if combo != target:
+        for e, c in basis.generators[i].items():
+            combo[e] = combo.get(e, 0) + w * c
+    if LaurentT._make(combo) != target:
         raise ArithmeticError("membership witness failed re-verification")
     return MembershipResult(True, witness)
 

@@ -132,6 +132,16 @@ def _combine(s: int, u: dict, t: int, v: dict) -> dict:
     return {k: x for k, x in out.items() if x}
 
 
+def _add_multiple(u: dict, t: int, v: Mapping) -> None:
+    """u += t*v in place, zero entries dropped."""
+    for k, x in v.items():
+        y = u.get(k, 0) + t * x
+        if y:
+            u[k] = y
+        else:
+            u.pop(k, None)
+
+
 def _xgcd(a, b) -> tuple:
     """(g, x, y) with x*a + y*b == g = +-gcd(a, b) and x, y integers; b nonzero.
 
@@ -201,7 +211,9 @@ class SpanBasis:
             q, r = divmod(v[p], row[p])
             if r:
                 return None
-            v, combo = _combine(1, v, -q, row), _combine(1, combo, q, rc)
+            # v and combo are this call's own dicts, so they change in place
+            _add_multiple(v, -q, row)
+            _add_multiple(combo, q, rc)
         return dict(sorted(combo.items()))
 
 

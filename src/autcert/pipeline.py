@@ -536,12 +536,15 @@ def _stage_quotient(ctx: Context) -> StageResult:
     samples = [("H2", "D32", 1), ("D11", "H1", 2), ("D11", "D22", 2), ("H1", "H2", 0)]
     halved = all(z.pairing(a, b) == v for a, b, v in samples)
     q32 = z.marking_coord("Q32", "H2")
+    want = (1, 9, 4)
+    lattice_data: dict = {"rank": ctx.z_rank, "signature": sig}
+    if sig != want:
+        lattice_data["witness"] = f"signature {sig}; expected {want}"
     checks = [
         _check(
             "the quotient classes span a rank-10 lattice of signature (1, 9)",
-            sig == (1, 9, 4),
-            rank=ctx.z_rank,
-            signature=sig,
+            sig == want,
+            **lattice_data,
         ),
         _check(
             "pushed-forward pairings halve the upstairs orbit pairings and "

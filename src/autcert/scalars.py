@@ -516,8 +516,9 @@ class LaurentT(Frozen):
     """Laurent polynomial in the single variable ``t`` over the rationals.
 
     Terms map exponents to nonzero coefficients, an ``int`` when
-    integral, else a ``Fraction``.  Ring operations build their results
-    with ``_make``.
+    integral, else a ``Fraction``.  Ring operations and the monomial
+    builders ``zero``, ``const`` and ``t_power`` build their results with
+    ``_make``.
     """
 
     __slots__ = ("terms",)
@@ -540,15 +541,18 @@ class LaurentT(Frozen):
 
     @classmethod
     def zero(cls) -> LaurentT:
-        return cls({})
+        return cls._make({})
 
     @classmethod
     def const(cls, c) -> LaurentT:
-        return cls({0: c})
+        return cls._make({0: c})
 
     @classmethod
     def t_power(cls, k: int, coeff=1) -> LaurentT:
-        return cls({k: coeff})
+        """coeff * t^k; ``_make`` rejects the coefficients ``__init__`` rejects."""
+        if not isinstance(k, int):
+            raise TypeError("Laurent exponents are integers")
+        return cls._make({k: coeff})
 
     @staticmethod
     def _coerce(x) -> "LaurentT":

@@ -207,16 +207,8 @@ def with_intersection(config: Configuration, a: str, b: str, value: int) -> Conf
 # -- the K3 configurations -----------------------------------------------------
 
 
-def build_double_kummer() -> Configuration:
-    """The 24-curve double Kummer pencil configuration.
-
-    Curves: sections E1..E4 and F1..F4 of the two genus-one pencils
-    and the sixteen exceptional curves C11..C44; all of self-intersection
-    -2.  Cij meets exactly Ej and Fi, once each; no other distinct pair
-    meets.  Marked points: Pij = Ej . Cij with affine coordinate
-    x = 1, t, infinity, 0 as i = 1..4, and P'ij = Fi . Cij with
-    u = 1, s, infinity, 0 as j = 1..4.
-    """
+def _double_kummer_tables():
+    """Labels, Gram rows and marked points (label -> curve -> coordinate) of the grid."""
     labels = (
         [f"E{j}" for j in range(1, 5)]
         + [f"F{i}" for i in range(1, 5)]
@@ -236,17 +228,29 @@ def build_double_kummer() -> Configuration:
             set_pair(f"E{j}", f"C{i}{j}", 1)
             set_pair(f"F{i}", f"C{i}{j}", 1)
 
-    markings = {}
+    points = {}
     for i in range(1, 5):
         for j in range(1, 5):
-            p = f"P{i}{j}"
-            markings[p] = Marking(p, {f"E{j}": PENCIL_X[i - 1], f"C{i}{j}": None})
-            q = f"P'{i}{j}"
-            markings[q] = Marking(q, {f"F{i}": PENCIL_U[j - 1], f"C{i}{j}": None})
+            points[f"P{i}{j}"] = {f"E{j}": PENCIL_X[i - 1], f"C{i}{j}": None}
+            points[f"P'{i}{j}"] = {f"F{i}": PENCIL_U[j - 1], f"C{i}{j}": None}
+    return tuple(labels), tuple(tuple(r) for r in gram), points
 
-    return Configuration(
-        "X_K3", 2, tuple(labels), tuple(tuple(r) for r in gram), markings
-    )
+
+_KUMMER_LABELS, _KUMMER_GRAM, _KUMMER_POINTS = _double_kummer_tables()
+
+
+def build_double_kummer() -> Configuration:
+    """The 24-curve double Kummer pencil configuration.
+
+    Curves: sections E1..E4 and F1..F4 of the two genus-one pencils
+    and the sixteen exceptional curves C11..C44; all of self-intersection
+    -2.  Cij meets exactly Ej and Fi, once each; no other distinct pair
+    meets.  Marked points: Pij = Ej . Cij with affine coordinate
+    x = 1, t, infinity, 0 as i = 1..4, and P'ij = Fi . Cij with
+    u = 1, s, infinity, 0 as j = 1..4.
+    """
+    markings = {p: Marking(p, on) for p, on in _KUMMER_POINTS.items()}
+    return Configuration("X_K3", 2, _KUMMER_LABELS, _KUMMER_GRAM, markings)
 
 
 def extend_with_conics(config: Configuration) -> Configuration:
@@ -260,7 +264,14 @@ def extend_with_conics(config: Configuration) -> Configuration:
     independent of the chosen fiber.  One marked point per curve:
     Pi = Ci . Fi, with the coordinate u = t recorded for i = 2 only.
     """
-    if config != build_double_kummer():
+    # the constructor ties chi to the tag and each marking key to its label
+    if (
+        config.tag != "X_K3"
+        or config.labels != _KUMMER_LABELS
+        or config.gram != _KUMMER_GRAM
+        or config.aliases
+        or {p: m.on for p, m in config.markings.items()} != _KUMMER_POINTS
+    ):
         raise ValueError("expected the 24-curve double Kummer configuration")
     labels = list(config.labels) + [f"C{i}" for i in range(1, 5)]
     pos = {lab: k for k, lab in enumerate(labels)}

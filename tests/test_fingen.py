@@ -99,6 +99,23 @@ def test_membership_witness_is_rechecked_in_laurent_arithmetic(monkeypatch):
         membership(span([LaurentT({0: 1})]), LaurentT({0: 1}))
 
 
+def test_membership_recheck_reads_every_term_of_the_generators(monkeypatch):
+    # 1*(1 + t^-2) + 1*t^-2 = 1 + 2t^-2 agrees with the target 1 + 3t^-2
+    # in its leading term t^0 only
+    gens = [LaurentT({0: 1, -2: 1}), LaurentT({-2: 1})]
+    basis = span(gens)
+    monkeypatch.setattr(SpanBasis, "solve", lambda self, target: {0: 1, 1: 1})
+    with pytest.raises(ArithmeticError):
+        membership(basis, LaurentT({0: 1, -2: 3}))
+
+
+def test_membership_witness_may_cancel_to_a_shorter_target():
+    # (1 + t^-2) - t^-2 = 1: the t^-2 terms cancel in the recheck
+    gens = [LaurentT({0: 1, -2: 1}), LaurentT({-2: 1})]
+    res = membership(span(gens), LaurentT.t_power(0))
+    assert res.member and res.witness == {0: 1, 1: -1}
+
+
 @given(
     st.lists(
         st.dictionaries(

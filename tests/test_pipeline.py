@@ -128,16 +128,21 @@ def test_reports_are_canonical_compact_json(sample_reports):
 
 
 def test_default_report_sha256_is_the_regression_anchor(sample_reports):
-    """The default report's bytes, and a deeper nonfg report's, are pinned by sha256.
+    """The default report's bytes, and two deeper nonfg reports', are pinned by sha256.
 
-    The K = 12 certificate has two-digit exponents and witness indices.  A
+    The K = 12 certificate has two-digit exponents and witness indices;
+    the K = 80 one is the report of the benchmark's ``nonfg_deep`` op.  A
     deliberate change of the report format updates these values and
     records the new ones in CHANGES.md.
     """
     default_report, _, deep = sample_reports
+    options = PipelineOptions(max_gens=80)
+    deep80 = CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
+    assert len(deep80.to_json().encode("utf-8")) == 16048
     pinned = [
         (default_report, "69c60ce95531a47a60d9492619af192867c78280c34650ccfd9726375a3127bc"),
         (deep, "7b76aab4eebc90267655b3b68fbab82885b6a31b5e5f9b8789975929ed8a62dd"),
+        (deep80, "ae132f22542f2727bcee9382a50f7d1a92bdd3c2fc1793372b50a894cc58836b"),
     ]
     for report, expected in pinned:
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
@@ -384,6 +389,10 @@ def quotient_verdicts():
     return {c["claim"]: c["status"] for c in run_stage("quotient").evidence["checks"]}
 
 
+def quotient_witnesses():
+    return {c["claim"]: c.get("witness") for c in run_stage("quotient").evidence["checks"]}
+
+
 QUOTIENT_LATTICE = "the quotient classes span a rank-10 lattice of signature (1, 9)"
 QUOTIENT_MARKING = (
     "the distinguished marked point descends to the class H2 with "
@@ -391,11 +400,18 @@ QUOTIENT_MARKING = (
 )
 
 
+WRONG_QUOTIENT_SIGNATURE = "signature (2, 8, 4); expected (1, 9, 4)"
+
+
+def wrong_quotient_signature(mp):
+    """Rank 10, but the signature is wrong."""
+    mp.setattr(pipeline, "signature", lambda gram: (2, 8, 4))
+
+
 @pytest.mark.parametrize(
-    "patch, failing",
+    "patch, failing, witness",
     [
-        # rank 10, but the signature is wrong
-        (lambda mp: mp.setattr(pipeline, "signature", lambda gram: (2, 8, 4)), QUOTIENT_LATTICE),
+        (wrong_quotient_signature, QUOTIENT_LATTICE, WRONG_QUOTIENT_SIGNATURE),
         # Q32 lies on H2, at a finite coordinate
         (
             lambda mp: mp.setattr(
@@ -404,15 +420,20 @@ QUOTIENT_MARKING = (
                 lambda config, point, curve: ProjValue.finite(0),
             ),
             QUOTIENT_MARKING,
+            None,
         ),
     ],
     ids=["signature", "marking"],
 )
-def test_each_quotient_condition_fails_its_own_check(monkeypatch, patch, failing):
+def test_each_quotient_condition_fails_its_own_check(monkeypatch, patch, failing, witness):
     verdicts = quotient_verdicts()
     assert set(verdicts.values()) == {"pass"}
+    assert set(quotient_witnesses().values()) == {None}
     patch(monkeypatch)
     assert quotient_verdicts() == {claim: "fail" if claim == failing else "pass" for claim in verdicts}
+    assert quotient_witnesses() == {
+        claim: witness if claim == failing else None for claim in verdicts
+    }
 
 
 DYNAMICS_GLUING = (
@@ -589,6 +610,14 @@ def test_cli_prints_the_witness_of_a_failed_swap_check(capsys):
     out = capsys.readouterr().out
     assert "stage config: fail" in out
     assert "    witness: E2,C32: 0; image F2,C23: 1" in out.splitlines()
+
+
+def test_cli_prints_the_witness_of_a_wrong_quotient_signature(monkeypatch, capsys):
+    wrong_quotient_signature(monkeypatch)
+    assert main(["quotient"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  failed: {QUOTIENT_LATTICE}" in lines
+    assert f"    witness: {WRONG_QUOTIENT_SIGNATURE}" in lines
 
 
 def test_cli_usage_errors(capsys):

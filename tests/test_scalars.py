@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed
+from hypothesis import example, given, seed
 import hypothesis.strategies as st
 
 from autcert import scalars
@@ -342,6 +342,31 @@ def test_laurent_arithmetic():
     assert a + b == LaurentT({-2: 1, 0: 1})
     assert 3 * a == LaurentT({-2: 3})
     assert (a + (-1) * a).is_zero()
+
+
+@seed(20191017)
+@given(st.integers(-6, 6), st.one_of(int_entries, small_fractions))
+@example(3, 0)
+@example(-2, Fraction(0))
+def test_monomial_builders_match_the_constructor(k, c):
+    for built, expected in (
+        (LaurentT.t_power(k, c), LaurentT({k: c})),
+        (LaurentT.const(c), LaurentT({0: c})),
+    ):
+        assert built.terms == expected.terms
+        assert_canonical(built)
+    assert LaurentT.zero() == LaurentT({})
+
+
+def test_t_power_rejects_what_the_constructor_rejects():
+    for k in (1.0, 2.5, "1"):
+        with pytest.raises(TypeError):
+            LaurentT({k: 1})
+        with pytest.raises(TypeError):
+            LaurentT.t_power(k)
+    for c in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            LaurentT.t_power(1, c)
 
 
 # -- projective values ------------------------------------------------------

@@ -119,6 +119,17 @@ def test_extend_rejects_wrong_base():
         extend_with_conics(ext)
     with pytest.raises(ValueError):
         extend_with_conics(quotient_pushforward(ext, epsilon_involution(ext)))
+    k = build_double_kummer()
+    swapped = (k.labels[1], k.labels[0]) + k.labels[2:]
+    moved = {**k.markings, "P11": Marking("P11", {"E1": fin(2), "C11": None})}
+    for changed in (
+        Configuration("Z_Enriques", 1, k.labels, k.gram, k.markings),
+        Configuration(k.tag, k.chi, swapped, k.gram, k.markings),
+        with_intersection(k, "E1", "C11", 0),
+        Configuration(k.tag, k.chi, k.labels, k.gram, moved),
+    ):
+        with pytest.raises(ValueError):
+            extend_with_conics(changed)
 
 
 def test_extend_fiber_class_constancy():
