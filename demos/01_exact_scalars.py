@@ -13,13 +13,14 @@ from autcert.scalars import (
     MultiPoly,
     RatFunc,
     matrix_rank_det,
-    parse_poly,
     rational_sqrt,
 )
 
-# Multivariate polynomials print in graded lexicographic order.
-p = parse_poly("x^2 - 2*x*y + y^2")
-q = parse_poly("x - y")
+# Multivariate polynomials are built by ring arithmetic from variables
+# and print in graded lexicographic order.
+x, y = MultiPoly.var("x"), MultiPoly.var("y")
+p = x * x - 2 * x * y + y * y
+q = x - y
 print("p       =", p)
 print("p / q   =", p.divide_rem(q)[0])
 

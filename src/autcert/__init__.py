@@ -14,7 +14,7 @@ organized in independent layers:
   and exact signatures;
 * :mod:`autcert.surface` -- labeled curve configurations with exact
   intersection pairings, involution bookkeeping, free-quotient
-  pushforward, and a two-stage blow-up ledger;
+  pushforward, and the ledger of the quotient blown up at Q32;
 * :mod:`autcert.fibration` -- elliptic fiber validation and Kodaira
   classification from weighted dual graphs, Euler numbers, and the
   Shioda-Tate rank count;

@@ -64,9 +64,10 @@ from .mwl import (
     height,
     section_from_config,
 )
-from .scalars import INFINITY, Frozen, LaurentT, ProjValue, RatFunc, parse_poly
+from .scalars import INFINITY, Frozen, LaurentT, MultiPoly, ProjValue, RatFunc
 from .surface import (
     QUOTIENT_CLASS,
+    BlowupLedger,
     Configuration,
     IsometryPerm,
     build_double_kummer,
@@ -75,7 +76,6 @@ from .surface import (
     extend_with_conics,
     is_curve_label,
     quotient_pushforward,
-    standard_blowup_ledger,
     verify_isometry,
     with_intersection,
 )
@@ -471,7 +471,7 @@ def _stage_config(ctx: Context) -> StageResult:
 def _stage_cremona(ctx: Context) -> StageResult:
     tau = cremona_map()
     q = QuadricForm.standard()
-    expected = parse_poly("a1*a2*a3*x1*x2*x3*x4")
+    expected = MultiPoly.monomial(("a1", "a2", "a3", "x1", "x2", "x3", "x4"), (1,) * 7, 1)
     cof = preserves_quadric(tau, q.poly)
     inv = involution_cofactor(tau)
     points = [contraction_check(tau, i) for i in range(1, 5)]
@@ -506,7 +506,7 @@ def _stage_cremona(ctx: Context) -> StageResult:
         _check(
             "the symmetric matrix of the quadric has a nonzero determinant, "
             "so the generic member is smooth",
-            det != parse_poly("0"),
+            not det.is_zero(),
             determinant=det,
         ),
         _check(
@@ -737,8 +737,8 @@ def _stage_heights(ctx: Context) -> StageResult:
 
 
 def _stage_canonical(ctx: Context) -> StageResult:
-    ledger = standard_blowup_ledger(ctx.z)
-    twice = canonical_multiple(ledger, 2)
+    ledger = BlowupLedger(ctx.z)
+    twice = canonical_multiple(ledger)
     self_int = ledger.self_intersection("E_inf'")
     checks = [
         _check(
@@ -779,7 +779,7 @@ def _stage_dynamics(ctx: Context) -> StageResult:
     idx_c11 = section_from_config(x, n1, "C11", "C21").components["N1"]
     idx_c2 = section_from_config(x, n1, "C2", "C21").components["N1"]
     total = idx_c11 + idx_c2
-    f_scale = SmoothLocusAut(t, ModInt(4, 8))
+    f_scale = SmoothLocusAut(t, total)
     square = compose_smooth_locus(f_scale, f_scale)
     conjugates = [conjugate_translation(n) for n in range(1, 11)]
     conj_ok = all(

@@ -10,23 +10,19 @@ exponents of the single variable ``t``.  No floating point is used
 anywhere.
 
 Each type has a canonical textual form, which the certificate reports
-embed; polynomials (sorted monomial strings) round-trip through
-``parse_poly``.  ``Frozen`` is the immutable base of these types and
-of every value type built on them.
+embed; polynomials print as sorted monomial strings.  ``Frozen`` is the
+immutable base of these types and of every value type built on them.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
 
-_VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _GL = lambda exps: (sum(exps), exps)  # graded-lex sort key
 
 
@@ -68,10 +64,13 @@ class Frozen:
 
 
 def _as_coeff(x) -> int | Fraction:
-    """An exact rational as a coefficient: an ``int`` when integral, else a ``Fraction``."""
+    """An exact rational as a coefficient: an ``int`` when integral, else a ``Fraction``.
+
+    A ``bool`` is rejected, as ``_canonical`` rejects it.
+    """
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -120,7 +119,7 @@ class MultiPoly(Frozen):
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction | int]):
         names = tuple(vars)
         for name in names:
-            if not _VAR_RE.fullmatch(name):
+            if not (name.isidentifier() and name.isascii()):
                 raise ValueError(f"bad variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
@@ -745,67 +744,3 @@ def matrix_rank_det(rows: Sequence[Sequence]) -> tuple[int, object | None]:
         return r, Fraction(1)
     det = prev if sign == 1 else -prev
     return r, Fraction(det, scale) if isinstance(det, int) else det
-
-
-# -- canonical text round-trip ----------------------------------------------
-
-
-# sign following '^' belongs to an exponent, not a new term
-_TERM_SPLIT = re.compile(r"(?<=[\w)])(?<!\^)\s*([+-])\s*")
-_FRACTION_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
-
-
-def _split_terms(text: str) -> list[str]:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial text")
-    out = []
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:].strip()
-    pieces = _TERM_SPLIT.split(text)
-    term = pieces[0]
-    out.append((sign, term.strip()))
-    for op, term in zip(pieces[1::2], pieces[2::2]):
-        out.append((-1 if op == "-" else 1, term.strip()))
-    return out
-
-
-def _parse_terms(text: str):
-    for sign, term in _split_terms(text):
-        coeff = Fraction(sign)
-        factors: dict[str, int] = {}
-        seen_any = False
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"bad term {term!r}")
-            if _FRACTION_RE.match(factor):
-                coeff *= Fraction(factor)
-                seen_any = True
-                continue
-            m = _FACTOR_RE.match(factor)
-            if not m:
-                raise ValueError(f"bad factor {factor!r}")
-            exp = int(m.group(2)) if m.group(2) else 1
-            if exp < 0:
-                raise ValueError(f"negative exponent in {factor!r}")
-            factors[m.group(1)] = factors.get(m.group(1), 0) + exp
-            seen_any = True
-        if not seen_any:
-            raise ValueError(f"bad term {term!r}")
-        yield coeff, factors
-
-
-def parse_poly(text: str) -> MultiPoly:
-    """Parse the canonical polynomial string form back to a MultiPoly."""
-    if text.strip() == "0":
-        return MultiPoly.zero()
-    out = MultiPoly.zero()
-    for coeff, factors in _parse_terms(text):
-        names = tuple(factors)
-        exps = tuple(factors[v] for v in names)
-        out = out + MultiPoly.monomial(names, exps, coeff)
-    return out

@@ -7,9 +7,10 @@ pencil configuration on a K3 surface (two quadruples of sections and
 the sixteen exceptional curves), its extension by four more rational
 curves meeting the diagonal part of the grid, and the quotient
 configuration on the Enriques surface obtained from the free
-involution that swaps the two pencils.  A blow-up ledger tracks
-exceptional classes and canonical-class multiples through one or two
-further blow-ups of the quotient.
+involution that swaps the two pencils.  A blow-up ledger tracks the
+exceptional classes, and twice the canonical class, of the quotient
+blown up at its marked point Q32 and then at three points of that
+exceptional curve.
 
 Everything is exact and everything is checkable: intersection numbers
 are integers, coordinates of marked points are elements of Q(t, s) or
@@ -80,51 +81,29 @@ def is_curve_label(label: str) -> bool:
     return label in _EPSILON
 
 
-class Marking(Frozen):
-    """A named point on one or more configuration curves.
-
-    ``on`` maps each incident curve label to the point's affine
-    coordinate along that curve (an exact element of Q(t, s), or the
-    point at infinity), or to None when the construction does not pin
-    the coordinate down.
-    """
-
-    __slots__ = ("label", "on")
-
-    def __init__(self, label: str, on: Mapping[str, ProjValue | None]):
-        if not label:
-            raise ValueError("marking needs a label")
-        on = dict(on)
-        if not on:
-            raise ValueError(f"marking {label} lies on no curve")
-        for curve, coord in on.items():
-            if coord is not None and not isinstance(coord, ProjValue):
-                raise TypeError(f"coordinate of {label} on {curve} not projective")
-        self._set(label, on)
-
-
 class Configuration(Frozen):
     """Labeled curves with an exact symmetric intersection table.
 
-    Lookups go through a label -> index map built once, with each alias
-    mapped to its target's index; it takes no part in equality or repr.
+    ``markings`` maps each named point to the curves it lies on, each
+    curve label to the point's affine coordinate along that curve (an
+    exact element of Q(t, s), or the point at infinity), or to None when
+    the construction does not pin the coordinate down.  Lookups go
+    through a label -> index map built once, with each alias mapped to
+    its target's index; it takes no part in equality or repr.
     """
 
-    __slots__ = ("tag", "chi", "labels", "gram", "markings", "aliases", "_index")
+    __slots__ = ("tag", "labels", "gram", "markings", "aliases", "_index")
 
     def __init__(
         self,
         tag: str,
-        chi: int,
         labels: tuple[str, ...],
         gram: Mat,
-        markings: Mapping[str, Marking] | None = None,
+        markings: Mapping[str, Mapping[str, ProjValue | None]] | None = None,
         aliases: Mapping[str, str] | None = None,
     ):
         if tag not in SURFACE_CHI:
             raise ValueError(f"unknown surface tag {tag!r}")
-        if chi != SURFACE_CHI[tag]:
-            raise ValueError(f"chi {chi} wrong for {tag}")
         labels = tuple(labels)
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("curve labels must be nonempty and distinct")
@@ -148,15 +127,17 @@ class Configuration(Frozen):
             if target not in labels:
                 raise ValueError(f"alias {alias} points at unknown curve {target}")
         markings = dict(markings or {})
-        for key, m in markings.items():
-            if key != m.label:
-                raise ValueError(f"marking key {key} does not match label {m.label}")
-            for curve in m.on:
+        for point, on in markings.items():
+            if not point or not on:
+                raise ValueError(f"marking {point!r} needs a label and lies on no curve")
+            for curve, coord in on.items():
+                if coord is not None and not isinstance(coord, ProjValue):
+                    raise TypeError(f"coordinate of {point} on {curve} not projective")
                 if curve not in labels and curve not in aliases:
-                    raise ValueError(f"marking {key} lies on unknown curve {curve}")
+                    raise ValueError(f"marking {point} lies on unknown curve {curve}")
         index = {lab: i for i, lab in enumerate(labels)}
         index.update((alias, index[target]) for alias, target in aliases.items())
-        self._set(tag, chi, labels, gram, markings, aliases, index)
+        self._set(tag, labels, gram, markings, aliases, index)
 
     # -- lookups -------------------------------------------------------
 
@@ -177,9 +158,9 @@ class Configuration(Frozen):
         return self.gram[i][i]
 
     def marking_coord(self, point: str, curve: str) -> ProjValue | None:
-        m = self.markings[point]
+        on = self.markings[point]
         curve = self.resolve(curve)
-        for c, coord in m.on.items():
+        for c, coord in on.items():
             if self.resolve(c) == curve:
                 return coord
         raise KeyError(f"marking {point} does not lie on {curve}")
@@ -196,7 +177,6 @@ def with_intersection(config: Configuration, a: str, b: str, value: int) -> Conf
     rows[i][j] = rows[j][i] = value
     return Configuration(
         config.tag,
-        config.chi,
         config.labels,
         tuple(tuple(r) for r in rows),
         config.markings,
@@ -249,8 +229,7 @@ def build_double_kummer() -> Configuration:
     x = 1, t, infinity, 0 as i = 1..4, and P'ij = Fi . Cij with
     u = 1, s, infinity, 0 as j = 1..4.
     """
-    markings = {p: Marking(p, on) for p, on in _KUMMER_POINTS.items()}
-    return Configuration("X_K3", 2, _KUMMER_LABELS, _KUMMER_GRAM, markings)
+    return Configuration("X_K3", _KUMMER_LABELS, _KUMMER_GRAM, _KUMMER_POINTS)
 
 
 def extend_with_conics(config: Configuration) -> Configuration:
@@ -264,13 +243,12 @@ def extend_with_conics(config: Configuration) -> Configuration:
     independent of the chosen fiber.  One marked point per curve:
     Pi = Ci . Fi, with the coordinate u = t recorded for i = 2 only.
     """
-    # the constructor ties chi to the tag and each marking key to its label
     if (
         config.tag != "X_K3"
         or config.labels != _KUMMER_LABELS
         or config.gram != _KUMMER_GRAM
         or config.aliases
-        or {p: m.on for p, m in config.markings.items()} != _KUMMER_POINTS
+        or config.markings != _KUMMER_POINTS
     ):
         raise ValueError("expected the 24-curve double Kummer configuration")
     labels = list(config.labels) + [f"C{i}" for i in range(1, 5)]
@@ -297,10 +275,10 @@ def extend_with_conics(config: Configuration) -> Configuration:
     for i in range(1, 5):
         p = f"P{i}"
         coord = ProjValue.finite(RatFunc.var("t")) if i == 2 else None
-        markings[p] = Marking(p, {f"F{i}": coord, f"C{i}": None})
+        markings[p] = {f"F{i}": coord, f"C{i}": None}
 
     return Configuration(
-        "X_K3", 2, tuple(labels), tuple(tuple(r) for r in gram), markings
+        "X_K3", tuple(labels), tuple(tuple(r) for r in gram), markings
     )
 
 
@@ -308,17 +286,16 @@ def extend_with_conics(config: Configuration) -> Configuration:
 
 
 class IsometryPerm(Frozen):
-    """A permutation of curve labels, optionally acting on markings."""
+    """An involution of the curve labels, optionally acting on markings."""
 
-    __slots__ = ("curve_map", "point_map", "involution")
+    __slots__ = ("curve_map", "point_map")
 
     def __init__(
         self,
         curve_map: Mapping[str, str],
         point_map: Mapping[str, str] | None = None,
-        involution: bool = False,
     ):
-        self._set(dict(curve_map), None if point_map is None else dict(point_map), involution)
+        self._set(dict(curve_map), None if point_map is None else dict(point_map))
 
     def apply(self, label: str) -> str:
         return self.curve_map[label]
@@ -349,13 +326,13 @@ def epsilon_involution(config: Configuration) -> IsometryPerm:
         raise ValueError(f"unexpected curve label {unknown[0]}")
     curve_map = {lab: _EPSILON[lab] for lab in config.labels}
     point_map = {p: _POINT_EPSILON[p] for p in config.markings if p in _POINT_EPSILON}
-    return IsometryPerm(curve_map, point_map, involution=True)
+    return IsometryPerm(curve_map, point_map)
 
 
 def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport:
-    """Check that a label permutation preserves the intersection table.
+    """Check that a label involution preserves the intersection table.
 
-    Also checks bijectivity, the declared involution property, and,
+    Also checks bijectivity, that the map is its own inverse, and,
     when a point map is given, that each mapped marking lands on a
     marking lying on exactly the image curves.  Failures name the
     offending pair or label.
@@ -389,17 +366,16 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
                         "after": str(after),
                     }
                 )
-    if perm.involution:
-        for a in config.labels:
-            if cm[cm[a]] != a:
-                failures.append({"kind": "not-an-involution", "label": a})
+    for a in config.labels:
+        if cm[cm[a]] != a:
+            failures.append({"kind": "not-an-involution", "label": a})
     if perm.point_map is not None:
         for p, q in perm.point_map.items():
             if p not in config.markings or q not in config.markings:
                 failures.append({"kind": "unknown-marking", "pair": [p, q]})
                 continue
-            src = {config.resolve(c) for c in config.markings[p].on}
-            dst = {config.resolve(c) for c in config.markings[q].on}
+            src = {config.resolve(c) for c in config.markings[p]}
+            dst = {config.resolve(c) for c in config.markings[q]}
             if {cm[c] for c in src} != dst:
                 failures.append(
                     {"kind": "marking-incidence-not-preserved", "pair": [p, q]}
@@ -450,102 +426,59 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
         gram.append(tuple((r[j] + r[k] + s[j] + s[k]) // 2 for j, k in columns))
 
     markings = {
-        q: Marking(q, {QUOTIENT_CLASS[c]: coord for c, coord in config.markings[p].on.items()})
+        q: {QUOTIENT_CLASS[c]: coord for c, coord in config.markings[p].items()}
         for p, q in _PUSHED_MARKING.items()
         if p in config.markings
     }
 
-    return Configuration("Z_Enriques", 1, z_labels, gram, markings, aliases)
+    return Configuration("Z_Enriques", z_labels, gram, markings, aliases)
 
 
 # -- blow-up ledger ----------------------------------------------------------------
 
 
 class BlowupLedger(Frozen):
-    """Exceptional-class bookkeeping for one or two blow-ups of Z.
+    """Exceptional-class bookkeeping for the blown-up quotient.
 
-    Stage one blows up the marked point named by ``first_center``;
-    stage two additionally blows up three distinct points on the first
-    exceptional curve.  Those three points are abstract labels: only
-    their distinctness and position are used, so no coordinates are
-    stored.  Classes live in the orthogonal exceptional basis with
-    self-intersection -1 each; proper transforms are differences.
+    The marked point Q32 of Z is blown up, and then three distinct
+    points Q321, Q322, Q323 on that exceptional curve.  Those three
+    points are abstract labels: only their distinctness and position
+    are used, so no coordinates are stored.  Classes live in the
+    orthogonal exceptional basis with self-intersection -1 each; proper
+    transforms are differences.
     """
 
-    __slots__ = ("base", "first_center", "second_centers")
+    __slots__ = ("base",)
+    exceptional_labels = ("E_inf'", "E321", "E322", "E323")
 
-    def __init__(
-        self, base: Configuration, first_center: str, second_centers: tuple[str, ...] = ()
-    ):
+    def __init__(self, base: Configuration):
         if base.tag != "Z_Enriques":
             raise ValueError("ledger base must be the quotient configuration")
-        if first_center not in base.markings:
-            raise ValueError(f"first center {first_center} is not a marking")
-        centers = tuple(second_centers)
-        if centers and (len(centers) != 3 or len(set(centers)) != 3):
-            raise ValueError("stage two takes exactly three distinct centers")
-        self._set(base, first_center, centers)
-
-    @property
-    def stage(self) -> int:
-        return 2 if self.second_centers else 1
-
-    @staticmethod
-    def _exc_name(center: str) -> str:
-        return "E" + center[1:] if center.startswith("Q") else f"E_{center}"
-
-    def exceptional_labels(self) -> tuple[str, ...]:
-        if self.stage == 1:
-            return ("E_inf",)
-        return ("E_inf'",) + tuple(self._exc_name(c) for c in self.second_centers)
+        if "Q32" not in base.markings:
+            raise ValueError("the center Q32 is not a marking")
+        self._set(base)
 
     def class_vector(self, label: str) -> tuple[int, ...]:
         """Coordinates in the orthogonal total-transform basis."""
-        if self.stage == 1:
-            if label == "E_inf":
-                return (1,)
-        else:
-            names = self.exceptional_labels()
-            if label == "E_inf'":
-                return (1, -1, -1, -1)
-            if label in names[1:]:
-                k = names[1:].index(label)
-                return tuple(int(m == k + 1) for m in range(4))
-        raise KeyError(f"no exceptional class {label}")
+        if label not in self.exceptional_labels:
+            raise KeyError(f"no exceptional class {label}")
+        k = self.exceptional_labels.index(label)
+        return (1, -1, -1, -1) if k == 0 else tuple(int(m == k) for m in range(4))
 
     def self_intersection(self, label: str) -> int:
         v = self.class_vector(label)
         return -sum(x * x for x in v)
 
 
-def canonical_multiple(ledger: BlowupLedger, m: int) -> dict[str, int]:
-    """m-th canonical multiple of the blown-up surface, in exceptional classes.
+def canonical_multiple(ledger: BlowupLedger) -> dict[str, int]:
+    """Twice the canonical class of the blown-up surface, in exceptional classes.
 
-    The canonical class of the base is 2-torsion, so even multiples of
-    it vanish and mK of the blow-up is supported on the exceptional
-    curves: each blow-up adds its exceptional curve to K, and pulling
-    the first exceptional curve through the second stage turns it into
-    the proper transform plus the three new curves, giving coefficient
-    pattern (m; 2m, 2m, 2m) at stage two and (m) at stage one.
+    The canonical class of the base is 2-torsion, so twice it vanishes
+    and 2K of the blow-up is supported on the exceptional curves: each
+    blow-up adds its exceptional curve to K, and pulling the first
+    exceptional curve through the second blow-ups turns it into the
+    proper transform plus the three new curves, giving coefficient
+    pattern (2; 4, 4, 4).
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError("multiple must be an integer")
-    if m % 2:
-        raise ValueError(
-            "odd multiples are not divisor classes here: the base canonical "
-            "class is nonzero 2-torsion, so only even multiples of it vanish"
-        )
-    if m == 0:
-        return {}
-    names = ledger.exceptional_labels()
-    if ledger.stage == 1:
-        return {names[0]: m}
-    out = {names[0]: m}
-    for name in names[1:]:
-        out[name] = 2 * m
-    return out
-
-
-def standard_blowup_ledger(z_config: Configuration) -> BlowupLedger:
-    """Two-stage ledger over the marked point Q32 with abstract second centers."""
-    return BlowupLedger(z_config, "Q32", ("Q321", "Q322", "Q323"))
+    first, *second = ledger.exceptional_labels
+    return {first: 2, **dict.fromkeys(second, 4)}

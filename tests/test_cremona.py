@@ -28,13 +28,12 @@ from autcert.scalars import (
     LaurentT,
     MultiPoly,
     matrix_rank_det,
-    parse_poly,
     rational_sqrt,
 )
 
 from conftest import line_pairs
 
-COFACTOR = parse_poly("a1*a2*a3*x1*x2*x3*x4")
+COFACTOR = math.prod(map(MultiPoly.var, ("a1", "a2", "a3", "x1", "x2", "x3", "x4")))
 
 
 def linear_map(*names: str) -> RationalMapP3:
@@ -141,9 +140,11 @@ def test_quadric_matrix_agrees_with_polynomial():
 def test_quadric_determinant_is_nonzero_polynomial():
     rank, det = matrix_rank_det([list(r) for r in QuadricForm.standard().matrix()])
     assert rank == 4
-    assert det == parse_poly(
-        "1/16*a1^2 - 1/8*a1*a2 - 1/8*a1*a3 + 1/16*a2^2 - 1/8*a2*a3 + 1/16*a3^2"
+    a1, a2, a3 = map(MultiPoly.var, ("a1", "a2", "a3"))
+    assert det == (a1 * a1 + a2 * a2 + a3 * a3 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)).scale(
+        Fraction(1, 16)
     )
+    assert str(det) == "1/16*a1^2 - 1/8*a1*a2 - 1/8*a1*a3 + 1/16*a2^2 - 1/8*a2*a3 + 1/16*a3^2"
 
 
 def test_quadric_determinant_is_the_bareiss_determinant():

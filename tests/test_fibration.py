@@ -55,7 +55,7 @@ def synthetic(labels, pairs, diag=None):
     for a, b, v in pairs:
         gram[idx[a]][idx[b]] = gram[idx[b]][idx[a]] = v
     return Configuration(
-        "Z_Enriques", 1, tuple(labels), tuple(tuple(r) for r in gram)
+        "Z_Enriques", tuple(labels), tuple(tuple(r) for r in gram)
     )
 
 

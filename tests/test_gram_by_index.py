@@ -110,7 +110,7 @@ def bent(config, rng):
         gram[i][i] = rng.choice((-3, -1, 0))
         i, j = rng.sample(range(n), 2)
         gram[i][j] = gram[j][i] = rng.choice((0, 1, 2))
-    return Configuration("Z_Enriques", 1, config.labels, gram, aliases=config.aliases)
+    return Configuration("Z_Enriques", config.labels, gram, aliases=config.aliases)
 
 
 def random_fiber(config, rng):

@@ -15,7 +15,6 @@ from autcert.scalars import (
     ProjValue,
     RatFunc,
     matrix_rank_det,
-    parse_poly,
     poly_gcd,
     rational_sqrt,
 )
@@ -133,7 +132,7 @@ def test_inexact_coefficients_raise_on_every_construction_path():
             MultiPoly._make(("x",), {(1,): bad})
         with pytest.raises(TypeError):
             LaurentT._make({0: bad})
-    for bad in (0.5, 2.0):
+    for bad in (0.5, 2.0, True):
         for build in (
             lambda: MultiPoly(("x",), {(1,): bad}),
             lambda: MultiPoly.const(bad),
@@ -452,17 +451,4 @@ def test_laurent_str_examples():
     assert str(LaurentT.zero()) == "0"
     assert str(LaurentT.t_power(-1)) == "t^-1"
 
-
-def test_parse_examples():
-    assert parse_poly("x^2*y - 3/2*x + 1") == x * x * y - Fraction(3, 2) * x + 1
-    assert parse_poly("0") == MultiPoly.zero()
-    with pytest.raises(ValueError, match="negative exponent"):
-        parse_poly("x^-1 + 1")
-    with pytest.raises(ValueError):
-        parse_poly("1.5*x")
-
-
-@given(polys())
-def test_poly_round_trip(p):
-    assert parse_poly(str(p)) == p
 

@@ -8,13 +8,11 @@ from autcert.surface import (
     BlowupLedger,
     Configuration,
     IsometryPerm,
-    Marking,
     build_double_kummer,
     canonical_multiple,
     epsilon_involution,
     extend_with_conics,
     quotient_pushforward,
-    standard_blowup_ledger,
     verify_isometry,
     with_intersection,
 )
@@ -121,12 +119,12 @@ def test_extend_rejects_wrong_base():
         extend_with_conics(quotient_pushforward(ext, epsilon_involution(ext)))
     k = build_double_kummer()
     swapped = (k.labels[1], k.labels[0]) + k.labels[2:]
-    moved = {**k.markings, "P11": Marking("P11", {"E1": fin(2), "C11": None})}
+    moved = {**k.markings, "P11": {"E1": fin(2), "C11": None}}
     for changed in (
-        Configuration("Z_Enriques", 1, k.labels, k.gram, k.markings),
-        Configuration(k.tag, k.chi, swapped, k.gram, k.markings),
+        Configuration("Z_Enriques", k.labels, k.gram, k.markings),
+        Configuration(k.tag, swapped, k.gram, k.markings),
         with_intersection(k, "E1", "C11", 0),
-        Configuration(k.tag, k.chi, k.labels, k.gram, moved),
+        Configuration(k.tag, k.labels, k.gram, moved),
     ):
         with pytest.raises(ValueError):
             extend_with_conics(changed)
@@ -203,8 +201,8 @@ def test_verify_isometry_checks_declared_involution():
     gram = tuple(
         tuple(-2 if i == j else 0 for j in range(3)) for i in range(3)
     )
-    cfg = Configuration("X_K3", 2, ("A", "B", "C"), gram)
-    cycle = IsometryPerm({"A": "B", "B": "C", "C": "A"}, involution=True)
+    cfg = Configuration("X_K3", ("A", "B", "C"), gram)
+    cycle = IsometryPerm({"A": "B", "B": "C", "C": "A"})
     report = verify_isometry(cfg, cycle)
     assert not report.passed
     assert any(f["kind"] == "not-an-involution" for f in report.failures)
@@ -313,51 +311,32 @@ def test_quotient_rejects_broken_isometry():
 
 
 def test_standard_ledger_classes():
-    ledger = standard_blowup_ledger(quotient_fixture())
-    assert ledger.stage == 2
-    assert ledger.exceptional_labels() == ("E_inf'", "E321", "E322", "E323")
+    ledger = BlowupLedger(quotient_fixture())
+    assert ledger.exceptional_labels == ("E_inf'", "E321", "E322", "E323")
     assert ledger.class_vector("E_inf'") == (1, -1, -1, -1)
     assert ledger.class_vector("E321") == (0, 1, 0, 0)
+    assert ledger.class_vector("E323") == (0, 0, 0, 1)
     assert ledger.self_intersection("E_inf'") == -4
     assert ledger.self_intersection("E322") == -1
+    for label in ("E_inf", "E324", "Q32"):
+        with pytest.raises(KeyError, match="no exceptional class"):
+            ledger.class_vector(label)
 
 
 def test_canonical_multiple_two_stage():
-    ledger = standard_blowup_ledger(quotient_fixture())
-    assert canonical_multiple(ledger, 2) == {
+    ledger = BlowupLedger(quotient_fixture())
+    assert canonical_multiple(ledger) == {
         "E_inf'": 2, "E321": 4, "E322": 4, "E323": 4,
     }
-    assert canonical_multiple(ledger, 0) == {}
-    assert canonical_multiple(ledger, -2) == {
-        "E_inf'": -2, "E321": -4, "E322": -4, "E323": -4,
-    }
-    with pytest.raises(ValueError, match="2-torsion"):
-        canonical_multiple(ledger, 1)
-    with pytest.raises(ValueError, match="2-torsion"):
-        canonical_multiple(ledger, 3)
-
-
-def test_canonical_multiple_one_stage():
-    z = quotient_fixture()
-    ledger = BlowupLedger(z, "Q32")
-    assert ledger.stage == 1
-    assert ledger.exceptional_labels() == ("E_inf",)
-    assert ledger.self_intersection("E_inf") == -1
-    assert canonical_multiple(ledger, 2) == {"E_inf": 2}
-    assert canonical_multiple(ledger, 4) == {"E_inf": 4}
 
 
 def test_ledger_validation():
     z = quotient_fixture()
-    x = build_double_kummer()
     with pytest.raises(ValueError, match="quotient"):
-        BlowupLedger(x, "P32")
-    with pytest.raises(ValueError, match="marking"):
-        BlowupLedger(z, "Q99")
-    with pytest.raises(ValueError, match="distinct"):
-        BlowupLedger(z, "Q32", ("Q321", "Q321", "Q322"))
-    with pytest.raises(ValueError, match="three"):
-        BlowupLedger(z, "Q32", ("Q321", "Q322"))
+        BlowupLedger(build_double_kummer())
+    without_q32 = {q: on for q, on in z.markings.items() if q != "Q32"}
+    with pytest.raises(ValueError, match="Q32 is not a marking"):
+        BlowupLedger(Configuration(z.tag, z.labels, z.gram, without_q32, z.aliases))
 
 
 # -- configuration plumbing ----------------------------------------------------------
@@ -403,18 +382,21 @@ def test_configurations_built_alike_compare_equal():
 
 
 def test_configuration_validation():
-    with pytest.raises(ValueError, match="no curve"):
-        Marking("P", {})
     gram = ((-2, 0), (0, -2))
-    with pytest.raises(ValueError, match="unknown curve"):
-        Configuration(
-            "X_K3", 2, ("A", "B"), gram, {"P": Marking("P", {"Z": None})}
-        )
-    with pytest.raises(ValueError, match="chi"):
-        Configuration("X_K3", 1, ("A", "B"), gram)
+    # a marking needs a label and lies on some known curve
+    for markings in ({"P": {}}, {"": {"A": None}}, {"P": {"Z": None}}):
+        with pytest.raises(ValueError, match="label|curve"):
+            Configuration("X_K3", ("A", "B"), gram, markings)
+    # a coordinate is a projective value or None
+    for coord in (RatFunc(1), 0, "inf"):
+        with pytest.raises(TypeError, match="coordinate of P on A not projective"):
+            Configuration("X_K3", ("A", "B"), gram, {"P": {"B": None, "A": coord}})
+    assert Configuration("X_K3", ("A", "B"), gram, {"P": {"A": INFINITY, "B": None}})
+    with pytest.raises(ValueError, match="unknown surface tag"):
+        Configuration("P2", ("A", "B"), gram)
     with pytest.raises(ValueError, match="negatively"):
-        Configuration("X_K3", 2, ("A", "B"), ((-2, -1), (-1, -2)))
+        Configuration("X_K3", ("A", "B"), ((-2, -1), (-1, -2)))
     with pytest.raises(ValueError, match="shadows"):
-        Configuration("X_K3", 2, ("A", "B"), gram, aliases={"A": "B"})
+        Configuration("X_K3", ("A", "B"), gram, aliases={"A": "B"})
     with pytest.raises(ValueError, match="-2"):
-        Configuration("X_K3", 2, ("A", "B"), ((-1, 0), (0, -2)))
+        Configuration("X_K3", ("A", "B"), ((-1, 0), (0, -2)))

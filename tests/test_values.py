@@ -24,14 +24,13 @@ from autcert.fingen import MembershipResult, certify_nonfg
 from autcert.lattice import RootType
 from autcert.mwl import HeightContext, ModInt, SectionData, SmoothLocusAut
 from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
-from autcert.scalars import INFINITY, LaurentT
+from autcert.scalars import LaurentT
 from autcert.surface import (
-    Marking,
+    BlowupLedger,
     build_double_kummer,
     epsilon_involution,
     extend_with_conics,
     quotient_pushforward,
-    standard_blowup_ledger,
     verify_isometry,
 )
 
@@ -85,11 +84,10 @@ VALUES = {
     "FiberDivisor": (n1, False),
     "FiberReport": (lambda: FiberReport(True, ()), True),
     "FiberClass": (lambda: classify_kodaira(x_config(), n1()), True),
-    "Marking": (lambda: Marking("P", {"E1": INFINITY}), False),
     "Configuration": (build_double_kummer, False),
     "IsometryPerm": (lambda: epsilon_involution(x_config()), False),
     "IsometryReport": (lambda: verify_isometry(x_config(), epsilon_involution(x_config())), True),
-    "BlowupLedger": (lambda: standard_blowup_ledger(z_config()), False),
+    "BlowupLedger": (lambda: BlowupLedger(z_config()), False),
     "PipelineOptions": (lambda: PipelineOptions(seed=3, corrupt_pair=("E2", "C32")), True),
     "StageResult": (lambda: run_stage("canonical"), False),
     "CertificateReport": (lambda: run_all(PipelineOptions(max_gens=1)), False),
