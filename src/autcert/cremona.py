@@ -28,8 +28,10 @@ and meeting points are primitive integer vectors compared projectively
 by cross-multiplication, each ruling line keeps one Plücker vector, two
 lines meet where the side pairing of their vectors vanishes, at a point
 read off 3x3 minors, and each discriminant is reported divided by the
-square factor 4*D^2*c^4 that the integer basis introduces.  det M is
-det(2M)/16, the same pairing of the row pairs of 2M over ``MultiPoly``.
+square factor 4*D^2*c^4 that the integer basis introduces.  The map is
+evaluated as a product of integer powers from each component's exponent
+row.  det M is det(2M)/16, the same pairing of the row pairs of the
+integer-coefficient 2M over ``MultiPoly``.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
@@ -38,7 +40,6 @@ translation by powers of a scaling.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -54,16 +55,18 @@ from .scalars import (
 
 A_VARS = ("a1", "a2", "a3")
 X_VARS = ("x1", "x2", "x3", "x4")
+_NAMES = X_VARS + A_VARS
 
 
-def _mono(names: Sequence[str], coeff=1) -> MultiPoly:
-    return MultiPoly.monomial(tuple(names), (1,) * len(names), coeff)
+def _mono(names: Sequence[str]) -> MultiPoly:
+    return MultiPoly.monomial(tuple(names), (1,) * len(names), 1)
 
 
 class RationalMapP3(Frozen):
-    """Four monomials of a common degree in x1..x4, with no common factor."""
+    """Four monomials of a common degree in x1..x4, with no common factor,
+    each also read once into an exponent row over x1..x4, a1..a3 for ``apply``."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_rows")
 
     def __init__(self, components: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]):
         comps = tuple(components)
@@ -77,14 +80,16 @@ class RationalMapP3(Frozen):
                 degrees.add(c.degree_in(X_VARS))
         if len(degrees) != 1:
             raise ValueError("components must share one degree")
-        if any(len(c.terms) > 1 for c in comps):
-            raise ValueError("components must be monomials")
+        if any(len(c.terms) > 1 or not set(c.vars) <= set(_NAMES) for c in comps):
+            raise ValueError("components must be monomials in x1..x4, a1..a3")
         g = MultiPoly.const(0)
         for c in comps:
             g = poly_gcd(g, c)
-        if g.degree_in(A_VARS + X_VARS) > 0:
+        if g.degree_in(_NAMES) > 0:
             raise ValueError("components share a polynomial factor")
-        self._set(comps)
+        # each component's one term as (exponent row, coefficient); zero is a zero row
+        rows = tuple(next(iter(c._lift(_NAMES).items()), ((0,) * len(_NAMES), 0)) for c in comps)
+        self._set(comps, rows)
 
     def substituted(self, other: "RationalMapP3") -> tuple[MultiPoly, ...]:
         """Raw composition self(other), without clearing common factors."""
@@ -92,11 +97,13 @@ class RationalMapP3(Frozen):
         return tuple(c.substitute(assignment) for c in self.components)
 
     def apply(self, point: Sequence, alpha: Sequence | None = None) -> tuple:
-        """Evaluate at a point, with parameter values when present."""
-        assignment: dict[str, object] = dict(zip(X_VARS, point))
-        if alpha is not None:
-            assignment.update(zip(A_VARS, alpha))
-        return tuple(c.evaluate(assignment) for c in self.components)
+        """Evaluate at a point, with parameter values when the components use them."""
+        if alpha is None and any(any(row[4:]) for row, _ in self._rows):
+            raise ValueError("the components need values of a1..a3")
+        x1, x2, x3, x4 = point
+        a1, a2, a3 = (0, 0, 0) if alpha is None else alpha
+        values = (x1, x2, x3, x4, a1, a2, a3)
+        return tuple([math.prod(map(pow, values, row), start=c) for row, c in self._rows])
 
 
 def cremona_map() -> RationalMapP3:
@@ -130,25 +137,22 @@ class QuadricForm(Frozen):
         )
         return QuadricForm(p)
 
-    def matrix(self) -> tuple[tuple[MultiPoly, ...], ...]:
-        """Symmetric matrix M with x^T M x equal to the quadric."""
-        half = Fraction(1, 2)
-        zero = MultiPoly.const(0)
-        ha1 = _mono(("a1",), half)
-        ha2 = _mono(("a2",), half)
-        ha3 = _mono(("a3",), half)
-        hc = MultiPoly.const(half)
+    def twice_matrix(self) -> tuple[tuple[MultiPoly, ...], ...]:
+        """2M, integral in a1..a3, for the symmetric M with x^T M x the quadric."""
+        zero = MultiPoly.zero()
+        one = MultiPoly.const(1)
+        a1, a2, a3 = map(MultiPoly.var, A_VARS)
         return (
-            (zero, ha3, ha2, hc),
-            (ha3, zero, ha1, hc),
-            (ha2, ha1, zero, hc),
-            (hc, hc, hc, zero),
+            (zero, a3, a2, one),
+            (a3, zero, a1, one),
+            (a2, a1, zero, one),
+            (one, one, one, zero),
         )
 
     def determinant(self) -> MultiPoly:
         """det M = det(2M)/16: the side pairing of the Plücker vectors of
-        rows 0, 1 and rows 2, 3 of the integer-coefficient form 2M."""
-        n = [[x.scale(2) for x in row] for row in self.matrix()]
+        rows 0, 1 and rows 2, 3 of 2M."""
+        n = self.twice_matrix()
         return _side(_plucker(n[0], n[1]), _plucker(n[2], n[3])).scale(Fraction(1, 16))
 
 
@@ -217,8 +221,13 @@ class SwapReport(NamedTuple):
 
 
 def _quad(m, v, w) -> int:
-    w0, w1, w2, w3 = w
-    return sum(x * (r[0] * w0 + r[1] * w1 + r[2] * w2 + r[3] * w3) for x, r in zip(v, m) if x)
+    (v0, v1, v2, v3), (w0, w1, w2, w3), (r0, r1, r2, r3) = v, w, m
+    return (
+        v0 * (r0[0] * w0 + r0[1] * w1 + r0[2] * w2 + r0[3] * w3)
+        + v1 * (r1[0] * w0 + r1[1] * w1 + r1[2] * w2 + r1[3] * w3)
+        + v2 * (r2[0] * w0 + r2[1] * w1 + r2[2] * w2 + r2[3] * w3)
+        + v3 * (r3[0] * w0 + r3[1] * w1 + r3[2] * w2 + r3[3] * w3)
+    )
 
 
 def _primitive(v) -> tuple[int, ...]:
@@ -227,7 +236,8 @@ def _primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-_PAIRS = tuple(itertools.combinations(range(4), 2))
+# each i < j < k, then where (j, k), (i, k) and (i, j) sit in _plucker's output
+_MINORS = ((0, 1, 2, 3, 1, 0), (0, 1, 3, 4, 2, 0), (0, 2, 3, 5, 2, 1), (1, 2, 3, 5, 4, 3))
 
 
 def _plucker(a, b) -> tuple:
@@ -266,10 +276,9 @@ def _line_meet(p, line):
     c, e, q = line
     if _side(p, q):
         return 0, None
-    P = dict(zip(_PAIRS, p))
-    for i, j, k in itertools.combinations(range(4), 3):
-        nu = e[i] * P[j, k] - e[j] * P[i, k] + e[k] * P[i, j]
-        rho = c[j] * P[i, k] - c[i] * P[j, k] - c[k] * P[i, j]
+    for i, j, k, jk, ik, ij in _MINORS:
+        nu = e[i] * p[jk] - e[j] * p[ik] + e[k] * p[ij]
+        rho = c[j] * p[ik] - c[i] * p[jk] - c[k] * p[ij]
         if nu or rho:
             if rho < 0 or (rho == 0 and nu < 0):
                 nu, rho = -nu, -rho
@@ -297,12 +306,15 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     discriminant is reported divided by 4*D^2*N[i][c]^4: the one over
     the rational basis W/N[i][c].  Ruling directions are
     (-B +- r)*W1 + 2*A*W2.  The map ``tau`` (default ``cremona_map()``)
-    is evaluated over ``int`` at the D-scaled parameters, each component
-    times the powers of D its degree in a1..a3 lacks: the same
-    projective point.  A swap is cross-multiplied proportionality: the
-    image and p_ji span no line, all Plücker coordinates 0.  Side pairings
+    is evaluated over ``int`` at the D-scaled parameters, from its
+    exponent rows, each component times the powers of D its degree in
+    a1..a3 lacks: the same projective point.  A swap is cross-multiplied
+    proportionality: the image and p_ji span no line, all Plücker
+    coordinates 0.  Side pairings
     of the lines' Plücker vectors, one each, sort and check the rulings
     and give det N from its rows; ``_line_meet`` gives the 12 cross points.
+    It passes when it records no failure: a meeting point without its
+    partner has a cross-ruling-miss or intersection-off-quadric of its own.
     """
     al = tuple(Fraction(a) for a in alpha)
     if len(al) != 3 or any(a == 0 for a in al):
@@ -406,7 +418,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
 
     if tau is None:
         tau = cremona_map()
-    degrees = [c.degree_in(A_VARS) for c in tau.components]
+    degrees = [sum(row[4:]) for row, _ in tau._rows]
     lift = [D ** (max(degrees) - e) for e in degrees]
     swaps = 0
     for (i, j), p in points.items():
@@ -435,7 +447,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
 
     return SwapReport(
         alpha_str,
-        not failures and swaps == 12,
+        not failures,
         tuple(discs),
         tuple(line_str(ruling_a[i]) for i in range(1, 5)),
         tuple(line_str(ruling_b[i]) for i in range(1, 5)),

@@ -360,21 +360,6 @@ class MultiPoly(Frozen):
                 out[mono] = out.get(mono, 0) + coeff
         return MultiPoly._make(names, out)
 
-    def evaluate(self, assignment: Mapping[str, object]):
-        """Evaluate with a value for every variable; integer data evaluates over ``int``."""
-        missing = [v for v in self.vars if v not in assignment]
-        if missing:
-            raise ValueError(f"unassigned variables {missing}")
-        total = None
-        for e, term in self.terms.items():
-            for v, exp in zip(self.vars, e):
-                if exp:
-                    term = term * assignment[v] ** exp
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
-
     # -- text --------------------------------------------------------
 
     def __str__(self) -> str:

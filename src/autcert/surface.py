@@ -21,6 +21,7 @@ after the involution has passed its isometry check.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .lattice import Mat, _check_gram
@@ -208,11 +209,11 @@ def _double_kummer_tables():
             set_pair(f"E{j}", f"C{i}{j}", 1)
             set_pair(f"F{i}", f"C{i}{j}", 1)
 
-    points = {}
+    points = {}  # every build shares each point's map, so it is a read-only view
     for i in range(1, 5):
         for j in range(1, 5):
-            points[f"P{i}{j}"] = {f"E{j}": PENCIL_X[i - 1], f"C{i}{j}": None}
-            points[f"P'{i}{j}"] = {f"F{i}": PENCIL_U[j - 1], f"C{i}{j}": None}
+            points[f"P{i}{j}"] = MappingProxyType({f"E{j}": PENCIL_X[i - 1], f"C{i}{j}": None})
+            points[f"P'{i}{j}"] = MappingProxyType({f"F{i}": PENCIL_U[j - 1], f"C{i}{j}": None})
     return tuple(labels), tuple(tuple(r) for r in gram), points
 
 

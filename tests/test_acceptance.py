@@ -106,7 +106,7 @@ def test_criterion_2_cremona(announce):
         point = tuple(Fraction(int(k == i - 1)) for k in range(4))
         ok = ok and contraction_check(tau, i) == point
 
-    _, det = matrix_rank_det([list(r) for r in q.matrix()])
+    _, det = matrix_rank_det([list(r) for r in q.twice_matrix()])
     ok = ok and not det.is_zero()
 
     reports = find_swap_specializations(seed=0)

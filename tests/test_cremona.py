@@ -44,6 +44,12 @@ def linear_map(*names: str) -> RationalMapP3:
 T = LaurentT.t_power(1)
 
 
+def quadric_matrix():
+    """The symmetric matrix M of the standard quadric, half of ``twice_matrix``."""
+    twice = QuadricForm.standard().twice_matrix()
+    return [[x.scale(Fraction(1, 2)) for x in row] for row in twice]
+
+
 # -- the involution, generically over the parameters -----------------------------------
 
 
@@ -129,16 +135,19 @@ def test_contraction_records_of_a_zero_component_and_two_survivors():
 
 def test_quadric_matrix_agrees_with_polynomial():
     q = QuadricForm.standard()
+    m = quadric_matrix()
     xs = [MultiPoly.var(f"x{k}") for k in range(1, 5)]
     acc = MultiPoly.const(0)
     for r in range(4):
         for c in range(4):
-            acc = acc + xs[r] * q.matrix()[r][c] * xs[c]
+            acc = acc + xs[r] * m[r][c] * xs[c]
     assert acc == q.poly
+    # the integer form has integer coefficients
+    assert all(type(c) is int for row in q.twice_matrix() for x in row for c in x.terms.values())
 
 
 def test_quadric_determinant_is_nonzero_polynomial():
-    rank, det = matrix_rank_det([list(r) for r in QuadricForm.standard().matrix()])
+    rank, det = matrix_rank_det(quadric_matrix())
     assert rank == 4
     a1, a2, a3 = map(MultiPoly.var, ("a1", "a2", "a3"))
     assert det == (a1 * a1 + a2 * a2 + a3 * a3 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)).scale(
@@ -149,7 +158,7 @@ def test_quadric_determinant_is_nonzero_polynomial():
 
 def test_quadric_determinant_is_the_bareiss_determinant():
     q = QuadricForm.standard()
-    assert q.determinant() == matrix_rank_det(q.matrix())[1]
+    assert q.determinant() == matrix_rank_det(quadric_matrix())[1]
     # the cremona stage reads det M as a Plücker pairing, not by Bareiss
     assert not hasattr(pipeline, "matrix_rank_det")
 
@@ -172,6 +181,9 @@ def test_map_validation():
         RationalMapP3((x[0] * x[0], x[0] * x[1], x[0] * x[2], x[0] * x[3]))
     with pytest.raises(ValueError, match="homogeneous"):
         RationalMapP3((x[0] + MultiPoly.const(1), x[1], x[2], x[3]))
+    # a monomial may carry the parameters a1..a3, but no other variable
+    with pytest.raises(ValueError, match="monomials in x1..x4, a1..a3"):
+        RationalMapP3((x[0] * MultiPoly.var("b"), x[1], x[2], x[3]))
 
 
 # -- specialization and ruling swap -------------------------------------------------------
@@ -256,6 +268,23 @@ def test_each_ruling_failure_kind_is_reached(monkeypatch, kind):
     report = verify_pij_swap((9, 2, 2))
     assert report.passed is False
     assert kind in {f["kind"] for f in report.failures}
+
+
+def test_a_point_without_its_partner_fails_by_its_own_record(monkeypatch):
+    # the 12 meets run over (i, j) in order, so the fourth is p_21: its
+    # miss is the one failure, and p_12 and p_21 go unswapped
+    line_meet = cremona._line_meet
+    calls = []
+
+    def miss_p21(p, line):
+        calls.append(None)
+        return (0, None) if len(calls) == 4 else line_meet(p, line)
+
+    monkeypatch.setattr(cremona, "_line_meet", miss_p21)
+    report = verify_pij_swap((9, 2, 2))
+    assert report.failures == ({"kind": "cross-ruling-miss", "pair": [2, 1]},)
+    assert report.swaps_checked == 10
+    assert report.passed is False
 
 
 def test_a_vanishing_image_is_a_failure(monkeypatch):

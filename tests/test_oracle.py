@@ -19,10 +19,13 @@ from sympy.matrices.normalforms import hermite_normal_form
 from autcert import fingen
 from autcert.cremona import (
     A_VARS,
+    X_VARS,
     QuadricForm,
+    RationalMapP3,
     _line_meet,
     _plucker,
     _side,
+    cremona_map,
     verify_pij_swap,
 )
 from autcert.lattice import SpanBasis, dynkin_classify, hnf, signature
@@ -171,8 +174,40 @@ def test_plucker_pairing_of_row_pairs_is_the_determinant(rows):
 
 def test_quadric_determinant_matches_sympy():
     q = QuadricForm.standard()
-    theirs = sympy.Matrix([[to_sympy(x) for x in row] for row in q.matrix()]).det()
+    twice = sympy.Matrix([[to_sympy(x) for x in row] for row in q.twice_matrix()])
+    theirs = (twice / 2).det()
     assert sympy.expand(to_sympy(q.determinant()) - theirs) == 0
+
+
+def _parameter_free_map() -> RationalMapP3:
+    """x1^3, -2*x1*x2*x3, x2^2*x4/2, x4^3: exponents above 1, a negative
+    and a fractional coefficient, no parameter."""
+    x1, x2, x3, x4 = map(MultiPoly.var, X_VARS)
+    return RationalMapP3(
+        (
+            x1 * x1 * x1,
+            (x1 * x2 * x3).scale(-2),
+            (x2 * x2 * x4).scale(Fraction(1, 2)),
+            x4 * x4 * x4,
+        )
+    )
+
+
+@seed(20190419)
+@oracle
+@given(st.tuples(*[int_entries] * 4), st.tuples(*[int_entries] * 3))
+def test_map_apply_matches_sympy_evaluation(point, alpha):
+    # each component read as a sympy monomial and evaluated by subs
+    for tau in (cremona_map(), _parameter_free_map()):
+        values = {sympy.Symbol(v): c for v, c in zip(X_VARS + A_VARS, point + alpha)}
+        theirs = tuple(to_sympy(c).subs(values) for c in tau.components)
+        assert tau.apply(point, alpha) == theirs
+        uses_alpha = any(set(c.vars) & set(A_VARS) for c in tau.components)
+        if uses_alpha:
+            with pytest.raises(ValueError):
+                tau.apply(point)
+        else:
+            assert tau.apply(point) == theirs
 
 
 substituted_values = st.one_of(
@@ -557,7 +592,8 @@ def test_swap_discriminants_are_delta_times_squares():
     # verify_pij_swap takes, is Delta times a nonzero square
     a1, a2, a3 = a = sympy.symbols(A_VARS)
     delta = a1**2 + a2**2 + a3**2 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)
-    M = sympy.Matrix([[to_sympy(e) for e in row] for row in QuadricForm.standard().matrix()])
+    twice = QuadricForm.standard().twice_matrix()
+    M = sympy.Matrix([[to_sympy(e) for e in row] for row in twice]) / 2
     assert sympy.expand(M.det() - delta / 16) == 0
     discs = []
     for i in range(4):

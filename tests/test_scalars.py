@@ -280,21 +280,6 @@ def test_substitute_examples():
     assert (x * y).substitute({"x": x}) == x * y
 
 
-def test_evaluate_examples():
-    p = x * x + y
-    assert p.evaluate({"x": Fraction(1, 2), "y": Fraction(3)}) == Fraction(13, 4)
-    with pytest.raises(ValueError):
-        p.evaluate({"x": Fraction(1)})
-    assert MultiPoly.zero().evaluate({}) == 0
-
-
-@given(polys(max_vars=1), polys(max_vars=1), small_fractions)
-def test_evaluate_is_a_ring_map(a, b, v):
-    point = {"x": v}
-    assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
-    assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
-
-
 # -- rational functions ---------------------------------------------------
 
 

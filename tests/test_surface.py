@@ -2,6 +2,7 @@
 
 import pytest
 
+from autcert import surface
 from autcert.lattice import gram_rank, signature
 from autcert.scalars import INFINITY, ProjValue, RatFunc
 from autcert.surface import (
@@ -128,6 +129,23 @@ def test_extend_rejects_wrong_base():
     ):
         with pytest.raises(ValueError):
             extend_with_conics(changed)
+
+
+def test_a_mutated_build_leaves_the_next_build_and_the_table_alone():
+    table = {p: dict(on) for p, on in surface._KUMMER_POINTS.items()}
+    k = build_double_kummer()
+    # each point's curve -> coordinate map is shared with the table, read-only
+    with pytest.raises(TypeError):
+        k.markings["P11"]["E1"] = None
+    # the outer map is the build's own
+    k.markings["P11"] = {"E1": None, "C11": None}
+    del k.markings["P'44"]
+    assert {p: dict(on) for p, on in surface._KUMMER_POINTS.items()} == table
+    fresh = build_double_kummer()
+    assert fresh.markings == table
+    assert len(extend_with_conics(fresh).markings) == 36
+    with pytest.raises(ValueError):
+        extend_with_conics(k)
 
 
 def test_extend_fiber_class_constancy():
