@@ -30,8 +30,8 @@ lines meet where the side pairing of their vectors vanishes, at a point
 read off 3x3 minors, and each discriminant is reported divided by the
 square factor 4*D^2*c^4 that the integer basis introduces.  The map is
 evaluated as a product of integer powers from each component's exponent
-row.  det M is det(2M)/16, the same pairing of the row pairs of the
-integer-coefficient 2M over ``MultiPoly``.
+row.  det M is det(2M)/16, the same pairing of the row pairs of 2M over
+``MultiPoly``, with 2M read off the quadric's polynomial.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
@@ -76,7 +76,7 @@ class RationalMapP3(Frozen):
         for c in comps:
             if not c.is_homogeneous_in(X_VARS):
                 raise ValueError("components must be homogeneous in x1..x4")
-            if c != MultiPoly.const(0):
+            if c:
                 degrees.add(c.degree_in(X_VARS))
         if len(degrees) != 1:
             raise ValueError("components must share one degree")
@@ -119,11 +119,14 @@ def cremona_map() -> RationalMapP3:
 
 
 class QuadricForm(Frozen):
-    """The parameterized quadric preserved by the involution."""
+    """A quadric in x1..x4 over the other variables, here the preserved family."""
 
     __slots__ = ("poly",)
 
     def __init__(self, poly: MultiPoly):
+        xs = [k for k, v in enumerate(poly.vars) if v in X_VARS]
+        if any(sum(e[k] for k in xs) != 2 for e in poly.terms):
+            raise ValueError("a quadric form is homogeneous of degree 2 in x1..x4")
         self._set(poly)
 
     @staticmethod
@@ -138,16 +141,30 @@ class QuadricForm(Frozen):
         return QuadricForm(p)
 
     def twice_matrix(self) -> tuple[tuple[MultiPoly, ...], ...]:
-        """2M, integral in a1..a3, for the symmetric M with x^T M x the quadric."""
+        """2M for the symmetric M with x^T M x the quadric, read off ``poly``:
+        entry (i, j) is the coefficient of x_i*x_j off the diagonal and twice
+        that of x_i^2 on it, a polynomial in the other variables."""
+        params = tuple(v for v in self.poly.vars if v not in X_VARS)
+        m = len(params)
+        cells: dict[tuple[int, int], dict] = {}
+        for e, c in self.poly._lift(params + X_VARS).items():
+            x = e[m:]
+            if 2 in x:
+                i = j = x.index(2)
+                c *= 2
+            else:
+                i = x.index(1)
+                j = x.index(1, i + 1)
+            cells.setdefault((i, j), {})[e[:m]] = c
         zero = MultiPoly.zero()
-        one = MultiPoly.const(1)
-        a1, a2, a3 = map(MultiPoly.var, A_VARS)
-        return (
-            (zero, a3, a2, one),
-            (a3, zero, a1, one),
-            (a2, a1, zero, one),
-            (one, one, one, zero),
-        )
+        n = [[zero] * 4 for _ in range(4)]
+        made: dict[tuple, MultiPoly] = {}  # equal cells share one entry
+        for (i, j), terms in cells.items():
+            key = tuple(terms.items())
+            if key not in made:
+                made[key] = MultiPoly._make(params, terms)
+            n[i][j] = n[j][i] = made[key]
+        return tuple(map(tuple, n))
 
     def determinant(self) -> MultiPoly:
         """det M = det(2M)/16: the side pairing of the Plücker vectors of

@@ -140,14 +140,15 @@ def _indexed(config: Configuration, fiber: FiberDivisor) -> dict[str, tuple[int,
 
 
 def dual_graph(
-    config: Configuration, fiber: FiberDivisor
+    config: Configuration, fiber: FiberDivisor, comps: Mapping | None = None
 ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
     """Nodes and edges of the fiber's dual graph.
 
     Edges are sorted label pairs, repeated according to the
-    intersection number of the two components.
+    intersection number of the two components.  ``comps`` is the fiber's
+    ``_indexed`` components when the caller has resolved them.
     """
-    comps = _indexed(config, fiber)
+    comps = comps or _indexed(config, fiber)
     nodes = tuple(sorted(comps))
     edges = []
     for i, a in enumerate(nodes):
@@ -162,14 +163,17 @@ class FiberReport(NamedTuple):
     failures: tuple[dict, ...]
 
 
-def validate_fiber(config: Configuration, fiber: FiberDivisor) -> FiberReport:
+def validate_fiber(
+    config: Configuration, fiber: FiberDivisor, comps: Mapping | None = None
+) -> FiberReport:
     """Check the fiber-candidate conditions, naming each violation.
 
     One pass reads each component's Gram row, by index, for its
     self-intersection, its pairing with the fiber (the fiber's square
     is their weighted sum) and its neighbours in the support.
+    ``comps`` is as for ``dual_graph``.
     """
-    comps = _indexed(config, fiber)
+    comps = comps or _indexed(config, fiber)
     selfs: list[dict] = []
     meets: list[dict] = []
     square = 0
@@ -228,12 +232,12 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     Raises if validation fails.  Returns fiber_type None, with the
     computed graph attached, when the weighted graph matches no type.
     """
-    report = validate_fiber(config, fiber)
+    comps = _indexed(config, fiber)
+    report = validate_fiber(config, fiber, comps)
     if not report.passed:
         witness = "; ".join(_FAILURE_TEXT[f["kind"]].format(**f) for f in report.failures)
         raise ValueError(f"not a fiber candidate: {witness}")
-    comps = _indexed(config, fiber)
-    nodes, edges = dual_graph(config, fiber)
+    nodes, edges = dual_graph(config, fiber, comps)
     if all(m == 1 for _, m in comps.values()):
         adj: dict[str, set[str]] = {a: set() for a in nodes}
         for a, b in edges:

@@ -8,8 +8,10 @@ negative answers follow from divisibility obstructions in an echelon
 basis.  Kernels use the Hermite form; membership uses a sparse echelon
 basis grown one generator at a time, which also takes Fraction
 entries.  Signatures come from sparse symmetric congruence over the
-integers, and small root lattices are recognized by the arm lengths
-of their Dynkin diagrams.
+integers, which also gives the inertia of a leading block on the way,
+and small root lattices are recognized by the arm lengths of their
+Dynkin diagrams.  A Gram matrix is checked once, by :class:`Gram`; a
+``Gram`` passed on is taken as it is.
 """
 
 from __future__ import annotations
@@ -35,16 +37,24 @@ def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def _check_gram(gram: Sequence[Sequence[int]]) -> Mat:
-    G = _int_rows(gram)
-    n = len(G)
-    if any(len(row) != n for row in G):
-        raise ValueError("Gram matrix must be square")
-    for i in range(n):
-        for j in range(i):
-            if G[i][j] != G[j][i]:
-                raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
-    return tuple(tuple(row) for row in G)
+class Gram(tuple):
+    """A square symmetric matrix of ints, as tuples.  The constructor is the
+    check, and it returns a ``Gram`` as it is: that one has passed it."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Sequence[Sequence[int]]):
+        if type(rows) is Gram:
+            return rows
+        G = _int_rows(rows)
+        n = len(G)
+        if any(len(row) != n for row in G):
+            raise ValueError("Gram matrix must be square")
+        for i in range(n):
+            for j in range(i):
+                if G[i][j] != G[j][i]:
+                    raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+        return tuple.__new__(cls, map(tuple, G))
 
 
 def dot(v: Sequence[int], w: Sequence[int]) -> int:
@@ -269,7 +279,7 @@ def orth_complement(
     the chosen i} and induced is the Gram matrix of the pairing
     restricted to that basis.
     """
-    G = _check_gram(gram)
+    G = Gram(gram)
     idx = sorted(set(indices))
     if any(i < 0 or i >= len(G) for i in idx):
         raise ValueError("index out of range")
@@ -284,7 +294,7 @@ def orth_complement(
 # -- signatures ---------------------------------------------------------------
 
 
-def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+def signature(gram: Sequence[Sequence[int]], leading: int | None = None) -> tuple:
     """(positive, negative, zero) inertia by sparse integer symmetric congruence.
 
     Rows are dicts of their nonzero entries.  Each step pivots on a
@@ -297,18 +307,38 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     (i, j) becomes a_i*a_j*M_ij - d*b_i*b_j between two of them, and
     a_i*M_ij against a non-neighbour j.  When the diagonal left is all
     0 but some M_kj is not, e_k <- e_k + e_j makes M_kk = 2*M_kj.
+
+    With ``leading=k`` it returns the pair (inertia of the leading k x k
+    block, inertia of the whole matrix) from the one elimination: it
+    pivots, and takes e_k + e_j, inside the block until no entry is left
+    within it, moving block vectors only by block vectors, and then goes
+    on over the whole matrix.  A ``Gram`` is not checked again.
     """
-    G = _check_gram(gram)
+    G = Gram(gram)
+    n = len(G)
+    if leading is not None and not 0 <= leading <= n:
+        raise ValueError(f"leading block size {leading} out of range for {n} rows")
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(G) if any(row)}
     positive: list[bool] = []  # one entry per nonzero pivot
+    inside = n if leading is None else leading  # pivots stay below this index
+    block = None
+
+    def inertia(size):
+        pos = sum(positive)
+        return pos, len(positive) - pos, size - len(positive)
+
     while rows:
-        k, fewest = None, len(G) + 1
+        k, fewest = None, n + 1
         for i, row in rows.items():
-            if i in row and len(row) < fewest:
+            if i < inside and i in row and len(row) < fewest:
                 k, fewest = i, len(row)
         if k is None:
-            k, rk = next(iter(rows.items()))
-            j = next(iter(rk))
+            k = next((i for i, row in rows.items() if i < inside and min(row) < inside), None)
+            if k is None:  # nothing is left within the leading block
+                block, inside = inertia(inside), n
+                continue
+            rk = rows[k]
+            j = next(t for t in rk if t < inside)
             for t, x in rows[j].items():
                 y = rk.get(t, 0) + x
                 if y:
@@ -337,12 +367,12 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
                     del row[j]
             if not row:
                 del rows[i]
-    pos = sum(positive)
-    return pos, len(positive) - pos, len(G) - len(positive)
+    whole = inertia(n)
+    return whole if leading is None else (block or inertia(leading), whole)
 
 
 def gram_rank(gram: Sequence[Sequence[int]]) -> int:
-    rank, _ = matrix_rank_det(_check_gram(gram))
+    rank, _ = matrix_rank_det(Gram(gram))
     return rank
 
 
@@ -355,7 +385,7 @@ def gauss_reduce_rank2(gram: Sequence[Sequence[int]]) -> Mat:
     Gauss reduction: returns [[a, b], [b, c]] with 2*|b| <= a <= c and
     b <= 0, a complete invariant of the lattice up to isometry.
     """
-    G = _check_gram(gram)
+    G = Gram(gram)
     if len(G) != 2:
         raise ValueError("rank-2 reduction takes a 2x2 Gram matrix")
     a, b, c = G[0][0], G[0][1], G[1][1]
@@ -411,7 +441,7 @@ E6_IN_E8_NODES = (0, 1, 2, 3, 4, 7)  # sub-diagram of cartan_E(8) of type E6
 
 
 def adjacency_from_gram(gram: Sequence[Sequence[int]]) -> dict[int, set[int]]:
-    G = _check_gram(gram)
+    G = Gram(gram)
     n = len(G)
     return {
         i: {j for j in range(n) if j != i and G[i][j]} for i in range(n)
@@ -444,7 +474,7 @@ def dynkin_classify(gram: Sequence[Sequence[int]]) -> RootType | None:
     nodes are (1, 1, r) for D_n or (1, 2, 2..4) for E6 to E8.  The
     reading does not depend on the order of the basis vectors.
     """
-    G = _check_gram(gram)
+    G = Gram(gram)
     n = len(G)
     for i in range(n):
         if G[i][i] != 2:

@@ -8,11 +8,11 @@ checks: they appear under ``external_inputs`` with their citation, so
 the certificate states exactly what was computed and what was assumed.
 
 :class:`Context` is the single source of construction data: it builds
-the curve configurations, applies the ``corrupt_pair`` fault, and
-measures the signatures and classifies each named fiber once, and every
-stage reads them there.  An injected fault therefore reaches every
-stage that reads the data it corrupts, and a stage that cannot be
-built from faulty data reports ``fail`` instead of raising.
+the curve configurations, applies the ``corrupt_pair`` fault, checks the
+involution, measures the signatures and classifies each named fiber
+once, and every stage reads them there.  An injected fault therefore
+reaches every stage that reads the data it corrupts, and a stage that
+cannot be built from faulty data reports ``fail`` instead of raising.
 
 Reports are deterministic: all randomized search is seeded through
 :class:`PipelineOptions`, evidence dictionaries are built in a fixed
@@ -70,6 +70,7 @@ from .surface import (
     BlowupLedger,
     Configuration,
     IsometryPerm,
+    IsometryReport,
     build_double_kummer,
     canonical_multiple,
     epsilon_involution,
@@ -246,6 +247,11 @@ class Context:
     reports the same witness.  Each named fiber is one such fact: its
     :class:`FiberClass`, which gives its Kodaira type and, for I_n, its
     cycle, or the error that rejected the divisor.
+
+    Config and the quotient share the involution's one isometry report,
+    and the 28-curve congruence gives the 24-curve inertia too: the
+    Kummer form is no separate copy but x's leading 24 x 24 block,
+    faulted exactly when both labels of ``corrupt_pair`` are among the 24.
     """
 
     def __init__(self, options: PipelineOptions):
@@ -265,39 +271,31 @@ class Context:
         return value
 
     @_fact
-    def _configurations(self) -> tuple[Configuration, Configuration]:
-        kummer = build_double_kummer()
-        x = extend_with_conics(kummer)
-        pair = self.options.corrupt_pair
-        if pair is not None:
-            x = with_intersection(x, *pair, 0)
-            if set(pair) <= set(kummer.labels):
-                kummer = with_intersection(kummer, *pair, 0)
-        return kummer, x
-
-    @property
-    def kummer(self) -> Configuration:
-        """The 24 double Kummer curves, faulted when both labels are among them."""
-        return self._configurations[0]
-
-    @property
     def x(self) -> Configuration:
-        """The 28 curves upstairs, faulted."""
-        return self._configurations[1]
+        """The 28 curves upstairs, faulted; the first 24 are the double Kummer curves."""
+        x = extend_with_conics(build_double_kummer())
+        pair = self.options.corrupt_pair
+        return x if pair is None else with_intersection(x, *pair, 0)
 
     @_fact
     def eps(self) -> IsometryPerm:
         return epsilon_involution(self.x)
 
     @_fact
-    def z(self) -> Configuration:
-        """The 14 classes on the quotient; raises if the involution is no free isometry."""
-        return quotient_pushforward(self.x, self.eps)
+    def eps_report(self) -> IsometryReport:
+        """The isometry check of the involution, read by config and by the quotient."""
+        return verify_isometry(self.x, self.eps)
 
     @_fact
-    def x_signature(self) -> tuple[int, int, int]:
-        """Inertia of the 28-curve intersection form."""
-        return signature(self.x.gram)
+    def z(self) -> Configuration:
+        """The 14 classes on the quotient; raises if the involution is no free isometry."""
+        return quotient_pushforward(self.x, self.eps, self.eps_report)
+
+    @_fact
+    def x_signatures(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """Inertia of the 24 Kummer curves' form, x's leading block, and of
+        the 28-curve form, from the one congruence of x's Gram."""
+        return signature(self.x.gram, leading=24)
 
     @_fact
     def z_signature(self) -> tuple[int, int, int]:
@@ -307,7 +305,7 @@ class Context:
     @property
     def x_rank(self) -> int:
         """The Picard number upstairs: n+ + n- of the one congruence."""
-        return sum(self.x_signature[:2])
+        return sum(self.x_signatures[1][:2])
 
     @property
     def z_rank(self) -> int:
@@ -437,8 +435,8 @@ _ANCHORS = {
 
 def _stage_config(ctx: Context) -> StageResult:
     x = ctx.x
-    sig24 = signature(ctx.kummer.gram)
-    rep_e = verify_isometry(x, ctx.eps)
+    sig24 = ctx.x_signatures[0]
+    rep_e = ctx.eps_report
     data: dict = {"fixed_labels": list(rep_e.fixed_labels)}
     if rep_e.failures:
         data["failures"] = list(rep_e.failures)

@@ -95,6 +95,11 @@ def _canonical(terms: Mapping) -> dict:
     return out
 
 
+def _check_name(name: str) -> None:
+    if not (name.isidentifier() and name.isascii()):
+        raise ValueError(f"bad variable name {name!r}")
+
+
 def _quotient(a, b) -> int | Fraction:
     """Exact quotient of two coefficients, an ``int`` when it divides."""
     if type(a) is int and type(b) is int:
@@ -110,8 +115,9 @@ class MultiPoly(Frozen):
     integral, else a ``Fraction``, keyed against the sorted tuple of
     variable names that actually occur.  Variables that divide no term
     are dropped, so two construction orders of the same polynomial are
-    structurally equal.  Ring operations build their results with
-    ``_make``, which trusts the names of already validated operands.
+    structurally equal.  Ring operations and the builders ``zero``,
+    ``const`` and ``var`` build their results with ``_make``, which trusts
+    the names of already validated operands or of a name ``var`` checked.
     """
 
     __slots__ = ("vars", "terms")
@@ -119,8 +125,7 @@ class MultiPoly(Frozen):
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction | int]):
         names = tuple(vars)
         for name in names:
-            if not (name.isidentifier() and name.isascii()):
-                raise ValueError(f"bad variable name {name!r}")
+            _check_name(name)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         # canonical variable order
@@ -158,15 +163,16 @@ class MultiPoly(Frozen):
 
     @classmethod
     def zero(cls) -> MultiPoly:
-        return cls((), {})
+        return cls._make((), {})
 
     @classmethod
     def const(cls, c) -> MultiPoly:
-        return cls((), {(): c})
+        return cls._make((), {(): c})
 
     @classmethod
     def var(cls, name: str) -> MultiPoly:
-        return cls((name,), {(1,): 1})
+        _check_name(name)
+        return cls._make((name,), {(1,): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], coeff) -> MultiPoly:
@@ -223,6 +229,8 @@ class MultiPoly(Frozen):
 
     def _lift(self, names: tuple[str, ...]) -> dict[tuple, int | Fraction]:
         """Terms keyed by exponent tuples over names, a superset of self.vars."""
+        if names == self.vars:
+            return dict(self.terms)
         idx = [names.index(v) for v in self.vars]
         out = {}
         for e, c in self.terms.items():
@@ -258,7 +266,14 @@ class MultiPoly(Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        names, ta, tb = self._aligned(other)
+        for e, c in tb.items():
+            ta[e] = ta.get(e, 0) - c
+        return MultiPoly._make(names, ta)
 
     def __mul__(self, other) -> MultiPoly:
         other = self._coerce(other)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .lattice import Mat, _check_gram
+from .lattice import Gram, Mat
 from .scalars import INFINITY, Frozen, ProjValue, RatFunc
 
 SURFACE_CHI = {"X_K3": 2, "Z_Enriques": 1}
@@ -88,7 +88,8 @@ class Configuration(Frozen):
     ``markings`` maps each named point to the curves it lies on, each
     curve label to the point's affine coordinate along that curve (an
     exact element of Q(t, s), or the point at infinity), or to None when
-    the construction does not pin the coordinate down.  Lookups go
+    the construction does not pin the coordinate down.  ``gram`` is a
+    :class:`~autcert.lattice.Gram`, checked once, here.  Lookups go
     through a label -> index map built once, with each alias mapped to
     its target's index; it takes no part in equality or repr.
     """
@@ -108,7 +109,7 @@ class Configuration(Frozen):
         labels = tuple(labels)
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("curve labels must be nonempty and distinct")
-        gram = _check_gram(gram)
+        gram = Gram(gram)
         if len(gram) != len(labels):
             raise ValueError("Gram size does not match label count")
         for i in range(len(labels)):
@@ -275,8 +276,7 @@ def extend_with_conics(config: Configuration) -> Configuration:
     markings = dict(config.markings)
     for i in range(1, 5):
         p = f"P{i}"
-        coord = ProjValue.finite(RatFunc.var("t")) if i == 2 else None
-        markings[p] = {f"F{i}": coord, f"C{i}": None}
+        markings[p] = {f"F{i}": PENCIL_X[1] if i == 2 else None, f"C{i}": None}
 
     return Configuration(
         "X_K3", tuple(labels), tuple(tuple(r) for r in gram), markings
@@ -387,7 +387,9 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
 # -- quotient --------------------------------------------------------------------
 
 
-def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configuration:
+def quotient_pushforward(
+    config: Configuration, eps: IsometryPerm, report: IsometryReport | None = None
+) -> Configuration:
     """Configuration of orbit curves on the free quotient.
 
     Orbits, named by ``QUOTIENT_CLASS``: Hj = {Ej, Fj}, the
@@ -399,8 +401,11 @@ def quotient_pushforward(config: Configuration, eps: IsometryPerm) -> Configurat
     division is exact: for an isometric involution with orbits {a, a'}
     and {b, b'} the sum is 2((a.b) + (a.b')).  Markings Qij are pushed
     down from Pij with their coordinates along the section curves.
+    ``report``, when given, is ``verify_isometry(config, eps)`` already run;
+    an involution that fails it, or fixes a curve, raises either way.
     """
-    report = verify_isometry(config, eps)
+    if report is None:
+        report = verify_isometry(config, eps)
     if not report.passed:
         raise ValueError("the involution fails the isometry check")
     if report.fixed_labels:

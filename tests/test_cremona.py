@@ -186,6 +186,18 @@ def test_map_validation():
         RationalMapP3((x[0] * MultiPoly.var("b"), x[1], x[2], x[3]))
 
 
+def test_a_quadric_form_is_homogeneous_of_degree_two_in_x():
+    x1, x2, x3, x4 = (MultiPoly.var(f"x{k}") for k in range(1, 5))
+    a1 = MultiPoly.var("a1")
+    for bad in (x1 * x2 * x3, x1 + x2 * x3, a1 * x1, a1 + x1 * x1):
+        with pytest.raises(ValueError, match="homogeneous of degree 2"):
+            QuadricForm(bad)
+    # a diagonal entry of 2M is twice the coefficient of the square
+    twice = QuadricForm(a1 * x1 * x1 + 3 * x2 * x4).twice_matrix()
+    assert twice[0][0] == 2 * a1 and twice[1][3] == twice[3][1] == 3
+    assert sum(not e.is_zero() for row in twice for e in row) == 3
+
+
 # -- specialization and ruling swap -------------------------------------------------------
 
 

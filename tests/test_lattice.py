@@ -9,12 +9,13 @@ frozen root counts (240 for E8, 72 for E6) pin the construction down.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 import hypothesis.strategies as st
 
 from autcert import lattice
 from autcert.lattice import (
     E6_IN_E8_NODES,
+    Gram,
     RootType,
     SpanBasis,
     adjacency_from_gram,
@@ -31,6 +32,7 @@ from autcert.lattice import (
     z_span_membership,
 )
 from autcert.scalars import matrix_rank_det
+from autcert.surface import build_double_kummer
 
 from conftest import cartan_A, cartan_D, int_matrix, reflection_closure
 
@@ -298,6 +300,94 @@ def test_signature_is_congruence_invariant(rows, U):
     G = [[rows[i][j] + rows[j][i] for j in range(3)] for i in range(3)]
     Ut = [[U[j][i] for j in range(3)] for i in range(3)]
     assert signature(matmul(matmul(U, G), Ut)) == signature(G)
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Symmetric integer matrices up to 7 x 7, half their entries 0, the
+    diagonal all 0 one time in three."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    zero_diagonal = draw(st.integers(min_value=0, max_value=2)) == 0
+    entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                G[i][j] = G[j][i] = draw(entry)
+    return G
+
+
+@seed(20190427)
+@settings(max_examples=200, deadline=None, database=None)
+@given(sparse_symmetric())
+def test_leading_block_inertia_comes_from_the_one_congruence(G):
+    whole = signature(G)
+    for m in range(len(G) + 1):
+        block = [row[:m] for row in G[:m]]
+        assert signature(G, leading=m) == (signature(block), whole), m
+
+
+def test_leading_block_fixed_cases():
+    # a zero-diagonal block: e_0 + e_1 is taken inside it, though row 2
+    # outside has a pivot to offer
+    G = [[0, 1, 0], [1, 0, 2], [0, 2, 5]]
+    assert signature(G, leading=2) == ((1, 1, 0), (2, 1, 0))
+    # row 0 meets only row 2, outside the block: the block keeps e_0 as a
+    # null vector, and only the whole matrix pairs it with e_2
+    G = [[0, 0, 1], [0, -2, 0], [1, 0, 0]]
+    assert signature(G, leading=2) == ((0, 1, 1), (1, 2, 0))
+    assert signature(G, leading=1) == ((0, 0, 1), (1, 2, 0))
+    assert signature([[0, 0], [0, 0]], leading=1) == ((0, 0, 1), (0, 0, 2))
+    for m in (-1, 4):
+        with pytest.raises(ValueError, match="leading block"):
+            signature(G, leading=m)
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        ([[2, Fraction(1)], [Fraction(1), 2]], TypeError),
+        ([[2, True], [True, 2]], TypeError),
+        ([[2.0, 1], [1, 2]], TypeError),
+        ([[2, -1], [-1]], ValueError),
+        ([[2, -1, 0], [-1, 2, 0]], ValueError),
+        ([[2, -1], [0, 2]], ValueError),
+    ],
+    ids=["fraction", "bool", "float", "ragged", "not-square", "asymmetric"],
+)
+def test_every_gram_reader_checks_a_raw_gram(raw, error):
+    readers = [
+        signature,
+        lambda g: signature(g, leading=1),
+        dynkin_classify,
+        lambda g: orth_complement(g, [0]),
+        gram_rank,
+        Gram,
+    ]
+    for read in readers:
+        with pytest.raises(error):
+            read(raw)
+
+
+def test_a_checked_gram_is_taken_as_it_is_and_stays_as_checked():
+    G = Gram(cartan_E(8))
+    assert Gram(G) is G
+    # a configuration's Gram was checked when it was built
+    kummer = build_double_kummer().gram
+    assert type(kummer) is Gram and Gram(kummer) is kummer
+    assert G == cartan_E(8) and hash(G) == hash(cartan_E(8))
+    with pytest.raises(TypeError):
+        G[0] = G[1]
+    with pytest.raises(AttributeError):
+        G.extra = None
+    # only the constructor makes a Gram: a subclass that skips the check
+    # is checked again, as raw input is
+    class Unchecked(Gram):
+        def __new__(cls, rows):
+            return tuple.__new__(cls, rows)
+
+    with pytest.raises(ValueError, match="not symmetric"):
+        signature(Unchecked([(0, 1), (2, 0)]))
 
 
 # -- binary reduction ------------------------------------------------------------

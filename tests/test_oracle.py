@@ -179,6 +179,26 @@ def test_quadric_determinant_matches_sympy():
     assert sympy.expand(to_sympy(q.determinant()) - theirs) == 0
 
 
+def test_general_quadric_matrix_and_determinant_match_sympy():
+    # 2M is the Hessian of the form in x1..x4, and det M = det(2M)/16
+    x1, x2, x3, x4 = map(MultiPoly.var, X_VARS)
+    a1, a2, a3 = map(MultiPoly.var, A_VARS)
+    p = (
+        3 * x1 * x1
+        + a1 * x1 * x2
+        - 2 * a2 * x2 * x4
+        + Fraction(1, 2) * x3 * x3
+        + a3 * a3 * x3 * x4
+        + (a1 + 1) * x4 * x4
+        + x2 * x3
+    )
+    q = QuadricForm(p)
+    hessian = sympy.hessian(to_sympy(p), sympy.symbols(X_VARS))
+    twice = sympy.Matrix([[to_sympy(e) for e in row] for row in q.twice_matrix()])
+    assert (twice - hessian).expand() == sympy.zeros(4, 4)
+    assert sympy.expand(to_sympy(q.determinant()) - hessian.det() / 16) == 0
+
+
 def _parameter_free_map() -> RationalMapP3:
     """x1^3, -2*x1*x2*x3, x2^2*x4/2, x4^3: exponents above 1, a negative
     and a fractional coefficient, no parameter."""

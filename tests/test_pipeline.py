@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import autcert
-from autcert import __version__, cremona, fibration, fingen, pipeline
+from autcert import __version__, cremona, fibration, fingen, pipeline, surface
 from autcert.__main__ import main
 from autcert.mwl import ModInt, SectionData
 from autcert.lattice import gram_rank, signature
@@ -260,7 +260,10 @@ def test_ranks_read_off_the_signatures_match_bareiss():
     # signature; Bareiss elimination is the independent second route
     for pair in [None, *FAULT_PAIRS]:
         ctx = pipeline.Context(PipelineOptions(corrupt_pair=pair))
-        assert gram_rank(ctx.kummer.gram) == sum(signature(ctx.kummer.gram)[:2]), pair
+        # the 24 Kummer curves are x's leading block, faulted when both labels are among them
+        kummer = [row[:24] for row in ctx.x.gram[:24]]
+        assert gram_rank(kummer) == sum(signature(kummer)[:2]), pair
+        assert ctx.x_signatures == (signature(kummer), signature(ctx.x.gram)), pair
         assert ctx.x_rank == gram_rank(ctx.x.gram), pair
         try:
             z = ctx.z
@@ -297,19 +300,41 @@ def test_a_fact_that_raised_is_built_once(monkeypatch):
 
 def test_each_named_fiber_is_validated_and_classified_once(monkeypatch):
     counts: dict = {}
-    counted(monkeypatch, counts, fibration, "validate_fiber")
+    for name in ("validate_fiber", "_indexed"):
+        counted(monkeypatch, counts, fibration, name)
     for module in (pipeline, fibration):
         counted(monkeypatch, counts, module, "classify_kodaira")
     # the pipeline validates a fiber only by classifying it
     assert not hasattr(pipeline, "validate_fiber")
     run_all(PipelineOptions(max_gens=1))
-    assert counts == {"validate_fiber": 6, "classify_kodaira": 6}
+    # and classifying resolves the components once
+    assert counts == {"validate_fiber": 6, "classify_kodaira": 6, "_indexed": 6}
     # a stage run alone classifies only the fibers it reads
     for name, classified in (("dynamics", 1), ("quotient", 0)):
         counts.clear()
         run_stage(name)
-        expected = {"validate_fiber": classified, "classify_kodaira": classified}
+        expected = dict.fromkeys(("validate_fiber", "classify_kodaira", "_indexed"), classified)
         assert {k: counts.get(k, 0) for k in expected} == expected, name
+
+
+def test_the_isometry_check_and_each_congruence_run_once_per_run(monkeypatch):
+    counts: dict = {}
+    # quotient_pushforward runs the check itself when it is given no report
+    for module in (pipeline, surface):
+        counted(monkeypatch, counts, module, "verify_isometry")
+    counted(monkeypatch, counts, pipeline, "signature")
+    runs = [
+        # the 28-curve congruence gives the 24-curve inertia too
+        (lambda: run_all(PipelineOptions(max_gens=1)), 2),
+        # a broken isometry leaves no quotient to eliminate
+        (lambda: run_all(PipelineOptions(max_gens=1, corrupt_pair=("E2", "C32"))), 1),
+        (lambda: run_stage("config"), 1),
+        (lambda: run_stage("quotient"), 1),
+    ]
+    for k, (run, signatures) in enumerate(runs):
+        counts.clear()
+        run()
+        assert counts == {"verify_isometry": 1, "signature": signatures}, k
 
 
 def test_gram_entries_are_read_by_index(monkeypatch):

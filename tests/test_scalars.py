@@ -59,6 +59,23 @@ def test_construction_rejects_bad_input():
         MultiPoly(("x\n",), {(1,): 1})
     with pytest.raises(TypeError):
         MultiPoly(("x",), {(1,): 0.5})
+    # the builders take the trusted path, and build what the constructor builds
+    for built, general in [
+        (MultiPoly.var("x"), MultiPoly(("x",), {(1,): 1})),
+        (MultiPoly.const(Fraction(3)), MultiPoly((), {(): 3})),
+        (MultiPoly.const(Fraction(1, 2)), MultiPoly((), {(): Fraction(1, 2)})),
+        (MultiPoly.const(0), MultiPoly((), {(): 0})),
+        (MultiPoly.zero(), MultiPoly((), {})),
+    ]:
+        assert built.vars == general.vars and built.terms == general.terms
+        assert list(map(type, built.terms.values())) == list(map(type, general.terms.values()))
+        assert hash(built) == hash(general)
+    for name in ("3bad", "x\n", "", "x y", "é"):
+        with pytest.raises(ValueError, match="bad variable name"):
+            MultiPoly.var(name)
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError):
+            MultiPoly.const(bad)
 
 
 def test_equality_across_construction_orders():
@@ -184,6 +201,7 @@ def test_ring_axioms(a, b, c):
     assert a + MultiPoly.zero() == a
     assert a * MultiPoly.const(1) == a
     assert a - a == MultiPoly.zero()
+    assert a - b == a + (-b) and (a - b) + b == a
 
 
 # -- division ------------------------------------------------------------

@@ -325,6 +325,26 @@ def test_quotient_rejects_broken_isometry():
         quotient_pushforward(bad, epsilon_involution(bad))
 
 
+def test_quotient_takes_a_held_isometry_report_in_place_of_the_check(monkeypatch):
+    ext = extend_with_conics(build_double_kummer())
+    bad = with_intersection(ext, "E2", "C32", 0)
+    fixing = IsometryPerm({lab: lab for lab in ext.labels})
+    cases = [
+        (ext, epsilon_involution(ext), None),
+        (bad, epsilon_involution(bad), "isometry"),
+        (ext, fixing, "free"),
+    ]
+    held = [(config, eps, verify_isometry(config, eps), match) for config, eps, match in cases]
+    z = quotient_pushforward(ext, epsilon_involution(ext))
+    monkeypatch.setattr(surface, "verify_isometry", None)  # a call would raise TypeError
+    for config, eps, report, match in held:
+        if match is None:
+            assert quotient_pushforward(config, eps, report) == z
+        else:
+            with pytest.raises(ValueError, match=match):
+                quotient_pushforward(config, eps, report)
+
+
 # -- blow-up ledger -----------------------------------------------------------------
 
 
