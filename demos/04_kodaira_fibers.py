@@ -46,7 +46,7 @@ print("eps(N1):", tuple(image.labels()), "->", classify_kodaira(x, image).fiber_
 # Downstairs the pushed-forward divisors have the same types.
 m1 = FiberDivisor.of(("H2", "D32", "H3", "D31", "H1", "D41", "H4", "D42"))
 m2 = FiberDivisor(
-    {"H2": 1, "D32": 2, "H1": 1, "D31": 2, "H4": 1, "D34": 2, "H3": 3}
+    {"H2": 1, "D32": 2, "H1": 1, "D31": 2, "H4": 1, "D43": 2, "H3": 3}
 )
 fm1 = classify_kodaira(z, m1)
 print("M1 type:", fm1.fiber_type)

@@ -6,8 +6,8 @@ divisor a genus-one fiber candidate built from (-2)-curves: every
 component meets the whole divisor in zero, the support is connected,
 and consequently the divisor has square zero.  Classification
 validates the divisor, then reads the weighted dual graph, in one
-pass: ``classify_kodaira`` gives the type, the graph and, for I_n, the
-components in cyclic order.
+pass: ``classify_kodaira`` gives the type and, for I_n, the components
+in cyclic order.
 
 Every type is read off an affine Dynkin diagram (K. Kodaira, Ann. of
 Math. 77, 1963): the dual graph of I_n is affine A_{n-1}, that of I_n*
@@ -20,9 +20,9 @@ fiber with a component of multiplicity one is read by deleting that
 component: what is left is the finite diagram D_n or E_n, which
 ``lattice.dynkin_classify`` recognizes by its arm lengths.
 
-Two classical collisions are resolved by convention and annotated in
-the result: a double edge on two components is reported as I2 (type
-III has the same dual graph) and a triangle as I3 (type IV likewise).
+Two classical collisions are resolved by convention: a double edge on
+two components is reported as I2 (type III has the same dual graph)
+and a triangle as I3 (type IV likewise).
 """
 
 from __future__ import annotations
@@ -128,39 +128,17 @@ def map_fiber(fiber: FiberDivisor, curve_map: Mapping[str, str]) -> FiberDivisor
 
 
 def _indexed(config: Configuration, fiber: FiberDivisor) -> dict[str, tuple[int, int]]:
-    """Each component once, as canonical label -> (Gram index, multiplicity)."""
-    out: dict[str, tuple[int, int]] = {}
-    for lab, mult in fiber.components.items():
-        i = config.index(lab)
-        res = config.labels[i]
-        if res in out:
-            raise ValueError(f"component {res} listed twice (via aliases)")
-        out[res] = (i, mult)
-    return out
-
-
-def dual_graph(
-    config: Configuration, fiber: FiberDivisor, comps: Mapping | None = None
-) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """Nodes and edges of the fiber's dual graph.
-
-    Edges are sorted label pairs, repeated according to the
-    intersection number of the two components.  ``comps`` is the fiber's
-    ``_indexed`` components when the caller has resolved them.
-    """
-    comps = comps or _indexed(config, fiber)
-    nodes = tuple(sorted(comps))
-    edges = []
-    for i, a in enumerate(nodes):
-        row = config.gram[comps[a][0]]
-        for b in nodes[i + 1 :]:
-            edges.extend([(a, b)] * row[comps[b][0]])
-    return nodes, tuple(edges)
+    """Each component as label -> (Gram index, multiplicity)."""
+    return {lab: (config.index(lab), mult) for lab, mult in fiber.components.items()}
 
 
 class FiberReport(NamedTuple):
+    """The fiber-candidate verdict, its failures, and each component's
+    neighbours in the support, which classification reads cycles from."""
+
     passed: bool
     failures: tuple[dict, ...]
+    neighbours: Mapping[str, set[str]]
 
 
 def validate_fiber(
@@ -171,7 +149,8 @@ def validate_fiber(
     One pass reads each component's Gram row, by index, for its
     self-intersection, its pairing with the fiber (the fiber's square
     is their weighted sum) and its neighbours in the support.
-    ``comps`` is as for ``dual_graph``.
+    ``comps`` is the fiber's ``_indexed`` components when the caller
+    has them.
     """
     comps = comps or _indexed(config, fiber)
     selfs: list[dict] = []
@@ -192,7 +171,7 @@ def validate_fiber(
         failures.append({"kind": "fiber-square-nonzero", "value": str(square)})
     if not is_connected(adj):
         failures.append({"kind": "support-disconnected"})
-    return FiberReport(not failures, tuple(failures))
+    return FiberReport(not failures, tuple(failures), adj)
 
 
 # one short witness line per validate_fiber failure kind
@@ -205,7 +184,7 @@ _FAILURE_TEXT = {
 
 
 class FiberClass(NamedTuple):
-    """A validated fiber's type and dual graph.
+    """A validated fiber's type.
 
     ``cycle`` lists the components of an I_n fiber in cyclic order: it
     starts at the least label and steps first to its smaller neighbor.
@@ -213,9 +192,6 @@ class FiberClass(NamedTuple):
     """
 
     fiber_type: KodairaType | None
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    notes: tuple[str, ...] = ()
     cycle: tuple[str, ...] = ()
 
 
@@ -229,33 +205,24 @@ def _affine_type(root: RootType) -> KodairaType:
 def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     """Validate a fiber and read its Kodaira type off the weighted dual graph.
 
-    Raises if validation fails.  Returns fiber_type None, with the
-    computed graph attached, when the weighted graph matches no type.
+    Raises if validation fails.  Returns fiber_type None when the
+    weighted graph matches no type.
     """
     comps = _indexed(config, fiber)
     report = validate_fiber(config, fiber, comps)
     if not report.passed:
         witness = "; ".join(_FAILURE_TEXT[f["kind"]].format(**f) for f in report.failures)
         raise ValueError(f"not a fiber candidate: {witness}")
-    nodes, edges = dual_graph(config, fiber, comps)
+    nodes = sorted(comps)
     if all(m == 1 for _, m in comps.values()):
-        adj: dict[str, set[str]] = {a: set() for a in nodes}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
         # component-meets-fiber zero forces weighted degree 2 at every
         # node here, so the connected support is a single cycle
-        n = len(nodes)
-        notes = []
-        if n == 2:
-            notes.append("double edge read as a 2-cycle; type III has the same dual graph")
-        if n == 3:
-            notes.append("triangle read as a 3-cycle; type IV has the same dual graph")
+        adj = report.neighbours
         cycle = [nodes[0], min(adj[nodes[0]])]
-        while len(cycle) < n:
+        while len(cycle) < len(nodes):
             prev, here = cycle[-2], cycle[-1]
             cycle.append(next(b for b in adj[here] if b != prev))
-        return FiberClass(KodairaType.I(n), nodes, edges, tuple(notes), tuple(cycle))
+        return FiberClass(KodairaType.I(len(nodes)), tuple(cycle))
 
     # the multiplicities are a multiple of the affine diagram's null
     # vector; a component of multiplicity one makes them that vector,
@@ -265,8 +232,8 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
         rest = [comps[a][0] for a in nodes if a != ones[0]]
         root = dynkin_classify([[-config.gram[i][j] for j in rest] for i in rest])
         if root is not None:
-            return FiberClass(_affine_type(root), nodes, edges)
-    return FiberClass(None, nodes, edges, ("no matching fiber type",))
+            return FiberClass(_affine_type(root))
+    return FiberClass(None)
 
 
 def shioda_tate_rank(rho: int, fiber_types: Sequence[KodairaType]) -> int:

@@ -64,9 +64,11 @@ from .mwl import (
     height,
     section_from_config,
 )
-from .scalars import INFINITY, Frozen, LaurentT, MultiPoly, ProjValue, RatFunc
+from .scalars import INFINITY, Frozen, LaurentT, MultiPoly
 from .surface import (
+    PENCIL_X,
     QUOTIENT_CLASS,
+    SURFACE_CHI,
     BlowupLedger,
     Configuration,
     IsometryPerm,
@@ -671,9 +673,10 @@ def _stage_heights(ctx: Context) -> StageResult:
     x = ctx.x
     fids = ("N1", "N1eps")
     types = tuple((fid, ctx.kodaira(fid)) for fid in fids)
-    hctx = HeightContext(chi=2, fibers=types, zero_name="C21")
-    hctx_alt = HeightContext(chi=2, fibers=types, zero_name="C11")
-    nctx = HeightContext(chi=1, fibers=(("M2", ctx.kodaira("M2")),))
+    chi, chi_z = SURFACE_CHI[x.tag], SURFACE_CHI[ctx.z.tag]
+    hctx = HeightContext(chi=chi, fibers=types, zero_name="C21")
+    hctx_alt = HeightContext(chi=chi, fibers=types, zero_name="C11")
+    nctx = HeightContext(chi=chi_z, fibers=(("M2", ctx.kodaira("M2")),))
     cycles = [(fid, ctx.cycle(fid)) for fid in fids]
     c12 = section_from_config(x, cycles, "C12", "C21")
     c11 = section_from_config(x, cycles, "C11", "C21")
@@ -789,7 +792,7 @@ def _stage_dynamics(ctx: Context) -> StageResult:
         _check(
             "the marked points P22 on E2 and P2 on F2 carry the same affine "
             "coordinate t, so the two translation actions glue",
-            p22 == p2 == ProjValue.finite(RatFunc.var("t")),
+            p22 == p2 == PENCIL_X[1],
             coordinates={"P22": p22, "P2": p2},
         ),
         _check(

@@ -491,14 +491,6 @@ class RatFunc(Frozen):
     def var(cls, name: str) -> RatFunc:
         return cls(MultiPoly.var(name))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __str__(self) -> str:
         if self.den == 1:
             return str(self.num)
@@ -642,16 +634,6 @@ class ProjValue(Frozen):
     @property
     def is_infinite(self) -> bool:
         return self.value is None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjValue):
-            return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            return self.is_infinite and other.is_infinite
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(("ProjValue", None if self.is_infinite else self.value))
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else str(self.value)

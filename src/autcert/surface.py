@@ -50,11 +50,11 @@ def _pencil_swap():
     Each curve label maps to its image under the swap (Ei <-> Fi,
     Cij <-> Cji for i != j, Cii <-> Ci) and to the class of its orbit on
     the quotient (Hi, Dii, and D<max><min> for the off-diagonal pairs,
-    whose reversed spelling is an alias).  Each marked point Pij, P'ij
+    the one spelling of each class).  Each marked point Pij, P'ij
     (i != j) and Pi maps to its image (Pij -> P'ji, P'ij -> Pji,
     Pii <-> Pi), and each Pij to the marking Qij it pushes down to.
     """
-    image, klass, aliases, point_image, pushed = {}, {}, {}, {}, {}
+    image, klass, point_image, pushed = {}, {}, {}, {}
     for i in "1234":
         image[f"E{i}"], image[f"F{i}"] = f"F{i}", f"E{i}"
         klass[f"E{i}"] = klass[f"F{i}"] = f"H{i}"
@@ -68,13 +68,12 @@ def _pencil_swap():
             if i == j:
                 point_image[f"P{i}{i}"] = f"P{i}"
             else:
-                aliases[f"D{lo}{hi}"] = f"D{hi}{lo}"
                 point_image[f"P{i}{j}"] = f"P'{j}{i}"
                 point_image[f"P'{i}{j}"] = f"P{j}{i}"
-    return image, klass, aliases, point_image, pushed
+    return image, klass, point_image, pushed
 
 
-_EPSILON, QUOTIENT_CLASS, _CLASS_ALIASES, _POINT_EPSILON, _PUSHED_MARKING = _pencil_swap()
+_EPSILON, QUOTIENT_CLASS, _POINT_EPSILON, _PUSHED_MARKING = _pencil_swap()
 
 
 def is_curve_label(label: str) -> bool:
@@ -89,12 +88,12 @@ class Configuration(Frozen):
     curve label to the point's affine coordinate along that curve (an
     exact element of Q(t, s), or the point at infinity), or to None when
     the construction does not pin the coordinate down.  ``gram`` is a
-    :class:`~autcert.lattice.Gram`, checked once, here.  Lookups go
-    through a label -> index map built once, with each alias mapped to
-    its target's index; it takes no part in equality or repr.
+    :class:`~autcert.lattice.Gram`, checked once, here.  Every curve has
+    one spelling, its label.  Lookups go through a label -> index map
+    built once; it takes no part in equality or repr.
     """
 
-    __slots__ = ("tag", "labels", "gram", "markings", "aliases", "_index")
+    __slots__ = ("tag", "labels", "gram", "markings", "_index")
 
     def __init__(
         self,
@@ -102,7 +101,6 @@ class Configuration(Frozen):
         labels: tuple[str, ...],
         gram: Mat,
         markings: Mapping[str, Mapping[str, ProjValue | None]] | None = None,
-        aliases: Mapping[str, str] | None = None,
     ):
         if tag not in SURFACE_CHI:
             raise ValueError(f"unknown surface tag {tag!r}")
@@ -112,9 +110,9 @@ class Configuration(Frozen):
         gram = Gram(gram)
         if len(gram) != len(labels):
             raise ValueError("Gram size does not match label count")
-        for i in range(len(labels)):
-            for j in range(len(labels)):
-                if i != j and gram[i][j] < 0:
+        for i, row in enumerate(gram):  # symmetric: each pair once
+            for j in range(i + 1, len(row)):
+                if row[j] < 0:
                     raise ValueError(
                         f"distinct curves {labels[i]}, {labels[j]} meet negatively"
                     )
@@ -122,29 +120,19 @@ class Configuration(Frozen):
             for i, lab in enumerate(labels):
                 if gram[i][i] != -2:
                     raise ValueError(f"curve {lab} on a K3 configuration must be a (-2)-curve")
-        aliases = dict(aliases or {})
-        for alias, target in aliases.items():
-            if alias in labels:
-                raise ValueError(f"alias {alias} shadows a curve label")
-            if target not in labels:
-                raise ValueError(f"alias {alias} points at unknown curve {target}")
         markings = dict(markings or {})
+        index = {lab: i for i, lab in enumerate(labels)}
         for point, on in markings.items():
             if not point or not on:
                 raise ValueError(f"marking {point!r} needs a label and lies on no curve")
             for curve, coord in on.items():
                 if coord is not None and not isinstance(coord, ProjValue):
                     raise TypeError(f"coordinate of {point} on {curve} not projective")
-                if curve not in labels and curve not in aliases:
+                if curve not in index:
                     raise ValueError(f"marking {point} lies on unknown curve {curve}")
-        index = {lab: i for i, lab in enumerate(labels)}
-        index.update((alias, index[target]) for alias, target in aliases.items())
-        self._set(tag, labels, gram, markings, aliases, index)
+        self._set(tag, labels, gram, markings, index)
 
     # -- lookups -------------------------------------------------------
-
-    def resolve(self, label: str) -> str:
-        return self.labels[self.index(label)]
 
     def index(self, label: str) -> int:
         try:
@@ -161,11 +149,9 @@ class Configuration(Frozen):
 
     def marking_coord(self, point: str, curve: str) -> ProjValue | None:
         on = self.markings[point]
-        curve = self.resolve(curve)
-        for c, coord in on.items():
-            if self.resolve(c) == curve:
-                return coord
-        raise KeyError(f"marking {point} does not lie on {curve}")
+        if curve not in on:
+            raise KeyError(f"marking {point} does not lie on {curve}")
+        return on[curve]
 
 
 def with_intersection(config: Configuration, a: str, b: str, value: int) -> Configuration:
@@ -182,7 +168,6 @@ def with_intersection(config: Configuration, a: str, b: str, value: int) -> Conf
         config.labels,
         tuple(tuple(r) for r in rows),
         config.markings,
-        config.aliases,
     )
 
 
@@ -215,7 +200,7 @@ def _double_kummer_tables():
         for j in range(1, 5):
             points[f"P{i}{j}"] = MappingProxyType({f"E{j}": PENCIL_X[i - 1], f"C{i}{j}": None})
             points[f"P'{i}{j}"] = MappingProxyType({f"F{i}": PENCIL_U[j - 1], f"C{i}{j}": None})
-    return tuple(labels), tuple(tuple(r) for r in gram), points
+    return tuple(labels), Gram(gram), points
 
 
 _KUMMER_LABELS, _KUMMER_GRAM, _KUMMER_POINTS = _double_kummer_tables()
@@ -249,7 +234,6 @@ def extend_with_conics(config: Configuration) -> Configuration:
         config.tag != "X_K3"
         or config.labels != _KUMMER_LABELS
         or config.gram != _KUMMER_GRAM
-        or config.aliases
         or config.markings != _KUMMER_POINTS
     ):
         raise ValueError("expected the 24-curve double Kummer configuration")
@@ -375,9 +359,7 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
             if p not in config.markings or q not in config.markings:
                 failures.append({"kind": "unknown-marking", "pair": [p, q]})
                 continue
-            src = {config.resolve(c) for c in config.markings[p]}
-            dst = {config.resolve(c) for c in config.markings[q]}
-            if {cm[c] for c in src} != dst:
+            if {cm[c] for c in config.markings[p]} != set(config.markings[q]):
                 failures.append(
                     {"kind": "marking-incidence-not-preserved", "pair": [p, q]}
                 )
@@ -393,12 +375,11 @@ def quotient_pushforward(
     """Configuration of orbit curves on the free quotient.
 
     Orbits, named by ``QUOTIENT_CLASS``: Hj = {Ej, Fj}, the
-    off-diagonal D-curves {Cij, Cji} (canonical label D<max><min>, with
-    the reversed spelling accepted as an alias), and Dii = {Cii, Ci}; an
-    orbit of ``eps`` that is none of these raises.  Intersections follow the
-    double-cover rule (A.B) = (pull A . pull B)/2, the four upstairs
-    entries read by Gram index, one row of A's two at a time.  The
-    division is exact: for an isometric involution with orbits {a, a'}
+    off-diagonal D-curves {Cij, Cji} (labeled D<max><min> only), and
+    Dii = {Cii, Ci}; an orbit of ``eps`` that is none of these raises.
+    Intersections follow the double-cover rule (A.B) = (pull A . pull B)/2,
+    the four upstairs entries read by Gram index, one row of A's two at a
+    time.  The division is exact: for an isometric involution with orbits {a, a'}
     and {b, b'} the sum is 2((a.b) + (a.b')).  Markings Qij are pushed
     down from Pij with their coordinates along the section curves.
     ``report``, when given, is ``verify_isometry(config, eps)`` already run;
@@ -418,7 +399,6 @@ def quotient_pushforward(
         if name is None or {QUOTIENT_CLASS.get(x) for x in pair} != {name}:
             raise ValueError(f"unexpected orbit {sorted(pair)}")
         orbits[name] = tuple(sorted(pair))
-    aliases = {a: name for a, name in _CLASS_ALIASES.items() if name in orbits}
 
     z_labels = tuple(sorted(n for n in orbits if n.startswith("H"))) + tuple(
         sorted(n for n in orbits if n.startswith("D"))
@@ -437,7 +417,7 @@ def quotient_pushforward(
         if p in config.markings
     }
 
-    return Configuration("Z_Enriques", z_labels, gram, markings, aliases)
+    return Configuration("Z_Enriques", z_labels, gram, markings)
 
 
 # -- blow-up ledger ----------------------------------------------------------------

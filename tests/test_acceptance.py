@@ -72,7 +72,7 @@ IV_STAR = KodairaType.plain("IV*")
 N1 = FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"))
 N2 = FiberDivisor({"E2": 1, "C32": 2, "E1": 1, "C31": 2, "E4": 1, "C34": 2, "F3": 3})
 M1 = FiberDivisor.of(("H2", "D32", "H3", "D31", "H1", "D41", "H4", "D42"))
-M2 = FiberDivisor({"H2": 1, "D32": 2, "H1": 1, "D31": 2, "H4": 1, "D34": 2, "H3": 3})
+M2 = FiberDivisor({"H2": 1, "D32": 2, "H1": 1, "D31": 2, "H4": 1, "D43": 2, "H3": 3})
 
 
 @pytest.fixture

@@ -1,14 +1,15 @@
 """The Gram-index kernels against label-keyed reference copies.
 
-``validate_fiber``, ``dual_graph`` and the pushforward read Gram rows
-by index.  The references below read every entry through
-``Configuration.pairing`` and ``self_int``, one label pair at a time,
-and must give the same reports, graphs, Grams and errors.
+``validate_fiber`` and the pushforward read Gram rows by index.  The
+references below read every entry through ``Configuration.pairing`` and
+``self_int``, one label pair at a time, and must give the same reports,
+neighbour sets, Grams and errors.  The cycles ``classify_kodaira``
+reads off the neighbour sets are checked through ``pairing`` too.
 """
 
 import random
 
-from autcert.fibration import FiberDivisor, FiberReport, dual_graph, validate_fiber
+from autcert.fibration import FiberDivisor, FiberReport, classify_kodaira, validate_fiber
 from autcert.lattice import is_connected
 from autcert.surface import (
     Configuration,
@@ -26,18 +27,8 @@ from test_fibration import M1, M2, N1, N2
 # -- label-keyed references ---------------------------------------------------------
 
 
-def reference_components(config, fiber):
-    out = {}
-    for lab, mult in fiber.components.items():
-        res = config.resolve(lab)
-        if res in out:
-            raise ValueError(f"component {res} listed twice (via aliases)")
-        out[res] = mult
-    return out
-
-
 def reference_validate(config, fiber):
-    comps = reference_components(config, fiber)
+    comps = fiber.components
     failures = []
     for lab in comps:
         if config.self_int(lab) != -2:
@@ -56,16 +47,7 @@ def reference_validate(config, fiber):
     adj = {a: {b for b in comps if b != a and config.pairing(a, b)} for a in comps}
     if not is_connected(adj):
         failures.append({"kind": "support-disconnected"})
-    return FiberReport(not failures, tuple(failures))
-
-
-def reference_dual_graph(config, fiber):
-    nodes = tuple(sorted(reference_components(config, fiber)))
-    edges = []
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            edges.extend([(a, b)] * config.pairing(a, b))
-    return nodes, tuple(edges)
+    return FiberReport(not failures, tuple(failures), adj)
 
 
 def orbit(name):
@@ -110,14 +92,11 @@ def bent(config, rng):
         gram[i][i] = rng.choice((-3, -1, 0))
         i, j = rng.sample(range(n), 2)
         gram[i][j] = gram[j][i] = rng.choice((0, 1, 2))
-    return Configuration("Z_Enriques", config.labels, gram, aliases=config.aliases)
+    return Configuration("Z_Enriques", config.labels, gram)
 
 
 def random_fiber(config, rng):
-    """A divisor over config: a named fiber nudged, or random curves, in any spelling."""
-    spellings = {lab: [lab] for lab in config.labels}
-    for alias, target in config.aliases.items():
-        spellings[target].append(alias)
+    """A divisor over config: a named fiber nudged, or random curves."""
     named = [comps for c, comps in NAMED if c.labels == config.labels]
     if named and rng.random() < 0.4:
         comps = dict(rng.choice(named))
@@ -129,12 +108,16 @@ def random_fiber(config, rng):
     else:
         picked = rng.sample(config.labels, rng.randint(1, 9))
         comps = {lab: rng.choice((1, 1, 1, 2, 3)) for lab in picked}
-    spelled = {rng.choice(spellings[config.resolve(lab)]): m for lab, m in comps.items()}
-    if config.aliases and rng.random() < 0.1:
-        # the same curve twice, once through an alias
-        alias, target = rng.choice(sorted(config.aliases.items()))
-        spelled.update({alias: 1, target: 1})
-    return FiberDivisor(spelled)
+    return FiberDivisor(comps)
+
+
+def assert_cycle_order(config, fiber, cycle):
+    """cycle lists the fiber's components once each, consecutive ones
+    meeting, from the least label and first to its smaller neighbour."""
+    assert sorted(cycle) == sorted(fiber.components)
+    n = len(cycle)
+    assert all(config.pairing(cycle[k], cycle[(k + 1) % n]) > 0 for k in range(n))
+    assert cycle[0] == min(cycle) and cycle[1] <= cycle[-1]
 
 
 def test_index_kernels_match_label_keyed_references():
@@ -144,16 +127,15 @@ def test_index_kernels_match_label_keyed_references():
     for config in configs:
         for _ in range(300):
             fiber = random_fiber(config, rng)
-            expected = outcome(reference_validate, config, fiber)
-            assert outcome(validate_fiber, config, fiber) == expected
-            assert outcome(dual_graph, config, fiber) == outcome(reference_dual_graph, config, fiber)
-            if isinstance(expected, FiberReport):
-                seen.update(f["kind"] for f in expected.failures)
-                seen.add("pass" if expected.passed else "fail")
-            else:
-                seen.add("listed twice")
+            expected = reference_validate(config, fiber)
+            assert validate_fiber(config, fiber) == expected
+            seen.update(f["kind"] for f in expected.failures)
+            seen.add("pass" if expected.passed else "fail")
+            if expected.passed and set(fiber.components.values()) == {1}:
+                assert_cycle_order(config, fiber, classify_kodaira(config, fiber).cycle)
+                seen.add("cycle")
     assert seen == {
-        "pass", "fail", "listed twice", "not-a-minus-two-curve", "component-meets-fiber",
+        "pass", "fail", "cycle", "not-a-minus-two-curve", "component-meets-fiber",
         "fiber-square-nonzero", "support-disconnected",
     }
 

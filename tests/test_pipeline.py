@@ -307,7 +307,7 @@ def test_each_named_fiber_is_validated_and_classified_once(monkeypatch):
     # the pipeline validates a fiber only by classifying it
     assert not hasattr(pipeline, "validate_fiber")
     run_all(PipelineOptions(max_gens=1))
-    # and classifying resolves the components once
+    # and classifying indexes the components once
     assert counts == {"validate_fiber": 6, "classify_kodaira": 6, "_indexed": 6}
     # a stage run alone classifies only the fibers it reads
     for name, classified in (("dynamics", 1), ("quotient", 0)):
@@ -489,7 +489,21 @@ def move_p2(mp):
         x = real(kummer)
         p2 = {"F2": ProjValue.finite(RatFunc.var("s")), "C2": None}
         markings = {**x.markings, "P2": p2}
-        return Configuration(x.tag, x.labels, x.gram, markings, x.aliases)
+        return Configuration(x.tag, x.labels, x.gram, markings)
+
+    mp.setattr(pipeline, "extend_with_conics", moved)
+
+
+def move_p22_and_p2(mp):
+    """Build the 28 curves with P22 on E2 and P2 on F2 both at s: they
+    still agree, but not at t."""
+    real = pipeline.extend_with_conics
+
+    def moved(kummer):
+        x = real(kummer)
+        s = ProjValue.finite(RatFunc.var("s"))
+        markings = {**x.markings, "P22": {"E2": s, "C22": None}, "P2": {"F2": s, "C2": None}}
+        return Configuration(x.tag, x.labels, x.gram, markings)
 
     mp.setattr(pipeline, "extend_with_conics", moved)
 
@@ -521,11 +535,12 @@ def wrong_scaling_power(mp):
     "name, patch, failing",
     [
         ("dynamics", move_p2, {DYNAMICS_GLUING}),
+        ("dynamics", move_p22_and_p2, {DYNAMICS_GLUING}),
         ("dynamics", move_c2_index, {DYNAMICS_SUM, DYNAMICS_SQUARE}),
         ("dynamics", wrong_scaling_power, {DYNAMICS_CONJUGATION}),
         ("cremona", no_swap_passes, {SWAP_CLAIM}),
     ],
-    ids=["gluing", "component-index", "conjugation", "exhausted-search"],
+    ids=["gluing", "gluing-away-from-t", "component-index", "conjugation", "exhausted-search"],
 )
 def test_each_touched_check_fails_under_its_own_name(monkeypatch, name, patch, failing):
     claims = [c["claim"] for c in run_stage(name).evidence["checks"]]

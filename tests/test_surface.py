@@ -71,7 +71,7 @@ def test_double_kummer_marking_coordinates():
     assert x.marking_coord("P'23", "F2") == INFINITY
     assert x.marking_coord("P'22", "F2") == ProjValue.finite(RatFunc.var("s"))
     assert x.marking_coord("P'41", "F4") == fin(1)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="marking P11 does not lie on E2"):
         x.marking_coord("P11", "E2")
 
 
@@ -226,6 +226,18 @@ def test_verify_isometry_checks_declared_involution():
     assert any(f["kind"] == "not-an-involution" for f in report.failures)
 
 
+def test_verify_isometry_checks_marking_incidence():
+    # P12 lies on E2 and C12, whose images F2 and C21 carry P'21, not P'12
+    ext = extend_with_conics(build_double_kummer())
+    eps = epsilon_involution(ext)
+    moved = IsometryPerm(eps.curve_map, {**eps.point_map, "P12": "P'12", "P99": "P1"})
+    report = verify_isometry(ext, moved)
+    assert report.failures == (
+        {"kind": "marking-incidence-not-preserved", "pair": ["P12", "P'12"]},
+        {"kind": "unknown-marking", "pair": ["P99", "P1"]},
+    )
+
+
 # -- quotient ---------------------------------------------------------------------
 
 
@@ -234,15 +246,16 @@ def quotient_fixture() -> Configuration:
     return quotient_pushforward(ext, epsilon_involution(ext))
 
 
-def test_quotient_labels_and_aliases():
+def test_quotient_labels_have_one_spelling():
     z = quotient_fixture()
     assert z.labels == (
         "H1", "H2", "H3", "H4",
         "D11", "D21", "D22", "D31", "D32", "D33", "D41", "D42", "D43", "D44",
     )
-    assert z.resolve("D23") == "D32"
-    assert z.resolve("D34") == "D43"
-    assert z.pairing("D23", "H2") == z.pairing("D32", "H2")
+    # an off-diagonal class is D<max><min>; the reversed spelling names nothing
+    for reversed_label in ("D23", "D34"):
+        with pytest.raises(KeyError, match=f"no curve labeled {reversed_label}"):
+            z.index(reversed_label)
 
 
 def test_quotient_intersections():
@@ -374,7 +387,7 @@ def test_ledger_validation():
         BlowupLedger(build_double_kummer())
     without_q32 = {q: on for q, on in z.markings.items() if q != "Q32"}
     with pytest.raises(ValueError, match="Q32 is not a marking"):
-        BlowupLedger(Configuration(z.tag, z.labels, z.gram, without_q32, z.aliases))
+        BlowupLedger(Configuration(z.tag, z.labels, z.gram, without_q32))
 
 
 # -- configuration plumbing ----------------------------------------------------------
@@ -392,22 +405,18 @@ def test_curve_index_matches_label_position(config):
     assert len(c.labels) == (28 if config == "extended" else 14)
     for k, lab in enumerate(c.labels):
         assert c.index(lab) == c.labels.index(lab) == k
-    for alias, target in c.aliases.items():
-        assert c.index(alias) == c.index(target)
-        assert c.pairing(alias, "H2") == c.pairing(target, "H2")
     with pytest.raises(KeyError, match="no curve labeled Q9"):
         c.index("Q9")
     with pytest.raises(KeyError, match="no curve labeled Q9"):
         c.pairing(c.labels[0], "Q9")
 
 
-def test_with_intersection_through_an_alias_changes_the_target_entry():
+def test_with_intersection_changes_one_symmetric_pair():
     z = quotient_fixture()
-    assert z.aliases["D23"] == "D32"
-    changed = with_intersection(z, "D23", "H2", 5)
+    changed = with_intersection(z, "D32", "H2", 5)
     i, j = z.labels.index("D32"), z.labels.index("H2")
     assert changed.gram[i][j] == changed.gram[j][i] == 5
-    assert changed.pairing("D32", "H2") == changed.pairing("D23", "H2") == 5
+    assert changed.pairing("H2", "D32") == 5
     assert sum(a != b for ra, rb in zip(z.gram, changed.gram) for a, b in zip(ra, rb)) == 2
 
 
@@ -434,7 +443,8 @@ def test_configuration_validation():
         Configuration("P2", ("A", "B"), gram)
     with pytest.raises(ValueError, match="negatively"):
         Configuration("X_K3", ("A", "B"), ((-2, -1), (-1, -2)))
-    with pytest.raises(ValueError, match="shadows"):
-        Configuration("X_K3", ("A", "B"), gram, aliases={"A": "B"})
+    # the Gram is symmetric, so the scan reads each pair once, in label order
+    with pytest.raises(ValueError, match="distinct curves B, C meet negatively"):
+        Configuration("X_K3", ("A", "B", "C"), ((-2, 1, 0), (1, -2, -1), (0, -1, -2)))
     with pytest.raises(ValueError, match="-2"):
         Configuration("X_K3", ("A", "B"), ((-1, 0), (0, -2)))

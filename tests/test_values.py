@@ -19,12 +19,12 @@ from autcert.cremona import (
     cremona_map,
     verify_pij_swap,
 )
-from autcert.fibration import FiberDivisor, FiberReport, KodairaType, classify_kodaira
+from autcert.fibration import FiberDivisor, KodairaType, classify_kodaira, validate_fiber
 from autcert.fingen import MembershipResult, certify_nonfg
 from autcert.lattice import RootType
 from autcert.mwl import HeightContext, ModInt, SectionData, SmoothLocusAut
 from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
-from autcert.scalars import LaurentT
+from autcert.scalars import INFINITY, LaurentT, MultiPoly, ProjValue, RatFunc
 from autcert.surface import (
     BlowupLedger,
     build_double_kummer,
@@ -82,7 +82,7 @@ VALUES = {
     "NonFGCertificate": (lambda: certify_nonfg(2), False),
     "KodairaType": (lambda: KodairaType.plain("IV*"), True),
     "FiberDivisor": (n1, False),
-    "FiberReport": (lambda: FiberReport(True, ()), True),
+    "FiberReport": (lambda: validate_fiber(x_config(), n1()), False),
     "FiberClass": (lambda: classify_kodaira(x_config(), n1()), True),
     "Configuration": (build_double_kummer, False),
     "IsometryPerm": (lambda: epsilon_involution(x_config()), False),
@@ -124,3 +124,20 @@ def test_leaf_values_are_written_by_their_str(leaf):
     assert not isinstance(leaf, tuple)
     assert _stringify(leaf) == str(leaf)
     assert _stringify({"x": [leaf, None]}) == {"x": [str(leaf), None]}
+
+
+def test_rational_and_projective_values_compare_by_their_slots():
+    # RatFunc and ProjValue take equality and hash from Frozen's public slots
+    t = MultiPoly.var("t")
+    assert INFINITY == ProjValue(None) and hash(INFINITY) == hash(ProjValue(None))
+    finite = ProjValue.finite(RatFunc(t))
+    assert finite != INFINITY and INFINITY != finite
+    assert finite != RatFunc(t) and RatFunc(t) != t
+    # equal values from different spellings hash alike
+    for a, b in (
+        (RatFunc(t * t - t, t), RatFunc(t - 1)),
+        (RatFunc(2 * t, 4 * t * t), RatFunc(1, 2 * t)),
+        (finite, ProjValue.finite(RatFunc(t * t, t))),
+    ):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert RatFunc(t) != RatFunc(t, 2) and finite != ProjValue.finite(RatFunc(1))

@@ -13,7 +13,9 @@ It prints every function defined in ``src/autcert`` that none of these
 runs entered, with its line count and, when it is on the reviewed
 allowlist below, the reason it may stay unreached.  It exits 1 when an
 unreached function is not on the allowlist, so code that only tests
-reach cannot come back unnoticed.
+reach cannot come back unnoticed, and when an allowlist entry is stale
+(its function is now entered or no longer exists), so the list holds
+only what it has to.
 
 Run from the repository root: ``python3 tools/reach.py``.
 """
@@ -56,9 +58,7 @@ ALLOWED = {
     "scalars.MultiPoly.__hash__": DUNDER,
     "scalars.MultiPoly.__repr__": DUNDER,
     "scalars.MultiPoly.is_constant": BENCH + " (its poly_gcd hook)",
-    "scalars.ProjValue.__hash__": DUNDER,
     "scalars.ProjValue.__repr__": DUNDER,
-    "scalars.RatFunc.__hash__": DUNDER,
     "scalars.RatFunc.__repr__": DUNDER,
     "scalars._exact_quot": BENCH + " (matrix_rank_det's integer division)",
     "scalars.matrix_rank_det": BENCH,
@@ -163,13 +163,13 @@ def main() -> int:
         print(f"{name:<40} {lines:>4} lines  {ALLOWED.get(name, 'NOT ON THE ALLOWLIST')}")
     stale = sorted(set(ALLOWED) - {name for name, _ in missed})
     for name in stale:
-        print(f"{name:<40} entered now; its allowlist entry can go")
+        print(f"{name:<40} STALE: entered now or no longer defined")
     print(
         f"{len(missed)} of {len(functions)} functions ({sum(n for _, n in missed)} lines) "
-        f"never entered, {len(refused)} not on the allowlist, "
+        f"never entered, {len(refused)} not on the allowlist, {len(stale)} stale entries, "
         f"{time.perf_counter() - start:.1f} s"
     )
-    return 1 if refused else 0
+    return 1 if refused or stale else 0
 
 
 if __name__ == "__main__":
