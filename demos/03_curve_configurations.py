@@ -40,7 +40,7 @@ print("corrupted passes:", bad.passed)
 print("first failure:", bad.failures[0])
 
 # The free quotient halves pairings and leaves 14 classes.
-z = quotient_pushforward(x, eps)
+z = quotient_pushforward(x, eps, report)
 print("quotient classes:", len(z.labels))
 print("H2 . D32 =", z.pairing("H2", "D32"))
 print("D11 . D22 =", z.pairing("D11", "D22"))

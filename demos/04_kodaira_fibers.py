@@ -21,11 +21,12 @@ from autcert.surface import (
     epsilon_involution,
     extend_with_conics,
     quotient_pushforward,
+    verify_isometry,
 )
 
 x = extend_with_conics(build_double_kummer())
 eps = epsilon_involution(x)
-z = quotient_pushforward(x, eps)
+z = quotient_pushforward(x, eps, verify_isometry(x, eps))
 
 # The eight-curve cycle upstairs is an I8 fiber.
 n1 = FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"))

@@ -19,8 +19,7 @@ organized in independent layers:
   classification from weighted dual graphs, Euler numbers, and the
   Shioda-Tate rank count;
 * :mod:`autcert.mwl` -- Mordell-Weil heights from local correction
-  terms, section data read off a configuration, and the scale/shift
-  automorphisms of a singular fiber's smooth locus;
+  terms, and section data read off a configuration;
 * :mod:`autcert.cremona` -- the reciprocal Cremona involution in
   cleared form, quadric preservation certificates, ruling swaps at
   rational specializations, and conjugation of translations by

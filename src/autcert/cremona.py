@@ -177,7 +177,7 @@ def preserves_quadric(map_: RationalMapP3, q: MultiPoly) -> MultiPoly | dict:
     """Exact cofactor c with q(map) = c * q, or a failure record with the remainder."""
     composed = q.substitute(dict(zip(X_VARS, map_.components)))
     cofactor, rem = composed.divide_rem(q)
-    if not rem.is_zero():
+    if rem:
         return {
             "kind": "quadric-not-preserved",
             "detail": "q(map) is not a multiple of q",
@@ -190,7 +190,7 @@ def involution_cofactor(map_: RationalMapP3) -> MultiPoly | dict:
     """Exact cofactor c with map(map) = c * identity, or a failure record."""
     raw = map_.substituted(map_)
     cofactor, rem = raw[0].divide_rem(MultiPoly.var("x1"))
-    if not rem.is_zero():
+    if rem:
         return {
             "kind": "not-an-involution",
             "detail": "first component not divisible by x1",

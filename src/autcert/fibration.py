@@ -57,18 +57,6 @@ class KodairaType(Frozen):
             raise ValueError(f"unknown Kodaira symbol {symbol!r}")
         self._set(symbol, index)
 
-    @staticmethod
-    def I(n: int) -> "KodairaType":
-        return KodairaType("I", n)
-
-    @staticmethod
-    def I_star(n: int) -> "KodairaType":
-        return KodairaType("I*", n)
-
-    @staticmethod
-    def plain(symbol: str) -> "KodairaType":
-        return KodairaType(symbol)
-
     def __str__(self) -> str:
         if self.index is None:
             return self.symbol
@@ -127,32 +115,27 @@ def map_fiber(fiber: FiberDivisor, curve_map: Mapping[str, str]) -> FiberDivisor
     return FiberDivisor(image)
 
 
-def _indexed(config: Configuration, fiber: FiberDivisor) -> dict[str, tuple[int, int]]:
-    """Each component as label -> (Gram index, multiplicity)."""
-    return {lab: (config.index(lab), mult) for lab, mult in fiber.components.items()}
-
-
 class FiberReport(NamedTuple):
-    """The fiber-candidate verdict, its failures, and each component's
-    neighbours in the support, which classification reads cycles from."""
+    """The fiber-candidate verdict and its failures; each component's
+    neighbours in the support, which classification reads cycles from;
+    and each component as label -> (Gram index, multiplicity), which it
+    reads the weighted dual graph from."""
 
     passed: bool
     failures: tuple[dict, ...]
     neighbours: Mapping[str, set[str]]
+    components: Mapping[str, tuple[int, int]]
 
 
-def validate_fiber(
-    config: Configuration, fiber: FiberDivisor, comps: Mapping | None = None
-) -> FiberReport:
+def validate_fiber(config: Configuration, fiber: FiberDivisor) -> FiberReport:
     """Check the fiber-candidate conditions, naming each violation.
 
-    One pass reads each component's Gram row, by index, for its
-    self-intersection, its pairing with the fiber (the fiber's square
-    is their weighted sum) and its neighbours in the support.
-    ``comps`` is the fiber's ``_indexed`` components when the caller
-    has them.
+    The components are indexed once; one pass then reads each
+    component's Gram row, by index, for its self-intersection, its
+    pairing with the fiber (the fiber's square is their weighted sum)
+    and its neighbours in the support.
     """
-    comps = comps or _indexed(config, fiber)
+    comps = {lab: (config.index(lab), mult) for lab, mult in fiber.components.items()}
     selfs: list[dict] = []
     meets: list[dict] = []
     square = 0
@@ -171,7 +154,7 @@ def validate_fiber(
         failures.append({"kind": "fiber-square-nonzero", "value": str(square)})
     if not is_connected(adj):
         failures.append({"kind": "support-disconnected"})
-    return FiberReport(not failures, tuple(failures), adj)
+    return FiberReport(not failures, tuple(failures), adj, comps)
 
 
 # one short witness line per validate_fiber failure kind
@@ -198,8 +181,8 @@ class FiberClass(NamedTuple):
 def _affine_type(root: RootType) -> KodairaType:
     """The starred fiber type whose dual graph is the affine diagram of root."""
     if root.family == "D":
-        return KodairaType.I_star(root.rank - 4)
-    return KodairaType.plain({6: "IV*", 7: "III*", 8: "II*"}[root.rank])
+        return KodairaType("I*", root.rank - 4)
+    return KodairaType({6: "IV*", 7: "III*", 8: "II*"}[root.rank])
 
 
 def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
@@ -208,11 +191,11 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     Raises if validation fails.  Returns fiber_type None when the
     weighted graph matches no type.
     """
-    comps = _indexed(config, fiber)
-    report = validate_fiber(config, fiber, comps)
+    report = validate_fiber(config, fiber)
     if not report.passed:
         witness = "; ".join(_FAILURE_TEXT[f["kind"]].format(**f) for f in report.failures)
         raise ValueError(f"not a fiber candidate: {witness}")
+    comps = report.components
     nodes = sorted(comps)
     if all(m == 1 for _, m in comps.values()):
         # component-meets-fiber zero forces weighted degree 2 at every
@@ -222,7 +205,7 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
         while len(cycle) < len(nodes):
             prev, here = cycle[-2], cycle[-1]
             cycle.append(next(b for b in adj[here] if b != prev))
-        return FiberClass(KodairaType.I(len(nodes)), tuple(cycle))
+        return FiberClass(KodairaType("I", len(nodes)), tuple(cycle))
 
     # the multiplicities are a multiple of the affine diagram's null
     # vector; a component of multiplicity one makes them that vector,

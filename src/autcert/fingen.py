@@ -77,14 +77,14 @@ def membership(basis: SpanBasis, target: LaurentT) -> MembershipResult:
     for i, w in witness.items():
         for e, c in basis.generators[i].items():
             combo[e] = combo.get(e, 0) + w * c
-    if LaurentT._make(combo) != target:
+    if LaurentT(combo) != target:
         raise ArithmeticError("membership witness failed re-verification")
     return MembershipResult(True, witness)
 
 
 def _support(g: LaurentT) -> int:
     """Least exponent of a generator, the bound every combination stays at or above."""
-    if g.is_zero():
+    if not g:
         raise ValueError("zero generator has no degree bound")
     return min(g.terms)
 
@@ -171,7 +171,7 @@ class NonFGCertificate(NamedTuple):
         }
 
 
-def certify_nonfg(max_k: int = 5) -> NonFGCertificate:
+def certify_nonfg(max_k: int) -> NonFGCertificate:
     """Escape certificates for the nested translation subgroups k = 1..max_k.
 
     Each stage k records whether t^(-2k)*a avoids the span of the first

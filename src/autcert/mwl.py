@@ -11,9 +11,7 @@ a fiber in an element of its component group: Z/n for I_n, Z/3 for
 IV*, with 0 the identity component.
 
 Also here: arithmetic on the cyclic component groups of I_n fibers,
-extraction of section data from a curve configuration, and a tiny
-calculus of automorphisms of the smooth locus of a fiber, recorded as
-(scale on the base coordinate, shift in the component group).
+and extraction of section data from a curve configuration.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .fibration import KodairaType
-from .scalars import Frozen, LaurentT
+from .scalars import Frozen
 from .surface import Configuration
 
 
@@ -67,23 +65,6 @@ def contribution(kt: KodairaType, comp: ModInt) -> Fraction:
     return Fraction(4, 3) if comp.value else Fraction(0)
 
 
-class HeightContext(Frozen):
-    """Fibration-level data entering every height computation."""
-
-    __slots__ = ("chi", "fibers", "zero_name")
-
-    def __init__(
-        self, chi: int, fibers: tuple[tuple[str, KodairaType], ...], zero_name: str = "O"
-    ):
-        if not isinstance(chi, int) or chi < 1:
-            raise ValueError(f"bad Euler characteristic {chi!r}")
-        fibers = tuple((fid, kt) for fid, kt in fibers)
-        ids = [fid for fid, _ in fibers]
-        if len(set(ids)) != len(ids):
-            raise ValueError("fiber ids must be distinct")
-        self._set(chi, fibers, zero_name)
-
-
 class SectionData(Frozen):
     """One section: its name, (P.O), and met component per fiber."""
 
@@ -95,24 +76,20 @@ class SectionData(Frozen):
         self._set(name, dot_zero, dict(components or {}))
 
 
-def _aligned_components(ctx: HeightContext, P: SectionData):
-    have = set(P.components)
-    want = {fid for fid, _ in ctx.fibers}
+def height(chi: int, fibers: Sequence[tuple[str, KodairaType]], P: SectionData) -> Fraction:
+    """Canonical height by Shioda's formula, 2 chi + 2 (P.O) - sum of contr_v(P).
+
+    ``fibers`` lists each reducible fiber as (id, type), and the section
+    must list its component for exactly those fibers, each once.
+    """
+    have, want = sorted(P.components), sorted(fid for fid, _ in fibers)
     if have != want:
         raise ValueError(
-            f"section {P.name} lists components for {sorted(have)}, "
-            f"context has {sorted(want)}"
+            f"section {P.name} lists components for {have}, context has {want}"
         )
-    return [(kt, P.components[fid]) for fid, kt in ctx.fibers]
-
-
-def height(ctx: HeightContext, P: SectionData) -> Fraction:
-    """Canonical height of a section; the zero section gets 0 by definition."""
-    if P.name == ctx.zero_name:
-        return Fraction(0)
-    total = Fraction(2 * ctx.chi + 2 * P.dot_zero)
-    for kt, comp in _aligned_components(ctx, P):
-        total -= contribution(kt, comp)
+    total = Fraction(2 * chi + 2 * P.dot_zero)
+    for fid, kt in fibers:
+        total -= contribution(kt, P.components[fid])
     return total
 
 
@@ -152,24 +129,3 @@ def section_from_config(
     return SectionData(
         section, config.gram[config.index(section)][config.index(zero)], components
     )
-
-
-# -- automorphisms of the smooth locus ------------------------------------------------
-
-
-class SmoothLocusAut(Frozen):
-    """Action on a fiber's smooth locus: base-coordinate scale and component shift."""
-
-    __slots__ = ("scale", "shift")
-
-    def __init__(self, scale: LaurentT, shift: ModInt):
-        if not isinstance(scale, LaurentT):
-            raise TypeError("scale must be a Laurent polynomial in t")
-        if len(scale.terms) != 1:
-            raise ValueError("scale must be a unit c*t^k")
-        self._set(scale, shift)
-
-
-def compose_smooth_locus(f: SmoothLocusAut, g: SmoothLocusAut) -> SmoothLocusAut:
-    """Composite action: scales multiply, shifts add."""
-    return SmoothLocusAut(f.scale * g.scale, f.shift + g.shift)

@@ -183,9 +183,6 @@ class MultiPoly(Frozen):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return not self.vars
 
@@ -310,7 +307,7 @@ class MultiPoly(Frozen):
         of ``divisor``, so ``r == 0`` exactly when the division is exact.
         """
         divisor = self._coerce(divisor)
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         names, cur, dv = self._aligned(divisor)
         de = max(dv, key=_GL)
@@ -339,7 +336,7 @@ class MultiPoly(Frozen):
 
     def exact_div(self, divisor: MultiPoly) -> MultiPoly:
         q, r = self.divide_rem(divisor)
-        if not r.is_zero():
+        if r:
             raise ArithmeticError("division is not exact")
         return q
 
@@ -418,7 +415,7 @@ def _term_product(ta: Mapping, tb: Mapping) -> dict:
 
 
 def _monic(p: MultiPoly) -> MultiPoly:
-    if p.is_zero():
+    if not p:
         return p
     return p.scale(_quotient(1, p.leading_coefficient()))
 
@@ -443,9 +440,9 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """
     a = MultiPoly._coerce(a)
     b = MultiPoly._coerce(b)
-    if a.is_zero():
+    if not a:
         return _monic(b)
-    if b.is_zero():
+    if not b:
         return _monic(a)
     if len(b.terms) == 1:
         a, b = b, a
@@ -471,11 +468,11 @@ class RatFunc(Frozen):
         den = MultiPoly._coerce(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("RatFunc takes polynomials or rationals")
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
         if len(den.terms) != 1:
             raise ValueError("a RatFunc denominator is a single term")
-        if num.is_zero():
+        if not num:
             num, den = MultiPoly.zero(), MultiPoly.const(1)
         else:
             g = poly_gcd(num, den)
@@ -506,44 +503,32 @@ class RatFunc(Frozen):
 class LaurentT(Frozen):
     """Laurent polynomial in the single variable ``t`` over the rationals.
 
-    Terms map exponents to nonzero coefficients, an ``int`` when
-    integral, else a ``Fraction``.  Ring operations and the monomial
-    builders ``zero``, ``const`` and ``t_power`` build their results with
-    ``_make``.
+    Terms map integer exponents to nonzero coefficients, an ``int`` when
+    integral, else a ``Fraction``.  Every value, from the builders
+    ``zero``, ``const`` and ``t_power`` and from each ring operation, is
+    built through ``__init__``.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, Fraction | int]):
-        summed: dict[int, int | Fraction] = {}
-        for e, c in terms.items():
-            c = _as_coeff(c)
+        for e in terms:
             if not isinstance(e, int):
                 raise TypeError("Laurent exponents are integers")
-            summed[e] = summed.get(e, 0) + c
-        object.__setattr__(self, "terms", _canonical(summed))
-
-    @classmethod
-    def _make(cls, terms: Mapping[int, int | Fraction]) -> LaurentT:
-        """Result of a ring operation: one entry per integer exponent."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "terms", _canonical(terms))
-        return p
+        object.__setattr__(self, "terms", _canonical(terms))
 
     @classmethod
     def zero(cls) -> LaurentT:
-        return cls._make({})
+        return cls({})
 
     @classmethod
     def const(cls, c) -> LaurentT:
-        return cls._make({0: c})
+        return cls({0: c})
 
     @classmethod
     def t_power(cls, k: int, coeff=1) -> LaurentT:
-        """coeff * t^k; ``_make`` rejects the coefficients ``__init__`` rejects."""
-        if not isinstance(k, int):
-            raise TypeError("Laurent exponents are integers")
-        return cls._make({k: coeff})
+        """coeff * t^k."""
+        return cls({k: coeff})
 
     @staticmethod
     def _coerce(x) -> "LaurentT":
@@ -556,9 +541,6 @@ class LaurentT(Frozen):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -566,12 +548,12 @@ class LaurentT(Frozen):
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentT._make(out)
+        return LaurentT(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentT._make({e: -c for e, c in self.terms.items()})
+        return LaurentT({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -581,7 +563,7 @@ class LaurentT(Frozen):
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-        return LaurentT._make(out)
+        return LaurentT(out)
 
     __rmul__ = __mul__
 

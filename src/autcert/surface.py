@@ -271,16 +271,12 @@ def extend_with_conics(config: Configuration) -> Configuration:
 
 
 class IsometryPerm(Frozen):
-    """An involution of the curve labels, optionally acting on markings."""
+    """An involution of the curve labels and its action on markings."""
 
     __slots__ = ("curve_map", "point_map")
 
-    def __init__(
-        self,
-        curve_map: Mapping[str, str],
-        point_map: Mapping[str, str] | None = None,
-    ):
-        self._set(dict(curve_map), None if point_map is None else dict(point_map))
+    def __init__(self, curve_map: Mapping[str, str], point_map: Mapping[str, str]):
+        self._set(dict(curve_map), dict(point_map))
 
     def apply(self, label: str) -> str:
         return self.curve_map[label]
@@ -317,10 +313,9 @@ def epsilon_involution(config: Configuration) -> IsometryPerm:
 def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport:
     """Check that a label involution preserves the intersection table.
 
-    Also checks bijectivity, that the map is its own inverse, and,
-    when a point map is given, that each mapped marking lands on a
-    marking lying on exactly the image curves.  Failures name the
-    offending pair or label.
+    Also checks bijectivity, that the map is its own inverse, and that
+    each pair of the point map takes a marking to a marking lying on
+    exactly the image curves.  Failures name the offending pair or label.
     """
     failures: list[dict] = []
     labels = set(config.labels)
@@ -354,15 +349,12 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
     for a in config.labels:
         if cm[cm[a]] != a:
             failures.append({"kind": "not-an-involution", "label": a})
-    if perm.point_map is not None:
-        for p, q in perm.point_map.items():
-            if p not in config.markings or q not in config.markings:
-                failures.append({"kind": "unknown-marking", "pair": [p, q]})
-                continue
-            if {cm[c] for c in config.markings[p]} != set(config.markings[q]):
-                failures.append(
-                    {"kind": "marking-incidence-not-preserved", "pair": [p, q]}
-                )
+    for p, q in perm.point_map.items():
+        if p not in config.markings or q not in config.markings:
+            failures.append({"kind": "unknown-marking", "pair": [p, q]})
+            continue
+        if {cm[c] for c in config.markings[p]} != set(config.markings[q]):
+            failures.append({"kind": "marking-incidence-not-preserved", "pair": [p, q]})
     return IsometryReport(not failures, tuple(failures), perm.fixed_labels())
 
 
@@ -370,7 +362,7 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
 
 
 def quotient_pushforward(
-    config: Configuration, eps: IsometryPerm, report: IsometryReport | None = None
+    config: Configuration, eps: IsometryPerm, report: IsometryReport
 ) -> Configuration:
     """Configuration of orbit curves on the free quotient.
 
@@ -382,11 +374,9 @@ def quotient_pushforward(
     time.  The division is exact: for an isometric involution with orbits {a, a'}
     and {b, b'} the sum is 2((a.b) + (a.b')).  Markings Qij are pushed
     down from Pij with their coordinates along the section curves.
-    ``report``, when given, is ``verify_isometry(config, eps)`` already run;
-    an involution that fails it, or fixes a curve, raises either way.
+    ``report`` is ``verify_isometry(config, eps)``, run by the caller; an
+    involution that fails it, or fixes a curve, raises.
     """
-    if report is None:
-        report = verify_isometry(config, eps)
     if not report.passed:
         raise ValueError("the involution fails the isometry check")
     if report.fixed_labels:

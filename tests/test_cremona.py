@@ -195,7 +195,7 @@ def test_a_quadric_form_is_homogeneous_of_degree_two_in_x():
     # a diagonal entry of 2M is twice the coefficient of the square
     twice = QuadricForm(a1 * x1 * x1 + 3 * x2 * x4).twice_matrix()
     assert twice[0][0] == 2 * a1 and twice[1][3] == twice[3][1] == 3
-    assert sum(not e.is_zero() for row in twice for e in row) == 3
+    assert sum(bool(e) for row in twice for e in row) == 3
 
 
 # -- specialization and ruling swap -------------------------------------------------------

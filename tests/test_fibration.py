@@ -23,6 +23,7 @@ from autcert.surface import (
     epsilon_involution,
     extend_with_conics,
     quotient_pushforward,
+    verify_isometry,
 )
 
 N1 = FiberDivisor.of(["E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"])
@@ -41,7 +42,8 @@ def x_config():
 
 def z_config():
     ext = x_config()
-    return quotient_pushforward(ext, epsilon_involution(ext))
+    eps = epsilon_involution(ext)
+    return quotient_pushforward(ext, eps, verify_isometry(ext, eps))
 
 
 def synthetic(labels, pairs, diag=None):
@@ -62,16 +64,16 @@ def synthetic(labels, pairs, diag=None):
 
 
 def test_kodaira_type_strings():
-    assert str(KodairaType.I(8)) == "I8"
-    assert str(KodairaType.I_star(0)) == "I0*"
-    assert str(KodairaType.plain("IV*")) == "IV*"
+    assert str(KodairaType("I", 8)) == "I8"
+    assert str(KodairaType("I*", 0)) == "I0*"
+    assert str(KodairaType("IV*")) == "IV*"
 
 
 def test_kodaira_type_validation():
     with pytest.raises(ValueError):
-        KodairaType.I(0)
+        KodairaType("I", 0)
     with pytest.raises(ValueError):
-        KodairaType.I_star(-1)
+        KodairaType("I*", -1)
     with pytest.raises(ValueError):
         KodairaType("V")
     with pytest.raises(ValueError):
@@ -79,27 +81,27 @@ def test_kodaira_type_validation():
 
 
 def test_euler_numbers():
-    assert euler_number(KodairaType.I(8)) == 8
-    assert euler_number(KodairaType.I(1)) == 1
-    assert euler_number(KodairaType.plain("II")) == 2
-    assert euler_number(KodairaType.plain("III")) == 3
-    assert euler_number(KodairaType.plain("IV")) == 4
-    assert euler_number(KodairaType.I_star(0)) == 6
-    assert euler_number(KodairaType.I_star(4)) == 10
-    assert euler_number(KodairaType.plain("IV*")) == 8
-    assert euler_number(KodairaType.plain("III*")) == 9
-    assert euler_number(KodairaType.plain("II*")) == 10
+    assert euler_number(KodairaType("I", 8)) == 8
+    assert euler_number(KodairaType("I", 1)) == 1
+    assert euler_number(KodairaType("II")) == 2
+    assert euler_number(KodairaType("III")) == 3
+    assert euler_number(KodairaType("IV")) == 4
+    assert euler_number(KodairaType("I*", 0)) == 6
+    assert euler_number(KodairaType("I*", 4)) == 10
+    assert euler_number(KodairaType("IV*")) == 8
+    assert euler_number(KodairaType("III*")) == 9
+    assert euler_number(KodairaType("II*")) == 10
 
 
 def test_component_counts():
-    assert component_count(KodairaType.I(8)) == 8
-    assert component_count(KodairaType.plain("II")) == 1
-    assert component_count(KodairaType.plain("III")) == 2
-    assert component_count(KodairaType.plain("IV")) == 3
-    assert component_count(KodairaType.I_star(2)) == 7
-    assert component_count(KodairaType.plain("IV*")) == 7
-    assert component_count(KodairaType.plain("III*")) == 8
-    assert component_count(KodairaType.plain("II*")) == 9
+    assert component_count(KodairaType("I", 8)) == 8
+    assert component_count(KodairaType("II")) == 1
+    assert component_count(KodairaType("III")) == 2
+    assert component_count(KodairaType("IV")) == 3
+    assert component_count(KodairaType("I*", 2)) == 7
+    assert component_count(KodairaType("IV*")) == 7
+    assert component_count(KodairaType("III*")) == 8
+    assert component_count(KodairaType("II*")) == 9
 
 
 # -- validation --------------------------------------------------------------------
@@ -375,10 +377,10 @@ def test_component_cycle_small_and_errors():
 
 
 def test_shioda_tate_examples():
-    assert shioda_tate_rank(18, [KodairaType.I(8), KodairaType.I(8)]) == 2
-    assert shioda_tate_rank(10, [KodairaType.plain("IV*")]) == 2
+    assert shioda_tate_rank(18, [KodairaType("I", 8), KodairaType("I", 8)]) == 2
+    assert shioda_tate_rank(10, [KodairaType("IV*")]) == 2
     assert shioda_tate_rank(2, []) == 0
     with pytest.raises(ValueError, match="exceeding"):
-        shioda_tate_rank(10, [KodairaType.plain("IV*"), KodairaType.plain("IV*")])
+        shioda_tate_rank(10, [KodairaType("IV*"), KodairaType("IV*")])
     with pytest.raises(ValueError, match="exceeding"):
         shioda_tate_rank(1, [])

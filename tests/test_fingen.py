@@ -203,6 +203,25 @@ def test_certificate_chain_is_strict():
         assert stage.next_span.member is True
 
 
+def test_one_failed_stage_fails_the_certificate(monkeypatch):
+    # only stage 1's refutation is forced to find the escape in the span;
+    # every later stage passes, and the certificate must still fail
+    real = fingen.membership
+    calls = []
+
+    def first_refutation_is_a_member(basis, target):
+        calls.append(target)
+        if len(calls) == 1:
+            return fingen.MembershipResult(True, {0: 1})
+        return real(basis, target)
+
+    monkeypatch.setattr(fingen, "membership", first_refutation_is_a_member)
+    cert = certify_nonfg(3)
+    assert [s.refutation.member for s in cert.stages] == [True, False, False]
+    assert all(s.next_span.member for s in cert.stages)
+    assert not cert.passed
+
+
 def test_certificate_json_is_deterministic():
     def certificate_json():
         stage = run_stage("nonfg", PipelineOptions(max_gens=3))

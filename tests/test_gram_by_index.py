@@ -4,7 +4,8 @@
 references below read every entry through ``Configuration.pairing`` and
 ``self_int``, one label pair at a time, and must give the same reports,
 neighbour sets, Grams and errors.  The cycles ``classify_kodaira``
-reads off the neighbour sets are checked through ``pairing`` too.
+reads off the neighbour sets are checked through ``pairing`` too, and
+each component's Gram index through the label tuple.
 """
 
 import random
@@ -47,7 +48,8 @@ def reference_validate(config, fiber):
     adj = {a: {b for b in comps if b != a and config.pairing(a, b)} for a in comps}
     if not is_connected(adj):
         failures.append({"kind": "support-disconnected"})
-    return FiberReport(not failures, tuple(failures), adj)
+    indexed = {lab: (config.labels.index(lab), m) for lab, m in comps.items()}
+    return FiberReport(not failures, tuple(failures), adj, indexed)
 
 
 def orbit(name):
@@ -78,7 +80,7 @@ def outcome(func, *args):
 
 X = extend_with_conics(build_double_kummer())
 EPS = epsilon_involution(X)
-Z = quotient_pushforward(X, EPS)
+Z = quotient_pushforward(X, EPS, verify_isometry(X, EPS))
 
 NAMED = [(X, N1.components), (X, N2.components), (Z, M1.components), (Z, M2.components)]
 
@@ -156,16 +158,17 @@ def test_pushforward_matches_label_keyed_reference_under_every_fault():
         config = X
         for pair in pairs:
             config = with_intersection(config, *pair, 0)
-        if not verify_isometry(config, EPS).passed:
+        report = verify_isometry(config, EPS)
+        if not report.passed:
             expected = ("ValueError", "the involution fails the isometry check")
-            assert outcome(quotient_pushforward, config, EPS) == expected, pairs
+            assert outcome(quotient_pushforward, config, EPS, report) == expected, pairs
             continue
         # for an isometric involution with orbits {a, a'} and {b, b'} the sum
         # is 2((a.b) + (a.b')), so the pushforward's halving is exact
         sums = orbit_sums(config, Z.labels)
         assert all(v % 2 == 0 for row in sums for v in row), pairs
         halved = tuple(tuple(v // 2 for v in row) for row in sums)
-        assert quotient_pushforward(config, EPS).gram == halved, pairs
+        assert quotient_pushforward(config, EPS, report).gram == halved, pairs
         pushed += 1
     # exactly the unfaulted Gram and the equivariant double faults pass:
     # the 52 built as such and the random doubles that happen to be one

@@ -93,7 +93,7 @@ def test_poly_gcd_matches_sympy(a, b, c):
     for p, q in ((a, b), (a * c, b * c)):
         g = poly_gcd(p, q)
         assert same_up_to_scale(g, sympy.gcd(to_sympy(p), to_sympy(q)))
-        assert g.is_zero() or g.leading_coefficient() == 1
+        assert not g or g.leading_coefficient() == 1
 
 
 def matrices(entries):
@@ -407,7 +407,7 @@ def test_span_basis_matches_sympy_at_every_insertion(rows, d, data):
                 assert [sum(c * rows[i][j] for i, c in witness.items()) for j in range(width)] == t
 
 
-divisors = polys(max_vars=2, max_deg=2, max_terms=3).filter(lambda p: not p.is_zero())
+divisors = polys(max_vars=2, max_deg=2, max_terms=3).filter(bool)
 
 
 @seed(20190405)

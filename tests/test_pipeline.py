@@ -18,6 +18,7 @@ from autcert.lattice import gram_rank, signature
 from autcert.pipeline import (
     STAGE_ORDER,
     CertificateReport,
+    Context,
     PipelineOptions,
     StageResult,
     _stringify,
@@ -300,26 +301,35 @@ def test_a_fact_that_raised_is_built_once(monkeypatch):
 
 def test_each_named_fiber_is_validated_and_classified_once(monkeypatch):
     counts: dict = {}
-    for name in ("validate_fiber", "_indexed"):
-        counted(monkeypatch, counts, fibration, name)
+    counted(monkeypatch, counts, fibration, "validate_fiber")
     for module in (pipeline, fibration):
         counted(monkeypatch, counts, module, "classify_kodaira")
     # the pipeline validates a fiber only by classifying it
     assert not hasattr(pipeline, "validate_fiber")
     run_all(PipelineOptions(max_gens=1))
-    # and classifying indexes the components once
-    assert counts == {"validate_fiber": 6, "classify_kodaira": 6, "_indexed": 6}
+    assert counts == {"validate_fiber": 6, "classify_kodaira": 6}
     # a stage run alone classifies only the fibers it reads
     for name, classified in (("dynamics", 1), ("quotient", 0)):
         counts.clear()
         run_stage(name)
-        expected = dict.fromkeys(("validate_fiber", "classify_kodaira", "_indexed"), classified)
+        expected = dict.fromkeys(("validate_fiber", "classify_kodaira"), classified)
         assert {k: counts.get(k, 0) for k in expected} == expected, name
+    # and classifying a fiber looks up each component's Gram index once
+    ctx = Context(PipelineOptions())
+    configs = {name: ctx.z if name.startswith("M") else ctx.x for name in ctx.fibers}
+    lookups = []
+    real = Configuration.index
+    monkeypatch.setattr(
+        Configuration, "index", lambda config, label: lookups.append(label) or real(config, label)
+    )
+    for name, fiber in ctx.fibers.items():
+        lookups.clear()
+        fibration.classify_kodaira(configs[name], fiber)
+        assert sorted(lookups) == list(fiber.labels()), name
 
 
 def test_the_isometry_check_and_each_congruence_run_once_per_run(monkeypatch):
     counts: dict = {}
-    # quotient_pushforward runs the check itself when it is given no report
     for module in (pipeline, surface):
         counted(monkeypatch, counts, module, "verify_isometry")
     counted(monkeypatch, counts, pipeline, "signature")
@@ -531,6 +541,17 @@ def wrong_scaling_power(mp):
     mp.setattr(cremona, "scaling", lambda s: real(s * s * LaurentT.t_power(-2)))
 
 
+def doubled_conjugate_scale(mp):
+    """Each conjugated map keeps its shift t^(-2n) but scales by 2, so it
+    is no translation, while the shifts still meet the generators."""
+    real = pipeline.conjugate_translation
+    mp.setattr(
+        pipeline,
+        "conjugate_translation",
+        lambda n: cremona.AffineMap(LaurentT.const(2), real(n).shift),
+    )
+
+
 @pytest.mark.parametrize(
     "name, patch, failing",
     [
@@ -538,9 +559,13 @@ def wrong_scaling_power(mp):
         ("dynamics", move_p22_and_p2, {DYNAMICS_GLUING}),
         ("dynamics", move_c2_index, {DYNAMICS_SUM, DYNAMICS_SQUARE}),
         ("dynamics", wrong_scaling_power, {DYNAMICS_CONJUGATION}),
+        ("dynamics", doubled_conjugate_scale, {DYNAMICS_CONJUGATION}),
         ("cremona", no_swap_passes, {SWAP_CLAIM}),
     ],
-    ids=["gluing", "gluing-away-from-t", "component-index", "conjugation", "exhausted-search"],
+    ids=[
+        "gluing", "gluing-away-from-t", "component-index", "conjugation",
+        "conjugation-scale", "exhausted-search",
+    ],
 )
 def test_each_touched_check_fails_under_its_own_name(monkeypatch, name, patch, failing):
     claims = [c["claim"] for c in run_stage(name).evidence["checks"]]

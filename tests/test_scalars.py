@@ -44,7 +44,7 @@ def test_zero_coefficients_are_stripped():
     assert p.terms == {(1,): Fraction(1)}
     assert MultiPoly(("x",), {(3,): 0}) == MultiPoly.zero()
     assert not MultiPoly.zero()
-    assert MultiPoly.const(0).is_zero()
+    assert not MultiPoly.const(0)
 
 
 def test_construction_rejects_bad_input():
@@ -116,7 +116,7 @@ def test_ring_results_keep_integral_coefficients_int(a, b, c):
         a + b, a - b, a * b, a * a, a + c, -a + c, a * c,
         a.scale(c), a.substitute({"x": b, "y": c}),
     ]
-    if not b.is_zero():
+    if b:
         results.extend(a.divide_rem(b))
     for r in results:
         assert_canonical(r)
@@ -147,8 +147,6 @@ def test_inexact_coefficients_raise_on_every_construction_path():
     for bad in (0.5, 2.0, True):
         with pytest.raises(TypeError):
             MultiPoly._make(("x",), {(1,): bad})
-        with pytest.raises(TypeError):
-            LaurentT._make({0: bad})
     for bad in (0.5, 2.0, True):
         for build in (
             lambda: MultiPoly(("x",), {(1,): bad}),
@@ -157,6 +155,7 @@ def test_inexact_coefficients_raise_on_every_construction_path():
             lambda: x.scale(bad),
             lambda: x * bad,
             lambda: LaurentT({1: bad}),
+            lambda: LaurentT.const(bad),
             lambda: LaurentT.t_power(1, bad),
             lambda: LaurentT.t_power(1) * bad,
         ):
@@ -228,11 +227,11 @@ def test_exact_div():
 
 @given(polys(), polys())
 def test_divide_rem_reconstructs(a, b):
-    if b.is_zero():
+    if not b:
         return
     q, r = a.divide_rem(b)
     assert q * b + r == a
-    if not r.is_zero():
+    if r:
         # remainder is in normal form: no term divisible by lead(b)
         names, rm, bm = r._aligned(b)
         de = max(bm, key=lambda e: (sum(e), e))
@@ -266,11 +265,11 @@ single_terms = polys(max_vars=2, max_deg=2, max_terms=1)
 @given(polys(max_vars=2, max_deg=2, max_terms=3), single_terms)
 def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
-    if g.is_zero():
-        assert a.is_zero() and b.is_zero()
+    if not g:
+        assert not a and not b
         return
-    assert a.divide_rem(g)[1].is_zero()
-    assert b.divide_rem(g)[1].is_zero()
+    assert not a.divide_rem(g)[1]
+    assert not b.divide_rem(g)[1]
     assert g.leading_coefficient() == 1
 
 
@@ -278,10 +277,10 @@ def test_gcd_divides_both(a, b):
        single_terms,
        polys(max_vars=1, max_deg=2, max_terms=1))
 def test_gcd_common_factor_is_recovered(a, b, c):
-    if c.is_zero():
+    if not c:
         return
     g = poly_gcd(a * c, b * c)
-    if a.is_zero() and b.is_zero():
+    if not a and not b:
         return
     expected = poly_gcd(a, b) * c.scale(Fraction(1) / c.leading_coefficient())
     assert g == expected
@@ -313,7 +312,7 @@ def test_ratfunc_reduction():
 @given(polys(max_vars=1, max_terms=3), polys(max_vars=1, max_terms=1),
        polys(max_vars=1, max_terms=1))
 def test_ratfunc_cancellation(a, b, c):
-    if b.is_zero() or c.is_zero():
+    if not b or not c:
         return
     assert RatFunc(a * c, b * c) == RatFunc(a, b)
 
@@ -343,7 +342,8 @@ def test_laurent_arithmetic():
     a, b = LaurentT.t_power(-2), LaurentT.t_power(0)
     assert a + b == LaurentT({-2: 1, 0: 1})
     assert 3 * a == LaurentT({-2: 3})
-    assert (a + (-1) * a).is_zero()
+    assert not a + (-1) * a
+    assert a + b and not LaurentT.zero()
 
 
 @seed(20191017)

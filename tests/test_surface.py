@@ -117,7 +117,7 @@ def test_extend_rejects_wrong_base():
     with pytest.raises(ValueError):
         extend_with_conics(ext)
     with pytest.raises(ValueError):
-        extend_with_conics(quotient_pushforward(ext, epsilon_involution(ext)))
+        extend_with_conics(quotient_fixture())
     k = build_double_kummer()
     swapped = (k.labels[1], k.labels[0]) + k.labels[2:]
     moved = {**k.markings, "P11": {"E1": fin(2), "C11": None}}
@@ -210,7 +210,7 @@ def test_verify_isometry_rejects_non_permutation():
     x = build_double_kummer()
     cm = {lab: lab for lab in x.labels}
     cm["E1"] = "E2"
-    report = verify_isometry(x, IsometryPerm(cm))
+    report = verify_isometry(x, IsometryPerm(cm, {}))
     assert not report.passed
     assert report.failures[0]["kind"] == "not-a-permutation"
 
@@ -220,7 +220,7 @@ def test_verify_isometry_checks_declared_involution():
         tuple(-2 if i == j else 0 for j in range(3)) for i in range(3)
     )
     cfg = Configuration("X_K3", ("A", "B", "C"), gram)
-    cycle = IsometryPerm({"A": "B", "B": "C", "C": "A"})
+    cycle = IsometryPerm({"A": "B", "B": "C", "C": "A"}, {})
     report = verify_isometry(cfg, cycle)
     assert not report.passed
     assert any(f["kind"] == "not-an-involution" for f in report.failures)
@@ -243,7 +243,8 @@ def test_verify_isometry_checks_marking_incidence():
 
 def quotient_fixture() -> Configuration:
     ext = extend_with_conics(build_double_kummer())
-    return quotient_pushforward(ext, epsilon_involution(ext))
+    eps = epsilon_involution(ext)
+    return quotient_pushforward(ext, eps, verify_isometry(ext, eps))
 
 
 def test_quotient_labels_have_one_spelling():
@@ -297,7 +298,7 @@ def test_quotient_markings():
 def test_quotient_pushforward_is_even():
     ext = extend_with_conics(build_double_kummer())
     eps = epsilon_involution(ext)
-    z = quotient_pushforward(ext, eps)
+    z = quotient_pushforward(ext, eps, verify_isometry(ext, eps))
     orbits = {}
     for lab in ext.labels:
         image = eps.apply(lab)
@@ -327,28 +328,30 @@ def _orbit_members(name: str) -> list[str]:
 
 def test_quotient_requires_free_involution():
     ext = extend_with_conics(build_double_kummer())
+    fixing = IsometryPerm({lab: lab for lab in ext.labels}, {})
     with pytest.raises(ValueError, match="free"):
-        quotient_pushforward(ext, IsometryPerm({lab: lab for lab in ext.labels}))
+        quotient_pushforward(ext, fixing, verify_isometry(ext, fixing))
 
 
 def test_quotient_rejects_broken_isometry():
     ext = extend_with_conics(build_double_kummer())
     bad = with_intersection(ext, "E2", "C32", 0)
+    eps = epsilon_involution(bad)
     with pytest.raises(ValueError, match="isometry"):
-        quotient_pushforward(bad, epsilon_involution(bad))
+        quotient_pushforward(bad, eps, verify_isometry(bad, eps))
 
 
 def test_quotient_takes_a_held_isometry_report_in_place_of_the_check(monkeypatch):
     ext = extend_with_conics(build_double_kummer())
     bad = with_intersection(ext, "E2", "C32", 0)
-    fixing = IsometryPerm({lab: lab for lab in ext.labels})
+    fixing = IsometryPerm({lab: lab for lab in ext.labels}, {})
     cases = [
         (ext, epsilon_involution(ext), None),
         (bad, epsilon_involution(bad), "isometry"),
         (ext, fixing, "free"),
     ]
     held = [(config, eps, verify_isometry(config, eps), match) for config, eps, match in cases]
-    z = quotient_pushforward(ext, epsilon_involution(ext))
+    z = quotient_fixture()
     monkeypatch.setattr(surface, "verify_isometry", None)  # a call would raise TypeError
     for config, eps, report, match in held:
         if match is None:

@@ -22,9 +22,9 @@ from autcert.cremona import (
 from autcert.fibration import FiberDivisor, KodairaType, classify_kodaira, validate_fiber
 from autcert.fingen import MembershipResult, certify_nonfg
 from autcert.lattice import RootType
-from autcert.mwl import HeightContext, ModInt, SectionData, SmoothLocusAut
+from autcert.mwl import ModInt, SectionData
 from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
-from autcert.scalars import INFINITY, LaurentT, MultiPoly, ProjValue, RatFunc
+from autcert.scalars import INFINITY, MultiPoly, ProjValue, RatFunc
 from autcert.surface import (
     BlowupLedger,
     build_double_kummer,
@@ -58,7 +58,8 @@ def x_config():
 
 def z_config():
     x = x_config()
-    return quotient_pushforward(x, epsilon_involution(x))
+    eps = epsilon_involution(x)
+    return quotient_pushforward(x, eps, verify_isometry(x, eps))
 
 
 def n1():
@@ -73,14 +74,12 @@ VALUES = {
     "SwapReport": (lambda: verify_pij_swap((9, 2, 2)), True),
     "AffineMap": (lambda: conjugate_translation(2), True),
     "ModInt": (lambda: ModInt(11, 8), True),
-    "HeightContext": (lambda: HeightContext(2, (("N1", KodairaType.I(8)),), "C21"), True),
     "SectionData": (lambda: SectionData("P", 0, {"M2": ModInt(0, 3)}), False),
-    "SmoothLocusAut": (lambda: SmoothLocusAut(LaurentT.t_power(1), ModInt(4, 8)), True),
     "RootType": (lambda: RootType("A", 2), True),
     "MembershipResult": (lambda: MembershipResult(True, {0: 1}), False),
     "EscapeStage": (lambda: certify_nonfg(2).stages[1], False),
     "NonFGCertificate": (lambda: certify_nonfg(2), False),
-    "KodairaType": (lambda: KodairaType.plain("IV*"), True),
+    "KodairaType": (lambda: KodairaType("IV*"), True),
     "FiberDivisor": (n1, False),
     "FiberReport": (lambda: validate_fiber(x_config(), n1()), False),
     "FiberClass": (lambda: classify_kodaira(x_config(), n1()), True),
@@ -118,7 +117,7 @@ def test_value_type_contract(name):
 
 
 @pytest.mark.parametrize(
-    "leaf", [ModInt(4, 8), KodairaType.I(8), KodairaType.plain("IV*"), RootType("A", 2)], ids=str
+    "leaf", [ModInt(4, 8), KodairaType("I", 8), KodairaType("IV*"), RootType("A", 2)], ids=str
 )
 def test_leaf_values_are_written_by_their_str(leaf):
     assert not isinstance(leaf, tuple)
