@@ -34,7 +34,7 @@ for i in (1, 2, 3, 4):
 
 # At rational parameter values the two rulings are defined over the
 # rationals and the involution swaps them, moving all 12 marked points.
-for report in find_swap_specializations(seed=0):
+for report in find_swap_specializations(0, tau):
     alpha = ", ".join(report.alpha)
     print(f"alpha ({alpha}) passes:", report.passed, "swaps:", report.swaps_checked)
 

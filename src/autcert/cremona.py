@@ -30,8 +30,16 @@ lines meet where the side pairing of their vectors vanishes, at a point
 read off 3x3 minors, and each discriminant is reported divided by the
 square factor 4*D^2*c^4 that the integer basis introduces.  The map is
 evaluated as a product of integer powers from each component's exponent
-row.  det M is det(2M)/16, the same pairing of the row pairs of 2M over
-``MultiPoly``, with 2M read off the quadric's polynomial.
+row.
+
+The generic checks work on the data the types hold.  Each component of
+the map is read once into an exponent row over a1..a3, x1..x4; the rows
+give the map's degree and common factor, and ``pullback`` composes the
+map with a polynomial, one monomial per term, which gives q(map) and
+map(map) for the exact divisions.  The quadric is built from its term
+dict, and det M is det(2M)/16, the same pairing of the row pairs of 2M
+on the entries' term dicts over the parameter names, with 2M read off
+the quadric's polynomial.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
@@ -43,28 +51,31 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .scalars import (
     Frozen,
     LaurentT,
     MultiPoly,
-    poly_gcd,
+    _term_product,
     rational_sqrt,
 )
 
 A_VARS = ("a1", "a2", "a3")
 X_VARS = ("x1", "x2", "x3", "x4")
-_NAMES = X_VARS + A_VARS
+_NAMES = A_VARS + X_VARS  # sorted, the order of every exponent row here
 
 
-def _mono(names: Sequence[str]) -> MultiPoly:
-    return MultiPoly.monomial(tuple(names), (1,) * len(names), 1)
+def _row(*names: str) -> tuple[int, ...]:
+    """The exponent row over a1..a3, x1..x4 of the product of the named variables."""
+    return tuple(int(v in names) for v in _NAMES)
 
 
 class RationalMapP3(Frozen):
     """Four monomials of a common degree in x1..x4, with no common factor,
-    each also read once into an exponent row over x1..x4, a1..a3 for ``apply``."""
+    each also read once into an exponent row over a1..a3, x1..x4, which
+    ``apply`` and ``pullback`` work on."""
 
     __slots__ = ("components", "_rows")
 
@@ -72,50 +83,63 @@ class RationalMapP3(Frozen):
         comps = tuple(components)
         if len(comps) != 4:
             raise ValueError("a map of P3 has four components")
-        degrees = set()
+        if not all(c.is_homogeneous_in(X_VARS) for c in comps):
+            raise ValueError("components must be homogeneous in x1..x4")
+        # each component's first term, its only one once the monomial check
+        # passes, as (exponent row, coefficient); zero is a zero row
+        rows = []
         for c in comps:
-            if not c.is_homogeneous_in(X_VARS):
-                raise ValueError("components must be homogeneous in x1..x4")
-            if c:
-                degrees.add(c.degree_in(X_VARS))
-        if len(degrees) != 1:
+            e, k = next(iter(c.terms.items()), ((), 0))
+            exps = dict(zip(c.vars, e))
+            rows.append((tuple(exps.get(v, 0) for v in _NAMES), k))
+        if len({sum(row[3:]) for row, k in rows if k}) != 1:
             raise ValueError("components must share one degree")
         if any(len(c.terms) > 1 or not set(c.vars) <= set(_NAMES) for c in comps):
             raise ValueError("components must be monomials in x1..x4, a1..a3")
-        g = MultiPoly.const(0)
-        for c in comps:
-            g = poly_gcd(g, c)
-        if g.degree_in(_NAMES) > 0:
+        # a variable in every nonzero component divides them all
+        if any(all(row[i] for row, k in rows if k) for i in range(len(_NAMES))):
             raise ValueError("components share a polynomial factor")
-        # each component's one term as (exponent row, coefficient); zero is a zero row
-        rows = tuple(next(iter(c._lift(_NAMES).items()), ((0,) * len(_NAMES), 0)) for c in comps)
-        self._set(comps, rows)
+        self._set(comps, tuple(rows))
 
-    def substituted(self, other: "RationalMapP3") -> tuple[MultiPoly, ...]:
-        """Raw composition self(other), without clearing common factors."""
-        assignment = dict(zip(X_VARS, other.components))
-        return tuple(c.substitute(assignment) for c in self.components)
+    def pullback(self, p: MultiPoly) -> MultiPoly:
+        """p with x1..x4 replaced by the components, for p in x1..x4, a1..a3.
+
+        Each term of p goes to one monomial: its exponent row is the
+        term's a-part plus each component's row times the term's exponent
+        of that x, and its coefficient takes each component's coefficient
+        to that power.  One ``MultiPoly`` is built at the end.
+        """
+        if not set(p.vars) <= set(_NAMES):
+            raise ValueError("pullback takes a polynomial in x1..x4, a1..a3")
+        out: dict[tuple, int | Fraction] = {}
+        for e, c in p._lift(_NAMES).items():
+            exps = e[:3] + (0,) * 4
+            for (row, k), n in zip(self._rows, e[3:]):
+                if n:
+                    c *= k**n
+                    exps = tuple(a + n * b for a, b in zip(exps, row))
+            out[exps] = out.get(exps, 0) + c
+        return MultiPoly._make(_NAMES, out)
 
     def apply(self, point: Sequence, alpha: Sequence | None = None) -> tuple:
         """Evaluate at a point, with parameter values when the components use them."""
-        if alpha is None and any(any(row[4:]) for row, _ in self._rows):
+        if alpha is None and any(any(row[:3]) for row, _ in self._rows):
             raise ValueError("the components need values of a1..a3")
         x1, x2, x3, x4 = point
         a1, a2, a3 = (0, 0, 0) if alpha is None else alpha
-        values = (x1, x2, x3, x4, a1, a2, a3)
+        values = (a1, a2, a3, x1, x2, x3, x4)
         return tuple([math.prod(map(pow, values, row), start=c) for row, c in self._rows])
 
 
 def cremona_map() -> RationalMapP3:
     """The cleared form [a1*x2*x3*x4 : a2*x1*x3*x4 : a3*x1*x2*x4 : a1*a2*a3*x1*x2*x3]."""
-    return RationalMapP3(
-        (
-            _mono(("a1", "x2", "x3", "x4")),
-            _mono(("a2", "x1", "x3", "x4")),
-            _mono(("a3", "x1", "x2", "x4")),
-            _mono(("a1", "a2", "a3", "x1", "x2", "x3")),
-        )
+    names = (
+        ("a1", "x2", "x3", "x4"),
+        ("a2", "x1", "x3", "x4"),
+        ("a3", "x1", "x2", "x4"),
+        ("a1", "a2", "a3", "x1", "x2", "x3"),
     )
+    return RationalMapP3(tuple(MultiPoly._make(_NAMES, {_row(*n): 1}) for n in names))
 
 
 class QuadricForm(Frozen):
@@ -131,14 +155,12 @@ class QuadricForm(Frozen):
 
     @staticmethod
     def standard() -> "QuadricForm":
-        p = (
-            _mono(("a1", "x2", "x3"))
-            + _mono(("a2", "x1", "x3"))
-            + _mono(("a3", "x1", "x2"))
-            + (MultiPoly.var("x1") + MultiPoly.var("x2") + MultiPoly.var("x3"))
-            * MultiPoly.var("x4")
+        """a1*x2*x3 + a2*x1*x3 + a3*x1*x2 + (x1 + x2 + x3)*x4, from its six terms."""
+        terms = (
+            ("a1", "x2", "x3"), ("a2", "x1", "x3"), ("a3", "x1", "x2"),
+            ("x1", "x4"), ("x2", "x4"), ("x3", "x4"),
         )
-        return QuadricForm(p)
+        return QuadricForm(MultiPoly._make(_NAMES, {_row(*t): 1 for t in terms}))
 
     def twice_matrix(self) -> tuple[tuple[MultiPoly, ...], ...]:
         """2M for the symmetric M with x^T M x the quadric, read off ``poly``:
@@ -168,14 +190,30 @@ class QuadricForm(Frozen):
 
     def determinant(self) -> MultiPoly:
         """det M = det(2M)/16: the side pairing of the Plücker vectors of
-        rows 0, 1 and rows 2, 3 of 2M."""
-        n = self.twice_matrix()
-        return _side(_plucker(n[0], n[1]), _plucker(n[2], n[3])).scale(Fraction(1, 16))
+        rows 0, 1 and rows 2, 3 of 2M, on the entries' term dicts over the
+        parameter names, one ``_term_product`` per product."""
+        params = tuple(v for v in self.poly.vars if v not in X_VARS)
+        n = [[x._lift(params) for x in row] for row in self.twice_matrix()]
+        p, q = (
+            [_pairing((1, a[i], b[j]), (-1, a[j], b[i])) for i, j in combinations(range(4), 2)]
+            for a, b in (n[:2], n[2:])
+        )
+        det = _pairing(*zip((1, -1, 1, 1, -1, 1), p, reversed(q)))
+        return MultiPoly._make(params, {e: Fraction(c, 16) for e, c in det.items()})
+
+
+def _pairing(*signed) -> dict:
+    """The sum of s*x*y over (s, x, y), x and y term dicts of one variable order."""
+    out: dict = {}
+    for s, x, y in signed:
+        for e, c in _term_product(x, y).items():
+            out[e] = out.get(e, 0) + s * c
+    return out
 
 
 def preserves_quadric(map_: RationalMapP3, q: MultiPoly) -> MultiPoly | dict:
     """Exact cofactor c with q(map) = c * q, or a failure record with the remainder."""
-    composed = q.substitute(dict(zip(X_VARS, map_.components)))
+    composed = map_.pullback(q)
     cofactor, rem = composed.divide_rem(q)
     if rem:
         return {
@@ -188,7 +226,7 @@ def preserves_quadric(map_: RationalMapP3, q: MultiPoly) -> MultiPoly | dict:
 
 def involution_cofactor(map_: RationalMapP3) -> MultiPoly | dict:
     """Exact cofactor c with map(map) = c * identity, or a failure record."""
-    raw = map_.substituted(map_)
+    raw = [map_.pullback(c) for c in map_.components]
     cofactor, rem = raw[0].divide_rem(MultiPoly.var("x1"))
     if rem:
         return {
@@ -304,7 +342,7 @@ def _line_meet(p, line):
     return 2, None
 
 
-def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapReport:
+def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     """Reconstruct the two rulings at a parameter specialization and
     confirm the involution exchanges p_ij with p_ji.
 
@@ -322,10 +360,11 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     basis W = N[i][c]*e_f - N[i][f]*e_c (f not c or i), whose integer
     discriminant is reported divided by 4*D^2*N[i][c]^4: the one over
     the rational basis W/N[i][c].  Ruling directions are
-    (-B +- r)*W1 + 2*A*W2.  The map ``tau`` (default ``cremona_map()``)
-    is evaluated over ``int`` at the D-scaled parameters, from its
-    exponent rows, each component times the powers of D its degree in
-    a1..a3 lacks: the same projective point.  A swap is cross-multiplied
+    (-B +- r)*W1 + 2*A*W2, with r the ``int`` root of the discriminant.
+    The map ``tau`` is evaluated over ``int`` at the D-scaled parameters,
+    from its exponent rows, each component times the powers of D its
+    degree in a1..a3 lacks: the same projective point.  No polynomial
+    or term dict is built here.  A swap is cross-multiplied
     proportionality: the image and p_ji span no line, all Plücker
     coordinates 0.  Side pairings
     of the lines' Plücker vectors, one each, sort and check the rulings
@@ -371,7 +410,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
         # A is -2*a1*a2*a3 at e1..e3 and -2*D^2*a3 at e4, with the a_k
         # scaled by D, so it is never 0 and neither direction vanishes
         d1, d2 = (
-            _primitive([(s * int(root) - B) * x + 2 * A * y for x, y in zip(w1, w2)])
+            _primitive([(s * root - B) * x + 2 * A * y for x, y in zip(w1, w2)])
             for s in (1, -1)
         )
         off = [d for d in (d1, d2) if _quad(m, d, d) != 0]
@@ -433,9 +472,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
                 continue
             points[(i, j)] = point
 
-    if tau is None:
-        tau = cremona_map()
-    degrees = [sum(row[4:]) for row, _ in tau._rows]
+    degrees = [sum(row[:3]) for row, _ in tau._rows]
     lift = [D ** (max(degrees) - e) for e in degrees]
     swaps = 0
     for (i, j), p in points.items():
@@ -473,9 +510,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3 | None = None) -> SwapRe
     )
 
 
-def find_swap_specializations(
-    seed: int = 0, tau: RationalMapP3 | None = None
-) -> list[SwapReport]:
+def find_swap_specializations(seed: int, tau: RationalMapP3) -> list[SwapReport]:
     """Seeded search for three parameter triples with rational rulings.
 
     Draws up to 5000 triples of integers in 1..12 and returns the
@@ -490,11 +525,9 @@ def find_swap_specializations(
     nonzero rational square and det M = Delta/16, so a skipped triple is
     one the check rejects, as degenerate-quadric when Delta = 0 and as
     irrational-ruling otherwise: the screen changes no returned report.
-    Every check uses the map ``tau``, by default ``cremona_map()``.
+    Every check uses the map ``tau``.
     """
     rng = random.Random(seed)
-    if tau is None:
-        tau = cremona_map()
     found: list[SwapReport] = []
     seen: set[tuple[int, int, int]] = set()
     for _ in range(5000):

@@ -70,10 +70,10 @@ class SectionData(Frozen):
 
     __slots__ = ("name", "dot_zero", "components")
 
-    def __init__(self, name: str, dot_zero: int, components: Mapping[str, ModInt] | None = None):
+    def __init__(self, name: str, dot_zero: int, components: Mapping[str, ModInt]):
         if not isinstance(dot_zero, int) or dot_zero < 0:
             raise ValueError(f"bad intersection number {dot_zero!r}")
-        self._set(name, dot_zero, dict(components or {}))
+        self._set(name, dot_zero, dict(components))
 
 
 def height(chi: int, fibers: Sequence[tuple[str, KodairaType]], P: SectionData) -> Fraction:
@@ -85,7 +85,7 @@ def height(chi: int, fibers: Sequence[tuple[str, KodairaType]], P: SectionData) 
     have, want = sorted(P.components), sorted(fid for fid, _ in fibers)
     if have != want:
         raise ValueError(
-            f"section {P.name} lists components for {have}, context has {want}"
+            f"section {P.name} lists components for {have}, the fibers given are {want}"
         )
     total = Fraction(2 * chi + 2 * P.dot_zero)
     for fid, kt in fibers:

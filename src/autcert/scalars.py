@@ -186,13 +186,6 @@ class MultiPoly(Frozen):
     def is_constant(self) -> bool:
         return not self.vars
 
-    def degree_in(self, names: Iterable[str]) -> int:
-        """Largest combined exponent of the named variables in any term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        idx = [i for i, v in enumerate(self.vars) if v in set(names)]
-        return max(sum(e[i] for i in idx) for e in self.terms)
-
     def is_homogeneous_in(self, names: Iterable[str]) -> bool:
         idx = [i for i, v in enumerate(self.vars) if v in set(names)]
         degs = {sum(e[i] for i in idx) for e in self.terms}
@@ -414,12 +407,6 @@ def _term_product(ta: Mapping, tb: Mapping) -> dict:
 # -- gcd ---------------------------------------------------------------
 
 
-def _monic(p: MultiPoly) -> MultiPoly:
-    if not p:
-        return p
-    return p.scale(_quotient(1, p.leading_coefficient()))
-
-
 def _monomial_gcd(mono: MultiPoly, p: MultiPoly) -> MultiPoly:
     """gcd of a single term and a nonzero polynomial: the monic monomial
     of the least exponent of each variable over all terms."""
@@ -440,10 +427,9 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """
     a = MultiPoly._coerce(a)
     b = MultiPoly._coerce(b)
-    if not a:
-        return _monic(b)
-    if not b:
-        return _monic(a)
+    if not a or not b:
+        p = a or b  # the other argument, made monic; zero when both are
+        return p.scale(_quotient(1, p.leading_coefficient())) if p else p
     if len(b.terms) == 1:
         a, b = b, a
     if len(a.terms) != 1:
@@ -630,8 +616,12 @@ INFINITY = ProjValue(None)
 # -- square roots ----------------------------------------------------------
 
 
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None when no rational root exists."""
+def rational_sqrt(x: int | Fraction) -> int | Fraction | None:
+    """Exact square root of a rational, or None when no rational root exists;
+    a nonnegative ``int`` takes ``isqrt`` and has an ``int`` root."""
+    if type(x) is int and x >= 0:
+        root = isqrt(x)
+        return root if root * root == x else None
     x = _as_coeff(x)
     if x < 0:
         return None

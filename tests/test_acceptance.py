@@ -101,9 +101,9 @@ def test_criterion_2_cremona(announce):
     _, det = matrix_rank_det([list(r) for r in q.twice_matrix()])
     ok = ok and bool(det)
 
-    reports = find_swap_specializations(seed=0)
+    reports = find_swap_specializations(0, tau)
     ok = ok and len({r.alpha for r in reports}) >= 3
-    ok = ok and all(verify_pij_swap(r.alpha).passed for r in reports)
+    ok = ok and all(verify_pij_swap(r.alpha, tau).passed for r in reports)
     announce(2, "cremona", ok)
 
 

@@ -7,10 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from autcert import cremona, pipeline
 from autcert.cremona import (
+    A_VARS,
+    X_VARS,
     AffineMap,
     QuadricForm,
     RationalMapP3,
@@ -42,6 +45,7 @@ def linear_map(*names: str) -> RationalMapP3:
 
 
 T = LaurentT.t_power(1)
+TAU = cremona_map()
 
 
 def quadric_matrix():
@@ -110,6 +114,26 @@ def test_contraction_check_reads_exponents(monkeypatch):
     assert calls == []
 
 
+def test_cremona_stage_composes_on_exponent_rows(monkeypatch):
+    # q(tau) and tau(tau) come from pullback, never from substitute
+    def refuse(self, assignment):
+        raise AssertionError("substitute entered")
+
+    monkeypatch.setattr(MultiPoly, "substitute", refuse)
+    assert pipeline.run_stage("cremona").status == "pass"
+
+
+def test_pullback_of_a_zero_component_and_of_a_foreign_variable():
+    x1, x2, x3, x4 = (MultiPoly.var(f"x{k}") for k in range(1, 5))
+    a1 = MultiPoly.var("a1")
+    tau = RationalMapP3((MultiPoly.zero(), x2 * x3, a1 * x1 * x3, x1 * x2))
+    # a term with x1 goes to 0; x2*x4 goes to x2*x3*x1*x2
+    assert tau.pullback(3 * x1 * x2 + a1 * x2 * x4) == a1 * x1 * x2 * x2 * x3
+    assert tau.pullback(MultiPoly.const(Fraction(1, 2))) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="x1..x4, a1..a3"):
+        tau.pullback(x1 * MultiPoly.var("b"))
+
+
 def test_contraction_records_of_a_zero_component_and_two_survivors():
     x1, x2, x3, x4 = (MultiPoly.var(f"x{k}") for k in range(1, 5))
     a1 = MultiPoly.var("a1")
@@ -163,13 +187,36 @@ def test_quadric_determinant_is_the_bareiss_determinant():
     assert not hasattr(pipeline, "matrix_rank_det")
 
 
+A1, A2, A3 = map(MultiPoly.var, A_VARS)
+# coefficients of the drawn quadrics: zero, integral, fractional, one or more terms
+QUADRIC_COEFFS = (
+    0, 0, 1, -2, Fraction(1, 2), A1, A2 - 3, 2 * A1 * A3 + Fraction(1, 3), A3 * A3 - A1
+)
+
+
+@st.composite
+def quadric_forms(draw):
+    """A quadric in x1..x4 whose coefficients are polynomials in a1..a3."""
+    xs = [MultiPoly.var(v) for v in X_VARS]
+    p = MultiPoly.zero()
+    for i, j in itertools.combinations_with_replacement(range(4), 2):
+        p = p + draw(st.sampled_from(QUADRIC_COEFFS)) * xs[i] * xs[j]
+    return QuadricForm(p)
+
+
+@given(quadric_forms())
+def test_determinant_is_a_sixteenth_of_the_bareiss_determinant(q):
+    _, det = matrix_rank_det([list(row) for row in q.twice_matrix()])
+    assert 16 * q.determinant() == det
+
+
 def test_cofactor_multiplicative_under_composition():
     # q(f.g) = (c_f composed with g) * c_g * q, checked on tau with itself
     tau = cremona_map()
     q = QuadricForm.standard().poly
     c_tau = preserves_quadric(tau, q)
-    raw = q.substitute(dict(zip(("x1", "x2", "x3", "x4"), tau.substituted(tau))))
-    lifted = c_tau.substitute(dict(zip(("x1", "x2", "x3", "x4"), tau.components)))
+    raw = q.substitute(dict(zip(("x1", "x2", "x3", "x4"), map(tau.pullback, tau.components))))
+    lifted = tau.pullback(c_tau)
     assert raw == lifted * c_tau * q
 
 
@@ -179,6 +226,10 @@ def test_map_validation():
         RationalMapP3((x[0], x[1], x[2], x[3] * x[3]))
     with pytest.raises(ValueError, match="polynomial factor"):
         RationalMapP3((x[0] * x[0], x[0] * x[1], x[0] * x[2], x[0] * x[3]))
+    # a parameter can be the common factor, and a zero component has none
+    a1 = MultiPoly.var("a1")
+    with pytest.raises(ValueError, match="polynomial factor"):
+        RationalMapP3((a1 * x[0], a1 * x[1], MultiPoly.zero(), 2 * a1 * x[3]))
     with pytest.raises(ValueError, match="homogeneous"):
         RationalMapP3((x[0] + MultiPoly.const(1), x[1], x[2], x[3]))
     # a monomial may carry the parameters a1..a3, but no other variable
@@ -202,7 +253,7 @@ def test_a_quadric_form_is_homogeneous_of_degree_two_in_x():
 
 
 def test_swap_at_9_2_2():
-    report = verify_pij_swap((9, 2, 2))
+    report = verify_pij_swap((9, 2, 2), TAU)
     assert report.passed
     assert report.swaps_checked == 12
     assert report.discriminants == ("9/4", "9/4", "9/4", "9")
@@ -211,20 +262,20 @@ def test_swap_at_9_2_2():
 
 def test_swap_at_permutations_of_9_2_2():
     for alpha in ((2, 9, 2), (2, 2, 9)):
-        assert verify_pij_swap(alpha).passed
+        assert verify_pij_swap(alpha, TAU).passed
 
 
 def test_swap_irrational_without_extension():
-    report = verify_pij_swap((1, 1, 1))
+    report = verify_pij_swap((1, 1, 1), TAU)
     assert not report.passed
     assert all(f["kind"] == "irrational-ruling" for f in report.failures)
 
 
 def test_swap_rejects_degenerate_parameters():
     with pytest.raises(ValueError, match="nonzero"):
-        verify_pij_swap((0, 1, 1))
+        verify_pij_swap((0, 1, 1), TAU)
     # a1 = 4, a2 = a3 = 1 makes the discriminant zero: degenerate quadric
-    report = verify_pij_swap((4, 1, 1))
+    report = verify_pij_swap((4, 1, 1), TAU)
     assert not report.passed
     assert report.failures[0]["kind"] == "degenerate-quadric"
 
@@ -232,7 +283,7 @@ def test_swap_rejects_degenerate_parameters():
 def test_swap_reports_ruling_errors_as_failures(monkeypatch):
     # a wrong square root puts the ruling directions off the quadric
     monkeypatch.setattr(cremona, "rational_sqrt", lambda x: rational_sqrt(x) + 1)
-    report = verify_pij_swap((9, 2, 2))
+    report = verify_pij_swap((9, 2, 2), TAU)
     assert not report.passed
     assert {f["kind"] for f in report.failures} == {"ruling-off-quadric"}
     monkeypatch.undo()
@@ -245,7 +296,7 @@ def test_swap_reports_ruling_errors_as_failures(monkeypatch):
         return dim, point and tuple(x + 1 for x in point)
 
     monkeypatch.setattr(cremona, "_line_meet", displaced)
-    report = verify_pij_swap((9, 2, 2))
+    report = verify_pij_swap((9, 2, 2), TAU)
     assert not report.passed
     assert {f["kind"] for f in report.failures} == {"intersection-off-quadric"}
 
@@ -277,7 +328,7 @@ SWAP_FAULTS = {
 def test_each_ruling_failure_kind_is_reached(monkeypatch, kind):
     name, make = SWAP_FAULTS[kind]
     monkeypatch.setattr(cremona, name, make())
-    report = verify_pij_swap((9, 2, 2))
+    report = verify_pij_swap((9, 2, 2), TAU)
     assert report.passed is False
     assert kind in {f["kind"] for f in report.failures}
 
@@ -293,7 +344,7 @@ def test_a_point_without_its_partner_fails_by_its_own_record(monkeypatch):
         return (0, None) if len(calls) == 4 else line_meet(p, line)
 
     monkeypatch.setattr(cremona, "_line_meet", miss_p21)
-    report = verify_pij_swap((9, 2, 2))
+    report = verify_pij_swap((9, 2, 2), TAU)
     assert report.failures == ({"kind": "cross-ruling-miss", "pair": [2, 1]},)
     assert report.swaps_checked == 10
     assert report.passed is False
@@ -301,7 +352,7 @@ def test_a_point_without_its_partner_fails_by_its_own_record(monkeypatch):
 
 def test_a_vanishing_image_is_a_failure(monkeypatch):
     monkeypatch.setattr(RationalMapP3, "apply", lambda self, point, alpha=None: (0, 0, 0, 0))
-    report = verify_pij_swap((9, 2, 2))
+    report = verify_pij_swap((9, 2, 2), TAU)
     assert report.passed is False
     assert report.swaps_checked == 0
     assert [f["kind"] for f in report.failures] == ["image-vanishes"] * 12
@@ -318,18 +369,18 @@ def test_each_ruling_line_has_one_plucker_vector(monkeypatch):
         return plucker(a, b)
 
     monkeypatch.setattr(cremona, "_plucker", counting)
-    assert verify_pij_swap((9, 2, 2)).passed
+    assert verify_pij_swap((9, 2, 2), TAU).passed
     assert len(calls) == 22
 
 
 def test_find_swap_specializations_deterministic():
-    found = find_swap_specializations(seed=0)
-    assert found == find_swap_specializations(seed=0)
+    found = find_swap_specializations(0, TAU)
+    assert found == find_swap_specializations(0, TAU)
     assert len(found) == 3
     assert len({r.alpha for r in found}) == 3
     for report in found:
         assert report.passed
-        assert verify_pij_swap(report.alpha) == report
+        assert verify_pij_swap(report.alpha, TAU) == report
 
 
 # The seeded search's samples for pipeline seeds 0-11: each alpha with
@@ -401,7 +452,7 @@ SWAP_SAMPLES = {
 
 @pytest.mark.parametrize("seed", sorted(SWAP_SAMPLES))
 def test_swap_samples_match_the_recorded_table(seed):
-    found = find_swap_specializations(seed)
+    found = find_swap_specializations(seed, TAU)
     expected = [(tuple(map(str, a)), discs) for a, discs in SWAP_SAMPLES[seed]]
     assert [(r.alpha, r.discriminants) for r in found] == expected
     assert all(r.passed and r.swaps_checked == 12 and not r.failures for r in found)
@@ -413,7 +464,7 @@ def test_every_square_delta_triple_passes_with_rescaled_discriminants():
         d = delta(triple)
         if not is_positive_square(d):
             continue
-        report = verify_pij_swap(triple)
+        report = verify_pij_swap(triple, TAU)
         assert report.passed and report.swaps_checked == 12, triple
         _, a2, a3 = triple
         expected = (Fraction(d, a3 * a3), Fraction(d, a3 * a3), Fraction(d, a2 * a2), d)
@@ -429,7 +480,7 @@ def test_every_triple_fails_only_as_irrational_or_degenerate():
     kinds = set()
     passing = 0
     for triple in itertools.product(range(1, 13), repeat=3):
-        report = verify_pij_swap(triple)
+        report = verify_pij_swap(triple, TAU)
         passing += report.passed
         kinds.update(f["kind"] for f in report.failures)
     assert kinds == {"irrational-ruling", "degenerate-quadric"}
@@ -448,7 +499,7 @@ def test_every_swap_record_in_the_box_matches_its_pinned_digest():
 
 @pytest.mark.parametrize("alpha", [(9, 2, 2), (Fraction(9, 2), 1, 1)])
 def test_swap_checks_the_map_it_is_given(alpha):
-    assert verify_pij_swap(alpha, cremona_map()) == verify_pij_swap(alpha)
+    assert verify_pij_swap(alpha, TAU).passed
     # the identity fixes p_ij instead of sending it to p_ji
     report = verify_pij_swap(alpha, linear_map("x1", "x2", "x3", "x4"))
     assert not report.passed and report.swaps_checked == 0
@@ -466,7 +517,7 @@ def test_swap_checks_the_map_it_is_given(alpha):
 def test_rational_parameters_pass_with_rescaled_discriminants(triple):
     # the integer form clears the parameters' denominators; the reported
     # discriminants are still Delta over (a3^2, a3^2, a2^2, 1)
-    report = verify_pij_swap(triple)
+    report = verify_pij_swap(triple, TAU)
     a1, a2, a3 = map(Fraction, triple)
     d = a1 * a1 + a2 * a2 + a3 * a3 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)
     assert report.passed and report.swaps_checked == 12
@@ -528,7 +579,7 @@ def test_delta_screen_skips_only_triples_that_fail(seed):
     # the unscreened search: the full check on every distinct draw
     passed = []
     for triple in distinct_draws(seed):
-        report = verify_pij_swap(triple)
+        report = verify_pij_swap(triple, TAU)
         if not is_positive_square(delta(triple)):
             assert not report.passed, triple
             kind = "degenerate-quadric" if delta(triple) == 0 else "irrational-ruling"
@@ -537,7 +588,7 @@ def test_delta_screen_skips_only_triples_that_fail(seed):
             passed.append(report)
             if len(passed) == 3:
                 break
-    assert find_swap_specializations(seed) == passed
+    assert find_swap_specializations(seed, TAU) == passed
 
 
 def test_cremona_stage_verifies_only_triples_with_a_square_delta(monkeypatch):

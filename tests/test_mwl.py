@@ -105,7 +105,7 @@ def test_narrow_iv_star_generator_height():
 
 
 def test_height_requires_matching_fibers():
-    message = r"lists components for \['N1'\], context has \['N1', 'N1eps'\]"
+    message = r"lists components for \['N1'\], the fibers given are \['N1', 'N1eps'\]"
     with pytest.raises(ValueError, match=message):
         height(2, TWO_I8, SectionData("P", 0, {"N1": ModInt(0, 8)}))
     with pytest.raises(ValueError, match="Z/8"):
@@ -128,10 +128,10 @@ def test_height_matches_pairing_with_itself(chi, dot_zero, n, i):
 
 def test_context_validation():
     # a fiber listed twice would subtract its correction twice
-    with pytest.raises(ValueError, match=r"context has \['A', 'A'\]"):
+    with pytest.raises(ValueError, match=r"the fibers given are \['A', 'A'\]"):
         height(2, (("A", I8), ("A", I8)), SectionData("P", 0, {"A": ModInt(4, 8)}))
     with pytest.raises(ValueError, match="bad intersection number"):
-        SectionData("P", -1)
+        SectionData("P", -1, {})
 
 
 # -- section data from the configuration ----------------------------------------------------

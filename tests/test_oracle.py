@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 
 import pytest
 
@@ -228,6 +228,42 @@ def test_map_apply_matches_sympy_evaluation(point, alpha):
                 tau.apply(point)
         else:
             assert tau.apply(point) == theirs
+
+
+nonzero_coeffs = st.one_of(int_entries.filter(bool), small_fractions.filter(bool))
+
+
+@st.composite
+def monomial_maps(draw):
+    """Four monomials with one x-degree, nonzero coefficients and no common factor."""
+    degree = draw(st.integers(0, 3))
+    rows = []
+    for _ in range(4):
+        xs = draw(st.lists(st.integers(0, 3), min_size=degree, max_size=degree))
+        row = tuple(draw(st.integers(0, 2)) for _ in A_VARS) + tuple(map(xs.count, range(4)))
+        rows.append(row)
+    assume(not any(all(col) for col in zip(*rows)))
+    names = A_VARS + X_VARS
+    return RationalMapP3(tuple(MultiPoly(names, {row: draw(nonzero_coeffs)}) for row in rows))
+
+
+@st.composite
+def polys_in_x_and_a(draw):
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 7), small_fractions, max_size=4))
+    return MultiPoly(A_VARS + X_VARS, terms)
+
+
+@seed(20190420)
+@oracle
+@given(monomial_maps(), polys_in_x_and_a())
+def test_pullback_matches_substitute_and_sympy(tau, p):
+    # the composition on exponent rows against the general substitution
+    # and against sympy's simultaneous subs
+    got = tau.pullback(p)
+    assert got == p.substitute(dict(zip(X_VARS, tau.components)))
+    values = {sympy.Symbol(v): to_sympy(c) for v, c in zip(X_VARS, tau.components)}
+    theirs = sympy.expand(to_sympy(p).subs(values, simultaneous=True))
+    assert sympy.expand(to_sympy(got) - theirs) == 0
 
 
 substituted_values = st.one_of(
@@ -624,6 +660,6 @@ def test_swap_discriminants_are_delta_times_squares():
     assert squares == [1 / a3**2, 1 / a3**2, 1 / a2**2, 1]
     # the same discriminants as the exact check reports at a point
     point = dict(zip(a, (9, 2, 2)))
-    assert verify_pij_swap((9, 2, 2)).discriminants == tuple(
+    assert verify_pij_swap((9, 2, 2), cremona_map()).discriminants == tuple(
         str(d.subs(point)) for d in discs
     )

@@ -183,8 +183,6 @@ def test_leading_term_is_graded_lex():
 
 def test_degrees_and_homogeneity():
     p = x * x * y + z
-    assert p.degree_in(["x"]) == 2
-    assert p.degree_in(["x", "y"]) == 3
     assert not p.is_homogeneous_in(["x", "y", "z"])
     q = x * x * y + x * y * z
     assert q.is_homogeneous_in(["x", "y", "z"])
@@ -392,6 +390,16 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-4)) is None
     assert rational_sqrt(Fraction(49, 64)) == Fraction(7, 8)
+    # a Fraction keeps the Fraction path, integral or not
+    assert type(rational_sqrt(Fraction(4))) is Fraction
+
+
+def test_rational_sqrt_of_an_int_is_an_int():
+    for n in (0, 1, 4, 9, 144, (10**40 + 7) ** 2):
+        root = rational_sqrt(n)
+        assert type(root) is int and root * root == n and root >= 0
+    for n in (2, 3, 8, 99, 10**40 + 7, -1, -4, -(10**40)):
+        assert rational_sqrt(n) is None
 
 
 # -- exact linear algebra -----------------------------------------------------

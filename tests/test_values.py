@@ -71,7 +71,7 @@ def n1():
 VALUES = {
     "RationalMapP3": (cremona_map, True),
     "QuadricForm": (QuadricForm.standard, True),
-    "SwapReport": (lambda: verify_pij_swap((9, 2, 2)), True),
+    "SwapReport": (lambda: verify_pij_swap((9, 2, 2), cremona_map()), True),
     "AffineMap": (lambda: conjugate_translation(2), True),
     "ModInt": (lambda: ModInt(11, 8), True),
     "SectionData": (lambda: SectionData("P", 0, {"M2": ModInt(0, 3)}), False),

@@ -37,6 +37,10 @@ BENCH = "bound or called by bench/run.py install"
 GUARD = "immutability guard"
 DUNDER = "__hash__ or __repr__ of a value type"
 ENTRY = "main_entry: the console script's wrapper around main"
+RING = (
+    "additive ring operation of MultiPoly, which the demos and tests build "
+    "polynomials with; the cremona checks sum on term dicts, so no run adds two"
+)
 GCD = (
     "SpanBasis.insert's extended-gcd branch for two generators sharing a pivot, "
     "which the escape chain never takes; general input to the bench-bound "
@@ -55,9 +59,13 @@ ALLOWED = {
     "scalars.Frozen.__setattr__": GUARD,
     "scalars.LaurentT.__hash__": DUNDER,
     "scalars.LaurentT.__repr__": DUNDER,
+    "scalars.MultiPoly.__add__": RING,
     "scalars.MultiPoly.__hash__": DUNDER,
+    "scalars.MultiPoly.__neg__": RING,
     "scalars.MultiPoly.__repr__": DUNDER,
+    "scalars.MultiPoly.__sub__": RING,
     "scalars.MultiPoly.is_constant": BENCH + " (its poly_gcd hook)",
+    "scalars.MultiPoly.substitute": BENCH,
     "scalars.ProjValue.__repr__": DUNDER,
     "scalars.RatFunc.__repr__": DUNDER,
     "scalars._exact_quot": BENCH + " (matrix_rank_det's integer division)",
