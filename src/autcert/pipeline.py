@@ -180,17 +180,19 @@ class CertificateReport(Frozen):
 def _stringify(obj):
     """Copy a payload with every numeric or exotic leaf turned into its string.
 
-    Dicts stay dicts and other collections become lists; anything else,
-    a value type included, is a leaf written by its own ``str``.  A
+    Dicts stay dicts, lists and tuples become lists, and a set raises
+    ``TypeError``, since its hash order must not reach a report; anything
+    else, a value type included, is a leaf written by its own ``str``.  A
     record writes itself instead, as ``PipelineOptions.to_record`` does.
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, frozenset, set)):
-        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
-        return [_stringify(v) for v in items]
+    if isinstance(obj, (list, tuple)):
+        return [_stringify(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        raise TypeError(f"a report cannot hold a {type(obj).__name__}: it has no fixed order")
     return str(obj)
 
 

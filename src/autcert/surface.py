@@ -2,15 +2,16 @@
 
 The objects here are finite labeled sets of rational curves on a
 surface together with their integer intersection table and a few named
-points.  Three constructions are provided: the 24-curve double Kummer
-pencil configuration on a K3 surface (two quadruples of sections and
-the sixteen exceptional curves), its extension by four more rational
-curves meeting the diagonal part of the grid, and the quotient
-configuration on the Enriques surface obtained from the free
-involution that swaps the two pencils.  A blow-up ledger tracks the
-exceptional classes, and twice the canonical class, of the quotient
-blown up at its marked point Q32 and then at three points of that
-exceptional curve.
+points.  One table, built once at import, holds the 28 curves of the K3
+construction with their checked Gram, the 36 marked points and the free
+involution that swaps the two pencils.  Three configurations are read
+from it: the 24-curve double Kummer pencil configuration (two
+quadruples of sections and the sixteen exceptional curves), all 28
+curves with the four rational curves meeting the diagonal of the grid,
+and the quotient configuration on the Enriques surface.  A blow-up
+ledger tracks the exceptional classes, and twice the canonical class,
+of the quotient blown up at its marked point Q32 and then at three
+points of that exceptional curve.
 
 Everything is exact and everything is checkable: intersection numbers
 are integers, coordinates of marked points are elements of Q(t, s) or
@@ -44,36 +45,75 @@ PENCIL_U = (
 )
 
 
-def _pencil_swap():
-    """The pencil swap, written out once over the 28 curve labels.
+def _construction():
+    """The 28 curves, their Gram, the 36 marked points and the pencil swap.
 
-    Each curve label maps to its image under the swap (Ei <-> Fi,
-    Cij <-> Cji for i != j, Cii <-> Ci) and to the class of its orbit on
-    the quotient (Hi, Dii, and D<max><min> for the off-diagonal pairs,
-    the one spelling of each class).  Each marked point Pij, P'ij
-    (i != j) and Pi maps to its image (Pij -> P'ji, P'ij -> Pji,
-    Pii <-> Pi), and each Pij to the marking Qij it pushes down to.
+    Curves, in order: sections E1..E4 and F1..F4 of the two genus-one
+    pencils, the sixteen exceptional curves C11..C44 of the double
+    Kummer grid, and the four extra rational curves C1..C4, all of
+    self-intersection -2.  Cij meets Ej and Fi once each.  Ci meets Ei
+    and Fi once, misses its own Cii, and meets each other diagonal Cjj
+    twice; these diagonal values are forced by constancy of the pencil
+    fiber classes 2Fk + sum_j Ckj, since pairing any curve with a fiber
+    class is independent of the chosen fiber.  No other distinct pair
+    meets.
+
+    Marked points, each a read-only curve -> coordinate view shared by
+    every build: Pij = Ej . Cij with x = 1, t, infinity, 0 as i = 1..4
+    and P'ij = Fi . Cij with u = 1, s, infinity, 0 as j = 1..4,
+    interleaved by (i, j), then Pi = Ci . Fi with u = t for i = 2 only.
+
+    The pencil swap maps each curve to its image (Ei <-> Fi, Cij <-> Cji
+    for i != j, Cii <-> Ci) and to the class of its orbit on the
+    quotient (Hi, Dii, and D<max><min> for the off-diagonal pairs, the
+    one spelling of each class); each marked point Pij, P'ij (i != j)
+    and Pi to its image (Pij -> P'ji, P'ij -> Pji, Pii <-> Pi); and each
+    Pij to the marking Qij it pushes down to.
     """
-    image, klass, point_image, pushed = {}, {}, {}, {}
-    for i in "1234":
+    labels = [f"{x}{i}" for x in "EF" for i in range(1, 5)]
+    labels += [f"C{i}{j}" for i in range(1, 5) for j in range(1, 5)]
+    labels += [f"C{i}" for i in range(1, 5)]
+    pos = {lab: k for k, lab in enumerate(labels)}
+    gram = [[-2 * (a == b) for b in labels] for a in labels]
+
+    def meet(a, b, v=1):
+        gram[pos[a]][pos[b]] = gram[pos[b]][pos[a]] = v
+
+    image, klass, points, point_image, pushed = {}, {}, {}, {}, {}
+    for i in range(1, 5):
         image[f"E{i}"], image[f"F{i}"] = f"F{i}", f"E{i}"
         klass[f"E{i}"] = klass[f"F{i}"] = f"H{i}"
         image[f"C{i}"], klass[f"C{i}"] = f"C{i}{i}", f"D{i}{i}"
         point_image[f"P{i}"] = f"P{i}{i}"
-        for j in "1234":
-            hi, lo = max(i, j), min(i, j)
-            image[f"C{i}{j}"] = f"C{i}" if i == j else f"C{j}{i}"
-            klass[f"C{i}{j}"] = f"D{hi}{lo}"
+        meet(f"C{i}", f"E{i}")
+        meet(f"C{i}", f"F{i}")
+        for j in range(1, 5):
+            c = f"C{i}{j}"
+            meet(c, f"E{j}")
+            meet(c, f"F{i}")
+            image[c] = f"C{i}" if i == j else f"C{j}{i}"
+            klass[c] = f"D{max(i, j)}{min(i, j)}"
+            points[f"P{i}{j}"] = {f"E{j}": PENCIL_X[i - 1], c: None}
+            points[f"P'{i}{j}"] = {f"F{i}": PENCIL_U[j - 1], c: None}
             pushed[f"P{i}{j}"] = f"Q{i}{j}"
             if i == j:
                 point_image[f"P{i}{i}"] = f"P{i}"
             else:
+                meet(f"C{i}", f"C{j}{j}", 2)
                 point_image[f"P{i}{j}"] = f"P'{j}{i}"
                 point_image[f"P'{i}{j}"] = f"P{j}{i}"
-    return image, klass, point_image, pushed
+    for i in range(1, 5):
+        points[f"P{i}"] = {f"F{i}": PENCIL_X[1] if i == 2 else None, f"C{i}": None}
+    points = {p: MappingProxyType(on) for p, on in points.items()}
+    return tuple(labels), Gram(gram), points, image, klass, point_image, pushed
 
 
-_EPSILON, QUOTIENT_CLASS, _POINT_EPSILON, _PUSHED_MARKING = _pencil_swap()
+(_LABELS, _GRAM, _POINTS, _EPSILON, QUOTIENT_CLASS, _POINT_EPSILON, _PUSHED_MARKING) = (
+    _construction()
+)
+_KUMMER_LABELS = _LABELS[:24]
+_KUMMER_GRAM = Gram([row[:24] for row in _GRAM[:24]])
+_KUMMER_POINTS = dict(list(_POINTS.items())[:32])
 
 
 def is_curve_label(label: str) -> bool:
@@ -174,47 +214,12 @@ def with_intersection(config: Configuration, a: str, b: str, value: int) -> Conf
 # -- the K3 configurations -----------------------------------------------------
 
 
-def _double_kummer_tables():
-    """Labels, Gram rows and marked points (label -> curve -> coordinate) of the grid."""
-    labels = (
-        [f"E{j}" for j in range(1, 5)]
-        + [f"F{i}" for i in range(1, 5)]
-        + [f"C{i}{j}" for i in range(1, 5) for j in range(1, 5)]
-    )
-    pos = {lab: k for k, lab in enumerate(labels)}
-    n = len(labels)
-    gram = [[0] * n for _ in range(n)]
-    for lab in labels:
-        gram[pos[lab]][pos[lab]] = -2
-
-    def set_pair(a, b, v):
-        gram[pos[a]][pos[b]] = gram[pos[b]][pos[a]] = v
-
-    for i in range(1, 5):
-        for j in range(1, 5):
-            set_pair(f"E{j}", f"C{i}{j}", 1)
-            set_pair(f"F{i}", f"C{i}{j}", 1)
-
-    points = {}  # every build shares each point's map, so it is a read-only view
-    for i in range(1, 5):
-        for j in range(1, 5):
-            points[f"P{i}{j}"] = MappingProxyType({f"E{j}": PENCIL_X[i - 1], f"C{i}{j}": None})
-            points[f"P'{i}{j}"] = MappingProxyType({f"F{i}": PENCIL_U[j - 1], f"C{i}{j}": None})
-    return tuple(labels), Gram(gram), points
-
-
-_KUMMER_LABELS, _KUMMER_GRAM, _KUMMER_POINTS = _double_kummer_tables()
-
-
 def build_double_kummer() -> Configuration:
     """The 24-curve double Kummer pencil configuration.
 
-    Curves: sections E1..E4 and F1..F4 of the two genus-one pencils
-    and the sixteen exceptional curves C11..C44; all of self-intersection
-    -2.  Cij meets exactly Ej and Fi, once each; no other distinct pair
-    meets.  Marked points: Pij = Ej . Cij with affine coordinate
-    x = 1, t, infinity, 0 as i = 1..4, and P'ij = Fi . Cij with
-    u = 1, s, infinity, 0 as j = 1..4.
+    The leading 24 curves of the construction table, E1..E4, F1..F4 and
+    C11..C44, with their Gram block and their 32 marked points Pij and
+    P'ij.
     """
     return Configuration("X_K3", _KUMMER_LABELS, _KUMMER_GRAM, _KUMMER_POINTS)
 
@@ -222,13 +227,9 @@ def build_double_kummer() -> Configuration:
 def extend_with_conics(config: Configuration) -> Configuration:
     """Adjoin the four extra rational curves C1..C4 to the grid.
 
-    Ci meets Ei and Fi once, is disjoint from the other sections and
-    from every off-diagonal Ckj, misses its own Cii, and meets each
-    other diagonal curve Cjj twice.  The pairings against the diagonal
-    are forced by constancy of the pencil fiber classes
-    2Fk + sum_j Ckj: pairing any curve with a fiber class is
-    independent of the chosen fiber.  One marked point per curve:
-    Pi = Ci . Fi, with the coordinate u = t recorded for i = 2 only.
+    ``config`` must equal the 24-curve double Kummer configuration; the
+    result is the whole construction table, all 28 curves with their
+    one stored Gram and all 36 marked points, P1..P4 included.
     """
     if (
         config.tag != "X_K3"
@@ -237,34 +238,7 @@ def extend_with_conics(config: Configuration) -> Configuration:
         or config.markings != _KUMMER_POINTS
     ):
         raise ValueError("expected the 24-curve double Kummer configuration")
-    labels = list(config.labels) + [f"C{i}" for i in range(1, 5)]
-    pos = {lab: k for k, lab in enumerate(labels)}
-    n = len(labels)
-    gram = [[0] * n for _ in range(n)]
-    for i, row in enumerate(config.gram):
-        for j, v in enumerate(row):
-            gram[i][j] = v
-
-    def set_pair(a, b, v):
-        gram[pos[a]][pos[b]] = gram[pos[b]][pos[a]] = v
-
-    for i in range(1, 5):
-        ci = f"C{i}"
-        gram[pos[ci]][pos[ci]] = -2
-        set_pair(ci, f"E{i}", 1)
-        set_pair(ci, f"F{i}", 1)
-        for j in range(1, 5):
-            if j != i:
-                set_pair(ci, f"C{j}{j}", 2)
-
-    markings = dict(config.markings)
-    for i in range(1, 5):
-        p = f"P{i}"
-        markings[p] = {f"F{i}": PENCIL_X[1] if i == 2 else None, f"C{i}": None}
-
-    return Configuration(
-        "X_K3", tuple(labels), tuple(tuple(r) for r in gram), markings
-    )
+    return Configuration("X_K3", _LABELS, _GRAM, _POINTS)
 
 
 # -- isometries -----------------------------------------------------------------

@@ -472,6 +472,10 @@ def test_root_type_validation():
         RootType("E", 9)
     with pytest.raises(ValueError):
         RootType("B", 2)
+    with pytest.raises(ValueError):
+        RootType("A", 0)
+    with pytest.raises(ValueError):
+        RootType("B", 6)
     assert str(RootType("E", 6)) == "E6"
 
 

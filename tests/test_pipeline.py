@@ -208,6 +208,13 @@ def test_stringify_keeps_booleans_in_integer_tuples():
     assert _stringify((1, True)) == ["1", True]
 
 
+def test_stringify_refuses_a_set():
+    # a set has no order of its own for a report to keep
+    for unordered in ({"E1", "F1"}, frozenset({1, 2}), {"x": [set()]}):
+        with pytest.raises(TypeError, match="set"):
+            _stringify(unordered)
+
+
 def test_report_is_deterministic():
     options = PipelineOptions(max_gens=2, seed=0)
     assert run_all(options).to_json() == run_all(options).to_json()
@@ -245,12 +252,22 @@ FAULT_PAIRS = [
 FAULT_SAMPLE = FAULT_PAIRS[::4]
 
 
+def test_the_28_curves_share_the_construction_tables_one_gram():
+    # every build reads the one Gram stored at import; the 24 Kummer
+    # curves are its leading block
+    k = build_double_kummer()
+    x = extend_with_conics(k)
+    assert x.gram is surface._GRAM
+    assert [row[:24] for row in x.gram[:24]] == list(k.gram)
+    assert len(FAULT_PAIRS) == 52
+
+
 @pytest.mark.parametrize("pair", FAULT_SAMPLE, ids=",".join)
 def test_injected_fault_fails_without_raising(pair):
     options = PipelineOptions(max_gens=1, corrupt_pair=pair)
     report = run_all(options)
     assert report.verdict == "fail"
-    for name in ("config", "quotient", "fibrations", "lattice", "canonical"):
+    for name in ("config", "quotient", "fibrations", "lattice", "heights", "canonical"):
         assert report.stages[STAGE_ORDER.index(name)].status == "fail", name
     for k, name in enumerate(STAGE_ORDER):
         assert run_stage(name, options).to_json_dict() == report.stages[k].to_json_dict()

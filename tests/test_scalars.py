@@ -390,6 +390,8 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-4)) is None
     assert rational_sqrt(Fraction(49, 64)) == Fraction(7, 8)
+    # a square numerator over a non-square denominator has no root
+    assert rational_sqrt(Fraction(4, 3)) is None
     # a Fraction keeps the Fraction path, integral or not
     assert type(rational_sqrt(Fraction(4))) is Fraction
 
