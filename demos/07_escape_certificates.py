@@ -24,17 +24,17 @@ from autcert.scalars import LaurentT
 gens = shift_generators(3)
 print("generators:", [translation_str(g) for g in gens])
 
-# Membership in their integer span is decided with a witness, by an
-# echelon basis that grows one generator at a time...
+# Membership of a term dict in their integer span is decided with a
+# witness, by an echelon basis that grows one generator at a time...
 basis = SpanBasis(g.terms for g in gens)
-inside = membership(basis, 3 * gens[0] + (-2) * gens[1])
+inside = membership(basis, (3 * gens[0] + (-2) * gens[1]).terms)
 print("member:", inside.member, "witness:", inside.witness)
 
 # ...and the next shift in the family is refused.  Its exponent is the
 # one the certificate records for the stage of these three generators.
 stage = certify_nonfg(max_k=3).stages[-1]
 escape = LaurentT.t_power(-2 * stage.escape_exponent)
-outside = membership(basis, escape)
+outside = membership(basis, escape.terms)
 print("escape:", translation_str(escape), "member:", outside.member)
 
 # The full certificate packages one escape per stage, each re-verified.

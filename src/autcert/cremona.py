@@ -52,7 +52,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .scalars import (
     Frozen,
@@ -75,7 +75,7 @@ def _row(*names: str) -> tuple[int, ...]:
 class RationalMapP3(Frozen):
     """Four monomials of a common degree in x1..x4, with no common factor,
     each also read once into an exponent row over a1..a3, x1..x4, which
-    ``apply`` and ``pullback`` work on."""
+    ``specialize`` and ``pullback`` work on."""
 
     __slots__ = ("components", "_rows")
 
@@ -121,14 +121,18 @@ class RationalMapP3(Frozen):
             out[exps] = out.get(exps, 0) + c
         return MultiPoly._make(_NAMES, out)
 
-    def apply(self, point: Sequence, alpha: Sequence | None = None) -> tuple:
-        """Evaluate at a point, with parameter values when the components use them."""
+    def specialize(self, alpha: Sequence | None, scale: int) -> Callable:
+        """The map at fixed parameters, as an evaluator of points: each component's
+        coefficient, a-part and ``scale`` to the a1..a3 degree it lacks are one constant."""
         if alpha is None and any(any(row[:3]) for row, _ in self._rows):
             raise ValueError("the components need values of a1..a3")
-        x1, x2, x3, x4 = point
-        a1, a2, a3 = (0, 0, 0) if alpha is None else alpha
-        values = (a1, a2, a3, x1, x2, x3, x4)
-        return tuple([math.prod(map(pow, values, row), start=c) for row, c in self._rows])
+        a = (0, 0, 0) if alpha is None else alpha
+        top = max(sum(row[:3]) for row, _ in self._rows)
+        parts = [
+            (math.prod(map(pow, a, row[:3]), start=k) * scale ** (top - sum(row[:3])), row[3:])
+            for row, k in self._rows
+        ]
+        return lambda point: tuple([math.prod(map(pow, point, xs), start=c) for c, xs in parts])
 
 
 def cremona_map() -> RationalMapP3:
@@ -361,9 +365,9 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     discriminant is reported divided by 4*D^2*N[i][c]^4: the one over
     the rational basis W/N[i][c].  Ruling directions are
     (-B +- r)*W1 + 2*A*W2, with r the ``int`` root of the discriminant.
-    The map ``tau`` is evaluated over ``int`` at the D-scaled parameters,
-    from its exponent rows, each component times the powers of D its
-    degree in a1..a3 lacks: the same projective point.  No polynomial
+    The map ``tau`` is specialized once per triple, over ``int`` at the
+    D-scaled parameters, each component times the powers of D its degree
+    in a1..a3 lacks: the same projective point.  No polynomial
     or term dict is built here.  A swap is cross-multiplied
     proportionality: the image and p_ji span no line, all Plücker
     coordinates 0.  Side pairings
@@ -472,14 +476,13 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
                 continue
             points[(i, j)] = point
 
-    degrees = [sum(row[:3]) for row, _ in tau._rows]
-    lift = [D ** (max(degrees) - e) for e in degrees]
+    at = tau.specialize((a1, a2, a3), D)
     swaps = 0
     for (i, j), p in points.items():
         q = points.get((j, i))
         if q is None:
             continue
-        image = tuple(v * s for v, s in zip(tau.apply(p, (a1, a2, a3)), lift))
+        image = at(p)
         if not any(image):
             failures.append({"kind": "image-vanishes", "pair": [i, j]})
             continue

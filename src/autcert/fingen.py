@@ -18,8 +18,9 @@ the first k generators, inserts generator k, and confirms the escape;
 the support bound is a running minimum over the inserted generators.
 Each found witness is re-verified on its own: the terms of the stored
 generators, not of the echelon rows that found it, are summed with the
-witness coefficients into one sparse dict, and the result must equal
-the target.
+witness coefficients into one sparse dict, whose canonical form must
+equal the target's term dict.  The escape t^(-2N) is the term dict
+{-2N: 1}, and its text is written from N; no ``LaurentT`` is built for it.
 The certificate stores each fact once: the t-exponents of the
 generators, and per stage the support bound, the escape exponent and a
 sparse next-span witness.  The integer matrices are unit vectors
@@ -34,7 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .lattice import SpanBasis
-from .scalars import LaurentT
+from .scalars import LaurentT, _canonical
 
 
 def translation_str(c: LaurentT) -> str:
@@ -61,23 +62,23 @@ class MembershipResult(NamedTuple):
         return {"member": self.member, "witness": witness}
 
 
-def membership(basis: SpanBasis, target: LaurentT) -> MembershipResult:
-    """Integer-span membership of target in the span of the basis generators.
+def membership(basis: SpanBasis, target: dict) -> MembershipResult:
+    """Integer-span membership of a term dict in the span of the basis generators.
 
-    The basis holds the generators' Laurent terms, exponent -> ``int``
-    coefficient (a ``Fraction`` only where it is not integral), and
-    solves over them directly; a found witness is re-verified by one
-    sparse sum of w * generator over its terms, compared with the target
-    as a canonical ``LaurentT``.
+    Generators and target are Laurent terms, exponent -> ``int``
+    coefficient (a ``Fraction`` only where it is not integral; another
+    type raises ``TypeError``).  A found witness is re-verified by one
+    sparse sum of w * generator over its terms, whose canonical form
+    must equal the target: a target with a zero entry is never a member.
     """
-    witness = basis.solve(target.terms)
+    witness = basis.solve(target)
     if witness is None:
         return MembershipResult(False, None)
     combo: dict = {}
     for i, w in witness.items():
         for e, c in basis.generators[i].items():
             combo[e] = combo.get(e, 0) + w * c
-    if LaurentT(combo) != target:
+    if _canonical(combo) != target:
         raise ArithmeticError("membership witness failed re-verification")
     return MembershipResult(True, witness)
 
@@ -189,13 +190,13 @@ def certify_nonfg(max_k: int) -> NonFGCertificate:
     passed = True
     for k in range(1, max_k + 1):
         n = _escape_below(bound)
-        escape = LaurentT.t_power(-2 * n)
+        escape = {-2 * n: 1}
         refutation = membership(basis, escape)
         basis.insert(shifts[k].terms)
         next_span = membership(basis, escape)
         passed = passed and n == k and not refutation.member and next_span.member
         stages.append(
-            EscapeStage(k, bound, translation_str(escape), n, refutation, next_span)
+            EscapeStage(k, bound, f"(t^{-2 * n})*a", n, refutation, next_span)
         )
         bound = min(bound, exponents[k])
     return NonFGCertificate(

@@ -174,7 +174,10 @@ class CertificateReport(Frozen):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        # a report is a tree built here, so no cycle guard; a cycle still raises RecursionError
+        return json.dumps(
+            self.to_json_dict(), sort_keys=True, separators=(",", ":"), check_circular=False
+        ) + "\n"
 
 
 def _stringify(obj):

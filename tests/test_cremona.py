@@ -351,7 +351,9 @@ def test_a_point_without_its_partner_fails_by_its_own_record(monkeypatch):
 
 
 def test_a_vanishing_image_is_a_failure(monkeypatch):
-    monkeypatch.setattr(RationalMapP3, "apply", lambda self, point, alpha=None: (0, 0, 0, 0))
+    monkeypatch.setattr(
+        RationalMapP3, "specialize", lambda self, alpha, scale: lambda point: (0, 0, 0, 0)
+    )
     report = verify_pij_swap((9, 2, 2), TAU)
     assert report.passed is False
     assert report.swaps_checked == 0

@@ -221,13 +221,18 @@ def test_map_apply_matches_sympy_evaluation(point, alpha):
     for tau in (cremona_map(), _parameter_free_map()):
         values = {sympy.Symbol(v): c for v, c in zip(X_VARS + A_VARS, point + alpha)}
         theirs = tuple(to_sympy(c).subs(values) for c in tau.components)
-        assert tau.apply(point, alpha) == theirs
+        assert tau.specialize(alpha, 1)(point) == theirs
+        # at 3*alpha with scale 3, each component gains 3 to the top a-degree
+        a_syms = sympy.symbols(A_VARS)
+        top = max(sum(sympy.degree(to_sympy(c), a) for a in a_syms) for c in tau.components)
+        scaled = tuple(3 * a for a in alpha)
+        assert tau.specialize(scaled, 3)(point) == tuple(3**top * v for v in theirs)
         uses_alpha = any(set(c.vars) & set(A_VARS) for c in tau.components)
         if uses_alpha:
             with pytest.raises(ValueError):
-                tau.apply(point)
+                tau.specialize(None, 1)
         else:
-            assert tau.apply(point) == theirs
+            assert tau.specialize(None, 1)(point) == theirs
 
 
 nonzero_coeffs = st.one_of(int_entries.filter(bool), small_fractions.filter(bool))

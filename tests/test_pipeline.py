@@ -130,21 +130,27 @@ def test_reports_are_canonical_compact_json(sample_reports):
 
 
 def test_default_report_sha256_is_the_regression_anchor(sample_reports):
-    """The default report's bytes, and two deeper nonfg reports', are pinned by sha256.
+    """The default report's bytes, and three deeper nonfg reports', are pinned by sha256.
 
     The K = 12 certificate has two-digit exponents and witness indices;
-    the K = 80 one is the report of the benchmark's ``nonfg_deep`` op.  A
-    deliberate change of the report format updates these values and
-    records the new ones in CHANGES.md.
+    the K = 80 one is the report of the benchmark's ``nonfg_deep`` op,
+    and the K = 1000 one has four-digit exponents.  A deliberate change
+    of the report format updates these values and records the new ones
+    in CHANGES.md.
     """
     default_report, _, deep = sample_reports
-    options = PipelineOptions(max_gens=80)
-    deep80 = CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
+
+    def nonfg_report(max_gens):
+        options = PipelineOptions(max_gens=max_gens)
+        return CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
+
+    deep80 = nonfg_report(80)
     assert len(deep80.to_json().encode("utf-8")) == 16048
     pinned = [
         (default_report, "69c60ce95531a47a60d9492619af192867c78280c34650ccfd9726375a3127bc"),
         (deep, "7b76aab4eebc90267655b3b68fbab82885b6a31b5e5f9b8789975929ed8a62dd"),
         (deep80, "ae132f22542f2727bcee9382a50f7d1a92bdd3c2fc1793372b50a894cc58836b"),
+        (nonfg_report(1000), "f7670d8d5995b91c284c3440d978eea6e7bbd2799964f6685ebe95254eda6753"),
     ]
     for report, expected in pinned:
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
