@@ -20,14 +20,15 @@ from autcert.pipeline import PipelineOptions, run_stage
 from autcert.scalars import LaurentT
 
 # The generators of the k-th subgroup in the chain, here k = 3.  A
-# translation is its Laurent coefficient c; the report writes it (c)*a.
+# translation is the term dict of its Laurent coefficient c; wrapped as
+# a LaurentT it adds and scales, and the report writes it (c)*a.
 gens = shift_generators(3)
-print("generators:", [translation_str(g) for g in gens])
+print("generators:", [translation_str(LaurentT(g)) for g in gens])
 
 # Membership of a term dict in their integer span is decided with a
 # witness, by an echelon basis that grows one generator at a time...
-basis = SpanBasis(g.terms for g in gens)
-inside = membership(basis, (3 * gens[0] + (-2) * gens[1]).terms)
+basis = SpanBasis(gens)
+inside = membership(basis, (3 * LaurentT(gens[0]) + (-2) * LaurentT(gens[1])).terms)
 print("member:", inside.member, "witness:", inside.witness)
 
 # ...and the next shift in the family is refused.  Its exponent is the

@@ -273,8 +273,6 @@ class SwapReport(NamedTuple):
     alpha: tuple[str, str, str]
     passed: bool
     discriminants: tuple[str, ...] = ()
-    family_a: tuple[str, ...] = ()
-    family_b: tuple[str, ...] = ()
     swaps_checked: int = 0
     failures: tuple[dict, ...] = ()
 
@@ -499,18 +497,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
                 }
             )
 
-    def line_str(line):
-        return "span(" + ", ".join(f"[{':'.join(map(str, v))}]" for v in line[:2]) + ")"
-
-    return SwapReport(
-        alpha_str,
-        not failures,
-        tuple(discs),
-        tuple(line_str(ruling_a[i]) for i in range(1, 5)),
-        tuple(line_str(ruling_b[i]) for i in range(1, 5)),
-        swaps,
-        tuple(failures),
-    )
+    return SwapReport(alpha_str, not failures, tuple(discs), swaps, tuple(failures))
 
 
 def find_swap_specializations(seed: int, tau: RationalMapP3) -> list[SwapReport]:

@@ -2,8 +2,8 @@
 
 The group under study is abelian: translations z -> z + c*a where the
 coefficient c ranges over Laurent polynomials in t.  A translation is
-handled as its coefficient, a ``LaurentT``, and written as ``(c)*a``
-only for the report.  Its elements are integer combinations of any
+handled as its coefficient's term dict and written as ``(c)*a`` only
+for the report.  Its elements are integer combinations of any
 chosen generators, so subgroup membership is an exact lattice problem
 over the union of the Laurent supports.  The certificate exhibits, for
 each k, the generator set {t^0*a, t^-2*a, ..., t^(-2(k-1))*a} together
@@ -19,8 +19,10 @@ the support bound is a running minimum over the inserted generators.
 Each found witness is re-verified on its own: the terms of the stored
 generators, not of the echelon rows that found it, are summed with the
 witness coefficients into one sparse dict, whose canonical form must
-equal the target's term dict.  The escape t^(-2N) is the term dict
-{-2N: 1}, and its text is written from N; no ``LaurentT`` is built for it.
+equal the target's term dict.  The shifts t^(-2n) are the term dicts
+{-2n: 1} and the escape t^(-2N) is {-2N: 1}, its text written from N:
+the chain builds no ``LaurentT``.  A caller that wants Laurent
+arithmetic wraps a shift as ``LaurentT(g)``.
 The certificate stores each fact once: the t-exponents of the
 generators, and per stage the support bound, the escape exponent and a
 sparse next-span witness.  The integer matrices are unit vectors
@@ -62,6 +64,10 @@ class MembershipResult(NamedTuple):
         return {"member": self.member, "witness": witness}
 
 
+# every refutation shares this one immutable result
+_NOT_A_MEMBER = MembershipResult(False, None)
+
+
 def membership(basis: SpanBasis, target: dict) -> MembershipResult:
     """Integer-span membership of a term dict in the span of the basis generators.
 
@@ -73,7 +79,7 @@ def membership(basis: SpanBasis, target: dict) -> MembershipResult:
     """
     witness = basis.solve(target)
     if witness is None:
-        return MembershipResult(False, None)
+        return _NOT_A_MEMBER
     combo: dict = {}
     for i, w in witness.items():
         for e, c in basis.generators[i].items():
@@ -83,11 +89,11 @@ def membership(basis: SpanBasis, target: dict) -> MembershipResult:
     return MembershipResult(True, witness)
 
 
-def _support(g: LaurentT) -> int:
-    """Least exponent of a generator, the bound every combination stays at or above."""
+def _support(g: dict) -> int:
+    """Least exponent of a term dict, the bound every combination stays at or above."""
     if not g:
         raise ValueError("zero generator has no degree bound")
-    return min(g.terms)
+    return min(g)
 
 
 def _escape_below(bound: int) -> int:
@@ -95,11 +101,11 @@ def _escape_below(bound: int) -> int:
     return max(1, -bound // 2 + 1)
 
 
-def shift_generators(k: int) -> list[LaurentT]:
-    """The first k conjugated translations: coefficients t^0, t^-2, ..."""
+def shift_generators(k: int) -> list[dict]:
+    """The first k conjugated translations, as the term dicts {0: 1}, {-2: 1}, ..."""
     if k < 1:
         raise ValueError("need at least one generator")
-    return [LaurentT.t_power(-2 * n) for n in range(k)]
+    return [{-2 * n: 1} for n in range(k)]
 
 
 class EscapeStage(NamedTuple):
@@ -184,7 +190,7 @@ def certify_nonfg(max_k: int) -> NonFGCertificate:
         raise ValueError("need at least one stage")
     shifts = shift_generators(max_k + 1)
     exponents = tuple(_support(g) for g in shifts)
-    basis = SpanBasis([shifts[0].terms])
+    basis = SpanBasis([shifts[0]])
     bound = exponents[0]
     stages = []
     passed = True
@@ -192,7 +198,7 @@ def certify_nonfg(max_k: int) -> NonFGCertificate:
         n = _escape_below(bound)
         escape = {-2 * n: 1}
         refutation = membership(basis, escape)
-        basis.insert(shifts[k].terms)
+        basis.insert(shifts[k])
         next_span = membership(basis, escape)
         passed = passed and n == k and not refutation.member and next_span.member
         stages.append(

@@ -779,7 +779,7 @@ def _stage_dynamics(ctx: Context) -> StageResult:
         m.scale == 1 and m.shift == LaurentT.t_power(-2 * n) for n, m in enumerate(conjugates, 1)
     )
     escapes = [translation_str(m.shift) for m in conjugates]
-    bridge = [translation_str(g) for g in shift_generators(3)]
+    bridge = [translation_str(LaurentT(g)) for g in shift_generators(3)]
     checks = [
         _check(
             "the marked points P22 on E2 and P2 on F2 carry the same affine "

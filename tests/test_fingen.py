@@ -81,7 +81,7 @@ def unit_rows(exponents, target):
 def test_membership_recheck_data_is_consistent():
     gens = shift_generators(3)
     target = {0: 5, -2: -1, -4: 7}
-    res = membership(span(gens), target)
+    res = membership(SpanBasis(gens), target)
     assert res.member and res.witness == {0: 5, 1: -1, 2: 7}
     # the integer problem rebuilt from the exponents replays through the
     # lattice solver
@@ -119,13 +119,13 @@ def test_membership_refuses_a_target_with_a_zero_entry():
     # the solve drops the zero entry and finds t^-2, but the recheck
     # compares the canonical sum with the target as given
     with pytest.raises(ArithmeticError):
-        membership(span(shift_generators(2)), {0: 0, -2: 1})
+        membership(SpanBasis(shift_generators(2)), {0: 0, -2: 1})
 
 
 @pytest.mark.parametrize("coefficient", [True, 1.0])
 def test_membership_refuses_an_inexact_target_coefficient(coefficient):
     with pytest.raises(TypeError):
-        membership(span(shift_generators(2)), {-2: coefficient})
+        membership(SpanBasis(shift_generators(2)), {-2: coefficient})
 
 
 @given(
@@ -158,8 +158,8 @@ def test_membership_accepts_known_combinations(gen_terms, mults):
 def test_membership_monotone_under_more_generators(target_terms):
     target = LaurentT(target_terms).terms
     gens = shift_generators(2)
-    if membership(span(gens), target).member:
-        assert membership(span(gens + [LaurentT({1: 1})]), target).member
+    if membership(SpanBasis(gens), target).member:
+        assert membership(SpanBasis(gens + [{1: 1}]), target).member
 
 
 # -- escape exponents ------------------------------------------------------------------
@@ -168,20 +168,43 @@ def test_membership_monotone_under_more_generators(target_terms):
 def test_escape_exponents_follow_the_support_bound(monkeypatch):
     # the escape exponent is the least positive N with -2N below the
     # running support bound, and a zero generator has no bound at all
-    gens = [LaurentT({2: 1}), LaurentT({-5: 1}), LaurentT({-6: 1})]
+    gens = [{2: 1}, {-5: 1}, {-6: 1}]
     monkeypatch.setattr(fingen, "shift_generators", lambda k: gens[:k])
     cert = certify_nonfg(2)
     assert [s.support_bound for s in cert.stages] == [2, -5]
     assert [s.escape_exponent for s in cert.stages] == [1, 3]
     assert not cert.passed
-    monkeypatch.setattr(fingen, "shift_generators", lambda k: [LaurentT.t_power(0), LaurentT({})])
+    monkeypatch.setattr(fingen, "shift_generators", lambda k: [{0: 1}, {}])
     with pytest.raises(ValueError, match="zero generator"):
         certify_nonfg(1)
 
 
+def test_an_escape_exponent_off_its_stage_fails_the_certificate(monkeypatch):
+    # from the bound -2 the escape is t^-4: refuted by t^-2 and found in
+    # the span with t^-4, but its exponent 2 is not the stage number 1
+    monkeypatch.setattr(fingen, "shift_generators", lambda k: [{-2: 1}, {-4: 1}])
+    cert = certify_nonfg(1)
+    (stage,) = cert.stages
+    assert stage.escape_exponent == 2 and stage.k == 1
+    assert not stage.refutation.member and stage.next_span.member
+    assert not cert.passed
+
+
+def test_an_escape_missing_from_the_next_span_fails_the_certificate(monkeypatch):
+    # the escape t^-2 of stage 1 is refuted, but the next generator is
+    # t^-4, so the next span misses it
+    monkeypatch.setattr(fingen, "shift_generators", lambda k: [{0: 1}, {-4: 1}])
+    cert = certify_nonfg(1)
+    (stage,) = cert.stages
+    assert stage.escape_exponent == stage.k == 1
+    assert not stage.refutation.member and not stage.next_span.member
+    assert not cert.passed
+
+
 def test_shift_generators():
     gens = shift_generators(3)
-    assert [translation_str(g) for g in gens] == ["(1)*a", "(t^-2)*a", "(t^-4)*a"]
+    assert gens == [{0: 1}, {-2: 1}, {-4: 1}]
+    assert [translation_str(LaurentT(g)) for g in gens] == ["(1)*a", "(t^-2)*a", "(t^-4)*a"]
     with pytest.raises(ValueError):
         shift_generators(0)
 
@@ -210,6 +233,20 @@ def test_certificate_structure():
 def test_escape_text_is_the_laurent_text_of_the_escape():
     for stage in certify_nonfg(80).stages:
         assert stage.escape == translation_str(LaurentT.t_power(-2 * stage.escape_exponent))
+
+
+def test_escape_chain_builds_no_laurent_value(monkeypatch):
+    # the shifts, the escapes and the report are term dicts, exponents
+    # and strings from end to end
+    record = certify_nonfg(80).to_record()
+    stage = run_stage("nonfg", PipelineOptions(max_gens=80)).to_json_dict()
+
+    def refuse(self, terms):
+        raise AssertionError("LaurentT built")
+
+    monkeypatch.setattr(LaurentT, "__init__", refuse)
+    assert certify_nonfg(80).to_record() == record
+    assert run_stage("nonfg", PipelineOptions(max_gens=80)).to_json_dict() == stage
 
 
 def test_certificate_chain_is_strict():
