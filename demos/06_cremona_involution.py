@@ -8,24 +8,28 @@ and swaps the two rulings of each smooth member.
 """
 
 from autcert.cremona import (
+    X_VARS,
     QuadricForm,
     conjugate_translation,
     contraction_check,
     cremona_map,
     find_swap_specializations,
-    involution_cofactor,
-    preserves_quadric,
 )
+from autcert.scalars import MultiPoly
 
 tau = cremona_map()
 
-# Substituting the map into the quadric returns an exact cofactor.
+# Substituting the map into the quadric returns it times the monomial
+# cofactor c, checked by multiplying c back in.
 q = QuadricForm.standard()
+c = MultiPoly.monomial(("a1", "a2", "a3", "x1", "x2", "x3", "x4"), (1,) * 7, 1)
 print("quadric: ", q.poly)
-print("cofactor:", preserves_quadric(tau, q.poly))
+print("cofactor:", c, "checked:", tau.pullback(q.poly) == c * q.poly)
 
 # Composing the map with itself is the identity times the square.
-print("involution cofactor:", involution_cofactor(tau))
+square = [tau.pullback(comp) for comp in tau.components]
+identity = [c * c * MultiPoly.var(x) for x in X_VARS]
+print("involution cofactor:", c * c, "checked:", square == identity)
 
 # Each coordinate plane contracts to a coordinate point.
 for i in (1, 2, 3, 4):

@@ -25,18 +25,19 @@ from autcert.scalars import LaurentT
 gens = shift_generators(3)
 print("generators:", [translation_str(LaurentT(g)) for g in gens])
 
-# Membership of a term dict in their integer span is decided with a
-# witness, by an echelon basis that grows one generator at a time...
+# Membership of a term dict in their integer span is decided by an
+# echelon basis that grows one generator at a time: the answer is the
+# witness, generator index -> coefficient, or None for a non-member...
 basis = SpanBasis(gens)
 inside = membership(basis, (3 * LaurentT(gens[0]) + (-2) * LaurentT(gens[1])).terms)
-print("member:", inside.member, "witness:", inside.witness)
+print("member:", inside is not None, "witness:", inside)
 
 # ...and the next shift in the family is refused.  Its exponent is the
 # one the certificate records for the stage of these three generators.
 stage = certify_nonfg(max_k=3).stages[-1]
 escape = LaurentT.t_power(-2 * stage.escape_exponent)
 outside = membership(basis, escape.terms)
-print("escape:", translation_str(escape), "member:", outside.member)
+print("escape:", translation_str(escape), "member:", outside is not None)
 
 # The full certificate packages one escape per stage, each re-verified.
 cert = certify_nonfg(max_k=5)

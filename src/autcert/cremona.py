@@ -2,15 +2,15 @@
 
 The map is the cleared-denominator form of the reciprocal involution
 [a1/x1 : a2/x2 : a3/x3 : a1*a2*a3/x4], a monomial map of degree three
-with three parameters.  The module proves, by exact polynomial
-division over Q[a1, a2, a3, x1..x4], that it preserves the quadric
+with three parameters.  The cremona stage checks, by exact polynomial
+multiplication over Q[a1, a2, a3, x1..x4], that it preserves the quadric
 
     Q = a1*x2*x3 + a2*x1*x3 + a3*x1*x2 + (x1 + x2 + x3)*x4,
 
-that its square is the identity up to the expected monomial cofactor,
-and that each coordinate plane contracts to the matching coordinate
-point.  For a rational specialization of the parameters it then
-reconstructs the two rulings of the quadric through the coordinate
+as q(map) = c*Q for c = a1*a2*a3*x1*x2*x3*x4, that its square is the
+identity times c^2, and that each coordinate plane contracts to the
+matching coordinate point.  For rational parameter values this module
+then reconstructs the two rulings of the quadric through the coordinate
 points, intersects them pairwise, and checks that the involution swaps
 the intersection points p_ij and p_ji.  The ruling lines are rational
 exactly when their discriminants are rational squares.  Over
@@ -36,7 +36,7 @@ The generic checks work on the data the types hold.  Each component of
 the map is read once into an exponent row over a1..a3, x1..x4; the rows
 give the map's degree and common factor, and ``pullback`` composes the
 map with a polynomial, one monomial per term, which gives q(map) and
-map(map) for the exact divisions.  The quadric is built from its term
+map(map) for the cofactor checks.  The quadric is built from its term
 dict, and det M is det(2M)/16, the same pairing of the row pairs of 2M
 on the entries' term dicts over the parameter names, with 2M read off
 the quadric's polynomial.
@@ -215,55 +215,16 @@ def _pairing(*signed) -> dict:
     return out
 
 
-def preserves_quadric(map_: RationalMapP3, q: MultiPoly) -> MultiPoly | dict:
-    """Exact cofactor c with q(map) = c * q, or a failure record with the remainder."""
-    composed = map_.pullback(q)
-    cofactor, rem = composed.divide_rem(q)
-    if rem:
-        return {
-            "kind": "quadric-not-preserved",
-            "detail": "q(map) is not a multiple of q",
-            "witness": str(rem),
-        }
-    return cofactor
-
-
-def involution_cofactor(map_: RationalMapP3) -> MultiPoly | dict:
-    """Exact cofactor c with map(map) = c * identity, or a failure record."""
-    raw = [map_.pullback(c) for c in map_.components]
-    cofactor, rem = raw[0].divide_rem(MultiPoly.var("x1"))
-    if rem:
-        return {
-            "kind": "not-an-involution",
-            "detail": "first component not divisible by x1",
-            "witness": str(raw[0]),
-        }
-    for k, comp in enumerate(raw):
-        if comp != cofactor * MultiPoly.var(X_VARS[k]):
-            return {
-                "kind": "not-an-involution",
-                "detail": f"component {k + 1} is not cofactor * {X_VARS[k]}",
-                "witness": str(comp),
-            }
-    return cofactor
-
-
-def contraction_check(map_: RationalMapP3, i: int) -> tuple[Fraction, ...] | dict:
-    """Image point of the coordinate plane {x_i = 0}, which must contract.
+def contraction_check(map_: RationalMapP3, i: int) -> tuple[int, ...]:
+    """The 0/1 tuple of the components that survive on the plane {x_i = 0},
+    which contracts to the coordinate point e_k when that tuple is e_k.
 
     Read off the exponents: a component, a monomial, survives on the
     plane exactly when it is nonzero and x_i is not among its variables.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("coordinate planes are numbered 1..4")
-    alive = [k for k, c in enumerate(map_.components) if c and X_VARS[i - 1] not in c.vars]
-    if len(alive) != 1:
-        return {
-            "kind": "plane-not-contracted",
-            "detail": f"{len(alive)} components survive on x{i} = 0",
-            "witness": tuple(k + 1 for k in alive),
-        }
-    return tuple(Fraction(int(k == alive[0])) for k in range(4))
+    return tuple(int(bool(c) and X_VARS[i - 1] not in c.vars) for c in map_.components)
 
 
 # -- ruling swap at a rational specialization -----------------------------------------

@@ -16,13 +16,13 @@ increasing chain of proper subgroups is not finitely generated.  One
 ``SpanBasis`` serves every stage: stage k refutes the escape against
 the first k generators, inserts generator k, and confirms the escape;
 the support bound is a running minimum over the inserted generators.
-Each found witness is re-verified on its own: the terms of the stored
-generators, not of the echelon rows that found it, are summed with the
-witness coefficients into one sparse dict, whose canonical form must
-equal the target's term dict.  The shifts t^(-2n) are the term dicts
-{-2n: 1} and the escape t^(-2N) is {-2N: 1}, its text written from N:
-the chain builds no ``LaurentT``.  A caller that wants Laurent
-arithmetic wraps a shift as ``LaurentT(g)``.
+``membership`` returns each found witness, re-verified on its own, or
+None: the terms of the stored generators, not of the echelon rows that
+found it, are summed with the witness coefficients into one sparse
+dict, whose canonical form must equal the target's term dict.  The
+shifts t^(-2n) are the term dicts {-2n: 1} and the escape t^(-2N) is
+{-2N: 1}, its text written from N: the chain builds no ``LaurentT``.
+A caller that wants Laurent arithmetic wraps a shift as ``LaurentT(g)``.
 The certificate stores each fact once: the t-exponents of the
 generators, and per stage the support bound, the escape exponent and a
 sparse next-span witness.  The integer matrices are unit vectors
@@ -45,48 +45,34 @@ def translation_str(c: LaurentT) -> str:
     return f"({c})*a"
 
 
-class MembershipResult(NamedTuple):
-    """Outcome of one integer-span membership test.
-
-    ``witness`` maps a generator index to its nonzero coefficient in a
-    combination equal to the target; it is None when the target is not
-    in the span.
-    """
-
-    member: bool
-    witness: dict[int, int] | None
-
-    def to_record(self) -> dict:
-        """The report record, witness indices and coefficients as exact strings."""
-        witness = self.witness
-        if witness is not None:
-            witness = {str(i): str(w) for i, w in witness.items()}
-        return {"member": self.member, "witness": witness}
-
-
-# every refutation shares this one immutable result
-_NOT_A_MEMBER = MembershipResult(False, None)
-
-
-def membership(basis: SpanBasis, target: dict) -> MembershipResult:
+def membership(basis: SpanBasis, target: dict) -> dict[int, int] | None:
     """Integer-span membership of a term dict in the span of the basis generators.
 
     Generators and target are Laurent terms, exponent -> ``int``
     coefficient (a ``Fraction`` only where it is not integral; another
-    type raises ``TypeError``).  A found witness is re-verified by one
-    sparse sum of w * generator over its terms, whose canonical form
-    must equal the target: a target with a zero entry is never a member.
+    type raises ``TypeError``).  Returns the witness, generator index ->
+    nonzero coefficient, or None off the span, as ``SpanBasis.solve``
+    does; the empty target's witness is ``{}``, so test the result with
+    ``is None``.  A found witness is re-verified by one sparse sum of
+    w * generator over its terms, whose canonical form must equal the
+    target: a target with a zero entry is never a member.
     """
     witness = basis.solve(target)
     if witness is None:
-        return _NOT_A_MEMBER
+        return None
     combo: dict = {}
     for i, w in witness.items():
         for e, c in basis.generators[i].items():
             combo[e] = combo.get(e, 0) + w * c
     if _canonical(combo) != target:
         raise ArithmeticError("membership witness failed re-verification")
-    return MembershipResult(True, witness)
+    return witness
+
+
+def _membership_record(w: dict[int, int] | None) -> dict:
+    """The report record of a membership witness or None, a new dict on every call."""
+    witness = None if w is None else {str(i): str(c) for i, c in w.items()}
+    return {"member": w is not None, "witness": witness}
 
 
 def _support(g: dict) -> int:
@@ -112,15 +98,16 @@ class EscapeStage(NamedTuple):
     """Stage k: the escape t^(-2N)*a against the first k generators.
 
     ``support_bound`` is the least exponent among those generators, the
-    number the degree argument compares -2N against.
+    number the degree argument compares -2N against.  ``refutation`` and
+    ``next_span`` are ``membership``'s witness dicts, or None.
     """
 
     k: int
     support_bound: int
     escape: str
     escape_exponent: int
-    refutation: MembershipResult
-    next_span: MembershipResult
+    refutation: dict[int, int] | None
+    next_span: dict[int, int] | None
 
 
 DEGREE_ARGUMENT = (
@@ -167,8 +154,8 @@ class NonFGCertificate(NamedTuple):
                     "support_bound": str(st.support_bound),
                     "escape": st.escape,
                     "escape_exponent": str(st.escape_exponent),
-                    "refutation": st.refutation.to_record(),
-                    "next_span": st.next_span.to_record(),
+                    "refutation": _membership_record(st.refutation),
+                    "next_span": _membership_record(st.next_span),
                 }
                 for st in self.stages
             ],
@@ -200,7 +187,7 @@ def certify_nonfg(max_k: int) -> NonFGCertificate:
         refutation = membership(basis, escape)
         basis.insert(shifts[k])
         next_span = membership(basis, escape)
-        passed = passed and n == k and not refutation.member and next_span.member
+        passed = passed and n == k and refutation is None and next_span is not None
         stages.append(
             EscapeStage(k, bound, f"(t^{-2 * n})*a", n, refutation, next_span)
         )

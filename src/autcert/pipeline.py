@@ -33,8 +33,6 @@ from .cremona import (
     conjugate_translation,
     cremona_map,
     find_swap_specializations,
-    involution_cofactor,
-    preserves_quadric,
 )
 from .fibration import (
     FiberClass,
@@ -468,9 +466,21 @@ def _stage_config(ctx: Context) -> StageResult:
 def _stage_cremona(ctx: Context) -> StageResult:
     tau = cremona_map()
     q = QuadricForm.standard()
-    expected = MultiPoly.monomial(("a1", "a2", "a3", "x1", "x2", "x3", "x4"), (1,) * 7, 1)
-    cof = preserves_quadric(tau, q.poly)
-    inv = involution_cofactor(tau)
+    c = MultiPoly.monomial(("a1", "a2", "a3", "x1", "x2", "x3", "x4"), (1,) * 7, 1)
+    c2 = c * c
+    # each claimed cofactor is multiplied back in; what misses is the witness
+    quadric: dict = {"cofactor": c}
+    composed = tau.pullback(q.poly)
+    if composed != c * q.poly:
+        quadric["witness"] = f"q(map) = {composed}"
+    involution: dict = {"cofactor": c2}
+    missed = [
+        f"component {k}: {p}"
+        for k, p in enumerate(map(tau.pullback, tau.components), 1)
+        if p != c2 * MultiPoly.var(f"x{k}")
+    ]
+    if missed:
+        involution["witness"] = "; ".join(missed)
     points = [contraction_check(tau, i) for i in range(1, 5)]
     det = q.determinant()
     reports = find_swap_specializations(seed=ctx.options.seed, tau=tau)
@@ -486,18 +496,18 @@ def _stage_cremona(ctx: Context) -> StageResult:
         _check(
             "substituting the map into the quadric returns the cofactor "
             "a1*a2*a3*x1*x2*x3*x4",
-            cof == expected,
-            cofactor=cof,
+            "witness" not in quadric,
+            **quadric,
         ),
         _check(
             "composing the map with itself gives the identity times the "
             "squared cofactor",
-            inv == expected * expected,
-            cofactor=inv,
+            "witness" not in involution,
+            **involution,
         ),
         _check(
             "each coordinate plane contracts to the matching coordinate point",
-            not any(isinstance(p, dict) for p in points),
+            points == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
             points=points,
         ),
         _check(
@@ -811,7 +821,7 @@ def _stage_dynamics(ctx: Context) -> StageResult:
         _check(
             "the conjugated shifts are exactly the Laurent generators fed "
             "to the non-finite-generation stage",
-            bridge[1] == escapes[0],
+            bridge[1:] == escapes[:2],
             generators=bridge,
         ),
     ]

@@ -6,18 +6,16 @@ collects its sub-checks into a single boolean and reports exactly one
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from autcert.cremona import (
+    X_VARS,
     QuadricForm,
     conjugate_translation,
     cremona_map,
     contraction_check,
     find_swap_specializations,
-    involution_cofactor,
-    preserves_quadric,
     translate,
     verify_pij_swap,
 )
@@ -92,10 +90,12 @@ def test_criterion_2_cremona(announce):
     q = QuadricForm.standard()
     cofactor = MultiPoly.monomial(("a1", "a2", "a3", "x1", "x2", "x3", "x4"), (1,) * 7, 1)
 
-    ok = preserves_quadric(tau, q.poly) == cofactor
-    ok = ok and involution_cofactor(tau) == cofactor * cofactor
+    # each cofactor is multiplied back in, never recomputed by division
+    ok = tau.pullback(q.poly) == cofactor * q.poly
+    for comp, x in zip(tau.components, X_VARS):
+        ok = ok and tau.pullback(comp) == cofactor * cofactor * MultiPoly.var(x)
     for i in (1, 2, 3, 4):
-        point = tuple(Fraction(int(k == i - 1)) for k in range(4))
+        point = tuple(int(k == i - 1) for k in range(4))
         ok = ok and contraction_check(tau, i) == point
 
     _, det = matrix_rank_det([list(r) for r in q.twice_matrix()])
@@ -199,15 +199,15 @@ def test_criterion_7_non_finite_generation(announce):
         escape = LaurentT.t_power(-2 * k).terms
         refute = membership(SpanBasis(shift_generators(k)), escape)
         confirm = membership(SpanBasis(shift_generators(k + 1)), escape)
-        ok = ok and not refute.member and confirm.member
+        ok = ok and refute is None and confirm is not None
 
         # rebuild the integer rows from the stored exponents and replay
         # them through the Hermite-form solver
         n = stage.escape_exponent
-        ok = ok and stage.refutation.witness is None and replay(k, n) is None
+        ok = ok and stage.refutation is None and replay(k, n) is None
         dense = replay(k + 1, n)
         ok = ok and dense is not None
-        ok = ok and {i: c for i, c in enumerate(dense or ()) if c} == stage.next_span.witness
+        ok = ok and {i: c for i, c in enumerate(dense or ()) if c} == stage.next_span
     announce(7, "non-finite-generation certificate", ok)
 
 
@@ -270,9 +270,9 @@ def _suite_membership_monotonicity() -> int:
         for g, m in zip(gens, coeffs):
             target = target + m * g
         basis = SpanBasis(g.terms for g in gens)
-        assert membership(basis, target.terms).member
+        assert membership(basis, target.terms) is not None
         basis.insert(LaurentT.t_power(rng.randint(-3, 3)).terms)
-        assert membership(basis, target.terms).member
+        assert membership(basis, target.terms) is not None
         runs += 1
     return runs
 

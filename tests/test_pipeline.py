@@ -25,7 +25,7 @@ from autcert.pipeline import (
     run_all,
     run_stage,
 )
-from autcert.scalars import LaurentT, ProjValue, RatFunc
+from autcert.scalars import LaurentT, MultiPoly, ProjValue, RatFunc
 from autcert.surface import Configuration, build_double_kummer, extend_with_conics
 
 EXPECTED_STAGES = (
@@ -400,6 +400,46 @@ def no_swap_passes(mp):
     mp.setattr(cremona, "verify_pij_swap", lambda triple, *rest: SimpleNamespace(passed=False))
 
 
+CREMONA_QUADRIC = (
+    "substituting the map into the quadric returns the cofactor "
+    "a1*a2*a3*x1*x2*x3*x4"
+)
+CREMONA_INVOLUTION = (
+    "composing the map with itself gives the identity times the "
+    "squared cofactor"
+)
+CREMONA_CONTRACTION = "each coordinate plane contracts to the matching coordinate point"
+
+
+def swap_x1_x2(mp):
+    """The linear map exchanging x1 and x2 in place of the Cremona involution:
+    an involution of P3, but without the cofactor, and no plane contracts."""
+    swap = cremona.RationalMapP3(tuple(MultiPoly.var(x) for x in ("x2", "x1", "x3", "x4")))
+    mp.setattr(pipeline, "cremona_map", lambda: swap)
+
+
+def exchange_components_1_2(mp):
+    """The Cremona map with its first two components exchanged: every
+    plane still contracts to one point, but plane 1 to e2 and plane 2 to e1."""
+    a, b, c, d = cremona.cremona_map().components
+    mp.setattr(pipeline, "cremona_map", lambda: cremona.RationalMapP3((b, a, c, d)))
+
+
+def test_a_failed_cofactor_claim_carries_its_witness(monkeypatch, capsys):
+    swap_x1_x2(monkeypatch)
+    checks = {c["claim"]: c for c in run_stage("cremona").evidence["checks"]}
+    assert checks[CREMONA_QUADRIC]["witness"] == (
+        "q(map) = a1*x1*x3 + a2*x2*x3 + a3*x1*x2 + x1*x4 + x2*x4 + x3*x4"
+    )
+    assert checks[CREMONA_INVOLUTION]["witness"] == (
+        "component 1: x1; component 2: x2; component 3: x3; component 4: x4"
+    )
+    assert main(["cremona"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  failed: {CREMONA_QUADRIC}" in lines
+    assert sum(line.startswith("    witness: ") for line in lines) == 2
+
+
 def test_exhausted_swap_search_fails_the_cremona_stage(monkeypatch):
     no_swap_passes(monkeypatch)
     stage = run_stage("cremona")
@@ -435,7 +475,8 @@ def test_nonfg_stage_fails_when_a_refutation_finds_a_member(monkeypatch):
     real = fingen.membership
 
     def always_member(gens, target):
-        return real(gens, target)._replace(member=True)
+        witness = real(gens, target)
+        return {0: 1} if witness is None else witness
 
     monkeypatch.setattr(fingen, "membership", always_member)
     stage = run_stage("nonfg", PipelineOptions(max_gens=3))
@@ -513,6 +554,11 @@ DYNAMICS_CONJUGATION = (
     "fixing the point at infinity"
 )
 
+DYNAMICS_BRIDGE = (
+    "the conjugated shifts are exactly the Laurent generators fed "
+    "to the non-finite-generation stage"
+)
+
 
 def move_p2(mp):
     """Build the 28 curves with P2 at u = s on F2 in place of u = t."""
@@ -559,7 +605,7 @@ def move_c2_index(mp):
 def wrong_scaling_power(mp):
     """scaling(t^2n) acts as scaling(t^(4n-2)): right at n = 1 only, so
     the first conjugated shift still meets the non-finite-generation
-    generators."""
+    generators and the second does not."""
     real = cremona.scaling
     mp.setattr(cremona, "scaling", lambda s: real(s * s * LaurentT.t_power(-2)))
 
@@ -575,19 +621,38 @@ def doubled_conjugate_scale(mp):
     )
 
 
+def wrong_generator_2(mp):
+    """The non-finite-generation shifts with t^-6 in place of t^-4 as
+    generator 2; generator 1 still meets the first conjugated shift."""
+    real = pipeline.shift_generators
+    mp.setattr(pipeline, "shift_generators", lambda k: real(k)[:2] + [{-6: 1}] + real(k)[3:])
+
+
 @pytest.mark.parametrize(
     "name, patch, failing",
     [
         ("dynamics", move_p2, {DYNAMICS_GLUING}),
         ("dynamics", move_p22_and_p2, {DYNAMICS_GLUING}),
         ("dynamics", move_c2_index, {DYNAMICS_SUM, DYNAMICS_SQUARE}),
-        ("dynamics", wrong_scaling_power, {DYNAMICS_CONJUGATION}),
+        ("dynamics", wrong_scaling_power, {DYNAMICS_CONJUGATION, DYNAMICS_BRIDGE}),
         ("dynamics", doubled_conjugate_scale, {DYNAMICS_CONJUGATION}),
+        ("dynamics", wrong_generator_2, {DYNAMICS_BRIDGE}),
         ("cremona", no_swap_passes, {SWAP_CLAIM}),
+        (
+            "cremona",
+            swap_x1_x2,
+            {CREMONA_QUADRIC, CREMONA_INVOLUTION, CREMONA_CONTRACTION, SWAP_CLAIM},
+        ),
+        (
+            "cremona",
+            exchange_components_1_2,
+            {CREMONA_QUADRIC, CREMONA_INVOLUTION, CREMONA_CONTRACTION, SWAP_CLAIM},
+        ),
     ],
     ids=[
         "gluing", "gluing-away-from-t", "component-index", "conjugation",
-        "conjugation-scale", "exhausted-search",
+        "conjugation-scale", "bridge-generator-2", "exhausted-search", "coordinate-swap",
+        "contraction-to-the-wrong-point",
     ],
 )
 def test_each_touched_check_fails_under_its_own_name(monkeypatch, name, patch, failing):

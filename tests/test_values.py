@@ -20,7 +20,7 @@ from autcert.cremona import (
     verify_pij_swap,
 )
 from autcert.fibration import FiberDivisor, KodairaType, classify_kodaira, validate_fiber
-from autcert.fingen import MembershipResult, certify_nonfg
+from autcert.fingen import certify_nonfg
 from autcert.lattice import RootType
 from autcert.mwl import ModInt, SectionData
 from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
@@ -76,7 +76,6 @@ VALUES = {
     "ModInt": (lambda: ModInt(11, 8), True),
     "SectionData": (lambda: SectionData("P", 0, {"M2": ModInt(0, 3)}), False),
     "RootType": (lambda: RootType("A", 2), True),
-    "MembershipResult": (lambda: MembershipResult(True, {0: 1}), False),
     "EscapeStage": (lambda: certify_nonfg(2).stages[1], False),
     "NonFGCertificate": (lambda: certify_nonfg(2), False),
     "KodairaType": (lambda: KodairaType("IV*"), True),
