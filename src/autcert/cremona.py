@@ -23,23 +23,25 @@ the quadric's matrix has det M = Delta/16.  So the seeded search sends
 an integer triple to the full check only when Delta is a positive
 perfect square; every other triple fails that check.  The check itself
 runs over ``int``: the form is the integer matrix 2*D*M, with D the lcm
-of the parameters' denominators, the tangent bases, ruling directions
-and meeting points are primitive integer vectors compared projectively
-by cross-multiplication, each ruling line keeps one Plücker vector, two
-lines meet where the side pairing of their vectors vanishes, at a point
-read off 3x3 minors, and each discriminant is reported divided by the
-square factor 4*D^2*c^4 that the integer basis introduces.  The map is
-evaluated as a product of integer powers from each component's exponent
-row.
+of the parameters' denominators, whose zero diagonal lets a point's
+value be summed over the six entries above it; the tangent bases, ruling
+directions and meeting points are primitive integer vectors compared
+projectively by cross-multiplication, each ruling line keeps one
+Plücker vector, two lines meet where the side pairing of their vectors
+vanishes, at a point read off 3x3 minors, and each discriminant is
+reported divided by the square factor 4*D^2*c^4 that the integer basis
+introduces.  The map is evaluated as a product of integer powers from
+each component's exponent row.  The search draws its triples by
+``getrandbits``, the stream ``randint(1, 12)`` would draw.
 
 The generic checks work on the data the types hold.  Each component of
 the map is read once into an exponent row over a1..a3, x1..x4; the rows
 give the map's degree and common factor, and ``pullback`` composes the
 map with a polynomial, one monomial per term, which gives q(map) and
-map(map) for the cofactor checks.  The quadric is built from its term
-dict, and det M is det(2M)/16, the same pairing of the row pairs of 2M
-on the entries' term dicts over the parameter names, with 2M read off
-the quadric's polynomial.
+map(map) for the cofactor checks.  The map and the quadric are
+built once at import from their term dicts, and det M is det(2M)/16,
+the side pairing of the row pairs of 2M, whose cells are term dicts over
+the parameter names read straight off the quadric's polynomial.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
@@ -135,15 +137,23 @@ class RationalMapP3(Frozen):
         return lambda point: tuple([math.prod(map(pow, point, xs), start=c) for c, xs in parts])
 
 
-def cremona_map() -> RationalMapP3:
-    """The cleared form [a1*x2*x3*x4 : a2*x1*x3*x4 : a3*x1*x2*x4 : a1*a2*a3*x1*x2*x3]."""
-    names = (
-        ("a1", "x2", "x3", "x4"),
-        ("a2", "x1", "x3", "x4"),
-        ("a3", "x1", "x2", "x4"),
-        ("a1", "a2", "a3", "x1", "x2", "x3"),
+_CREMONA = RationalMapP3(
+    tuple(
+        MultiPoly._make(_NAMES, {_row(*n): 1})
+        for n in (
+            ("a1", "x2", "x3", "x4"),
+            ("a2", "x1", "x3", "x4"),
+            ("a3", "x1", "x2", "x4"),
+            ("a1", "a2", "a3", "x1", "x2", "x3"),
+        )
     )
-    return RationalMapP3(tuple(MultiPoly._make(_NAMES, {_row(*n): 1}) for n in names))
+)
+
+
+def cremona_map() -> RationalMapP3:
+    """The cleared form [a1*x2*x3*x4 : a2*x1*x3*x4 : a3*x1*x2*x4 : a1*a2*a3*x1*x2*x3],
+    built once at import: the value is immutable."""
+    return _CREMONA
 
 
 class QuadricForm(Frozen):
@@ -159,20 +169,19 @@ class QuadricForm(Frozen):
 
     @staticmethod
     def standard() -> "QuadricForm":
-        """a1*x2*x3 + a2*x1*x3 + a3*x1*x2 + (x1 + x2 + x3)*x4, from its six terms."""
-        terms = (
-            ("a1", "x2", "x3"), ("a2", "x1", "x3"), ("a3", "x1", "x2"),
-            ("x1", "x4"), ("x2", "x4"), ("x3", "x4"),
-        )
-        return QuadricForm(MultiPoly._make(_NAMES, {_row(*t): 1 for t in terms}))
+        """a1*x2*x3 + a2*x1*x3 + a3*x1*x2 + (x1 + x2 + x3)*x4, from its six
+        terms, built once at import: the value is immutable."""
+        return _STANDARD
 
-    def twice_matrix(self) -> tuple[tuple[MultiPoly, ...], ...]:
-        """2M for the symmetric M with x^T M x the quadric, read off ``poly``:
-        entry (i, j) is the coefficient of x_i*x_j off the diagonal and twice
-        that of x_i^2 on it, a polynomial in the other variables."""
+    def determinant(self) -> MultiPoly:
+        """det M = det(2M)/16: the side pairing of the Plücker vectors of
+        rows 0, 1 and rows 2, 3 of 2M, one ``_term_product`` per product.
+        2M's cells are term dicts over the parameter names read off
+        ``poly``: the coefficient of x_i*x_j off the diagonal, twice that
+        of x_i^2 on it, and the empty dict where no term lands."""
         params = tuple(v for v in self.poly.vars if v not in X_VARS)
         m = len(params)
-        cells: dict[tuple[int, int], dict] = {}
+        n: list[list[dict]] = [[{} for _ in range(4)] for _ in range(4)]
         for e, c in self.poly._lift(params + X_VARS).items():
             x = e[m:]
             if 2 in x:
@@ -181,29 +190,28 @@ class QuadricForm(Frozen):
             else:
                 i = x.index(1)
                 j = x.index(1, i + 1)
-            cells.setdefault((i, j), {})[e[:m]] = c
-        zero = MultiPoly.zero()
-        n = [[zero] * 4 for _ in range(4)]
-        made: dict[tuple, MultiPoly] = {}  # equal cells share one entry
-        for (i, j), terms in cells.items():
-            key = tuple(terms.items())
-            if key not in made:
-                made[key] = MultiPoly._make(params, terms)
-            n[i][j] = n[j][i] = made[key]
-        return tuple(map(tuple, n))
-
-    def determinant(self) -> MultiPoly:
-        """det M = det(2M)/16: the side pairing of the Plücker vectors of
-        rows 0, 1 and rows 2, 3 of 2M, on the entries' term dicts over the
-        parameter names, one ``_term_product`` per product."""
-        params = tuple(v for v in self.poly.vars if v not in X_VARS)
-        n = [[x._lift(params) for x in row] for row in self.twice_matrix()]
+            n[i][j][e[:m]] = c
+            n[j][i] = n[i][j]
         p, q = (
             [_pairing((1, a[i], b[j]), (-1, a[j], b[i])) for i, j in combinations(range(4), 2)]
             for a, b in (n[:2], n[2:])
         )
         det = _pairing(*zip((1, -1, 1, 1, -1, 1), p, reversed(q)))
         return MultiPoly._make(params, {e: Fraction(c, 16) for e, c in det.items()})
+
+
+_STANDARD = QuadricForm(
+    MultiPoly._make(
+        _NAMES,
+        {
+            _row(*t): 1
+            for t in (
+                ("a1", "x2", "x3"), ("a2", "x1", "x3"), ("a3", "x1", "x2"),
+                ("x1", "x4"), ("x2", "x4"), ("x3", "x4"),
+            )
+        },
+    )
+)
 
 
 def _pairing(*signed) -> dict:
@@ -248,10 +256,23 @@ def _quad(m, v, w) -> int:
     )
 
 
+def _form(m, v) -> int:
+    """_quad(m, v, v) for a symmetric m with zero diagonal: twice the sum
+    of m_ij*v_i*v_j over i < j, six products where the bilinear form takes 20."""
+    v0, v1, v2, v3 = v
+    r0, r1, r2 = m[0], m[1], m[2]
+    return 2 * (
+        v0 * (r0[1] * v1 + r0[2] * v2 + r0[3] * v3)
+        + v1 * (r1[2] * v2 + r1[3] * v3)
+        + v2 * r2[3] * v3
+    )
+
+
 def _primitive(v) -> tuple[int, ...]:
-    """The integer vector divided by the gcd of its entries; zero stays zero."""
-    g = math.gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
+    """The integer 4-vector divided by the gcd of its entries; zero stays zero."""
+    v0, v1, v2, v3 = v
+    g = math.gcd(v0, v1, v2, v3)
+    return (v0 // g, v1 // g, v2 // g, v3 // g) if g > 1 else (v0, v1, v2, v3)
 
 
 # each i < j < k, then where (j, k), (i, k) and (i, j) sit in _plucker's output
@@ -300,9 +321,18 @@ def _line_meet(p, line):
         if nu or rho:
             if rho < 0 or (rho == 0 and nu < 0):
                 nu, rho = -nu, -rho
-            point = tuple(nu * x + rho * y for x, y in zip(c, e))
+            point = (
+                nu * c[0] + rho * e[0], nu * c[1] + rho * e[1],
+                nu * c[2] + rho * e[2], nu * c[3] + rho * e[3],
+            )
             return (1, _primitive(point)) if any(point) else (2, None)
     return 2, None
+
+
+# e1..e4: the ruling lines' base points, and where the coordinate planes contract
+COORDINATE_POINTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+# for each row i, the three columns off the diagonal, in order
+_OFF_DIAGONAL = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
 def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
@@ -319,11 +349,15 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     p_ji, projectively, for all twelve ordered pairs.
 
     The check runs over ``int`` with primitive projective points, on
-    N = 2*D*M.  Row i of N, first nonzero in column c, gives the tangent
-    basis W = N[i][c]*e_f - N[i][f]*e_c (f not c or i), whose integer
-    discriminant is reported divided by 4*D^2*N[i][c]^4: the one over
-    the rational basis W/N[i][c].  Ruling directions are
-    (-B +- r)*W1 + 2*A*W2, with r the ``int`` root of the discriminant.
+    N = 2*D*M, whose diagonal is 0 and whose other entries are D or a
+    nonzero parameter: v lies on the quadric when the six-product sum
+    ``_form`` = 2*sum_{i<j} N[i][j]*v_i*v_j is 0.  Row i of N, with c
+    its first column off the diagonal, gives the tangent basis
+    W = N[i][c]*e_f - N[i][f]*e_c (f not c or i), whose integer
+    discriminant B^2 - 4*A*C (A, C by ``_form``, B by ``_quad``) is
+    reported divided by 4*D^2*N[i][c]^4: the one over the rational basis
+    W/N[i][c].  Ruling directions are (-B +- r)*W1 + 2*A*W2, with r the
+    ``int`` root of the discriminant.
     The map ``tau`` is specialized once per triple, over ``int`` at the
     D-scaled parameters, each component times the powers of D its degree
     in a1..a3 lacks: the same projective point.  No polynomial
@@ -340,7 +374,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
         raise ValueError("three nonzero parameter values expected")
     alpha_str = tuple(str(a) for a in al)
     D = math.lcm(*(a.denominator for a in al))
-    a1, a2, a3 = (int(a * D) for a in al)
+    a1, a2, a3 = (a.numerator * (D // a.denominator) for a in al)
     m = ((0, a3, a2, D), (a3, 0, a1, D), (a2, a1, 0, D), (D, D, D, 0))
     if _side(_plucker(m[0], m[1]), _plucker(m[2], m[3])) == 0:
         return SwapReport(
@@ -351,20 +385,21 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     failures: list[dict] = []
     lines: dict[tuple[int, int], tuple] = {}
     discs: list[str] = []
-    for i in range(4):
+    for i, (c, f1, f2) in enumerate(_OFF_DIAGONAL):
+        # every entry of m off the diagonal is D or a nonzero parameter
         row = m[i]
-        # every row holds D or a nonzero parameter off its diagonal
-        c = next(k for k in range(4) if row[k] and k != i)
-        w1, w2 = (
-            tuple(row[c] * (k == f) - row[f] * (k == c) for k in range(4))
-            for f in range(4)
-            if f not in (c, i)
-        )
-        A = _quad(m, w1, w1)
-        C = _quad(m, w2, w2)
+        w1 = [0, 0, 0, 0]
+        w1[f1], w1[c] = row[c], -row[f1]
+        w2 = [0, 0, 0, 0]
+        w2[f2], w2[c] = row[c], -row[f2]
+        A = _form(m, w1)
+        C = _form(m, w2)
         B = 2 * _quad(m, w1, w2)
         disc = B * B - 4 * A * C
-        discs.append(str(Fraction(disc, 4 * D * D * row[c] ** 4)))
+        den = 4 * D * D * row[c] ** 4
+        g = math.gcd(disc, den)
+        # the reduced disc/den, written as str(Fraction(disc, den)) writes it
+        discs.append(str(disc // g) if g == den else f"{disc // g}/{den // g}")
         # disc is Delta times a nonzero square, and Delta = 0 returned above
         root = rational_sqrt(disc)
         if root is None:
@@ -376,7 +411,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
             _primitive([(s * root - B) * x + 2 * A * y for x, y in zip(w1, w2)])
             for s in (1, -1)
         )
-        off = [d for d in (d1, d2) if _quad(m, d, d) != 0]
+        off = [d for d in (d1, d2) if _form(m, d)]
         if off:
             failures.append(
                 {
@@ -386,7 +421,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
                 }
             )
             continue
-        base = tuple(int(k == i) for k in range(4))
+        base = COORDINATE_POINTS[i]
         lines[(i + 1, 0)] = (base, d1, _plucker(base, d1))
         lines[(i + 1, 1)] = (base, d2, _plucker(base, d2))
 
@@ -424,7 +459,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
             if dim != 1:
                 failures.append({"kind": "cross-ruling-miss", "pair": [i, j]})
                 continue
-            if _quad(m, point, point) != 0:
+            if _form(m, point):
                 failures.append(
                     {
                         "kind": "intersection-off-quadric",
@@ -461,14 +496,21 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     return SwapReport(alpha_str, not failures, tuple(discs), swaps, tuple(failures))
 
 
+SWAP_DRAWS = 5000  # the triples the seeded search draws at most
+
+
 def find_swap_specializations(seed: int, tau: RationalMapP3) -> list[SwapReport]:
     """Seeded search for three parameter triples with rational rulings.
 
-    Draws up to 5000 triples of integers in 1..12 and returns the
-    reports of the first three distinct ones that pass the full swap
-    verification, in draw order; deterministic for a fixed seed.  An
-    exhausted search returns the fewer it found, which the pipeline's
-    swap check reports as a fail.
+    Draws up to ``SWAP_DRAWS`` = 5000 triples of integers in 1..12 and
+    returns the reports of the first three distinct ones that pass the
+    full swap verification, in draw order; deterministic for a fixed
+    seed.  An exhausted search returns the fewer it found, which the
+    pipeline's swap check reports as a fail.
+
+    Each parameter is r + 1 for the first r = getrandbits(4) below 12:
+    the stream of ``randint(1, 12)``, which reduces to
+    ``_randbelow_with_getrandbits(12)`` on Python 3.10-3.12.
 
     A distinct triple reaches ``verify_pij_swap`` only when its integer
     Delta = a1^2 + a2^2 + a3^2 - 2*(a1*a2 + a1*a3 + a2*a3) is a positive
@@ -478,11 +520,16 @@ def find_swap_specializations(seed: int, tau: RationalMapP3) -> list[SwapReport]
     irrational-ruling otherwise: the screen changes no returned report.
     Every check uses the map ``tau``.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     found: list[SwapReport] = []
     seen: set[tuple[int, int, int]] = set()
-    for _ in range(5000):
-        triple = (rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12))
+    for _ in range(SWAP_DRAWS):
+        drawn: list[int] = []
+        while len(drawn) < 3:
+            r = bits(4)
+            if r < 12:
+                drawn.append(r + 1)
+        triple = tuple(drawn)
         if triple in seen:
             continue
         seen.add(triple)

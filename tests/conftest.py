@@ -10,6 +10,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from autcert.cremona import X_VARS
 from autcert.scalars import MultiPoly
 
 settings.register_profile("suite", max_examples=100, deadline=None)
@@ -143,3 +144,27 @@ def polys(draw, max_vars=2, max_deg=3, max_terms=4, coeffs=small_fractions):
         )
         terms[exps] = draw(coeffs)
     return MultiPoly(names, terms)
+
+
+def twice_matrix(q):
+    """2M for the symmetric M with x^T M x the quadric ``q``, as 16
+    ``MultiPoly`` entries read off ``q.poly``: entry (i, j) is the
+    coefficient of x_i*x_j off the diagonal and twice that of x_i^2 on
+    it, a polynomial in the other variables.  The reference for
+    ``QuadricForm.determinant``, which pairs the same cells as term dicts."""
+    params = tuple(v for v in q.poly.vars if v not in X_VARS)
+    m = len(params)
+    cells = {}
+    for e, c in q.poly._lift(params + X_VARS).items():
+        x = e[m:]
+        if 2 in x:
+            i = j = x.index(2)
+            c *= 2
+        else:
+            i = x.index(1)
+            j = x.index(1, i + 1)
+        cells.setdefault((i, j), {})[e[:m]] = c
+    n = [[MultiPoly.zero()] * 4 for _ in range(4)]
+    for (i, j), terms in cells.items():
+        n[i][j] = n[j][i] = MultiPoly(params, terms)
+    return tuple(map(tuple, n))

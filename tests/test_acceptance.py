@@ -56,6 +56,8 @@ from autcert.surface import (
     verify_isometry,
 )
 
+from conftest import twice_matrix
+
 I8 = KodairaType("I", 8)
 IV_STAR = KodairaType("IV*")
 
@@ -98,7 +100,7 @@ def test_criterion_2_cremona(announce):
         point = tuple(int(k == i - 1) for k in range(4))
         ok = ok and contraction_check(tau, i) == point
 
-    _, det = matrix_rank_det([list(r) for r in q.twice_matrix()])
+    _, det = matrix_rank_det([list(r) for r in twice_matrix(q)])
     ok = ok and bool(det)
 
     reports = find_swap_specializations(0, tau)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given
+from hypothesis import seed as fixed_seed
 
 from autcert import cremona, pipeline
 from autcert.cremona import (
@@ -32,7 +33,7 @@ from autcert.scalars import (
     rational_sqrt,
 )
 
-from conftest import line_pairs
+from conftest import line_pairs, twice_matrix
 
 COFACTOR = math.prod(map(MultiPoly.var, ("a1", "a2", "a3", "x1", "x2", "x3", "x4")))
 
@@ -48,7 +49,7 @@ TAU = cremona_map()
 
 def quadric_matrix():
     """The symmetric matrix M of the standard quadric, half of ``twice_matrix``."""
-    twice = QuadricForm.standard().twice_matrix()
+    twice = twice_matrix(QuadricForm.standard())
     return [[x.scale(Fraction(1, 2)) for x in row] for row in twice]
 
 
@@ -159,7 +160,7 @@ def test_quadric_matrix_agrees_with_polynomial():
             acc = acc + xs[r] * m[r][c] * xs[c]
     assert acc == q.poly
     # the integer form has integer coefficients
-    assert all(type(c) is int for row in q.twice_matrix() for x in row for c in x.terms.values())
+    assert all(type(c) is int for row in twice_matrix(q) for x in row for c in x.terms.values())
 
 
 def test_quadric_determinant_is_nonzero_polynomial():
@@ -198,8 +199,14 @@ def quadric_forms(draw):
 
 @given(quadric_forms())
 def test_determinant_is_a_sixteenth_of_the_bareiss_determinant(q):
-    _, det = matrix_rank_det([list(row) for row in q.twice_matrix()])
+    _, det = matrix_rank_det([list(row) for row in twice_matrix(q)])
     assert 16 * q.determinant() == det
+
+
+def test_the_map_and_the_quadric_are_built_once():
+    # immutable construction data, built at import; every run reads the same value
+    assert cremona_map() is cremona_map()
+    assert QuadricForm.standard() is QuadricForm.standard()
 
 
 def test_cofactor_multiplicative_under_composition():
@@ -237,7 +244,7 @@ def test_a_quadric_form_is_homogeneous_of_degree_two_in_x():
         with pytest.raises(ValueError, match="homogeneous of degree 2"):
             QuadricForm(bad)
     # a diagonal entry of 2M is twice the coefficient of the square
-    twice = QuadricForm(a1 * x1 * x1 + 3 * x2 * x4).twice_matrix()
+    twice = twice_matrix(QuadricForm(a1 * x1 * x1 + 3 * x2 * x4))
     assert twice[0][0] == 2 * a1 and twice[1][3] == twice[3][1] == 3
     assert sum(bool(e) for row in twice for e in row) == 3
 
@@ -542,6 +549,23 @@ def test_line_meet_is_a_primitive_point_of_both_lines(vectors):
         assert point is None
 
 
+@st.composite
+def zero_diagonal_forms(draw):
+    """A symmetric integer 4x4 matrix with zero diagonal, and a vector."""
+    entries = st.integers(-10**6, 10**6)
+    m = [[0] * 4 for _ in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        m[i][j] = m[j][i] = draw(entries)
+    return tuple(map(tuple, m)), tuple(draw(entries) for _ in range(4))
+
+
+@fixed_seed(35)
+@given(zero_diagonal_forms())
+def test_zero_diagonal_form_is_the_bilinear_form_on_the_diagonal(case):
+    m, v = case
+    assert cremona._form(m, v) == cremona._quad(m, v, v)
+
+
 def test_line_meet_dimensions():
     e = [tuple(int(k == i) for k in range(4)) for i in range(4)]
     assert meet((e[0], e[1]), (e[2], e[3])) == (0, None)
@@ -569,9 +593,11 @@ def distinct_draws(seed):
             yield triple
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(12))
 def test_delta_screen_skips_only_triples_that_fail(seed):
-    # the unscreened search: the full check on every distinct draw
+    # the unscreened search: the full check on every distinct draw, drawn
+    # by randint as the search's getrandbits loop must reproduce; seeds
+    # 0-11 are the pipeline seeds the benchmark's fault mix cycles through
     passed = []
     for triple in distinct_draws(seed):
         report = verify_pij_swap(triple, TAU)

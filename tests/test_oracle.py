@@ -39,6 +39,7 @@ from conftest import (
     polys,
     reflection_closure,
     small_fractions,
+    twice_matrix,
 )
 
 GENS = sympy.symbols(POLY_VARS)
@@ -174,7 +175,7 @@ def test_plucker_pairing_of_row_pairs_is_the_determinant(rows):
 
 def test_quadric_determinant_matches_sympy():
     q = QuadricForm.standard()
-    twice = sympy.Matrix([[to_sympy(x) for x in row] for row in q.twice_matrix()])
+    twice = sympy.Matrix([[to_sympy(x) for x in row] for row in twice_matrix(q)])
     theirs = (twice / 2).det()
     assert sympy.expand(to_sympy(q.determinant()) - theirs) == 0
 
@@ -194,7 +195,7 @@ def test_general_quadric_matrix_and_determinant_match_sympy():
     )
     q = QuadricForm(p)
     hessian = sympy.hessian(to_sympy(p), sympy.symbols(X_VARS))
-    twice = sympy.Matrix([[to_sympy(e) for e in row] for row in q.twice_matrix()])
+    twice = sympy.Matrix([[to_sympy(e) for e in row] for row in twice_matrix(q)])
     assert (twice - hessian).expand() == sympy.zeros(4, 4)
     assert sympy.expand(to_sympy(q.determinant()) - hessian.det() / 16) == 0
 
@@ -653,7 +654,7 @@ def test_swap_discriminants_are_delta_times_squares():
     # verify_pij_swap takes, is Delta times a nonzero square
     a1, a2, a3 = a = sympy.symbols(A_VARS)
     delta = a1**2 + a2**2 + a3**2 - 2 * (a1 * a2 + a1 * a3 + a2 * a3)
-    twice = QuadricForm.standard().twice_matrix()
+    twice = twice_matrix(QuadricForm.standard())
     M = sympy.Matrix([[to_sympy(e) for e in row] for row in twice]) / 2
     assert sympy.expand(M.det() - delta / 16) == 0
     discs = []

@@ -434,10 +434,36 @@ def test_a_failed_cofactor_claim_carries_its_witness(monkeypatch, capsys):
     assert checks[CREMONA_INVOLUTION]["witness"] == (
         "component 1: x1; component 2: x2; component 3: x3; component 4: x4"
     )
+    # no plane contracts: each keeps three of the four components
+    assert checks[CREMONA_CONTRACTION]["witness"] == (
+        "plane 1: (1, 0, 1, 1); plane 2: (0, 1, 1, 1); "
+        "plane 3: (1, 1, 0, 1); plane 4: (1, 1, 1, 0)"
+    )
+    assert checks[SWAP_CLAIM]["witness"] == "found 0 of 3 passing triples in 5000 draws"
     assert main(["cremona"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert f"  failed: {CREMONA_QUADRIC}" in lines
-    assert sum(line.startswith("    witness: ") for line in lines) == 2
+    assert sum(line.startswith("    witness: ") for line in lines) == 4
+
+
+def test_a_contraction_to_the_wrong_point_names_only_the_planes_that_miss(monkeypatch):
+    exchange_components_1_2(monkeypatch)
+    checks = {c["claim"]: c for c in run_stage("cremona").evidence["checks"]}
+    assert checks[CREMONA_CONTRACTION]["status"] == "fail"
+    assert checks[CREMONA_CONTRACTION]["witness"] == "plane 1: (0, 1, 0, 0); plane 2: (1, 0, 0, 0)"
+
+
+def test_a_short_swap_search_counts_the_triples_it_found(monkeypatch):
+    real = cremona.verify_pij_swap
+
+    def only_9_2_2(triple, *rest):
+        return real(triple, *rest) if tuple(triple) == (9, 2, 2) else SimpleNamespace(passed=False)
+
+    monkeypatch.setattr(cremona, "verify_pij_swap", only_9_2_2)
+    checks = {c["claim"]: c for c in run_stage("cremona").evidence["checks"]}
+    assert checks[SWAP_CLAIM]["status"] == "fail"
+    assert [r["alpha"] for r in checks[SWAP_CLAIM]["specializations"]] == [["9", "2", "2"]]
+    assert checks[SWAP_CLAIM]["witness"] == "found 1 of 3 passing triples in 5000 draws"
 
 
 def test_exhausted_swap_search_fails_the_cremona_stage(monkeypatch):
@@ -447,6 +473,7 @@ def test_exhausted_swap_search_fails_the_cremona_stage(monkeypatch):
     failed = [c for c in stage.evidence["checks"] if c["status"] == "fail"]
     assert [c["claim"] for c in failed] == [SWAP_CLAIM]
     assert failed[0]["specializations"] == []
+    assert failed[0]["witness"] == "found 0 of 3 passing triples in 5000 draws"
     assert not any(c.get("kind") == "stage-raised" for c in stage.evidence["checks"])
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from autcert.cremona import (
     QuadricForm,
+    RationalMapP3,
     conjugate_translation,
     cremona_map,
     verify_pij_swap,
@@ -67,10 +68,12 @@ def n1():
 
 
 # each converted class: a factory of fresh instances, and whether they hash;
-# an instance holding a dict is unhashable, as it was as a frozen dataclass
+# an instance holding a dict is unhashable, as it was as a frozen dataclass.
+# cremona_map() and QuadricForm.standard() return one value built at import,
+# so their factories build a new instance from its parts
 VALUES = {
-    "RationalMapP3": (cremona_map, True),
-    "QuadricForm": (QuadricForm.standard, True),
+    "RationalMapP3": (lambda: RationalMapP3(cremona_map().components), True),
+    "QuadricForm": (lambda: QuadricForm(QuadricForm.standard().poly), True),
     "SwapReport": (lambda: verify_pij_swap((9, 2, 2), cremona_map()), True),
     "AffineMap": (lambda: conjugate_translation(2), True),
     "ModInt": (lambda: ModInt(11, 8), True),
