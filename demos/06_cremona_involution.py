@@ -15,7 +15,7 @@ from autcert.cremona import (
     cremona_map,
     find_swap_specializations,
 )
-from autcert.scalars import MultiPoly
+from autcert.scalars import LaurentT, MultiPoly
 
 tau = cremona_map()
 
@@ -42,5 +42,7 @@ for report in find_swap_specializations(0, tau):
     alpha = ", ".join(report.alpha)
     print(f"alpha ({alpha}) passes:", report.passed, "swaps:", report.swaps_checked)
 
-# Conjugating the unit translation by scalings produces decaying shifts.
-print("conjugated shift (coefficient of a), n = 2:", conjugate_translation(2).shift)
+# Conjugating the unit translation by a scaling x -> u*x shifts by 1/u,
+# so the powers u = t^(2n) give the decaying shifts t^(-2n).
+for u in (LaurentT.t_power(1), LaurentT.t_power(4)):
+    print(f"conjugated shift (coefficient of a), u = {u}:", conjugate_translation(u).shift)

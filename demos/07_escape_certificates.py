@@ -23,7 +23,7 @@ from autcert.scalars import LaurentT
 # translation is the term dict of its Laurent coefficient c; wrapped as
 # a LaurentT it adds and scales, and the report writes it (c)*a.
 gens = shift_generators(3)
-print("generators:", [translation_str(LaurentT(g)) for g in gens])
+print("generators:", [translation_str(g) for g in gens])
 
 # Membership of a term dict in their integer span is decided by an
 # echelon basis that grows one generator at a time: the answer is the
@@ -37,7 +37,7 @@ print("member:", inside is not None, "witness:", inside)
 stage = certify_nonfg(max_k=3).stages[-1]
 escape = LaurentT.t_power(-2 * stage.escape_exponent)
 outside = membership(basis, escape.terms)
-print("escape:", translation_str(escape), "member:", outside is not None)
+print("escape:", translation_str(escape.terms), "member:", outside is not None)
 
 # The full certificate packages one escape per stage, each re-verified.
 cert = certify_nonfg(max_k=5)

@@ -30,9 +30,9 @@ projectively by cross-multiplication, each ruling line keeps one
 Plücker vector, two lines meet where the side pairing of their vectors
 vanishes, at a point read off 3x3 minors, and each discriminant is
 reported divided by the square factor 4*D^2*c^4 that the integer basis
-introduces.  The map is evaluated as a product of integer powers from
-each component's exponent row.  The search draws its triples by
-``getrandbits``, the stream ``randint(1, 12)`` would draw.
+introduces.  The map is evaluated as one product per component over
+the coordinates its exponent row names.  The search draws its
+triples by ``getrandbits``, the stream ``randint(1, 12)`` would draw.
 
 The generic checks work on the data the types hold.  Each component of
 the map is read once into an exponent row over a1..a3, x1..x4; the rows
@@ -45,7 +45,8 @@ the parameter names read straight off the quadric's polynomial.
 
 Affine maps x -> s*x + c*a of the line live here too: scale s a unit
 c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
-translation by powers of a scaling.
+translation by a scaling x -> u*x, one conjugation over u = t giving
+the conjugate by every power t^2n by the substitution u = t^2n.
 """
 
 from __future__ import annotations
@@ -125,16 +126,29 @@ class RationalMapP3(Frozen):
 
     def specialize(self, alpha: Sequence | None, scale: int) -> Callable:
         """The map at fixed parameters, as an evaluator of points: each component's
-        coefficient, a-part and ``scale`` to the a1..a3 degree it lacks are one constant."""
+        coefficient, a-part and ``scale`` to the a1..a3 degree it lacks are one constant,
+        times the coordinates its x-exponents name, each index listed once per power."""
         if alpha is None and any(any(row[:3]) for row, _ in self._rows):
             raise ValueError("the components need values of a1..a3")
         a = (0, 0, 0) if alpha is None else alpha
         top = max(sum(row[:3]) for row, _ in self._rows)
         parts = [
-            (math.prod(map(pow, a, row[:3]), start=k) * scale ** (top - sum(row[:3])), row[3:])
+            (
+                math.prod(map(pow, a, row[:3]), start=k) * scale ** (top - sum(row[:3])),
+                [i for i, e in enumerate(row[3:]) for _ in range(e)],
+            )
             for row, k in self._rows
         ]
-        return lambda point: tuple([math.prod(map(pow, point, xs), start=c) for c, xs in parts])
+
+        def at(point):
+            out = []
+            for c, ix in parts:
+                for i in ix:
+                    c *= point[i]
+                out.append(c)
+            return tuple(out)
+
+        return at
 
 
 _CREMONA = RationalMapP3(
@@ -582,11 +596,14 @@ def scaling(s: LaurentT) -> AffineMap:
     return AffineMap(s, LaurentT.zero())
 
 
-def conjugate_translation(n: int) -> AffineMap:
-    """scaling(t^2n)^-1 . translate(1) . scaling(t^2n), which should be
-    the translation by t^(-2n), x -> x + t^(-2n)*a; the dynamics stage
-    checks that it is."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("the conjugation exponent is a nonnegative integer")
-    s = scaling(LaurentT.t_power(2 * n))
+def conjugate_translation(u: LaurentT) -> AffineMap:
+    """scaling(u)^-1 . translate(1) . scaling(u), which should be the
+    translation by u^-1; u must be a unit c*t^k, else ``ValueError``.
+
+    The dynamics stage calls it once, with t standing for u, and reads
+    the conjugate by each t^2n off that map by the substitution
+    u = t^2n, e -> 2n*e on every term dict: a ring map Q[u^+-1] ->
+    Q[t^+-1], so it commutes with composing and inverting affine maps.
+    """
+    s = scaling(u)
     return s.inverse().compose(translate(LaurentT.const(1))).compose(s)

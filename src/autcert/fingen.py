@@ -37,12 +37,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .lattice import SpanBasis
-from .scalars import LaurentT, _canonical
+from .scalars import _canonical, laurent_text
 
 
-def translation_str(c: LaurentT) -> str:
-    """Report text of the translation z -> z + c*a."""
-    return f"({c})*a"
+def translation_str(c: dict) -> str:
+    """Report text of the translation z -> z + c*a, for c a term dict."""
+    return f"({laurent_text(c)})*a"
 
 
 def membership(basis: SpanBasis, target: dict) -> dict[int, int] | None:

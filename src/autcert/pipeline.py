@@ -466,9 +466,10 @@ def _stage_config(ctx: Context) -> StageResult:
 
 
 # the claimed cofactors and the coordinates x1..x4, which the checks
-# multiply back in on every run
+# multiply back in on every run, and the cofactors' report text
 _COFACTOR = MultiPoly.monomial(("a1", "a2", "a3", "x1", "x2", "x3", "x4"), (1,) * 7, 1)
 _COFACTOR2 = _COFACTOR * _COFACTOR
+_COFACTOR_TEXT, _COFACTOR2_TEXT = str(_COFACTOR), str(_COFACTOR2)
 _COORDINATES = tuple(MultiPoly.var(f"x{k}") for k in range(1, 5))
 
 
@@ -477,11 +478,11 @@ def _stage_cremona(ctx: Context) -> StageResult:
     q = QuadricForm.standard()
     c, c2 = _COFACTOR, _COFACTOR2
     # each claimed cofactor is multiplied back in; what misses is the witness
-    quadric: dict = {"cofactor": c}
+    quadric: dict = {"cofactor": _COFACTOR_TEXT}
     composed = tau.pullback(q.poly)
     if composed != c * q.poly:
         quadric["witness"] = f"q(map) = {composed}"
-    involution: dict = {"cofactor": c2}
+    involution: dict = {"cofactor": _COFACTOR2_TEXT}
     missed = [
         f"component {k}: {p}"
         for k, (p, x) in enumerate(zip(map(tau.pullback, tau.components), _COORDINATES), 1)
@@ -803,12 +804,13 @@ def _stage_dynamics(ctx: Context) -> StageResult:
     idx_c11 = section_from_config(x, n1, "C11", "C21").components["N1"]
     idx_c2 = section_from_config(x, n1, "C2", "C21").components["N1"]
     total = idx_c11 + idx_c2
-    conjugates = [conjugate_translation(n) for n in range(1, 11)]
-    conj_ok = all(
-        m.scale == 1 and m.shift == LaurentT.t_power(-2 * n) for n, m in enumerate(conjugates, 1)
-    )
-    escapes = [translation_str(m.shift) for m in conjugates]
-    bridge = [translation_str(LaurentT(g)) for g in shift_generators(3)]
+    # one conjugation by x -> u*x, t standing for u; u = t^2n sends exponent e
+    # to 2n*e, one-to-one, so every shift is t^-2n exactly when this one is u^-1
+    conjugate = conjugate_translation(t)
+    conj_ok = conjugate.scale == 1 and conjugate.shift.terms == {-1: 1}
+    shifts = [{2 * n * e: c for e, c in conjugate.shift.terms.items()} for n in range(1, 11)]
+    escapes = [translation_str(s) for s in shifts]
+    bridge = [translation_str(g) for g in shift_generators(3)]
     checks = [
         _check(
             "the marked points P22 on E2 and P2 on F2 carry the same affine "

@@ -563,23 +563,29 @@ class LaurentT(Frozen):
         return hash(tuple(sorted(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return laurent_text(self.terms)
 
     def __repr__(self) -> str:
         return f"LaurentT({self})"
+
+
+def laurent_text(terms: Mapping[int, Fraction | int]) -> str:
+    """The text of a canonical Laurent term dict, highest power first, as
+    ``LaurentT`` writes itself; the empty dict is "0"."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "t" if e == 1 else f"t^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 # -- projective values ----------------------------------------------------

@@ -182,7 +182,8 @@ def test_criterion_6_dynamics(announce):
     ok = ok and idx_c11 + idx_c2 == ModInt(4, 8)
 
     for n in range(1, 11):
-        ok = ok and conjugate_translation(n) == translate(LaurentT.t_power(-2 * n))
+        u = LaurentT.t_power(2 * n)
+        ok = ok and conjugate_translation(u) == translate(LaurentT.t_power(-2 * n))
     announce(6, "dynamics", ok)
 
 

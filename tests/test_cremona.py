@@ -135,6 +135,20 @@ def test_pullback_of_a_zero_component_and_of_a_foreign_variable():
         tau.pullback(x1 * MultiPoly.var("b"))
 
 
+def test_specialize_multiplies_each_coordinate_as_often_as_its_exponent():
+    x1, x2, x3, x4 = (MultiPoly.var(f"x{k}") for k in range(1, 5))
+    a1 = MultiPoly.var("a1")
+    point = (5, -6, 7, 2)
+    # a zero component, a squared coordinate and a parameter
+    tau = RationalMapP3((MultiPoly.zero(), x2 * x3, a1 * x1 * x3, x4 * x4.scale(-3)))
+    assert tau.specialize((10, 1, 1), 2)(point) == (0, 2 * -6 * 7, 10 * 5 * 7, 2 * -3 * 2 * 2)
+    # degree one and degree zero: one coordinate each, or none
+    linear = RationalMapP3((x1, MultiPoly.zero(), x3.scale(4), x2))
+    assert linear.specialize(None, 1)(point) == (5, 0, 28, -6)
+    constant = RationalMapP3(tuple(MultiPoly.const(k) for k in (1, 0, -2, 3)))
+    assert constant.specialize(None, 1)(point) == (1, 0, -2, 3)
+
+
 def test_contraction_records_of_a_zero_component_and_two_survivors():
     x1, x2, x3, x4 = (MultiPoly.var(f"x{k}") for k in range(1, 5))
     a1 = MultiPoly.var("a1")
@@ -657,6 +671,30 @@ def test_translations_compose_additively():
 
 def test_conjugate_translation_formula():
     for n in range(0, 4):
-        assert conjugate_translation(n) == translate(LaurentT.t_power(-2 * n))
-    with pytest.raises(ValueError):
-        conjugate_translation(-1)
+        u = LaurentT.t_power(2 * n)
+        assert conjugate_translation(u) == translate(LaurentT.t_power(-2 * n))
+    # a unit with a coefficient: conjugating by x -> 3t*x shifts by t^-1/3
+    third = LaurentT.t_power(-1, Fraction(1, 3))
+    assert conjugate_translation(LaurentT.t_power(1, 3)) == translate(third)
+
+
+@pytest.mark.parametrize("scale", [T + 1, LaurentT({2: 1, -1: 3}), LaurentT.zero(), 4])
+def test_conjugate_translation_needs_a_unit(scale):
+    with pytest.raises(ValueError, match="unit"):
+        conjugate_translation(scale)
+
+
+def test_the_substituted_conjugate_is_the_conjugate_by_each_power():
+    # the one conjugation over u = t, read at u = t^2n by e -> 2n*e, is
+    # the composition built from scaling(t^2n) and translate(1)
+    symbolic = conjugate_translation(T)
+    for n in range(1, 51):
+        s = scaling(LaurentT.t_power(2 * n))
+        built = s.inverse().compose(translate(LaurentT.const(1))).compose(s)
+        substituted = AffineMap(
+            *(
+                LaurentT({2 * n * e: c for e, c in part.terms.items()})
+                for part in (symbolic.scale, symbolic.shift)
+            )
+        )
+        assert substituted == built == translate(LaurentT.t_power(-2 * n))

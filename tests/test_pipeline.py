@@ -630,21 +630,24 @@ def move_c2_index(mp):
 
 
 def wrong_scaling_power(mp):
-    """scaling(t^2n) acts as scaling(t^(4n-2)): right at n = 1 only, so
-    the first conjugated shift still meets the non-finite-generation
-    generators and the second does not."""
+    """scaling(s) acts as scaling(s^2 * t^-2).  The stage's one
+    conjugation, by scaling(t) with t standing for u, then scales by 1:
+    the conjugate is translate(1) and every substituted shift reads 1, so
+    the check fails at every n and no conjugated shift meets the
+    non-finite-generation generators t^-2, t^-4."""
     real = cremona.scaling
     mp.setattr(cremona, "scaling", lambda s: real(s * s * LaurentT.t_power(-2)))
 
 
 def doubled_conjugate_scale(mp):
-    """Each conjugated map keeps its shift t^(-2n) but scales by 2, so it
-    is no translation, while the shifts still meet the generators."""
+    """The conjugated map keeps its shift u^-1, so each substituted shift
+    is t^(-2n), but scales by 2: no translation, while the shifts still
+    meet the generators."""
     real = pipeline.conjugate_translation
     mp.setattr(
         pipeline,
         "conjugate_translation",
-        lambda n: cremona.AffineMap(LaurentT.const(2), real(n).shift),
+        lambda u: cremona.AffineMap(LaurentT.const(2), real(u).shift),
     )
 
 
@@ -691,6 +694,22 @@ def test_each_touched_check_fails_under_its_own_name(monkeypatch, name, patch, f
     assert {c["claim"]: c["status"] for c in checks} == {
         claim: "fail" if claim in failing else "pass" for claim in claims
     }
+
+
+def test_dynamics_conjugates_once_over_a_symbolic_unit(monkeypatch):
+    real = pipeline.conjugate_translation
+    units = []
+
+    def counted(u):
+        units.append(u)
+        return real(u)
+
+    monkeypatch.setattr(pipeline, "conjugate_translation", counted)
+    checks = run_stage("dynamics").evidence["checks"]
+    assert units == [LaurentT.t_power(1)]
+    conjugation = next(c for c in checks if c["claim"] == DYNAMICS_CONJUGATION)
+    assert conjugation["status"] == "pass"
+    assert conjugation["shifts"] == [f"(t^{-2 * n})*a" for n in range(1, 11)]
 
 
 def test_fibration_stage_lists_types():

@@ -25,7 +25,7 @@ from autcert.fingen import certify_nonfg
 from autcert.lattice import RootType
 from autcert.mwl import ModInt, SectionData
 from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
-from autcert.scalars import INFINITY, MultiPoly, ProjValue, RatFunc
+from autcert.scalars import INFINITY, LaurentT, MultiPoly, ProjValue, RatFunc
 from autcert.surface import (
     BlowupLedger,
     build_double_kummer,
@@ -75,7 +75,7 @@ VALUES = {
     "RationalMapP3": (lambda: RationalMapP3(cremona_map().components), True),
     "QuadricForm": (lambda: QuadricForm(QuadricForm.standard().poly), True),
     "SwapReport": (lambda: verify_pij_swap((9, 2, 2), cremona_map()), True),
-    "AffineMap": (lambda: conjugate_translation(2), True),
+    "AffineMap": (lambda: conjugate_translation(LaurentT.t_power(4)), True),
     "ModInt": (lambda: ModInt(11, 8), True),
     "SectionData": (lambda: SectionData("P", 0, {"M2": ModInt(0, 3)}), False),
     "RootType": (lambda: RootType("A", 2), True),
