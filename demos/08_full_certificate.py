@@ -26,10 +26,9 @@ print("2K coefficients:", coeffs)
 broken = run_all(PipelineOptions(corrupt_pair=("E2", "C32")))
 print("corrupted verdict:", broken.verdict)
 swap_check = next(
-    c for c in broken.stages[0].evidence["checks"] if c["status"] == "fail"
-    and "failures" in c
+    c for c in broken.stages[0].evidence["checks"] if "no fixed curve" in c["claim"]
 )
-print("named pair:", swap_check["failures"][0]["pair"])
+print("config witness:", swap_check["witness"])
 
 # The JSON report is byte-for-byte reproducible for fixed options.
 again = run_all(PipelineOptions(corrupt_pair=("E2", "C32")))

@@ -257,7 +257,7 @@ class SwapReport(NamedTuple):
     passed: bool
     discriminants: tuple[str, ...] = ()
     swaps_checked: int = 0
-    failures: tuple[dict, ...] = ()
+    failures: tuple[str, ...] = ()
 
 
 def _quad(m, v, w) -> int:
@@ -357,7 +357,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     cut out inside the tangent plane there; their discriminants must be
     rational squares.  The lines sort into the two rulings by
     disjointness from a reference line; the sort fails only as a
-    ruling-sort-clash, two lines through one point in one ruling.  p_ij
+    clash, two lines through one point in one ruling.  p_ij
     is the intersection of the i-th line of one ruling with the j-th
     line of the other, and the specialized involution must send it to
     p_ji, projectively, for all twelve ordered pairs.
@@ -380,8 +380,8 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     coordinates 0.  Side pairings
     of the lines' Plücker vectors, one each, sort and check the rulings
     and give det N from its rows; ``_line_meet`` gives the 12 cross points.
-    It passes when it records no failure: a meeting point without its
-    partner has a cross-ruling-miss or intersection-off-quadric of its own.
+    It passes when it records no failure, each one line of text such as
+    "image of p12 vanishes": a meeting point without its partner has its own.
     """
     al = tuple(Fraction(a) for a in alpha)
     if len(al) != 3 or any(a == 0 for a in al):
@@ -391,12 +391,9 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     a1, a2, a3 = (a.numerator * (D // a.denominator) for a in al)
     m = ((0, a3, a2, D), (a3, 0, a1, D), (a2, a1, 0, D), (D, D, D, 0))
     if _side(_plucker(m[0], m[1]), _plucker(m[2], m[3])) == 0:
-        return SwapReport(
-            alpha_str, False,
-            failures=({"kind": "degenerate-quadric", "detail": "det = 0"},),
-        )
+        return SwapReport(alpha_str, False, failures=("degenerate quadric: det = 0",))
 
-    failures: list[dict] = []
+    failures: list[str] = []
     lines: dict[tuple[int, int], tuple] = {}
     discs: list[str] = []
     for i, (c, f1, f2) in enumerate(_OFF_DIAGONAL):
@@ -417,7 +414,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
         # disc is Delta times a nonzero square, and Delta = 0 returned above
         root = rational_sqrt(disc)
         if root is None:
-            failures.append({"kind": "irrational-ruling", "discriminant": discs[-1]})
+            failures.append(f"irrational ruling at e{i + 1}: discriminant {discs[-1]}")
             continue
         # A is -2*a1*a2*a3 at e1..e3 and -2*D^2*a3 at e4, with the a_k
         # scaled by D, so it is never 0 and neither direction vanishes
@@ -427,13 +424,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
         )
         off = [d for d in (d1, d2) if _form(m, d)]
         if off:
-            failures.append(
-                {
-                    "kind": "ruling-off-quadric",
-                    "point": i + 1,
-                    "direction": [str(x) for x in off[0]],
-                }
-            )
+            failures.append(f"ruling at e{i + 1} off the quadric: direction {off[0]}")
             continue
         base = COORDINATE_POINTS[i]
         lines[(i + 1, 0)] = (base, d1, _plucker(base, d1))
@@ -450,7 +441,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
         meets = line is not reference and not _side(reference[2], line[2])
         ruling = ruling_b if meets else ruling_a
         if i in ruling:
-            failures.append({"kind": "ruling-sort-clash", "point": i})
+            failures.append(f"both lines at e{i} sort into one ruling")
         ruling[i] = line
     # eight lines, two through each point: when no point's two lines
     # clash, each ruling holds one line through each of the four points
@@ -460,9 +451,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 if not _side(fam[i][2], fam[j][2]):
-                    failures.append(
-                        {"kind": "same-ruling-lines-meet", "pair": [i, j]}
-                    )
+                    failures.append(f"lines at e{i}, e{j} of one ruling meet")
 
     points: dict[tuple[int, int], tuple] = {}
     for i in range(1, 5):
@@ -471,16 +460,11 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
                 continue
             dim, point = _line_meet(ruling_a[i][2], ruling_b[j])
             if dim != 1:
-                failures.append({"kind": "cross-ruling-miss", "pair": [i, j]})
+                how = "miss" if dim == 0 else "coincide"
+                failures.append(f"no p{i}{j}: lines at e{i}, e{j} of two rulings {how}")
                 continue
             if _form(m, point):
-                failures.append(
-                    {
-                        "kind": "intersection-off-quadric",
-                        "pair": [i, j],
-                        "point": [str(x) for x in point],
-                    }
-                )
+                failures.append(f"p{i}{j} = {point} is off the quadric")
                 continue
             points[(i, j)] = point
 
@@ -492,20 +476,12 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
             continue
         image = at(p)
         if not any(image):
-            failures.append({"kind": "image-vanishes", "pair": [i, j]})
+            failures.append(f"image of p{i}{j} vanishes")
             continue
         if not any(_plucker(image, q)):
             swaps += 1
         else:
-            failures.append(
-                {
-                    "kind": "swap-failed",
-                    "pair": [i, j],
-                    "point": [str(x) for x in p],
-                    "image": [str(x) for x in image],
-                    "expected": [str(x) for x in q],
-                }
-            )
+            failures.append(f"p{i}{j} = {p} maps to {image}, not p{j}{i} = {q}")
 
     return SwapReport(alpha_str, not failures, tuple(discs), swaps, tuple(failures))
 
@@ -530,8 +506,8 @@ def find_swap_specializations(seed: int, tau: RationalMapP3) -> list[SwapReport]
     Delta = a1^2 + a2^2 + a3^2 - 2*(a1*a2 + a1*a3 + a2*a3) is a positive
     perfect square.  Every tangent-plane discriminant is Delta times a
     nonzero rational square and det M = Delta/16, so a skipped triple is
-    one the check rejects, as degenerate-quadric when Delta = 0 and as
-    irrational-ruling otherwise: the screen changes no returned report.
+    one the check rejects, as a degenerate quadric when Delta = 0 and
+    for an irrational ruling otherwise: the screen changes no returned report.
     Every check uses the map ``tau``.
     """
     bits = random.Random(seed).getrandbits

@@ -116,13 +116,13 @@ def map_fiber(fiber: FiberDivisor, curve_map: Mapping[str, str]) -> FiberDivisor
 
 
 class FiberReport(NamedTuple):
-    """The fiber-candidate verdict and its failures; each component's
-    neighbours in the support, which classification reads cycles from;
-    and each component as label -> (Gram index, multiplicity), which it
-    reads the weighted dual graph from."""
+    """The fiber-candidate verdict and its failures, one line of text each;
+    each component's neighbours in the support, which classification reads
+    cycles from; and each component as label -> (Gram index, multiplicity),
+    which it reads the weighted dual graph from."""
 
     passed: bool
-    failures: tuple[dict, ...]
+    failures: tuple[str, ...]
     neighbours: Mapping[str, set[str]]
     components: Mapping[str, tuple[int, int]]
 
@@ -133,37 +133,29 @@ def validate_fiber(config: Configuration, fiber: FiberDivisor) -> FiberReport:
     The components are indexed once; one pass then reads each
     component's Gram row, by index, for its self-intersection, its
     pairing with the fiber (the fiber's square is their weighted sum)
-    and its neighbours in the support.
+    and its neighbours in the support.  Failures read "A has
+    self-intersection 0", "E2 meets the fiber: -1", "fiber square: -2".
     """
     comps = {lab: (config.index(lab), mult) for lab, mult in fiber.components.items()}
-    selfs: list[dict] = []
-    meets: list[dict] = []
+    selfs: list[str] = []
+    meets: list[str] = []
     square = 0
     adj = {}
     for lab, (i, mult) in comps.items():
         row = config.gram[i]
         if row[i] != -2:
-            selfs.append({"kind": "not-a-minus-two-curve", "label": lab, "self": str(row[i])})
+            selfs.append(f"{lab} has self-intersection {row[i]}")
         against = sum(m * row[j] for j, m in comps.values())
         if against != 0:
-            meets.append({"kind": "component-meets-fiber", "label": lab, "value": str(against)})
+            meets.append(f"{lab} meets the fiber: {against}")
         square += mult * against
         adj[lab] = {b for b, (j, _) in comps.items() if j != i and row[j]}
     failures = selfs + meets
     if square != 0:
-        failures.append({"kind": "fiber-square-nonzero", "value": str(square)})
+        failures.append(f"fiber square: {square}")
     if not is_connected(adj):
-        failures.append({"kind": "support-disconnected"})
+        failures.append("support disconnected")
     return FiberReport(not failures, tuple(failures), adj, comps)
-
-
-# one short witness line per validate_fiber failure kind
-_FAILURE_TEXT = {
-    "not-a-minus-two-curve": "{label} has self-intersection {self}",
-    "component-meets-fiber": "{label} meets the fiber: {value}",
-    "fiber-square-nonzero": "fiber square: {value}",
-    "support-disconnected": "support disconnected",
-}
 
 
 class FiberClass(NamedTuple):
@@ -193,8 +185,7 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     """
     report = validate_fiber(config, fiber)
     if not report.passed:
-        witness = "; ".join(_FAILURE_TEXT[f["kind"]].format(**f) for f in report.failures)
-        raise ValueError(f"not a fiber candidate: {witness}")
+        raise ValueError(f"not a fiber candidate: {'; '.join(report.failures)}")
     comps = report.components
     nodes = sorted(comps)
     if all(m == 1 for _, m in comps.values()):

@@ -67,6 +67,7 @@ from .surface import (
     IsometryReport,
     build_double_kummer,
     canonical_multiple,
+    construction_pairing,
     epsilon_involution,
     extend_with_conics,
     is_curve_label,
@@ -128,6 +129,8 @@ class PipelineOptions(Frozen):
                 raise ValueError(f"corrupt_pair names no curve: {unknown[0]!r}")
             if corrupt_pair[0] == corrupt_pair[1]:
                 raise ValueError("corrupt_pair takes two distinct curve labels")
+            if not construction_pairing(*corrupt_pair):
+                raise ValueError(f"corrupt_pair {','.join(corrupt_pair)} already meets in 0")
         self._set(max_gens, seed, corrupt_pair)
 
     def to_record(self) -> dict:
@@ -438,11 +441,7 @@ def _stage_config(ctx: Context) -> StageResult:
     rep_e = ctx.eps_report
     data: dict = {"fixed_labels": list(rep_e.fixed_labels)}
     if rep_e.failures:
-        data["failures"] = list(rep_e.failures)
-        # a fault changes pairings only, so the first failure is a pair and its image
-        f = rep_e.failures[0]
-        pair, image = ",".join(f["pair"]), ",".join(f["image"])
-        data["witness"] = f"{pair}: {f['before']}; image {image}: {f['after']}"
+        data["witness"] = rep_e.failures[0]
     checks = [
         _check(
             "the 24-curve intersection form has signature (1, 17)",
@@ -458,7 +457,7 @@ def _stage_config(ctx: Context) -> StageResult:
         _check(
             "the curve swap E_i <-> F_i, C_ij <-> C_ji, C_ii <-> C_i is an "
             "isometry with no fixed curve",
-            rep_e.passed and not rep_e.fixed_labels,
+            rep_e.passed,
             **data,
         ),
     ]

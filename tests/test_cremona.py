@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,11 @@ def linear_map(*names: str) -> RationalMapP3:
 
 T = LaurentT.t_power(1)
 TAU = cremona_map()
+
+
+def shapes(report) -> set[str]:
+    """The report's failure texts with every number, a/b included, written #."""
+    return {re.sub(r"-?\d+(/\d+)?", "#", f) for f in report.failures}
 
 
 def quadric_matrix():
@@ -282,7 +288,9 @@ def test_swap_at_permutations_of_9_2_2():
 def test_swap_irrational_without_extension():
     report = verify_pij_swap((1, 1, 1), TAU)
     assert not report.passed
-    assert all(f["kind"] == "irrational-ruling" for f in report.failures)
+    assert report.failures == tuple(
+        f"irrational ruling at e{i}: discriminant -3" for i in range(1, 5)
+    )
 
 
 def test_swap_rejects_degenerate_parameters():
@@ -291,7 +299,7 @@ def test_swap_rejects_degenerate_parameters():
     # a1 = 4, a2 = a3 = 1 makes the discriminant zero: degenerate quadric
     report = verify_pij_swap((4, 1, 1), TAU)
     assert not report.passed
-    assert report.failures[0]["kind"] == "degenerate-quadric"
+    assert report.failures == ("degenerate quadric: det = 0",)
 
 
 def test_swap_reports_ruling_errors_as_failures(monkeypatch):
@@ -299,7 +307,8 @@ def test_swap_reports_ruling_errors_as_failures(monkeypatch):
     monkeypatch.setattr(cremona, "rational_sqrt", lambda x: rational_sqrt(x) + 1)
     report = verify_pij_swap((9, 2, 2), TAU)
     assert not report.passed
-    assert {f["kind"] for f in report.failures} == {"ruling-off-quadric"}
+    assert len(report.failures) == 4
+    assert shapes(report) == {"ruling at e# off the quadric: direction (#, #, #, #)"}
     monkeypatch.undo()
 
     # a displaced meeting point leaves the quadric
@@ -312,7 +321,8 @@ def test_swap_reports_ruling_errors_as_failures(monkeypatch):
     monkeypatch.setattr(cremona, "_line_meet", displaced)
     report = verify_pij_swap((9, 2, 2), TAU)
     assert not report.passed
-    assert {f["kind"] for f in report.failures} == {"intersection-off-quadric"}
+    assert len(report.failures) == 12
+    assert shapes(report) == {"p# = (#, #, #, #) is off the quadric"}
 
 
 def side_zero_after(n):
@@ -327,24 +337,31 @@ def side_zero_after(n):
     return patched
 
 
-# each failure kind, with the kernel and a maker of the patch that reaches it
+# each ruling failure, with the kernel, a maker of the patch that
+# reaches it and the shape of the failure text it must give
 SWAP_FAULTS = {
     # every line meets none: all eight sort into one ruling
-    "ruling-sort-clash": ("_side", lambda: lambda p, q: 1),
+    "ruling-sort-clash": ("_side", lambda: lambda p, q: 1, "both lines at e# sort into one ruling"),
     # det N and the seven sort pairings kept, then the twelve
     # same-ruling pairs all meet
-    "same-ruling-lines-meet": ("_side", lambda: side_zero_after(8)),
-    "cross-ruling-miss": ("_line_meet", lambda: lambda p, line: (0, None)),
+    "same-ruling-lines-meet": (
+        "_side", lambda: side_zero_after(8), "lines at e#, e# of one ruling meet"
+    ),
+    "cross-ruling-miss": (
+        "_line_meet",
+        lambda: lambda p, line: (0, None),
+        "no p#: lines at e#, e# of two rulings miss",
+    ),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SWAP_FAULTS))
-def test_each_ruling_failure_kind_is_reached(monkeypatch, kind):
-    name, make = SWAP_FAULTS[kind]
+@pytest.mark.parametrize("fault", sorted(SWAP_FAULTS))
+def test_each_ruling_failure_kind_is_reached(monkeypatch, fault):
+    name, make, shape = SWAP_FAULTS[fault]
     monkeypatch.setattr(cremona, name, make())
     report = verify_pij_swap((9, 2, 2), TAU)
     assert report.passed is False
-    assert kind in {f["kind"] for f in report.failures}
+    assert shape in shapes(report)
 
 
 def test_a_point_without_its_partner_fails_by_its_own_record(monkeypatch):
@@ -359,7 +376,7 @@ def test_a_point_without_its_partner_fails_by_its_own_record(monkeypatch):
 
     monkeypatch.setattr(cremona, "_line_meet", miss_p21)
     report = verify_pij_swap((9, 2, 2), TAU)
-    assert report.failures == ({"kind": "cross-ruling-miss", "pair": [2, 1]},)
+    assert report.failures == ("no p21: lines at e2, e1 of two rulings miss",)
     assert report.swaps_checked == 10
     assert report.passed is False
 
@@ -371,7 +388,9 @@ def test_a_vanishing_image_is_a_failure(monkeypatch):
     report = verify_pij_swap((9, 2, 2), TAU)
     assert report.passed is False
     assert report.swaps_checked == 0
-    assert [f["kind"] for f in report.failures] == ["image-vanishes"] * 12
+    assert report.failures == tuple(
+        f"image of p{i}{j} vanishes" for i in range(1, 5) for j in range(1, 5) if i != j
+    )
 
 
 def test_each_ruling_line_has_one_plucker_vector(monkeypatch):
@@ -493,13 +512,13 @@ def test_every_triple_fails_only_as_irrational_or_degenerate():
     # every row of 2*D*M has a nonzero off-diagonal entry and every
     # discriminant is Delta times a nonzero square, so over the whole
     # box the check fails only on an irrational ruling or on Delta = 0
-    kinds = set()
+    seen = set()
     passing = 0
     for triple in itertools.product(range(1, 13), repeat=3):
         report = verify_pij_swap(triple, TAU)
         passing += report.passed
-        kinds.update(f["kind"] for f in report.failures)
-    assert kinds == {"irrational-ruling", "degenerate-quadric"}
+        seen |= shapes(report)
+    assert seen == {"irrational ruling at e#: discriminant #", "degenerate quadric: det = #"}
     assert passing == 51
 
 
@@ -510,7 +529,7 @@ def test_every_swap_record_in_the_box_matches_its_pinned_digest():
         repr(verify_pij_swap(t, tau)) for t in itertools.product(range(1, 13), repeat=3)
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "d1fc461bcc148ba9e84f7656ae3d380efac8b996f65ee5b08778a2582dd1cc2d"
+    assert digest == "48682b8c5687d3faffcc1a0bd823e3125578205407526e91238355520944bafb"
 
 
 @pytest.mark.parametrize("alpha", [(9, 2, 2), (Fraction(9, 2), 1, 1)])
@@ -519,7 +538,8 @@ def test_swap_checks_the_map_it_is_given(alpha):
     # the identity fixes p_ij instead of sending it to p_ji
     report = verify_pij_swap(alpha, linear_map("x1", "x2", "x3", "x4"))
     assert not report.passed and report.swaps_checked == 0
-    assert {f["kind"] for f in report.failures} == {"swap-failed"}
+    assert len(report.failures) == 12
+    assert shapes(report) == {"p# = (#, #, #, #) maps to (#, #, #, #), not p# = (#, #, #, #)"}
 
 
 @pytest.mark.parametrize(
@@ -617,8 +637,12 @@ def test_delta_screen_skips_only_triples_that_fail(seed):
         report = verify_pij_swap(triple, TAU)
         if not is_positive_square(delta(triple)):
             assert not report.passed, triple
-            kind = "degenerate-quadric" if delta(triple) == 0 else "irrational-ruling"
-            assert {f["kind"] for f in report.failures} == {kind}, triple
+            shape = (
+                "degenerate quadric: det = #"
+                if delta(triple) == 0
+                else "irrational ruling at e#: discriminant #"
+            )
+            assert shapes(report) == {shape}, triple
         elif report.passed:
             passed.append(report)
             if len(passed) == 3:

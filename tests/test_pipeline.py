@@ -161,8 +161,8 @@ def test_default_report_sha256_is_the_regression_anchor(sample_reports):
 # compact JSON; re-indented, each report reproduces the indented bytes
 # pinned before the lattice and swap kernels moved from Fraction to int.
 # The faulted reports print verify_isometry's before/after pairings in
-# their witnesses.  A deliberate format change updates this table and
-# records it in CHANGES.md.
+# their witnesses, once each.  A deliberate format change updates this
+# table and records it in CHANGES.md.
 PINNED_REPORTS = {
     **{
         PipelineOptions(seed=s): digest
@@ -186,12 +186,12 @@ PINNED_REPORTS = {
     **{
         PipelineOptions(corrupt_pair=pair): digest
         for pair, digest in [
-            (("E1", "C11"), "26093da8e8ac656dec7ea0f1acd7a86684c2c90c2dc11e4de1c358a706ca0b23"),
-            (("E2", "C2"), "a824a72c25394817c27ea8cc8da208153ec1e663c508a2361b861cef695a514b"),
-            (("F3", "C32"), "0facb5586b6fbea5136ab5f4933c5cd7c54460cb598cf60890fe2a0e2d0754b9"),
-            (("F4", "C44"), "0aa4787e23ae03751502348cbd975353a7beb383e5d993d0039755b86c98bef0"),
-            (("C11", "C2"), "03b543887f6ddaeaf2cc62f7d3ab5f56b71638f16d786d071f66dd0d902632c8"),
-            (("C33", "C4"), "3aa8a50a0bf4f82730a763094b65f7f9fbfb969d0dedd3a29df3c824cc25c063"),
+            (("E1", "C11"), "2f9ef734b4cabb045c71e50c8d5d7d79ef4e730b05faf1d197e5afe7ba65a7be"),
+            (("E2", "C2"), "9a314c8a422073013270679da2760f9ff2e27e15893b5500cfc521a04acec8f5"),
+            (("F3", "C32"), "d015db287c28e9f8212268fb8a4acafad88ba0683e34ca61cf582b0650b30a82"),
+            (("F4", "C44"), "80fd430527d2ee8d9a685be82a15bf260825bcd0f2b582a61bef83d3d1a0fdf4"),
+            (("C11", "C2"), "7559f7c6f880462c97f3e43a149c5ad80c746ac7a0f7d9d5bb54b997552c145e"),
+            (("C33", "C4"), "8299c6fb6078d54ccd950fb1dcb769199a22b6da5530f07d1591467cd6355a80"),
         ]
     },
 }
@@ -235,8 +235,8 @@ def test_corrupted_intersection_fails_every_reader():
     swap = next(
         c for c in config.evidence["checks"] if "no fixed curve" in c["claim"]
     )
-    pairs = {frozenset(f["pair"]) for f in swap["failures"]}
-    assert frozenset({"E2", "C32"}) in pairs
+    assert swap["witness"] == "E2,C32: 0; image F2,C23: 1"
+    assert "failures" not in swap
     for name in ("quotient", "fibrations", "lattice", "canonical"):
         assert by_name[name].status == "fail", name
     for stage in report.stages[1:]:
@@ -266,6 +266,37 @@ def test_the_28_curves_share_the_construction_tables_one_gram():
     assert x.gram is surface._GRAM
     assert [row[:24] for row in x.gram[:24]] == list(k.gram)
     assert len(FAULT_PAIRS) == 52
+
+
+def kind_dicts(value):
+    """Every dict carrying ``kind`` at or below a JSON value."""
+    if isinstance(value, dict):
+        if "kind" in value:
+            yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from kind_dicts(item)
+
+
+@pytest.mark.parametrize("pair", FAULT_SAMPLE, ids=",".join)
+def test_every_failed_check_holds_one_witness_string(pair):
+    # a failure has one shape: a witness string; only a stage that raised
+    # adds its kind and detail, on the check record itself.  The config
+    # stage's signature and rank claims fail on a measured figure, which
+    # their records hold as `signature` and `rank` in place of a witness
+    report = json.loads(run_all(PipelineOptions(max_gens=1, corrupt_pair=pair)).to_json())
+    failed = [
+        c for s in report["stages"] for c in s["evidence"]["checks"] if c["status"] == "fail"
+    ]
+    assert failed
+    for check in failed:
+        witness = check.get("witness")
+        assert witness and isinstance(witness, str) or {"signature", "rank"} & set(check)
+        assert "failures" not in check, check["claim"]
+        below = [d for value in check.values() for d in kind_dicts(value)]
+        assert below == [], check["claim"]
+        assert check.get("kind", "stage-raised") == "stage-raised"
 
 
 @pytest.mark.parametrize("pair", FAULT_SAMPLE, ids=",".join)
@@ -752,14 +783,35 @@ def test_corrupt_pair_accepts_exactly_the_curve_labels():
     assert set(labels) <= candidates
 
     def accepted(label):
+        # a label paired with one it does not meet is refused as a fault
+        # that changes nothing, not as a name
         other = "F1" if label == "E1" else "E1"
         try:
             PipelineOptions(corrupt_pair=(label, other))
+        except ValueError as exc:
+            if "names no curve" in str(exc):
+                return False
+            assert "already meets in 0" in str(exc), exc
+        return True
+
+    assert {c for c in candidates if accepted(c)} == set(labels)
+
+
+def test_corrupt_pair_refuses_a_pair_that_already_meets_in_zero():
+    # E1 and F1 do not meet: zeroing their entry would leave every report passing
+    with pytest.raises(ValueError, match="corrupt_pair E1,F1 already meets in 0"):
+        PipelineOptions(corrupt_pair=("E1", "F1"))
+    labels = extend_with_conics(build_double_kummer()).labels
+
+    def accepted(pair):
+        try:
+            PipelineOptions(corrupt_pair=pair)
         except ValueError:
             return False
         return True
 
-    assert {c for c in candidates if accepted(c)} == set(labels)
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    assert [p for p in pairs if accepted(p)] == FAULT_PAIRS
 
 
 # -- command line ---------------------------------------------------------------------
@@ -800,6 +852,13 @@ def test_cli_single_stage(capsys):
     out = capsys.readouterr().out
     assert "stage nonfg: pass" in out
     assert "verdict: pass" in out
+
+
+def test_cli_refuses_a_fault_that_changes_nothing(capsys):
+    assert main(["all", "--corrupt-pair", "E1,F1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "autcert: corrupt_pair E1,F1 already meets in 0\n"
 
 
 def test_cli_failure_exit_code(capsys):

@@ -199,11 +199,11 @@ def test_verify_isometry_names_corrupted_pair():
     bad = with_intersection(ext, "E2", "C32", 0)
     report = verify_isometry(bad, epsilon_involution(bad))
     assert not report.passed
-    pairs = [
-        frozenset(f["pair"]) for f in report.failures
-        if f["kind"] == "pairing-not-preserved"
-    ]
-    assert frozenset({"E2", "C32"}) in pairs
+    # the pair itself, then each pair whose image is it
+    assert report.failures == (
+        "E2,C32: 0; image F2,C23: 1",
+        "F2,C23: 1; image E2,C32: 0",
+    )
 
 
 def test_verify_isometry_rejects_non_permutation():
@@ -212,7 +212,10 @@ def test_verify_isometry_rejects_non_permutation():
     cm["E1"] = "E2"
     report = verify_isometry(x, IsometryPerm(cm, {}))
     assert not report.passed
-    assert report.failures[0]["kind"] == "not-a-permutation"
+    # E2 is hit twice, so E1 is the curve that is no image
+    assert report.failures == ("not a permutation at E1",)
+    unknown = IsometryPerm({**{lab: lab for lab in x.labels}, "Q9": "E1"}, {})
+    assert verify_isometry(x, unknown).failures == ("not a permutation at Q9",)
 
 
 def test_verify_isometry_checks_declared_involution():
@@ -223,7 +226,11 @@ def test_verify_isometry_checks_declared_involution():
     cycle = IsometryPerm({"A": "B", "B": "C", "C": "A"}, {})
     report = verify_isometry(cfg, cycle)
     assert not report.passed
-    assert any(f["kind"] == "not-an-involution" for f in report.failures)
+    assert report.failures == (
+        "not an involution: A -> B -> C",
+        "not an involution: B -> C -> A",
+        "not an involution: C -> A -> B",
+    )
 
 
 def test_verify_isometry_checks_marking_incidence():
@@ -233,9 +240,19 @@ def test_verify_isometry_checks_marking_incidence():
     moved = IsometryPerm(eps.curve_map, {**eps.point_map, "P12": "P'12", "P99": "P1"})
     report = verify_isometry(ext, moved)
     assert report.failures == (
-        {"kind": "marking-incidence-not-preserved", "pair": ["P12", "P'12"]},
-        {"kind": "unknown-marking", "pair": ["P99", "P1"]},
+        "marking P12 -> P'12 does not preserve incidence",
+        "unknown marking in P99 -> P1",
     )
+
+
+def test_verify_isometry_names_a_fixed_curve():
+    # the identity preserves every pairing and is an involution: the fixed
+    # curves are its only failures, and they alone fail the check
+    ext = extend_with_conics(build_double_kummer())
+    report = verify_isometry(ext, IsometryPerm({lab: lab for lab in ext.labels}, {}))
+    assert not report.passed
+    assert report.failures == tuple(f"fixes {lab}" for lab in sorted(ext.labels))
+    assert report.fixed_labels == tuple(sorted(ext.labels))
 
 
 # -- quotient ---------------------------------------------------------------------
@@ -329,7 +346,7 @@ def _orbit_members(name: str) -> list[str]:
 def test_quotient_requires_free_involution():
     ext = extend_with_conics(build_double_kummer())
     fixing = IsometryPerm({lab: lab for lab in ext.labels}, {})
-    with pytest.raises(ValueError, match="free"):
+    with pytest.raises(ValueError, match="the involution fails the isometry check"):
         quotient_pushforward(ext, fixing, verify_isometry(ext, fixing))
 
 
@@ -348,7 +365,7 @@ def test_quotient_takes_a_held_isometry_report_in_place_of_the_check(monkeypatch
     cases = [
         (ext, epsilon_involution(ext), None),
         (bad, epsilon_involution(bad), "isometry"),
-        (ext, fixing, "free"),
+        (ext, fixing, "isometry"),
     ]
     held = [(config, eps, verify_isometry(config, eps), match) for config, eps, match in cases]
     z = quotient_fixture()

@@ -138,6 +138,7 @@ def exercise() -> None:
             (["nosuchstage"], 2),
             (["config", "--corrupt-pair", "E2"], 2),
             (["config", "--corrupt-pair", "E2,Q9"], 2),
+            (["config", "--corrupt-pair", "E1,F1"], 2),
             (["all", "--max-gens", "0"], 2),
             (["canonical", "--out", f"{tmp}/missing/report.json"], 2),
         ]
