@@ -18,7 +18,7 @@ fiber are a positive multiple of such a null vector.  So a fiber with
 all multiplicities one is a single cycle, type I_n, and any other
 fiber with a component of multiplicity one is read by deleting that
 component: what is left is the finite diagram D_n or E_n, which
-``lattice.dynkin_classify`` recognizes by its arm lengths.
+``lattice.diagram_type`` recognizes by its arm lengths.
 
 Two classical collisions are resolved by convention: a double edge on
 two components is reported as I2 (type III has the same dual graph)
@@ -27,9 +27,11 @@ and a triangle as I3 (type IV likewise).
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .lattice import RootType, dynkin_classify, is_connected
+from .lattice import RootType, diagram_type, is_connected
 from .scalars import Frozen
 from .surface import Configuration
 
@@ -118,8 +120,8 @@ def map_fiber(fiber: FiberDivisor, curve_map: Mapping[str, str]) -> FiberDivisor
 class FiberReport(NamedTuple):
     """The fiber-candidate verdict and its failures, one line of text each;
     each component's neighbours in the support, which classification reads
-    cycles from; and each component as label -> (Gram index, multiplicity),
-    which it reads the weighted dual graph from."""
+    cycles and Dynkin diagrams from; and each component as label -> (Gram
+    index, multiplicity), which it reads multiplicities and edge weights from."""
 
     passed: bool
     failures: tuple[str, ...]
@@ -131,25 +133,33 @@ def validate_fiber(config: Configuration, fiber: FiberDivisor) -> FiberReport:
     """Check the fiber-candidate conditions, naming each violation.
 
     The components are indexed once; one pass then reads each
-    component's Gram row, by index, for its self-intersection, its
-    pairing with the fiber (the fiber's square is their weighted sum)
-    and its neighbours in the support.  Failures read "A has
-    self-intersection 0", "E2 meets the fiber: -1", "fiber square: -2".
+    component's row of the Gram at the components' indices, once, for
+    its self-intersection, its pairing with the fiber (the fiber's square
+    is their weighted sum) and its neighbours in the support.  Failures
+    read "A has self-intersection 0", "E2 meets the fiber: -1", "fiber
+    square: -2".
     """
     comps = {lab: (config.index(lab), mult) for lab, mult in fiber.components.items()}
+    labels = list(comps)
+    indices = [i for i, _ in comps.values()]
+    mults = list(fiber.components.values())
+    # a row's entries at the components' indices, as a tuple even for one
+    pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
     selfs: list[str] = []
     meets: list[str] = []
     square = 0
     adj = {}
     for lab, (i, mult) in comps.items():
         row = config.gram[i]
+        entries = pick(row)
         if row[i] != -2:
             selfs.append(f"{lab} has self-intersection {row[i]}")
-        against = sum(m * row[j] for j, m in comps.values())
+        against = sum(map(mul, mults, entries))
         if against != 0:
             meets.append(f"{lab} meets the fiber: {against}")
         square += mult * against
-        adj[lab] = {b for b, (j, _) in comps.items() if j != i and row[j]}
+        adj[lab] = near = set(compress(labels, entries))
+        near.discard(lab)
     failures = selfs + meets
     if square != 0:
         failures.append(f"fiber square: {square}")
@@ -181,7 +191,10 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     """Validate a fiber and read its Kodaira type off the weighted dual graph.
 
     Raises if validation fails.  Returns fiber_type None when the
-    weighted graph matches no type.
+    weighted graph matches no type.  The graph is read from the
+    validation's neighbour sets; only the edges left after deleting a
+    component of multiplicity one are looked up again, by Gram index, to
+    see that each is simple.
     """
     report = validate_fiber(config, fiber)
     if not report.passed:
@@ -200,13 +213,16 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
 
     # the multiplicities are a multiple of the affine diagram's null
     # vector; a component of multiplicity one makes them that vector,
-    # and deleting it leaves the finite diagram
+    # and deleting it leaves the finite diagram, whose every edge is simple
     ones = [a for a in nodes if comps[a][1] == 1]
     if ones:
-        rest = [comps[a][0] for a in nodes if a != ones[0]]
-        root = dynkin_classify([[-config.gram[i][j] for j in rest] for i in rest])
-        if root is not None:
-            return FiberClass(_affine_type(root))
+        gone = {ones[0]}
+        rest = {a: ws - gone for a, ws in report.neighbours.items() if a not in gone}
+        gram = config.gram
+        if all(gram[comps[a][0]][comps[b][0]] == 1 for a, ws in rest.items() for b in ws):
+            root = diagram_type(rest)
+            if root is not None:
+                return FiberClass(_affine_type(root))
     return FiberClass(None)
 
 

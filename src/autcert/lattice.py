@@ -17,8 +17,9 @@ Dynkin diagrams.  A Gram matrix is checked once, by :class:`Gram`; a
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import Frozen, matrix_rank_det
@@ -57,21 +58,7 @@ class Gram(tuple):
         return tuple.__new__(cls, map(tuple, G))
 
 
-def dot(v: Sequence[int], w: Sequence[int]) -> int:
-    if len(v) != len(w):
-        raise ValueError("length mismatch")
-    return sum(a * b for a, b in zip(v, w))
-
-
-def pairing(gram: Sequence[Sequence[int]], v: Sequence[int], w: Sequence[int]) -> int:
-    return dot(v, [dot(row, w) for row in gram])
-
-
 # -- Hermite normal form -----------------------------------------------------
-
-
-def _row_sub(M: list[list[int]], i: int, r: int, q: int) -> None:
-    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
 
 
 def hnf(rows: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
@@ -82,42 +69,41 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
     entries above a pivot are reduced into [0, pivot), and zero rows
     sit at the bottom.  H depends only on the row span, so it serves
     as a canonical presentation of the lattice the rows generate.
+    Each row is carried as [A | U], so one row step moves both halves.
     """
     A = _int_rows(rows)
     m = len(A)
     n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    M = [row + [int(i == j) for j in range(m)] for i, row in enumerate(A)]
     r = 0
     for c in range(n):
         while True:
-            nz = [i for i in range(r, m) if A[i][c]]
+            nz = [i for i in range(r, m) if M[i][c]]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: abs(A[i][c]))
+            i0 = min(nz, key=lambda i: abs(M[i][c]))
             if i0 != r:
-                A[r], A[i0] = A[i0], A[r]
-                U[r], U[i0] = U[i0], U[r]
+                M[r], M[i0] = M[i0], M[r]
             done = True
+            pivot = M[r]
             for i in range(r + 1, m):
-                if A[i][c]:
-                    q = A[i][c] // A[r][c]
-                    _row_sub(A, i, r, q)
-                    _row_sub(U, i, r, q)
-                    if A[i][c]:
+                if M[i][c]:
+                    q = M[i][c] // pivot[c]
+                    M[i] = [a - q * b for a, b in zip(M[i], pivot)]
+                    if M[i][c]:
                         done = False
             if done:
                 break
-        if r < m and A[r][c]:
-            if A[r][c] < 0:
-                A[r] = [-v for v in A[r]]
-                U[r] = [-v for v in U[r]]
+        if r < m and M[r][c]:
+            if M[r][c] < 0:
+                M[r] = [-v for v in M[r]]
+            pivot = M[r]
             for i in range(r):
-                q = A[i][c] // A[r][c]
+                q = M[i][c] // pivot[c]
                 if q:
-                    _row_sub(A, i, r, q)
-                    _row_sub(U, i, r, q)
+                    M[i] = [a - q * b for a, b in zip(M[i], pivot)]
             r += 1
-    return tuple(tuple(row) for row in A), tuple(tuple(row) for row in U)
+    return tuple(tuple(row[:n]) for row in M), tuple(tuple(row[n:]) for row in M)
 
 
 # -- incremental echelon basis -------------------------------------------------
@@ -287,7 +273,9 @@ def orth_complement(
         basis = [tuple(int(i == j) for j in range(len(G))) for i in range(len(G))]
     else:
         basis = integer_kernel([G[i] for i in idx])
-    induced = tuple(tuple(pairing(G, v, w) for w in basis) for v in basis)
+    # G.w once per basis vector, then one dot product per entry
+    images = [[sum(map(mul, row, w)) for row in G] for w in basis]
+    induced = tuple(tuple(sum(map(mul, v, gw)) for gw in images) for v in basis)
     return basis, induced
 
 
@@ -318,7 +306,7 @@ def signature(gram: Sequence[Sequence[int]], leading: int | None = None) -> tupl
     n = len(G)
     if leading is not None and not 0 <= leading <= n:
         raise ValueError(f"leading block size {leading} out of range for {n} rows")
-    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(G) if any(row)}
+    rows = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(G) if any(row)}
     positive: list[bool] = []  # one entry per nonzero pivot
     inside = n if leading is None else leading  # pivots stay below this index
     block = None
@@ -349,18 +337,22 @@ def signature(gram: Sequence[Sequence[int]], leading: int | None = None) -> tupl
         nbrs = rows.pop(k)
         d = nbrs.pop(k)
         positive.append(d > 0)
-        scale = {i: d // gcd(d, f) for i, f in nbrs.items()}
-        reduced = {i: f * scale[i] // d for i, f in nbrs.items()}
-        for i, a in scale.items():
+        pairs = {}  # neighbour i -> (a_i, b_i)
+        for i, f in nbrs.items():
+            g = gcd(d, f)
+            pairs[i] = (d // g, f // g)
+        for i, (a, b) in pairs.items():
             row = rows[i]
             del row[k]
             for j, x in row.items():
-                if j in scale:
-                    row[j] = a * x * scale[j]
+                pair = pairs.get(j)
+                if pair:
+                    row[j] = a * x * pair[0]
                 else:
                     row[j] = rows[j][i] = a * x
-            for j, b in reduced.items():
-                y = row.get(j, 0) - d * reduced[i] * b
+            db = d * b
+            for j, (_, bj) in pairs.items():
+                y = row.get(j, 0) - db * bj
                 if y:
                     row[j] = y
                 else:
@@ -427,25 +419,27 @@ class RootType(Frozen):
         return f"{self.family}{self.rank}"
 
 
-def cartan_E(n: int) -> Mat:
-    """Cartan matrix of E_n: the chain 0, ..., n-2 with node n-1 joined to node 2."""
-    if n not in (6, 7, 8):
-        raise ValueError("E requires rank 6, 7, or 8")
+def _cartan_E(n: int) -> Gram:
     G = [[2 * int(i == j) for j in range(n)] for i in range(n)]
     for i, j in [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)]:
         G[i][j] = G[j][i] = -1
-    return tuple(tuple(row) for row in G)
+    return Gram(G)
+
+
+_CARTAN_E = {n: _cartan_E(n) for n in (6, 7, 8)}
+
+
+def cartan_E(n: int) -> Gram:
+    """Cartan matrix of E_n: the chain 0, ..., n-2 with node n-1 joined to node 2.
+
+    The three matrices are built and checked once, at import.
+    """
+    if n not in _CARTAN_E:
+        raise ValueError("E requires rank 6, 7, or 8")
+    return _CARTAN_E[n]
 
 
 E6_IN_E8_NODES = (0, 1, 2, 3, 4, 7)  # sub-diagram of cartan_E(8) of type E6
-
-
-def adjacency_from_gram(gram: Sequence[Sequence[int]]) -> dict[int, set[int]]:
-    G = Gram(gram)
-    n = len(G)
-    return {
-        i: {j for j in range(n) if j != i and G[i][j]} for i in range(n)
-    }
 
 
 def is_connected(adj: Mapping[object, Iterable[object]]) -> bool:
@@ -467,12 +461,7 @@ def dynkin_classify(gram: Sequence[Sequence[int]]) -> RootType | None:
     """Recognize a connected simply laced Cartan matrix, or return None.
 
     Expects the positive definite sign convention: 2 on the diagonal,
-    0 or -1 off it.  A connected Dynkin diagram of finite type is a
-    tree fixed by its arm lengths (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 11.4): a path is A_n; otherwise
-    there is one branch node, of degree 3, and its arms of p <= q <= r
-    nodes are (1, 1, r) for D_n or (1, 2, 2..4) for E6 to E8.  The
-    reading does not depend on the order of the basis vectors.
+    0 or -1 off it; the diagram it draws is read by ``diagram_type``.
     """
     G = Gram(gram)
     n = len(G)
@@ -482,7 +471,20 @@ def dynkin_classify(gram: Sequence[Sequence[int]]) -> RootType | None:
         for j in range(n):
             if i != j and G[i][j] not in (0, -1):
                 return None
-    adj = adjacency_from_gram(G)
+    return diagram_type({i: {j for j in range(n) if j != i and G[i][j]} for i in range(n)})
+
+
+def diagram_type(adj: Mapping[object, set]) -> RootType | None:
+    """The type of a simply laced Dynkin diagram given by its neighbour sets, or None.
+
+    A connected Dynkin diagram of finite type is a tree fixed by its arm
+    lengths (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 11.4): a path is A_n; otherwise there is one branch node, of
+    degree 3, and its arms of p <= q <= r nodes are (1, 1, r) for D_n or
+    (1, 2, 2..4) for E6 to E8.  The reading does not depend on how the
+    nodes are named.
+    """
+    n = len(adj)
     if not is_connected(adj) or sum(map(len, adj.values())) != 2 * (n - 1):
         return None
     branches = [v for v, ws in adj.items() if len(ws) > 2]
@@ -498,7 +500,7 @@ def dynkin_classify(gram: Sequence[Sequence[int]]) -> RootType | None:
     return None
 
 
-def _arm_length(adj: Mapping[int, set[int]], branch: int, first: int) -> int:
+def _arm_length(adj: Mapping[object, set], branch, first) -> int:
     """Nodes on the arm that leaves the branch node through first."""
     prev, here, length = branch, first, 1
     while len(adj[here]) == 2:

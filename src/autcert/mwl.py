@@ -108,24 +108,23 @@ def section_from_config(
     component cycle, as ``fibration.FiberClass.cycle`` orients it, and
     the index is the cyclic distance from the zero section's component
     to the section's.  The section must meet exactly one component,
-    once, and must not itself be a fiber component.
+    once, and must not itself be a fiber component.  Each cycle's Gram
+    indices are looked up once, and read in the section's and the zero
+    section's rows.
     """
     components: dict[str, ModInt] = {}
+    rows = {who: config.gram[config.index(who)] for who in (section, zero)}
     for fid, cycle in cycles:
+        indices = [config.index(c) for c in cycle]
         positions = {}
-        for who in (section, zero):
-            i = config.index(who)
-            if config.labels[i] in cycle:
+        for who, row in rows.items():
+            if who in cycle:
                 raise ValueError(f"{who} is a component of fiber {fid}")
-            row = config.gram[i]
-            met = [(k, row[j]) for k, j in enumerate(map(config.index, cycle)) if row[j]]
+            met = [(k, row[j]) for k, j in enumerate(indices) if row[j]]
             if len(met) != 1 or met[0][1] != 1:
                 raise ValueError(
                     f"{who} meets fiber {fid} in {met}, expected one simple point"
                 )
             positions[who] = met[0][0]
-        n = len(cycle)
-        components[fid] = ModInt(positions[section] - positions[zero], n)
-    return SectionData(
-        section, config.gram[config.index(section)][config.index(zero)], components
-    )
+        components[fid] = ModInt(positions[section] - positions[zero], len(cycle))
+    return SectionData(section, rows[section][config.index(zero)], components)

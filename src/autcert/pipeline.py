@@ -7,12 +7,13 @@ imported from the classical literature are never presented as machine
 checks: they appear under ``external_inputs`` with their citation, so
 the certificate states exactly what was computed and what was assumed.
 
-:class:`Context` is the single source of construction data: it builds
-the curve configurations, applies the ``corrupt_pair`` fault, checks the
-involution, measures the signatures and classifies each named fiber
-once, and every stage reads them there.  An injected fault therefore
-reaches every stage that reads the data it corrupts, and a stage that
-cannot be built from faulty data reports ``fail`` instead of raising.
+:class:`Context` is the single source of construction data: it takes
+the curve configurations, built once at import, applies the
+``corrupt_pair`` fault, checks the involution, measures the signatures
+and classifies each named fiber once per run, and every stage reads
+them there.  An injected fault therefore reaches every stage that reads
+the data it corrupts, and a stage that cannot be built from faulty data
+reports ``fail`` instead of raising.
 
 Reports are deterministic: all randomized search is seeded through
 :class:`PipelineOptions`, evidence dictionaries are built in a fixed
@@ -191,12 +192,17 @@ def _stringify(obj):
     else, a value type included, is a leaf written by its own ``str``.  A
     record writes itself instead, as ``PipelineOptions.to_record`` does.
     """
-    if obj is None or isinstance(obj, (bool, str)):
+    kind = type(obj)  # the exact types a payload holds first, then subclasses
+    if kind is str or kind is bool or obj is None:
         return obj
-    if isinstance(obj, dict):
+    if kind is int:
+        return str(obj)
+    if kind is dict or isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
         return [_stringify(v) for v in obj]
+    if isinstance(obj, str):  # bool has no subclass
+        return obj
     if isinstance(obj, (set, frozenset)):
         raise TypeError(f"a report cannot hold a {type(obj).__name__}: it has no fixed order")
     return str(obj)
@@ -230,25 +236,34 @@ def _assemble(name: str, checks, external=(), annotations=()) -> StageResult:
 
 
 class _fact(cached_property):
-    """A :class:`Context` fact, built by ``Context._once`` on the first read."""
+    """A :class:`Context` fact, built by ``Context._once`` on the first read.
+
+    A built value becomes a plain instance attribute, so later reads
+    skip this descriptor; a build that raised is only in ``_kept``, and
+    every read comes back here and raises it again.
+    """
 
     def __get__(self, ctx, owner=None):
         if ctx is None:
             return self
-        return ctx._once(self.attrname, lambda: self.func(ctx))
+        value = ctx._once(self.attrname, lambda: self.func(ctx))
+        ctx.__dict__[self.attrname] = value
+        return value
 
 
 class Context:
-    """The construction, built, fault-injected and measured once per run.
+    """The construction, fault-injected and measured once per run.
 
-    Stages read their inputs here, and nothing else builds a curve
-    configuration or applies ``corrupt_pair``.  Each fact is built on
-    first use, so a stage run alone builds only what it reads.  A fact
-    whose construction raises keeps its exception: it is built once,
-    and every stage that reads it raises the same exception, so each
-    reports the same witness.  Each named fiber is one such fact: its
-    :class:`FiberClass`, which gives its Kodaira type and, for I_n, its
-    cycle, or the error that rejected the divisor.
+    Stages read their inputs here, and nothing else applies
+    ``corrupt_pair``.  The unfaulted curves are the one value built at
+    import; a fault checks its own copy.  Each fact is built on first
+    use, so a stage run alone builds only what it reads, and then it is
+    a plain instance attribute.  A fact whose construction raises keeps
+    its exception: it is built once, and every stage that reads it
+    raises the same exception, so each reports the same witness.  Each
+    named fiber is one such fact: its :class:`FiberClass`, which gives
+    its Kodaira type and, for I_n, its cycle, or the error that rejected
+    the divisor.
 
     Config and the quotient share the involution's one isometry report,
     and the 28-curve congruence gives the 24-curve inertia too: the

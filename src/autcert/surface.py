@@ -22,6 +22,7 @@ after the involution has passed its isometry check.
 
 from __future__ import annotations
 
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -111,9 +112,6 @@ def _construction():
 (_LABELS, _GRAM, _POINTS, _EPSILON, QUOTIENT_CLASS, _POINT_EPSILON, _PUSHED_MARKING) = (
     _construction()
 )
-_KUMMER_LABELS = _LABELS[:24]
-_KUMMER_GRAM = Gram([row[:24] for row in _GRAM[:24]])
-_KUMMER_POINTS = dict(list(_POINTS.items())[:32])
 
 
 def is_curve_label(label: str) -> bool:
@@ -129,13 +127,13 @@ def construction_pairing(a: str, b: str) -> int:
 class Configuration(Frozen):
     """Labeled curves with an exact symmetric intersection table.
 
-    ``markings`` maps each named point to the curves it lies on, each
-    curve label to the point's affine coordinate along that curve (an
-    exact element of Q(t, s), or the point at infinity), or to None when
-    the construction does not pin the coordinate down.  ``gram`` is a
-    :class:`~autcert.lattice.Gram`, checked once, here.  Every curve has
-    one spelling, its label.  Lookups go through a label -> index map
-    built once; it takes no part in equality or repr.
+    ``markings`` is a read-only map of each named point to the curves it
+    lies on, each curve label to the point's affine coordinate along that
+    curve (an exact element of Q(t, s), or the point at infinity), or to
+    None when the construction does not pin the coordinate down.
+    ``gram`` is a :class:`~autcert.lattice.Gram`, checked once, here.
+    Every curve has one spelling, its label.  Lookups go through a label
+    -> index map built once; it takes no part in equality or repr.
     """
 
     __slots__ = ("tag", "labels", "gram", "markings", "_index")
@@ -175,7 +173,7 @@ class Configuration(Frozen):
                     raise TypeError(f"coordinate of {point} on {curve} not projective")
                 if curve not in index:
                     raise ValueError(f"marking {point} lies on unknown curve {curve}")
-        self._set(tag, labels, gram, markings, index)
+        self._set(tag, labels, gram, MappingProxyType(markings), index)
 
     # -- lookups -------------------------------------------------------
 
@@ -218,15 +216,21 @@ def with_intersection(config: Configuration, a: str, b: str, value: int) -> Conf
 
 # -- the K3 configurations -----------------------------------------------------
 
+_KUMMER = Configuration(
+    "X_K3", _LABELS[:24], [row[:24] for row in _GRAM[:24]], dict(list(_POINTS.items())[:32])
+)
+_EXTENDED = Configuration("X_K3", _LABELS, _GRAM, _POINTS)
+
 
 def build_double_kummer() -> Configuration:
     """The 24-curve double Kummer pencil configuration.
 
     The leading 24 curves of the construction table, E1..E4, F1..F4 and
     C11..C44, with their Gram block and their 32 marked points Pij and
-    P'ij.
+    P'ij: one value, built and checked at import and immutable all the
+    way through, returned to every caller.
     """
-    return Configuration("X_K3", _KUMMER_LABELS, _KUMMER_GRAM, _KUMMER_POINTS)
+    return _KUMMER
 
 
 def extend_with_conics(config: Configuration) -> Configuration:
@@ -234,16 +238,12 @@ def extend_with_conics(config: Configuration) -> Configuration:
 
     ``config`` must equal the 24-curve double Kummer configuration; the
     result is the whole construction table, all 28 curves with their
-    one stored Gram and all 36 marked points, P1..P4 included.
+    one stored Gram and all 36 marked points, P1..P4 included, built and
+    checked once at import as ``build_double_kummer``'s value is.
     """
-    if (
-        config.tag != "X_K3"
-        or config.labels != _KUMMER_LABELS
-        or config.gram != _KUMMER_GRAM
-        or config.markings != _KUMMER_POINTS
-    ):
+    if config != _KUMMER:
         raise ValueError("expected the 24-curve double Kummer configuration")
-    return Configuration("X_K3", _LABELS, _GRAM, _POINTS)
+    return _EXTENDED
 
 
 # -- isometries -----------------------------------------------------------------
@@ -337,35 +337,39 @@ def quotient_pushforward(
     Orbits, named by ``QUOTIENT_CLASS``: Hj = {Ej, Fj}, the
     off-diagonal D-curves {Cij, Cji} (labeled D<max><min> only), and
     Dii = {Cii, Ci}; an orbit of ``eps`` that is none of these raises.
-    Intersections follow the double-cover rule (A.B) = (pull A . pull B)/2,
-    the four upstairs entries read by Gram index, one row of A's two at a
-    time.  The division is exact: for an isometric involution with orbits {a, a'}
-    and {b, b'} the sum is 2((a.b) + (a.b')).  Markings Qij are pushed
-    down from Pij with their coordinates along the section curves.
-    ``report`` is ``verify_isometry(config, eps)``, run by the caller; an
-    involution that fails it, which includes fixing a curve, raises.
+    Each curve's class is looked up once, and each orbit is checked by
+    its image's class.  Intersections follow the double-cover rule
+    (A.B) = (pull A . pull B)/2: A's two Gram rows are added once, and
+    the sum is read at B's two indices.  The division is exact: for an
+    isometric involution with orbits {a, a'} and {b, b'} the sum is
+    2((a.b) + (a.b')).  Markings Qij are pushed down from Pij with their
+    coordinates along the section curves.  ``report`` is
+    ``verify_isometry(config, eps)``, run by the caller; an involution
+    that fails it, which includes fixing a curve, raises.
     """
     if not report.passed:
         raise ValueError("the involution fails the isometry check")
 
-    orbits: dict[str, tuple[str, ...]] = {}
-    for lab in config.labels:
-        pair = {lab, eps.apply(lab)}
-        name = QUOTIENT_CLASS.get(lab)
-        if name is None or {QUOTIENT_CLASS.get(x) for x in pair} != {name}:
-            raise ValueError(f"unexpected orbit {sorted(pair)}")
-        orbits[name] = tuple(sorted(pair))
+    # each class's summed Gram row, and the indices of its two curves
+    classes = [QUOTIENT_CLASS.get(lab) for lab in config.labels]
+    summed: dict[str, list[int]] = {}
+    members: dict[str, list[int]] = {}
+    for i, (lab, name) in enumerate(zip(config.labels, classes)):
+        image = config.index(eps.apply(lab))
+        if name is None or classes[image] != name:
+            raise ValueError(f"unexpected orbit {sorted({lab, config.labels[image]})}")
+        row = config.gram[i]
+        if name in summed:
+            summed[name] = list(map(add, summed[name], row))
+            members[name].append(i)
+        else:
+            summed[name], members[name] = row, [i]
 
-    z_labels = tuple(sorted(n for n in orbits if n.startswith("H"))) + tuple(
-        sorted(n for n in orbits if n.startswith("D"))
+    z_labels = tuple(sorted(n for n in summed if n.startswith("H"))) + tuple(
+        sorted(n for n in summed if n.startswith("D"))
     )
-
-    index = {name: [config.index(a) for a in pair] for name, pair in orbits.items()}
-    columns = [index[nb] for nb in z_labels]
-    gram = []
-    for na in z_labels:
-        r, s = (config.gram[i] for i in index[na])
-        gram.append(tuple((r[j] + r[k] + s[j] + s[k]) // 2 for j, k in columns))
+    columns = [members[nb] for nb in z_labels]
+    gram = [tuple((r[j] + r[k]) // 2 for j, k in columns) for r in map(summed.get, z_labels)]
 
     markings = {
         q: {QUOTIENT_CLASS[c]: coord for c, coord in config.markings[p].items()}

@@ -11,6 +11,9 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from autcert.cremona import X_VARS
+from autcert import fibration
+from autcert.fibration import KodairaType
+from autcert.lattice import dynkin_classify
 from autcert.scalars import MultiPoly
 
 settings.register_profile("suite", max_examples=100, deadline=None)
@@ -50,6 +53,46 @@ def gaussian_inverse(rows):
                 f = A[i][c]
                 A[i] = [x - f * y for x, y in zip(A[i], A[c])]
     return [row[n:] for row in A]
+
+
+def pairing(gram, v, w):
+    """v^T G w, entry by entry: the reference the lattice tests pair vectors with."""
+    return sum(a * sum(x * y for x, y in zip(row, w)) for a, row in zip(v, gram))
+
+
+def adjacency_from_gram(gram):
+    """Each node's neighbours: the other nodes its Gram row is nonzero at."""
+    n = len(gram)
+    return {i: {j for j in range(n) if j != i and gram[i][j]} for i in range(n)}
+
+
+def gram_path_type(config, fiber):
+    """The Kodaira type of a fiber read from a sub-Gram, entry by entry.
+
+    The reference for ``classify_kodaira``'s reading off the validation's
+    neighbour sets: all multiplicities one is I_n; otherwise minus the
+    Gram of the components left after deleting the least-named one of
+    multiplicity one goes to ``dynkin_classify``, which checks every
+    entry.  None where that finds no type or there is no such component.
+    Validation is looked up on the module, as ``classify_kodaira`` does,
+    so a test that stands in for it reaches both.
+    """
+    if not fibration.validate_fiber(config, fiber).passed:
+        raise ValueError("not a fiber candidate")
+    comps = fiber.components
+    nodes = sorted(comps)
+    if all(m == 1 for m in comps.values()):
+        return KodairaType("I", len(nodes))
+    ones = [a for a in nodes if comps[a] == 1]
+    if not ones:
+        return None
+    rest = [config.index(a) for a in nodes if a != ones[0]]
+    root = dynkin_classify([[-config.gram[i][j] for j in rest] for i in rest])
+    if root is None:
+        return None
+    if root.family == "D":
+        return KodairaType("I*", root.rank - 4)
+    return KodairaType({6: "IV*", 7: "III*", 8: "II*"}[root.rank])
 
 
 def _tree_cartan(n, edges):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autcert import fibration
 from autcert.fibration import (
     FiberDivisor,
     KodairaType,
@@ -25,6 +26,8 @@ from autcert.surface import (
     quotient_pushforward,
     verify_isometry,
 )
+
+from conftest import gram_path_type
 
 N1 = FiberDivisor.of(["E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"])
 N2 = FiberDivisor(
@@ -299,6 +302,40 @@ def test_classify_starred_types_from_their_affine_diagrams():
     edges, mults = affine_d(0)
     cfg, fiber, _ = relabeled(edges, [2 * m for m in mults], 0)
     assert classify_kodaira(cfg, fiber) == (None, ())
+
+
+def test_classification_matches_the_gram_path():
+    # the starred diagrams under six relabelings each, and the six pipeline fibers
+    for _, edges, mults in STARRED:
+        for seed in range(6):
+            cfg, fiber, _ = relabeled(edges, mults, seed)
+            assert classify_kodaira(cfg, fiber).fiber_type == gram_path_type(cfg, fiber)
+    ctx = Context(PipelineOptions())
+    for name, fiber in ctx.fibers.items():
+        cfg = ctx.z if name.startswith("M") else ctx.x
+        kt = classify_kodaira(cfg, fiber).fiber_type
+        assert kt is not None and kt == gram_path_type(cfg, fiber), name
+
+
+def test_a_remainder_with_a_double_edge_is_unrecognized(monkeypatch):
+    # affine D4 with one doubled spoke: deleting A leaves the star of D4 in
+    # shape, but X meets P twice.  No divisor passing validation has such a
+    # remainder, so the validation is made to pass
+    cfg = synthetic(
+        ["A", "P", "Q", "R", "X"], [("A", "X", 1), ("X", "P", 2), ("X", "Q", 1), ("X", "R", 1)]
+    )
+    fiber = FiberDivisor({"A": 1, "P": 1, "Q": 1, "R": 1, "X": 2})
+    real = fibration.validate_fiber
+    monkeypatch.setattr(
+        fibration, "validate_fiber", lambda c, f: real(c, f)._replace(passed=True, failures=())
+    )
+    assert classify_kodaira(cfg, fiber) == (None, ())
+    assert gram_path_type(cfg, fiber) is None
+    # the same star with a simple spoke is I0*
+    simple = synthetic(
+        ["A", "P", "Q", "R", "X"], [("A", "X", 1), ("X", "P", 1), ("X", "Q", 1), ("X", "R", 1)]
+    )
+    assert str(classify_kodaira(simple, fiber).fiber_type) == "I0*"
 
 
 def test_doubled_cycle_is_unrecognized():

@@ -18,7 +18,6 @@ from autcert.lattice import (
     Gram,
     RootType,
     SpanBasis,
-    adjacency_from_gram,
     cartan_E,
     dynkin_classify,
     gauss_reduce_rank2,
@@ -27,14 +26,20 @@ from autcert.lattice import (
     integer_kernel,
     is_connected,
     orth_complement,
-    pairing,
     signature,
     z_span_membership,
 )
 from autcert.scalars import matrix_rank_det
 from autcert.surface import build_double_kummer
 
-from conftest import cartan_A, cartan_D, int_matrix, reflection_closure
+from conftest import (
+    adjacency_from_gram,
+    cartan_A,
+    cartan_D,
+    int_matrix,
+    pairing,
+    reflection_closure,
+)
 
 
 def matmul(A, B):

@@ -6,6 +6,7 @@ hypothesis seeds, so every run checks the same cases.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -30,6 +31,14 @@ from autcert.cremona import (
 )
 from autcert.lattice import SpanBasis, dynkin_classify, hnf, signature
 from autcert.scalars import MultiPoly, matrix_rank_det, poly_gcd
+from autcert.surface import (
+    build_double_kummer,
+    epsilon_involution,
+    extend_with_conics,
+    quotient_pushforward,
+    verify_isometry,
+    with_intersection,
+)
 
 from conftest import (
     POLY_VARS,
@@ -544,6 +553,25 @@ def symmetric_int_matrices(draw):
 @given(symmetric_int_matrices())
 def test_signature_matches_descartes_rule_on_charpoly(G):
     assert signature(G) == descartes_signature(G)
+
+
+def test_signature_matches_descartes_rule_on_the_construction_forms():
+    # the 14-class form, and the 28-curve form with its leading 24-curve
+    # block, unfaulted and with each of six seeded pairs zeroed
+    x = extend_with_conics(build_double_kummer())
+    eps = epsilon_involution(x)
+    z = quotient_pushforward(x, eps, verify_isometry(x, eps))
+    assert signature(z.gram) == descartes_signature(z.gram)
+    n = len(x.labels)
+    pairs = [(x.labels[i], x.labels[j]) for i in range(n) for j in range(i) if x.gram[i][j]]
+    for pair in [None] + random.Random(39).sample(pairs, 6):
+        faulted = x if pair is None else with_intersection(x, *pair, 0)
+        G = faulted.gram
+        leading = [row[:24] for row in G[:24]]
+        assert signature(G, leading=24) == (
+            descartes_signature(leading),
+            descartes_signature(G),
+        ), pair
 
 
 @st.composite

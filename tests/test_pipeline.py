@@ -14,7 +14,7 @@ import autcert
 from autcert import __version__, cremona, fibration, fingen, pipeline, surface
 from autcert.__main__ import main
 from autcert.mwl import ModInt, SectionData
-from autcert.lattice import gram_rank, signature
+from autcert.lattice import RootType, gram_rank, signature
 from autcert.pipeline import (
     STAGE_ORDER,
     CertificateReport,
@@ -689,9 +689,83 @@ def wrong_generator_2(mp):
     mp.setattr(pipeline, "shift_generators", lambda k: real(k)[:2] + [{-6: 1}] + real(k)[3:])
 
 
+QUOTIENT_HALVING = (
+    "pushed-forward pairings halve the upstairs orbit pairings and "
+    "every class stays a (-2)-class"
+)
+FIBRATIONS_INVOLUTION = (
+    "the involution images of the upstairs divisors are disjoint "
+    "from them and classify identically"
+)
+LATTICE_E6 = (
+    "the orthogonal complement of E6 inside E8 reduces to the Gram "
+    "matrix [[2, -1], [-1, 2]] of the root lattice A2"
+)
+
+
+def unhalved_sample(mp):
+    """H2 . D32 reads 2 where the halved orbit pairing is 1; every class
+    keeps self-intersection -2."""
+    real = Configuration.pairing
+    mp.setattr(
+        Configuration,
+        "pairing",
+        lambda config, a, b: 2 if (a, b) == ("H2", "D32") else real(config, a, b),
+    )
+
+
+def class_off_minus_two(mp):
+    """D11 reads self-intersection -1; every sampled pairing is still halved."""
+    real = Configuration.self_int
+    mp.setattr(Configuration, "self_int", lambda config, a: -1 if a == "D11" else real(config, a))
+
+
+def misclassified_eps_cycle(mp):
+    """The involution image of the 8-cycle, the one fiber holding C24,
+    classifies as I7; its support is still disjoint from the cycle's."""
+    real = pipeline.classify_kodaira
+    mp.setattr(
+        pipeline,
+        "classify_kodaira",
+        lambda config, fiber: fibration.FiberClass(fibration.KodairaType("I", 7))
+        if "C24" in fiber.components
+        else real(config, fiber),
+    )
+
+
+def eps_images_in_place(mp):
+    """Each upstairs divisor is its own involution image: same type, same support."""
+    real = pipeline.map_fiber
+    mp.setattr(
+        pipeline,
+        "map_fiber",
+        lambda fiber, curve_map: real(fiber, curve_map)
+        if curve_map is surface.QUOTIENT_CLASS
+        else fiber,
+    )
+
+
+def unnormalized_reduction(mp):
+    """The reduction keeps the sign +1 off the diagonal, and the classifier
+    reads A2 off any form, so only the reduced matrix shows the slip."""
+    mp.setattr(pipeline, "gauss_reduce_rank2", lambda gram: ((2, 1), (1, 2)))
+    mp.setattr(pipeline, "dynkin_classify", lambda gram: RootType("A", 2))
+
+
+def misread_a2(mp):
+    """The classifier reads the reduced hexagonal form as A1."""
+    mp.setattr(pipeline, "dynkin_classify", lambda gram: RootType("A", 1))
+
+
 @pytest.mark.parametrize(
     "name, patch, failing",
     [
+        ("quotient", unhalved_sample, {QUOTIENT_HALVING}),
+        ("quotient", class_off_minus_two, {QUOTIENT_HALVING}),
+        ("fibrations", misclassified_eps_cycle, {FIBRATIONS_INVOLUTION}),
+        ("fibrations", eps_images_in_place, {FIBRATIONS_INVOLUTION}),
+        ("lattice", unnormalized_reduction, {LATTICE_E6}),
+        ("lattice", misread_a2, {LATTICE_E6}),
         ("dynamics", move_p2, {DYNAMICS_GLUING}),
         ("dynamics", move_p22_and_p2, {DYNAMICS_GLUING}),
         ("dynamics", move_c2_index, {DYNAMICS_SUM, DYNAMICS_SQUARE}),
@@ -711,6 +785,8 @@ def wrong_generator_2(mp):
         ),
     ],
     ids=[
+        "halving", "minus-two-class", "involution-image-type", "involution-image-support",
+        "e6-reduction", "e6-classification",
         "gluing", "gluing-away-from-t", "component-index", "conjugation",
         "conjugation-scale", "bridge-generator-2", "exhausted-search", "coordinate-swap",
         "contraction-to-the-wrong-point",

@@ -132,20 +132,28 @@ def test_extend_rejects_wrong_base():
 
 
 def test_a_mutated_build_leaves_the_next_build_and_the_table_alone():
-    table = {p: dict(on) for p, on in surface._KUMMER_POINTS.items()}
+    table = {p: dict(on) for p, on in list(surface._POINTS.items())[:32]}
     k = build_double_kummer()
-    # each point's curve -> coordinate map is shared with the table, read-only
+    # one value shared by every caller, read-only all the way through: each
+    # point's curve -> coordinate map, and the outer map too
     with pytest.raises(TypeError):
         k.markings["P11"]["E1"] = None
-    # the outer map is the build's own
-    k.markings["P11"] = {"E1": None, "C11": None}
-    del k.markings["P'44"]
-    assert {p: dict(on) for p, on in surface._KUMMER_POINTS.items()} == table
+    with pytest.raises(TypeError):
+        k.markings["P11"] = {"E1": None, "C11": None}
+    with pytest.raises(TypeError):
+        del k.markings["P'44"]
+    x = extend_with_conics(k)
+    with pytest.raises(TypeError):
+        x.markings["P1"] = {"F1": None, "C1": None}
+    assert {p: dict(on) for p, on in list(surface._POINTS.items())[:32]} == table
     fresh = build_double_kummer()
     assert fresh.markings == table
     assert len(extend_with_conics(fresh).markings) == 36
+    # a changed copy is a configuration of its own, which extension refuses
+    moved = Configuration(k.tag, k.labels, k.gram, {**k.markings, "P11": {"E1": None, "C11": None}})
     with pytest.raises(ValueError):
-        extend_with_conics(k)
+        extend_with_conics(moved)
+    assert build_double_kummer().markings == table
 
 
 def test_extend_fiber_class_constancy():

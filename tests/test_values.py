@@ -28,6 +28,7 @@ from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
 from autcert.scalars import INFINITY, LaurentT, MultiPoly, ProjValue, RatFunc
 from autcert.surface import (
     BlowupLedger,
+    Configuration,
     build_double_kummer,
     epsilon_involution,
     extend_with_conics,
@@ -63,14 +64,19 @@ def z_config():
     return quotient_pushforward(x, eps, verify_isometry(x, eps))
 
 
+def kummer_copy():
+    k = build_double_kummer()
+    return Configuration(k.tag, k.labels, k.gram, k.markings)
+
+
 def n1():
     return FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"))
 
 
 # each converted class: a factory of fresh instances, and whether they hash;
 # an instance holding a dict is unhashable, as it was as a frozen dataclass.
-# cremona_map() and QuadricForm.standard() return one value built at import,
-# so their factories build a new instance from its parts
+# cremona_map(), QuadricForm.standard() and build_double_kummer() return one
+# value built at import, so their factories build a new instance from its parts
 VALUES = {
     "RationalMapP3": (lambda: RationalMapP3(cremona_map().components), True),
     "QuadricForm": (lambda: QuadricForm(QuadricForm.standard().poly), True),
@@ -85,7 +91,7 @@ VALUES = {
     "FiberDivisor": (n1, False),
     "FiberReport": (lambda: validate_fiber(x_config(), n1()), False),
     "FiberClass": (lambda: classify_kodaira(x_config(), n1()), True),
-    "Configuration": (build_double_kummer, False),
+    "Configuration": (kummer_copy, False),
     "IsometryPerm": (lambda: epsilon_involution(x_config()), False),
     "IsometryReport": (lambda: verify_isometry(x_config(), epsilon_involution(x_config())), True),
     "BlowupLedger": (lambda: BlowupLedger(z_config()), False),
