@@ -43,10 +43,8 @@ print("escape:", translation_str(escape.terms), "member:", outside is not None)
 cert = certify_nonfg(max_k=5)
 print("stages:", len(cert.stages), "passed:", cert.passed)
 for stage in cert.stages:
-    print(
-        f"  k={stage.k}: {stage.escape} escapes span of {stage.k}"
-        f", joins span of {stage.k + 1}"
-    )
+    escape = translation_str({-2 * stage.escape_exponent: 1})
+    print(f"  k={stage.k}: {escape} escapes span of {stage.k}, joins span of {stage.k + 1}")
 
 # The nonfg stage writes the certificate with exact string numbers for
 # third-party checks: the generator exponents once, and per stage the

@@ -8,13 +8,15 @@ organized in independent layers:
 * :mod:`autcert.scalars` -- exact rationals, multivariate polynomials,
   Laurent polynomials, rational square roots, fraction-free linear
   algebra over rationals and polynomials, and rational functions with
-  a single-term denominator for marking coordinates;
+  a single-term denominator;
 * :mod:`autcert.lattice` -- integer row reduction (Hermite form), span
   membership with witnesses, orthogonal complements, ADE recognition,
   and exact signatures;
 * :mod:`autcert.surface` -- labeled curve configurations with exact
-  intersection pairings, involution bookkeeping, free-quotient
-  pushforward, and the ledger of the quotient blown up at Q32;
+  intersection pairings, marked points whose coordinates are
+  polynomials or the point at infinity, involution bookkeeping,
+  free-quotient pushforward, and the ledger of the quotient blown up
+  at Q32;
 * :mod:`autcert.fibration` -- elliptic fiber validation and Kodaira
   classification from weighted dual graphs, Euler numbers, and the
   Shioda-Tate rank count;

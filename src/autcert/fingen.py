@@ -21,7 +21,8 @@ None: the terms of the stored generators, not of the echelon rows that
 found it, are summed with the witness coefficients into one sparse
 dict, whose canonical form must equal the target's term dict.  The
 shifts t^(-2n) are the term dicts {-2n: 1} and the escape t^(-2N) is
-{-2N: 1}, its text written from N: the chain builds no ``LaurentT``.
+{-2N: 1}, held as N alone: the chain builds no ``LaurentT``, and a
+reader writes the escape as ``translation_str({-2 * N: 1})``.
 A caller that wants Laurent arithmetic wraps a shift as ``LaurentT(g)``.
 The certificate stores each fact once: the t-exponents of the
 generators, and per stage the support bound, the escape exponent and a
@@ -95,7 +96,8 @@ def shift_generators(k: int) -> list[dict]:
 
 
 class EscapeStage(NamedTuple):
-    """Stage k: the escape t^(-2N)*a against the first k generators.
+    """Stage k: the escape t^(-2N)*a, held as ``escape_exponent`` N, against
+    the first k generators.
 
     ``support_bound`` is the least exponent among those generators, the
     number the degree argument compares -2N against.  ``refutation`` and
@@ -104,7 +106,6 @@ class EscapeStage(NamedTuple):
 
     k: int
     support_bound: int
-    escape: str
     escape_exponent: int
     refutation: dict[int, int] | None
     next_span: dict[int, int] | None
@@ -140,7 +141,7 @@ class NonFGCertificate(NamedTuple):
     stages: tuple[EscapeStage, ...]
     degree_argument: str
     external_facts: tuple[str, ...]
-    format: str = "2"
+    format: str = "3"
 
     def to_record(self) -> dict:
         """The report record: every number an exact string, ``passed`` and ``member`` booleans."""
@@ -152,7 +153,6 @@ class NonFGCertificate(NamedTuple):
                 {
                     "k": str(st.k),
                     "support_bound": str(st.support_bound),
-                    "escape": st.escape,
                     "escape_exponent": str(st.escape_exponent),
                     "refutation": _membership_record(st.refutation),
                     "next_span": _membership_record(st.next_span),
@@ -188,9 +188,7 @@ def certify_nonfg(max_k: int) -> NonFGCertificate:
         basis.insert(shifts[k])
         next_span = membership(basis, escape)
         passed = passed and n == k and refutation is None and next_span is not None
-        stages.append(
-            EscapeStage(k, bound, f"(t^{-2 * n})*a", n, refutation, next_span)
-        )
+        stages.append(EscapeStage(k, bound, n, refutation, next_span))
         bound = min(bound, exponents[k])
     return NonFGCertificate(
         max_k, passed, exponents, tuple(stages), DEGREE_ARGUMENT, (CHAIN_FACT,)

@@ -57,8 +57,9 @@ from .lattice import (
     signature,
 )
 from .mwl import ModInt, SectionData, height, section_from_config
-from .scalars import INFINITY, Frozen, LaurentT, MultiPoly
+from .scalars import Frozen, LaurentT, MultiPoly
 from .surface import (
+    INFINITY,
     PENCIL_X,
     QUOTIENT_CLASS,
     SURFACE_CHI,
@@ -212,6 +213,14 @@ def _check(claim: str, ok: bool, **data) -> dict:
     entry = {"claim": claim, "status": "pass" if ok else "fail"}
     entry.update(_stringify(data))
     return entry
+
+
+def _measured(claim: str, name: str, value, want, **data) -> dict:
+    """The check that a measured figure, held as ``name``, equals ``want``;
+    a miss names both in the witness "<name> <value>; expected <want>"."""
+    if value != want:
+        data["witness"] = f"{name} {value}; expected {want}"
+    return _check(claim, value == want, **data, **{name: value})
 
 
 def _external(claim: str, citation: str) -> dict:
@@ -452,22 +461,23 @@ _ANCHORS = {
 
 def _stage_config(ctx: Context) -> StageResult:
     x = ctx.x
-    sig24 = ctx.x_signatures[0]
     rep_e = ctx.eps_report
     data: dict = {"fixed_labels": list(rep_e.fixed_labels)}
     if rep_e.failures:
         data["witness"] = rep_e.failures[0]
     checks = [
-        _check(
+        _measured(
             "the 24-curve intersection form has signature (1, 17)",
-            sig24 == (1, 17, 6),
-            signature=sig24,
+            "signature",
+            ctx.x_signatures[0],
+            (1, 17, 6),
         ),
-        _check(
+        _measured(
             "adjoining the four extra curves keeps the rank at 18",
-            ctx.x_rank == 18,
+            "rank",
+            ctx.x_rank,
+            18,
             curves=len(x.labels),
-            rank=ctx.x_rank,
         ),
         _check(
             "the curve swap E_i <-> F_i, C_ij <-> C_ji, C_ii <-> C_i is an "
@@ -573,19 +583,16 @@ def _stage_cremona(ctx: Context) -> StageResult:
 
 def _stage_quotient(ctx: Context) -> StageResult:
     z = ctx.z
-    sig = ctx.z_signature
     samples = [("H2", "D32", 1), ("D11", "H1", 2), ("D11", "D22", 2), ("H1", "H2", 0)]
     halved = all(z.pairing(a, b) == v for a, b, v in samples)
     q32 = z.marking_coord("Q32", "H2")
-    want = (1, 9, 4)
-    lattice_data: dict = {"rank": ctx.z_rank, "signature": sig}
-    if sig != want:
-        lattice_data["witness"] = f"signature {sig}; expected {want}"
     checks = [
-        _check(
+        _measured(
             "the quotient classes span a rank-10 lattice of signature (1, 9)",
-            sig == want,
-            **lattice_data,
+            "signature",
+            ctx.z_signature,
+            (1, 9, 4),
+            rank=ctx.z_rank,
         ),
         _check(
             "pushed-forward pairings halve the upstairs orbit pairings and "
@@ -596,7 +603,7 @@ def _stage_quotient(ctx: Context) -> StageResult:
         _check(
             "the distinguished marked point descends to the class H2 with "
             "affine coordinate at infinity",
-            q32 == INFINITY,
+            q32 is INFINITY,
             coordinate=q32,
         ),
     ]

@@ -4,10 +4,10 @@ Every quantity in this package is exact: rationals are
 :class:`fractions.Fraction`, polynomials carry coefficients that are an
 ``int`` when integral, else a ``Fraction``, in a canonical
 graded-lexicographic term order, rational functions are
-polynomials over a single-term denominator (enough for the marking
-constants 0, 1, t and s), and Laurent polynomials allow negative
-exponents of the single variable ``t``.  No floating point is used
-anywhere.
+polynomials over a single-term denominator, and Laurent polynomials
+allow negative exponents of the single variable ``t``.  No floating
+point is used anywhere.  No certificate run builds a rational function:
+the marking coordinates are plain polynomials.
 
 Each type has a canonical textual form, which the certificate reports
 embed; polynomials print as sorted monomial strings.  ``Frozen`` is the
@@ -586,37 +586,6 @@ def laurent_text(terms: Mapping[int, Fraction | int]) -> str:
         parts.append(("- " if c < 0 else "+ ") + body)
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-# -- projective values ----------------------------------------------------
-
-
-class ProjValue(Frozen):
-    """A point of the projective line: a finite field value, or infinity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
-    @classmethod
-    def finite(cls, value) -> ProjValue:
-        if value is None:
-            raise ValueError("finite value may not be None")
-        return cls(value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinite else str(self.value)
-
-    def __repr__(self) -> str:
-        return f"ProjValue({self})"
-
-
-INFINITY = ProjValue(None)
 
 
 # -- square roots ----------------------------------------------------------

@@ -14,10 +14,11 @@ of the quotient blown up at its marked point Q32 and then at three
 points of that exceptional curve.
 
 Everything is exact and everything is checkable: intersection numbers
-are integers, coordinates of marked points are elements of Q(t, s) or
-the point at infinity, and the quotient intersection rule is the
-double-cover pushforward (A.B) = (pull A . pull B)/2, computed only
-after the involution has passed its isometry check.
+are integers, coordinates of marked points are polynomials in t or s
+(each a constant or a variable) or the point at infinity ``INFINITY``,
+and the quotient intersection rule is the double-cover pushforward
+(A.B) = (pull A . pull B)/2, computed only after the involution has
+passed its isometry check.
 """
 
 from __future__ import annotations
@@ -27,23 +28,27 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .lattice import Gram, Mat
-from .scalars import INFINITY, Frozen, ProjValue, RatFunc
+from .scalars import Frozen, MultiPoly
 
 SURFACE_CHI = {"X_K3": 2, "Z_Enriques": 1}
 
+
+class _Infinity:
+    """The point at infinity of a pencil's affine line, written "inf"."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return "inf"
+
+    __repr__ = __str__
+
+
+INFINITY = _Infinity()
+
 # affine parameter values of the four special members of each pencil
-PENCIL_X = (
-    ProjValue.finite(RatFunc(1)),
-    ProjValue.finite(RatFunc.var("t")),
-    INFINITY,
-    ProjValue.finite(RatFunc(0)),
-)
-PENCIL_U = (
-    ProjValue.finite(RatFunc(1)),
-    ProjValue.finite(RatFunc.var("s")),
-    INFINITY,
-    ProjValue.finite(RatFunc(0)),
-)
+PENCIL_X = (MultiPoly.const(1), MultiPoly.var("t"), INFINITY, MultiPoly.const(0))
+PENCIL_U = (MultiPoly.const(1), MultiPoly.var("s"), INFINITY, MultiPoly.const(0))
 
 
 def _construction():
@@ -129,8 +134,8 @@ class Configuration(Frozen):
 
     ``markings`` is a read-only map of each named point to the curves it
     lies on, each curve label to the point's affine coordinate along that
-    curve (an exact element of Q(t, s), or the point at infinity), or to
-    None when the construction does not pin the coordinate down.
+    curve (a ``MultiPoly`` in t or s, or ``INFINITY``), or to None when
+    the construction does not pin the coordinate down.
     ``gram`` is a :class:`~autcert.lattice.Gram`, checked once, here.
     Every curve has one spelling, its label.  Lookups go through a label
     -> index map built once; it takes no part in equality or repr.
@@ -143,7 +148,7 @@ class Configuration(Frozen):
         tag: str,
         labels: tuple[str, ...],
         gram: Mat,
-        markings: Mapping[str, Mapping[str, ProjValue | None]] | None = None,
+        markings: Mapping[str, Mapping[str, MultiPoly | _Infinity | None]] | None = None,
     ):
         if tag not in SURFACE_CHI:
             raise ValueError(f"unknown surface tag {tag!r}")
@@ -169,7 +174,7 @@ class Configuration(Frozen):
             if not point or not on:
                 raise ValueError(f"marking {point!r} needs a label and lies on no curve")
             for curve, coord in on.items():
-                if coord is not None and not isinstance(coord, ProjValue):
+                if not (coord is None or coord is INFINITY or isinstance(coord, MultiPoly)):
                     raise TypeError(f"coordinate of {point} on {curve} not projective")
                 if curve not in index:
                     raise ValueError(f"marking {point} lies on unknown curve {curve}")
@@ -190,7 +195,7 @@ class Configuration(Frozen):
         i = self.index(a)
         return self.gram[i][i]
 
-    def marking_coord(self, point: str, curve: str) -> ProjValue | None:
+    def marking_coord(self, point: str, curve: str) -> MultiPoly | _Infinity | None:
         on = self.markings[point]
         if curve not in on:
             raise KeyError(f"marking {point} does not lie on {curve}")
@@ -345,10 +350,11 @@ def quotient_pushforward(
     2((a.b) + (a.b')).  Markings Qij are pushed down from Pij with their
     coordinates along the section curves.  ``report`` is
     ``verify_isometry(config, eps)``, run by the caller; an involution
-    that fails it, which includes fixing a curve, raises.
+    that fails it, which includes fixing a curve, raises with the
+    report's first failure.
     """
     if not report.passed:
-        raise ValueError("the involution fails the isometry check")
+        raise ValueError(f"the involution fails the isometry check: {report.failures[0]}")
 
     # each class's summed Gram row, and the indices of its two curves
     classes = [QUOTIENT_CLASS.get(lab) for lab in config.labels]

@@ -159,7 +159,8 @@ def test_pushforward_matches_label_keyed_reference_under_every_fault():
             config = with_intersection(config, *pair, 0)
         report = verify_isometry(config, EPS)
         if not report.passed:
-            expected = ("ValueError", "the involution fails the isometry check")
+            witness = f"the involution fails the isometry check: {report.failures[0]}"
+            expected = ("ValueError", witness)
             assert outcome(quotient_pushforward, config, EPS, report) == expected, pairs
             continue
         # for an isometric involution with orbits {a, a'} and {b, b'} the sum

@@ -25,7 +25,7 @@ from autcert.pipeline import (
     run_all,
     run_stage,
 )
-from autcert.scalars import LaurentT, MultiPoly, ProjValue, RatFunc
+from autcert.scalars import LaurentT, MultiPoly
 from autcert.surface import Configuration, build_double_kummer, extend_with_conics
 
 EXPECTED_STAGES = (
@@ -145,12 +145,12 @@ def test_default_report_sha256_is_the_regression_anchor(sample_reports):
         return CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
 
     deep80 = nonfg_report(80)
-    assert len(deep80.to_json().encode("utf-8")) == 16048
+    assert len(deep80.to_json().encode("utf-8")) == 14341
     pinned = [
-        (default_report, "69c60ce95531a47a60d9492619af192867c78280c34650ccfd9726375a3127bc"),
-        (deep, "7b76aab4eebc90267655b3b68fbab82885b6a31b5e5f9b8789975929ed8a62dd"),
-        (deep80, "ae132f22542f2727bcee9382a50f7d1a92bdd3c2fc1793372b50a894cc58836b"),
-        (nonfg_report(1000), "f7670d8d5995b91c284c3440d978eea6e7bbd2799964f6685ebe95254eda6753"),
+        (default_report, "183cd6c2ae37f5a1572009b86d3c1764092f290d9e36e2cd9a7e5cfef2d83316"),
+        (deep, "998040a35bfbf131d92d8706959977679661fbfdee5f10fe9a9cfbf612cf56f2"),
+        (deep80, "6a0060f91f41715f5546ed8999e7378a70f03f49adc9a21f600b7cd01ca30794"),
+        (nonfg_report(1000), "9c4401d293aeeb601c98ca1368b063e54768573ee02263e899c13ceb27a3137f"),
     ]
     for report, expected in pinned:
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
@@ -168,30 +168,30 @@ PINNED_REPORTS = {
         PipelineOptions(seed=s): digest
         for s, digest in enumerate(
             [
-                "69c60ce95531a47a60d9492619af192867c78280c34650ccfd9726375a3127bc",
-                "e70c8c694ae9f5c9c0db3f3f5125354f54e92c80227f152068aca2e8a05a57b1",
-                "34b89e3e8b5431f501e3c356d2161e3b8d27e81129528f3c49a2713cb2a594ae",
-                "a5f97ec178b918cfac0e75082da7420372f823ec780992c7acaf0da83239476a",
-                "940cd3ad91691f398137a2e27e9488daaec43d704abb30b6617c015e68e517d6",
-                "f79991343e4e948aff87a78b20f7d312ed92ebd3fe912605107da90dec56af18",
-                "55bd3a3ee77631d61cea672f2402026a1abe8749f394d8f12d1335e2c646c329",
-                "4c42ecea53a89ab2a5a0bf060c7dab3603cfa0b8ebd03b6a7f72220e28452013",
-                "d885e9ace554b4161a95d9f0dbed363a1f4dadc23660a0bf0b4b868cede9d4ba",
-                "77868e8074a6c27e4ada3a495d623b1257cf15348d7c0442fc97ee7b53604ba5",
-                "d7b1d4ceda64629dc78653a9580c90a748432c3cee467143a77b808ab3ce059d",
-                "e32bccd346b7f34ba3d68359d0a1f2658f8a21f0831b7ce7e0a6b9c51ed65a3d",
+                "183cd6c2ae37f5a1572009b86d3c1764092f290d9e36e2cd9a7e5cfef2d83316",
+                "87aa2c9beef482ee38694ad273206b052cecea9f5db97d20719da1ff56777593",
+                "d0dd7f38bade665c7c4c3df2f47818bf8b8a2cd44f52deff0aa97811e59c35a7",
+                "5e5358a7cc01c69f96ff46d3c22531687d33a5438f43298c385d883916018bfa",
+                "91b0f2a4b1e1ab856ca6ebad25feb0b0a90e51b34fd3254a6a5d8b8db68a6f1c",
+                "b75d4dc3f5fe057baacc9087601bf2106744963bc1b12154462687b2b0ac66f9",
+                "ac2bb49ff1a3500c27ed4d7f7264c70ace650a0759d56a830261cb452e9a1d21",
+                "610821f91b2bddd5d1b5bee96736f6ea867c86447fe069639c838b2a2945ecfd",
+                "af12681a4e586eeded5a3a57cb3b42b13bd9384fe6e4c4afd83c6c698986e5d2",
+                "f6553d96adb56f791a29677023a24ae22e8852d2899df19ba59937eebb2f4c3c",
+                "8fc3b622827a9e0ef8cccb2bcee98dc4c617848f7a0849ef6b1420662a6f76b4",
+                "a1fbb8f86394f9efcd858769beec1cf9b3bc60f252a9d5c2df232a35d691bf84",
             ]
         )
     },
     **{
         PipelineOptions(corrupt_pair=pair): digest
         for pair, digest in [
-            (("E1", "C11"), "2f9ef734b4cabb045c71e50c8d5d7d79ef4e730b05faf1d197e5afe7ba65a7be"),
-            (("E2", "C2"), "9a314c8a422073013270679da2760f9ff2e27e15893b5500cfc521a04acec8f5"),
-            (("F3", "C32"), "d015db287c28e9f8212268fb8a4acafad88ba0683e34ca61cf582b0650b30a82"),
-            (("F4", "C44"), "80fd430527d2ee8d9a685be82a15bf260825bcd0f2b582a61bef83d3d1a0fdf4"),
-            (("C11", "C2"), "7559f7c6f880462c97f3e43a149c5ad80c746ac7a0f7d9d5bb54b997552c145e"),
-            (("C33", "C4"), "8299c6fb6078d54ccd950fb1dcb769199a22b6da5530f07d1591467cd6355a80"),
+            (("E1", "C11"), "78f8bf1e55ed4e6ec20919acae8ee2837389ad78a27a1d104557cf84fd026729"),
+            (("E2", "C2"), "bc51845cd8a9238b02ae550e7edf800b97c7635316e724ab20a9c77614597603"),
+            (("F3", "C32"), "96377c741f557c8eacf5795d80cc162671f2a655c597d5cc552301e633040542"),
+            (("F4", "C44"), "71fb36445444531e58f4f7d135b837e41c379796ff4b5784d8a9c4f1b9374fe3"),
+            (("C11", "C2"), "1cd5aded6c1372df6e8e305eea84a9909643c71bf7de2e87d4bdd8231f4bc590"),
+            (("C33", "C4"), "0e5fc96affdc3c8c27ca0512b102f0e33db1903f18dfdbc99980fa52a14947d3"),
         ]
     },
 }
@@ -237,6 +237,15 @@ def test_corrupted_intersection_fails_every_reader():
     )
     assert swap["witness"] == "E2,C32: 0; image F2,C23: 1"
     assert "failures" not in swap
+    # the signature and rank claims name the measured figure and the expected one
+    assert [c.get("witness") for c in config.evidence["checks"]] == [
+        "signature (2, 18, 4); expected (1, 17, 6)",
+        "rank 20; expected 18",
+        swap["witness"],
+    ]
+    clean = run_stage("config").evidence["checks"]
+    assert [c["status"] for c in clean] == ["pass"] * 3
+    assert not any("witness" in c for c in clean)
     for name in ("quotient", "fibrations", "lattice", "canonical"):
         assert by_name[name].status == "fail", name
     for stage in report.stages[1:]:
@@ -282,9 +291,7 @@ def kind_dicts(value):
 @pytest.mark.parametrize("pair", FAULT_SAMPLE, ids=",".join)
 def test_every_failed_check_holds_one_witness_string(pair):
     # a failure has one shape: a witness string; only a stage that raised
-    # adds its kind and detail, on the check record itself.  The config
-    # stage's signature and rank claims fail on a measured figure, which
-    # their records hold as `signature` and `rank` in place of a witness
+    # adds its kind and detail, on the check record itself
     report = json.loads(run_all(PipelineOptions(max_gens=1, corrupt_pair=pair)).to_json())
     failed = [
         c for s in report["stages"] for c in s["evidence"]["checks"] if c["status"] == "fail"
@@ -292,7 +299,7 @@ def test_every_failed_check_holds_one_witness_string(pair):
     assert failed
     for check in failed:
         witness = check.get("witness")
-        assert witness and isinstance(witness, str) or {"signature", "rank"} & set(check)
+        assert witness and isinstance(witness, str), check["claim"]
         assert "failures" not in check, check["claim"]
         below = [d for value in check.values() for d in kind_dicts(value)]
         assert below == [], check["claim"]
@@ -347,10 +354,13 @@ def test_a_fact_that_raised_is_built_once(monkeypatch):
     counted(monkeypatch, counts, pipeline, "quotient_pushforward")
     report = run_all(PipelineOptions(max_gens=1, corrupt_pair=("E2", "C32")))
     assert counts == {"quotient_pushforward": 1}
-    # every stage that reads the quotient fails with the one witness
+    # every stage that reads the quotient fails with the one witness, which
+    # names the pair the isometry check rejected
     for name in ("quotient", "fibrations", "lattice", "heights", "canonical"):
         (check,) = report.stages[STAGE_ORDER.index(name)].evidence["checks"]
-        assert check["witness"] == "the involution fails the isometry check", name
+        assert check["witness"] == (
+            "the involution fails the isometry check: E2,C32: 0; image F2,C23: 1"
+        ), name
 
 
 def test_each_named_fiber_is_validated_and_classified_once(monkeypatch):
@@ -526,7 +536,7 @@ def test_nonfg_stage_respects_max_gens():
     stage = run_stage("nonfg", PipelineOptions(max_gens=10))
     cert = stage.evidence["certificate"]
     assert len(cert["stages"]) == 10
-    assert cert["stages"][9]["escape"] == "(t^-20)*a"
+    assert cert["stages"][9]["escape_exponent"] == "10"
 
 
 def test_nonfg_stage_fails_when_a_refutation_finds_a_member(monkeypatch):
@@ -575,7 +585,7 @@ def wrong_quotient_signature(mp):
             lambda mp: mp.setattr(
                 Configuration,
                 "marking_coord",
-                lambda config, point, curve: ProjValue.finite(0),
+                lambda config, point, curve: MultiPoly.const(0),
             ),
             QUOTIENT_MARKING,
             None,
@@ -624,7 +634,7 @@ def move_p2(mp):
 
     def moved(kummer):
         x = real(kummer)
-        p2 = {"F2": ProjValue.finite(RatFunc.var("s")), "C2": None}
+        p2 = {"F2": MultiPoly.var("s"), "C2": None}
         markings = {**x.markings, "P2": p2}
         return Configuration(x.tag, x.labels, x.gram, markings)
 
@@ -638,7 +648,7 @@ def move_p22_and_p2(mp):
 
     def moved(kummer):
         x = real(kummer)
-        s = ProjValue.finite(RatFunc.var("s"))
+        s = MultiPoly.var("s")
         markings = {**x.markings, "P22": {"E2": s, "C22": None}, "P2": {"F2": s, "C2": None}}
         return Configuration(x.tag, x.labels, x.gram, markings)
 
@@ -907,10 +917,10 @@ def test_cli_all_writes_report(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["all"], "69c60ce95531a47a60d9492619af192867c78280c34650ccfd9726375a3127bc"),
+        (["all"], "183cd6c2ae37f5a1572009b86d3c1764092f290d9e36e2cd9a7e5cfef2d83316"),
         (
             ["nonfg", "--max-gens", "80"],
-            "ae132f22542f2727bcee9382a50f7d1a92bdd3c2fc1793372b50a894cc58836b",
+            "6a0060f91f41715f5546ed8999e7378a70f03f49adc9a21f600b7cd01ca30794",
         ),
     ],
     ids=["all-default", "nonfg-80"],
@@ -948,7 +958,10 @@ def test_cli_prints_the_witness_of_a_stage_that_raised(capsys):
     assert main(["quotient", "--corrupt-pair", "E2,C32"]) == 1
     captured = capsys.readouterr()
     assert "stage quotient: fail" in captured.out
-    assert "witness: the involution fails the isometry check" in captured.out
+    assert (
+        "    witness: the involution fails the isometry check: E2,C32: 0; image F2,C23: 1"
+        in captured.out.splitlines()
+    )
     assert "Traceback" not in captured.err
 
     assert main(["dynamics", "--corrupt-pair", "E2,C32"]) == 1

@@ -9,10 +9,8 @@ import hypothesis.strategies as st
 from autcert import scalars
 from autcert.cremona import AffineMap, RationalMapP3
 from autcert.scalars import (
-    INFINITY,
     LaurentT,
     MultiPoly,
-    ProjValue,
     RatFunc,
     matrix_rank_det,
     poly_gcd,
@@ -367,18 +365,6 @@ def test_t_power_rejects_what_the_constructor_rejects():
     for c in (0.5, 2.0):
         with pytest.raises(TypeError):
             LaurentT.t_power(1, c)
-
-
-# -- projective values ------------------------------------------------------
-
-
-def test_proj_values():
-    assert INFINITY.is_infinite
-    assert INFINITY == ProjValue(None)
-    assert ProjValue.finite(Fraction(2)) != INFINITY
-    assert ProjValue.finite(Fraction(2)) == ProjValue.finite(Fraction(2))
-    with pytest.raises(ValueError):
-        ProjValue.finite(None)
 
 
 # -- square roots ------------------------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 
 from autcert import surface
 from autcert.lattice import gram_rank, signature
-from autcert.scalars import INFINITY, ProjValue, RatFunc
+from autcert.scalars import LaurentT, MultiPoly, RatFunc
 from autcert.surface import (
+    INFINITY,
     BlowupLedger,
     Configuration,
     IsometryPerm,
@@ -19,12 +20,12 @@ from autcert.surface import (
 )
 
 
-def fin(v) -> ProjValue:
-    return ProjValue.finite(RatFunc(v))
+def fin(v) -> MultiPoly:
+    return MultiPoly.const(v)
 
 
-def t_coord() -> ProjValue:
-    return ProjValue.finite(RatFunc.var("t"))
+def t_coord() -> MultiPoly:
+    return MultiPoly.var("t")
 
 
 # -- double Kummer configuration ------------------------------------------------
@@ -65,11 +66,11 @@ def test_double_kummer_marking_coordinates():
     x = build_double_kummer()
     assert x.marking_coord("P11", "E1") == fin(1)
     assert x.marking_coord("P21", "E1") == t_coord()
-    assert x.marking_coord("P32", "E2") == INFINITY
+    assert x.marking_coord("P32", "E2") is INFINITY
     assert x.marking_coord("P44", "E4") == fin(0)
     assert x.marking_coord("P32", "C32") is None
-    assert x.marking_coord("P'23", "F2") == INFINITY
-    assert x.marking_coord("P'22", "F2") == ProjValue.finite(RatFunc.var("s"))
+    assert x.marking_coord("P'23", "F2") is INFINITY
+    assert x.marking_coord("P'22", "F2") == MultiPoly.var("s")
     assert x.marking_coord("P'41", "F4") == fin(1)
     with pytest.raises(KeyError, match="marking P11 does not lie on E2"):
         x.marking_coord("P11", "E2")
@@ -110,6 +111,12 @@ def test_extend_markings():
     assert ext.marking_coord("P2", "F2") == t_coord()
     assert ext.marking_coord("P1", "F1") is None
     assert ext.marking_coord("P2", "C2") is None
+    # every coordinate is None, the point at infinity or a polynomial in t or s
+    coords = [c for on in ext.markings.values() for c in on.values()]
+    assert {c for c in coords if c is not None and c is not INFINITY} == {
+        fin(0), fin(1), t_coord(), MultiPoly.var("s")
+    }
+    assert all(c is None or c is INFINITY or type(c) is MultiPoly for c in coords)
 
 
 def test_extend_rejects_wrong_base():
@@ -315,7 +322,7 @@ def test_quotient_rank_and_signature():
 def test_quotient_markings():
     z = quotient_fixture()
     assert len(z.markings) == 16
-    assert z.marking_coord("Q32", "H2") == INFINITY
+    assert z.marking_coord("Q32", "H2") is INFINITY
     assert z.marking_coord("Q32", "D32") is None
     assert z.marking_coord("Q21", "H1") == t_coord()
 
@@ -354,7 +361,8 @@ def _orbit_members(name: str) -> list[str]:
 def test_quotient_requires_free_involution():
     ext = extend_with_conics(build_double_kummer())
     fixing = IsometryPerm({lab: lab for lab in ext.labels}, {})
-    with pytest.raises(ValueError, match="the involution fails the isometry check"):
+    # the error names the isometry report's first failure
+    with pytest.raises(ValueError, match="^the involution fails the isometry check: fixes C1$"):
         quotient_pushforward(ext, fixing, verify_isometry(ext, fixing))
 
 
@@ -462,11 +470,12 @@ def test_configuration_validation():
     for markings in ({"P": {}}, {"": {"A": None}}, {"P": {"Z": None}}):
         with pytest.raises(ValueError, match="label|curve"):
             Configuration("X_K3", ("A", "B"), gram, markings)
-    # a coordinate is a projective value or None
-    for coord in (RatFunc(1), 0, "inf"):
+    # a coordinate is a polynomial, the point at infinity or None
+    for coord in (RatFunc(1), LaurentT.t_power(1), 0, "inf"):
         with pytest.raises(TypeError, match="coordinate of P on A not projective"):
             Configuration("X_K3", ("A", "B"), gram, {"P": {"B": None, "A": coord}})
-    assert Configuration("X_K3", ("A", "B"), gram, {"P": {"A": INFINITY, "B": None}})
+    for coord in (INFINITY, MultiPoly.var("t"), MultiPoly.const(0)):
+        assert Configuration("X_K3", ("A", "B"), gram, {"P": {"A": coord, "B": None}})
     with pytest.raises(ValueError, match="unknown surface tag"):
         Configuration("P2", ("A", "B"), gram)
     with pytest.raises(ValueError, match="negatively"):

@@ -25,8 +25,9 @@ from autcert.fingen import certify_nonfg
 from autcert.lattice import RootType
 from autcert.mwl import ModInt, SectionData
 from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
-from autcert.scalars import INFINITY, LaurentT, MultiPoly, ProjValue, RatFunc
+from autcert.scalars import LaurentT, MultiPoly, RatFunc
 from autcert.surface import (
+    INFINITY,
     BlowupLedger,
     Configuration,
     build_double_kummer,
@@ -52,6 +53,25 @@ def test_pipeline_import_loads_no_dataclasses_inspect_or_argparse():
     ).stdout.splitlines()
     assert SRC in Path(out[0]).resolve().parents
     assert out[1] == "[]"
+
+
+def test_no_run_builds_a_rational_function():
+    # the marking coordinates are plain polynomials: a fresh interpreter whose
+    # RatFunc, poly_gcd and polynomial division all raise still imports the
+    # pipeline and finishes a clean run and a faulted one
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from autcert import scalars\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('a rational-function kernel ran')\n"
+        "scalars.RatFunc.__init__ = scalars.poly_gcd = scalars.MultiPoly.divide_rem = refuse\n"
+        "from autcert.pipeline import PipelineOptions, run_all\n"
+        "print(run_all().verdict, run_all(PipelineOptions(corrupt_pair=('E2', 'C32'))).verdict)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(SRC)], check=True, capture_output=True, text=True
+    ).stdout
+    assert out == "pass fail\n"
 
 
 def x_config():
@@ -88,6 +108,8 @@ VALUES = {
     "EscapeStage": (lambda: certify_nonfg(2).stages[1], False),
     "NonFGCertificate": (lambda: certify_nonfg(2), False),
     "KodairaType": (lambda: KodairaType("IV*"), True),
+    # a marking coordinate, as the construction table holds t
+    "MultiPoly": (lambda: MultiPoly.var("t"), True),
     "FiberDivisor": (n1, False),
     "FiberReport": (lambda: validate_fiber(x_config(), n1()), False),
     "FiberClass": (lambda: classify_kodaira(x_config(), n1()), True),
@@ -134,17 +156,20 @@ def test_leaf_values_are_written_by_their_str(leaf):
 
 
 def test_rational_and_projective_values_compare_by_their_slots():
-    # RatFunc and ProjValue take equality and hash from Frozen's public slots
+    # RatFunc takes equality and hash from Frozen's public slots
     t = MultiPoly.var("t")
-    assert INFINITY == ProjValue(None) and hash(INFINITY) == hash(ProjValue(None))
-    finite = ProjValue.finite(RatFunc(t))
-    assert finite != INFINITY and INFINITY != finite
-    assert finite != RatFunc(t) and RatFunc(t) != t
+    assert RatFunc(t) != t and RatFunc(t) != RatFunc(t, 2)
     # equal values from different spellings hash alike
     for a, b in (
         (RatFunc(t * t - t, t), RatFunc(t - 1)),
         (RatFunc(2 * t, 4 * t * t), RatFunc(1, 2 * t)),
-        (finite, ProjValue.finite(RatFunc(t * t, t))),
+        (MultiPoly.var("t"), MultiPoly(("t",), {(1,): 1})),
     ):
         assert a == b and a is not b and hash(a) == hash(b)
-    assert RatFunc(t) != RatFunc(t, 2) and finite != ProjValue.finite(RatFunc(1))
+    # a point of a pencil's line is a polynomial or the one point at infinity,
+    # which equals only itself and is written "inf"
+    coords = [MultiPoly.const(0), MultiPoly.const(1), t, MultiPoly.var("s"), INFINITY]
+    assert [a == b for a in coords for b in coords] == [
+        i == j for i in range(5) for j in range(5)
+    ]
+    assert [str(c) for c in coords] == ["0", "1", "t", "s", "inf"] and repr(INFINITY) == "inf"

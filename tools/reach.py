@@ -41,6 +41,12 @@ RING = (
     "additive ring operation of MultiPoly, which the demos and tests build "
     "polynomials with; the cremona checks sum on term dicts, so no run adds two"
 )
+RATIONAL = (
+    "one of RatFunc.__init__, poly_gcd and matrix_rank_det, which bench/run.py "
+    "binds, or reached only through them (scale also through a product with a "
+    "constant, which no run forms): no certificate run builds a rational "
+    "function, takes a polynomial gcd or divides two polynomials"
+)
 GCD = (
     "SpanBasis.insert's extended-gcd branch for two generators sharing a pivot, "
     "which the escape chain never takes; general input to the bench-bound "
@@ -70,10 +76,21 @@ ALLOWED = {
     "scalars.MultiPoly.__sub__": RING,
     "scalars.MultiPoly.is_constant": BENCH + " (its poly_gcd hook)",
     "scalars.MultiPoly.substitute": BENCH,
-    "scalars.ProjValue.__repr__": DUNDER,
+    "scalars.MultiPoly.divide_rem": RATIONAL,
+    "scalars.MultiPoly.exact_div": RATIONAL,
+    "scalars.MultiPoly.leading": RATIONAL,
+    "scalars.MultiPoly.leading_coefficient": RATIONAL,
+    "scalars.MultiPoly.scale": RATIONAL,
+    "scalars.MultiPoly.zero": RATIONAL,
+    "scalars.RatFunc.__init__": RATIONAL,
     "scalars.RatFunc.__repr__": DUNDER,
+    "scalars.RatFunc.__str__": RATIONAL,
+    "scalars.RatFunc.var": RATIONAL,
+    "scalars._monomial_gcd": RATIONAL,
+    "scalars._quotient": RATIONAL,
     "scalars._exact_quot": BENCH + " (matrix_rank_det's integer division)",
     "scalars.matrix_rank_det": BENCH,
+    "scalars.poly_gcd": RATIONAL,
 }
 
 
