@@ -9,9 +9,9 @@ coefficients are fractions, and linear algebra is fraction-free.
 from fractions import Fraction
 
 from autcert.scalars import (
-    LaurentT,
     MultiPoly,
     RatFunc,
+    laurent_text,
     matrix_rank_det,
     rational_sqrt,
 )
@@ -30,9 +30,10 @@ t = MultiPoly.var("t")
 f = RatFunc(t * t * t - t, 2 * t * t)
 print("f       =", f)
 
-# Laurent polynomials in t carry negative exponents exactly.
-shift = LaurentT({-4: Fraction(3), 0: Fraction(-1, 2)})
-print("laurent =", shift)
+# Laurent polynomials in t carry negative exponents exactly.  One is held
+# as its term dict, exponent -> coefficient, and written by laurent_text.
+shift = {-4: 3, 0: Fraction(-1, 2)}
+print("laurent =", laurent_text(shift))
 
 # Square roots are exact: a rational root, or None when there is none.
 print("sqrt 9/4 =", rational_sqrt(Fraction(9, 4)))

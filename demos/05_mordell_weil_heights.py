@@ -7,9 +7,10 @@ correction terms read off the fiber component a section meets.  All
 section data here is extracted from the exact intersection table.
 """
 
+from autcert.cremona import scaling
 from autcert.fibration import FiberDivisor, KodairaType, classify_kodaira, map_fiber
 from autcert.mwl import ModInt, SectionData, height, section_from_config
-from autcert.scalars import LaurentT
+from autcert.scalars import laurent_text
 from autcert.surface import build_double_kummer, epsilon_involution, extend_with_conics
 
 x = extend_with_conics(build_double_kummer())
@@ -45,6 +46,6 @@ print("narrow height:", height(1, (("M2", KodairaType("IV*")),), narrow))
 
 # The induced smooth-locus action (x, m) -> (t x, m + 4): its square
 # scales by t^2 and shifts by 4 + 4 = 0 mod 8.
-t = LaurentT.t_power(1)
+t = scaling({1: 1})
 shift = ModInt(4, 8)
-print("square:", t * t, ",", shift + shift)
+print("square:", laurent_text(dict([t.compose(t).scale])), ",", shift + shift)

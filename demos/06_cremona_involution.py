@@ -15,7 +15,7 @@ from autcert.cremona import (
     cremona_map,
     find_swap_specializations,
 )
-from autcert.scalars import LaurentT, MultiPoly
+from autcert.scalars import MultiPoly, laurent_text
 
 tau = cremona_map()
 
@@ -43,6 +43,8 @@ for report in find_swap_specializations(0, tau):
     print(f"alpha ({alpha}) passes:", report.passed, "swaps:", report.swaps_checked)
 
 # Conjugating the unit translation by a scaling x -> u*x shifts by 1/u,
-# so the powers u = t^(2n) give the decaying shifts t^(-2n).
-for u in (LaurentT.t_power(1), LaurentT.t_power(4)):
-    print(f"conjugated shift (coefficient of a), u = {u}:", conjugate_translation(u).shift)
+# so the powers u = t^(2n) give the decaying shifts t^(-2n).  A Laurent
+# coefficient is its term dict, exponent -> coefficient.
+for u in ({1: 1}, {4: 1}):
+    shift = dict(conjugate_translation(u).shift)
+    print(f"conjugated shift (coefficient of a), u = {laurent_text(u)}:", laurent_text(shift))

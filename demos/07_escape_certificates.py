@@ -9,38 +9,36 @@ k, the shift t^(-2k)*a escapes the span of the first k generators.
 
 import json
 
-from autcert.fingen import (
-    certify_nonfg,
-    membership,
-    shift_generators,
-    translation_str,
-)
+from autcert.fingen import certify_nonfg, membership, translation_str
 from autcert.lattice import SpanBasis
-from autcert.pipeline import PipelineOptions, run_stage
-from autcert.scalars import LaurentT
+from autcert.pipeline import Context, PipelineOptions, run_stage
 
-# The generators of the k-th subgroup in the chain, here k = 3.  A
-# translation is the term dict of its Laurent coefficient c; wrapped as
-# a LaurentT it adds and scales, and the report writes it (c)*a.
-gens = shift_generators(3)
+# The generators of the k-th subgroup in the chain, here k = 3: the
+# shifts t^(-2n), n = 0..2, which the pipeline reads off its one
+# conjugation of the translation x -> x + a by the scaling x -> u*x.  A
+# translation is the term dict of its Laurent coefficient c, and the
+# report writes it (c)*a.
+ctx = Context(PipelineOptions())
+gens = ctx.shifts(3)
 print("generators:", [translation_str(g) for g in gens])
 
 # Membership of a term dict in their integer span is decided by an
 # echelon basis that grows one generator at a time: the answer is the
 # witness, generator index -> coefficient, or None for a non-member...
 basis = SpanBasis(gens)
-inside = membership(basis, (3 * LaurentT(gens[0]) + (-2) * LaurentT(gens[1])).terms)
+inside = membership(basis, {0: 3, -2: -2})
 print("member:", inside is not None, "witness:", inside)
 
 # ...and the next shift in the family is refused.  Its exponent is the
 # one the certificate records for the stage of these three generators.
-stage = certify_nonfg(max_k=3).stages[-1]
-escape = LaurentT.t_power(-2 * stage.escape_exponent)
-outside = membership(basis, escape.terms)
-print("escape:", translation_str(escape.terms), "member:", outside is not None)
+stage = certify_nonfg(ctx.shifts(4)).stages[-1]
+escape = {-2 * stage.escape_exponent: 1}
+outside = membership(basis, escape)
+print("escape:", translation_str(escape), "member:", outside is not None)
 
-# The full certificate packages one escape per stage, each re-verified.
-cert = certify_nonfg(max_k=5)
+# The full certificate packages one escape per stage, each re-verified;
+# it takes max_k + 1 generators, here max_k = 5.
+cert = certify_nonfg(ctx.shifts(6))
 print("stages:", len(cert.stages), "passed:", cert.passed)
 for stage in cert.stages:
     escape = translation_str({-2 * stage.escape_exponent: 1})

@@ -6,7 +6,7 @@ automorphism group is discrete but not finitely generated.  It is
 organized in independent layers:
 
 * :mod:`autcert.scalars` -- exact rationals, multivariate polynomials,
-  Laurent polynomials, rational square roots, fraction-free linear
+  the text of Laurent term dicts, rational square roots, fraction-free linear
   algebra over rationals and polynomials, and rational functions with
   a single-term denominator;
 * :mod:`autcert.lattice` -- integer row reduction (Hermite form), span
@@ -25,7 +25,7 @@ organized in independent layers:
 * :mod:`autcert.cremona` -- the reciprocal Cremona involution in
   cleared form, quadric preservation certificates, ruling swaps at
   rational specializations, and conjugation of translations by
-  scalings as affine maps with Laurent coefficients;
+  scalings as affine maps on Laurent term dicts;
 * :mod:`autcert.fingen` -- escape certificates showing an additive
   group of Laurent polynomials admits no finite generating set;
 * :mod:`autcert.pipeline` -- the staged certificate runner; the

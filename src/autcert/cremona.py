@@ -43,9 +43,9 @@ built once at import from their term dicts, and det M is det(2M)/16,
 the side pairing of the row pairs of 2M, whose cells are term dicts over
 the parameter names read straight off the quadric's polynomial.
 
-Affine maps x -> s*x + c*a of the line live here too: scale s a unit
-c*t^k and shift c a Laurent polynomial in t, enough to conjugate a
-translation by a scaling x -> u*x, one conjugation over u = t giving
+Affine maps x -> s*x + c*a of the line live here too, on the Laurent
+term dicts of a unit scale s = c*t^k and a shift c: enough to conjugate
+a translation by a scaling x -> u*x, one conjugation over u = t giving
 the conjugate by every power t^2n by the substitution u = t^2n.
 """
 
@@ -59,8 +59,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .scalars import (
     Frozen,
-    LaurentT,
     MultiPoly,
+    _canonical,
     _term_product,
     rational_sqrt,
 )
@@ -539,47 +539,56 @@ def find_swap_specializations(seed: int, tau: RationalMapP3) -> list[SwapReport]
 
 
 class AffineMap(Frozen):
-    """The map x -> scale*x + shift*a over Q(t, a), which fixes infinity.
+    """The map x -> c*t^k*x + s*a over Q(t, a), which fixes infinity.
 
-    The scale is a unit c*t^k of the Laurent ring, so inverses and
-    composites stay affine with Laurent coefficients.
+    It is built from two Laurent term dicts, each passed through
+    ``_canonical``.  The scale must be a unit, the one term c*t^k, else
+    ``ValueError``, so inverses and composites stay affine with Laurent
+    coefficients.  The scale is held as its term (k, c) and the shift s
+    as its terms in increasing exponent order, so a map is hashable.
     """
 
     __slots__ = ("scale", "shift")
 
-    def __init__(self, scale: LaurentT, shift: LaurentT):
-        if not isinstance(shift, LaurentT):
-            raise TypeError("the shift is a Laurent polynomial in t")
-        if not isinstance(scale, LaurentT) or len(scale.terms) != 1:
+    def __init__(self, scale: dict, shift: dict):
+        if not isinstance(shift, dict):
+            raise TypeError("the shift is a Laurent term dict")
+        unit = _canonical(scale) if isinstance(scale, dict) else {}
+        if len(unit) != 1:
             raise ValueError("the scale must be a unit c*t^k")
-        self._set(scale, shift)
+        (term,) = unit.items()
+        self._set(term, tuple(sorted(_canonical(shift).items())))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other."""
-        return AffineMap(self.scale * other.scale, self.scale * other.shift + self.shift)
+        k, c = self.scale
+        shift = dict(self.shift)
+        for e, d in other.shift:
+            shift[k + e] = shift.get(k + e, 0) + c * d
+        return AffineMap({k + other.scale[0]: c * other.scale[1]}, shift)
 
     def inverse(self) -> "AffineMap":
-        ((k, c),) = self.scale.terms.items()
-        inv = LaurentT.t_power(-k, Fraction(1) / c)
-        return AffineMap(inv, -(inv * self.shift))
+        k, c = self.scale
+        inv = Fraction(1) / c
+        return AffineMap({-k: inv}, {e - k: -inv * d for e, d in self.shift})
 
 
-def translate(c: LaurentT) -> AffineMap:
-    return AffineMap(LaurentT.const(1), c)
+def translate(c: dict) -> AffineMap:
+    return AffineMap({0: 1}, c)
 
 
-def scaling(s: LaurentT) -> AffineMap:
-    return AffineMap(s, LaurentT.zero())
+def scaling(s: dict) -> AffineMap:
+    return AffineMap(s, {})
 
 
-def conjugate_translation(u: LaurentT) -> AffineMap:
+def conjugate_translation(u: dict) -> AffineMap:
     """scaling(u)^-1 . translate(1) . scaling(u), which should be the
     translation by u^-1; u must be a unit c*t^k, else ``ValueError``.
 
-    The dynamics stage calls it once, with t standing for u, and reads
-    the conjugate by each t^2n off that map by the substitution
-    u = t^2n, e -> 2n*e on every term dict: a ring map Q[u^+-1] ->
-    Q[t^+-1], so it commutes with composing and inverting affine maps.
+    The pipeline calls it once, with t standing for u, and reads the
+    conjugate by each t^2n off that map by the substitution u = t^2n,
+    e -> 2n*e on every term dict: a ring map Q[u^+-1] -> Q[t^+-1], so
+    it commutes with composing and inverting affine maps.
     """
     s = scaling(u)
-    return s.inverse().compose(translate(LaurentT.const(1))).compose(s)
+    return s.inverse().compose(translate({0: 1})).compose(s)

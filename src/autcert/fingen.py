@@ -20,22 +20,23 @@ the support bound is a running minimum over the inserted generators.
 None: the terms of the stored generators, not of the echelon rows that
 found it, are summed with the witness coefficients into one sparse
 dict, whose canonical form must equal the target's term dict.  The
-shifts t^(-2n) are the term dicts {-2n: 1} and the escape t^(-2N) is
-{-2N: 1}, held as N alone: the chain builds no ``LaurentT``, and a
-reader writes the escape as ``translation_str({-2 * N: 1})``.
-A caller that wants Laurent arithmetic wraps a shift as ``LaurentT(g)``.
-The certificate stores each fact once: the t-exponents of the
-generators, and per stage the support bound, the escape exponent and a
-sparse next-span witness.  The integer matrices are unit vectors
-rebuilt from those exponents, so a third party can recheck every stage
-from the stored numbers alone.  Its records hold plain integers and
-strings, and ``NonFGCertificate.to_record`` gives the report's record
-directly, with every number an exact string.
+caller passes the generators: the pipeline reads the shifts t^(-2n),
+the term dicts {-2n: 1}, off its one conjugation of a translation by a
+scaling, so a wrong conjugate fails the chain here.  The escape t^(-2N)
+is {-2N: 1}, held as N alone, and a reader writes it as
+``translation_str({-2 * N: 1})``.  The certificate stores each fact
+once: the t-exponents of the generators, and per stage the support
+bound, the escape exponent and a sparse next-span witness.  The integer
+matrices are unit vectors rebuilt from those exponents, so a third
+party can recheck every stage from the stored numbers alone.  Its
+records hold plain integers and strings, and
+``NonFGCertificate.to_record`` gives the report's record directly, with
+every number an exact string.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .lattice import SpanBasis
 from .scalars import _canonical, laurent_text
@@ -86,13 +87,6 @@ def _support(g: dict) -> int:
 def _escape_below(bound: int) -> int:
     """Least positive N with -2N strictly below bound."""
     return max(1, -bound // 2 + 1)
-
-
-def shift_generators(k: int) -> list[dict]:
-    """The first k conjugated translations, as the term dicts {0: 1}, {-2: 1}, ..."""
-    if k < 1:
-        raise ValueError("need at least one generator")
-    return [{-2 * n: 1} for n in range(k)]
 
 
 class EscapeStage(NamedTuple):
@@ -165,17 +159,19 @@ class NonFGCertificate(NamedTuple):
         }
 
 
-def certify_nonfg(max_k: int) -> NonFGCertificate:
+def certify_nonfg(shifts: Sequence[dict]) -> NonFGCertificate:
     """Escape certificates for the nested translation subgroups k = 1..max_k.
 
-    Each stage k records whether t^(-2k)*a avoids the span of the first
-    k generators (degree bound and lattice refutation agree) and lands
-    in the span of the first k+1, so the chain strictly increases; the
-    certificate passes when every stage does.
+    ``shifts`` holds the max_k + 1 generators, the term dicts of the
+    shifts for n = 0..max_k.  Each stage k records whether t^(-2k)*a
+    avoids the span of the first k generators (degree bound and lattice
+    refutation agree) and lands in the span of the first k+1, so the
+    chain strictly increases; the certificate passes when every stage
+    does, which the shifts t^(-2n) make it do.
     """
+    max_k = len(shifts) - 1
     if max_k < 1:
         raise ValueError("need at least one stage")
-    shifts = shift_generators(max_k + 1)
     exponents = tuple(_support(g) for g in shifts)
     basis = SpanBasis([shifts[0]])
     bound = exponents[0]

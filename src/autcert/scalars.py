@@ -3,11 +3,13 @@
 Every quantity in this package is exact: rationals are
 :class:`fractions.Fraction`, polynomials carry coefficients that are an
 ``int`` when integral, else a ``Fraction``, in a canonical
-graded-lexicographic term order, rational functions are
-polynomials over a single-term denominator, and Laurent polynomials
-allow negative exponents of the single variable ``t``.  No floating
-point is used anywhere.  No certificate run builds a rational function:
-the marking coordinates are plain polynomials.
+graded-lexicographic term order, and rational functions are
+polynomials over a single-term denominator.  A Laurent polynomial in
+the single variable ``t`` is no type of its own: it is a term dict,
+integer exponent -> coefficient, kept canonical by ``_canonical`` and
+written by ``laurent_text``.  No floating point is used anywhere.  No
+certificate run builds a rational function: the marking coordinates
+are plain polynomials.
 
 Each type has a canonical textual form, which the certificate reports
 embed; polynomials print as sorted monomial strings.  ``Frozen`` is the
@@ -486,92 +488,9 @@ class RatFunc(Frozen):
 # -- Laurent polynomials in t --------------------------------------------
 
 
-class LaurentT(Frozen):
-    """Laurent polynomial in the single variable ``t`` over the rationals.
-
-    Terms map integer exponents to nonzero coefficients, an ``int`` when
-    integral, else a ``Fraction``.  Every value, from the builders
-    ``zero``, ``const`` and ``t_power`` and from each ring operation, is
-    built through ``__init__``.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Fraction | int]):
-        for e in terms:
-            if not isinstance(e, int):
-                raise TypeError("Laurent exponents are integers")
-        object.__setattr__(self, "terms", _canonical(terms))
-
-    @classmethod
-    def zero(cls) -> LaurentT:
-        return cls({})
-
-    @classmethod
-    def const(cls, c) -> LaurentT:
-        return cls({0: c})
-
-    @classmethod
-    def t_power(cls, k: int, coeff=1) -> LaurentT:
-        """coeff * t^k."""
-        return cls({k: coeff})
-
-    @staticmethod
-    def _coerce(x) -> "LaurentT":
-        if isinstance(x, LaurentT):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LaurentT.const(x)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentT(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentT({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, int | Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-        return LaurentT(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __str__(self) -> str:
-        return laurent_text(self.terms)
-
-    def __repr__(self) -> str:
-        return f"LaurentT({self})"
-
-
 def laurent_text(terms: Mapping[int, Fraction | int]) -> str:
-    """The text of a canonical Laurent term dict, highest power first, as
-    ``LaurentT`` writes itself; the empty dict is "0"."""
+    """The text of a canonical Laurent term dict, highest power first; the
+    empty dict is "0"."""
     if not terms:
         return "0"
     parts = []

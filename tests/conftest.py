@@ -211,3 +211,9 @@ def twice_matrix(q):
     for (i, j), terms in cells.items():
         n[i][j] = n[j][i] = MultiPoly(params, terms)
     return tuple(map(tuple, n))
+
+
+def shifts(max_k):
+    """The generators of a K = max_k escape certificate: the term dicts of
+    the shifts t^(-2n), n = 0..max_k, the pipeline reads off its conjugation."""
+    return [{-2 * n: 1} for n in range(max_k + 1)]

@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autcert import fingen
-from autcert.fingen import (
-    certify_nonfg,
-    membership,
-    shift_generators,
-    translation_str,
-)
+from autcert import fingen, pipeline
+from autcert.fingen import certify_nonfg, membership, translation_str
 from autcert.lattice import SpanBasis, z_span_membership
 from autcert.__main__ import main
-from autcert.pipeline import PipelineOptions, _stringify, run_stage
-from autcert.scalars import LaurentT
+from autcert.cremona import translate
+from autcert.pipeline import Context, PipelineOptions, _stringify, run_stage
+
+from conftest import shifts
 
 
 # -- translations -------------------------------------------------------------------
@@ -28,49 +25,42 @@ def test_translation_strings():
     assert translation_str({0: 3, -2: -2}) == "(3 - 2*t^-2)*a"
     assert translation_str({0: Fraction(1, 2)}) == "(1/2)*a"
     assert translation_str({}) == "(0)*a"
-    # the text of a term dict is the text of its LaurentT
-    for terms in ({-2: 1}, {1: -1, 0: 3, -2: Fraction(-2, 3)}, {5: 2, -7: -1}):
-        assert translation_str(terms) == f"({LaurentT(terms)})*a"
+    assert translation_str({1: -1, 0: 3, -2: Fraction(-2, 3)}) == "(-t + 3 - 2/3*t^-2)*a"
+    assert translation_str({5: 2, -7: -1}) == "(2*t^5 - t^-7)*a"
 
 
 # -- membership ----------------------------------------------------------------------
 
 
-def span(gens):
-    """The basis of the integer span of a list of Laurent generators."""
-    return SpanBasis(g.terms for g in gens)
-
-
 def test_membership_with_witness():
-    gens = [LaurentT({0: 1}), LaurentT({-2: 1})]
-    target = LaurentT({0: 3, -2: -2})
-    assert membership(span(gens), target.terms) == {0: 3, 1: -2}
+    gens = [{0: 1}, {-2: 1}]
+    assert membership(SpanBasis(gens), {0: 3, -2: -2}) == {0: 3, 1: -2}
 
 
 def test_membership_refusals():
-    gens = [LaurentT({0: 1}), LaurentT({-2: 1})]
-    assert membership(span(gens), {-4: 1}) is None
-    assert membership(span(gens), {0: Fraction(1, 2)}) is None
-    assert membership(span([LaurentT({0: 2})]), {0: 1}) is None
-    assert membership(span([LaurentT({0: 2})]), {0: 4}) == {0: 2}
+    gens = [{0: 1}, {-2: 1}]
+    assert membership(SpanBasis(gens), {-4: 1}) is None
+    assert membership(SpanBasis(gens), {0: Fraction(1, 2)}) is None
+    assert membership(SpanBasis([{0: 2}]), {0: 1}) is None
+    assert membership(SpanBasis([{0: 2}]), {0: 4}) == {0: 2}
 
 
 def test_membership_denominator_clearing():
-    gens = [LaurentT({0: Fraction(1, 2)})]
-    assert membership(span(gens), {0: Fraction(3, 2)}) == {0: 3}
-    gens = [LaurentT({0: Fraction(1, 2)}), LaurentT({-2: Fraction(1, 3)})]
-    res = membership(span(gens), {0: Fraction(1, 2), -2: Fraction(-2, 3)})
+    gens = [{0: Fraction(1, 2)}]
+    assert membership(SpanBasis(gens), {0: Fraction(3, 2)}) == {0: 3}
+    gens = [{0: Fraction(1, 2)}, {-2: Fraction(1, 3)}]
+    res = membership(SpanBasis(gens), {0: Fraction(1, 2), -2: Fraction(-2, 3)})
     assert res == {0: 1, 1: -2}
-    res = membership(span([LaurentT({-2: Fraction(1, 3), 1: 2})]), {0: Fraction(-5, 4)})
+    res = membership(SpanBasis([{-2: Fraction(1, 3), 1: 2}]), {0: Fraction(-5, 4)})
     assert res is None
 
 
 def test_membership_edge_cases():
     # the empty target is a member with the empty witness, which is falsy:
     # membership is read with ``is None``
-    assert membership(span([]), {}) == {}
-    assert membership(span([]), {0: 1}) is None
-    assert membership(span([LaurentT({0: 1})]), {}) == {}
+    assert membership(SpanBasis([]), {}) == {}
+    assert membership(SpanBasis([]), {0: 1}) is None
+    assert membership(SpanBasis([{0: 1}]), {}) == {}
 
 
 def unit_rows(exponents, target):
@@ -81,7 +71,7 @@ def unit_rows(exponents, target):
 
 
 def test_membership_recheck_data_is_consistent():
-    gens = shift_generators(3)
+    gens = shifts(2)
     target = {0: 5, -2: -1, -4: 7}
     res = membership(SpanBasis(gens), target)
     assert res == {0: 5, 1: -1, 2: 7}
@@ -97,14 +87,13 @@ def test_membership_recheck_data_is_consistent():
 def test_membership_witness_is_rechecked_in_laurent_arithmetic(monkeypatch):
     monkeypatch.setattr(SpanBasis, "solve", lambda self, target: {0: 2})
     with pytest.raises(ArithmeticError):
-        membership(span([LaurentT({0: 1})]), {0: 1})
+        membership(SpanBasis([{0: 1}]), {0: 1})
 
 
 def test_membership_recheck_reads_every_term_of_the_generators(monkeypatch):
     # 1*(1 + t^-2) + 1*t^-2 = 1 + 2t^-2 agrees with the target 1 + 3t^-2
     # in its leading term t^0 only
-    gens = [LaurentT({0: 1, -2: 1}), LaurentT({-2: 1})]
-    basis = span(gens)
+    basis = SpanBasis([{0: 1, -2: 1}, {-2: 1}])
     monkeypatch.setattr(SpanBasis, "solve", lambda self, target: {0: 1, 1: 1})
     with pytest.raises(ArithmeticError):
         membership(basis, {0: 1, -2: 3})
@@ -112,21 +101,20 @@ def test_membership_recheck_reads_every_term_of_the_generators(monkeypatch):
 
 def test_membership_witness_may_cancel_to_a_shorter_target():
     # (1 + t^-2) - t^-2 = 1: the t^-2 terms cancel in the recheck
-    gens = [LaurentT({0: 1, -2: 1}), LaurentT({-2: 1})]
-    assert membership(span(gens), {0: 1}) == {0: 1, 1: -1}
+    assert membership(SpanBasis([{0: 1, -2: 1}, {-2: 1}]), {0: 1}) == {0: 1, 1: -1}
 
 
 def test_membership_refuses_a_target_with_a_zero_entry():
     # the solve drops the zero entry and finds t^-2, but the recheck
     # compares the canonical sum with the target as given
     with pytest.raises(ArithmeticError):
-        membership(SpanBasis(shift_generators(2)), {0: 0, -2: 1})
+        membership(SpanBasis(shifts(1)), {0: 0, -2: 1})
 
 
 @pytest.mark.parametrize("coefficient", [True, 1.0])
 def test_membership_refuses_an_inexact_target_coefficient(coefficient):
     with pytest.raises(TypeError):
-        membership(SpanBasis(shift_generators(2)), {-2: coefficient})
+        membership(SpanBasis(shifts(1)), {-2: coefficient})
 
 
 @given(
@@ -142,11 +130,13 @@ def test_membership_refuses_an_inexact_target_coefficient(coefficient):
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3),
 )
 def test_membership_accepts_known_combinations(gen_terms, mults):
-    gens = [LaurentT(terms) for terms in gen_terms]
-    target = LaurentT({})
+    gens = [{e: c for e, c in terms.items() if c} for terms in gen_terms]
+    target = {}
     for g, m in zip(gens, mults):
-        target = target + m * g
-    assert membership(span(gens), target.terms) is not None
+        for e, c in g.items():
+            target[e] = target.get(e, 0) + m * c
+    target = {e: c for e, c in target.items() if c}
+    assert membership(SpanBasis(gens), target) is not None
 
 
 @given(
@@ -157,8 +147,8 @@ def test_membership_accepts_known_combinations(gen_terms, mults):
     )
 )
 def test_membership_monotone_under_more_generators(target_terms):
-    target = LaurentT(target_terms).terms
-    gens = shift_generators(2)
+    target = {e: c for e, c in target_terms.items() if c}
+    gens = shifts(1)
     if membership(SpanBasis(gens), target) is not None:
         assert membership(SpanBasis(gens + [{1: 1}]), target) is not None
 
@@ -166,36 +156,31 @@ def test_membership_monotone_under_more_generators(target_terms):
 # -- escape exponents ------------------------------------------------------------------
 
 
-def test_escape_exponents_follow_the_support_bound(monkeypatch):
+def test_escape_exponents_follow_the_support_bound():
     # the escape exponent is the least positive N with -2N below the
     # running support bound, and a zero generator has no bound at all
-    gens = [{2: 1}, {-5: 1}, {-6: 1}]
-    monkeypatch.setattr(fingen, "shift_generators", lambda k: gens[:k])
-    cert = certify_nonfg(2)
+    cert = certify_nonfg([{2: 1}, {-5: 1}, {-6: 1}])
     assert [s.support_bound for s in cert.stages] == [2, -5]
     assert [s.escape_exponent for s in cert.stages] == [1, 3]
     assert not cert.passed
-    monkeypatch.setattr(fingen, "shift_generators", lambda k: [{0: 1}, {}])
     with pytest.raises(ValueError, match="zero generator"):
-        certify_nonfg(1)
+        certify_nonfg([{0: 1}, {}])
 
 
-def test_an_escape_exponent_off_its_stage_fails_the_certificate(monkeypatch):
+def test_an_escape_exponent_off_its_stage_fails_the_certificate():
     # from the bound -2 the escape is t^-4: refuted by t^-2 and found in
     # the span with t^-4, but its exponent 2 is not the stage number 1
-    monkeypatch.setattr(fingen, "shift_generators", lambda k: [{-2: 1}, {-4: 1}])
-    cert = certify_nonfg(1)
+    cert = certify_nonfg([{-2: 1}, {-4: 1}])
     (stage,) = cert.stages
     assert stage.escape_exponent == 2 and stage.k == 1
     assert stage.refutation is None and stage.next_span is not None
     assert not cert.passed
 
 
-def test_an_escape_missing_from_the_next_span_fails_the_certificate(monkeypatch):
+def test_an_escape_missing_from_the_next_span_fails_the_certificate():
     # the escape t^-2 of stage 1 is refuted, but the next generator is
     # t^-4, so the next span misses it
-    monkeypatch.setattr(fingen, "shift_generators", lambda k: [{0: 1}, {-4: 1}])
-    cert = certify_nonfg(1)
+    cert = certify_nonfg([{0: 1}, {-4: 1}])
     (stage,) = cert.stages
     assert stage.escape_exponent == stage.k == 1
     assert stage.refutation is None and stage.next_span is None
@@ -203,18 +188,22 @@ def test_an_escape_missing_from_the_next_span_fails_the_certificate(monkeypatch)
 
 
 def test_shift_generators():
-    gens = shift_generators(3)
+    # the generators are the pipeline's one conjugate read at u = t^2n, the
+    # unit translation at n = 0
+    ctx = Context(PipelineOptions())
+    gens = ctx.shifts(3)
     assert gens == [{0: 1}, {-2: 1}, {-4: 1}]
     assert [translation_str(g) for g in gens] == ["(1)*a", "(t^-2)*a", "(t^-4)*a"]
-    with pytest.raises(ValueError):
-        shift_generators(0)
+    # the substitution e -> 2n*e sums the terms it sends to one exponent
+    ctx.__dict__["conjugate"] = translate({-1: 1, 1: 2, 0: -3})
+    assert ctx.shifts(2) == [{}, {-2: 1, 2: 2, 0: -3}]
 
 
 # -- certificates ------------------------------------------------------------------------
 
 
 def test_certificate_structure():
-    cert = certify_nonfg(5)
+    cert = certify_nonfg(shifts(5))
     assert cert.passed
     assert cert.max_k == 5
     assert cert.format == "3"
@@ -228,22 +217,24 @@ def test_certificate_structure():
         assert stage.next_span == {k: 1}
 
 
-def test_escape_chain_builds_no_laurent_value(monkeypatch):
-    # the shifts, the escapes and the report are term dicts, exponents
-    # and strings from end to end
-    record = certify_nonfg(80).to_record()
-    stage = run_stage("nonfg", PipelineOptions(max_gens=80)).to_json_dict()
+def test_nonfg_stage_reads_its_generators_off_one_conjugation(monkeypatch):
+    # the K = 80 stage conjugates once, over the symbolic unit t, and
+    # writes the certificate of the shifts t^(-2n), n = 0..80
+    real = pipeline.conjugate_translation
+    units = []
 
-    def refuse(self, terms):
-        raise AssertionError("LaurentT built")
+    def counted(u):
+        units.append(u)
+        return real(u)
 
-    monkeypatch.setattr(LaurentT, "__init__", refuse)
-    assert certify_nonfg(80).to_record() == record
-    assert run_stage("nonfg", PipelineOptions(max_gens=80)).to_json_dict() == stage
+    monkeypatch.setattr(pipeline, "conjugate_translation", counted)
+    stage = run_stage("nonfg", PipelineOptions(max_gens=80))
+    assert units == [{1: 1}]
+    assert stage.evidence["certificate"] == certify_nonfg(shifts(80)).to_record()
 
 
 def test_certificate_chain_is_strict():
-    cert = certify_nonfg(4)
+    cert = certify_nonfg(shifts(4))
     for stage in cert.stages:
         # the escape of stage k is a generator of stage k+1
         assert stage.refutation is None
@@ -263,7 +254,7 @@ def test_one_failed_stage_fails_the_certificate(monkeypatch):
         return real(basis, target)
 
     monkeypatch.setattr(fingen, "membership", first_refutation_is_a_member)
-    cert = certify_nonfg(3)
+    cert = certify_nonfg(shifts(3))
     assert [s.refutation is not None for s in cert.stages] == [True, False, False]
     assert all(s.next_span is not None for s in cert.stages)
     assert not cert.passed
@@ -308,15 +299,16 @@ def test_certificate_record_matches_the_generic_walk():
     # the report writes the certificate's own record; a generic walk over
     # its fields is the reference it must not drift from
     for max_k in [*range(1, 21), 200]:
-        cert = certify_nonfg(max_k)
+        cert = certify_nonfg(shifts(max_k))
         record, walked = cert.to_record(), walk(cert)
         assert record == walked
         assert json.dumps(record, sort_keys=True) == json.dumps(walked, sort_keys=True)
 
 
 def test_certificate_validation():
-    with pytest.raises(ValueError):
-        certify_nonfg(0)
+    for gens in ([], shifts(0)):
+        with pytest.raises(ValueError, match="at least one stage"):
+            certify_nonfg(gens)
 
 
 # -- rechecking a written report ------------------------------------------------------------

@@ -47,6 +47,7 @@ from conftest import (
     line_pairs,
     polys,
     reflection_closure,
+    shifts,
     small_fractions,
     twice_matrix,
 )
@@ -401,7 +402,7 @@ def test_nonfg_basis_is_integral(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(fingen, "SpanBasis", Recorded)
-    assert fingen.certify_nonfg(20).passed
+    assert fingen.certify_nonfg(shifts(20)).passed
     (basis,) = built
     assert len(basis.generators) == 21
     entries = [c for g in basis.generators for c in g.values()]

@@ -25,7 +25,7 @@ from autcert.pipeline import (
     run_all,
     run_stage,
 )
-from autcert.scalars import LaurentT, MultiPoly
+from autcert.scalars import MultiPoly
 from autcert.surface import Configuration, build_double_kummer, extend_with_conics
 
 EXPECTED_STAGES = (
@@ -147,7 +147,7 @@ def test_default_report_sha256_is_the_regression_anchor(sample_reports):
     deep80 = nonfg_report(80)
     assert len(deep80.to_json().encode("utf-8")) == 14341
     pinned = [
-        (default_report, "183cd6c2ae37f5a1572009b86d3c1764092f290d9e36e2cd9a7e5cfef2d83316"),
+        (default_report, "f656d90824406b15d55103c81545b8d76730950fd7c3a71d8b299a5d97ecb4fe"),
         (deep, "998040a35bfbf131d92d8706959977679661fbfdee5f10fe9a9cfbf612cf56f2"),
         (deep80, "6a0060f91f41715f5546ed8999e7378a70f03f49adc9a21f600b7cd01ca30794"),
         (nonfg_report(1000), "9c4401d293aeeb601c98ca1368b063e54768573ee02263e899c13ceb27a3137f"),
@@ -168,18 +168,18 @@ PINNED_REPORTS = {
         PipelineOptions(seed=s): digest
         for s, digest in enumerate(
             [
-                "183cd6c2ae37f5a1572009b86d3c1764092f290d9e36e2cd9a7e5cfef2d83316",
-                "87aa2c9beef482ee38694ad273206b052cecea9f5db97d20719da1ff56777593",
-                "d0dd7f38bade665c7c4c3df2f47818bf8b8a2cd44f52deff0aa97811e59c35a7",
-                "5e5358a7cc01c69f96ff46d3c22531687d33a5438f43298c385d883916018bfa",
-                "91b0f2a4b1e1ab856ca6ebad25feb0b0a90e51b34fd3254a6a5d8b8db68a6f1c",
-                "b75d4dc3f5fe057baacc9087601bf2106744963bc1b12154462687b2b0ac66f9",
-                "ac2bb49ff1a3500c27ed4d7f7264c70ace650a0759d56a830261cb452e9a1d21",
-                "610821f91b2bddd5d1b5bee96736f6ea867c86447fe069639c838b2a2945ecfd",
-                "af12681a4e586eeded5a3a57cb3b42b13bd9384fe6e4c4afd83c6c698986e5d2",
-                "f6553d96adb56f791a29677023a24ae22e8852d2899df19ba59937eebb2f4c3c",
-                "8fc3b622827a9e0ef8cccb2bcee98dc4c617848f7a0849ef6b1420662a6f76b4",
-                "a1fbb8f86394f9efcd858769beec1cf9b3bc60f252a9d5c2df232a35d691bf84",
+                "f656d90824406b15d55103c81545b8d76730950fd7c3a71d8b299a5d97ecb4fe",
+                "852b005f67d7eb19a5283ea3b396ce5ead5d70054c00c27bbbaf9b21e540d20f",
+                "8f3643edf5b4673cba0213bd696a1bd4b9072381858f1e6305eed87d7103e47d",
+                "a45a20998af15431379381915e87b2afa3187ee0c8c7b52b78e2081ebcaeda8f",
+                "56d07b1860438bcdd6672adcd5a10386a94525985b2dec21e7f8d2eb26102684",
+                "a6a518ca3ab14597d58c4cbc8f6fc589aeada8aec835fe28e3906f844e5fe68a",
+                "cf73376daf1e57cc7bc66ab9c6ddb280b325117db11f599ebebed86ea8729630",
+                "7e7720e87ccb0ddb2471ae7db8c3bfc62ad29184e9e1dbecb5c035c34974455c",
+                "6e42c773f749567c54ec344908a2996c43f965e4fa515f1f2a7e3ebed3cc2332",
+                "c1f2c65d836978fb3f6a42769cf788e751f010dac6bf0086c085d88f8cce10a5",
+                "e3100ad44dc87da24c738fea5e904ecfc7227d355092ec2d526e7bf781e818ae",
+                "2ec4506e07f122ae06990c8c6238fe2633126f3e6db72e3c84aa576c826cc17c",
             ]
         )
     },
@@ -189,9 +189,9 @@ PINNED_REPORTS = {
             (("E1", "C11"), "78f8bf1e55ed4e6ec20919acae8ee2837389ad78a27a1d104557cf84fd026729"),
             (("E2", "C2"), "bc51845cd8a9238b02ae550e7edf800b97c7635316e724ab20a9c77614597603"),
             (("F3", "C32"), "96377c741f557c8eacf5795d80cc162671f2a655c597d5cc552301e633040542"),
-            (("F4", "C44"), "71fb36445444531e58f4f7d135b837e41c379796ff4b5784d8a9c4f1b9374fe3"),
-            (("C11", "C2"), "1cd5aded6c1372df6e8e305eea84a9909643c71bf7de2e87d4bdd8231f4bc590"),
-            (("C33", "C4"), "0e5fc96affdc3c8c27ca0512b102f0e33db1903f18dfdbc99980fa52a14947d3"),
+            (("F4", "C44"), "247a72d84557e8446a806e1a588d4ba1b7c4230e6f8a859ad3cef233d7dc8d43"),
+            (("C11", "C2"), "9af3787f175ab6716dbc646cd9acba14a4b54ff4a3d86428e6e9f86b1a2a9bfd"),
+            (("C33", "C4"), "f1d31929b2dd9ffc5515e89a99e5f2296e161c3215c0317e1925a7601ee5c1cc"),
         ]
     },
 }
@@ -621,10 +621,10 @@ DYNAMICS_CONJUGATION = (
     "x -> t^2 x yields x -> x + t^(-2n) a for n = 1..10, each "
     "fixing the point at infinity"
 )
-
-DYNAMICS_BRIDGE = (
-    "the conjugated shifts are exactly the Laurent generators fed "
-    "to the non-finite-generation stage"
+NONFG_CHAIN = (
+    "every one of the nested spans verified: stage k refutes "
+    "membership of t^(-2k) a in the span of the first k shifts and "
+    "confirms it in the span of the first k+1"
 )
 
 
@@ -671,32 +671,25 @@ def move_c2_index(mp):
 
 
 def wrong_scaling_power(mp):
-    """scaling(s) acts as scaling(s^2 * t^-2).  The stage's one
-    conjugation, by scaling(t) with t standing for u, then scales by 1:
-    the conjugate is translate(1) and every substituted shift reads 1, so
-    the check fails at every n and no conjugated shift meets the
-    non-finite-generation generators t^-2, t^-4."""
+    """scaling(s) acts as scaling(s^2 * t^-2).  The one conjugation, by
+    scaling(t) with t standing for u, then scales by 1: the conjugate is
+    translate(1) and every substituted shift reads 1, so the dynamics
+    check fails at every n, and every nonfg generator is 1, so stage 1's
+    escape t^-2 misses the next span."""
     real = cremona.scaling
-    mp.setattr(cremona, "scaling", lambda s: real(s * s * LaurentT.t_power(-2)))
+    mp.setattr(cremona, "scaling", lambda s: real({2 * k - 2: c * c for k, c in s.items()}))
 
 
 def doubled_conjugate_scale(mp):
     """The conjugated map keeps its shift u^-1, so each substituted shift
-    is t^(-2n), but scales by 2: no translation, while the shifts still
-    meet the generators."""
+    is t^(-2n), but scales by 2: no translation, while nonfg, which reads
+    the shifts alone, still gets the generators t^(-2n)."""
     real = pipeline.conjugate_translation
     mp.setattr(
         pipeline,
         "conjugate_translation",
-        lambda u: cremona.AffineMap(LaurentT.const(2), real(u).shift),
+        lambda u: cremona.AffineMap({0: 2}, dict(real(u).shift)),
     )
-
-
-def wrong_generator_2(mp):
-    """The non-finite-generation shifts with t^-6 in place of t^-4 as
-    generator 2; generator 1 still meets the first conjugated shift."""
-    real = pipeline.shift_generators
-    mp.setattr(pipeline, "shift_generators", lambda k: real(k)[:2] + [{-6: 1}] + real(k)[3:])
 
 
 QUOTIENT_HALVING = (
@@ -768,28 +761,27 @@ def misread_a2(mp):
 
 
 @pytest.mark.parametrize(
-    "name, patch, failing",
+    "names, patch, failing",
     [
-        ("quotient", unhalved_sample, {QUOTIENT_HALVING}),
-        ("quotient", class_off_minus_two, {QUOTIENT_HALVING}),
-        ("fibrations", misclassified_eps_cycle, {FIBRATIONS_INVOLUTION}),
-        ("fibrations", eps_images_in_place, {FIBRATIONS_INVOLUTION}),
-        ("lattice", unnormalized_reduction, {LATTICE_E6}),
-        ("lattice", misread_a2, {LATTICE_E6}),
-        ("dynamics", move_p2, {DYNAMICS_GLUING}),
-        ("dynamics", move_p22_and_p2, {DYNAMICS_GLUING}),
-        ("dynamics", move_c2_index, {DYNAMICS_SUM, DYNAMICS_SQUARE}),
-        ("dynamics", wrong_scaling_power, {DYNAMICS_CONJUGATION, DYNAMICS_BRIDGE}),
-        ("dynamics", doubled_conjugate_scale, {DYNAMICS_CONJUGATION}),
-        ("dynamics", wrong_generator_2, {DYNAMICS_BRIDGE}),
-        ("cremona", no_swap_passes, {SWAP_CLAIM}),
+        (("quotient",), unhalved_sample, {QUOTIENT_HALVING}),
+        (("quotient",), class_off_minus_two, {QUOTIENT_HALVING}),
+        (("fibrations",), misclassified_eps_cycle, {FIBRATIONS_INVOLUTION}),
+        (("fibrations",), eps_images_in_place, {FIBRATIONS_INVOLUTION}),
+        (("lattice",), unnormalized_reduction, {LATTICE_E6}),
+        (("lattice",), misread_a2, {LATTICE_E6}),
+        (("dynamics",), move_p2, {DYNAMICS_GLUING}),
+        (("dynamics",), move_p22_and_p2, {DYNAMICS_GLUING}),
+        (("dynamics",), move_c2_index, {DYNAMICS_SUM, DYNAMICS_SQUARE}),
+        (("dynamics", "nonfg"), wrong_scaling_power, {DYNAMICS_CONJUGATION, NONFG_CHAIN}),
+        (("dynamics", "nonfg"), doubled_conjugate_scale, {DYNAMICS_CONJUGATION}),
+        (("cremona",), no_swap_passes, {SWAP_CLAIM}),
         (
-            "cremona",
+            ("cremona",),
             swap_x1_x2,
             {CREMONA_QUADRIC, CREMONA_INVOLUTION, CREMONA_CONTRACTION, SWAP_CLAIM},
         ),
         (
-            "cremona",
+            ("cremona",),
             exchange_components_1_2,
             {CREMONA_QUADRIC, CREMONA_INVOLUTION, CREMONA_CONTRACTION, SWAP_CLAIM},
         ),
@@ -798,19 +790,23 @@ def misread_a2(mp):
         "halving", "minus-two-class", "involution-image-type", "involution-image-support",
         "e6-reduction", "e6-classification",
         "gluing", "gluing-away-from-t", "component-index", "conjugation",
-        "conjugation-scale", "bridge-generator-2", "exhausted-search", "coordinate-swap",
+        "conjugation-scale", "exhausted-search", "coordinate-swap",
         "contraction-to-the-wrong-point",
     ],
 )
-def test_each_touched_check_fails_under_its_own_name(monkeypatch, name, patch, failing):
-    claims = [c["claim"] for c in run_stage(name).evidence["checks"]]
+def test_each_touched_check_fails_under_its_own_name(monkeypatch, names, patch, failing):
+    claims = [c["claim"] for name in names for c in run_stage(name).evidence["checks"]]
     assert failing <= set(claims)
     patch(monkeypatch)
-    checks = run_stage(name).evidence["checks"]
+    stages = [run_stage(name) for name in names]
+    checks = [c for stage in stages for c in stage.evidence["checks"]]
     assert not any(c.get("kind") == "stage-raised" for c in checks)
     assert {c["claim"]: c["status"] for c in checks} == {
         claim: "fail" if claim in failing else "pass" for claim in claims
     }
+    # each stage run alone equals its record in the whole run under the same patch
+    whole = dict(zip(STAGE_ORDER, run_all().stages))
+    assert [s.to_json_dict() for s in stages] == [whole[name].to_json_dict() for name in names]
 
 
 def test_dynamics_conjugates_once_over_a_symbolic_unit(monkeypatch):
@@ -823,7 +819,10 @@ def test_dynamics_conjugates_once_over_a_symbolic_unit(monkeypatch):
 
     monkeypatch.setattr(pipeline, "conjugate_translation", counted)
     checks = run_stage("dynamics").evidence["checks"]
-    assert units == [LaurentT.t_power(1)]
+    assert units == [{1: 1}]
+    # a whole run conjugates once too: dynamics and nonfg read one fact
+    assert run_all().verdict == "pass"
+    assert units == [{1: 1}, {1: 1}]
     conjugation = next(c for c in checks if c["claim"] == DYNAMICS_CONJUGATION)
     assert conjugation["status"] == "pass"
     assert conjugation["shifts"] == [f"(t^{-2 * n})*a" for n in range(1, 11)]
@@ -917,7 +916,7 @@ def test_cli_all_writes_report(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["all"], "183cd6c2ae37f5a1572009b86d3c1764092f290d9e36e2cd9a7e5cfef2d83316"),
+        (["all"], "f656d90824406b15d55103c81545b8d76730950fd7c3a71d8b299a5d97ecb4fe"),
         (
             ["nonfg", "--max-gens", "80"],
             "6a0060f91f41715f5546ed8999e7378a70f03f49adc9a21f600b7cd01ca30794",

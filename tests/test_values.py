@@ -25,7 +25,7 @@ from autcert.fingen import certify_nonfg
 from autcert.lattice import RootType
 from autcert.mwl import ModInt, SectionData
 from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
-from autcert.scalars import LaurentT, MultiPoly, RatFunc
+from autcert.scalars import MultiPoly, RatFunc
 from autcert.surface import (
     INFINITY,
     BlowupLedger,
@@ -36,6 +36,8 @@ from autcert.surface import (
     quotient_pushforward,
     verify_isometry,
 )
+
+from conftest import shifts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -101,12 +103,12 @@ VALUES = {
     "RationalMapP3": (lambda: RationalMapP3(cremona_map().components), True),
     "QuadricForm": (lambda: QuadricForm(QuadricForm.standard().poly), True),
     "SwapReport": (lambda: verify_pij_swap((9, 2, 2), cremona_map()), True),
-    "AffineMap": (lambda: conjugate_translation(LaurentT.t_power(4)), True),
+    "AffineMap": (lambda: conjugate_translation({4: 1}), True),
     "ModInt": (lambda: ModInt(11, 8), True),
     "SectionData": (lambda: SectionData("P", 0, {"M2": ModInt(0, 3)}), False),
     "RootType": (lambda: RootType("A", 2), True),
-    "EscapeStage": (lambda: certify_nonfg(2).stages[1], False),
-    "NonFGCertificate": (lambda: certify_nonfg(2), False),
+    "EscapeStage": (lambda: certify_nonfg(shifts(2)).stages[1], False),
+    "NonFGCertificate": (lambda: certify_nonfg(shifts(2)), False),
     "KodairaType": (lambda: KodairaType("IV*"), True),
     # a marking coordinate, as the construction table holds t
     "MultiPoly": (lambda: MultiPoly.var("t"), True),

@@ -63,12 +63,6 @@ ALLOWED = {
     "scalars.Frozen.__hash__": DUNDER,
     "scalars.Frozen.__repr__": DUNDER,
     "scalars.Frozen.__setattr__": GUARD,
-    "scalars.LaurentT.__bool__": (
-        "truth value of a value type, false at zero like MultiPoly's; the "
-        "escape chain tests its term dicts, so no run asks it"
-    ),
-    "scalars.LaurentT.__hash__": DUNDER,
-    "scalars.LaurentT.__repr__": DUNDER,
     "scalars.MultiPoly.__add__": RING,
     "scalars.MultiPoly.__hash__": DUNDER,
     "scalars.MultiPoly.__neg__": RING,
