@@ -84,8 +84,7 @@ def main(argv: list[str] | None = None) -> int:
             for check in stage.evidence["checks"]:
                 if check["status"] == "fail":
                     print(f"  failed: {check['claim']}")
-                    if "witness" in check:
-                        print(f"    witness: {check['witness']}")
+                    print(f"    witness: {check['witness']}")
     print(f"verdict: {report.verdict}")
     if args.out:
         try:

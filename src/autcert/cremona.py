@@ -124,17 +124,14 @@ class RationalMapP3(Frozen):
             out[exps] = out.get(exps, 0) + c
         return MultiPoly._make(_NAMES, out)
 
-    def specialize(self, alpha: Sequence | None, scale: int) -> Callable:
-        """The map at fixed parameters, as an evaluator of points: each component's
-        coefficient, a-part and ``scale`` to the a1..a3 degree it lacks are one constant,
-        times the coordinates its x-exponents name, each index listed once per power."""
-        if alpha is None and any(any(row[:3]) for row, _ in self._rows):
-            raise ValueError("the components need values of a1..a3")
-        a = (0, 0, 0) if alpha is None else alpha
+    def specialize(self, alpha: Sequence, scale: int) -> Callable:
+        """The map at fixed parameters a1..a3 = ``alpha``, as an evaluator of points: each
+        component's coefficient, a-part and ``scale`` to the a1..a3 degree it lacks are one
+        constant, times the coordinates its x-exponents name, each index listed once per power."""
         top = max(sum(row[:3]) for row, _ in self._rows)
         parts = [
             (
-                math.prod(map(pow, a, row[:3]), start=k) * scale ** (top - sum(row[:3])),
+                math.prod(map(pow, alpha, row[:3]), start=k) * scale ** (top - sum(row[:3])),
                 [i for i, e in enumerate(row[3:]) for _ in range(e)],
             )
             for row, k in self._rows

@@ -47,7 +47,7 @@ from .fibration import (
     map_fiber,
     shioda_tate_rank,
 )
-from .fingen import certify_nonfg, translation_str
+from .fingen import NonFGCertificate, certify_nonfg, translation_str
 from .lattice import (
     E6_IN_E8_NODES,
     RootType,
@@ -210,18 +210,21 @@ def _stringify(obj):
     return str(obj)
 
 
-def _check(claim: str, ok: bool, **data) -> dict:
-    entry = {"claim": claim, "status": "pass" if ok else "fail"}
+def _check(claim: str, witness: str | None, **data) -> dict:
+    """A check record; it fails exactly when it carries a witness, one line of text."""
+    if witness is not None and not isinstance(witness, str):
+        raise TypeError(f"a witness is a str or None, got {type(witness).__name__}")
+    entry = {"claim": claim, "status": "pass" if witness is None else "fail"}
+    if witness is not None:
+        entry["witness"] = witness
     entry.update(_stringify(data))
     return entry
 
 
-def _measured(claim: str, name: str, value, want, **data) -> dict:
-    """The check that a measured figure, held as ``name``, equals ``want``;
-    a miss names both in the witness "<name> <value>; expected <want>"."""
-    if value != want:
-        data["witness"] = f"{name} {value}; expected {want}"
-    return _check(claim, value == want, **data, **{name: value})
+def _measured(name: str, value, want) -> str | None:
+    """The witness "<name> <value>; expected <want>" of a measured figure
+    that misses ``want``, or None when it equals it."""
+    return None if value == want else f"{name} {value}; expected {want}"
 
 
 def _external(claim: str, citation: str) -> dict:
@@ -245,37 +248,20 @@ def _assemble(name: str, checks, external=(), annotations=()) -> StageResult:
 # -- shared construction data ----------------------------------------------------------
 
 
-class _fact(cached_property):
-    """A :class:`Context` fact, built by ``Context._once`` on the first read.
-
-    A built value becomes a plain instance attribute, so later reads
-    skip this descriptor; a build that raised is only in ``_kept``, and
-    every read comes back here and raises it again.
-    """
-
-    def __get__(self, ctx, owner=None):
-        if ctx is None:
-            return self
-        value = ctx._once(self.attrname, lambda: self.func(ctx))
-        ctx.__dict__[self.attrname] = value
-        return value
-
-
 class Context:
     """The construction, fault-injected and measured once per run.
 
     Stages read their inputs here, and nothing else applies
     ``corrupt_pair``.  The unfaulted curves are the one value built at
-    import; a fault checks its own copy.  Each fact is built on first
-    use, so a stage run alone builds only what it reads, and then it is
-    a plain instance attribute.  A fact whose construction raises keeps
-    its exception: it is built once, and every stage that reads it
-    raises the same exception, so each reports the same witness.  Each
-    named fiber is one such fact: its :class:`FiberClass`, which gives
-    its Kodaira type and, for I_n, its cycle, or the error that rejected
-    the divisor.  The conjugate of a translation by a scaling is one
-    fact too, computed once over a symbolic unit: dynamics reads its
-    shifts there and nonfg its generators.
+    import; a fault checks its own copy.  Each fact is a cached
+    property, built on first use, so a stage run alone builds only what
+    it reads.  A build that raises stores nothing: every build is
+    deterministic, so each stage that reads the fact rebuilds it, raises
+    the same exception and reports the same witness.  Each named fiber's
+    :class:`FiberClass`, which gives its Kodaira type and, for I_n, its
+    cycle, is kept the same way.  The conjugate of a translation by a
+    scaling is one fact too, computed once over a symbolic unit:
+    dynamics reads its shifts there and nonfg its generators.
 
     Config and the quotient share the involution's one isometry report,
     and the 28-curve congruence gives the 24-curve inertia too: the
@@ -285,48 +271,36 @@ class Context:
 
     def __init__(self, options: PipelineOptions):
         self.options = options
-        self._kept: dict = {}
+        self._fiber_classes: dict[str, FiberClass] = {}
 
-    def _once(self, key, build):
-        """build(), run once per key; its value, or the error it raised, is kept."""
-        if key not in self._kept:
-            try:
-                self._kept[key] = (build(), None)
-            except (ValueError, ArithmeticError) as exc:
-                self._kept[key] = (None, exc)
-        value, exc = self._kept[key]
-        if exc is not None:
-            raise exc
-        return value
-
-    @_fact
+    @cached_property
     def x(self) -> Configuration:
         """The 28 curves upstairs, faulted; the first 24 are the double Kummer curves."""
         x = extend_with_conics(build_double_kummer())
         pair = self.options.corrupt_pair
         return x if pair is None else with_intersection(x, *pair, 0)
 
-    @_fact
+    @cached_property
     def eps(self) -> IsometryPerm:
         return epsilon_involution(self.x)
 
-    @_fact
+    @cached_property
     def eps_report(self) -> IsometryReport:
         """The isometry check of the involution, read by config and by the quotient."""
         return verify_isometry(self.x, self.eps)
 
-    @_fact
+    @cached_property
     def z(self) -> Configuration:
         """The 14 classes on the quotient; raises if the involution is no free isometry."""
         return quotient_pushforward(self.x, self.eps, self.eps_report)
 
-    @_fact
+    @cached_property
     def x_signatures(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """Inertia of the 24 Kummer curves' form, x's leading block, and of
         the 28-curve form, from the one congruence of x's Gram."""
         return signature(self.x.gram, leading=24)
 
-    @_fact
+    @cached_property
     def z_signature(self) -> tuple[int, int, int]:
         """Inertia of the 14-class intersection form."""
         return signature(self.z.gram)
@@ -341,7 +315,7 @@ class Context:
         """The Picard number downstairs: n+ + n- of the one congruence."""
         return sum(self.z_signature[:2])
 
-    @_fact
+    @cached_property
     def fibers(self) -> dict[str, FiberDivisor]:
         """The named fibers, upstairs and on the quotient.
 
@@ -364,15 +338,15 @@ class Context:
     def fiber_class(self, name: str) -> FiberClass:
         """The named fiber, validated and classified once.
 
-        The configuration and the divisor are read before the store, so
-        a construction that cannot be built raises its own error here
-        and is not kept as the fiber's.
+        A divisor that fails the fiber conditions raises ``ValueError``
+        on each call, and nothing is kept for it.
         """
-        config = self.z if name.startswith("M") else self.x
-        fiber = self.fibers[name]
-        return self._once(("fiber", name), lambda: classify_kodaira(config, fiber))
+        if name not in self._fiber_classes:
+            config = self.z if name.startswith("M") else self.x
+            self._fiber_classes[name] = classify_kodaira(config, self.fibers[name])
+        return self._fiber_classes[name]
 
-    @_fact
+    @cached_property
     def fiber_types(self) -> dict[str, KodairaType | None]:
         """The Kodaira type of each named fiber.
 
@@ -401,7 +375,7 @@ class Context:
         """The components of the named I_n fiber (N1 or N1eps) in cyclic order."""
         return self.fiber_class(name).cycle
 
-    @_fact
+    @cached_property
     def conjugate(self) -> AffineMap:
         """scaling(u)^-1 . translate(1) . scaling(u), with t standing for the unit u."""
         return conjugate_translation({1: 1})
@@ -482,28 +456,24 @@ _ANCHORS = {
 def _stage_config(ctx: Context) -> StageResult:
     x = ctx.x
     rep_e = ctx.eps_report
-    data: dict = {"fixed_labels": list(rep_e.fixed_labels)}
-    if rep_e.failures:
-        data["witness"] = rep_e.failures[0]
+    signature_24 = ctx.x_signatures[0]
     checks = [
-        _measured(
+        _check(
             "the 24-curve intersection form has signature (1, 17)",
-            "signature",
-            ctx.x_signatures[0],
-            (1, 17, 6),
+            _measured("signature", signature_24, (1, 17, 6)),
+            signature=signature_24,
         ),
-        _measured(
+        _check(
             "adjoining the four extra curves keeps the rank at 18",
-            "rank",
-            ctx.x_rank,
-            18,
+            _measured("rank", ctx.x_rank, 18),
+            rank=ctx.x_rank,
             curves=len(x.labels),
         ),
         _check(
             "the curve swap E_i <-> F_i, C_ij <-> C_ji, C_ii <-> C_i is an "
             "isometry with no fixed curve",
-            rep_e.passed,
-            **data,
+            rep_e.failures[0] if rep_e.failures else None,
+            fixed_labels=list(rep_e.fixed_labels),
         ),
     ]
     return _assemble("config", checks)
@@ -522,70 +492,58 @@ def _stage_cremona(ctx: Context) -> StageResult:
     q = QuadricForm.standard()
     c, c2 = _COFACTOR, _COFACTOR2
     # each claimed cofactor is multiplied back in; what misses is the witness
-    quadric: dict = {"cofactor": _COFACTOR_TEXT}
     composed = tau.pullback(q.poly)
-    if composed != c * q.poly:
-        quadric["witness"] = f"q(map) = {composed}"
-    involution: dict = {"cofactor": _COFACTOR2_TEXT}
-    missed = [
+    missed_components = [
         f"component {k}: {p}"
         for k, (p, x) in enumerate(zip(map(tau.pullback, tau.components), _COORDINATES), 1)
         if p != c2 * x
     ]
-    if missed:
-        involution["witness"] = "; ".join(missed)
     points = [contraction_check(tau, i) for i in range(1, 5)]
-    contraction: dict = {"points": points}
     # plane {x_i = 0} must contract to e_i
-    missed = [
+    missed_planes = [
         f"plane {i}: {p}" for i, (p, e) in enumerate(zip(points, COORDINATE_POINTS), 1) if p != e
     ]
-    if missed:
-        contraction["witness"] = "; ".join(missed)
     det = q.determinant()
     reports = find_swap_specializations(seed=ctx.options.seed, tau=tau)
-    swap: dict = {
-        "specializations": [
-            {
-                "alpha": list(r.alpha),
-                "discriminants": list(r.discriminants),
-                "swaps_checked": r.swaps_checked,
-            }
-            for r in reports
-        ]
-    }
-    if len(reports) < 3:
-        swap["witness"] = f"found {len(reports)} of 3 passing triples in {SWAP_DRAWS} draws"
     checks = [
         _check(
             "substituting the map into the quadric returns the cofactor "
             "a1*a2*a3*x1*x2*x3*x4",
-            "witness" not in quadric,
-            **quadric,
+            None if composed == c * q.poly else f"q(map) = {composed}",
+            cofactor=_COFACTOR_TEXT,
         ),
         _check(
             "composing the map with itself gives the identity times the "
             "squared cofactor",
-            "witness" not in involution,
-            **involution,
+            "; ".join(missed_components) or None,
+            cofactor=_COFACTOR2_TEXT,
         ),
         _check(
             "each coordinate plane contracts to the matching coordinate point",
-            "witness" not in contraction,
-            **contraction,
+            "; ".join(missed_planes) or None,
+            points=points,
         ),
         _check(
             "the symmetric matrix of the quadric has a nonzero determinant, "
             "so the generic member is smooth",
-            bool(det),
+            None if det else f"determinant {det}; expected nonzero",
             determinant=det,
         ),
         _check(
             "at a seeded sample of parameter values the involution swaps the "
             "two rulings of the smooth quadric, exchanging all 12 marked "
             "intersection points in pairs",
-            "witness" not in swap,
-            **swap,
+            None
+            if len(reports) >= 3
+            else f"found {len(reports)} of 3 passing triples in {SWAP_DRAWS} draws",
+            specializations=[
+                {
+                    "alpha": list(r.alpha),
+                    "discriminants": list(r.discriminants),
+                    "swaps_checked": r.swaps_checked,
+                }
+                for r in reports
+            ],
         ),
     ]
     return _assemble(
@@ -604,26 +562,27 @@ def _stage_cremona(ctx: Context) -> StageResult:
 def _stage_quotient(ctx: Context) -> StageResult:
     z = ctx.z
     samples = [("H2", "D32", 1), ("D11", "H1", 2), ("D11", "D22", 2), ("H1", "H2", 0)]
-    halved = all(z.pairing(a, b) == v for a, b, v in samples)
+    read = [(a, b, z.pairing(a, b), v) for a, b, v in samples]
+    missed = [f"{a},{b}: {p}; expected {v}" for a, b, p, v in read if p != v]
+    missed += [f"{lab}: {s}; expected -2" for lab in z.labels if (s := z.self_int(lab)) != -2]
     q32 = z.marking_coord("Q32", "H2")
     checks = [
-        _measured(
+        _check(
             "the quotient classes span a rank-10 lattice of signature (1, 9)",
-            "signature",
-            ctx.z_signature,
-            (1, 9, 4),
+            _measured("signature", ctx.z_signature, (1, 9, 4)),
+            signature=ctx.z_signature,
             rank=ctx.z_rank,
         ),
         _check(
             "pushed-forward pairings halve the upstairs orbit pairings and "
             "every class stays a (-2)-class",
-            halved and all(z.self_int(lab) == -2 for lab in z.labels),
+            "; ".join(missed) or None,
             samples=[[a, b, v] for a, b, v in samples],
         ),
         _check(
             "the distinguished marked point descends to the class H2 with "
             "affine coordinate at infinity",
-            q32 is INFINITY,
+            _measured("coordinate", q32, INFINITY),
             coordinate=q32,
         ),
     ]
@@ -646,23 +605,30 @@ def _stage_fibrations(ctx: Context) -> StageResult:
     expected = {"N1": "I8", "N2": "IV*", "M1": "I8", "M2": "IV*"}
     types = {name: ctx.fiber_types[name] for name in expected}
     eps_types = {f"{name}eps": ctx.fiber_types[f"{name}eps"] for name in ("N1", "N2")}
-    eps_ok = all(
-        str(eps_types[f"{name}eps"]) == expected[name]
-        and not set(ctx.fibers[name].labels()) & set(ctx.fibers[f"{name}eps"].labels())
-        for name in ("N1", "N2")
-    )
+    # each miss is "<fiber>: <type>; expected <type>", or the labels an image shares
+    missed = [
+        f"{n}: {kt}; expected {expected[n]}" for n, kt in types.items() if str(kt) != expected[n]
+    ]
+    eps_missed = []
+    for name in ("N1", "N2"):
+        image = f"{name}eps"
+        if str(eps_types[image]) != expected[name]:
+            eps_missed.append(f"{image}: {eps_types[image]}; expected {expected[name]}")
+        shared = set(ctx.fibers[name].labels()) & set(ctx.fibers[image].labels())
+        if shared:
+            eps_missed.append(f"{image} shares {','.join(sorted(shared))} with {name}")
     checks = [
         _check(
             "the two divisors upstairs and their pushforwards downstairs "
             "classify as Kodaira types I8 and IV*",
-            all(str(types[name]) == want for name, want in expected.items()),
+            "; ".join(missed) or None,
             types=types,
             expected=expected,
         ),
         _check(
             "the involution images of the upstairs divisors are disjoint "
             "from them and classify identically",
-            eps_ok,
+            "; ".join(eps_missed) or None,
             types=eps_types,
         ),
     ]
@@ -693,30 +659,34 @@ def _stage_lattice(ctx: Context) -> StageResult:
     _, induced = orth_complement(cartan_E(8), E6_IN_E8_NODES)
     reduced = gauss_reduce_rank2(induced)
     classified = dynkin_classify(reduced)
+    over = [f"{k}: {t} > {b}" for k, (t, b) in sums.items() if t > b]
     checks = [
         _check(
             "rank 18 minus 2 minus the 14 non-identity components of two I8 "
             "fibers leaves Mordell-Weil rank 2",
-            up == 2,
+            _measured("rank", up, 2),
             rank=up,
         ),
         _check(
             "rank 10 minus 2 minus the 6 non-identity components of one IV* "
             "fiber leaves Mordell-Weil rank 2 on the rational elliptic "
             "surface",
-            down == 2,
+            _measured("rank", down, 2),
             rank=down,
         ),
         _check(
             "known reducible fibers never exceed the Euler number budget of "
             "the surface carrying them",
-            all(total <= bound for total, bound in sums.values()),
+            "; ".join(over) or None,
             sums={k: [t, b] for k, (t, b) in sums.items()},
         ),
         _check(
             "the orthogonal complement of E6 inside E8 reduces to the Gram "
             "matrix [[2, -1], [-1, 2]] of the root lattice A2",
-            reduced == ((2, -1), (-1, 2)) and classified == RootType("A", 2),
+            None
+            if reduced == ((2, -1), (-1, 2)) and classified == RootType("A", 2)
+            else f"reduced {reduced}, classified {classified}; "
+            "expected ((2, -1), (-1, 2)), A2",
             induced=[list(r) for r in induced],
             reduced=[list(r) for r in reduced],
             classified=classified,
@@ -753,14 +723,14 @@ def _stage_heights(ctx: Context) -> StageResult:
             "the section C12 has height 0 against the zero section C21 and "
             "doubling its component indices lands on the identity, so its "
             "class is 2-torsion",
-            h12 == 0,
+            _measured("height", h12, 0),
             height=h12,
             dot_zero=c12.dot_zero,
             indices={fid: c12.components[fid] for fid in fids},
         ),
         _check(
             "the section C11 has height 2",
-            h11 == 2,
+            _measured("height", h11, 2),
             height=h11,
             indices={fid: c11.components[fid] for fid in fids},
         ),
@@ -768,7 +738,7 @@ def _stage_heights(ctx: Context) -> StageResult:
             "re-basing at the zero section C11, the section C22 has height "
             "0, so the difference of the classes of C22 and C11 is torsion "
             "and equals the unique nonzero torsion class",
-            h22 == 0,
+            _measured("height", h22, 0),
             height=h22,
             dot_zero=c22.dot_zero,
             indices={fid: c22.components[fid] for fid in fids},
@@ -776,7 +746,7 @@ def _stage_heights(ctx: Context) -> StageResult:
         _check(
             "a section of the IV* fibration through the identity component "
             "and disjoint from the zero section has height 2",
-            hp == 2,
+            _measured("height", hp, 2),
             height=hp,
         ),
     ]
@@ -806,18 +776,21 @@ def _stage_canonical(ctx: Context) -> StageResult:
     ledger = BlowupLedger(ctx.z)
     twice = canonical_multiple(ledger)
     self_int = ledger.self_intersection("E_inf'")
+    twice_text = " + ".join(f"{c} {e}" for e, c in twice.items())
     checks = [
         _check(
             "after blowing up the marked point and then three points on its "
             "exceptional curve, twice the canonical class is 2 E_inf' + "
             "4 (E321 + E322 + E323)",
-            twice == {"E_inf'": 2, "E321": 4, "E322": 4, "E323": 4},
+            None
+            if twice == {"E_inf'": 2, "E321": 4, "E322": 4, "E323": 4}
+            else f"2K = {twice_text}; expected 2 E_inf' + 4 E321 + 4 E322 + 4 E323",
             coefficients=twice,
         ),
         _check(
             "the twice-blown-up exceptional curve E_inf' has "
             "self-intersection -4",
-            self_int == -4,
+            _measured("self_intersection", self_int, -4),
             self_intersection=self_int,
             class_vector=list(ledger.class_vector("E_inf'")),
         ),
@@ -846,26 +819,28 @@ def _stage_dynamics(ctx: Context) -> StageResult:
     total = idx_c11 + idx_c2
     # one conjugation by x -> u*x, t standing for u; u = t^2n sends exponent e
     # to 2n*e, one-to-one, so every shift is t^-2n exactly when this one is u^-1
-    conj_ok = ctx.conjugate == AffineMap({0: 1}, {-1: 1})
+    conj = ctx.conjugate
     escapes = [translation_str(s) for s in ctx.shifts(11)[1:]]
     checks = [
         _check(
             "the marked points P22 on E2 and P2 on F2 carry the same affine "
             "coordinate t, so the two translation actions glue",
-            p22 == p2 == PENCIL_X[1],
+            None
+            if p22 == p2 == PENCIL_X[1]
+            else f"P22 {p22}, P2 {p2}; expected {PENCIL_X[1]}",
             coordinates={"P22": p22, "P2": p2},
         ),
         _check(
             "the component indices of C11 and C2 in the 8-cycle sum to 4 "
             "mod 8, so the induced action shifts components by 4",
-            total == ModInt(4, 8),
+            _measured("sum", total, ModInt(4, 8)),
             indices={"C11": idx_c11, "C2": idx_c2},
             sum=total,
         ),
         _check(
             "the smooth-locus action (x, m) -> (t x, m + 4) squares to "
             "(x, m) -> (t^2 x, m)",
-            total + total == ModInt(0, 8),
+            _measured("shift", total + total, ModInt(0, 8)),
             scale=laurent_text({2: 1}),
             shift=total + total,
         ),
@@ -873,7 +848,10 @@ def _stage_dynamics(ctx: Context) -> StageResult:
             "conjugating the translation x -> x + a by the n-th power of "
             "x -> t^2 x yields x -> x + t^(-2n) a for n = 1..10, each "
             "fixing the point at infinity",
-            conj_ok,
+            None
+            if conj == AffineMap({0: 1}, {-1: 1})
+            else f"conjugate x -> ({laurent_text(dict([conj.scale]))})*x + "
+            f"{translation_str(dict(conj.shift))}; expected x -> x + (t^-1)*a",
             shifts=escapes,
         ),
     ]
@@ -891,6 +869,20 @@ def _stage_dynamics(ctx: Context) -> StageResult:
     )
 
 
+def _chain_break(cert: NonFGCertificate) -> str | None:
+    """The first escape stage that fails, and how, or None when every one holds."""
+    for k, _, n, refutation, next_span in cert.stages:
+        if n == k and refutation is None and next_span is not None:
+            continue
+        escape = translation_str({-2 * n: 1})
+        if n != k:
+            return f"stage {k}: escape {escape}; expected {translation_str({-2 * k: 1})}"
+        if refutation is not None:
+            return f"stage {k}: {escape} lies in the span of the first {k} shifts"
+        return f"stage {k}: {escape} misses the span of the first {k + 1} shifts"
+    return None
+
+
 def _stage_nonfg(ctx: Context) -> StageResult:
     cert = certify_nonfg(ctx.shifts(ctx.options.max_gens + 1))
     checks = [
@@ -898,7 +890,7 @@ def _stage_nonfg(ctx: Context) -> StageResult:
             "every one of the nested spans verified: stage k refutes "
             "membership of t^(-2k) a in the span of the first k shifts and "
             "confirms it in the span of the first k+1",
-            cert.passed,
+            _chain_break(cert),
             stage_count=len(cert.stages),
         ),
     ]
@@ -941,9 +933,9 @@ def _run(names: tuple[str, ...], options: PipelineOptions | None) -> Certificate
 
     A stage that raises ValueError or ArithmeticError could not be built
     from the construction it read.  It becomes a ``fail`` stage whose one
-    check states the stage anchor and carries the exception as
-    ``kind``/``detail``/``witness``.  Any other exception is a bug and
-    propagates.
+    check states the stage anchor and carries the exception's text as its
+    witness, its class as ``detail`` and ``kind`` "stage-raised".  Any
+    other exception is a bug and propagates.
     """
     for name in names:
         if name not in _STAGE_FUNCS:
@@ -956,11 +948,7 @@ def _run(names: tuple[str, ...], options: PipelineOptions | None) -> Certificate
             stages.append(_STAGE_FUNCS[name](ctx))
         except (ValueError, ArithmeticError) as exc:
             raised = _check(
-                _ANCHORS[name],
-                False,
-                kind="stage-raised",
-                detail=type(exc).__name__,
-                witness=str(exc),
+                _ANCHORS[name], str(exc), kind="stage-raised", detail=type(exc).__name__
             )
             stages.append(_assemble(name, [raised]))
     verdict = "pass" if all(s.status != "fail" for s in stages) else "fail"

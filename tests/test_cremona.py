@@ -149,9 +149,9 @@ def test_specialize_multiplies_each_coordinate_as_often_as_its_exponent():
     assert tau.specialize((10, 1, 1), 2)(point) == (0, 2 * -6 * 7, 10 * 5 * 7, 2 * -3 * 2 * 2)
     # degree one and degree zero: one coordinate each, or none
     linear = RationalMapP3((x1, MultiPoly.zero(), x3.scale(4), x2))
-    assert linear.specialize(None, 1)(point) == (5, 0, 28, -6)
+    assert linear.specialize((0, 0, 0), 1)(point) == (5, 0, 28, -6)
     constant = RationalMapP3(tuple(MultiPoly.const(k) for k in (1, 0, -2, 3)))
-    assert constant.specialize(None, 1)(point) == (1, 0, -2, 3)
+    assert constant.specialize((0, 0, 0), 1)(point) == (1, 0, -2, 3)
 
 
 def test_contraction_records_of_a_zero_component_and_two_survivors():

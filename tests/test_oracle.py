@@ -238,12 +238,8 @@ def test_map_apply_matches_sympy_evaluation(point, alpha):
         top = max(sum(sympy.degree(to_sympy(c), a) for a in a_syms) for c in tau.components)
         scaled = tuple(3 * a for a in alpha)
         assert tau.specialize(scaled, 3)(point) == tuple(3**top * v for v in theirs)
-        uses_alpha = any(set(c.vars) & set(A_VARS) for c in tau.components)
-        if uses_alpha:
-            with pytest.raises(ValueError):
-                tau.specialize(None, 1)
-        else:
-            assert tau.specialize(None, 1)(point) == theirs
+        if not any(set(c.vars) & set(A_VARS) for c in tau.components):
+            assert tau.specialize((0, 0, 0), 1)(point) == theirs
 
 
 nonzero_coeffs = st.one_of(int_entries.filter(bool), small_fractions.filter(bool))

@@ -214,6 +214,14 @@ def test_stringify_keeps_booleans_in_integer_tuples():
     assert _stringify((1, True)) == ["1", True]
 
 
+def test_a_check_takes_a_witness_not_a_flag():
+    assert pipeline._check("claim", None) == {"claim": "claim", "status": "pass"}
+    assert pipeline._check("claim", "x 1; expected 2")["status"] == "fail"
+    for flag in (True, False, 0):
+        with pytest.raises(TypeError, match="witness"):
+            pipeline._check("claim", flag)
+
+
 def test_stringify_refuses_a_set():
     # a set has no order of its own for a report to keep
     for unordered in ({"E1", "F1"}, frozenset({1, 2}), {"x": [set()]}):
@@ -349,13 +357,10 @@ def counted(monkeypatch, counts, module, name):
     monkeypatch.setattr(module, name, wrapper)
 
 
-def test_a_fact_that_raised_is_built_once(monkeypatch):
-    counts: dict = {}
-    counted(monkeypatch, counts, pipeline, "quotient_pushforward")
+def test_a_fact_that_raised_fails_each_reader_with_one_witness():
     report = run_all(PipelineOptions(max_gens=1, corrupt_pair=("E2", "C32")))
-    assert counts == {"quotient_pushforward": 1}
-    # every stage that reads the quotient fails with the one witness, which
-    # names the pair the isometry check rejected
+    # every stage that reads the quotient rebuilds it and fails with the one
+    # witness, which names the pair the isometry check rejected
     for name in ("quotient", "fibrations", "lattice", "heights", "canonical"):
         (check,) = report.stages[STAGE_ORDER.index(name)].evidence["checks"]
         assert check["witness"] == (
@@ -571,25 +576,26 @@ QUOTIENT_MARKING = (
 WRONG_QUOTIENT_SIGNATURE = "signature (2, 8, 4); expected (1, 9, 4)"
 
 
+def finite_q32(mp):
+    """Q32 lies on H2 at the finite coordinate 0."""
+    mp.setattr(Configuration, "marking_coord", lambda config, point, curve: MultiPoly.const(0))
+
+
 def wrong_quotient_signature(mp):
-    """Rank 10, but the signature is wrong."""
-    mp.setattr(pipeline, "signature", lambda gram: (2, 8, 4))
+    """Rank 10, but the signature is wrong; x's congruence is untouched."""
+    real = pipeline.signature
+    mp.setattr(
+        pipeline,
+        "signature",
+        lambda gram, leading=None: real(gram, leading) if leading else (2, 8, 4),
+    )
 
 
 @pytest.mark.parametrize(
     "patch, failing, witness",
     [
         (wrong_quotient_signature, QUOTIENT_LATTICE, WRONG_QUOTIENT_SIGNATURE),
-        # Q32 lies on H2, at a finite coordinate
-        (
-            lambda mp: mp.setattr(
-                Configuration,
-                "marking_coord",
-                lambda config, point, curve: MultiPoly.const(0),
-            ),
-            QUOTIENT_MARKING,
-            None,
-        ),
+        (finite_q32, QUOTIENT_MARKING, "coordinate 0; expected inf"),
     ],
     ids=["signature", "marking"],
 )
@@ -760,6 +766,184 @@ def misread_a2(mp):
     mp.setattr(pipeline, "dynkin_classify", lambda gram: RootType("A", 1))
 
 
+CONFIG_SIGNATURE = "the 24-curve intersection form has signature (1, 17)"
+CONFIG_RANK = "adjoining the four extra curves keeps the rank at 18"
+CONFIG_ISOMETRY = (
+    "the curve swap E_i <-> F_i, C_ij <-> C_ji, C_ii <-> C_i is an "
+    "isometry with no fixed curve"
+)
+CREMONA_DETERMINANT = (
+    "the symmetric matrix of the quadric has a nonzero determinant, "
+    "so the generic member is smooth"
+)
+FIBRATIONS_TYPES = (
+    "the two divisors upstairs and their pushforwards downstairs "
+    "classify as Kodaira types I8 and IV*"
+)
+LATTICE_RANK_UP = (
+    "rank 18 minus 2 minus the 14 non-identity components of two I8 "
+    "fibers leaves Mordell-Weil rank 2"
+)
+LATTICE_RANK_DOWN = (
+    "rank 10 minus 2 minus the 6 non-identity components of one IV* "
+    "fiber leaves Mordell-Weil rank 2 on the rational elliptic "
+    "surface"
+)
+LATTICE_EULER = (
+    "known reducible fibers never exceed the Euler number budget of "
+    "the surface carrying them"
+)
+HEIGHT_CLAIMS = {
+    "C12": (
+        "the section C12 has height 0 against the zero section C21 and "
+        "doubling its component indices lands on the identity, so its "
+        "class is 2-torsion"
+    ),
+    "C11": "the section C11 has height 2",
+    "C22": (
+        "re-basing at the zero section C11, the section C22 has height "
+        "0, so the difference of the classes of C22 and C11 is torsion "
+        "and equals the unique nonzero torsion class"
+    ),
+    "P": (
+        "a section of the IV* fibration through the identity component "
+        "and disjoint from the zero section has height 2"
+    ),
+}
+CANONICAL_COEFFICIENTS = (
+    "after blowing up the marked point and then three points on its "
+    "exceptional curve, twice the canonical class is 2 E_inf' + "
+    "4 (E321 + E322 + E323)"
+)
+CANONICAL_SELF_INTERSECTION = (
+    "the twice-blown-up exceptional curve E_inf' has "
+    "self-intersection -4"
+)
+
+
+def one_more_negative(block: int):
+    """The congruence of x's Gram reads one more negative and one fewer
+    null eigenvalue in one of its two inertias: block 0 is the leading
+    24 x 24 block, block 1 the whole 28-curve form."""
+    real = pipeline.signature
+
+    def wrong(gram, leading=None):
+        if leading is None:
+            return real(gram)
+        pair = list(real(gram, leading=leading))
+        pos, neg, null = pair[block]
+        pair[block] = (pos, neg + 1, null - 1)
+        return tuple(pair)
+
+    return lambda mp: mp.setattr(pipeline, "signature", wrong)
+
+
+def fixed_curve(mp):
+    """The isometry check reports that the swap fixes E1."""
+    mp.setattr(
+        pipeline,
+        "verify_isometry",
+        lambda config, perm: surface.IsometryReport(False, ("fixes E1",), ("E1",)),
+    )
+
+
+def doubled_cofactor(mp, name):
+    """The stage multiplies back twice the claimed cofactor, or its square."""
+    mp.setattr(pipeline, name, getattr(pipeline, name).scale(2))
+
+
+def plane_1_to_nothing(mp):
+    """Plane 1 contracts to no point: no component survives on it."""
+    real = pipeline.contraction_check
+    mp.setattr(pipeline, "contraction_check", lambda tau, i: (0,) * 4 if i == 1 else real(tau, i))
+
+
+def singular_quadric(mp):
+    mp.setattr(cremona.QuadricForm, "determinant", lambda q: 0)
+
+
+def misclassified_cycle(mp):
+    """The 8-cycle N1, the one fiber holding C42, classifies as I7; its
+    involution image still classifies as I8."""
+    real = pipeline.classify_kodaira
+    mp.setattr(
+        pipeline,
+        "classify_kodaira",
+        lambda config, fiber: fibration.FiberClass(fibration.KodairaType("I", 7))
+        if "C42" in fiber.components
+        else real(config, fiber),
+    )
+
+
+def one_more_rank(fibers: int):
+    """Shioda-Tate leaves one more rank for the fibration with ``fibers``
+    reducible fibers: 2 is the I8 + I8 one, 1 the IV* one."""
+    real = pipeline.shioda_tate_rank
+    return lambda mp: mp.setattr(
+        pipeline,
+        "shioda_tate_rank",
+        lambda rho, types: real(rho, types) + (len(types) == fibers),
+    )
+
+
+def heavy_i8(mp):
+    """An I8 fiber counts 14 against the Euler budget in place of 8."""
+    real = pipeline.euler_number
+    mp.setattr(pipeline, "euler_number", lambda kt: real(kt) + 6 * (str(kt) == "I8"))
+
+
+def one_more_height(section: str):
+    """The named section's height reads 1 more."""
+    real = pipeline.height
+    return lambda mp: mp.setattr(
+        pipeline,
+        "height",
+        lambda chi, types, s: real(chi, types, s) + (s.name == section),
+    )
+
+
+def halved_e321(mp):
+    real = pipeline.canonical_multiple
+    mp.setattr(pipeline, "canonical_multiple", lambda ledger: {**real(ledger), "E321": 2})
+
+
+def self_intersection_minus_3(mp):
+    mp.setattr(surface.BlowupLedger, "self_intersection", lambda ledger, label: -3)
+
+
+def move_c2_index_by_4(mp):
+    """Move C2's component index in N1 by 4, so the component sum is 0
+    mod 8 and the squared action still shifts by 0."""
+    real = pipeline.section_from_config
+
+    def moved(config, cycles, section, zero):
+        data = real(config, cycles, section, zero)
+        if section != "C2":
+            return data
+        shifted = {fid: m + ModInt(4, m.modulus) for fid, m in data.components.items()}
+        return SectionData(data.name, data.dot_zero, shifted)
+
+    mp.setattr(pipeline, "section_from_config", moved)
+
+
+def doubling_misread(mp):
+    """ModInt addition gets a doubling, x + x for one object x, one too
+    high; every other sum stays right, so only the squared action's
+    shift is off."""
+    real = ModInt.__add__
+    mp.setattr(
+        ModInt,
+        "__add__",
+        lambda a, b: real(real(a, b), ModInt(1, a.modulus)) if a is b else real(a, b),
+    )
+
+
+def every_span_holds_the_escape(mp):
+    """Every membership query finds a witness, so stage 1's refutation fails."""
+    real = fingen.membership
+    mp.setattr(fingen, "membership", lambda gens, target: real(gens, target) or {0: 1})
+
+
 @pytest.mark.parametrize(
     "names, patch, failing",
     [
@@ -785,6 +969,28 @@ def misread_a2(mp):
             exchange_components_1_2,
             {CREMONA_QUADRIC, CREMONA_INVOLUTION, CREMONA_CONTRACTION, SWAP_CLAIM},
         ),
+        (("config",), one_more_negative(0), {CONFIG_SIGNATURE}),
+        (("config",), one_more_negative(1), {CONFIG_RANK}),
+        (("config",), fixed_curve, {CONFIG_ISOMETRY}),
+        (("quotient",), wrong_quotient_signature, {QUOTIENT_LATTICE}),
+        (("quotient",), finite_q32, {QUOTIENT_MARKING}),
+        (("cremona",), lambda mp: doubled_cofactor(mp, "_COFACTOR"), {CREMONA_QUADRIC}),
+        (("cremona",), lambda mp: doubled_cofactor(mp, "_COFACTOR2"), {CREMONA_INVOLUTION}),
+        (("cremona",), plane_1_to_nothing, {CREMONA_CONTRACTION}),
+        (("cremona",), singular_quadric, {CREMONA_DETERMINANT}),
+        (("fibrations",), misclassified_cycle, {FIBRATIONS_TYPES}),
+        (("lattice",), one_more_rank(2), {LATTICE_RANK_UP}),
+        (("lattice",), one_more_rank(1), {LATTICE_RANK_DOWN}),
+        (("lattice",), heavy_i8, {LATTICE_EULER}),
+        *[
+            (("heights",), one_more_height(section), {claim})
+            for section, claim in HEIGHT_CLAIMS.items()
+        ],
+        (("canonical",), halved_e321, {CANONICAL_COEFFICIENTS}),
+        (("canonical",), self_intersection_minus_3, {CANONICAL_SELF_INTERSECTION}),
+        (("dynamics",), move_c2_index_by_4, {DYNAMICS_SUM}),
+        (("dynamics",), doubling_misread, {DYNAMICS_SQUARE}),
+        (("nonfg",), every_span_holds_the_escape, {NONFG_CHAIN}),
     ],
     ids=[
         "halving", "minus-two-class", "involution-image-type", "involution-image-support",
@@ -792,6 +998,12 @@ def misread_a2(mp):
         "gluing", "gluing-away-from-t", "component-index", "conjugation",
         "conjugation-scale", "exhausted-search", "coordinate-swap",
         "contraction-to-the-wrong-point",
+        "kummer-signature", "rank", "fixed-curve", "quotient-signature", "finite-marking",
+        "quadric-cofactor", "involution-cofactor", "uncontracted-plane", "determinant",
+        "fiber-type", "rank-up", "rank-down", "euler-budget",
+        *[f"height-{section}" for section in HEIGHT_CLAIMS],
+        "canonical-coefficients", "self-intersection", "component-sum", "square-shift",
+        "chain",
     ],
 )
 def test_each_touched_check_fails_under_its_own_name(monkeypatch, names, patch, failing):
@@ -804,6 +1016,13 @@ def test_each_touched_check_fails_under_its_own_name(monkeypatch, names, patch, 
     assert {c["claim"]: c["status"] for c in checks} == {
         claim: "fail" if claim in failing else "pass" for claim in claims
     }
+    # a check fails exactly when it carries a witness: one line of text, no repr
+    for check in checks:
+        if check["status"] == "fail":
+            witness = check["witness"]
+            assert witness and isinstance(witness, str) and "{'" not in witness, check
+        else:
+            assert "witness" not in check, check["claim"]
     # each stage run alone equals its record in the whole run under the same patch
     whole = dict(zip(STAGE_ORDER, run_all().stages))
     assert [s.to_json_dict() for s in stages] == [whole[name].to_json_dict() for name in names]
@@ -989,6 +1208,18 @@ def test_cli_prints_the_witness_of_a_wrong_quotient_signature(monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     assert f"  failed: {QUOTIENT_LATTICE}" in lines
     assert f"    witness: {WRONG_QUOTIENT_SIGNATURE}" in lines
+
+
+def test_cli_prints_a_witness_under_every_failed_claim(monkeypatch, capsys):
+    # every height reads 1 more, so all four height claims fail
+    real = pipeline.height
+    monkeypatch.setattr(pipeline, "height", lambda chi, types, s: real(chi, types, s) + 1)
+    assert main(["heights"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [k for k, line in enumerate(lines) if line.startswith("  failed: ")]
+    assert len(failed) == 4
+    for k in failed:
+        assert lines[k + 1].startswith("    witness: height "), lines[k + 1]
 
 
 def test_cli_usage_errors(capsys):
