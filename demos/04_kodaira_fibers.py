@@ -30,7 +30,7 @@ z = quotient_pushforward(x, eps, verify_isometry(x, eps))
 
 # The eight-curve cycle upstairs is an I8 fiber.
 n1 = FiberDivisor.of(("E2", "C32", "F3", "C31", "E1", "C41", "F4", "C42"))
-print("valid:", validate_fiber(x, n1).passed)
+print("failures:", validate_fiber(x, n1).failures)
 fc = classify_kodaira(x, n1)
 print("N1 type:", fc.fiber_type, " euler:", euler_number(fc.fiber_type))
 

@@ -39,7 +39,7 @@ print("escape:", translation_str(escape), "member:", outside is not None)
 # The full certificate packages one escape per stage, each re-verified;
 # it takes max_k + 1 generators, here max_k = 5.
 cert = certify_nonfg(ctx.shifts(6))
-print("stages:", len(cert.stages), "passed:", cert.passed)
+print("stages:", len(cert.stages), "failure:", cert.failure)
 for stage in cert.stages:
     escape = translation_str({-2 * stage.escape_exponent: 1})
     print(f"  k={stage.k}: {escape} escapes span of {stage.k}, joins span of {stage.k + 1}")

@@ -251,10 +251,13 @@ def contraction_check(map_: RationalMapP3, i: int) -> tuple[int, ...]:
 
 class SwapReport(NamedTuple):
     alpha: tuple[str, str, str]
-    passed: bool
     discriminants: tuple[str, ...] = ()
     swaps_checked: int = 0
     failures: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _quad(m, v, w) -> int:
@@ -388,7 +391,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     a1, a2, a3 = (a.numerator * (D // a.denominator) for a in al)
     m = ((0, a3, a2, D), (a3, 0, a1, D), (a2, a1, 0, D), (D, D, D, 0))
     if _side(_plucker(m[0], m[1]), _plucker(m[2], m[3])) == 0:
-        return SwapReport(alpha_str, False, failures=("degenerate quadric: det = 0",))
+        return SwapReport(alpha_str, failures=("degenerate quadric: det = 0",))
 
     failures: list[str] = []
     lines: dict[tuple[int, int], tuple] = {}
@@ -428,7 +431,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
         lines[(i + 1, 1)] = (base, d2, _plucker(base, d2))
 
     if failures:
-        return SwapReport(alpha_str, False, tuple(discs), failures=tuple(failures))
+        return SwapReport(alpha_str, tuple(discs), failures=tuple(failures))
 
     ruling_a: dict[int, tuple] = {}
     ruling_b: dict[int, tuple] = {}
@@ -443,7 +446,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
     # eight lines, two through each point: when no point's two lines
     # clash, each ruling holds one line through each of the four points
     if failures:
-        return SwapReport(alpha_str, False, tuple(discs), failures=tuple(failures))
+        return SwapReport(alpha_str, tuple(discs), failures=tuple(failures))
     for fam in (ruling_a, ruling_b):
         for i in range(1, 5):
             for j in range(i + 1, 5):
@@ -480,7 +483,7 @@ def verify_pij_swap(alpha: Sequence, tau: RationalMapP3) -> SwapReport:
         else:
             failures.append(f"p{i}{j} = {p} maps to {image}, not p{j}{i} = {q}")
 
-    return SwapReport(alpha_str, not failures, tuple(discs), swaps, tuple(failures))
+    return SwapReport(alpha_str, tuple(discs), swaps, tuple(failures))
 
 
 SWAP_DRAWS = 5000  # the triples the seeded search draws at most
@@ -497,7 +500,7 @@ def find_swap_specializations(seed: int, tau: RationalMapP3) -> list[SwapReport]
 
     Each parameter is r + 1 for the first r = getrandbits(4) below 12:
     the stream of ``randint(1, 12)``, which reduces to
-    ``_randbelow_with_getrandbits(12)`` on Python 3.10-3.12.
+    ``_randbelow_with_getrandbits(12)`` on Python 3.10-3.13.
 
     A distinct triple reaches ``verify_pij_swap`` only when its integer
     Delta = a1^2 + a2^2 + a3^2 - 2*(a1*a2 + a1*a3 + a2*a3) is a positive

@@ -118,12 +118,11 @@ def map_fiber(fiber: FiberDivisor, curve_map: Mapping[str, str]) -> FiberDivisor
 
 
 class FiberReport(NamedTuple):
-    """The fiber-candidate verdict and its failures, one line of text each;
+    """The fiber-candidate failures, one line of text each, none when it passes;
     each component's neighbours in the support, which classification reads
     cycles and Dynkin diagrams from; and each component as label -> (Gram
     index, multiplicity), which it reads multiplicities and edge weights from."""
 
-    passed: bool
     failures: tuple[str, ...]
     neighbours: Mapping[str, set[str]]
     components: Mapping[str, tuple[int, int]]
@@ -165,7 +164,7 @@ def validate_fiber(config: Configuration, fiber: FiberDivisor) -> FiberReport:
         failures.append(f"fiber square: {square}")
     if not is_connected(adj):
         failures.append("support disconnected")
-    return FiberReport(not failures, tuple(failures), adj, comps)
+    return FiberReport(tuple(failures), adj, comps)
 
 
 class FiberClass(NamedTuple):
@@ -197,7 +196,7 @@ def classify_kodaira(config: Configuration, fiber: FiberDivisor) -> FiberClass:
     see that each is simple.
     """
     report = validate_fiber(config, fiber)
-    if not report.passed:
+    if report.failures:
         raise ValueError(f"not a fiber candidate: {'; '.join(report.failures)}")
     comps = report.components
     nodes = sorted(comps)

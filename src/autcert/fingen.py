@@ -25,13 +25,13 @@ the term dicts {-2n: 1}, off its one conjugation of a translation by a
 scaling, so a wrong conjugate fails the chain here.  The escape t^(-2N)
 is {-2N: 1}, held as N alone, and a reader writes it as
 ``translation_str({-2 * N: 1})``.  The certificate stores each fact
-once: the t-exponents of the generators, and per stage the support
-bound, the escape exponent and a sparse next-span witness.  The integer
-matrices are unit vectors rebuilt from those exponents, so a third
-party can recheck every stage from the stored numbers alone.  Its
-records hold plain integers and strings, and
-``NonFGCertificate.to_record`` gives the report's record directly, with
-every number an exact string.
+once: the t-exponents of the generators, per stage the support bound,
+the escape exponent and a sparse next-span witness, and the first broken
+stage's text, judged here alone.  The integer matrices are unit vectors
+rebuilt from those exponents, so a third party can recheck every stage
+from the stored numbers alone.  Its records hold plain integers and
+strings, and ``NonFGCertificate.to_record`` gives the report's record
+directly, with every number an exact string.
 """
 
 from __future__ import annotations
@@ -127,10 +127,11 @@ class NonFGCertificate(NamedTuple):
 
     Stage k uses the first k generators and its next span the first k+1,
     so the max_k + 1 exponents are stored once, for every stage.
+    ``failure`` is the first broken stage's text, None when every stage holds.
     """
 
     max_k: int
-    passed: bool
+    failure: str | None
     generators: tuple[int, ...]
     stages: tuple[EscapeStage, ...]
     degree_argument: str
@@ -141,7 +142,7 @@ class NonFGCertificate(NamedTuple):
         """The report record: every number an exact string, ``passed`` and ``member`` booleans."""
         return {
             "max_k": str(self.max_k),
-            "passed": self.passed,
+            "passed": self.failure is None,
             "generators": [str(e) for e in self.generators],
             "stages": [
                 {
@@ -159,6 +160,20 @@ class NonFGCertificate(NamedTuple):
         }
 
 
+def _stage_failure(stage: EscapeStage) -> str | None:
+    """How an escape stage breaks, or None when it holds: its escape is
+    t^(-2k), off the span of the first k shifts and in that of the first k+1."""
+    k, _, n, refutation, next_span = stage
+    if n == k and refutation is None and next_span is not None:
+        return None
+    escape = translation_str({-2 * n: 1})
+    if n != k:
+        return f"stage {k}: escape {escape}; expected {translation_str({-2 * k: 1})}"
+    if refutation is not None:
+        return f"stage {k}: {escape} lies in the span of the first {k} shifts"
+    return f"stage {k}: {escape} misses the span of the first {k + 1} shifts"
+
+
 def certify_nonfg(shifts: Sequence[dict]) -> NonFGCertificate:
     """Escape certificates for the nested translation subgroups k = 1..max_k.
 
@@ -166,8 +181,8 @@ def certify_nonfg(shifts: Sequence[dict]) -> NonFGCertificate:
     shifts for n = 0..max_k.  Each stage k records whether t^(-2k)*a
     avoids the span of the first k generators (degree bound and lattice
     refutation agree) and lands in the span of the first k+1, so the
-    chain strictly increases; the certificate passes when every stage
-    does, which the shifts t^(-2n) make it do.
+    chain strictly increases; the certificate's ``failure`` names the
+    first stage that does not, and the shifts t^(-2n) leave it None.
     """
     max_k = len(shifts) - 1
     if max_k < 1:
@@ -176,16 +191,16 @@ def certify_nonfg(shifts: Sequence[dict]) -> NonFGCertificate:
     basis = SpanBasis([shifts[0]])
     bound = exponents[0]
     stages = []
-    passed = True
+    failure = None
     for k in range(1, max_k + 1):
         n = _escape_below(bound)
         escape = {-2 * n: 1}
         refutation = membership(basis, escape)
         basis.insert(shifts[k])
         next_span = membership(basis, escape)
-        passed = passed and n == k and refutation is None and next_span is not None
         stages.append(EscapeStage(k, bound, n, refutation, next_span))
+        failure = failure or _stage_failure(stages[-1])
         bound = min(bound, exponents[k])
     return NonFGCertificate(
-        max_k, passed, exponents, tuple(stages), DEGREE_ARGUMENT, (CHAIN_FACT,)
+        max_k, failure, exponents, tuple(stages), DEGREE_ARGUMENT, (CHAIN_FACT,)
     )

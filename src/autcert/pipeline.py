@@ -47,7 +47,7 @@ from .fibration import (
     map_fiber,
     shioda_tate_rank,
 )
-from .fingen import NonFGCertificate, certify_nonfg, translation_str
+from .fingen import certify_nonfg, translation_str
 from .lattice import (
     E6_IN_E8_NODES,
     RootType,
@@ -67,7 +67,6 @@ from .surface import (
     BlowupLedger,
     Configuration,
     IsometryPerm,
-    IsometryReport,
     build_double_kummer,
     canonical_multiple,
     construction_pairing,
@@ -108,9 +107,6 @@ CITE_BHPV = (
     "Surfaces, 2nd ed., Springer, 2004 (Chapter VIII)"
 )
 
-_STATUSES = ("pass", "fail", "external-input", "annotation")
-
-
 class PipelineOptions(Frozen):
     """Run configuration; echoed verbatim into every report."""
 
@@ -143,14 +139,17 @@ class PipelineOptions(Frozen):
 
 
 class StageResult(Frozen):
-    """One stage of the certificate: status, claim anchor, evidence."""
+    """One stage of the certificate: claim anchor and evidence; its status
+    is read off the evidence's checks, "fail" when any one fails."""
 
-    __slots__ = ("name", "status", "anchor", "evidence")
+    __slots__ = ("name", "anchor", "evidence")
 
-    def __init__(self, name: str, status: str, anchor: str, evidence: dict):
-        if status not in _STATUSES:
-            raise ValueError(f"unknown status {status!r}")
-        self._set(name, status, anchor, evidence)
+    def __init__(self, name: str, anchor: str, evidence: dict):
+        self._set(name, anchor, evidence)
+
+    @property
+    def status(self) -> str:
+        return "fail" if any(c["status"] == "fail" for c in self.evidence["checks"]) else "pass"
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,13 +235,12 @@ def _annotation(note: str) -> dict:
 
 
 def _assemble(name: str, checks, external=(), annotations=()) -> StageResult:
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     evidence: dict = {"checks": list(checks)}
     if external:
         evidence["external_inputs"] = list(external)
     if annotations:
         evidence["annotations"] = list(annotations)
-    return StageResult(name, status, _ANCHORS[name], evidence)
+    return StageResult(name, _ANCHORS[name], evidence)
 
 
 # -- shared construction data ----------------------------------------------------------
@@ -263,10 +261,10 @@ class Context:
     scaling is one fact too, computed once over a symbolic unit:
     dynamics reads its shifts there and nonfg its generators.
 
-    Config and the quotient share the involution's one isometry report,
-    and the 28-curve congruence gives the 24-curve inertia too: the
-    Kummer form is no separate copy but x's leading 24 x 24 block,
-    faulted exactly when both labels of ``corrupt_pair`` are among the 24.
+    Config and the quotient share the involution's isometry failures,
+    ``eps_failures``, and the 28-curve congruence gives the 24-curve
+    inertia too: the Kummer form is no separate copy but x's leading
+    24 x 24 block, faulted exactly when both labels of ``corrupt_pair`` are among the 24.
     """
 
     def __init__(self, options: PipelineOptions):
@@ -285,14 +283,15 @@ class Context:
         return epsilon_involution(self.x)
 
     @cached_property
-    def eps_report(self) -> IsometryReport:
-        """The isometry check of the involution, read by config and by the quotient."""
+    def eps_failures(self) -> tuple[str, ...]:
+        """The isometry check's failures, none when the involution passes;
+        read by config and by the quotient."""
         return verify_isometry(self.x, self.eps)
 
     @cached_property
     def z(self) -> Configuration:
         """The 14 classes on the quotient; raises if the involution is no free isometry."""
-        return quotient_pushforward(self.x, self.eps, self.eps_report)
+        return quotient_pushforward(self.x, self.eps, self.eps_failures)
 
     @cached_property
     def x_signatures(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -455,7 +454,6 @@ _ANCHORS = {
 
 def _stage_config(ctx: Context) -> StageResult:
     x = ctx.x
-    rep_e = ctx.eps_report
     signature_24 = ctx.x_signatures[0]
     checks = [
         _check(
@@ -472,8 +470,8 @@ def _stage_config(ctx: Context) -> StageResult:
         _check(
             "the curve swap E_i <-> F_i, C_ij <-> C_ji, C_ii <-> C_i is an "
             "isometry with no fixed curve",
-            rep_e.failures[0] if rep_e.failures else None,
-            fixed_labels=list(rep_e.fixed_labels),
+            ctx.eps_failures[0] if ctx.eps_failures else None,
+            fixed_labels=list(ctx.eps.fixed_labels()),
         ),
     ]
     return _assemble("config", checks)
@@ -869,20 +867,6 @@ def _stage_dynamics(ctx: Context) -> StageResult:
     )
 
 
-def _chain_break(cert: NonFGCertificate) -> str | None:
-    """The first escape stage that fails, and how, or None when every one holds."""
-    for k, _, n, refutation, next_span in cert.stages:
-        if n == k and refutation is None and next_span is not None:
-            continue
-        escape = translation_str({-2 * n: 1})
-        if n != k:
-            return f"stage {k}: escape {escape}; expected {translation_str({-2 * k: 1})}"
-        if refutation is not None:
-            return f"stage {k}: {escape} lies in the span of the first {k} shifts"
-        return f"stage {k}: {escape} misses the span of the first {k + 1} shifts"
-    return None
-
-
 def _stage_nonfg(ctx: Context) -> StageResult:
     cert = certify_nonfg(ctx.shifts(ctx.options.max_gens + 1))
     checks = [
@@ -890,7 +874,7 @@ def _stage_nonfg(ctx: Context) -> StageResult:
             "every one of the nested spans verified: stage k refutes "
             "membership of t^(-2k) a in the span of the first k shifts and "
             "confirms it in the span of the first k+1",
-            _chain_break(cert),
+            cert.failure,
             stage_count=len(cert.stages),
         ),
     ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .lattice import Gram, Mat
 from .scalars import Frozen, MultiPoly
@@ -269,12 +269,6 @@ class IsometryPerm(Frozen):
         return tuple(sorted(a for a, b in self.curve_map.items() if a == b))
 
 
-class IsometryReport(NamedTuple):
-    passed: bool
-    failures: tuple[str, ...]
-    fixed_labels: tuple[str, ...]
-
-
 def epsilon_involution(config: Configuration) -> IsometryPerm:
     """The pencil-swapping involution on the extended configuration.
 
@@ -294,13 +288,13 @@ def epsilon_involution(config: Configuration) -> IsometryPerm:
     return IsometryPerm(curve_map, point_map)
 
 
-def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport:
+def verify_isometry(config: Configuration, perm: IsometryPerm) -> tuple[str, ...]:
     """Check that a label involution preserves the intersection table.
 
     Also checks bijectivity, that the map is its own inverse and fixes no
     curve, and that each pair of the point map takes a marking to a
-    marking lying on exactly the image curves.  Each failure is a line
-    naming the offending pair or label: "E2,C32: 0; image F2,C23: 1", "fixes C11".
+    marking lying on exactly the image curves.  Returns the failures, none
+    when it passes, each naming a pair or label: "E2,C32: 0; image F2,C23: 1", "fixes C11".
     """
     failures: list[str] = []
     labels = set(config.labels)
@@ -308,7 +302,7 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
     if set(cm) != labels or set(cm.values()) != labels:
         # the labels missing from or foreign to the domain, else those not an image
         stray = ",".join(sorted(labels ^ set(cm)) or sorted(labels - set(cm.values())))
-        return IsometryReport(False, (f"not a permutation at {stray}",), perm.fixed_labels())
+        return (f"not a permutation at {stray}",)
     gram = config.gram
     image = [config.index(cm[a]) for a in config.labels]
     for i, a in enumerate(config.labels):
@@ -321,21 +315,20 @@ def verify_isometry(config: Configuration, perm: IsometryPerm) -> IsometryReport
     for a in config.labels:
         if cm[cm[a]] != a:
             failures.append(f"not an involution: {a} -> {cm[a]} -> {cm[cm[a]]}")
-    fixed = perm.fixed_labels()
-    failures += [f"fixes {a}" for a in fixed]
+    failures += [f"fixes {a}" for a in perm.fixed_labels()]
     for p, q in perm.point_map.items():
         if p not in config.markings or q not in config.markings:
             failures.append(f"unknown marking in {p} -> {q}")
         elif {cm[c] for c in config.markings[p]} != set(config.markings[q]):
             failures.append(f"marking {p} -> {q} does not preserve incidence")
-    return IsometryReport(not failures, tuple(failures), fixed)
+    return tuple(failures)
 
 
 # -- quotient --------------------------------------------------------------------
 
 
 def quotient_pushforward(
-    config: Configuration, eps: IsometryPerm, report: IsometryReport
+    config: Configuration, eps: IsometryPerm, failures: tuple[str, ...]
 ) -> Configuration:
     """Configuration of orbit curves on the free quotient.
 
@@ -348,13 +341,12 @@ def quotient_pushforward(
     the sum is read at B's two indices.  The division is exact: for an
     isometric involution with orbits {a, a'} and {b, b'} the sum is
     2((a.b) + (a.b')).  Markings Qij are pushed down from Pij with their
-    coordinates along the section curves.  ``report`` is
+    coordinates along the section curves.  ``failures`` is
     ``verify_isometry(config, eps)``, run by the caller; an involution
-    that fails it, which includes fixing a curve, raises with the
-    report's first failure.
+    that fails it, which includes fixing a curve, raises with its first failure.
     """
-    if not report.passed:
-        raise ValueError(f"the involution fails the isometry check: {report.failures[0]}")
+    if failures:
+        raise ValueError(f"the involution fails the isometry check: {failures[0]}")
 
     # each class's summed Gram row, and the indices of its two curves
     classes = [QUOTIENT_CLASS.get(lab) for lab in config.labels]

@@ -77,7 +77,7 @@ def gram_path_type(config, fiber):
     Validation is looked up on the module, as ``classify_kodaira`` does,
     so a test that stands in for it reaches both.
     """
-    if not fibration.validate_fiber(config, fiber).passed:
+    if fibration.validate_fiber(config, fiber).failures:
         raise ValueError("not a fiber candidate")
     comps = fiber.components
     nodes = sorted(comps)

@@ -162,7 +162,7 @@ def test_escape_exponents_follow_the_support_bound():
     cert = certify_nonfg([{2: 1}, {-5: 1}, {-6: 1}])
     assert [s.support_bound for s in cert.stages] == [2, -5]
     assert [s.escape_exponent for s in cert.stages] == [1, 3]
-    assert not cert.passed
+    assert cert.failure == "stage 1: (t^-2)*a misses the span of the first 2 shifts"
     with pytest.raises(ValueError, match="zero generator"):
         certify_nonfg([{0: 1}, {}])
 
@@ -174,7 +174,7 @@ def test_an_escape_exponent_off_its_stage_fails_the_certificate():
     (stage,) = cert.stages
     assert stage.escape_exponent == 2 and stage.k == 1
     assert stage.refutation is None and stage.next_span is not None
-    assert not cert.passed
+    assert cert.failure == "stage 1: escape (t^-4)*a; expected (t^-2)*a"
 
 
 def test_an_escape_missing_from_the_next_span_fails_the_certificate():
@@ -184,7 +184,7 @@ def test_an_escape_missing_from_the_next_span_fails_the_certificate():
     (stage,) = cert.stages
     assert stage.escape_exponent == stage.k == 1
     assert stage.refutation is None and stage.next_span is None
-    assert not cert.passed
+    assert cert.failure == "stage 1: (t^-2)*a misses the span of the first 2 shifts"
 
 
 def test_shift_generators():
@@ -204,7 +204,7 @@ def test_shift_generators():
 
 def test_certificate_structure():
     cert = certify_nonfg(shifts(5))
-    assert cert.passed
+    assert cert.failure is None
     assert cert.max_k == 5
     assert cert.format == "3"
     assert cert.generators == (0, -2, -4, -6, -8, -10)
@@ -243,7 +243,7 @@ def test_certificate_chain_is_strict():
 
 def test_one_failed_stage_fails_the_certificate(monkeypatch):
     # only stage 1's refutation is forced to find the escape in the span;
-    # every later stage passes, and the certificate must still fail
+    # every later stage passes, and the certificate must still fail, naming stage 1
     real = fingen.membership
     calls = []
 
@@ -257,7 +257,7 @@ def test_one_failed_stage_fails_the_certificate(monkeypatch):
     cert = certify_nonfg(shifts(3))
     assert [s.refutation is not None for s in cert.stages] == [True, False, False]
     assert all(s.next_span is not None for s in cert.stages)
-    assert not cert.passed
+    assert cert.failure == "stage 1: (t^-2)*a lies in the span of the first 1 shifts"
 
 
 def test_certificate_json_is_deterministic():
@@ -280,14 +280,19 @@ def test_certificate_json_is_deterministic():
 
 def walk(obj):
     """A record written field by field, each leaf as the pipeline's _stringify writes it,
-    and each membership witness, or None, with its ``member`` verdict."""
+    each membership witness, or None, with its ``member`` verdict, and the
+    ``failure`` text, or None, as the ``passed`` verdict."""
     if hasattr(obj, "_fields"):
-        return {
+        record = {
             name: {"member": v is not None, "witness": walk(v)}
             if name in ("refutation", "next_span")
             else walk(v)
             for name, v in zip(obj._fields, obj)
+            if name != "failure"
         }
+        if "failure" in obj._fields:
+            record["passed"] = obj.failure is None
+        return record
     if isinstance(obj, dict):
         return {str(k): walk(v) for k, v in obj.items()}
     if isinstance(obj, tuple):

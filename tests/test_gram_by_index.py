@@ -47,7 +47,7 @@ def reference_validate(config, fiber):
     if not is_connected(adj):
         failures.append("support disconnected")
     indexed = {lab: (config.labels.index(lab), m) for lab, m in comps.items()}
-    return FiberReport(not failures, tuple(failures), adj, indexed)
+    return FiberReport(tuple(failures), adj, indexed)
 
 
 def orbit(name):
@@ -134,8 +134,8 @@ def test_index_kernels_match_label_keyed_references():
             expected = reference_validate(config, fiber)
             assert validate_fiber(config, fiber) == expected
             seen.update(shape for f in expected.failures for shape in SHAPES if shape in f)
-            seen.add("pass" if expected.passed else "fail")
-            if expected.passed and set(fiber.components.values()) == {1}:
+            seen.add("fail" if expected.failures else "pass")
+            if not expected.failures and set(fiber.components.values()) == {1}:
                 assert_cycle_order(config, fiber, classify_kodaira(config, fiber).cycle)
                 seen.add("cycle")
     assert seen == {"pass", "fail", "cycle", *SHAPES}
@@ -157,18 +157,18 @@ def test_pushforward_matches_label_keyed_reference_under_every_fault():
         config = X
         for pair in pairs:
             config = with_intersection(config, *pair, 0)
-        report = verify_isometry(config, EPS)
-        if not report.passed:
-            witness = f"the involution fails the isometry check: {report.failures[0]}"
+        failures = verify_isometry(config, EPS)
+        if failures:
+            witness = f"the involution fails the isometry check: {failures[0]}"
             expected = ("ValueError", witness)
-            assert outcome(quotient_pushforward, config, EPS, report) == expected, pairs
+            assert outcome(quotient_pushforward, config, EPS, failures) == expected, pairs
             continue
         # for an isometric involution with orbits {a, a'} and {b, b'} the sum
         # is 2((a.b) + (a.b')), so the pushforward's halving is exact
         sums = orbit_sums(config, Z.labels)
         assert all(v % 2 == 0 for row in sums for v in row), pairs
         halved = tuple(tuple(v // 2 for v in row) for row in sums)
-        assert quotient_pushforward(config, EPS, report).gram == halved, pairs
+        assert quotient_pushforward(config, EPS, failures).gram == halved, pairs
         pushed += 1
     # exactly the unfaulted Gram and the equivariant double faults pass:
     # the 52 built as such and the random doubles that happen to be one

@@ -20,7 +20,6 @@ from autcert.pipeline import (
     CertificateReport,
     Context,
     PipelineOptions,
-    StageResult,
     _stringify,
     run_all,
     run_stage,
@@ -839,12 +838,15 @@ def one_more_negative(block: int):
 
 
 def fixed_curve(mp):
-    """The isometry check reports that the swap fixes E1."""
-    mp.setattr(
-        pipeline,
-        "verify_isometry",
-        lambda config, perm: surface.IsometryReport(False, ("fixes E1",), ("E1",)),
-    )
+    """The swap maps E1 and F1 to themselves, so the real isometry check
+    rejects it, and the record's fixed labels come from that permutation."""
+    real = pipeline.epsilon_involution
+
+    def fixing(config):
+        eps = real(config)
+        return surface.IsometryPerm({**eps.curve_map, "E1": "E1", "F1": "F1"}, eps.point_map)
+
+    mp.setattr(pipeline, "epsilon_involution", fixing)
 
 
 def doubled_cofactor(mp, name):
@@ -1047,6 +1049,46 @@ def test_dynamics_conjugates_once_over_a_symbolic_unit(monkeypatch):
     assert conjugation["shifts"] == [f"(t^{-2 * n})*a" for n in range(1, 11)]
 
 
+def test_a_swap_that_fixes_curves_is_refused_with_them_recorded(monkeypatch):
+    # the real isometry check rejects the swap, and the record's fixed
+    # labels are read off the permutation it rejected
+    fixed_curve(monkeypatch)
+    isometry = run_stage("config").evidence["checks"][2]
+    assert isometry["claim"] == CONFIG_ISOMETRY
+    assert isometry["witness"] == "E1,C12: 0; image E1,C21: 1"
+    assert isometry["fixed_labels"] == ["E1", "F1"]
+
+
+def test_an_untyped_fiber_fails_each_stage_that_reads_its_type(monkeypatch):
+    # N1, the one fiber holding C42, matches no Kodaira type: fibrations
+    # names it in its types check, and the stages that cannot go on
+    # without its type fail as raised; dynamics reads N1's cycle, which an
+    # untyped fiber does not have
+    real = pipeline.classify_kodaira
+    monkeypatch.setattr(
+        pipeline,
+        "classify_kodaira",
+        lambda config, fiber: fibration.FiberClass(None)
+        if "C42" in fiber.components
+        else real(config, fiber),
+    )
+    by_name = {s.name: s for s in run_all().stages}
+    assert {name for name, s in by_name.items() if s.status == "fail"} == {
+        "fibrations", "lattice", "heights", "dynamics"
+    }
+    failed = [c for c in by_name["fibrations"].evidence["checks"] if c["status"] == "fail"]
+    assert [(c["claim"], c["witness"]) for c in failed] == [
+        (FIBRATIONS_TYPES, "N1: None; expected I8")
+    ]
+    assert failed[0]["types"]["N1"] is None
+    for name in ("lattice", "heights"):
+        (raised,) = by_name[name].evidence["checks"]
+        assert raised["kind"] == "stage-raised", name
+        assert raised["witness"] == "fiber N1 has no Kodaira type", name
+    (raised,) = by_name["dynamics"].evidence["checks"]
+    assert raised["witness"] == "C11 meets fiber N1 in [], expected one simple point"
+
+
 def test_fibration_stage_lists_types():
     stage = run_stage("fibrations")
     typed = next(c for c in stage.evidence["checks"] if "types" in c)
@@ -1075,8 +1117,6 @@ def test_options_validation():
         PipelineOptions(corrupt_pair=("only-one",))
     with pytest.raises(ValueError, match="distinct"):
         PipelineOptions(corrupt_pair=("E2", "E2"))
-    with pytest.raises(ValueError, match="status"):
-        StageResult("x", "maybe", "anchor", {})
 
 
 def test_corrupt_pair_accepts_exactly_the_curve_labels():

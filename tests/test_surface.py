@@ -199,9 +199,9 @@ def test_epsilon_images():
 
 def test_epsilon_is_fixed_point_free_isometry():
     ext = extend_with_conics(build_double_kummer())
-    report = verify_isometry(ext, epsilon_involution(ext))
-    assert report.passed
-    assert report.fixed_labels == ()
+    eps = epsilon_involution(ext)
+    assert verify_isometry(ext, eps) == ()
+    assert eps.fixed_labels() == ()
 
 
 def test_epsilon_needs_extended_configuration():
@@ -212,10 +212,10 @@ def test_epsilon_needs_extended_configuration():
 def test_verify_isometry_names_corrupted_pair():
     ext = extend_with_conics(build_double_kummer())
     bad = with_intersection(ext, "E2", "C32", 0)
-    report = verify_isometry(bad, epsilon_involution(bad))
-    assert not report.passed
+    failures = verify_isometry(bad, epsilon_involution(bad))
+    assert failures
     # the pair itself, then each pair whose image is it
-    assert report.failures == (
+    assert failures == (
         "E2,C32: 0; image F2,C23: 1",
         "F2,C23: 1; image E2,C32: 0",
     )
@@ -225,12 +225,12 @@ def test_verify_isometry_rejects_non_permutation():
     x = build_double_kummer()
     cm = {lab: lab for lab in x.labels}
     cm["E1"] = "E2"
-    report = verify_isometry(x, IsometryPerm(cm, {}))
-    assert not report.passed
+    failures = verify_isometry(x, IsometryPerm(cm, {}))
+    assert failures
     # E2 is hit twice, so E1 is the curve that is no image
-    assert report.failures == ("not a permutation at E1",)
+    assert failures == ("not a permutation at E1",)
     unknown = IsometryPerm({**{lab: lab for lab in x.labels}, "Q9": "E1"}, {})
-    assert verify_isometry(x, unknown).failures == ("not a permutation at Q9",)
+    assert verify_isometry(x, unknown) == ("not a permutation at Q9",)
 
 
 def test_verify_isometry_checks_declared_involution():
@@ -239,9 +239,9 @@ def test_verify_isometry_checks_declared_involution():
     )
     cfg = Configuration("X_K3", ("A", "B", "C"), gram)
     cycle = IsometryPerm({"A": "B", "B": "C", "C": "A"}, {})
-    report = verify_isometry(cfg, cycle)
-    assert not report.passed
-    assert report.failures == (
+    failures = verify_isometry(cfg, cycle)
+    assert failures
+    assert failures == (
         "not an involution: A -> B -> C",
         "not an involution: B -> C -> A",
         "not an involution: C -> A -> B",
@@ -253,8 +253,7 @@ def test_verify_isometry_checks_marking_incidence():
     ext = extend_with_conics(build_double_kummer())
     eps = epsilon_involution(ext)
     moved = IsometryPerm(eps.curve_map, {**eps.point_map, "P12": "P'12", "P99": "P1"})
-    report = verify_isometry(ext, moved)
-    assert report.failures == (
+    assert verify_isometry(ext, moved) == (
         "marking P12 -> P'12 does not preserve incidence",
         "unknown marking in P99 -> P1",
     )
@@ -264,10 +263,11 @@ def test_verify_isometry_names_a_fixed_curve():
     # the identity preserves every pairing and is an involution: the fixed
     # curves are its only failures, and they alone fail the check
     ext = extend_with_conics(build_double_kummer())
-    report = verify_isometry(ext, IsometryPerm({lab: lab for lab in ext.labels}, {}))
-    assert not report.passed
-    assert report.failures == tuple(f"fixes {lab}" for lab in sorted(ext.labels))
-    assert report.fixed_labels == tuple(sorted(ext.labels))
+    identity = IsometryPerm({lab: lab for lab in ext.labels}, {})
+    failures = verify_isometry(ext, identity)
+    assert failures
+    assert failures == tuple(f"fixes {lab}" for lab in sorted(ext.labels))
+    assert identity.fixed_labels() == tuple(sorted(ext.labels))
 
 
 # -- quotient ---------------------------------------------------------------------
@@ -361,7 +361,7 @@ def _orbit_members(name: str) -> list[str]:
 def test_quotient_requires_free_involution():
     ext = extend_with_conics(build_double_kummer())
     fixing = IsometryPerm({lab: lab for lab in ext.labels}, {})
-    # the error names the isometry report's first failure
+    # the error names the isometry check's first failure
     with pytest.raises(ValueError, match="^the involution fails the isometry check: fixes C1$"):
         quotient_pushforward(ext, fixing, verify_isometry(ext, fixing))
 
@@ -386,12 +386,12 @@ def test_quotient_takes_a_held_isometry_report_in_place_of_the_check(monkeypatch
     held = [(config, eps, verify_isometry(config, eps), match) for config, eps, match in cases]
     z = quotient_fixture()
     monkeypatch.setattr(surface, "verify_isometry", None)  # a call would raise TypeError
-    for config, eps, report, match in held:
+    for config, eps, failures, match in held:
         if match is None:
-            assert quotient_pushforward(config, eps, report) == z
+            assert quotient_pushforward(config, eps, failures) == z
         else:
             with pytest.raises(ValueError, match=match):
-                quotient_pushforward(config, eps, report)
+                quotient_pushforward(config, eps, failures)
 
 
 # -- blow-up ledger -----------------------------------------------------------------

@@ -117,7 +117,6 @@ VALUES = {
     "FiberClass": (lambda: classify_kodaira(x_config(), n1()), True),
     "Configuration": (kummer_copy, False),
     "IsometryPerm": (lambda: epsilon_involution(x_config()), False),
-    "IsometryReport": (lambda: verify_isometry(x_config(), epsilon_involution(x_config())), True),
     "BlowupLedger": (lambda: BlowupLedger(z_config()), False),
     "PipelineOptions": (lambda: PipelineOptions(seed=3, corrupt_pair=("E2", "C32")), True),
     "StageResult": (lambda: run_stage("canonical"), False),
