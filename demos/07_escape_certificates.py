@@ -45,8 +45,10 @@ for stage in cert.stages:
     print(f"  k={stage.k}: {escape} escapes span of {stage.k}, joins span of {stage.k + 1}")
 
 # The nonfg stage writes the certificate with exact string numbers for
-# third-party checks: the generator exponents once, and per stage the
-# support bound, the escape exponent and a sparse next-span witness.
+# third-party checks: the generator exponents once, and per stage only the
+# escape exponent, a bare refutation and a sparse next-span witness.  A
+# reader takes k from the stage's position and the support bound as the
+# least of the first k exponents.
 blob = run_stage("nonfg", PipelineOptions(max_gens=5)).evidence["certificate"]
 print("json generators:", json.dumps(blob["generators"]))
 print("json stage 1:", json.dumps(blob["stages"][0], sort_keys=True))

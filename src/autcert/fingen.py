@@ -24,12 +24,14 @@ caller passes the generators: the pipeline reads the shifts t^(-2n),
 the term dicts {-2n: 1}, off its one conjugation of a translation by a
 scaling, so a wrong conjugate fails the chain here.  The escape t^(-2N)
 is {-2N: 1}, held as N alone, and a reader writes it as
-``translation_str({-2 * N: 1})``.  The certificate stores each fact
-once: the t-exponents of the generators, per stage the support bound,
-the escape exponent and a sparse next-span witness, and the first broken
-stage's text, judged here alone.  The integer matrices are unit vectors
-rebuilt from those exponents, so a third party can recheck every stage
-from the stored numbers alone.  Its records hold plain integers and
+``translation_str({-2 * N: 1})``.  The record stores the t-exponents
+of the generators once, whether every stage holds, judged here alone,
+and per stage only what a reader cannot derive: the escape exponent,
+its refutation and a sparse next-span witness.  Stage k is the k-th
+entry and its support bound is the least of the first k exponents, so
+neither is written.  The integer matrices are unit vectors rebuilt
+from those exponents, so a third party can recheck every stage from
+the stored numbers alone.  Its records hold plain integers and
 strings, and ``NonFGCertificate.to_record`` gives the report's record
 directly, with every number an exact string.
 """
@@ -72,9 +74,11 @@ def membership(basis: SpanBasis, target: dict) -> dict[int, int] | None:
 
 
 def _membership_record(w: dict[int, int] | None) -> dict:
-    """The report record of a membership witness or None, a new dict on every call."""
-    witness = None if w is None else {str(i): str(c) for i, c in w.items()}
-    return {"member": w is not None, "witness": witness}
+    """The report record of a membership witness or None, a new dict on every
+    call: it carries a ``witness`` exactly when it is a member."""
+    if w is None:
+        return {"member": False}
+    return {"member": True, "witness": {str(i): str(c) for i, c in w.items()}}
 
 
 def _support(g: dict) -> int:
@@ -95,7 +99,9 @@ class EscapeStage(NamedTuple):
 
     ``support_bound`` is the least exponent among those generators, the
     number the degree argument compares -2N against.  ``refutation`` and
-    ``next_span`` are ``membership``'s witness dicts, or None.
+    ``next_span`` are ``membership``'s witness dicts, or None.  The record
+    writes neither ``k`` nor ``support_bound``: a reader derives both from
+    the stage's position and the certificate's generators.
     """
 
     k: int
@@ -126,8 +132,9 @@ class NonFGCertificate(NamedTuple):
     """The escape stages; ``generators`` holds the t-exponents of the shifts.
 
     Stage k uses the first k generators and its next span the first k+1,
-    so the max_k + 1 exponents are stored once, for every stage.
-    ``failure`` is the first broken stage's text, None when every stage holds.
+    so the max_k + 1 exponents are stored once, for every stage, and
+    stage k is the k-th entry of ``stages``.  ``failure`` is the first
+    broken stage's text, None when every stage holds.
     """
 
     max_k: int
@@ -136,18 +143,18 @@ class NonFGCertificate(NamedTuple):
     stages: tuple[EscapeStage, ...]
     degree_argument: str
     external_facts: tuple[str, ...]
-    format: str = "3"
+    format: str = "4"
 
     def to_record(self) -> dict:
-        """The report record: every number an exact string, ``passed`` and ``member`` booleans."""
+        """The report record: every number an exact string, ``passed`` and
+        ``member`` booleans, and per stage only the escape exponent and its
+        two membership records."""
         return {
             "max_k": str(self.max_k),
             "passed": self.failure is None,
             "generators": [str(e) for e in self.generators],
             "stages": [
                 {
-                    "k": str(st.k),
-                    "support_bound": str(st.support_bound),
                     "escape_exponent": str(st.escape_exponent),
                     "refutation": _membership_record(st.refutation),
                     "next_span": _membership_record(st.next_span),

@@ -371,8 +371,12 @@ class Context:
         return kt
 
     def cycle(self, name: str) -> tuple[str, ...]:
-        """The components of the named I_n fiber (N1 or N1eps) in cyclic order."""
-        return self.fiber_class(name).cycle
+        """The components of the named I_n fiber (N1 or N1eps) in cyclic order;
+        a fiber that matches no Kodaira type has none and raises."""
+        fiber = self.fiber_class(name)
+        if fiber.fiber_type is None:
+            raise ValueError(f"fiber {name} has no Kodaira type")
+        return fiber.cycle
 
     @cached_property
     def conjugate(self) -> AffineMap:

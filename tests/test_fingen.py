@@ -206,7 +206,7 @@ def test_certificate_structure():
     cert = certify_nonfg(shifts(5))
     assert cert.failure is None
     assert cert.max_k == 5
-    assert cert.format == "3"
+    assert cert.format == "4"
     assert cert.generators == (0, -2, -4, -6, -8, -10)
     assert len(cert.stages) == 5
     for k, stage in enumerate(cert.stages, start=1):
@@ -268,27 +268,33 @@ def test_certificate_json_is_deterministic():
     one = certificate_json()
     assert one == certificate_json()
     blob = json.loads(one)
-    assert blob["format"] == "3"
+    assert blob["format"] == "4"
     assert blob["max_k"] == "3"
     assert blob["passed"] is True
     assert blob["generators"] == ["0", "-2", "-4", "-6"]
-    assert blob["stages"][2]["escape_exponent"] == "3"
-    assert "escape" not in blob["stages"][2]
+    assert blob["stages"][2] == {
+        "escape_exponent": "3",
+        "refutation": {"member": False},
+        "next_span": {"member": True, "witness": {"3": "1"}},
+    }
     assert blob["degree_argument"]
     assert blob["external_facts"]
 
 
+def membership_record(witness):
+    return {"member": False} if witness is None else {"member": True, "witness": walk(witness)}
+
+
 def walk(obj):
     """A record written field by field, each leaf as the pipeline's _stringify writes it,
-    each membership witness, or None, with its ``member`` verdict, and the
-    ``failure`` text, or None, as the ``passed`` verdict."""
+    without a stage's ``k`` and ``support_bound``, which a reader derives; each
+    membership witness with its ``member`` verdict, written only for a member;
+    and the ``failure`` text, or None, as the ``passed`` verdict."""
     if hasattr(obj, "_fields"):
         record = {
-            name: {"member": v is not None, "witness": walk(v)}
-            if name in ("refutation", "next_span")
-            else walk(v)
+            name: (membership_record(v) if name in ("refutation", "next_span") else walk(v))
             for name, v in zip(obj._fields, obj)
-            if name != "failure"
+            if name not in ("k", "support_bound", "failure")
         }
         if "failure" in obj._fields:
             record["passed"] = obj.failure is None
@@ -322,27 +328,36 @@ def test_certificate_validation():
 def recheck(cert: dict) -> bool:
     """Recheck every escape stage of a report's certificate from its text alone.
 
-    Stage k refutes by the support argument: every combination of the
-    first k generators has support at or above their least exponent, and
-    the escape exponent lies below it.  The sparse next-span witness,
-    over the first k + 1 generators, must sum to exactly t^(-2N).
+    Stage k is the k-th entry of ``stages``.  It refutes by the support
+    argument: every combination of the first k generators has support at
+    or above their least exponent, and the escape exponent lies below
+    it; its refutation is a bare non-member.  The sparse next-span
+    witness, over the first k + 1 generators, must sum to exactly t^(-2N).
     """
     gens = [int(e) for e in cert["generators"]]
-    ok = len(cert["stages"]) == int(cert["max_k"]) and len(gens) == int(cert["max_k"]) + 1
-    for stage in cert["stages"]:
-        k = int(stage["k"])
-        bound = int(stage["support_bound"])
+    max_k = int(cert["max_k"])
+    if len(cert["stages"]) != max_k or len(gens) != max_k + 1:
+        return False
+    for k, stage in enumerate(cert["stages"], start=1):
         n = int(stage["escape_exponent"])
-        ok = ok and bound == min(gens[:k]) and -2 * n < bound
-        ok = ok and stage["refutation"] == {"member": False, "witness": None}
-        ok = ok and stage["next_span"]["member"] is True
+        next_span = stage["next_span"]
+        if not (
+            stage.keys() == {"escape_exponent", "refutation", "next_span"}
+            and -2 * n < min(gens[:k])
+            and stage["refutation"] == {"member": False}
+            and next_span.keys() == {"member", "witness"}
+            and next_span["member"] is True
+        ):
+            return False
         total: dict[int, int] = {}
-        for i, c in stage["next_span"]["witness"].items():
-            ok = ok and 0 <= int(i) <= k
+        for i, c in next_span["witness"].items():
+            if not 0 <= int(i) <= k:
+                return False
             e = gens[int(i)]
             total[e] = total.get(e, 0) + int(c)
-        ok = ok and {e: c for e, c in total.items() if c} == {-2 * n: 1}
-    return ok
+        if {e: c for e, c in total.items() if c} != {-2 * n: 1}:
+            return False
+    return True
 
 
 def test_written_nonfg_report_rechecks_from_its_text(tmp_path):
@@ -350,7 +365,7 @@ def test_written_nonfg_report_rechecks_from_its_text(tmp_path):
     assert main(["nonfg", "--max-gens", "12", "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     cert = json.loads(text)["stages"][0]["evidence"]["certificate"]
-    assert cert["format"] == "3"
+    assert cert["format"] == "4"
     assert recheck(cert)
 
     def mutated(edit):
@@ -367,10 +382,25 @@ def test_written_nonfg_report_rechecks_from_its_text(tmp_path):
     def generator(c):
         c["generators"][8] = "-15"
 
-    def support_bound(c):
-        c["stages"][9]["support_bound"] = "-19"
+    def refutation_witness(c):
+        # the format 3 shape: a non-member that still carries a witness
+        c["stages"][2]["refutation"]["witness"] = None
 
-    for edit in (witness_coefficient, escape_exponent_, generator, support_bound):
+    def deleted_stage(c):
+        del c["stages"][5]
+
+    def next_span_witness(c):
+        del c["stages"][4]["next_span"]["witness"]
+
+    edits = (
+        witness_coefficient,
+        escape_exponent_,
+        generator,
+        refutation_witness,
+        deleted_stage,
+        next_span_witness,
+    )
+    for edit in edits:
         assert not recheck(mutated(edit)), edit.__name__
 
 
