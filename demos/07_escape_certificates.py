@@ -31,24 +31,28 @@ print("member:", inside is not None, "witness:", inside)
 
 # ...and the next shift in the family is refused.  Its exponent is the
 # one the certificate records for the stage of these three generators.
-stage = certify_nonfg(ctx.shifts(4)).stages[-1]
-escape = {-2 * stage.escape_exponent: 1}
+_, record = certify_nonfg(ctx.shifts(4))
+escape = {-2 * int(record["stages"][-1]["escape_exponent"]): 1}
 outside = membership(basis, escape)
 print("escape:", translation_str(escape), "member:", outside is not None)
 
-# The full certificate packages one escape per stage, each re-verified;
-# it takes max_k + 1 generators, here max_k = 5.
-cert = certify_nonfg(ctx.shifts(6))
-print("stages:", len(cert.stages), "failure:", cert.failure)
-for stage in cert.stages:
-    escape = translation_str({-2 * stage.escape_exponent: 1})
-    print(f"  k={stage.k}: {escape} escapes span of {stage.k}, joins span of {stage.k + 1}")
+# The full certificate judges one escape per stage, each re-verified, and
+# writes its record in the same loop; it takes max_k + 1 generators, here
+# max_k = 5, and returns the first broken stage's text, None when all hold.
+failure, record = certify_nonfg(ctx.shifts(6))
+print("stages:", len(record["stages"]), "failure:", failure)
+for k, stage in enumerate(record["stages"], start=1):
+    escape = translation_str({-2 * int(stage["escape_exponent"]): 1})
+    print(f"  k={k}: {escape} escapes span of {k}, joins span of {k + 1}")
 
-# The nonfg stage writes the certificate with exact string numbers for
-# third-party checks: the generator exponents once, and per stage only the
-# escape exponent, a bare refutation and a sparse next-span witness.  A
-# reader takes k from the stage's position and the support bound as the
-# least of the first k exponents.
-blob = run_stage("nonfg", PipelineOptions(max_gens=5)).evidence["certificate"]
+# The record is what the nonfg stage writes for third-party checks, with
+# exact string numbers: the generator exponents once, and per stage only
+# the escape exponent, a bare refutation and a sparse next-span witness.
+# A reader takes k from the stage's position and the support bound as the
+# least of the first k exponents; whether every stage holds is the nonfg
+# check's own status.
+stage = run_stage("nonfg", PipelineOptions(max_gens=5))
+blob = stage.evidence["certificate"]
+print("check:", stage.evidence["checks"][0]["status"])
 print("json generators:", json.dumps(blob["generators"]))
 print("json stage 1:", json.dumps(blob["stages"][0], sort_keys=True))

@@ -67,20 +67,17 @@ class KodairaType(Frozen):
         return f"I{self.index}*"
 
 
-def euler_number(kt: KodairaType) -> int:
-    if kt.symbol == "I":
-        return kt.index
-    if kt.symbol == "I*":
-        return kt.index + 6
-    return {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}[kt.symbol]
-
-
 def component_count(kt: KodairaType) -> int:
     if kt.symbol == "I":
         return kt.index
     if kt.symbol == "I*":
         return kt.index + 5
     return {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[kt.symbol]
+
+
+def euler_number(kt: KodairaType) -> int:
+    """Components plus 1, except for I_n: a cycle of n lines has Euler number n."""
+    return component_count(kt) + (kt.symbol != "I")
 
 
 class FiberDivisor(Frozen):

@@ -15,30 +15,27 @@ the chain is strictly increasing, and a group exhausted by a strictly
 increasing chain of proper subgroups is not finitely generated.  One
 ``SpanBasis`` serves every stage: stage k refutes the escape against
 the first k generators, inserts generator k, and confirms the escape;
-the support bound is a running minimum over the inserted generators.
-``membership`` returns each found witness, re-verified on its own, or
-None: the terms of the stored generators, not of the echelon rows that
-found it, are summed with the witness coefficients into one sparse
-dict, whose canonical form must equal the target's term dict.  The
-caller passes the generators: the pipeline reads the shifts t^(-2n),
-the term dicts {-2n: 1}, off its one conjugation of a translation by a
-scaling, so a wrong conjugate fails the chain here.  The escape t^(-2N)
-is {-2N: 1}, held as N alone, and a reader writes it as
-``translation_str({-2 * N: 1})``.  The record stores the t-exponents
-of the generators once, whether every stage holds, judged here alone,
-and per stage only what a reader cannot derive: the escape exponent,
-its refutation and a sparse next-span witness.  Stage k is the k-th
+the support bound is a running minimum over the inserted generators,
+and ``membership`` re-verifies each witness it finds.  The caller
+passes the generators: the pipeline reads the shifts t^(-2n), the term
+dicts {-2n: 1}, off its one conjugation of a translation by a scaling,
+so a wrong conjugate fails the chain here.  The escape t^(-2N) is
+{-2N: 1}, held as N alone, and a reader writes it as
+``translation_str({-2 * N: 1})``.  The certificate is its record,
+written stage by stage in the loop that judges the chain: the
+t-exponents of the generators once, and per stage only what a reader
+cannot derive, the escape exponent, a bare refutation and a sparse
+next-span witness, every number an exact string.  Stage k is the k-th
 entry and its support bound is the least of the first k exponents, so
-neither is written.  The integer matrices are unit vectors rebuilt
-from those exponents, so a third party can recheck every stage from
-the stored numbers alone.  Its records hold plain integers and
-strings, and ``NonFGCertificate.to_record`` gives the report's record
-directly, with every number an exact string.
+neither is written; whether every stage holds is the nonfg check's own
+status, so the record does not repeat it.  The integer matrices are unit
+vectors rebuilt from those exponents, so a third party can recheck every
+stage from the stored numbers alone.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .lattice import SpanBasis
 from .scalars import _canonical, laurent_text
@@ -93,24 +90,6 @@ def _escape_below(bound: int) -> int:
     return max(1, -bound // 2 + 1)
 
 
-class EscapeStage(NamedTuple):
-    """Stage k: the escape t^(-2N)*a, held as ``escape_exponent`` N, against
-    the first k generators.
-
-    ``support_bound`` is the least exponent among those generators, the
-    number the degree argument compares -2N against.  ``refutation`` and
-    ``next_span`` are ``membership``'s witness dicts, or None.  The record
-    writes neither ``k`` nor ``support_bound``: a reader derives both from
-    the stage's position and the certificate's generators.
-    """
-
-    k: int
-    support_bound: int
-    escape_exponent: int
-    refutation: dict[int, int] | None
-    next_span: dict[int, int] | None
-
-
 DEGREE_ARGUMENT = (
     "every element of the subgroup generated by a finite set S is an "
     "integer combination of members of S, so its Laurent support lies "
@@ -128,49 +107,10 @@ CHAIN_FACT = (
 )
 
 
-class NonFGCertificate(NamedTuple):
-    """The escape stages; ``generators`` holds the t-exponents of the shifts.
-
-    Stage k uses the first k generators and its next span the first k+1,
-    so the max_k + 1 exponents are stored once, for every stage, and
-    stage k is the k-th entry of ``stages``.  ``failure`` is the first
-    broken stage's text, None when every stage holds.
-    """
-
-    max_k: int
-    failure: str | None
-    generators: tuple[int, ...]
-    stages: tuple[EscapeStage, ...]
-    degree_argument: str
-    external_facts: tuple[str, ...]
-    format: str = "4"
-
-    def to_record(self) -> dict:
-        """The report record: every number an exact string, ``passed`` and
-        ``member`` booleans, and per stage only the escape exponent and its
-        two membership records."""
-        return {
-            "max_k": str(self.max_k),
-            "passed": self.failure is None,
-            "generators": [str(e) for e in self.generators],
-            "stages": [
-                {
-                    "escape_exponent": str(st.escape_exponent),
-                    "refutation": _membership_record(st.refutation),
-                    "next_span": _membership_record(st.next_span),
-                }
-                for st in self.stages
-            ],
-            "degree_argument": self.degree_argument,
-            "external_facts": list(self.external_facts),
-            "format": self.format,
-        }
-
-
-def _stage_failure(stage: EscapeStage) -> str | None:
-    """How an escape stage breaks, or None when it holds: its escape is
-    t^(-2k), off the span of the first k shifts and in that of the first k+1."""
-    k, _, n, refutation, next_span = stage
+def _stage_failure(k: int, n: int, refutation, next_span) -> str | None:
+    """How stage k breaks, or None when it holds: its escape t^(-2n) must be
+    t^(-2k), off the span of the first k shifts (``refutation`` None) and in
+    that of the first k+1 (``next_span`` a witness)."""
     if n == k and refutation is None and next_span is not None:
         return None
     escape = translation_str({-2 * n: 1})
@@ -181,15 +121,17 @@ def _stage_failure(stage: EscapeStage) -> str | None:
     return f"stage {k}: {escape} misses the span of the first {k + 1} shifts"
 
 
-def certify_nonfg(shifts: Sequence[dict]) -> NonFGCertificate:
+def certify_nonfg(shifts: Sequence[dict]) -> tuple[str | None, dict]:
     """Escape certificates for the nested translation subgroups k = 1..max_k.
 
     ``shifts`` holds the max_k + 1 generators, the term dicts of the
-    shifts for n = 0..max_k.  Each stage k records whether t^(-2k)*a
-    avoids the span of the first k generators (degree bound and lattice
-    refutation agree) and lands in the span of the first k+1, so the
-    chain strictly increases; the certificate's ``failure`` names the
-    first stage that does not, and the shifts t^(-2n) leave it None.
+    shifts for n = 0..max_k.  Stage k tests whether t^(-2N)*a, N the
+    least with -2N below the support bound, avoids the span of the first
+    k generators and lands in the span of the first k+1, and writes its
+    record in the same step.  Returns the first broken stage's text, or
+    None when every stage holds, as the shifts t^(-2n) do, and the
+    report's record: every number an exact string, ``member`` booleans,
+    and per stage only the escape exponent and its two membership records.
     """
     max_k = len(shifts) - 1
     if max_k < 1:
@@ -205,9 +147,20 @@ def certify_nonfg(shifts: Sequence[dict]) -> NonFGCertificate:
         refutation = membership(basis, escape)
         basis.insert(shifts[k])
         next_span = membership(basis, escape)
-        stages.append(EscapeStage(k, bound, n, refutation, next_span))
-        failure = failure or _stage_failure(stages[-1])
+        failure = failure or _stage_failure(k, n, refutation, next_span)
+        stages.append(
+            {
+                "escape_exponent": str(n),
+                "refutation": _membership_record(refutation),
+                "next_span": _membership_record(next_span),
+            }
+        )
         bound = min(bound, exponents[k])
-    return NonFGCertificate(
-        max_k, failure, exponents, tuple(stages), DEGREE_ARGUMENT, (CHAIN_FACT,)
-    )
+    return failure, {
+        "max_k": str(max_k),
+        "generators": [str(e) for e in exponents],
+        "stages": stages,
+        "degree_argument": DEGREE_ARGUMENT,
+        "external_facts": [CHAIN_FACT],
+        "format": "5",
+    }

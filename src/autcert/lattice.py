@@ -16,13 +16,12 @@ Dynkin diagrams.  A Gram matrix is checked once, by :class:`Gram`; a
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, compress
 from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import Frozen, matrix_rank_det
+from .scalars import Frozen, _canonical, matrix_rank_det
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -109,17 +108,6 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
 # -- incremental echelon basis -------------------------------------------------
 
 
-def _entries(vec: Mapping) -> dict:
-    """The nonzero entries of a sparse vector, each an int or a Fraction."""
-    out = {}
-    for key, x in vec.items():
-        if type(x) is not int and type(x) is not Fraction:  # rejects bool and float
-            raise TypeError(f"integer or Fraction entry expected, got {x!r}")
-        if x:
-            out[key] = x
-    return out
-
-
 def _combine(s: int, u: dict, t: int, v: dict) -> dict:
     """s*u + t*v of two sparse vectors, zero entries dropped."""
     out = {k: s * x for k, x in u.items()}
@@ -173,7 +161,7 @@ class SpanBasis:
 
     def insert(self, vec: Mapping) -> None:
         """Add a generator: reduce it, then keep what remains as a new pivot row."""
-        v = _entries(vec)
+        v = _canonical(vec)
         combo = {len(self.generators): 1}
         self.generators.append(v)
         while v:
@@ -197,7 +185,7 @@ class SpanBasis:
         None means the reduction stopped at a key with no pivot row or at
         a pivot that does not divide the remaining entry.
         """
-        v = _entries(target)
+        v = _canonical(target)
         combo: dict[int, int] = {}
         while v:
             p = min(v)

@@ -720,12 +720,17 @@ def _stage_heights(ctx: Context) -> StageResult:
     c22 = section_from_config(x, cycles, "C22", "C11")
     h12, h11, h22 = (height(chi, types, c) for c in (c12, c11, c22))
     hp = height(chi_z, (("M2", ctx.kodaira("M2")),), SectionData("P", 0, {"M2": ModInt(0, 3)}))
+    # 2-torsion needs both: height 0 and every doubled index the identity component
+    c12_missed = [_measured("height", h12, 0)] + [
+        _measured(f"{fid} doubled index", m + m, ModInt(0, m.modulus))
+        for fid, m in c12.components.items()
+    ]
     checks = [
         _check(
             "the section C12 has height 0 against the zero section C21 and "
             "doubling its component indices lands on the identity, so its "
             "class is 2-torsion",
-            _measured("height", h12, 0),
+            "; ".join(filter(None, c12_missed)) or None,
             height=h12,
             dot_zero=c12.dot_zero,
             indices={fid: c12.components[fid] for fid in fids},
@@ -834,17 +839,11 @@ def _stage_dynamics(ctx: Context) -> StageResult:
         ),
         _check(
             "the component indices of C11 and C2 in the 8-cycle sum to 4 "
-            "mod 8, so the induced action shifts components by 4",
+            "mod 8, so the induced action shifts components by 4 and its "
+            "square by 0",
             _measured("sum", total, ModInt(4, 8)),
             indices={"C11": idx_c11, "C2": idx_c2},
             sum=total,
-        ),
-        _check(
-            "the smooth-locus action (x, m) -> (t x, m + 4) squares to "
-            "(x, m) -> (t^2 x, m)",
-            _measured("shift", total + total, ModInt(0, 8)),
-            scale=laurent_text({2: 1}),
-            shift=total + total,
         ),
         _check(
             "conjugating the translation x -> x + a by the n-th power of "
@@ -872,14 +871,14 @@ def _stage_dynamics(ctx: Context) -> StageResult:
 
 
 def _stage_nonfg(ctx: Context) -> StageResult:
-    cert = certify_nonfg(ctx.shifts(ctx.options.max_gens + 1))
+    failure, record = certify_nonfg(ctx.shifts(ctx.options.max_gens + 1))
     checks = [
         _check(
             "every one of the nested spans verified: stage k refutes "
             "membership of t^(-2k) a in the span of the first k shifts and "
             "confirms it in the span of the first k+1",
-            cert.failure,
-            stage_count=len(cert.stages),
+            failure,
+            stage_count=len(record["stages"]),
         ),
     ]
     stage = _assemble(
@@ -897,7 +896,7 @@ def _stage_nonfg(ctx: Context) -> StageResult:
     )
     # the record is already strings and booleans, so it skips _stringify,
     # whose walk would copy all of it again
-    stage.evidence["certificate"] = cert.to_record()
+    stage.evidence["certificate"] = record
     return stage
 
 

@@ -184,17 +184,18 @@ def test_criterion_6_dynamics(announce):
 
 
 def test_criterion_7_non_finite_generation(announce):
-    cert = certify_nonfg(shifts(5))
-    ok = cert.failure is None and len(cert.stages) == 5
+    failure, record = certify_nonfg(shifts(5))
+    ok = failure is None and len(record["stages"]) == 5
+    generators = [int(e) for e in record["generators"]]
 
     def replay(k, n):
         """The integer problem of t^(-2n) over the first k stored exponents."""
-        exponents = cert.generators[:k]
+        exponents = generators[:k]
         columns = sorted(set(exponents) | {-2 * n})
         rows = [[int(c == e) for c in columns] for e in exponents]
         return z_span_membership(rows, [int(c == -2 * n) for c in columns])
 
-    for k, stage in enumerate(cert.stages, start=1):
+    for k, stage in enumerate(record["stages"], start=1):
         escape = {-2 * k: 1}
         refute = membership(SpanBasis(shifts(k - 1)), escape)
         confirm = membership(SpanBasis(shifts(k)), escape)
@@ -202,11 +203,12 @@ def test_criterion_7_non_finite_generation(announce):
 
         # rebuild the integer rows from the stored exponents and replay
         # them through the Hermite-form solver
-        n = stage.escape_exponent
-        ok = ok and stage.refutation is None and replay(k, n) is None
+        n = int(stage["escape_exponent"])
+        ok = ok and stage["refutation"] == {"member": False} and replay(k, n) is None
         dense = replay(k + 1, n)
         ok = ok and dense is not None
-        ok = ok and {i: c for i, c in enumerate(dense or ()) if c} == stage.next_span
+        witness = {str(i): str(c) for i, c in enumerate(dense or ()) if c}
+        ok = ok and stage["next_span"] == {"member": True, "witness": witness}
     announce(7, "non-finite-generation certificate", ok)
 
 

@@ -12,7 +12,7 @@ from autcert.fingen import certify_nonfg, membership, translation_str
 from autcert.lattice import SpanBasis, z_span_membership
 from autcert.__main__ import main
 from autcert.cremona import translate
-from autcert.pipeline import Context, PipelineOptions, _stringify, run_stage
+from autcert.pipeline import Context, PipelineOptions, run_stage
 
 from conftest import shifts
 
@@ -156,13 +156,19 @@ def test_membership_monotone_under_more_generators(target_terms):
 # -- escape exponents ------------------------------------------------------------------
 
 
+def support_bounds(record):
+    """Stage k's support bound, the least of the first k generator exponents."""
+    gens = [int(e) for e in record["generators"]]
+    return [min(gens[:k]) for k in range(1, len(record["stages"]) + 1)]
+
+
 def test_escape_exponents_follow_the_support_bound():
     # the escape exponent is the least positive N with -2N below the
     # running support bound, and a zero generator has no bound at all
-    cert = certify_nonfg([{2: 1}, {-5: 1}, {-6: 1}])
-    assert [s.support_bound for s in cert.stages] == [2, -5]
-    assert [s.escape_exponent for s in cert.stages] == [1, 3]
-    assert cert.failure == "stage 1: (t^-2)*a misses the span of the first 2 shifts"
+    failure, record = certify_nonfg([{2: 1}, {-5: 1}, {-6: 1}])
+    assert support_bounds(record) == [2, -5]
+    assert [s["escape_exponent"] for s in record["stages"]] == ["1", "3"]
+    assert failure == "stage 1: (t^-2)*a misses the span of the first 2 shifts"
     with pytest.raises(ValueError, match="zero generator"):
         certify_nonfg([{0: 1}, {}])
 
@@ -170,21 +176,25 @@ def test_escape_exponents_follow_the_support_bound():
 def test_an_escape_exponent_off_its_stage_fails_the_certificate():
     # from the bound -2 the escape is t^-4: refuted by t^-2 and found in
     # the span with t^-4, but its exponent 2 is not the stage number 1
-    cert = certify_nonfg([{-2: 1}, {-4: 1}])
-    (stage,) = cert.stages
-    assert stage.escape_exponent == 2 and stage.k == 1
-    assert stage.refutation is None and stage.next_span is not None
-    assert cert.failure == "stage 1: escape (t^-4)*a; expected (t^-2)*a"
+    failure, record = certify_nonfg([{-2: 1}, {-4: 1}])
+    assert record["stages"] == [
+        {
+            "escape_exponent": "2",
+            "refutation": {"member": False},
+            "next_span": {"member": True, "witness": {"1": "1"}},
+        }
+    ]
+    assert failure == "stage 1: escape (t^-4)*a; expected (t^-2)*a"
 
 
 def test_an_escape_missing_from_the_next_span_fails_the_certificate():
     # the escape t^-2 of stage 1 is refuted, but the next generator is
     # t^-4, so the next span misses it
-    cert = certify_nonfg([{0: 1}, {-4: 1}])
-    (stage,) = cert.stages
-    assert stage.escape_exponent == stage.k == 1
-    assert stage.refutation is None and stage.next_span is None
-    assert cert.failure == "stage 1: (t^-2)*a misses the span of the first 2 shifts"
+    failure, record = certify_nonfg([{0: 1}, {-4: 1}])
+    assert record["stages"] == [
+        {"escape_exponent": "1", "refutation": {"member": False}, "next_span": {"member": False}}
+    ]
+    assert failure == "stage 1: (t^-2)*a misses the span of the first 2 shifts"
 
 
 def test_shift_generators():
@@ -203,18 +213,20 @@ def test_shift_generators():
 
 
 def test_certificate_structure():
-    cert = certify_nonfg(shifts(5))
-    assert cert.failure is None
-    assert cert.max_k == 5
-    assert cert.format == "4"
-    assert cert.generators == (0, -2, -4, -6, -8, -10)
-    assert len(cert.stages) == 5
-    for k, stage in enumerate(cert.stages, start=1):
-        assert stage.k == k
-        assert stage.escape_exponent == k
-        assert stage.support_bound == -2 * (k - 1)
-        assert stage.refutation is None
-        assert stage.next_span == {k: 1}
+    failure, record = certify_nonfg(shifts(5))
+    assert failure is None
+    assert record["max_k"] == "5"
+    assert record["format"] == "5"
+    assert "passed" not in record
+    assert record["generators"] == ["0", "-2", "-4", "-6", "-8", "-10"]
+    assert support_bounds(record) == [0, -2, -4, -6, -8]
+    assert len(record["stages"]) == 5
+    for k, stage in enumerate(record["stages"], start=1):
+        assert stage == {
+            "escape_exponent": str(k),
+            "refutation": {"member": False},
+            "next_span": {"member": True, "witness": {str(k): "1"}},
+        }
 
 
 def test_nonfg_stage_reads_its_generators_off_one_conjugation(monkeypatch):
@@ -230,15 +242,15 @@ def test_nonfg_stage_reads_its_generators_off_one_conjugation(monkeypatch):
     monkeypatch.setattr(pipeline, "conjugate_translation", counted)
     stage = run_stage("nonfg", PipelineOptions(max_gens=80))
     assert units == [{1: 1}]
-    assert stage.evidence["certificate"] == certify_nonfg(shifts(80)).to_record()
+    assert stage.evidence["certificate"] == certify_nonfg(shifts(80))[1]
 
 
 def test_certificate_chain_is_strict():
-    cert = certify_nonfg(shifts(4))
-    for stage in cert.stages:
+    _, record = certify_nonfg(shifts(4))
+    for stage in record["stages"]:
         # the escape of stage k is a generator of stage k+1
-        assert stage.refutation is None
-        assert stage.next_span is not None
+        assert stage["refutation"] == {"member": False}
+        assert stage["next_span"]["member"] is True
 
 
 def test_one_failed_stage_fails_the_certificate(monkeypatch):
@@ -254,10 +266,10 @@ def test_one_failed_stage_fails_the_certificate(monkeypatch):
         return real(basis, target)
 
     monkeypatch.setattr(fingen, "membership", first_refutation_is_a_member)
-    cert = certify_nonfg(shifts(3))
-    assert [s.refutation is not None for s in cert.stages] == [True, False, False]
-    assert all(s.next_span is not None for s in cert.stages)
-    assert cert.failure == "stage 1: (t^-2)*a lies in the span of the first 1 shifts"
+    failure, record = certify_nonfg(shifts(3))
+    assert [s["refutation"]["member"] for s in record["stages"]] == [True, False, False]
+    assert all(s["next_span"]["member"] for s in record["stages"])
+    assert failure == "stage 1: (t^-2)*a lies in the span of the first 1 shifts"
 
 
 def test_certificate_json_is_deterministic():
@@ -268,9 +280,9 @@ def test_certificate_json_is_deterministic():
     one = certificate_json()
     assert one == certificate_json()
     blob = json.loads(one)
-    assert blob["format"] == "4"
+    assert blob["format"] == "5"
     assert blob["max_k"] == "3"
-    assert blob["passed"] is True
+    assert "passed" not in blob
     assert blob["generators"] == ["0", "-2", "-4", "-6"]
     assert blob["stages"][2] == {
         "escape_exponent": "3",
@@ -281,39 +293,40 @@ def test_certificate_json_is_deterministic():
     assert blob["external_facts"]
 
 
-def membership_record(witness):
-    return {"member": False} if witness is None else {"member": True, "witness": walk(witness)}
+def rebuilt_record(max_k):
+    """The record of the shifts t^(-2n), n = 0..max_k, rebuilt stage by stage:
+    each membership solved in a fresh basis of the first k or k + 1 shifts,
+    not in the one basis the certificate grows."""
+
+    def written(witness):
+        if witness is None:
+            return {"member": False}
+        return {"member": True, "witness": {str(i): str(c) for i, c in witness.items()}}
+
+    gens = shifts(max_k)
+    return {
+        "max_k": str(max_k),
+        "generators": [str(-2 * n) for n in range(max_k + 1)],
+        "stages": [
+            {
+                "escape_exponent": str(k),
+                "refutation": written(membership(SpanBasis(gens[:k]), {-2 * k: 1})),
+                "next_span": written(membership(SpanBasis(gens[: k + 1]), {-2 * k: 1})),
+            }
+            for k in range(1, max_k + 1)
+        ],
+        "degree_argument": fingen.DEGREE_ARGUMENT,
+        "external_facts": [fingen.CHAIN_FACT],
+        "format": "5",
+    }
 
 
-def walk(obj):
-    """A record written field by field, each leaf as the pipeline's _stringify writes it,
-    without a stage's ``k`` and ``support_bound``, which a reader derives; each
-    membership witness with its ``member`` verdict, written only for a member;
-    and the ``failure`` text, or None, as the ``passed`` verdict."""
-    if hasattr(obj, "_fields"):
-        record = {
-            name: (membership_record(v) if name in ("refutation", "next_span") else walk(v))
-            for name, v in zip(obj._fields, obj)
-            if name not in ("k", "support_bound", "failure")
-        }
-        if "failure" in obj._fields:
-            record["passed"] = obj.failure is None
-        return record
-    if isinstance(obj, dict):
-        return {str(k): walk(v) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return [walk(v) for v in obj]
-    return _stringify(obj)
-
-
-def test_certificate_record_matches_the_generic_walk():
-    # the report writes the certificate's own record; a generic walk over
-    # its fields is the reference it must not drift from
+def test_certificate_record_matches_a_stage_by_stage_rebuild():
+    # the one grown basis must write what fresh bases, one per membership, write
     for max_k in [*range(1, 21), 200]:
-        cert = certify_nonfg(shifts(max_k))
-        record, walked = cert.to_record(), walk(cert)
-        assert record == walked
-        assert json.dumps(record, sort_keys=True) == json.dumps(walked, sort_keys=True)
+        failure, record = certify_nonfg(shifts(max_k))
+        assert failure is None
+        assert record == rebuilt_record(max_k)
 
 
 def test_certificate_validation():
@@ -325,15 +338,22 @@ def test_certificate_validation():
 # -- rechecking a written report ------------------------------------------------------------
 
 
+RECORD_KEYS = {"max_k", "generators", "stages", "degree_argument", "external_facts", "format"}
+
+
 def recheck(cert: dict) -> bool:
     """Recheck every escape stage of a report's certificate from its text alone.
 
-    Stage k is the k-th entry of ``stages``.  It refutes by the support
+    The record is format 5, which holds no ``passed`` flag: whether every
+    stage holds is the nonfg check's own status.  Stage k is the k-th
+    entry of ``stages``.  It refutes by the support
     argument: every combination of the first k generators has support at
     or above their least exponent, and the escape exponent lies below
     it; its refutation is a bare non-member.  The sparse next-span
     witness, over the first k + 1 generators, must sum to exactly t^(-2N).
     """
+    if cert.keys() != RECORD_KEYS or cert["format"] != "5":
+        return False
     gens = [int(e) for e in cert["generators"]]
     max_k = int(cert["max_k"])
     if len(cert["stages"]) != max_k or len(gens) != max_k + 1:
@@ -365,7 +385,7 @@ def test_written_nonfg_report_rechecks_from_its_text(tmp_path):
     assert main(["nonfg", "--max-gens", "12", "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     cert = json.loads(text)["stages"][0]["evidence"]["certificate"]
-    assert cert["format"] == "4"
+    assert cert["format"] == "5"
     assert recheck(cert)
 
     def mutated(edit):
@@ -392,6 +412,13 @@ def test_written_nonfg_report_rechecks_from_its_text(tmp_path):
     def next_span_witness(c):
         del c["stages"][4]["next_span"]["witness"]
 
+    def passed_flag(c):
+        # the format 4 shape: a verdict the nonfg check already states
+        c["passed"] = True
+
+    def format_4(c):
+        c["format"] = "4"
+
     edits = (
         witness_coefficient,
         escape_exponent_,
@@ -399,6 +426,8 @@ def test_written_nonfg_report_rechecks_from_its_text(tmp_path):
         refutation_witness,
         deleted_stage,
         next_span_witness,
+        passed_flag,
+        format_4,
     )
     for edit in edits:
         assert not recheck(mutated(edit)), edit.__name__

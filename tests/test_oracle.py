@@ -398,7 +398,7 @@ def test_nonfg_basis_is_integral(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(fingen, "SpanBasis", Recorded)
-    assert fingen.certify_nonfg(shifts(20)).failure is None
+    assert fingen.certify_nonfg(shifts(20))[0] is None
     (basis,) = built
     assert len(basis.generators) == 21
     entries = [c for g in basis.generators for c in g.values()]

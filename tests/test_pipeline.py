@@ -144,12 +144,12 @@ def test_default_report_sha256_is_the_regression_anchor(sample_reports):
         return CertificateReport(__version__, options, (run_stage("nonfg", options),), "pass")
 
     deep80 = nonfg_report(80)
-    assert len(deep80.to_json().encode("utf-8")) == 10646
+    assert len(deep80.to_json().encode("utf-8")) == 10632
     pinned = [
-        (default_report, "ee4e2a6e35b625245de4233bc910372df017b601d5f1447767960e0d6c0dc4b6"),
-        (deep, "91a435b422ac28a6389bbe57f1a8648d2eb2551d752bda391088d52dbe3ef694"),
-        (deep80, "8c62c193dcf4880d664ee241fdcacd188e657cf65fdfd1de3c07d16ced3e3538"),
-        (nonfg_report(1000), "e2638616591ce6a0bdff66b2e1a3452cec14b12e2b48c4f1775478be46bb4d17"),
+        (default_report, "1f0030821a87213185e07eea20be96f35b49cde085ba432149bfb1bfa82c150d"),
+        (deep, "ae90905044d5b5d7fb21f54266eb5d2d1cb3dc483d8abd601530fb9d428aa767"),
+        (deep80, "e1b079e0087dd96fe709fb93e6fffc8b7d699d06674abbf2a255c209a92bc619"),
+        (nonfg_report(1000), "6d04915fe07bdcaac86491baac2d5bd1f207c941c967cd6f9ef96f71aa07b289"),
     ]
     for report, expected in pinned:
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
@@ -167,30 +167,30 @@ PINNED_REPORTS = {
         PipelineOptions(seed=s): digest
         for s, digest in enumerate(
             [
-                "ee4e2a6e35b625245de4233bc910372df017b601d5f1447767960e0d6c0dc4b6",
-                "e357ed51bffd2ef51ab1aeac8a8d612716285b4aa23bb872134dade46c093ba7",
-                "e00a68154c9e56f9df0e9c57afe5866fee600fa6c92bc7bec6bb464cae4ec783",
-                "8a103861c1f98d5bc7eb841c29827d237a16015e2eb0f5faaf3992e20db28ad4",
-                "eed23a6647f65c70a59dfe2b8ad8fe89e2fddccd30bd9215f2fc3a7291407c45",
-                "42c24d18e7d1fccac405ca15065f92085fbe7e2564f1cd32bf5c128eafbeca6a",
-                "d682dba681c785abd8b8a005ab175d08a2621e7bb4a3d865bba9368e1c08f737",
-                "5d124edddabf50675a29f27ca2c433364488e097d635faf4b21fbc6b17321685",
-                "dd4cc6f850fc208fa2ee50c2f16d14be92a7a77bf4eb990a44718cbc2ca4bb48",
-                "efd6db7c96b1cb63eb534193cc41ba485241429d7e3d2e8132494313a6de38ce",
-                "bd3b9e884df033edbb200e94af31b6e6f8f995d272f6ad70d82739b3627e448d",
-                "f668624f892a54794ccba9c0a5fb7c8f49723fb3489aa1ddee6fdea58786e7fc",
+                "1f0030821a87213185e07eea20be96f35b49cde085ba432149bfb1bfa82c150d",
+                "5d103bb03d60e43e1cd4a2ccd2225cb99b96139dbf46aac17c3fbaffa04c5e9e",
+                "1d2605e32d4d8e33c4810111d2395e87abd60bfa741b1b99ad9e3b421d74ee33",
+                "7258ef55f1f53bc20d196b30e5a0203a419ba5feb4d357d1491d4339ddb00cb0",
+                "3abeac97902448faff0f7b55289f30c25d22e566f5419835595e12924f820888",
+                "915493bf028946e10a539342cf4afa66c4fb9d14c2cb97cc5963eada0b6deb48",
+                "3508f1b384b5b3b545ff5e4239497d58e0d451f37e53a4c6479e62f8de620af4",
+                "e4944ba45a0875e833f6bc737015eeac0d3d0d0d4f38e27e1139882eb05fe907",
+                "96adc38cfed39472b05b0d11ddce68eca5ebefb35dd3a29ba2acf94c2164590b",
+                "0586f1c7d8dfbef65dfb7a719070b44e994f5c9db8f22056d756a66d2d11091c",
+                "3ed9b94fc21096604d199b70f012e1cd269e2583b3c98c7f1d7a27a15ae397b1",
+                "576a7436a4c494364008ac2666961068b7c9627dd53b0c2529fb49715442742d",
             ]
         )
     },
     **{
         PipelineOptions(corrupt_pair=pair): digest
         for pair, digest in [
-            (("E1", "C11"), "fdc930e9998a7a0fb5614a1ebd0a2c1d0cf31d4e407bb92d9b1d8a81b6b3b4fb"),
-            (("E2", "C2"), "c57f1a86ac835e6bcde981fb389098883effbeeb7de10280058aa391c5823838"),
-            (("F3", "C32"), "5f488fb946399417c88c3dfb1a4d58b823a63ed42a66096d4f873222f24ff4b4"),
-            (("F4", "C44"), "74160d4372fe7718c63bf66c1fbafbb22ca6262cead500dfb2406cfbefe8e457"),
-            (("C11", "C2"), "dcbd865c3b1969f95bcf774d5ea48811d7677bae82b8a20bd0740a4780b03bf5"),
-            (("C33", "C4"), "38b0b23f38d4c84beec120e7d2618fce9c629a45ea4ff53a6e05b3487e2d3b96"),
+            (("E1", "C11"), "3418496bf219172dcf6fd1095f59b79c4040ef90353ef0be6fffeb834d640249"),
+            (("E2", "C2"), "136633a0d308e03d349095405e18491e16d74017c2733bea3d128dc1b5d67818"),
+            (("F3", "C32"), "9924369196a972e520e75ce4b1624bb6c3d34812bb28684a82c9eddf6bb73faf"),
+            (("F4", "C44"), "f286e289255efd316a866ea28716038278c1696d511885d7906aadf9cf33b92f"),
+            (("C11", "C2"), "aa358664cee569bda8c95ab407175c19b40ad0c59d7acc3d95637165a4226098"),
+            (("C33", "C4"), "fe0ba7d1b3cfa03ceb4123851deae4f46e3fe26ff1443232198be34123261452"),
         ]
     },
 }
@@ -553,8 +553,10 @@ def test_nonfg_stage_fails_when_a_refutation_finds_a_member(monkeypatch):
     monkeypatch.setattr(fingen, "membership", always_member)
     stage = run_stage("nonfg", PipelineOptions(max_gens=3))
     assert stage.status == "fail"
-    assert [c["status"] for c in stage.evidence["checks"]] == ["fail"]
-    assert stage.evidence["certificate"]["passed"] is False
+    (check,) = stage.evidence["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"] == "stage 1: (t^-2)*a lies in the span of the first 1 shifts"
+    assert "passed" not in stage.evidence["certificate"]
 
 
 def quotient_verdicts():
@@ -615,11 +617,8 @@ DYNAMICS_GLUING = (
 )
 DYNAMICS_SUM = (
     "the component indices of C11 and C2 in the 8-cycle sum to 4 "
-    "mod 8, so the induced action shifts components by 4"
-)
-DYNAMICS_SQUARE = (
-    "the smooth-locus action (x, m) -> (t x, m + 4) squares to "
-    "(x, m) -> (t^2 x, m)"
+    "mod 8, so the induced action shifts components by 4 and its "
+    "square by 0"
 )
 DYNAMICS_CONJUGATION = (
     "conjugating the translation x -> x + a by the n-th power of "
@@ -662,7 +661,7 @@ def move_p22_and_p2(mp):
 
 def move_c2_index(mp):
     """Move C2's component index in N1 by one, so the component sum is 5
-    mod 8 and the squared action shifts by 2 in place of 0."""
+    mod 8 in place of 4."""
     real = pipeline.section_from_config
 
     def moved(config, cycles, section, zero):
@@ -915,7 +914,7 @@ def self_intersection_minus_3(mp):
 
 def move_c2_index_by_4(mp):
     """Move C2's component index in N1 by 4, so the component sum is 0
-    mod 8 and the squared action still shifts by 0."""
+    mod 8: doubled, it is still 0, but it is not 4."""
     real = pipeline.section_from_config
 
     def moved(config, cycles, section, zero):
@@ -930,8 +929,8 @@ def move_c2_index_by_4(mp):
 
 def doubling_misread(mp):
     """ModInt addition gets a doubling, x + x for one object x, one too
-    high; every other sum stays right, so only the squared action's
-    shift is off."""
+    high; every other sum stays right, so only C12's doubled component
+    indices miss the identity, while its height stays 0."""
     real = ModInt.__add__
     mp.setattr(
         ModInt,
@@ -957,7 +956,7 @@ def every_span_holds_the_escape(mp):
         (("lattice",), misread_a2, {LATTICE_E6}),
         (("dynamics",), move_p2, {DYNAMICS_GLUING}),
         (("dynamics",), move_p22_and_p2, {DYNAMICS_GLUING}),
-        (("dynamics",), move_c2_index, {DYNAMICS_SUM, DYNAMICS_SQUARE}),
+        (("dynamics",), move_c2_index, {DYNAMICS_SUM}),
         (("dynamics", "nonfg"), wrong_scaling_power, {DYNAMICS_CONJUGATION, NONFG_CHAIN}),
         (("dynamics", "nonfg"), doubled_conjugate_scale, {DYNAMICS_CONJUGATION}),
         (("cremona",), no_swap_passes, {SWAP_CLAIM}),
@@ -990,8 +989,8 @@ def every_span_holds_the_escape(mp):
         ],
         (("canonical",), halved_e321, {CANONICAL_COEFFICIENTS}),
         (("canonical",), self_intersection_minus_3, {CANONICAL_SELF_INTERSECTION}),
+        (("heights",), doubling_misread, {HEIGHT_CLAIMS["C12"]}),
         (("dynamics",), move_c2_index_by_4, {DYNAMICS_SUM}),
-        (("dynamics",), doubling_misread, {DYNAMICS_SQUARE}),
         (("nonfg",), every_span_holds_the_escape, {NONFG_CHAIN}),
     ],
     ids=[
@@ -1004,7 +1003,7 @@ def every_span_holds_the_escape(mp):
         "quadric-cofactor", "involution-cofactor", "uncontracted-plane", "determinant",
         "fiber-type", "rank-up", "rank-down", "euler-budget",
         *[f"height-{section}" for section in HEIGHT_CLAIMS],
-        "canonical-coefficients", "self-intersection", "component-sum", "square-shift",
+        "canonical-coefficients", "self-intersection", "c12-doubling", "component-sum",
         "chain",
     ],
 )
@@ -1047,6 +1046,18 @@ def test_dynamics_conjugates_once_over_a_symbolic_unit(monkeypatch):
     conjugation = next(c for c in checks if c["claim"] == DYNAMICS_CONJUGATION)
     assert conjugation["status"] == "pass"
     assert conjugation["shifts"] == [f"(t^{-2 * n})*a" for n in range(1, 11)]
+
+
+def test_c12_torsion_names_each_doubled_index_that_misses_the_identity(monkeypatch):
+    # both of C12's indices are 4 (mod 8); a misread doubling leaves the
+    # height at 0, so the witness names only the two doubled indices
+    doubling_misread(monkeypatch)
+    c12 = run_stage("heights").evidence["checks"][0]
+    assert c12["claim"] == HEIGHT_CLAIMS["C12"] and c12["height"] == "0"
+    assert c12["witness"] == (
+        "N1 doubled index 1 (mod 8); expected 0 (mod 8); "
+        "N1eps doubled index 1 (mod 8); expected 0 (mod 8)"
+    )
 
 
 def test_a_swap_that_fixes_curves_is_refused_with_them_recorded(monkeypatch):
@@ -1173,10 +1184,10 @@ def test_cli_all_writes_report(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["all"], "ee4e2a6e35b625245de4233bc910372df017b601d5f1447767960e0d6c0dc4b6"),
+        (["all"], "1f0030821a87213185e07eea20be96f35b49cde085ba432149bfb1bfa82c150d"),
         (
             ["nonfg", "--max-gens", "80"],
-            "8c62c193dcf4880d664ee241fdcacd188e657cf65fdfd1de3c07d16ced3e3538",
+            "e1b079e0087dd96fe709fb93e6fffc8b7d699d06674abbf2a255c209a92bc619",
         ),
     ],
     ids=["all-default", "nonfg-80"],

@@ -21,7 +21,6 @@ from autcert.cremona import (
     verify_pij_swap,
 )
 from autcert.fibration import FiberDivisor, KodairaType, classify_kodaira, validate_fiber
-from autcert.fingen import certify_nonfg
 from autcert.lattice import RootType
 from autcert.mwl import ModInt, SectionData
 from autcert.pipeline import PipelineOptions, _stringify, run_all, run_stage
@@ -37,7 +36,6 @@ from autcert.surface import (
     verify_isometry,
 )
 
-from conftest import shifts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -107,8 +105,6 @@ VALUES = {
     "ModInt": (lambda: ModInt(11, 8), True),
     "SectionData": (lambda: SectionData("P", 0, {"M2": ModInt(0, 3)}), False),
     "RootType": (lambda: RootType("A", 2), True),
-    "EscapeStage": (lambda: certify_nonfg(shifts(2)).stages[1], False),
-    "NonFGCertificate": (lambda: certify_nonfg(shifts(2)), False),
     "KodairaType": (lambda: KodairaType("IV*"), True),
     # a marking coordinate, as the construction table holds t
     "MultiPoly": (lambda: MultiPoly.var("t"), True),
